@@ -175,7 +175,7 @@ let section_figure10 () =
       let inst = inst_of w in
       let piped, pr = time_keeping (fun () -> W.run_pipeline ~inst w) in
       let piped_insns =
-        pr.Gpu_runtime.Pipeline.machine_result.Simt.Machine.dyn_instructions
+        pr.Gpu_runtime.Session.sr_machine_result.Simt.Machine.dyn_instructions
       in
       Printf.printf "  %-18s %-9s %11.2f %11.2f %8.1fx %10.1fx\n" w.W.name
         w.W.suite (1000.0 *. native) (1000.0 *. piped) (piped /. native)
@@ -364,44 +364,6 @@ let section_scaling () =
     \   tractable, 4 MB vs 4 TB at 10^6 threads)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Parallel host: one consumer domain per queue                        *)
-
-let section_parallel () =
-  header "Parallel host: concurrent queue draining (paper 4.3)";
-  Printf.printf "  %-18s %13s %12s %12s %8s\n" "benchmark" "sequential(ms)"
-    "parallel(ms)" "races(eq?)" "queues";
-  let subset = [ "backprop"; "pathfinder"; "dxtc"; "d_scan"; "d_reduce" ] in
-  List.iter
-    (fun name ->
-      let w = Workloads.Registry.find name in
-      let config = { Gpu_runtime.Pipeline.default_config with queues = 2 } in
-      let inst = inst_of w in
-      let run_seq () =
-        let m = W.machine w in
-        let args = w.W.setup m in
-        Gpu_runtime.Pipeline.run ~config ~inst ~machine:m w.W.kernel args
-      in
-      let run_par () =
-        let m = W.machine w in
-        let args = w.W.setup m in
-        Gpu_runtime.Pipeline.run_parallel ~config ~inst ~machine:m w.W.kernel
-          args
-      in
-      let t_seq, sr = time_keeping run_seq in
-      let t_par, pr = time_keeping run_par in
-      let verdict r =
-        Barracuda.Report.has_race (Gpu_runtime.Pipeline.report r)
-      in
-      let same = verdict sr = verdict pr in
-      Printf.printf "  %-18s %13.2f %12.2f %12b %8d\n" name (1000.0 *. t_seq)
-        (1000.0 *. t_par) same config.Gpu_runtime.Pipeline.queues)
-    subset;
-  Printf.printf
-    "  (this host has a single core, so the concurrent drain pays context\n\
-    \   switches without gaining parallel speedup; the point here is the\n\
-    \   protocol — verdicts match the sequential pipeline)\n"
-
-(* ------------------------------------------------------------------ *)
 (* Telemetry: per-stage pipeline profile -> BENCH_pipeline.json        *)
 
 (* Scan a previously checked-in BENCH json for a gauge value without a
@@ -470,7 +432,7 @@ let hot_pump_records_per_sec () =
       Gpu_runtime.Queue.release q
     done
   in
-  pump 2_000 (* warm up shadow pages and lazy telemetry handles *);
+  pump 2_000 (* warm up shadow pages *);
   let n = 200_000 in
   let minor0 = Gc.minor_words () in
   let t0 = Telemetry.Clock.now_ns () in
@@ -506,25 +468,24 @@ let section_pipeline () =
   Telemetry.Registry.set_enabled true;
   Telemetry.Registry.reset registry;
   let t0 = Telemetry.Clock.now_ns () in
-  List.iter
-    (fun name -> ignore (W.run_pipeline (Workloads.Registry.find name)))
-    subset;
+  let records =
+    List.fold_left
+      (fun acc name ->
+        let r = W.run_pipeline (Workloads.Registry.find name) in
+        acc + r.Gpu_runtime.Session.sr_records)
+      0 subset
+  in
   let wall_ns = Telemetry.Clock.elapsed_ns ~since:t0 in
   Telemetry.Registry.set_enabled false;
-  let totals = Telemetry.Span.totals ~registry () in
   Printf.printf "  %-12s %8s %12s %8s\n" "stage" "calls" "total ms" "share";
   List.iter
     (fun (stage, (calls, ns)) ->
-      Printf.printf "  %-12s %8d %12.2f %7.1f%%\n" stage calls
-        (Telemetry.Clock.ns_to_ms ns)
-        (100.0 *. Int64.to_float ns /. Int64.to_float (max 1L wall_ns)))
-    totals;
-  let records =
-    Telemetry.Registry.find_counter registry "barracuda_pipeline_records_total"
-  in
-  Printf.printf "  records shipped %d, queue pushes %d, detector checks %d\n"
-    records
-    (Telemetry.Registry.find_counter registry "barracuda_queue_pushes_total")
+      if calls > 0 then
+        Printf.printf "  %-12s %8d %12.2f %7.1f%%\n" stage calls
+          (Telemetry.Clock.ns_to_ms ns)
+          (100.0 *. Int64.to_float ns /. Int64.to_float (max 1L wall_ns)))
+    (Telemetry.Span.totals ~registry ());
+  Printf.printf "  records shipped %d, detector checks %d\n" records
     (Telemetry.Registry.find_counter registry "barracuda_detector_checks_total");
   let e2e =
     float_of_int records /. Telemetry.Clock.ns_to_s wall_ns
@@ -754,29 +715,22 @@ let key_shard8_detect = "barracuda_bench_shard8_detect_records_per_sec"
 let section_shard () =
   header "Sharded detection engine: broadcast transport (BENCH_shard.json)";
   let w = Workloads.Registry.find "dxtc" in
-  let run_serial () =
+  (* both backends run the deployed instrumentation through the
+     session core; only the sink differs *)
+  let run ?sink () =
     let m = W.machine w in
     let args = w.W.setup m in
     let r =
-      Gpu_runtime.Pipeline.run
-        ~config:{ Gpu_runtime.Pipeline.default_config with queues = 1 }
-        ~machine:m w.W.kernel args
+      Gpu_runtime.Session.run_stream ?sink ~inst:(inst_of w) ~machine:m
+        w.W.kernel args
     in
-    ( r.Gpu_runtime.Pipeline.queue_stats.Gpu_runtime.Pipeline.records,
-      r.Gpu_runtime.Pipeline.detect_ns,
-      Barracuda.Report.has_race (Gpu_runtime.Pipeline.report r) )
+    ( r.Gpu_runtime.Session.sr_records,
+      r.Gpu_runtime.Session.sr_detect_ns,
+      Barracuda.Report.has_race r.Gpu_runtime.Session.sr_report )
   in
-  let run_sharded shards () =
-    let m = W.machine w in
-    let args = w.W.setup m in
-    let r =
-      Shard.Pipeline.run_sharded
-        ~config:{ Shard.Pipeline.default_config with Shard.Pipeline.shards }
-        ~machine:m w.W.kernel args
-    in
-    ( r.Shard.Pipeline.queue_stats.Gpu_runtime.Pipeline.records,
-      r.Shard.Pipeline.detect_ns,
-      Barracuda.Report.has_race r.Shard.Pipeline.report )
+  let run_serial () = run () in
+  let run_shards shards () =
+    run ~sink:(Shard.Stream.sink ~layout:w.W.layout ~shards w.W.kernel) ()
   in
   (* e2e throughput counts the whole job (simulation included);
      detect throughput counts only the busiest shard's time inside the
@@ -802,7 +756,7 @@ let section_shard () =
   let rows =
     List.map
       (fun shards ->
-        let e2e, det, ms, racy = measure (run_sharded shards) in
+        let e2e, det, ms, racy = measure (run_shards shards) in
         Printf.printf "  %-8s %15.0f %17.0f %11.2f %8b\n"
           (Printf.sprintf "%d-shard" shards)
           e2e det ms (racy = serial_racy);
@@ -825,10 +779,10 @@ let section_shard () =
   (* one instrumented 8-shard run so the engine's own telemetry —
      per-shard record counters, broadcast-epoch histogram, imbalance
      gauge — lands in the exported artifact *)
-  ignore (run_sharded 8 ());
+  ignore (run_shards 8 ());
   Telemetry.Metric.gauge_set
     (Telemetry.Registry.gauge
-       ~help:"Serial pipeline end-to-end throughput on the shard bench workload"
+       ~help:"Serial sink end-to-end throughput on the shard bench workload"
        registry key_shard_serial)
     (int_of_float serial_e2e);
   Telemetry.Metric.gauge_set
@@ -840,7 +794,7 @@ let section_shard () =
     (fun (shards, e2e, _, _) ->
       Telemetry.Metric.gauge_set
         (Telemetry.Registry.gauge
-           ~help:"Sharded pipeline end-to-end throughput" registry
+           ~help:"Sharded sink end-to-end throughput" registry
            (Printf.sprintf "barracuda_bench_shard%d_records_per_sec" shards))
         (int_of_float e2e))
     rows;
@@ -1001,15 +955,12 @@ let section_static () =
      throughput numbers are comparable. *)
   let e2e name =
     let w = Workloads.Registry.find name in
-    let run static_prune =
+    let run static =
       let m = W.machine w in
       let args = w.W.setup m in
-      let r =
-        Gpu_runtime.Pipeline.run
-          ~config:{ Gpu_runtime.Pipeline.default_config with static_prune }
-          ~machine:m w.W.kernel args
-      in
-      r.Gpu_runtime.Pipeline.queue_stats.Gpu_runtime.Pipeline.records
+      let inst = Instrument.Pass.instrument ~static w.W.kernel in
+      let r = Gpu_runtime.Session.run_stream ~inst ~machine:m w.W.kernel args in
+      r.Gpu_runtime.Session.sr_records
     in
     let records_off = run false in
     let records_on = run true in
@@ -1425,7 +1376,6 @@ let sections =
     ("queues", section_queues);
     ("granularity", section_granularity);
     ("scaling", section_scaling);
-    ("parallel", section_parallel);
     ("pipeline", section_pipeline);
     ("predict", section_predict);
     ("service", section_service);

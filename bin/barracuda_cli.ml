@@ -1,7 +1,7 @@
 (* The barracuda command-line tool.
 
      barracuda check FILE.ptx [--blocks N] [--tpb N] ...   race-check a kernel
-     barracuda profile FILE.ptx [--parallel]               per-stage telemetry
+     barracuda profile FILE.ptx                            per-stage telemetry
      barracuda instrument FILE.ptx [--no-prune]            show rewritten PTX
      barracuda analyze FILE.ptx [--json]                    static race verdicts
      barracuda repair FILE.ptx [--json] [--out DIR]         propose a minimal fix
@@ -161,9 +161,9 @@ let metrics_term =
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
           "Enable telemetry and write the metric registry as JSON to \
-           $(docv) ($(b,-) for stdout).  The run goes through the full \
-           instrument/execute/queue/decode/detect pipeline so all five \
-           stage spans are populated.")
+           $(docv) ($(b,-) for stdout).  The run and its verdict are \
+           the same as without telemetry; the execute and detect stage \
+           spans are populated.")
 
 let write_metrics path =
   if path = "-" then
@@ -179,102 +179,53 @@ let check_cmd =
   let run layout file specs max_reports dump_trace metrics shards record =
     guard @@ fun () ->
     if shards < 1 then failwith "--shards must be at least 1";
-    if record <> None && shards > 1 then
-      failwith "--record is not supported together with --shards";
-    if record <> None && dump_trace <> None then
-      failwith "--record is not supported together with --dump-trace";
-    if record <> None && metrics <> None then
-      failwith "--record is not supported together with --metrics";
     let kernel = load_kernel file in
     let machine = Simt.Machine.create ~layout () in
     let args = resolve_args machine kernel specs in
-    let config = { Barracuda.Detector.default_config with max_reports } in
-    let infer = Gtrace.Infer.create ~layout kernel in
+    let detector = { Barracuda.Detector.default_config with max_reports } in
+    if metrics <> None then begin
+      Telemetry.Registry.set_enabled true;
+      Telemetry.Registry.reset Telemetry.Registry.default
+    end;
+    (* One code path: the flags only pick a backend (--shards), a raw
+       event tap (--dump-trace), a capture (--record) or telemetry
+       (--metrics); none of them changes the verdict. *)
+    let sink =
+      if shards > 1 then
+        Some (Shard.Stream.sink ~config:detector ~layout ~shards kernel)
+      else None
+    in
     let trace = ref [] in
-    let record_trace ev =
-      match dump_trace with
-      | Some _ -> trace := List.rev_append (Gtrace.Infer.feed infer ev) !trace
-      | None -> ()
+    let tap =
+      Option.map
+        (fun _ ->
+          let infer = Gtrace.Infer.create ~layout kernel in
+          fun ev ->
+            trace := List.rev_append (Gtrace.Infer.feed infer ev) !trace)
+        dump_trace
     in
-    let write_trace () =
-      match dump_trace with
-      | Some path ->
-          let oc = open_out path in
-          Gtrace.Serialize.to_channel ~layout oc (List.rev !trace);
-          close_out oc;
-          Format.printf "trace written to %s@." path
-      | None -> ()
+    let capture = Option.map (fun _ -> Buffer.create 65536) record in
+    let result =
+      Gpu_runtime.Session.run_stream ~detector ?sink ?capture ?tap ~machine
+        kernel args
     in
-    if shards > 1 then begin
-      (* Sharded detection: N detector domains over partitioned shadow
-         state, verdicts bitwise-identical to the serial pipeline.  The
-         trace tee lives on the serial pipeline only. *)
-      if dump_trace <> None then
-        failwith "--dump-trace is not supported together with --shards";
-      (match metrics with
-      | Some _ ->
-          Telemetry.Registry.set_enabled true;
-          Telemetry.Registry.reset Telemetry.Registry.default
-      | None -> ());
-      let pconfig =
-        { Shard.Pipeline.default_config with shards; detector = config }
-      in
-      let result = Shard.Pipeline.run_sharded ~config:pconfig ~machine kernel args in
-      print_machine_result kernel result.Shard.Pipeline.machine_result;
-      let code = print_verdict result.Shard.Pipeline.report in
-      (match metrics with Some path -> write_metrics path | None -> ());
-      code
-    end
-    else
-    match metrics with
-    | Some path ->
-        (* Telemetry run: the deployed pipeline (Figure 5) end-to-end,
-           so the exported registry covers every stage.  The kernel
-           executed is the instrumented one, exactly as deployed. *)
-        Telemetry.Registry.set_enabled true;
-        Telemetry.Registry.reset Telemetry.Registry.default;
-        let pconfig =
-          { Gpu_runtime.Pipeline.default_config with detector = config }
-        in
-        let result =
-          Gpu_runtime.Pipeline.run ~config:pconfig ~machine ~tee:record_trace
-            kernel args
-        in
-        write_trace ();
-        print_machine_result kernel result.Gpu_runtime.Pipeline.machine_result;
-        let code = print_verdict (Gpu_runtime.Pipeline.report result) in
-        write_metrics path;
-        code
-    | None when dump_trace <> None ->
-        (* The abstract-trace dump needs the raw interpreter events, so
-           it keeps the direct detector feed. *)
-        let detector = Barracuda.Detector.create ~config ~layout kernel in
-        let on_event ev =
-          record_trace ev;
-          Barracuda.Detector.feed detector ev
-        in
-        let result = Simt.Machine.launch machine kernel args ~on_event in
-        write_trace ();
-        print_machine_result kernel result;
-        print_verdict (Barracuda.Detector.report detector)
-    | None ->
-        (* The plain serial check is a thin driver over the streaming
-           session core; --record taps its capture hook. *)
-        let capture =
-          match record with Some _ -> Some (Buffer.create 65536) | None -> None
-        in
-        let result =
-          Gpu_runtime.Session.run_stream ~detector:config ?capture ~machine
-            kernel args
-        in
-        (match (record, capture) with
-        | Some path, Some buf ->
-            Gpu_runtime.Stream.write_file path ~layout buf;
-            Format.printf "stream recorded to %s (%d records)@." path
-              result.Gpu_runtime.Session.sr_records
-        | _ -> ());
-        print_machine_result kernel result.Gpu_runtime.Session.sr_machine_result;
-        print_verdict result.Gpu_runtime.Session.sr_report
+    Option.iter
+      (fun path ->
+        let oc = open_out path in
+        Gtrace.Serialize.to_channel ~layout oc (List.rev !trace);
+        close_out oc;
+        Format.printf "trace written to %s@." path)
+      dump_trace;
+    (match (record, capture) with
+    | Some path, Some buf ->
+        Gpu_runtime.Stream.write_file path ~layout buf;
+        Format.printf "stream recorded to %s (%d records)@." path
+          result.Gpu_runtime.Session.sr_records
+    | _ -> ());
+    print_machine_result kernel result.Gpu_runtime.Session.sr_machine_result;
+    let code = print_verdict result.Gpu_runtime.Session.sr_report in
+    Option.iter write_metrics metrics;
+    code
   in
   let max_reports =
     Arg.(value & opt int 50 & info [ "max-reports" ] ~docv:"N"
@@ -292,7 +243,7 @@ let check_cmd =
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Detector domains to shard detection across (default 1, the \
-             serial pipeline).  Shadow state is partitioned \
+             serial detector).  Shadow state is partitioned \
              deterministically; verdicts are identical at every shard \
              count.")
   in
@@ -313,23 +264,21 @@ let check_cmd =
       $ dump_trace $ metrics_term $ shards $ record)
 
 let profile_cmd =
-  let stage_order = [ "instrument"; "execute"; "queue"; "decode"; "detect" ] in
-  let run layout file specs parallel queues metrics prom =
+  let stage_order = [ "instrument"; "execute"; "detect" ] in
+  let run layout file specs metrics prom =
     guard @@ fun () ->
     let kernel = load_kernel file in
     let machine = Simt.Machine.create ~layout () in
     let args = resolve_args machine kernel specs in
     Telemetry.Registry.set_enabled true;
     Telemetry.Registry.reset Telemetry.Registry.default;
-    let config = { Gpu_runtime.Pipeline.default_config with queues } in
+    (* The deployed configuration: block + static pruning, so the
+       profile measures the overhead the in-process tool would pay. *)
     let t0 = Telemetry.Clock.now_ns () in
-    let result =
-      if parallel then
-        Gpu_runtime.Pipeline.run_parallel ~config ~machine kernel args
-      else Gpu_runtime.Pipeline.run ~config ~machine kernel args
-    in
+    let inst = Instrument.Pass.instrument kernel in
+    let result = Gpu_runtime.Session.run_stream ~inst ~machine kernel args in
     let total_ns = Telemetry.Clock.elapsed_ns ~since:t0 in
-    print_machine_result kernel result.Gpu_runtime.Pipeline.machine_result;
+    print_machine_result kernel result.Gpu_runtime.Session.sr_machine_result;
     let totals = Telemetry.Span.totals () in
     let by_name n = List.assoc_opt n totals in
     Format.printf "@.%-12s %12s %12s %12s %8s@." "stage" "calls" "total ms"
@@ -352,23 +301,19 @@ let profile_cmd =
         | None -> row name (0, 0L))
       stage_order;
     List.iter
-      (fun (name, t) ->
-        if not (List.mem name stage_order) then row name t)
+      (fun (name, ((calls, _) as t)) ->
+        if calls > 0 && not (List.mem name stage_order) then row name t)
       totals;
     Format.printf "%-12s %12s %12.3f %12s %7.1f%%@." "wall" ""
       (Telemetry.Clock.ns_to_ms total_ns) "" 100.0;
-    let reg = Telemetry.Registry.default in
-    let c = Telemetry.Registry.find_counter reg in
-    let g = Telemetry.Registry.find_gauge reg in
+    let c = Telemetry.Registry.find_counter Telemetry.Registry.default in
     Format.printf "@.counters@.";
     List.iter
       (fun (label, v) -> Format.printf "  %-34s %12d@." label v)
       [
-        ("records shipped", c "barracuda_pipeline_records_total");
-        ("producer stalls", c "barracuda_pipeline_stalls_total");
-        ("queue pushes", c "barracuda_queue_pushes_total");
-        ("queue pops", c "barracuda_queue_pops_total");
-        ("queue high watermark", g "barracuda_queue_high_watermark");
+        ("logging pruned (block)", c "barracuda_instrument_pruned_block_total");
+        ("logging pruned (static)", c "barracuda_instrument_pruned_static_total");
+        ("records shipped", result.Gpu_runtime.Session.sr_records);
         ("instructions retired", c "barracuda_simt_instructions_retired_total");
         ("divergent branches", c "barracuda_simt_divergent_branches_total");
         ("detector records", c "barracuda_detector_records_total");
@@ -377,10 +322,9 @@ let profile_cmd =
         ("full vector-clock scans", c "barracuda_detector_vc_full_total");
         ("race observations", c "barracuda_detector_races_total");
       ];
-    let report = Gpu_runtime.Pipeline.report result in
     Format.printf "@.%d distinct races reported.@."
-      (Barracuda.Report.race_count report);
-    (match metrics with Some path -> write_metrics path | None -> ());
+      (Barracuda.Report.race_count result.Gpu_runtime.Session.sr_report);
+    Option.iter write_metrics metrics;
     (match prom with
     | Some path -> (
         match open_out path with
@@ -395,16 +339,6 @@ let profile_cmd =
     | None -> ());
     0
   in
-  let parallel =
-    Arg.(value & flag
-           & info [ "parallel" ]
-               ~doc:"Profile the concurrent host (one consumer domain per \
-                     queue) instead of the sequential pipeline.")
-  in
-  let queues =
-    Arg.(value & opt int Gpu_runtime.Pipeline.default_config.Gpu_runtime.Pipeline.queues
-           & info [ "queues" ] ~docv:"N" ~doc:"GPU->host log queues.")
-  in
   let prom =
     Arg.(value & opt (some string) None
            & info [ "prometheus" ] ~docv:"FILE"
@@ -413,11 +347,9 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Run the full pipeline with telemetry enabled and print a \
-          per-stage time/count breakdown.")
-    Term.(
-      const run $ layout_term $ file_term $ args_term $ parallel $ queues
-      $ metrics_term $ prom)
+         "Check the kernel with its deployed instrumentation and telemetry \
+          enabled, and print a per-stage time/count breakdown.")
+    Term.(const run $ layout_term $ file_term $ args_term $ metrics_term $ prom)
 
 let load_trace file =
   let loaded = Gpu_runtime.Replay.load_file file in

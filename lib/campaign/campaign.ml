@@ -247,13 +247,14 @@ let run_service ~seed cases =
 (* ---- shard crashes (a detector domain dies mid-job) -------------- *)
 
 let sharded_verdict ?fault ~shards (case : Case.t) =
-  let machine = Simt.Machine.create ~layout:case.Case.layout () in
+  let layout = case.Case.layout in
+  let machine = Simt.Machine.create ~layout () in
   let args = case.Case.setup machine in
-  let config = { Shard.Pipeline.default_config with shards; fault } in
+  let sink = Shard.Stream.sink ?fault ~layout ~shards case.Case.kernel in
   let result =
-    Shard.Pipeline.run_sharded ~config ~machine case.Case.kernel args
+    Gpu_runtime.Session.run_stream ~sink ?fault ~machine case.Case.kernel args
   in
-  Barracuda.Report.has_race result.Shard.Pipeline.report
+  Barracuda.Report.has_race result.Gpu_runtime.Session.sr_report
 
 (* Each trial dooms one shard's consumer domain a few records into the
    job.  The only acceptable outcomes are a loud [Shard_crashed]

@@ -3,8 +3,8 @@
     One campaign = three sweeps, all driven by {!Fault.Plan}:
 
     - {b transport}: for each fault class (bit flip / drop / duplicate
-      / reorder-delay), run bug-suite cases through the deployed
-      pipeline with that class injected and classify each trial
+      / reorder-delay), run bug-suite cases through the serial check
+      with that class injected and classify each trial
       against the fault-free baseline verdict:
       {e masked} (verdict unchanged, nothing flagged),
       {e absorbed} (verdict unchanged, [degraded] flagged),
@@ -21,7 +21,7 @@
       must respawn and the retried verdicts must match one-shot
       checking) and a final poison job crashes every attempt (it must
       come back [Failed] with code ["quarantined"]);
-    - {b shard}: sharded detection ({!Shard.Pipeline}) with one shard
+    - {b shard}: sharded detection ({!Shard.Stream.sink}) with one shard
       consumer domain doomed to die mid-job — the job must fail loudly
       ([Shard.Engine.Shard_crashed]), never complete from a partial
       merge.

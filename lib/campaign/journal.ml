@@ -13,7 +13,9 @@
 
 module Json = Telemetry.Json
 
-let schema_version = 1
+(* 2: trials run the kernel uninstrumented through the session core,
+   with one transport-fault stream per run. *)
+let schema_version = 2
 let file_name = "campaign.json"
 
 type t = {

@@ -16,7 +16,9 @@
     trial formats. *)
 
 val schema_version : int
-(** Version stamped into journals and campaign reports: 1. *)
+(** Version stamped into journals and campaign reports: 2.  Bumped
+    whenever a trial's outcome for a given seed tuple changes, so a
+    journal is never merged across trial functions. *)
 
 val file_name : string
 (** [campaign.json], under the journal directory. *)

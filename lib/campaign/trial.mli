@@ -32,7 +32,8 @@ val class_count : int
 val class_names : string list
 
 val pipeline_verdict : ?fault:Fault.Plan.t -> Bugsuite.Case.t -> bool * bool
-(** Run the case through the deployed pipeline; [(has_race,
+(** Run the case as [barracuda check] does ([Session.run_stream],
+    uninstrumented, serial sink carrying [fault]); [(has_race,
     degraded)]. *)
 
 val transport_trial :

@@ -12,68 +12,58 @@ module Op = Gtrace.Op
    view ([feed_record]) — the in-place transport path — against the
    pipeline-level fallback-decode counter maintained by the runtime. *)
 let m_checks =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Thread-level access checks performed"
-       Telemetry.Registry.default "barracuda_detector_checks_total")
+  Telemetry.Registry.counter
+    ~help:"Thread-level access checks performed"
+    Telemetry.Registry.default "barracuda_detector_checks_total"
 
 let m_records =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Warp-level records processed by the detector"
-       Telemetry.Registry.default "barracuda_detector_records_total")
+  Telemetry.Registry.counter
+    ~help:"Warp-level records processed by the detector"
+    Telemetry.Registry.default "barracuda_detector_records_total"
 
 let m_races =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Race observations (before report deduplication)"
-       Telemetry.Registry.default "barracuda_detector_races_total")
+  Telemetry.Registry.counter
+    ~help:"Race observations (before report deduplication)"
+    Telemetry.Registry.default "barracuda_detector_races_total"
 
 let m_epoch_fast =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Ordering checks answered by the epoch fast path"
-       Telemetry.Registry.default "barracuda_detector_epoch_fast_total")
+  Telemetry.Registry.counter
+    ~help:"Ordering checks answered by the epoch fast path"
+    Telemetry.Registry.default "barracuda_detector_epoch_fast_total"
 
 let m_vc_full =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Ordering checks requiring a full vector-clock scan"
-       Telemetry.Registry.default "barracuda_detector_vc_full_total")
+  Telemetry.Registry.counter
+    ~help:"Ordering checks requiring a full vector-clock scan"
+    Telemetry.Registry.default "barracuda_detector_vc_full_total"
 
 let m_inplace =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Records consumed in place from a wire view (feed_record)"
-       Telemetry.Registry.default "barracuda_pipeline_records_inplace_total")
+  Telemetry.Registry.counter
+    ~help:"Records consumed in place from a wire view (feed_record)"
+    Telemetry.Registry.default "barracuda_pipeline_records_inplace_total"
 
-let sp_feed_record = lazy (Telemetry.Span.create "detector.feed_record")
+let sp_feed_record = Telemetry.Span.create "detector.feed_record"
 
 (* Transport-integrity accounting: anomalies the in-place feed path
    absorbed instead of crashing or silently mis-detecting. *)
 let m_int_corrupt =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Wire records failing magic/version/checksum validation"
-       Telemetry.Registry.default "barracuda_transport_integrity_corrupt_total")
+  Telemetry.Registry.counter
+    ~help:"Wire records failing magic/version/checksum validation"
+    Telemetry.Registry.default "barracuda_transport_integrity_corrupt_total"
 
 let m_int_gap =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Records lost between consecutive producer sequence numbers"
-       Telemetry.Registry.default "barracuda_transport_integrity_gap_total")
+  Telemetry.Registry.counter
+    ~help:"Records lost between consecutive producer sequence numbers"
+    Telemetry.Registry.default "barracuda_transport_integrity_gap_total"
 
 let m_int_stale =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Duplicate or out-of-date wire records skipped"
-       Telemetry.Registry.default "barracuda_transport_integrity_stale_total")
+  Telemetry.Registry.counter
+    ~help:"Duplicate or out-of-date wire records skipped"
+    Telemetry.Registry.default "barracuda_transport_integrity_stale_total"
 
 let m_int_desync =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Branch else/fi records orphaned by an upstream loss, skipped"
-       Telemetry.Registry.default "barracuda_transport_integrity_desync_total")
+  Telemetry.Registry.counter
+    ~help:"Branch else/fi records orphaned by an upstream loss, skipped"
+    Telemetry.Registry.default "barracuda_transport_integrity_desync_total"
 
 type config = {
   max_reports : int;
@@ -161,7 +151,7 @@ let report t = t.report
    bare (clock, tid) ints — the boxed [Epoch.t] is gone from this
    path. *)
 let epoch_ordered ~wc ~lane ~clock ~tid =
-  Telemetry.Metric.counter_incr (Lazy.force m_epoch_fast);
+  Telemetry.Metric.counter_incr m_epoch_fast;
   clock <= Warp_clocks.entry wc ~lane ~tid
 
 (* Race-report sites rebuild the cell's location from scalars; this is
@@ -184,7 +174,7 @@ let check_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~cur_kind
       && Int64.equal cell.Shadow.write_value value
     in
     if not filtered then begin
-      Telemetry.Metric.counter_incr (Lazy.force m_races);
+      Telemetry.Metric.counter_incr m_races;
       Report.add_race t.report ~prev_insn:cell.Shadow.write_insn ~cur_insn:insn
         ~loc:(cell_loc t ~space ~region ~index)
         ~prev_tid:cell.Shadow.write_tid
@@ -197,14 +187,14 @@ let check_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~cur_kind
 let check_reads t ~wc ~lane ~tid ~insn ~space ~region ~index ~cur_kind
     (cell : Shadow.cell) =
   if cell.Shadow.read_shared then begin
-    Telemetry.Metric.counter_incr (Lazy.force m_vc_full);
+    Telemetry.Metric.counter_incr m_vc_full;
     match cell.Shadow.read_vc with
     | None -> ()
     | Some m ->
         Mut.iter_points
           (fun u cu ->
             if cu > Warp_clocks.entry wc ~lane ~tid:u then begin
-              Telemetry.Metric.counter_incr (Lazy.force m_races);
+              Telemetry.Metric.counter_incr m_races;
               (* [read_insn] is the latest reader's instruction, not
                  necessarily thread [u]'s — a deliberate approximation
                  (see {!Shadow.cell}). *)
@@ -221,7 +211,7 @@ let check_reads t ~wc ~lane ~tid ~insn ~space ~region ~index ~cur_kind
       (epoch_ordered ~wc ~lane ~clock:cell.Shadow.read_clock
          ~tid:cell.Shadow.read_tid)
   then begin
-    Telemetry.Metric.counter_incr (Lazy.force m_races);
+    Telemetry.Metric.counter_incr m_races;
     Report.add_race t.report ~prev_insn:cell.Shadow.read_insn ~cur_insn:insn
       ~loc:(cell_loc t ~space ~region ~index)
       ~prev_tid:cell.Shadow.read_tid ~prev_kind:Report.Read ~cur_tid:tid
@@ -240,7 +230,7 @@ let clear_reads (cell : Shadow.cell) =
 
 let do_read t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index cell =
   Atomic.incr t.accesses;
-  Telemetry.Metric.counter_incr (Lazy.force m_checks);
+  Telemetry.Metric.counter_incr m_checks;
   check_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index
     ~cur_kind:Report.Read ~value:0L cell;
   let own = Warp_clocks.own_clock wc ~lane in
@@ -284,7 +274,7 @@ let set_write ~rid ~wc ~lane ~tid ~insn ~atomic ~value (cell : Shadow.cell) =
 
 let do_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~value cell =
   Atomic.incr t.accesses;
-  Telemetry.Metric.counter_incr (Lazy.force m_checks);
+  Telemetry.Metric.counter_incr m_checks;
   check_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index
     ~cur_kind:Report.Write ~value cell;
   check_reads t ~wc ~lane ~tid ~insn ~space ~region ~index
@@ -293,7 +283,7 @@ let do_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~value cell =
 
 let do_atomic t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~value cell =
   Atomic.incr t.accesses;
-  Telemetry.Metric.counter_incr (Lazy.force m_checks);
+  Telemetry.Metric.counter_incr m_checks;
   if not cell.Shadow.write_atomic then
     check_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index
       ~cur_kind:Report.Atomic_rmw ~value cell;
@@ -452,7 +442,7 @@ let do_barrier t block =
 let feed t event =
   let rid = Atomic.fetch_and_add t.record_id 1 + 1 in
   Atomic.incr t.records;
-  Telemetry.Metric.counter_incr (Lazy.force m_records);
+  Telemetry.Metric.counter_incr m_records;
   match event with
   | Simt.Event.Access a -> process_access t ~rid a
   | Simt.Event.Fence _ -> ()
@@ -517,7 +507,7 @@ let process_record t ~values buf ~pos =
     if Warp_clocks.path_depth wc > 1 then
       Warp_clocks.pop_path wc ~mask:(Wire.View.mask buf ~pos)
     else begin
-      Telemetry.Metric.counter_incr (Lazy.force m_int_desync);
+      Telemetry.Metric.counter_incr m_int_desync;
       Report.note_desync t.report
     end
   end
@@ -539,8 +529,8 @@ let feed_record_from t ~src ~values buf ~pos =
   let enabled = Telemetry.Registry.enabled () in
   let t0 = if enabled then Telemetry.Clock.now_ns () else 0L in
   Atomic.incr t.records;
-  Telemetry.Metric.counter_incr (Lazy.force m_records);
-  Telemetry.Metric.counter_incr (Lazy.force m_inplace);
+  Telemetry.Metric.counter_incr m_records;
+  Telemetry.Metric.counter_incr m_inplace;
   (if not t.config.check_integrity then process_record t ~values buf ~pos
    else
      match Wire.check buf ~pos with
@@ -556,22 +546,22 @@ let feed_record_from t ~src ~values buf ~pos =
            end
            else if diff < 0x80000000 then begin
              Atomic.set slot (expect + diff + 1);
-             Telemetry.Metric.counter_add (Lazy.force m_int_gap) diff;
+             Telemetry.Metric.counter_add m_int_gap diff;
              Report.note_gap t.report diff;
              process_record t ~values buf ~pos
            end
            else begin
-             Telemetry.Metric.counter_incr (Lazy.force m_int_stale);
+             Telemetry.Metric.counter_incr m_int_stale;
              Report.note_stale t.report
            end
          end
          else process_record t ~values buf ~pos
      | Wire.Bad_magic | Wire.Bad_version | Wire.Bad_checksum ->
-         Telemetry.Metric.counter_incr (Lazy.force m_int_corrupt);
+         Telemetry.Metric.counter_incr m_int_corrupt;
          Report.note_corrupt t.report);
   if enabled then
     Telemetry.Span.record_ns
-      (Lazy.force sp_feed_record)
+      sp_feed_record
       (Telemetry.Clock.elapsed_ns ~since:t0)
 
 let feed_record t ~values buf ~pos = feed_record_from t ~src:0 ~values buf ~pos

@@ -133,23 +133,23 @@ module Transport = struct
     | Duplicate
     | Delay of int (* records to hold the delayed copy *)
 
-  type stream = { plan : t; src : int; mutable n : int }
+  type stream = { plan : t; mutable n : int }
 
-  let stream plan ~src = { plan; src; n = 0 }
+  let stream plan = { plan; n = 0 }
 
   let next s =
     let p = s.plan in
     let sp = p.spec in
     let n = s.n in
     s.n <- n + 1;
-    let u = u01 (hash3 sp.seed tag_transport s.src n) in
+    let u = u01 (hash3 sp.seed tag_transport 0 n) in
     let c1 = sp.bit_flip in
     let c2 = c1 +. sp.drop in
     let c3 = c2 +. sp.duplicate in
     let c4 = c3 +. sp.delay in
     if u < c1 then begin
       Atomic.incr p.n_flips;
-      Flip (hash3 sp.seed tag_transport_bit s.src n)
+      Flip (hash3 sp.seed tag_transport_bit 0 n)
     end
     else if u < c2 then begin
       Atomic.incr p.n_drops;

@@ -1,7 +1,7 @@
 (** Deterministic, seeded fault plans for resilience campaigns.
 
-    A plan is built from a {!spec} and injected into the transport
-    consumer ([Gpu_runtime.Pipeline]), the service worker pool
+    A plan is built from a {!spec} and injected into the serial
+    record sink ([Gpu_runtime.Session.serial_sink]), the service worker pool
     ([Service.Scheduler]), and the SIMT interpreter ([Simt.Machine]).
     Every decision is a pure function of (seed, stream tag, counter) —
     there is no shared RNG state — so a campaign with a fixed seed
@@ -53,23 +53,23 @@ val reset_injected : t -> unit
 
 (** {1 Transport faults}
 
-    Consulted by the pipeline consumer once per committed record. *)
+    Consulted by the serial record sink once per sealed record. *)
 module Transport : sig
   type action =
     | Pass
     | Flip of int
-        (** Flip one bit; the payload is raw entropy the consumer
+        (** Flip one bit; the payload is raw entropy the sink
             reduces modulo the record's bit width. *)
-    | Drop  (** Release the slot without feeding the detector. *)
+    | Drop  (** Never feed the record to the detector. *)
     | Duplicate  (** Feed the record twice. *)
     | Delay of int
-        (** Copy the record aside, release, re-feed after [n] more
+        (** Copy the record aside and re-feed it after [n] more
             records (manifests as a gap followed by a stale record). *)
 
   type stream
-  (** One deterministic decision stream per producer queue. *)
+  (** One deterministic decision stream over a record sequence. *)
 
-  val stream : t -> src:int -> stream
+  val stream : t -> stream
   val next : stream -> action
 end
 

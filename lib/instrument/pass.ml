@@ -8,33 +8,28 @@ type result = {
 (* Instrumentation telemetry: the "instrument" stage span plus static
    rewrite totals (what Figure 9 reports per benchmark). *)
 let m_kernels =
-  lazy
-    (Telemetry.Registry.counter ~help:"Kernels instrumented"
-       Telemetry.Registry.default "barracuda_instrument_kernels_total")
+  Telemetry.Registry.counter ~help:"Kernels instrumented"
+    Telemetry.Registry.default "barracuda_instrument_kernels_total"
 
 let m_logged =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Static instructions given logging calls"
-       Telemetry.Registry.default "barracuda_instrument_logged_total")
+  Telemetry.Registry.counter
+    ~help:"Static instructions given logging calls"
+    Telemetry.Registry.default "barracuda_instrument_logged_total"
 
 let m_pruned =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Static instructions whose logging was pruned"
-       Telemetry.Registry.default "barracuda_instrument_pruned_total")
+  Telemetry.Registry.counter
+    ~help:"Static instructions whose logging was pruned"
+    Telemetry.Registry.default "barracuda_instrument_pruned_total"
 
 let m_pruned_block =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Logging pruned by intra-block redundancy elimination"
-       Telemetry.Registry.default "barracuda_instrument_pruned_block_total")
+  Telemetry.Registry.counter
+    ~help:"Logging pruned by intra-block redundancy elimination"
+    Telemetry.Registry.default "barracuda_instrument_pruned_block_total"
 
 let m_pruned_static =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Logging pruned by the static race analysis"
-       Telemetry.Registry.default "barracuda_instrument_pruned_static_total")
+  Telemetry.Registry.counter
+    ~help:"Logging pruned by the static race analysis"
+    Telemetry.Registry.default "barracuda_instrument_pruned_static_total"
 
 let logging_cost = 4
 
@@ -247,12 +242,12 @@ let instrument ?(prune = true) ?(static = true) ?analysis
     Telemetry.Span.with_ ~name:"instrument" (fun () ->
         instrument_run ~prune ~static ~analysis k)
   in
-  Telemetry.Metric.counter_incr (Lazy.force m_kernels);
-  Telemetry.Metric.counter_add (Lazy.force m_logged)
+  Telemetry.Metric.counter_incr m_kernels;
+  Telemetry.Metric.counter_add m_logged
     (Stats.instrumented r.stats);
-  Telemetry.Metric.counter_add (Lazy.force m_pruned) (Stats.pruned r.stats);
-  Telemetry.Metric.counter_add (Lazy.force m_pruned_block)
+  Telemetry.Metric.counter_add m_pruned (Stats.pruned r.stats);
+  Telemetry.Metric.counter_add m_pruned_block
     r.stats.Stats.pruned_block;
-  Telemetry.Metric.counter_add (Lazy.force m_pruned_static)
+  Telemetry.Metric.counter_add m_pruned_static
     r.stats.Stats.pruned_static;
   r

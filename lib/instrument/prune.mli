@@ -5,6 +5,9 @@
     earlier logged access to the same address within the same basic
     block: the earlier log entry already captures the race-relevant
     event, and same-thread accesses in one block are program-ordered.
+    The rule is kind-aware: a load is redundant after a logged load or
+    store, a store only after a logged store — a logged load cannot
+    stand in for a later store's write.
 
     [redundant k] marks, per instruction, the accesses whose logging the
     optimized instrumentation drops.  An address is keyed by (state

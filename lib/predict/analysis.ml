@@ -40,32 +40,28 @@ type t = {
 }
 
 let m_pairs =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Conflicting access pairs examined by the predictor"
-       Telemetry.Registry.default "barracuda_predict_pairs_total")
+  Telemetry.Registry.counter
+    ~help:"Conflicting access pairs examined by the predictor"
+    Telemetry.Registry.default "barracuda_predict_pairs_total"
 
 let m_predictions =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Schedule-sensitive race predictions emitted"
-       Telemetry.Registry.default "barracuda_predict_predictions_total")
+  Telemetry.Registry.counter
+    ~help:"Schedule-sensitive race predictions emitted"
+    Telemetry.Registry.default "barracuda_predict_predictions_total"
 
 let m_confirmed =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Predictions confirmed by witness replay"
-       Telemetry.Registry.default "barracuda_predict_confirmed_total")
+  Telemetry.Registry.counter
+    ~help:"Predictions confirmed by witness replay"
+    Telemetry.Registry.default "barracuda_predict_confirmed_total"
 
 let m_observed =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Unordered pairs already reported by the recorded order"
-       Telemetry.Registry.default "barracuda_predict_observed_total")
+  Telemetry.Registry.counter
+    ~help:"Unordered pairs already reported by the recorded order"
+    Telemetry.Registry.default "barracuda_predict_observed_total"
 
-let span_graph = lazy (Telemetry.Span.create "predict.graph")
-let span_enumerate = lazy (Telemetry.Span.create "predict.enumerate")
-let span_witness = lazy (Telemetry.Span.create "predict.witness")
+let span_graph = Telemetry.Span.create "predict.graph"
+let span_enumerate = Telemetry.Span.create "predict.enumerate"
+let span_witness = Telemetry.Span.create "predict.witness"
 
 (* The races the recorded schedule already exposes, keyed like the
    report's dedup (location + unordered thread pair). *)
@@ -86,7 +82,7 @@ let observed_races ~layout ops =
 
 let run ?(config = default_config) ~layout ops =
   let graph =
-    Telemetry.Span.with_h (Lazy.force span_graph) (fun () ->
+    Telemetry.Span.with_h span_graph (fun () ->
         Graph.build ~layout ops)
   in
   let observed, observed_race_count = observed_races ~layout ops in
@@ -96,7 +92,7 @@ let run ?(config = default_config) ~layout ops =
   let n_predictions = ref 0 in
   let dedup = Hashtbl.create 64 in
   let candidates =
-    Telemetry.Span.with_h (Lazy.force span_enumerate) (fun () ->
+    Telemetry.Span.with_h span_enumerate (fun () ->
         let out = ref [] in
         Loc.Tbl.iter
           (fun _loc accs ->
@@ -146,7 +142,7 @@ let run ?(config = default_config) ~layout ops =
               witness = None }
           else
             let w =
-              Telemetry.Span.with_h (Lazy.force span_witness) (fun () ->
+              Telemetry.Span.with_h span_witness (fun () ->
                   Witness.generate ~validate:config.validate graph a b)
             in
             let status =
@@ -160,11 +156,11 @@ let run ?(config = default_config) ~layout ops =
     candidates;
   let predictions = List.rev !predictions in
   let count st = List.length (List.filter (fun p -> p.status = st) predictions) in
-  Telemetry.Metric.counter_add (Lazy.force m_pairs) !pairs_examined;
-  Telemetry.Metric.counter_add (Lazy.force m_predictions)
+  Telemetry.Metric.counter_add m_pairs !pairs_examined;
+  Telemetry.Metric.counter_add m_predictions
     (List.length predictions);
-  Telemetry.Metric.counter_add (Lazy.force m_confirmed) (count Confirmed);
-  Telemetry.Metric.counter_add (Lazy.force m_observed) (count Observed);
+  Telemetry.Metric.counter_add m_confirmed (count Confirmed);
+  Telemetry.Metric.counter_add m_observed (count Observed);
   {
     layout;
     config;

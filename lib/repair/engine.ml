@@ -44,7 +44,7 @@ type result = {
 (* ---- telemetry ----------------------------------------------------- *)
 
 let counter name help =
-  lazy (Telemetry.Registry.counter ~help Telemetry.Registry.default name)
+  Telemetry.Registry.counter ~help Telemetry.Registry.default name
 
 let m_runs = counter "barracuda_repair_runs_total" "Repair engine invocations"
 
@@ -66,7 +66,7 @@ let m_rejected =
   counter "barracuda_repair_candidates_rejected_total"
     "Candidate fixes rejected by validation"
 
-let incr c = Telemetry.Metric.counter_incr (Lazy.force c)
+let incr = Telemetry.Metric.counter_incr
 
 (* ---- the loop ------------------------------------------------------ *)
 

@@ -15,8 +15,8 @@ type t = {
   bardiv : bool;  (** the unrepaired kernel already diverges at a barrier *)
   pairs : (int * int) list;
       (** racy (a_insn, b_insn) static pairs, a <= b, deduped; ids are
-          original-kernel indices (the pipeline remaps instrumented
-          indices back before the detector sees them) *)
+          original-kernel indices (diagnosis runs the uninstrumented
+          kernel) *)
   spaces : Ptx.Ast.space list;  (** memory spaces involved in any race *)
   counts : int array;
       (** per original instruction: warp-level dynamic executions *)
@@ -37,7 +37,7 @@ let diagnose ?(max_steps = 400_000) ~layout
     ~(setup : Simt.Machine.t -> int64 array) kernel =
   let nbody = Array.length kernel.Ptx.Ast.body in
   let counts = Array.make (max nbody 1) 0 in
-  let tee = function
+  let tap = function
     | Simt.Event.Access a ->
         let i = a.Simt.Event.insn in
         if i >= 0 && i < nbody then counts.(i) <- counts.(i) + 1
@@ -45,11 +45,14 @@ let diagnose ?(max_steps = 400_000) ~layout
   in
   let machine = Simt.Machine.create ~layout () in
   let args = setup machine in
-  let result = Gpu_runtime.Pipeline.run ~max_steps ~tee ~machine kernel args in
-  let report = Gpu_runtime.Pipeline.report result in
+  let result =
+    Gpu_runtime.Session.run_stream ~max_steps ~tap ~machine kernel args
+  in
+  let report = result.Gpu_runtime.Session.sr_report in
   let observed_racy = Report.has_race report in
   let bardiv =
-    result.Gpu_runtime.Pipeline.machine_result.Simt.Machine.barrier_divergence
+    result.Gpu_runtime.Session.sr_machine_result.Simt.Machine
+      .barrier_divergence
     || bardiv_reported report
   in
   let pairs = ref [] and spaces = ref [] in

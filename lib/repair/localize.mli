@@ -1,5 +1,5 @@
 (** Race diagnosis for repair: one pass of the unchanged detection
-    stack (serial pipeline + static analysis + predictive schedule
+    stack (the serial [check] run + static analysis + predictive schedule
     exploration) over the input kernel, yielding the racy static
     instruction pairs, the barrier-divergence baseline and the dynamic
     execution census the cost model weighs candidate fixes by. *)

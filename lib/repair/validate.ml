@@ -9,10 +9,11 @@
       the static race analysis must also prove no realizable pair, so
       acceptance implies a re-diagnosis comes back clean (repair is
       idempotent by construction);
-   2. serial pipeline: completes, reports no race, no *new* barrier
-      divergence, and is not degraded;
+   2. serial check (uninstrumented, as [barracuda check] runs it):
+      completes, reports no race, no *new* barrier divergence, and is
+      not degraded;
    3. serial rerun: bitwise-identical verdict (determinism);
-   4. sharded pipeline: verdict parity with the serial run;
+   4. sharded check: verdict parity with the serial run;
    5. predictive schedule exploration: no race in any feasible
       reordering of the recorded trace;
    6. a quick seeded fault-campaign slice: transport drops/duplicates
@@ -38,10 +39,9 @@ type verdict = Accepted of Ptx.Ast.kernel * string | Rejected of string
 (** [Accepted (reparsed, ptx)] carries the printed artifact and its
     re-parse, which is what every validation stage actually ran. *)
 
-let bardiv_of result =
-  let report = Gpu_runtime.Pipeline.report result in
-  result.Gpu_runtime.Pipeline.machine_result.Simt.Machine.barrier_divergence
-  || Localize.bardiv_reported report
+let bardiv_of (result : Gpu_runtime.Session.stream_result) =
+  result.Gpu_runtime.Session.sr_machine_result.Simt.Machine.barrier_divergence
+  || Localize.bardiv_reported result.Gpu_runtime.Session.sr_report
 
 let race_summary report =
   String.concat "; "
@@ -51,13 +51,17 @@ let race_summary report =
           (Format.asprintf "%a" Report.pp_error)
           (Report.errors report)))
 
-let run_serial ~config ~layout ~setup kernel =
+(* Every stage runs the kernel exactly as [barracuda check] does:
+   uninstrumented, through the session core; [shards] selects the
+   sharded backend. *)
+let run ?shards ?fault ~config ~layout ~setup kernel =
   let machine = Simt.Machine.create ~layout () in
   let args = setup machine in
-  let result =
-    Gpu_runtime.Pipeline.run ~max_steps:config.max_steps ~machine kernel args
+  let sink =
+    Option.map (fun shards -> Shard.Stream.sink ~layout ~shards kernel) shards
   in
-  result
+  Gpu_runtime.Session.run_stream ?sink ?fault ~max_steps:config.max_steps
+    ~machine kernel args
 
 let rec check ~config ~layout ~setup ~baseline_bardiv kernel =
   (* 1. roundtrip through the printer and parser *)
@@ -91,16 +95,17 @@ let rec check ~config ~layout ~setup ~baseline_bardiv kernel =
                    (Printexc.to_string exn))
           | _ :: _ -> Rejected "static analysis still proves a race"
           | [] -> (
-          (* 2. serial pipeline *)
-          match run_serial ~config ~layout ~setup kernel with
+          (* 2. serial check *)
+          match run ~config ~layout ~setup kernel with
           | exception exn ->
               Rejected
                 (Printf.sprintf "serial check crashed (%s)"
                    (Printexc.to_string exn))
           | result -> (
-              let report = Gpu_runtime.Pipeline.report result in
+              let report = result.Gpu_runtime.Session.sr_report in
               let status =
-                result.Gpu_runtime.Pipeline.machine_result.Simt.Machine.status
+                result.Gpu_runtime.Session.sr_machine_result.Simt.Machine
+                  .status
               in
               if status <> Simt.Machine.Completed then
                 Rejected "patched kernel exhausts its step budget"
@@ -113,13 +118,13 @@ let rec check ~config ~layout ~setup ~baseline_bardiv kernel =
                 Rejected "serial check degraded"
               else
                 (* 3. determinism: identical rerun *)
-                match run_serial ~config ~layout ~setup kernel with
+                match run ~config ~layout ~setup kernel with
                 | exception exn ->
                     Rejected
                       (Printf.sprintf "rerun crashed (%s)"
                          (Printexc.to_string exn))
                 | result2 ->
-                    let report2 = Gpu_runtime.Pipeline.report result2 in
+                    let report2 = result2.Gpu_runtime.Session.sr_report in
                     if
                       Report.has_race report2
                       || bardiv_of result2 <> bardiv_of result
@@ -129,30 +134,18 @@ let rec check ~config ~layout ~setup ~baseline_bardiv kernel =
 
 and validate_sharded ~config ~layout ~setup ~baseline_bardiv ~kernel ~ptx =
   (* 4. sharded parity *)
-  let machine = Simt.Machine.create ~layout () in
-  let args = setup machine in
-  match
-    let sconfig =
-      { Shard.Pipeline.default_config with shards = max 2 config.shards }
-    in
-    Shard.Pipeline.run_sharded ~config:sconfig ~max_steps:config.max_steps
-      ~machine kernel args
-  with
+  match run ~shards:(max 2 config.shards) ~config ~layout ~setup kernel with
   | exception exn ->
       Rejected
         (Printf.sprintf "sharded check crashed (%s)" (Printexc.to_string exn))
   | sresult ->
-      let sreport = sresult.Shard.Pipeline.report in
+      let sreport = sresult.Gpu_runtime.Session.sr_report in
       if Report.has_race sreport then
         Rejected
           (Printf.sprintf "sharded check disagrees: %s"
              (race_summary sreport))
-      else if
-        (sresult.Shard.Pipeline.machine_result.Simt.Machine
-         .barrier_divergence
-        || Localize.bardiv_reported sreport)
-        && not baseline_bardiv
-      then Rejected "sharded check sees barrier divergence"
+      else if bardiv_of sresult && not baseline_bardiv then
+        Rejected "sharded check sees barrier divergence"
       else validate_predict ~config ~layout ~setup ~baseline_bardiv ~kernel
              ~ptx
 
@@ -187,21 +180,13 @@ and validate_faults ~config ~layout ~setup ~baseline_bardiv:_ ~kernel ~ptx =
             duplicate = 0.03;
           }
       in
-      let machine = Simt.Machine.create ~layout () in
-      let args = setup machine in
-      let pconfig =
-        { Gpu_runtime.Pipeline.default_config with fault = Some plan }
-      in
-      match
-        Gpu_runtime.Pipeline.run ~config:pconfig ~max_steps:config.max_steps
-          ~machine kernel args
-      with
+      match run ~fault:plan ~config ~layout ~setup kernel with
       | exception exn ->
           Rejected
             (Printf.sprintf "fault trial %d crashed (%s)" i
                (Printexc.to_string exn))
       | result ->
-          let report = Gpu_runtime.Pipeline.report result in
+          let report = result.Gpu_runtime.Session.sr_report in
           if Report.has_race report && not (Report.degraded report) then
             Rejected
               (Printf.sprintf "fault trial %d reports an undegraded race" i)

@@ -2,8 +2,8 @@
 
     A fix is accepted only if the printed patch re-parses, passes
     static validation, runs race-free and divergence-free through the
-    serial pipeline (twice — determinism), matches verdicts with the
-    sharded pipeline, shows no race under predictive schedule
+    serial check (twice — determinism), matches verdicts with the
+    sharded check, shows no race under predictive schedule
     exploration, and survives a quick seeded fault-campaign slice
     without crashing or producing an undegraded race verdict. *)
 

@@ -1,32 +1,28 @@
 (* Aggregate telemetry across all queues of the process: committed
    records, consumed records, and the deepest backlog as a live gauge.
-   Handles resolve lazily so a program that never enables telemetry
-   only ever pays the disabled-flag check inside each update. *)
+   Handles register at module initialisation (the registry dedupes by
+   name under its mutex), so queues on any domain share them without
+   a first-use race; a program that never enables telemetry only pays
+   the disabled-flag check inside each update. *)
 let m_pushes =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Records committed into GPU->host log queues"
-       Telemetry.Registry.default "barracuda_queue_pushes_total")
+  Telemetry.Registry.counter
+    ~help:"Records committed into GPU->host log queues"
+    Telemetry.Registry.default "barracuda_queue_pushes_total"
 
 let m_pops =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Records consumed from GPU->host log queues"
-       Telemetry.Registry.default "barracuda_queue_pops_total")
+  Telemetry.Registry.counter
+    ~help:"Records consumed from GPU->host log queues"
+    Telemetry.Registry.default "barracuda_queue_pops_total"
 
 let m_high =
-  lazy
-    (Telemetry.Registry.gauge
-       ~help:"Deepest backlog observed across all queues"
-       Telemetry.Registry.default "barracuda_queue_high_watermark")
+  Telemetry.Registry.gauge
+    ~help:"Deepest backlog observed across all queues"
+    Telemetry.Registry.default "barracuda_queue_high_watermark"
 
-(* Same counter the pipeline bumps for its full-queue stalls; the
-   registry deduplicates by name, so both sites feed one total. *)
 let m_stalls =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Producer stalls on full queues"
-       Telemetry.Registry.default "barracuda_pipeline_stalls_total")
+  Telemetry.Registry.counter
+    ~help:"Producer stalls on full queues"
+    Telemetry.Registry.default "barracuda_queue_stalls_total"
 
 type t = {
   capacity : int;
@@ -70,7 +66,7 @@ let rec try_reserve t =
 (* Bounded exponential backoff for producer stall loops: spin briefly
    (a competing producer is usually mid-publish), then escalate to
    capped sleeps instead of burning a core.  Escalations are counted in
-   the queue's stall stat and the pipeline stall counter. *)
+   the queue's stall stat and the process-wide stall counter. *)
 let spin_budget = 64
 let backoff_floor = 1e-6 (* seconds *)
 let backoff_ceiling = 1e-3
@@ -79,7 +75,7 @@ let stall_backoff t attempt =
   if attempt < spin_budget then Domain.cpu_relax ()
   else begin
     Atomic.incr t.stalls;
-    Telemetry.Metric.counter_incr (Lazy.force m_stalls);
+    Telemetry.Metric.counter_incr m_stalls;
     let e = attempt - spin_budget in
     let d = backoff_floor *. (2. ** float_of_int (if e > 10 then 10 else e)) in
     Unix.sleepf (if d > backoff_ceiling then backoff_ceiling else d)
@@ -96,8 +92,8 @@ let commit t w =
   end;
   let backlog = w + 1 - Atomic.get t.read_head in
   bump_high t backlog;
-  Telemetry.Metric.counter_incr (Lazy.force m_pushes);
-  Telemetry.Metric.gauge_max (Lazy.force m_high) backlog
+  Telemetry.Metric.counter_incr m_pushes;
+  Telemetry.Metric.gauge_max m_high backlog
 
 let peek t =
   let r = Atomic.get t.read_head in
@@ -107,7 +103,7 @@ let release t =
   let r = Atomic.get t.read_head in
   if r < Atomic.get t.commit_index then begin
     Atomic.set t.read_head (r + 1);
-    Telemetry.Metric.counter_incr (Lazy.force m_pops)
+    Telemetry.Metric.counter_incr m_pops
   end
 
 let read_index t = Atomic.get t.read_head

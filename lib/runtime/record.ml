@@ -119,19 +119,18 @@ let to_event t =
 module Wire = Barracuda.Wire
 
 (* Serialization delegates to the shared {!Barracuda.Wire} codec; the
-   wire image is byte-identical to what the pipeline's in-place
-   producers write into queue ring slots. *)
+   wire image is byte-identical to what the session core's in-place
+   producers write into sink staging buffers and ring slots. *)
 
-(* Decoding a wire image into a [t] is the fallback path: the pipeline
-   feeds records to the detector in place ([Detector.feed_record])
+(* Decoding a wire image into a [t] is the fallback path: the sinks
+   feed records to the detector in place ([Detector.feed_record])
    without materializing a [t].  Count decodes so a caller regressing
    onto this path shows up in telemetry. *)
 let m_fallback =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Records decoded into events instead of being fed in place"
-       Telemetry.Registry.default
-       "barracuda_pipeline_records_fallback_decode_total")
+  Telemetry.Registry.counter
+    ~help:"Records decoded into events instead of being fed in place"
+    Telemetry.Registry.default
+    "barracuda_pipeline_records_fallback_decode_total"
 
 let to_bytes t =
   let b = Bytes.make wire_size '\000' in
@@ -199,7 +198,7 @@ let of_bytes ?values ~warp_size b =
          "Record.of_bytes: wire format version %d not supported (this build \
           reads v%d)"
          (Bytes.get_uint8 b 1) Wire.version);
-  Telemetry.Metric.counter_incr (Lazy.force m_fallback);
+  Telemetry.Metric.counter_incr m_fallback;
   of_view ?values ~warp_size b ~pos:0
 
 let pp ppf t =

@@ -40,7 +40,7 @@ val to_event : t -> Simt.Event.t
 
 val to_bytes : t -> Bytes.t
 (** Serialize to the 272-byte wire image (the {!Barracuda.Wire}
-    layout, byte-identical to what the pipeline writes in place). *)
+    layout, byte-identical to what the session core writes in place). *)
 
 module View = Barracuda.Wire.View
 (** Field accessors over a serialized record at an offset inside a
@@ -55,6 +55,6 @@ val of_view : ?values:int64 array -> warp_size:int -> Bytes.t -> pos:int -> t
 val of_bytes : ?values:int64 array -> warp_size:int -> Bytes.t -> t
 (** [of_view] over a standalone 272-byte image.  Counts into the
     [barracuda_pipeline_records_fallback_decode_total] telemetry
-    counter: the steady-state pipeline never calls this. *)
+    counter: the steady-state record path never calls this. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,94 +1,7 @@
-type rollup = {
-  r_kernel : string;
-  r_ns : int64;
-  r_records : int;
-  r_races : int;
-}
-
-type t = {
-  config : Pipeline.config;
-  layout : Vclock.Layout.t;
-  mutable machine : Simt.Machine.t;
-  mutable launches : int;
-  mutable resets : int;
-  mutable reports : (string * Barracuda.Report.t) list; (* newest first *)
-  mutable rollups : rollup list; (* newest first *)
-}
-
-let m_launches =
-  lazy
-    (Telemetry.Registry.counter ~help:"Session kernel launches"
-       Telemetry.Registry.default "barracuda_session_launches_total")
-
-let m_races =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Distinct races reported across session launches"
-       Telemetry.Registry.default "barracuda_session_races_total")
-
-let m_records =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Records shipped across session launches"
-       Telemetry.Registry.default "barracuda_session_records_total")
-
-let create ?(config = Pipeline.default_config) ~layout () =
-  {
-    config;
-    layout;
-    machine = Simt.Machine.create ~layout ();
-    launches = 0;
-    resets = 0;
-    reports = [];
-    rollups = [];
-  }
-
-let machine t = t.machine
-
-let launch ?max_steps t kernel args =
-  (* The per-launch rollup always carries a monotonic duration (cheap:
-     two clock reads per launch); the "launch" span additionally feeds
-     the registry when telemetry is enabled. *)
-  let t0 = Telemetry.Clock.now_ns () in
-  let sp = Telemetry.Span.create "launch" in
-  let result = Pipeline.run ~config:t.config ?max_steps ~machine:t.machine kernel args in
-  let ns = Telemetry.Clock.elapsed_ns ~since:t0 in
-  Telemetry.Span.record_ns sp ns;
-  let report = Pipeline.report result in
-  let races = Barracuda.Report.race_count report in
-  let records = result.Pipeline.queue_stats.Pipeline.records in
-  Telemetry.Metric.counter_incr (Lazy.force m_launches);
-  Telemetry.Metric.counter_add (Lazy.force m_races) races;
-  Telemetry.Metric.counter_add (Lazy.force m_records) records;
-  t.launches <- t.launches + 1;
-  t.reports <- (kernel.Ptx.Ast.kname, report) :: t.reports;
-  t.rollups <-
-    { r_kernel = kernel.Ptx.Ast.kname; r_ns = ns; r_records = records;
-      r_races = races }
-    :: t.rollups;
-  result
-
-let device_reset t =
-  (* queues are drained at the end of every launch (the "delay the
-     reset until the queues are fully drained" behaviour); the reset
-     frees the device state, and the next launch reinitializes *)
-  t.machine <- Simt.Machine.create ~layout:t.layout ();
-  t.resets <- t.resets + 1
-
-let launches t = t.launches
-let resets t = t.resets
-let reports t = List.rev t.reports
-let rollups t = List.rev t.rollups
-
-let total_races t =
-  List.fold_left
-    (fun acc (_, r) -> acc + Barracuda.Report.race_count r)
-    0 t.reports
+module Wire = Barracuda.Wire
 
 (* ================================================================== *)
-(* Streaming-session core                                              *)
-
-module Wire = Barracuda.Wire
+(* Record sinks                                                        *)
 
 type sink = {
   stage : Bytes.t;
@@ -101,36 +14,102 @@ type sink = {
   sink_records : unit -> int;
 }
 
-let serial_sink ?(config = Barracuda.Detector.default_config) ~layout kernel =
+(* Transport-fault injection for the serial backend, applied to each
+   record after it is sealed — where a real DMA/interconnect fault
+   would land.  A delayed record is copied aside and re-fed [hold]
+   records later: by then the detector's sequence tracking has moved
+   past it, so it surfaces as an accounted gap + stale pair rather
+   than silently reordering detection state.  Returns the per-record
+   delivery and the end-of-stream flush of still-held records. *)
+let transport_faults plan feed =
+  let stream = Fault.Plan.Transport.stream plan in
+  let held = ref [] in
+  let flip buf bit =
+    let byte = bit / 8 in
+    Bytes.set_uint8 buf byte
+      (Bytes.get_uint8 buf byte lxor (1 lsl (bit land 7)))
+  in
+  let tick () =
+    if !held <> [] then begin
+      let ready, waiting = List.partition (fun (n, _, _) -> n <= 1) !held in
+      held := List.map (fun (n, b, v) -> (n - 1, b, v)) waiting;
+      List.iter (fun (_, b, v) -> feed ~values:v b) ready
+    end
+  in
+  let deliver ~values buf =
+    (match Fault.Plan.Transport.next stream with
+    | Fault.Plan.Transport.Pass -> feed ~values buf
+    | Fault.Plan.Transport.Flip raw ->
+        (* flipped for the detector only: the staged record (and any
+           capture of it) stays the one the producer sealed *)
+        let bit = raw mod (Wire.size * 8) in
+        flip buf bit;
+        feed ~values buf;
+        flip buf bit
+    | Fault.Plan.Transport.Drop -> ()
+    | Fault.Plan.Transport.Duplicate ->
+        feed ~values buf;
+        feed ~values buf
+    | Fault.Plan.Transport.Delay hold ->
+        held := !held @ [ (hold, Bytes.sub buf 0 Wire.size, values) ]);
+    tick ()
+  in
+  let flush () =
+    List.iter (fun (_, b, v) -> feed ~values:v b) !held;
+    held := []
+  in
+  (deliver, flush)
+
+let serial_sink ?(config = Barracuda.Detector.default_config) ?fault ~layout
+    kernel =
   let det = Barracuda.Detector.create ~config ~layout kernel in
   let stage = Bytes.create Wire.size in
   let seq = ref 0 in
   let detect = ref 0L in
   let records = ref 0 in
+  let feed ~values buf =
+    let t0 = Telemetry.Clock.now_ns () in
+    Barracuda.Detector.feed_record_from det ~src:0 ~values buf ~pos:0;
+    detect := Int64.add !detect (Telemetry.Clock.elapsed_ns ~since:t0)
+  in
+  let deliver, finish =
+    match fault with
+    | None -> (feed, ignore)
+    | Some plan -> transport_faults plan feed
+  in
   {
     stage;
     submit =
       (fun ~values ~sync:_ ->
         Wire.seal stage ~pos:0 ~seq:!seq;
         incr seq;
-        let t0 = Telemetry.Clock.now_ns () in
-        Barracuda.Detector.feed_record_from det ~src:0 ~values stage ~pos:0;
-        detect := Int64.add !detect (Telemetry.Clock.elapsed_ns ~since:t0);
-        incr records);
-    quiesce = (fun () -> ());
+        incr records;
+        deliver ~values stage);
+    quiesce = ignore;
     sink_report = (fun ~max_reports:_ -> Barracuda.Detector.report det);
-    finish = (fun () -> ());
-    abort = (fun () -> ());
+    finish;
+    abort = ignore;
     detect_ns = (fun () -> !detect);
     sink_records = (fun () -> !records);
   }
 
 (* ---- batch execution as a session -------------------------------- *)
 
+(* Stage spans of a run, recorded once per run (one flag check with
+   telemetry off): "execute" is the launch minus the detector time the
+   sink spent inline — simulation, logging and sealing — and "detect"
+   the backend's detector time. *)
+let sp_execute = Telemetry.Span.create "execute"
+let sp_detect = Telemetry.Span.create "detect"
+
 let no_values : int64 array = [||]
 
-let drive ?max_steps ?deadline_ns ?fault ?inst ?capture ~machine sink kernel
-    args =
+(* The producer half: execute [kernel] (the instrumented version when
+   [inst] is given, remapping instruction ids back to the original
+   kernel and dropping accesses whose logging was pruned) and submit
+   every logged event into [sink] as a sealed wire record. *)
+let drive ?max_steps ?deadline_ns ?fault ?inst ?capture ?tap ~machine sink
+    kernel args =
   let roles = Gtrace.Roles.classify kernel in
   let orig, keep, run_kernel =
     match inst with
@@ -194,7 +173,17 @@ let drive ?max_steps ?deadline_ns ?fault ?inst ?capture ~machine sink kernel
         emit ~values:no_values ~sync:false
     | Simt.Event.Fence _ | Simt.Event.Kernel_done -> ()
   in
-  try Simt.Machine.launch ?max_steps ?deadline_ns ?fault machine run_kernel args ~on_event
+  let on_event =
+    match tap with
+    | None -> on_event
+    | Some f ->
+        fun ev ->
+          f ev;
+          on_event ev
+  in
+  try
+    Simt.Machine.launch ?max_steps ?deadline_ns ?fault machine run_kernel args
+      ~on_event
   with e ->
     sink.abort ();
     raise e
@@ -206,19 +195,124 @@ type stream_result = {
   sr_detect_ns : int64;
 }
 
-let run_stream ?(detector = Barracuda.Detector.default_config) ?max_steps
-    ?deadline_ns ?fault ?inst ?capture ~machine kernel args =
-  let layout = Simt.Machine.layout machine in
-  let sink = serial_sink ~config:detector ~layout kernel in
-  let mr = drive ?max_steps ?deadline_ns ?fault ?inst ?capture ~machine sink kernel args in
+let run_stream ?(detector = Barracuda.Detector.default_config) ?sink
+    ?max_steps ?deadline_ns ?fault ?inst ?capture ?tap ~machine kernel args =
+  let sink =
+    match sink with
+    | Some s -> s
+    | None ->
+        serial_sink ~config:detector ?fault
+          ~layout:(Simt.Machine.layout machine) kernel
+  in
+  let t0 = Telemetry.Clock.now_ns () in
+  let mr =
+    drive ?max_steps ?deadline_ns ?fault ?inst ?capture ?tap ~machine sink
+      kernel args
+  in
+  (* before [finish]: the serial sink has detected inline during the
+     launch, the sharded sink reports its (concurrent) time only once
+     finished *)
+  Telemetry.Span.record_ns sp_execute
+    (Int64.sub (Telemetry.Clock.elapsed_ns ~since:t0) (sink.detect_ns ()));
   sink.finish ();
+  let detect_ns = sink.detect_ns () in
+  Telemetry.Span.record_ns sp_detect detect_ns;
   {
     sr_report =
       sink.sink_report ~max_reports:detector.Barracuda.Detector.max_reports;
     sr_machine_result = mr;
     sr_records = sink.sink_records ();
-    sr_detect_ns = sink.detect_ns ();
+    sr_detect_ns = detect_ns;
   }
+
+(* ================================================================== *)
+(* Multi-launch sessions                                               *)
+
+type rollup = {
+  r_kernel : string;
+  r_ns : int64;
+  r_records : int;
+  r_races : int;
+}
+
+type t = {
+  layout : Vclock.Layout.t;
+  mutable machine : Simt.Machine.t;
+  mutable launches : int;
+  mutable resets : int;
+  mutable reports : (string * Barracuda.Report.t) list; (* newest first *)
+  mutable rollups : rollup list; (* newest first *)
+}
+
+let m_launches =
+  Telemetry.Registry.counter ~help:"Session kernel launches"
+    Telemetry.Registry.default "barracuda_session_launches_total"
+
+let m_races =
+  Telemetry.Registry.counter
+    ~help:"Distinct races reported across session launches"
+    Telemetry.Registry.default "barracuda_session_races_total"
+
+let m_records =
+  Telemetry.Registry.counter
+    ~help:"Records shipped across session launches"
+    Telemetry.Registry.default "barracuda_session_records_total"
+
+let sp_launch = Telemetry.Span.create "launch"
+
+let create ~layout () =
+  {
+    layout;
+    machine = Simt.Machine.create ~layout ();
+    launches = 0;
+    resets = 0;
+    reports = [];
+    rollups = [];
+  }
+
+let machine t = t.machine
+
+let launch ?max_steps t kernel args =
+  (* The per-launch rollup always carries a monotonic duration (cheap:
+     two clock reads per launch); the "launch" span additionally feeds
+     the registry when telemetry is enabled.  The launch runs the
+     deployed instrumentation (block + static pruning), as the
+     in-process tool would. *)
+  let t0 = Telemetry.Clock.now_ns () in
+  let inst = Instrument.Pass.instrument kernel in
+  let result = run_stream ?max_steps ~inst ~machine:t.machine kernel args in
+  let ns = Telemetry.Clock.elapsed_ns ~since:t0 in
+  Telemetry.Span.record_ns sp_launch ns;
+  let report = result.sr_report in
+  let races = Barracuda.Report.race_count report in
+  let records = result.sr_records in
+  Telemetry.Metric.counter_incr m_launches;
+  Telemetry.Metric.counter_add m_races races;
+  Telemetry.Metric.counter_add m_records records;
+  t.launches <- t.launches + 1;
+  t.reports <- (kernel.Ptx.Ast.kname, report) :: t.reports;
+  t.rollups <-
+    { r_kernel = kernel.Ptx.Ast.kname; r_ns = ns; r_records = records;
+      r_races = races }
+    :: t.rollups;
+  result
+
+let device_reset t =
+  (* every launch drains its records before returning (the "delay the
+     reset until the queues are fully drained" behaviour); the reset
+     frees the device state, and the next launch reinitializes *)
+  t.machine <- Simt.Machine.create ~layout:t.layout ();
+  t.resets <- t.resets + 1
+
+let launches t = t.launches
+let resets t = t.resets
+let reports t = List.rev t.reports
+let rollups t = List.rev t.rollups
+
+let total_races t =
+  List.fold_left
+    (fun acc (_, r) -> acc + Barracuda.Report.race_count r)
+    0 t.reports
 
 (* ---- streaming sessions ------------------------------------------ *)
 
@@ -227,51 +321,44 @@ let run_stream ?(detector = Barracuda.Detector.default_config) ?max_steps
 let open_count = Atomic.make 0
 
 let g_open =
-  lazy
-    (Telemetry.Registry.gauge ~help:"Streaming sessions currently open"
-       Telemetry.Registry.default "barracuda_session_open_streams")
+  Telemetry.Registry.gauge ~help:"Streaming sessions currently open"
+    Telemetry.Registry.default "barracuda_session_open_streams"
 
 let g_rate =
-  lazy
-    (Telemetry.Registry.gauge
-       ~help:
-         "Accepted records per second of the most recently \
-          checkpointed/closed streaming session"
-       Telemetry.Registry.default "barracuda_session_records_per_sec")
+  Telemetry.Registry.gauge
+    ~help:
+      "Accepted records per second of the most recently \
+       checkpointed/closed streaming session"
+    Telemetry.Registry.default "barracuda_session_records_per_sec"
 
 let c_stream_records =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Records accepted across streaming sessions"
-       Telemetry.Registry.default "barracuda_session_stream_records_total")
+  Telemetry.Registry.counter
+    ~help:"Records accepted across streaming sessions"
+    Telemetry.Registry.default "barracuda_session_stream_records_total"
 
 let h_checkpoint =
-  lazy
-    (Telemetry.Registry.histogram
-       ~help:"Streaming-session checkpoint latency (ms)"
-       ~bounds:[| 0.01; 0.05; 0.1; 0.5; 1.; 5.; 10.; 50.; 100. |]
-       Telemetry.Registry.default "barracuda_session_checkpoint_ms")
+  Telemetry.Registry.histogram
+    ~help:"Streaming-session checkpoint latency (ms)"
+    ~bounds:[| 0.01; 0.05; 0.1; 0.5; 1.; 5.; 10.; 50.; 100. |]
+    Telemetry.Registry.default "barracuda_session_checkpoint_ms"
 
 (* The same global transport-integrity counters the detector's own
    validation feeds (the registry dedupes by name): session-level
    validation of externally fed records is the same transport layer. *)
 let c_int_corrupt =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Wire records dropped: magic/version/checksum validation failed"
-       Telemetry.Registry.default "barracuda_transport_integrity_corrupt_total")
+  Telemetry.Registry.counter
+    ~help:"Wire records dropped: magic/version/checksum validation failed"
+    Telemetry.Registry.default "barracuda_transport_integrity_corrupt_total"
 
 let c_int_gap =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Wire records lost between consecutive sequence numbers"
-       Telemetry.Registry.default "barracuda_transport_integrity_gap_total")
+  Telemetry.Registry.counter
+    ~help:"Wire records lost between consecutive sequence numbers"
+    Telemetry.Registry.default "barracuda_transport_integrity_gap_total"
 
 let c_int_stale =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Wire records dropped: duplicate or out-of-date sequence"
-       Telemetry.Registry.default "barracuda_transport_integrity_stale_total")
+  Telemetry.Registry.counter
+    ~help:"Wire records dropped: duplicate or out-of-date sequence"
+    Telemetry.Registry.default "barracuda_transport_integrity_stale_total"
 
 type progress = {
   p_records : int;
@@ -307,7 +394,7 @@ let open_stream ?sink ?(detector = Barracuda.Detector.default_config) ~layout
     | None -> serial_sink ~config:detector ~layout kernel
   in
   let n = 1 + Atomic.fetch_and_add open_count 1 in
-  Telemetry.Metric.gauge_set (Lazy.force g_open) n;
+  Telemetry.Metric.gauge_set g_open n;
   {
     st_sink = sink;
     st_roles = Gtrace.Roles.classify kernel;
@@ -348,25 +435,25 @@ let ingest_cell st ~buf ~pos ~values =
   match Wire.check buf ~pos with
   | Wire.Bad_magic | Wire.Bad_version | Wire.Bad_checksum ->
       st.st_corrupt <- st.st_corrupt + 1;
-      Telemetry.Metric.counter_incr (Lazy.force c_int_corrupt)
+      Telemetry.Metric.counter_incr c_int_corrupt
   | Wire.Intact ->
       let seq = Wire.View.seq buf ~pos in
       if seq < st.st_expected_seq then begin
         st.st_stale <- st.st_stale + 1;
-        Telemetry.Metric.counter_incr (Lazy.force c_int_stale)
+        Telemetry.Metric.counter_incr c_int_stale
       end
       else begin
         if seq > st.st_expected_seq then begin
           let lost = seq - st.st_expected_seq in
           st.st_gaps <- st.st_gaps + lost;
-          Telemetry.Metric.counter_add (Lazy.force c_int_gap) lost
+          Telemetry.Metric.counter_add c_int_gap lost
         end;
         st.st_expected_seq <- seq + 1;
         let sync = is_sync_record st buf ~pos in
         Bytes.blit buf pos st.st_sink.stage 0 Wire.size;
         st.st_sink.submit ~values ~sync;
         st.st_records <- st.st_records + 1;
-        Telemetry.Metric.counter_incr (Lazy.force c_stream_records)
+        Telemetry.Metric.counter_incr c_stream_records
       end
 
 let feed_chunk st ?pos ?len chunk =
@@ -400,7 +487,7 @@ let progress_of ?(final = false) st =
 let note_rate st =
   let el = Telemetry.Clock.ns_to_s (Telemetry.Clock.elapsed_ns ~since:st.st_opened_ns) in
   if el > 0. then
-    Telemetry.Metric.gauge_set (Lazy.force g_rate)
+    Telemetry.Metric.gauge_set g_rate
       (int_of_float (float_of_int st.st_records /. el))
 
 let checkpoint st =
@@ -409,14 +496,14 @@ let checkpoint st =
   st.st_sink.quiesce ();
   let p = progress_of st in
   st.st_checkpoints <- st.st_checkpoints + 1;
-  Telemetry.Metric.histogram_observe (Lazy.force h_checkpoint)
+  Telemetry.Metric.histogram_observe h_checkpoint
     (Telemetry.Clock.ns_to_ms (Telemetry.Clock.elapsed_ns ~since:t0));
   note_rate st;
   { p with p_checkpoints = st.st_checkpoints }
 
 let release_slot () =
   let n = Atomic.fetch_and_add open_count (-1) - 1 in
-  Telemetry.Metric.gauge_set (Lazy.force g_open) (max 0 n)
+  Telemetry.Metric.gauge_set g_open (max 0 n)
 
 let close_stream st =
   if st.st_closed then invalid_arg "Session.close_stream: stream is closed";

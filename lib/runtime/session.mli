@@ -18,50 +18,7 @@
     of sealed wire records ({!Stream} cells) at arbitrary byte
     boundaries, checkpointed for a verdict-so-far, and closed for the
     final verdict.  The same {!sink} abstraction also drives batch
-    execution ({!drive}/{!run_stream}): a batch check is just a
-    streaming session whose producer is the simulator, so any chunking
-    of a recorded stream reproduces the batch race set bitwise. *)
-
-type rollup = {
-  r_kernel : string;  (** kernel name *)
-  r_ns : int64;  (** monotonic launch duration *)
-  r_records : int;  (** records shipped through the queues *)
-  r_races : int;  (** distinct races reported *)
-}
-(** Per-launch telemetry rollup.  Durations use the monotonic clock
-    and are collected unconditionally; when telemetry is enabled each
-    launch additionally records a ["launch"] span and session counters
-    in {!Telemetry.Registry.default}. *)
-
-type t
-
-val create :
-  ?config:Pipeline.config -> layout:Vclock.Layout.t -> unit -> t
-
-val machine : t -> Simt.Machine.t
-(** The device: persistent across launches until a reset. *)
-
-val launch : ?max_steps:int -> t -> Ptx.Ast.kernel -> int64 array -> Pipeline.result
-(** Instrument, execute and race-check one kernel. *)
-
-val device_reset : t -> unit
-(** Drain-and-reset: all queue records of prior launches are consumed
-    (they already are — [launch] drains before returning, mirroring the
-    delayed reset), device global memory is cleared, and the next
-    launch runs against a reinitialized device. *)
-
-val launches : t -> int
-(** Launches since creation (not cleared by resets). *)
-
-val resets : t -> int
-
-val reports : t -> (string * Barracuda.Report.t) list
-(** Per-launch reports, oldest first: (kernel name, report). *)
-
-val rollups : t -> rollup list
-(** Per-launch telemetry rollups, oldest first. *)
-
-val total_races : t -> int
+    execution ({!run_stream}). *)
 
 (** {1 Record sinks}
 
@@ -72,8 +29,7 @@ val total_races : t -> int
     ([Shard.Stream.sink]) broadcasts into the shard engine's SPSC
     rings.  Producers serialize a record directly into {!sink.stage}
     (at offset 0) and call {!sink.submit}, which seals it with the
-    sink's own monotonic sequence number and ingests it — the same
-    zero-copy discipline as the batch pipeline's ring slots. *)
+    sink's own monotonic sequence number and ingests it. *)
 
 type sink = {
   stage : Bytes.t;
@@ -93,67 +49,119 @@ type sink = {
       (** complete ingestion; raises if the backend failed *)
   abort : unit -> unit;  (** tear down without raising *)
   detect_ns : unit -> int64;
-      (** cumulative detector time (final after [finish]) *)
+      (** cumulative detector time (final after [finish]); before
+          [finish], only the time spent inline in [submit] *)
   sink_records : unit -> int;  (** records ingested *)
 }
 
 val serial_sink :
   ?config:Barracuda.Detector.config ->
+  ?fault:Fault.Plan.t ->
   layout:Vclock.Layout.t ->
   Ptx.Ast.kernel ->
   sink
 (** The single-detector backend: [submit] seals and feeds the staged
     record synchronously via [Detector.feed_record_from]; [quiesce] is
-    a no-op (nothing is in flight). *)
+    a no-op (nothing is in flight).  [fault]'s transport faults (bit
+    flips, drops, duplicates, delays) are applied to each sealed
+    record before the detector sees it; [finish] feeds any record
+    still held back by a delay. *)
 
-(** {1 Batch execution as a session}
+(** {1 Running a kernel}
 
-    {!drive} is the producer half the batch paths share: execute a
-    kernel on the simulator and forward every logged event into a sink
-    as a sealed wire record.  [Shard.Pipeline.run_sharded] and the
-    serial checkers are thin drivers over it. *)
-
-val drive :
-  ?max_steps:int ->
-  ?deadline_ns:int64 ->
-  ?fault:Fault.Plan.t ->
-  ?inst:Instrument.Pass.result ->
-  ?capture:Buffer.t ->
-  machine:Simt.Machine.t ->
-  sink ->
-  Ptx.Ast.kernel ->
-  int64 array ->
-  Simt.Machine.result
-(** Execute [kernel] (the instrumented version when [inst] is given,
-    with origin remapping and logging-pruning applied; the original
-    kernel with every event logged otherwise) and submit each record
-    to [sink].  [capture] appends every submitted record as a sealed
-    {!Stream} cell, values included — the recorder behind
-    [check --record] and the chunk-invariance tests.  On an exception
-    the sink is aborted before the exception is re-raised; callers
-    still own [finish]. *)
+    {!run_stream} is the one way a kernel is executed into the
+    wire-record detector: a batch check is a streaming session whose
+    producer is the simulator, so any chunking of a recorded stream
+    reproduces the batch race set bitwise. *)
 
 type stream_result = {
   sr_report : Barracuda.Report.t;
   sr_machine_result : Simt.Machine.result;
-  sr_records : int;
+  sr_records : int;  (** records submitted to the sink *)
   sr_detect_ns : int64;
+      (** the backend's detector time (the busiest shard's for the
+          sharded sink); measured with telemetry on or off *)
 }
 
 val run_stream :
   ?detector:Barracuda.Detector.config ->
+  ?sink:sink ->
   ?max_steps:int ->
   ?deadline_ns:int64 ->
   ?fault:Fault.Plan.t ->
   ?inst:Instrument.Pass.result ->
   ?capture:Buffer.t ->
+  ?tap:(Simt.Event.t -> unit) ->
   machine:Simt.Machine.t ->
   Ptx.Ast.kernel ->
   int64 array ->
   stream_result
-(** One-shot serial check through the session core: {!serial_sink} +
-    {!drive} + finish.  This is what [barracuda check] and the
-    service's serial jobs run. *)
+(** Execute [kernel] on [machine], submit every logged event to [sink]
+    as a sealed wire record, finish the sink and return its verdict.
+
+    - [sink] defaults to {!serial_sink} with [detector] and [fault];
+      a caller-supplied sink (e.g. [Shard.Stream.sink]) is finished
+      here, or aborted if execution raises.  Either way [detector]'s
+      [max_reports] caps the returned report.
+    - [fault]'s machine faults go to the simulator; its transport
+      faults to the default serial sink.
+    - [inst] runs the instrumented kernel instead, remapping
+      instruction ids to the original kernel and dropping the accesses
+      whose logging it pruned.  Without it the original kernel runs
+      and every event is logged.
+    - [capture] appends every submitted record as a sealed {!Stream}
+      cell, values included: the recorder behind [check --record].
+    - [tap] observes every simulator event (fences and kernel-done
+      included) before it is serialized, with the executed kernel's
+      instruction ids.
+
+    With telemetry enabled, records the ["execute"] span (the launch
+    minus the detector time the sink spent inline: simulation, logging
+    and sealing) and the ["detect"] span (the sink's detector time). *)
+
+(** {1 Multi-launch sessions} *)
+
+type rollup = {
+  r_kernel : string;  (** kernel name *)
+  r_ns : int64;  (** monotonic launch duration *)
+  r_records : int;  (** records shipped to the detector *)
+  r_races : int;  (** distinct races reported *)
+}
+(** Per-launch telemetry rollup.  Durations use the monotonic clock
+    and are collected unconditionally; when telemetry is enabled each
+    launch additionally records a ["launch"] span and session counters
+    in {!Telemetry.Registry.default}. *)
+
+type t
+
+val create : layout:Vclock.Layout.t -> unit -> t
+
+val machine : t -> Simt.Machine.t
+(** The device: persistent across launches until a reset. *)
+
+val launch :
+  ?max_steps:int -> t -> Ptx.Ast.kernel -> int64 array -> stream_result
+(** Instrument (block + static pruning, as deployed), execute and
+    race-check one kernel through {!run_stream}. *)
+
+val device_reset : t -> unit
+(** Drain-and-reset: all records of prior launches are consumed (they
+    already are — [launch] drains before returning, mirroring the
+    delayed reset), device global memory is cleared, and the next
+    launch runs against a reinitialized device. *)
+
+val launches : t -> int
+(** Launches since creation (not cleared by resets). *)
+
+val resets : t -> int
+
+val reports : t -> (string * Barracuda.Report.t) list
+(** Per-launch reports, oldest first: (kernel name, report). *)
+
+val rollups : t -> rollup list
+(** Per-launch telemetry rollups, oldest first. *)
+
+val total_races : t -> int
 
 (** {1 Streaming sessions}
 

@@ -3,7 +3,7 @@ type config = {
   max_report_strings : int;
   deadline_ms : int;
   job_shards : int;
-      (* detector domains per check job; 1 = the serial pipeline *)
+      (* detector domains per check job; 1 = the serial sink *)
 }
 
 let default_config =
@@ -55,10 +55,9 @@ let layout_of (s : Protocol.submit) =
       Vclock.Layout.make ~warp_size:warp ~threads_per_block:tpb ~blocks
 
 let m_static_fast =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Check jobs answered by the static analysis without execution"
-       Telemetry.Registry.default "barracuda_service_static_fast_total")
+  Telemetry.Registry.counter
+    ~help:"Check jobs answered by the static analysis without execution"
+    Telemetry.Registry.default "barracuda_service_static_fast_total"
 
 let outcome_of_report ?(static = false) ~config ~cache_hit ~detect_ms report =
   let errors =
@@ -113,7 +112,7 @@ let static_result ~config ~cache_hit ~job ~layout entry
     match Static.Analysis.report entry.Cache.analysis ~layout with
     | None -> None
     | Some report ->
-        Telemetry.Metric.counter_incr (Lazy.force m_static_fast);
+        Telemetry.Metric.counter_incr m_static_fast;
         Some
           (Protocol.Result
              {
@@ -150,6 +149,14 @@ let static_verdict ?(config = default_config) ~cache ~job
               static_result ~config ~cache_hit:true ~job ~layout entry s
         with _ -> None)
 
+(* The detection backend of a check or stream job: [job_shards = 1]
+   is the serial sink (the [run_stream]/[open_stream] default), above
+   that the sharded engine, with bitwise-identical verdicts.  Batch and
+   streamed jobs pick it here, so they share one backend. *)
+let sink_for ~config ~layout kernel =
+  if config.job_shards <= 1 then None
+  else Some (Shard.Stream.sink ~shards:config.job_shards ~layout kernel)
+
 let run_check ~config ~cache ~job (s : Protocol.submit) =
   let entry, cache_hit = entry_for ~cache s in
   let layout = layout_of s in
@@ -165,42 +172,13 @@ let run_check ~config ~cache ~job (s : Protocol.submit) =
         (Int64.add (Telemetry.Clock.now_ns ())
            (Int64.mul (Int64.of_int config.deadline_ms) 1_000_000L))
   in
-  (* [job_shards = 1] is the serial pipeline; above that, the job's
-     detection fans out over shard domains ([Shard.Pipeline]) with
-     bitwise-identical verdicts. *)
-  let status, report, detect_ns =
-    if config.job_shards <= 1 then begin
-      (* The serial path runs through the streaming-session core (the
-         cached instrument pass already encodes prune/static choices),
-         so a daemon check job and a [Stream_open] session share one
-         producer and one backend. *)
-      let result =
-        Gpu_runtime.Session.run_stream ~max_steps:config.max_steps
-          ?deadline_ns ~inst:entry.Cache.inst ~machine entry.Cache.kernel args
-      in
-      ( result.Gpu_runtime.Session.sr_machine_result.Simt.Machine.status,
-        result.Gpu_runtime.Session.sr_report,
-        result.Gpu_runtime.Session.sr_detect_ns )
-    end
-    else begin
-      let pconfig =
-        {
-          Shard.Pipeline.default_config with
-          shards = config.job_shards;
-          prune = s.Protocol.prune;
-          static_prune = s.Protocol.static;
-        }
-      in
-      let result =
-        Shard.Pipeline.run_sharded ~config:pconfig ~max_steps:config.max_steps
-          ?deadline_ns ~inst:entry.Cache.inst ~machine entry.Cache.kernel args
-      in
-      ( result.Shard.Pipeline.machine_result.Simt.Machine.status,
-        result.Shard.Pipeline.report,
-        result.Shard.Pipeline.detect_ns )
-    end
+  let result =
+    Gpu_runtime.Session.run_stream
+      ?sink:(sink_for ~config ~layout entry.Cache.kernel)
+      ~max_steps:config.max_steps ?deadline_ns ~inst:entry.Cache.inst ~machine
+      entry.Cache.kernel args
   in
-  match status with
+  match result.Gpu_runtime.Session.sr_machine_result.Simt.Machine.status with
   | Simt.Machine.Max_steps n ->
       Protocol.Failed
         {
@@ -226,8 +204,9 @@ let run_check ~config ~cache ~job (s : Protocol.submit) =
           job;
           outcome =
             outcome_of_report ~config ~cache_hit
-              ~detect_ms:(Int64.to_float detect_ns /. 1e6)
-              report;
+              ~detect_ms:
+                (Int64.to_float result.Gpu_runtime.Session.sr_detect_ns /. 1e6)
+              result.Gpu_runtime.Session.sr_report;
           queue_ms = 0.0;
           run_ms = 0.0;
         }
@@ -344,13 +323,9 @@ let run_repair ~config ~cache ~job (s : Protocol.submit) =
 let stream_open ?(config = default_config) ~cache (s : Protocol.submit) =
   let entry, _ = entry_for ~cache s in
   let layout = layout_of s in
-  if config.job_shards <= 1 then
-    Gpu_runtime.Session.open_stream ~layout entry.Cache.kernel
-  else
-    let sink =
-      Shard.Stream.sink ~shards:config.job_shards ~layout entry.Cache.kernel
-    in
-    Gpu_runtime.Session.open_stream ~sink ~layout entry.Cache.kernel
+  Gpu_runtime.Session.open_stream
+    ?sink:(sink_for ~config ~layout entry.Cache.kernel)
+    ~layout entry.Cache.kernel
 
 let error_response ~job exn =
   let failed code message = Protocol.Failed { job; code; message } in

@@ -2,7 +2,8 @@
 
     A [Check] job parses/instruments via the artifact {!Cache}
     (skipping the front half of the pipeline on a hit), then runs the
-    deployed {!Gpu_runtime.Pipeline} on a fresh machine.  A [Predict]
+    cached instrumentation through {!Gpu_runtime.Session.run_stream}
+    on a fresh machine.  A [Predict]
     job deserializes the trace and runs {!Predict.Analysis}.
 
     {!run} never raises: every failure mode — malformed PTX or trace,
@@ -24,10 +25,10 @@ type config = {
           budget never trips) but too slowly to be worth waiting for,
           and the bound on how long a hung worker can hold its seat *)
   job_shards : int;
-      (** detector domains per [Check] job: [1] (the default) runs the
-          serial {!Gpu_runtime.Pipeline}; above that, detection fans
-          out across shard domains ({!Shard.Pipeline.run_sharded})
-          with bitwise-identical verdicts.  A shard domain dying
+      (** detector domains per [Check] or stream job: [1] (the
+          default) is the serial sink; above that, detection fans out
+          across shard domains ({!Shard.Stream.sink}) with
+          bitwise-identical verdicts.  A shard domain dying
           mid-job fails the job with code ["shard_crashed"] — never a
           partial merge *)
 }

@@ -7,7 +7,7 @@ let no_values : int64 array = [||]
 
 (* Producer-side wait for a full ring while its consumer drains
    concurrently: spin briefly, then sleep with a capped exponential
-   backoff — the same policy as [Gpu_runtime.Pipeline]. *)
+   backoff (50us doubling to ~3ms) instead of a fixed-rate poll. *)
 let full_backoff attempt =
   if attempt < 16 then Domain.cpu_relax ()
   else begin
@@ -26,7 +26,6 @@ type t = {
   mutable seq : int;
   mutable last_sync_seq : int;
   mutable records : int;
-  mutable stalls : int;
   producing : bool Atomic.t;
   failed : bool Atomic.t array;
   mutable consumers : int64 Domain.t array;
@@ -39,10 +38,9 @@ type t = {
 
 (* One shard's consumer: drain the ring into the shard detector until
    the producer is done and the ring is empty.  The ring is SPSC and
-   the stream totally ordered by construction, so — unlike
-   [Pipeline.run_parallel]'s consumers — no cross-queue acquire
-   handshake is needed: every shard sees every synchronization record
-   at the same position in its stream.  Returns cumulative nanoseconds
+   the stream totally ordered by construction, so no cross-queue
+   acquire handshake is needed: every shard sees every synchronization
+   record at the same position in its stream.  Returns cumulative nanoseconds
    spent inside the detector. *)
 let consume t i m_records =
   let q = t.rings.(i) in
@@ -95,6 +93,11 @@ let create ?router ?(ring_capacity = 4096) ?fault
         r
     | None -> Router.make ~shards ()
   in
+  (* Shards keep every race they own: the report cap applies once, in
+     the merge, so the merged race count is the serial detector's
+     whatever the cap (a per-shard cap would drop races from the count
+     and the shard count would change which races survive it). *)
+  let config = { config with Barracuda.Detector.max_reports = max_int } in
   let detectors =
     Array.init shards (fun i ->
         Barracuda.Detector.create ~config ~owns:(Router.owns router ~shard:i)
@@ -113,7 +116,6 @@ let create ?router ?(ring_capacity = 4096) ?fault
       seq = 0;
       last_sync_seq = 0;
       records = 0;
-      stalls = 0;
       producing = Atomic.make true;
       failed = Array.init shards (fun _ -> Atomic.make false);
       consumers = [||];
@@ -158,7 +160,6 @@ let reserve t i =
     let w = Queue.try_reserve q in
     if w >= 0 then w
     else begin
-      t.stalls <- t.stalls + 1;
       full_backoff attempt;
       go (attempt + 1)
     end
@@ -246,7 +247,3 @@ let report t ~max_reports =
 
 let detect_ns t = t.detect
 let records t = t.records
-let stalls t = t.stalls
-
-let high_watermark t =
-  Array.fold_left (fun acc q -> max acc (Queue.high_watermark q)) 0 t.rings

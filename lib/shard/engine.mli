@@ -46,7 +46,7 @@ val create :
     to [Router.make ~shards ()]; its shard count must match.
     [ring_capacity] defaults to 4096 records per shard.  [fault] is
     consulted for shard-crash injection only (transport faults live in
-    [Gpu_runtime.Pipeline]).  @raise Invalid_argument on [shards < 1]
+    [Gpu_runtime.Session.serial_sink]).  @raise Invalid_argument on [shards < 1]
     or a router/shard-count mismatch. *)
 
 val shards : t -> int
@@ -87,7 +87,10 @@ val detectors : t -> Barracuda.Detector.t array
 (** Per-shard detectors; meaningful after {!finish}. *)
 
 val report : t -> max_reports:int -> Barracuda.Report.t
-(** The merged, deterministic job report (see {!Merge}).  Call after
+(** The merged, deterministic job report (see {!Merge}).  Shards keep
+    every race they own and the cap applies here, so the race count
+    equals the serial detector's at any cap; the kept races are the
+    first [max_reports] in the merge's sorted order.  Call after
     {!finish}. *)
 
 val detect_ns : t -> int64
@@ -98,9 +101,3 @@ val detect_ns : t -> int64
 val records : t -> int
 (** Records broadcast (stream length, not multiplied by the shard
     count). *)
-
-val stalls : t -> int
-(** Producer stalls on full shard rings. *)
-
-val high_watermark : t -> int
-(** Deepest any shard ring got. *)

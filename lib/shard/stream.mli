@@ -2,8 +2,9 @@
     {!Gpu_runtime.Session.sink} over {!Engine}'s broadcast transport.
 
     The sink's staging buffer {e is} the engine's scratch record, so
-    producers (the session core, or {!Gpu_runtime.Session.drive})
-    serialize once and broadcast in place; [quiesce] waits for every
+    producers (the streaming session core, or
+    {!Gpu_runtime.Session.run_stream}) serialize once and broadcast in
+    place; [quiesce] waits for every
     shard ring to drain, which aligns checkpoints with broadcast
     epochs; [finish]/[abort] join the consumer domains.  Feeding the
     same record stream through this sink and through the serial sink

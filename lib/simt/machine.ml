@@ -5,27 +5,23 @@ type status = Completed | Max_steps of int | Deadline of int
    is accumulated in the launch context and flushed once per launch;
    divergence events are rare and counted at their emission sites. *)
 let m_instructions =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Dynamic warp-level instructions retired"
-       Telemetry.Registry.default "barracuda_simt_instructions_retired_total")
+  Telemetry.Registry.counter
+    ~help:"Dynamic warp-level instructions retired"
+    Telemetry.Registry.default "barracuda_simt_instructions_retired_total"
 
 let m_branch_div =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Divergent branches executed (SIMT stack splits)"
-       Telemetry.Registry.default "barracuda_simt_divergent_branches_total")
+  Telemetry.Registry.counter
+    ~help:"Divergent branches executed (SIMT stack splits)"
+    Telemetry.Registry.default "barracuda_simt_divergent_branches_total"
 
 let m_barrier_div =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Barrier-divergence events observed"
-       Telemetry.Registry.default "barracuda_simt_barrier_divergence_total")
+  Telemetry.Registry.counter
+    ~help:"Barrier-divergence events observed"
+    Telemetry.Registry.default "barracuda_simt_barrier_divergence_total"
 
 let m_launches =
-  lazy
-    (Telemetry.Registry.counter ~help:"Kernel launches executed"
-       Telemetry.Registry.default "barracuda_simt_launches_total")
+  Telemetry.Registry.counter ~help:"Kernel launches executed"
+    Telemetry.Registry.default "barracuda_simt_launches_total"
 
 type result = {
   status : status;
@@ -399,7 +395,7 @@ let step_warp ctx w =
           else if not_taken = 0 then Simt_stack.set_pc w.stack tgt
           else begin
             let reconv = ctx.reconv_pc.(pc) in
-            Telemetry.Metric.counter_incr (Lazy.force m_branch_div);
+            Telemetry.Metric.counter_incr m_branch_div;
             ctx.emit
               (Event.Branch_if
                  { warp = w.wid; insn = pc; then_mask = not_taken; else_mask = taken });
@@ -417,7 +413,7 @@ let step_warp ctx w =
           let active = guarded_mask ctx w path_mask insn.Ptx.Ast.guard in
           if active <> live then begin
             ctx.barrier_divergence <- true;
-            Telemetry.Metric.counter_incr (Lazy.force m_barrier_div);
+            Telemetry.Metric.counter_incr m_barrier_div;
             ctx.emit
               (Event.Barrier_divergence
                  { warp = w.wid; insn = pc; mask = active; expected = live })
@@ -512,7 +508,7 @@ let release_barrier_of_block ctx b =
       let w = ctx.warps.(i) in
       if w.finished && not w.at_barrier then begin
         ctx.barrier_divergence <- true;
-        Telemetry.Metric.counter_incr (Lazy.force m_barrier_div);
+        Telemetry.Metric.counter_incr m_barrier_div;
         ctx.emit
           (Event.Barrier_divergence
              { warp = w.wid; insn = -1; mask = 0; expected = w.init_mask })
@@ -692,8 +688,8 @@ let launch ?(max_steps = 50_000_000) ?deadline_ns ?fault ?(on_event = fun _ -> (
      done
    with Stdlib.Exit -> ());
   on_event Event.Kernel_done;
-  Telemetry.Metric.counter_incr (Lazy.force m_launches);
-  Telemetry.Metric.counter_add (Lazy.force m_instructions) ctx.dyn_instructions;
+  Telemetry.Metric.counter_incr m_launches;
+  Telemetry.Metric.counter_add m_instructions ctx.dyn_instructions;
   {
     status =
       (if !finished_run then Completed

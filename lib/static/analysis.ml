@@ -83,32 +83,27 @@ type t = {
 (* ---- telemetry --------------------------------------------------- *)
 
 let m_kernels =
-  lazy
-    (Telemetry.Registry.counter ~help:"Kernels statically analyzed"
-       Telemetry.Registry.default "barracuda_static_kernels_total")
+  Telemetry.Registry.counter ~help:"Kernels statically analyzed"
+    Telemetry.Registry.default "barracuda_static_kernels_total"
 
 let m_safe =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Accesses proven race-free by the static analysis"
-       Telemetry.Registry.default "barracuda_static_safe_total")
+  Telemetry.Registry.counter
+    ~help:"Accesses proven race-free by the static analysis"
+    Telemetry.Registry.default "barracuda_static_safe_total"
 
 let m_racy =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Accesses proven racy by the static analysis"
-       Telemetry.Registry.default "barracuda_static_racy_total")
+  Telemetry.Registry.counter
+    ~help:"Accesses proven racy by the static analysis"
+    Telemetry.Registry.default "barracuda_static_racy_total"
 
 let m_unknown =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Accesses the static analysis left for dynamic checking"
-       Telemetry.Registry.default "barracuda_static_unknown_total")
+  Telemetry.Registry.counter
+    ~help:"Accesses the static analysis left for dynamic checking"
+    Telemetry.Registry.default "barracuda_static_unknown_total"
 
 let m_pairs =
-  lazy
-    (Telemetry.Registry.counter ~help:"Provably-racy access pairs found"
-       Telemetry.Registry.default "barracuda_static_racy_pairs_total")
+  Telemetry.Registry.counter ~help:"Provably-racy access pairs found"
+    Telemetry.Registry.default "barracuda_static_racy_pairs_total"
 
 (* ---- footprint comparisons --------------------------------------- *)
 
@@ -400,11 +395,11 @@ let analyze ?assume_noalias k =
       | Some Unknown -> incr unknown
       | None -> ())
     t.verdicts;
-  Telemetry.Metric.counter_incr (Lazy.force m_kernels);
-  Telemetry.Metric.counter_add (Lazy.force m_safe) !safe;
-  Telemetry.Metric.counter_add (Lazy.force m_racy) !racy;
-  Telemetry.Metric.counter_add (Lazy.force m_unknown) !unknown;
-  Telemetry.Metric.counter_add (Lazy.force m_pairs) (List.length t.pairs);
+  Telemetry.Metric.counter_incr m_kernels;
+  Telemetry.Metric.counter_add m_safe !safe;
+  Telemetry.Metric.counter_add m_racy !racy;
+  Telemetry.Metric.counter_add m_unknown !unknown;
+  Telemetry.Metric.counter_add m_pairs (List.length t.pairs);
   t
 
 (* ---- consumers --------------------------------------------------- *)

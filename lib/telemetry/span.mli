@@ -1,9 +1,9 @@
 (** Monotonic-clock span timing.
 
-    A span names a region of the pipeline — the five stages are
-    ["instrument"], ["execute"], ["queue"], ["decode"] and ["detect"],
-    and sessions add a per-launch ["launch"] span — and accumulates,
-    per name, three metrics in the target registry:
+    A span names a region of the pipeline — the stages are
+    ["instrument"] (with ["static.analyze"]), ["execute"] and
+    ["detect"], and sessions add a per-launch ["launch"] span — and
+    accumulates, per name, three metrics in the target registry:
 
     - [barracuda_span_calls_total{span=NAME}]: completed executions;
     - [barracuda_span_ns_total{span=NAME}]: total monotonic time;

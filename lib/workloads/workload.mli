@@ -41,12 +41,12 @@ val run_detector : ?max_steps:int -> t -> Barracuda.Detector.t * Simt.Machine.re
 (** Launch with the detector attached directly to the event stream. *)
 
 val run_pipeline :
-  ?config:Gpu_runtime.Pipeline.config ->
   ?max_steps:int ->
   ?inst:Instrument.Pass.result ->
   t ->
-  Gpu_runtime.Pipeline.result
-(** Full instrumented pipeline (what Figure 10 times).  [inst] reuses
+  Gpu_runtime.Session.stream_result
+(** The instrumented kernel (block + static pruning, as deployed)
+    through [Session.run_stream]: what Figure 10 times.  [inst] reuses
     a precomputed instrumentation result — callers that run the same
     workload repeatedly (the bench harness) hoist the pass out of the
     timed region. *)

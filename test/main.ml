@@ -17,7 +17,6 @@ let () =
       ("dims", Test_dims.suite);
       ("session", Test_session.suite);
       ("stream", Test_stream.suite);
-      ("parallel", Test_parallel.suite);
       ("telemetry", Test_telemetry.suite);
       ("predict", Test_predict.suite);
       ("service", Test_service.suite);

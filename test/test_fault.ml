@@ -1,5 +1,5 @@
 (* Fault injection and resilience: transport integrity (checksums,
-   sequence numbers), seeded fault plans through the pipeline, worker
+   sequence numbers), seeded fault plans through the serial sink, worker
    crash recovery and quarantine in the scheduler, wall-clock
    deadlines, versioned formats, and campaign determinism. *)
 
@@ -7,7 +7,6 @@ module Record = Gpu_runtime.Record
 module Wire = Barracuda.Wire
 module Report = Barracuda.Report
 module Detector = Barracuda.Detector
-module Pipeline = Gpu_runtime.Pipeline
 module Plan = Fault.Plan
 module P = Service.Protocol
 module Case = Bugsuite.Case
@@ -162,7 +161,7 @@ let test_integrity_check_disabled () =
   Alcotest.(check bool) "no degradation tracking" false
     (Report.degraded (Detector.report det))
 
-(* ---- transport faults through the pipeline ----------------------- *)
+(* ---- transport faults through the serial sink --------------------- *)
 
 let racy_prog = [ Gen.Global_store (0, Gen.Lane_dependent); Gen.Global_load 0 ]
 
@@ -170,16 +169,11 @@ let run_with_plan ?(prog = racy_prog) plan =
   let k = Gen.kernel_of_program prog in
   let m = Simt.Machine.create ~layout:Gen.layout () in
   let args = Gen.setup m in
-  let config =
-    {
-      Pipeline.default_config with
-      queues = 1;
-      fault = Some plan;
-      detector = { Detector.default_config with max_reports = 100_000 };
-    }
+  let detector = { Detector.default_config with max_reports = 100_000 } in
+  let r =
+    Gpu_runtime.Session.run_stream ~detector ~fault:plan ~machine:m k args
   in
-  let r = Pipeline.run ~config ~machine:m k args in
-  Detector.report r.Pipeline.detector
+  r.Gpu_runtime.Session.sr_report
 
 let test_drop_plan_degrades () =
   let plan = Plan.make { Plan.none with Plan.seed = 7; drop = 0.3 } in
@@ -243,7 +237,10 @@ let test_machine_faults_applied () =
     Plan.make
       { Plan.none with Plan.seed = 5; reg_flips = 8; fault_window = 8 }
   in
-  let report = run_with_plan plan in
+  (* A flip needs a live register in the chosen warp.  The kernel runs
+     uninstrumented, so the leading load is what defines one inside the
+     8-step fault window. *)
+  let report = run_with_plan ~prog:(Gen.Global_load 1 :: racy_prog) plan in
   ignore (Report.has_race report);
   let inj = Plan.injected plan in
   Alcotest.(check bool) "register flips applied" true

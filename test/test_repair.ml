@@ -78,16 +78,17 @@ let test_repaired_clean_sharded_and_faulty () =
   let c = case_named "rw_shared_inter_warp" in
   let f = fix_of c.Bugsuite.Case.name (repair_case c) in
   (* 4 shards — validation itself only ran 2 *)
-  let machine = Simt.Machine.create ~layout:c.Bugsuite.Case.layout () in
+  let layout = c.Bugsuite.Case.layout in
+  let machine = Simt.Machine.create ~layout () in
   let args = c.Bugsuite.Case.setup machine in
-  let sconfig = { Shard.Pipeline.default_config with shards = 4 } in
   let sresult =
-    Shard.Pipeline.run_sharded ~config:sconfig ~max_steps:200_000 ~machine
-      f.Engine.kernel args
+    Gpu_runtime.Session.run_stream
+      ~sink:(Shard.Stream.sink ~layout ~shards:4 f.Engine.kernel)
+      ~max_steps:200_000 ~machine f.Engine.kernel args
   in
   Alcotest.(check bool)
     "no race under 4 shards" false
-    (Report.has_race sresult.Shard.Pipeline.report);
+    (Report.has_race sresult.Gpu_runtime.Session.sr_report);
   (* a fault slice at seeds validation never used *)
   for i = 0 to 2 do
     let plan =
@@ -101,14 +102,11 @@ let test_repaired_clean_sharded_and_faulty () =
     in
     let machine = Simt.Machine.create ~layout:c.Bugsuite.Case.layout () in
     let args = c.Bugsuite.Case.setup machine in
-    let pconfig =
-      { Gpu_runtime.Pipeline.default_config with fault = Some plan }
-    in
     let result =
-      Gpu_runtime.Pipeline.run ~config:pconfig ~max_steps:200_000 ~machine
+      Gpu_runtime.Session.run_stream ~fault:plan ~max_steps:200_000 ~machine
         f.Engine.kernel args
     in
-    let report = Gpu_runtime.Pipeline.report result in
+    let report = result.Gpu_runtime.Session.sr_report in
     if Report.has_race report && not (Report.degraded report) then
       Alcotest.failf "fault seed %d: undegraded race on the repaired kernel"
         (1000 + i)
@@ -182,12 +180,12 @@ let test_scoreboard () =
           let machine = Simt.Machine.create ~layout:c.Bugsuite.Case.layout () in
           let args = c.Bugsuite.Case.setup machine in
           let result =
-            Gpu_runtime.Pipeline.run ~max_steps:200_000 ~machine
+            Gpu_runtime.Session.run_stream ~max_steps:200_000 ~machine
               f.Engine.kernel args
           in
-          let report = Gpu_runtime.Pipeline.report result in
+          let report = result.Gpu_runtime.Session.sr_report in
           if
-            result.Gpu_runtime.Pipeline.machine_result
+            result.Gpu_runtime.Session.sr_machine_result
               .Simt.Machine.barrier_divergence
             || List.exists
                  (function

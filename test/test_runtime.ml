@@ -1,9 +1,10 @@
 (* Runtime layer: record wire format, lock-free queues (including under
-   domains), and the end-to-end pipeline vs direct detection. *)
+   domains), and the session core's wire transport vs direct
+   detection. *)
 
 module Record = Gpu_runtime.Record
 module Queue = Gpu_runtime.Queue
-module Pipeline = Gpu_runtime.Pipeline
+module Session = Gpu_runtime.Session
 module Report = Barracuda.Report
 
 let ws = 32
@@ -303,7 +304,7 @@ let test_steady_state_allocation () =
     true
     (per_record < 8.0)
 
-(* ---- Pipeline -------------------------------------------------------- *)
+(* ---- Session.run_stream ------------------------------------------- *)
 
 let race_fingerprint report =
   Report.errors report
@@ -313,18 +314,12 @@ let race_fingerprint report =
        | Report.Barrier_divergence _ -> None)
   |> List.sort_uniq Stdlib.compare
 
-let single_queue_config =
-  {
-    Pipeline.default_config with
-    queues = 1;
-    detector = { Barracuda.Detector.default_config with max_reports = 100000 };
-  }
+let detector_config =
+  { Barracuda.Detector.default_config with max_reports = 100000 }
 
-(* The queue transport must be transparent: a detector fed the exact
-   event stream the pipeline forwards must agree with the detector fed
-   through records and a single queue.  (Comparing against a separate
-   native run would be too strong: instrumentation changes warp
-   interleaving, and FastTrack-style detection is schedule-sensitive.) *)
+(* The wire transport must be transparent: a detector fed the exact
+   event stream the session core serializes (through its raw-event
+   tap) must agree with the detector fed through sealed records. *)
 let prop_pipeline_matches_teed_detector =
   QCheck2.Test.make
     ~name:"single-queue pipeline equals a detector fed the same events"
@@ -332,20 +327,19 @@ let prop_pipeline_matches_teed_detector =
       let k = Gen.kernel_of_program prog in
       let m = Simt.Machine.create ~layout:Gen.layout () in
       let args = Gen.setup m in
-      let config =
-        { Barracuda.Detector.default_config with max_reports = 100000 }
+      let direct =
+        Barracuda.Detector.create ~config:detector_config ~layout:Gen.layout k
       in
-      let direct = Barracuda.Detector.create ~config ~layout:Gen.layout k in
-      let pr =
-        Pipeline.run
-          ~config:{ single_queue_config with prune = false }
-          ~tee:(Barracuda.Detector.feed direct) ~machine:m k args
+      let r =
+        Session.run_stream ~detector:detector_config
+          ~tap:(Barracuda.Detector.feed direct) ~machine:m k args
       in
       race_fingerprint (Barracuda.Detector.report direct)
-      = race_fingerprint (Pipeline.report pr))
+      = race_fingerprint r.Session.sr_report)
 
 (* Weaker cross-run property that survives schedule perturbation: a
-   race-free program stays race-free through the full pipeline. *)
+   race-free program stays race-free with the deployed instrumentation
+   (block + static pruning), which only ever drops records. *)
 let prop_pipeline_no_false_positives =
   QCheck2.Test.make
     ~name:"pipeline never invents races on programs the detector clears"
@@ -359,25 +353,12 @@ let prop_pipeline_no_false_positives =
       else begin
         let m2 = Simt.Machine.create ~layout:Gen.layout () in
         let args2 = Gen.setup m2 in
-        let pr = Pipeline.run ~config:single_queue_config ~machine:m2 k args2 in
-        not (Report.has_race (Pipeline.report pr))
+        let r =
+          Session.run_stream ~detector:detector_config
+            ~inst:(Instrument.Pass.instrument k) ~machine:m2 k args2
+        in
+        not (Report.has_race r.Session.sr_report)
       end)
-
-let test_pipeline_backpressure () =
-  (* a tiny queue forces producer stalls but must not lose records *)
-  let prog = [ Gen.Global_store (0, Gen.Lane_dependent); Gen.Global_load 0 ] in
-  let k = Gen.kernel_of_program prog in
-  let m = Simt.Machine.create ~layout:Gen.layout () in
-  let args = Gen.setup m in
-  let r =
-    Pipeline.run
-      ~config:{ single_queue_config with queue_capacity = 2 }
-      ~machine:m k args
-  in
-  Alcotest.(check bool) "records flowed" true
-    (r.Pipeline.queue_stats.Pipeline.records > 0);
-  Alcotest.(check bool) "race still found" true
-    (Report.has_race (Pipeline.report r))
 
 let test_pipeline_instrumented_execution_correct () =
   (* the instrumented kernel must compute the same results *)
@@ -388,7 +369,9 @@ let test_pipeline_instrumented_execution_correct () =
   let _ = Simt.Machine.launch m1 k args1 in
   let m2 = Simt.Machine.create ~layout:Gen.layout () in
   let args2 = Gen.setup m2 in
-  let _ = Pipeline.run ~machine:m2 k args2 in
+  let _ =
+    Session.run_stream ~inst:(Instrument.Pass.instrument k) ~machine:m2 k args2
+  in
   let base1 = Int64.to_int args1.(0) and base2 = Int64.to_int args2.(0) in
   let total = Vclock.Layout.total_threads Gen.layout in
   let own_base = 4 * (Gen.words + Gen.sync_words) in
@@ -414,7 +397,6 @@ let suite =
     Alcotest.test_case "queue across domains" `Quick test_queue_domains;
     Alcotest.test_case "steady-state allocation bound" `Quick
       test_steady_state_allocation;
-    Alcotest.test_case "pipeline backpressure" `Quick test_pipeline_backpressure;
     Alcotest.test_case "pipeline preserves results" `Quick
       test_pipeline_instrumented_execution_correct;
   ]

@@ -2,11 +2,10 @@
    transport with partitioned shadow checks.  The load-bearing claim is
    bitwise verdict parity — for every bug-suite case and every shard
    count, the merged sharded report must list exactly the races the
-   serial pipeline lists, which in turn must agree with the reference
+   serial detector lists, which in turn must agree with the reference
    semantics. *)
 
-module Pipeline = Gpu_runtime.Pipeline
-module SPipeline = Shard.Pipeline
+module Session = Gpu_runtime.Session
 module Report = Barracuda.Report
 
 let shard_counts = [ 1; 2; 4; 7 ]
@@ -36,38 +35,39 @@ let race_set report =
        | Report.Barrier_divergence _ -> None)
   |> List.sort_uniq Stdlib.compare
 
+(* The logging code an instrumented build adds shifts how warps
+   interleave, so a race can be observed in the other order; compare
+   builds on the unordered pair of racing accesses. *)
+let racing_pairs races =
+  List.map
+    (fun k ->
+      let a = (k.prev_tid, k.prev_kind) and b = (k.cur_tid, k.cur_kind) in
+      (k.loc, min a b, max a b))
+    races
+  |> List.sort_uniq Stdlib.compare
+
 (* Parity must hold on the full stream with no report cap in the way:
    a shard hitting [max_reports] would under-report legitimately. *)
 let detector_config =
   { Barracuda.Detector.default_config with max_reports = 100000 }
 
-let serial_report (c : Bugsuite.Case.t) =
+(* [check] and [check --shards N]: the same session-core run, with
+   the serial or the sharded sink.  [inst] runs an instrumented build
+   of the case's kernel, as the daemon and [profile] do. *)
+let run ?sink ?fault ?inst (c : Bugsuite.Case.t) =
   let m = Simt.Machine.create ~layout:c.Bugsuite.Case.layout () in
   let args = c.Bugsuite.Case.setup m in
-  let config =
-    {
-      Pipeline.default_config with
-      queues = 1;
-      prune = false;
-      detector = detector_config;
-    }
-  in
-  let r = Pipeline.run ~config ~machine:m c.Bugsuite.Case.kernel args in
-  Pipeline.report r
+  Session.run_stream ~detector:detector_config ?sink ?fault ?inst ~machine:m
+    c.Bugsuite.Case.kernel args
 
-let sharded_result ?fault ~shards (c : Bugsuite.Case.t) =
-  let m = Simt.Machine.create ~layout:c.Bugsuite.Case.layout () in
-  let args = c.Bugsuite.Case.setup m in
-  let config =
-    {
-      SPipeline.default_config with
-      SPipeline.shards;
-      prune = false;
-      detector = detector_config;
-      fault;
-    }
+let serial_report ?inst c = (run ?inst c).Session.sr_report
+
+let sharded_report ?fault ?inst ~shards (c : Bugsuite.Case.t) =
+  let sink =
+    Shard.Stream.sink ?fault ~config:detector_config
+      ~layout:c.Bugsuite.Case.layout ~shards c.Bugsuite.Case.kernel
   in
-  SPipeline.run_sharded ~config ~machine:m c.Bugsuite.Case.kernel args
+  (run ~sink ?fault ?inst c).Session.sr_report
 
 let reference_racy (c : Bugsuite.Case.t) =
   let m = Simt.Machine.create ~layout:c.Bugsuite.Case.layout () in
@@ -85,28 +85,48 @@ let reference_racy (c : Bugsuite.Case.t) =
 
 (* ---- full-bugsuite parity at every shard count ------------------- *)
 
+(* Every build of the kernel a frontend executes: uninstrumented
+   ([check], repair, the campaign), instrumented without block pruning,
+   and the deployed block + static instrumentation (the daemon,
+   [profile], Figure 10, [Session.launch]). *)
+let builds (c : Bugsuite.Case.t) =
+  let kernel = c.Bugsuite.Case.kernel in
+  [
+    ("uninstrumented", None);
+    ("instrumented", Some (Instrument.Pass.instrument ~prune:false kernel));
+    ("deployed", Some (Instrument.Pass.instrument kernel));
+  ]
+
 let test_bugsuite_parity () =
   List.iter
     (fun (c : Bugsuite.Case.t) ->
       let expected = reference_racy c in
-      let serial = serial_report c in
-      let serial_races = race_set serial in
-      Alcotest.(check bool)
-        (c.Bugsuite.Case.name ^ ": serial pipeline matches reference")
-        expected
-        (Report.has_race serial);
+      let name = c.Bugsuite.Case.name in
+      let baseline = racing_pairs (race_set (serial_report c)) in
       List.iter
-        (fun shards ->
-          let r = sharded_result ~shards c in
-          let merged = r.SPipeline.report in
+        (fun (build, inst) ->
+          let serial = serial_report ?inst c in
+          let serial_races = race_set serial in
           Alcotest.(check bool)
-            (Printf.sprintf "%s @ %d shards: verdict matches reference"
-               c.Bugsuite.Case.name shards)
-            expected (Report.has_race merged);
-          if race_set merged <> serial_races then
-            Alcotest.failf "%s @ %d shards: race set differs from serial"
-              c.Bugsuite.Case.name shards)
-        shard_counts)
+            (Printf.sprintf "%s (%s): serial check matches reference" name
+               build)
+            expected (Report.has_race serial);
+          if racing_pairs serial_races <> baseline then
+            Alcotest.failf "%s (%s): racing pairs differ from uninstrumented"
+              name build;
+          List.iter
+            (fun shards ->
+              let merged = sharded_report ?inst ~shards c in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s (%s) @ %d shards: verdict matches reference"
+                   name build shards)
+                expected (Report.has_race merged);
+              if race_set merged <> serial_races then
+                Alcotest.failf
+                  "%s (%s) @ %d shards: race set differs from serial" name
+                  build shards)
+            shard_counts)
+        (builds c))
     Bugsuite.Cases.all
 
 (* ---- the router is a true partition ------------------------------ *)
@@ -163,32 +183,32 @@ let test_broadcast_delivery () =
   let w = Workloads.Registry.find "backprop" in
   let m = Workloads.Workload.machine w in
   let args = w.Workloads.Workload.setup m in
-  let config =
-    {
-      SPipeline.default_config with
-      SPipeline.shards = 4;
-      prune = false;
-      detector = detector_config;
-    }
+  let kernel = w.Workloads.Workload.kernel in
+  let engine =
+    Shard.Engine.create ~config:detector_config
+      ~layout:w.Workloads.Workload.layout ~shards:4 kernel
   in
   let r =
-    SPipeline.run_sharded ~config ~machine:m w.Workloads.Workload.kernel args
+    Session.run_stream ~detector:detector_config
+      ~sink:(Shard.Stream.sink_of_engine engine) ~machine:m kernel args
   in
-  let stream = r.SPipeline.queue_stats.Pipeline.records in
+  let stream = Shard.Engine.records engine in
+  Alcotest.(check int) "the session counts the broadcast stream once" stream
+    r.Session.sr_records;
   Array.iteri
     (fun i det ->
       let s = Barracuda.Detector.stats det in
       Alcotest.(check int)
         (Printf.sprintf "shard %d consumed the full stream" i)
         stream s.Barracuda.Detector.records_processed)
-    r.SPipeline.detectors;
-  let integ = Report.integrity r.SPipeline.report in
+    (Shard.Engine.detectors engine);
+  let integ = Report.integrity r.Session.sr_report in
   Alcotest.(check bool)
     "no integrity anomalies on any shard" true
     (integ.Report.corrupt = 0 && integ.Report.gaps = 0
     && integ.Report.stale = 0 && integ.Report.desync = 0);
   Alcotest.(check bool) "verdict not degraded" false
-    (Report.degraded r.SPipeline.report)
+    (Report.degraded r.Session.sr_report)
 
 (* ---- merged reports are deterministic ---------------------------- *)
 
@@ -198,9 +218,7 @@ let test_merge_deterministic () =
       (fun (c : Bugsuite.Case.t) -> c.Bugsuite.Case.verdict = Bugsuite.Case.Racy)
       Bugsuite.Cases.all
   in
-  let errors () =
-    Report.errors (sharded_result ~shards:4 c).SPipeline.report
-  in
+  let errors () = Report.errors (sharded_report ~shards:4 c) in
   let a = errors () and b = errors () in
   Alcotest.(check bool) "identical error lists across runs" true (a = b)
 
@@ -210,6 +228,7 @@ let test_shard_crash_is_loud () =
   let w = Workloads.Registry.find "backprop" in
   let m = Workloads.Workload.machine w in
   let args = w.Workloads.Workload.setup m in
+  let kernel = w.Workloads.Workload.kernel in
   let plan =
     Fault.Plan.make
       {
@@ -219,16 +238,11 @@ let test_shard_crash_is_loud () =
         shard_crash_after = 3;
       }
   in
-  let config =
-    {
-      SPipeline.default_config with
-      SPipeline.shards = 3;
-      fault = Some plan;
-    }
+  let sink =
+    Shard.Stream.sink ~fault:plan ~layout:w.Workloads.Workload.layout ~shards:3
+      kernel
   in
-  match
-    SPipeline.run_sharded ~config ~machine:m w.Workloads.Workload.kernel args
-  with
+  match Session.run_stream ~sink ~fault:plan ~machine:m kernel args with
   | _ -> Alcotest.fail "sharded run completed despite a dead shard"
   | exception Shard.Engine.Shard_crashed i ->
       Alcotest.(check int) "the doomed shard is named" 1 i;

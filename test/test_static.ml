@@ -4,8 +4,7 @@
    [Safe] access must leave the detected race set bitwise unchanged on
    the whole bug suite, serial and sharded. *)
 
-module Pipeline = Gpu_runtime.Pipeline
-module SPipeline = Shard.Pipeline
+module Session = Gpu_runtime.Session
 module Report = Barracuda.Report
 module A = Static.Analysis
 
@@ -37,39 +36,25 @@ let race_set report =
 let detector_config =
   { Barracuda.Detector.default_config with max_reports = 100000 }
 
-(* Block-local pruning is off in both runs so the only difference is
-   the static tier — the property under test in isolation. *)
-let serial_report ~static (c : Bugsuite.Case.t) =
-  let m = Simt.Machine.create ~layout:c.Bugsuite.Case.layout () in
+(* The instrumented kernel through the session core, with the given
+   pruning tiers; [shards] selects the sharded sink. *)
+let pruned_report ?shards ~prune ~static (c : Bugsuite.Case.t) =
+  let layout = c.Bugsuite.Case.layout in
+  let kernel = c.Bugsuite.Case.kernel in
+  let m = Simt.Machine.create ~layout () in
   let args = c.Bugsuite.Case.setup m in
-  let config =
-    {
-      Pipeline.default_config with
-      queues = 1;
-      prune = false;
-      static_prune = static;
-      detector = detector_config;
-    }
-  in
-  let r = Pipeline.run ~config ~machine:m c.Bugsuite.Case.kernel args in
-  Pipeline.report r
-
-let sharded_report ~static ~shards (c : Bugsuite.Case.t) =
-  let m = Simt.Machine.create ~layout:c.Bugsuite.Case.layout () in
-  let args = c.Bugsuite.Case.setup m in
-  let config =
-    {
-      SPipeline.default_config with
-      SPipeline.shards;
-      prune = false;
-      static_prune = static;
-      detector = detector_config;
-    }
+  let sink =
+    Option.map
+      (fun shards ->
+        Shard.Stream.sink ~config:detector_config ~layout ~shards kernel)
+      shards
   in
   let r =
-    SPipeline.run_sharded ~config ~machine:m c.Bugsuite.Case.kernel args
+    Session.run_stream ~detector:detector_config ?sink
+      ~inst:(Instrument.Pass.instrument ~prune ~static kernel)
+      ~machine:m kernel args
   in
-  r.SPipeline.report
+  r.Session.sr_report
 
 (* ---- affine classification --------------------------------------- *)
 
@@ -255,12 +240,10 @@ let test_static_racy_dynamic_agreement () =
   let kernel = parse static_racy_src in
   let out = Int64.of_int (Simt.Machine.alloc_global m 64) in
   let r =
-    Pipeline.run
-      ~config:{ Pipeline.default_config with detector = detector_config }
-      ~machine:m kernel [| out |]
+    Session.run_stream ~detector:detector_config ~machine:m kernel [| out |]
   in
   Alcotest.(check bool) "dynamic detector agrees" true
-    (Report.has_race (Pipeline.report r))
+    (Report.has_race r.Session.sr_report)
 
 (* ---- soundness over the bug suite -------------------------------- *)
 
@@ -268,22 +251,29 @@ let test_static_racy_dynamic_agreement () =
    the race set with static pruning must be bitwise identical to the
    unpruned one — serial and sharded.  This is the proof obligation
    for dropping logging: no seeded racy access may be classified
-   Safe. *)
+   Safe.  The serial test also holds the block tier to the same
+   obligation: a redundant-access elision must never hide a race. *)
 let test_bugsuite_parity_serial () =
   List.iter
     (fun (c : Bugsuite.Case.t) ->
-      let baseline = race_set (serial_report ~static:false c) in
-      let pruned = race_set (serial_report ~static:true c) in
-      if baseline <> pruned then
-        Alcotest.failf "%s: static pruning changed the serial race set"
-          c.Bugsuite.Case.name)
+      let baseline = race_set (pruned_report ~prune:false ~static:false c) in
+      List.iter
+        (fun (tier, prune, static) ->
+          if race_set (pruned_report ~prune ~static c) <> baseline then
+            Alcotest.failf "%s: %s pruning changed the serial race set"
+              c.Bugsuite.Case.name tier)
+        [ ("static", false, true); ("block", true, false) ])
     (Bugsuite.Cases.all @ Bugsuite.Cases.predictive)
 
 let test_bugsuite_parity_sharded () =
   List.iter
     (fun (c : Bugsuite.Case.t) ->
-      let baseline = race_set (sharded_report ~static:false ~shards:4 c) in
-      let pruned = race_set (sharded_report ~static:true ~shards:4 c) in
+      let baseline =
+        race_set (pruned_report ~shards:4 ~prune:false ~static:false c)
+      in
+      let pruned =
+        race_set (pruned_report ~shards:4 ~prune:false ~static:true c)
+      in
       if baseline <> pruned then
         Alcotest.failf "%s: static pruning changed the sharded race set"
           c.Bugsuite.Case.name)

@@ -1,20 +1,15 @@
 (* Telemetry subsystem: registry semantics, exporter round-trips, and
-   the pipeline hooks.  The counters the hooks maintain must agree with
-   the pipeline's own [queue_stats], and enabling telemetry must not
+   the session-core hooks.  The counters the hooks maintain must agree
+   with the run's own record count, and enabling telemetry must not
    perturb detector verdicts. *)
 
 module W = Workloads.Workload
-module Pipeline = Gpu_runtime.Pipeline
+module Session = Gpu_runtime.Session
 
 let with_telemetry f =
   Telemetry.Registry.set_enabled true;
   Telemetry.Registry.reset Telemetry.Registry.default;
   Fun.protect ~finally:(fun () -> Telemetry.Registry.set_enabled false) f
-
-let run_pipeline (w : W.t) =
-  let m = W.machine w in
-  let args = w.W.setup m in
-  Pipeline.run ~machine:m w.W.kernel args
 
 (* ------------------------------------------------------------------ *)
 (* Metric and registry semantics                                       *)
@@ -142,35 +137,36 @@ let test_prometheus () =
         ])
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline hooks                                                      *)
+(* Session-core hooks                                                  *)
 
-let stage_names = [ "instrument"; "execute"; "queue"; "decode"; "detect" ]
+(* The spans a multi-launch session's launch populates: the deployed
+   instrumentation (with its static analysis), then the session core's
+   execute and detect stages, inside the per-launch span. *)
+let stage_names = [ "instrument"; "static.analyze"; "execute"; "detect"; "launch" ]
+
+let launch_once (w : W.t) =
+  let session = Session.create ~layout:w.W.layout () in
+  let args = w.W.setup (Session.machine session) in
+  Session.launch session w.W.kernel args
 
 let test_hooks_match_queue_stats () =
   with_telemetry (fun () ->
-      let w = Workloads.Registry.find "backprop" in
-      let r = run_pipeline w in
-      let reg = Telemetry.Registry.default in
-      let counter = Telemetry.Registry.find_counter reg in
-      Alcotest.(check int) "records counter = queue_stats.records"
-        r.Pipeline.queue_stats.Pipeline.records
-        (counter "barracuda_pipeline_records_total");
-      Alcotest.(check int) "queue pushes = records shipped"
-        r.Pipeline.queue_stats.Pipeline.records
-        (counter "barracuda_queue_pushes_total");
-      Alcotest.(check int) "stalls counter = queue_stats.stalls"
-        r.Pipeline.queue_stats.Pipeline.stalls
-        (counter "barracuda_pipeline_stalls_total");
-      Alcotest.(check int) "high watermark gauge = queue_stats"
-        r.Pipeline.queue_stats.Pipeline.high_watermark
-        (Telemetry.Registry.find_gauge reg "barracuda_queue_high_watermark");
-      Alcotest.(check int) "detector saw every record"
-        r.Pipeline.queue_stats.Pipeline.records
-        (counter "barracuda_detector_records_total"))
+      let r = launch_once (Workloads.Registry.find "backprop") in
+      let counter = Telemetry.Registry.find_counter Telemetry.Registry.default in
+      let records = r.Session.sr_records in
+      Alcotest.(check bool) "records flowed" true (records > 0);
+      Alcotest.(check int) "session counter = records shipped" records
+        (counter "barracuda_session_records_total");
+      Alcotest.(check int) "detector saw every record" records
+        (counter "barracuda_detector_records_total");
+      Alcotest.(check int) "every record consumed in place" records
+        (counter "barracuda_pipeline_records_inplace_total");
+      Alcotest.(check int) "no fallback decodes" 0
+        (counter "barracuda_pipeline_records_fallback_decode_total"))
 
 let test_stage_spans_in_json () =
   with_telemetry (fun () ->
-      ignore (run_pipeline (Workloads.Registry.find "pathfinder"));
+      ignore (launch_once (Workloads.Registry.find "pathfinder"));
       let doc = Telemetry.Export.json_of Telemetry.Registry.default in
       let span_labels =
         match Telemetry.Json.member "metrics" doc with
@@ -190,12 +186,19 @@ let test_stage_spans_in_json () =
               ms
         | _ -> []
       in
+      let totals = Telemetry.Span.totals () in
       List.iter
         (fun stage ->
           Alcotest.(check bool)
             (Printf.sprintf "span %S exported" stage)
             true
-            (List.mem stage span_labels))
+            (List.mem stage span_labels);
+          Alcotest.(check bool)
+            (Printf.sprintf "span %S recorded" stage)
+            true
+            (match List.assoc_opt stage totals with
+            | Some (calls, _) -> calls > 0
+            | None -> false))
         stage_names)
 
 let test_verdicts_unchanged () =
@@ -223,21 +226,21 @@ let test_session_rollups () =
   with_telemetry (fun () ->
       let w = Workloads.Registry.find "backprop" in
       let layout = w.W.layout in
-      let session = Gpu_runtime.Session.create ~layout () in
-      let args = w.W.setup (Gpu_runtime.Session.machine session) in
-      ignore (Gpu_runtime.Session.launch session w.W.kernel args);
-      let args = w.W.setup (Gpu_runtime.Session.machine session) in
-      ignore (Gpu_runtime.Session.launch session w.W.kernel args);
-      let rollups = Gpu_runtime.Session.rollups session in
+      let session = Session.create ~layout () in
+      let args = w.W.setup (Session.machine session) in
+      ignore (Session.launch session w.W.kernel args);
+      let args = w.W.setup (Session.machine session) in
+      ignore (Session.launch session w.W.kernel args);
+      let rollups = Session.rollups session in
       Alcotest.(check int) "one rollup per launch" 2 (List.length rollups);
       List.iter
-        (fun (r : Gpu_runtime.Session.rollup) ->
+        (fun (r : Session.rollup) ->
           Alcotest.(check string) "rollup names the kernel"
-            w.W.kernel.Ptx.Ast.kname r.Gpu_runtime.Session.r_kernel;
+            w.W.kernel.Ptx.Ast.kname r.Session.r_kernel;
           Alcotest.(check bool) "rollup shipped records" true
-            (r.Gpu_runtime.Session.r_records > 0);
+            (r.Session.r_records > 0);
           Alcotest.(check bool) "monotonic duration positive" true
-            (r.Gpu_runtime.Session.r_ns > 0L))
+            (r.Session.r_ns > 0L))
         rollups;
       Alcotest.(check int) "session launch counter" 2
         (Telemetry.Registry.find_counter Telemetry.Registry.default

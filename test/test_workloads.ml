@@ -21,10 +21,10 @@ let check_workload (w : W.t) () =
 let check_pipeline (w : W.t) () =
   let r = W.run_pipeline w in
   Alcotest.(check bool) "pipeline run completes" true
-    (r.Gpu_runtime.Pipeline.machine_result.Simt.Machine.status
+    (r.Gpu_runtime.Session.sr_machine_result.Simt.Machine.status
     = Simt.Machine.Completed);
   (* the pipeline (with pruning) must at minimum preserve the verdict *)
-  let report = Gpu_runtime.Pipeline.report r in
+  let report = r.Gpu_runtime.Session.sr_report in
   let has = Barracuda.Report.has_race report in
   let expected = w.W.expected <> W.Race_free in
   Alcotest.(check bool)
