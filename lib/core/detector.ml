@@ -95,12 +95,11 @@ type stats = {
   full_vc_bytes : int;
 }
 
-(* Counters are atomics and the warp-level record id is threaded
-   through each feed call explicitly: [feed]/[feed_record] may be
-   invoked from one host domain per queue (§4.3).  Per-warp clock state
-   needs no lock because each thread block logs to exactly one queue,
-   so one domain owns each warp; shadow cells carry the paper's
-   per-location lock. *)
+(* A detector has one owner at a time (see the contract in
+   detector.mli), so its counters are plain ints and its shadow cells,
+   report and sync map take no locks.  The paper's host threads share
+   shadow memory and lock each cell (§4.3, Fig. 8); here sharded
+   detection partitions the cells between detectors instead ([owns]). *)
 type t = {
   layout : Layout.t;
   config : config;
@@ -109,11 +108,11 @@ type t = {
   shadow : Shadow.t;
   sync : Sync_loc.t;
   report : Report.t;
-  record_id : int Atomic.t; (* unique id per warp-level event *)
-  accesses : int Atomic.t;
-  records : int Atomic.t;
-  census : int Atomic.t array; (* converged/diverged/nested/sparse *)
-  seq_next : int Atomic.t array; (* per-producer expected sequence number *)
+  mutable record_id : int; (* unique id per warp-level event *)
+  mutable accesses : int;
+  mutable records : int;
+  census : int array; (* converged/diverged/nested/sparse *)
+  mutable seq_next : int; (* the producer's expected sequence number *)
   owns : (Ptx.Ast.space -> int -> int -> bool) option;
       (* shadow-cell ownership predicate for sharded detection: when
          present, only cells it accepts are checked (and their pages
@@ -121,10 +120,6 @@ type t = {
          the full record stream, so a sharded detector's clock state is
          bit-identical to an unsharded one. *)
 }
-
-(* Producer queues are indexed 0..n-1; each src slot is only ever
-   advanced by the one consumer domain that owns that queue. *)
-let max_srcs = 64
 
 let create ?(config = default_config) ?owns ~layout kernel =
   {
@@ -138,11 +133,11 @@ let create ?(config = default_config) ?owns ~layout kernel =
     shadow = Shadow.create ~granularity:config.shadow_granularity ();
     sync = Sync_loc.create layout;
     report = Report.create ~max_reports:config.max_reports ~layout ();
-    record_id = Atomic.make 0;
-    accesses = Atomic.make 0;
-    records = Atomic.make 0;
-    census = Array.init 4 (fun _ -> Atomic.make 0);
-    seq_next = Array.init max_srcs (fun _ -> Atomic.make 0);
+    record_id = 0;
+    accesses = 0;
+    records = 0;
+    census = Array.make 4 0;
+    seq_next = 0;
   }
 
 let report t = t.report
@@ -229,7 +224,7 @@ let clear_reads (cell : Shadow.cell) =
   match cell.Shadow.read_vc with Some m -> Mut.clear m | None -> ()
 
 let do_read t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index cell =
-  Atomic.incr t.accesses;
+  t.accesses <- t.accesses + 1;
   Telemetry.Metric.counter_incr m_checks;
   check_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index
     ~cur_kind:Report.Read ~value:0L cell;
@@ -273,7 +268,7 @@ let set_write ~rid ~wc ~lane ~tid ~insn ~atomic ~value (cell : Shadow.cell) =
   cell.Shadow.write_record <- rid
 
 let do_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~value cell =
-  Atomic.incr t.accesses;
+  t.accesses <- t.accesses + 1;
   Telemetry.Metric.counter_incr m_checks;
   check_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index
     ~cur_kind:Report.Write ~value cell;
@@ -282,7 +277,7 @@ let do_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~value cell =
   set_write ~rid ~wc ~lane ~tid ~insn ~atomic:false ~value cell
 
 let do_atomic t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~value cell =
-  Atomic.incr t.accesses;
+  t.accesses <- t.accesses + 1;
   Telemetry.Metric.counter_incr m_checks;
   if not cell.Shadow.write_atomic then
     check_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index
@@ -321,11 +316,10 @@ let census_bump t wc =
     | Warp_clocks.Nested_diverged -> 2
     | Warp_clocks.Sparse_vc -> 3
   in
-  Atomic.incr t.census.(idx)
+  t.census.(idx) <- t.census.(idx) + 1
 
 (* Data access over the cells an access covers.  [cls] is 0 = read,
-   1 = write, 2 = atomic; the cell is locked per index without a
-   closure or [Fun.protect] (the handler only re-raises). *)
+   1 = write, 2 = atomic. *)
 let do_lane_data t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~addr ~width
     ~value =
   let g = Shadow.granularity t.shadow in
@@ -340,20 +334,12 @@ let do_lane_data t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~addr ~width
     in
     if owned then begin
       let cell = Shadow.cell t.shadow ~space ~region ~index in
-      Mutex.lock cell.Shadow.lock;
-      (try
-         if cls = 0 then
-           do_read t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index cell
-         else if cls = 1 then
-           do_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~value
-             cell
-         else
-           do_atomic t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~value
-             cell
-       with e ->
-         Mutex.unlock cell.Shadow.lock;
-         raise e);
-      Mutex.unlock cell.Shadow.lock
+      if cls = 0 then
+        do_read t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index cell
+      else if cls = 1 then
+        do_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~value cell
+      else
+        do_atomic t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~value cell
     end
   done
 
@@ -440,8 +426,9 @@ let do_barrier t block =
   done
 
 let feed t event =
-  let rid = Atomic.fetch_and_add t.record_id 1 + 1 in
-  Atomic.incr t.records;
+  t.record_id <- t.record_id + 1;
+  let rid = t.record_id in
+  t.records <- t.records + 1;
   Telemetry.Metric.counter_incr m_records;
   match event with
   | Simt.Event.Access a -> process_access t ~rid a
@@ -456,132 +443,149 @@ let feed t event =
       Report.add_barrier_divergence t.report ~warp ~insn
   | Simt.Event.Kernel_done -> ()
 
+(* An intact record can still name a warp, instruction or block that
+   this detector does not have, e.g. a recording replayed against
+   another kernel.  Checked once per record, before it touches any
+   state, so the dispatch below indexes without bounds checks. *)
+let warp_in_range t buf ~pos =
+  let warp = Wire.View.warp buf ~pos in
+  warp >= 0 && warp < Array.length t.warps
+
+let well_formed t opc buf ~pos =
+  if Wire.is_access opc then
+    warp_in_range t buf ~pos
+    &&
+    let insn = Wire.View.insn buf ~pos in
+    insn >= 0 && insn < Array.length t.roles
+  else if
+    opc = Wire.op_branch_if || opc = Wire.op_branch_else
+    || opc = Wire.op_branch_fi
+  then warp_in_range t buf ~pos
+  else if opc = Wire.op_barrier then
+    Wire.View.aux buf ~pos < t.layout.Layout.blocks
+  else opc = Wire.op_barrier_divergence
+
+let note_corrupt t =
+  Telemetry.Metric.counter_incr m_int_corrupt;
+  Report.note_corrupt t.report
+
 (* The in-place entry: consume a 280-byte record directly out of a
    transport buffer.  The view (buf, pos) is only guaranteed valid for
    the duration of the call — for queue rings, until the consumer
    releases the slot — and nothing here retains it.  [values] is the
    producer's lane-value side channel ([ [||] ] when absent). *)
 let process_record t ~values buf ~pos =
-  let rid = Atomic.fetch_and_add t.record_id 1 + 1 in
   let opc = Wire.View.opcode buf ~pos in
-  if Wire.is_access opc then begin
-     let sc = Wire.View.aux buf ~pos in
-     (* space codes 0 = global, 1 = shared; local/param never race *)
-     if sc <= 1 then begin
-       let warp = Wire.View.warp buf ~pos in
-       let wc = t.warps.(warp) in
-       census_bump t wc;
-       let space = Wire.space_of_code sc in
-       let region = if sc = 1 then Layout.block_of_warp t.layout warp else 0 in
-       let insn = Wire.View.insn buf ~pos in
-       let role = t.roles.(insn) in
-       let mask = Wire.View.mask buf ~pos in
-       let width = Wire.View.width buf ~pos in
-       let nvals = Array.length values in
-       let ws = t.layout.Layout.warp_size in
-       for lane = 0 to ws - 1 do
-         if mask land (1 lsl lane) <> 0 then
-           let tid = Layout.tid_of_warp_lane t.layout ~warp ~lane in
-           let addr = Wire.View.addr buf ~pos ~lane in
-           let value =
-             if lane < nvals then Array.unsafe_get values lane else 0L
-           in
-           do_lane t ~rid ~wc ~lane ~tid ~insn ~opc ~role ~space ~region ~addr
-             ~width ~value
-       done;
-      Warp_clocks.join_fork wc ~mask
+  if not (well_formed t opc buf ~pos) then note_corrupt t
+  else begin
+    t.record_id <- t.record_id + 1;
+    let rid = t.record_id in
+    if Wire.is_access opc then begin
+      let sc = Wire.View.aux buf ~pos in
+      (* space codes 0 = global, 1 = shared; local/param never race *)
+      if sc <= 1 then begin
+        let warp = Wire.View.warp buf ~pos in
+        let wc = Array.unsafe_get t.warps warp in
+        census_bump t wc;
+        let space = Wire.space_of_code sc in
+        let region = if sc = 1 then Layout.block_of_warp t.layout warp else 0 in
+        let insn = Wire.View.insn buf ~pos in
+        let role = Array.unsafe_get t.roles insn in
+        let mask = Wire.View.mask buf ~pos in
+        let width = Wire.View.width buf ~pos in
+        let nvals = Array.length values in
+        let ws = t.layout.Layout.warp_size in
+        for lane = 0 to ws - 1 do
+          if mask land (1 lsl lane) <> 0 then
+            let tid = Layout.tid_of_warp_lane t.layout ~warp ~lane in
+            let addr = Wire.View.addr buf ~pos ~lane in
+            let value =
+              if lane < nvals then Array.unsafe_get values lane else 0L
+            in
+            do_lane t ~rid ~wc ~lane ~tid ~insn ~opc ~role ~space ~region
+              ~addr ~width ~value
+        done;
+        Warp_clocks.join_fork wc ~mask
+      end
     end
-  end
-  else if opc = Wire.op_branch_if then
-    Warp_clocks.push_if
-      t.warps.(Wire.View.warp buf ~pos)
-      ~then_mask:(Wire.View.then_mask buf ~pos)
-      ~else_mask:(Wire.View.else_mask buf ~pos)
-  else if opc = Wire.op_branch_else || opc = Wire.op_branch_fi then begin
-    (* A lost branch_if (dropped record, failed checksum) leaves this
-       else/fi with no frame to pop.  Skipping it loses one
-       reconvergence join — a soundness caveat already implied by the
-       upstream loss — where popping the root frame would corrupt every
-       later verdict and raising would kill the consumer. *)
-    let wc = t.warps.(Wire.View.warp buf ~pos) in
-    if Warp_clocks.path_depth wc > 1 then
-      Warp_clocks.pop_path wc ~mask:(Wire.View.mask buf ~pos)
-    else begin
-      Telemetry.Metric.counter_incr m_int_desync;
-      Report.note_desync t.report
+    else if opc = Wire.op_branch_if then
+      Warp_clocks.push_if
+        (Array.unsafe_get t.warps (Wire.View.warp buf ~pos))
+        ~then_mask:(Wire.View.then_mask buf ~pos)
+        ~else_mask:(Wire.View.else_mask buf ~pos)
+    else if opc = Wire.op_branch_else || opc = Wire.op_branch_fi then begin
+      (* A lost branch_if (dropped record, failed checksum) leaves this
+         else/fi with no frame to pop.  Skipping it loses one
+         reconvergence join — a soundness caveat already implied by the
+         upstream loss — where popping the root frame would corrupt
+         every later verdict and raising would kill the consumer. *)
+      let wc = Array.unsafe_get t.warps (Wire.View.warp buf ~pos) in
+      if Warp_clocks.path_depth wc > 1 then
+        Warp_clocks.pop_path wc ~mask:(Wire.View.mask buf ~pos)
+      else begin
+        Telemetry.Metric.counter_incr m_int_desync;
+        Report.note_desync t.report
+      end
     end
+    else if opc = Wire.op_barrier then do_barrier t (Wire.View.aux buf ~pos)
+    else
+      Report.add_barrier_divergence t.report
+        ~warp:(Wire.View.warp buf ~pos)
+        ~insn:(Wire.View.insn buf ~pos)
   end
-  else if opc = Wire.op_barrier then do_barrier t (Wire.View.aux buf ~pos)
-  else if opc = Wire.op_barrier_divergence then
-    Report.add_barrier_divergence t.report
-      ~warp:(Wire.View.warp buf ~pos)
-      ~insn:(Wire.View.insn buf ~pos)
-  else invalid_arg (Printf.sprintf "Detector.feed_record: bad opcode %d" opc)
 
 (* Integrity-checked wrapper: validate magic/version/checksum, then the
-   per-producer sequence number.  Anomalies are counted, noted on the
+   producer's sequence number.  Anomalies are counted, noted on the
    report (degrading the verdict), and absorbed — a corrupted or stale
    record is skipped, a gap is accounted and the stream accepted from
    the new position.  Stale records cannot be replayed: warp-clock
    state has already moved past them, so feeding them again would
    corrupt detection rather than repair it. *)
-let feed_record_from t ~src ~values buf ~pos =
+let feed_record t ~values buf ~pos =
   let enabled = Telemetry.Registry.enabled () in
   let t0 = if enabled then Telemetry.Clock.now_ns () else 0L in
-  Atomic.incr t.records;
+  t.records <- t.records + 1;
   Telemetry.Metric.counter_incr m_records;
   Telemetry.Metric.counter_incr m_inplace;
   (if not t.config.check_integrity then process_record t ~values buf ~pos
    else
      match Wire.check buf ~pos with
      | Wire.Intact ->
-         if src >= 0 && src < max_srcs then begin
-           let slot = Array.unsafe_get t.seq_next src in
-           let expect = Atomic.get slot in
-           let seq = Wire.View.seq buf ~pos in
-           let diff = (seq - (expect land 0xFFFFFFFF)) land 0xFFFFFFFF in
-           if diff = 0 then begin
-             Atomic.set slot (expect + 1);
-             process_record t ~values buf ~pos
-           end
-           else if diff < 0x80000000 then begin
-             Atomic.set slot (expect + diff + 1);
-             Telemetry.Metric.counter_add m_int_gap diff;
-             Report.note_gap t.report diff;
-             process_record t ~values buf ~pos
-           end
-           else begin
-             Telemetry.Metric.counter_incr m_int_stale;
-             Report.note_stale t.report
-           end
+         let expect = t.seq_next in
+         let seq = Wire.View.seq buf ~pos in
+         let diff = (seq - (expect land 0xFFFFFFFF)) land 0xFFFFFFFF in
+         if diff = 0 then begin
+           t.seq_next <- expect + 1;
+           process_record t ~values buf ~pos
          end
-         else process_record t ~values buf ~pos
-     | Wire.Bad_magic | Wire.Bad_version | Wire.Bad_checksum ->
-         Telemetry.Metric.counter_incr m_int_corrupt;
-         Report.note_corrupt t.report);
+         else if diff < 0x80000000 then begin
+           t.seq_next <- expect + diff + 1;
+           Telemetry.Metric.counter_add m_int_gap diff;
+           Report.note_gap t.report diff;
+           process_record t ~values buf ~pos
+         end
+         else begin
+           Telemetry.Metric.counter_incr m_int_stale;
+           Report.note_stale t.report
+         end
+     | Wire.Bad_magic | Wire.Bad_version | Wire.Bad_checksum -> note_corrupt t);
   if enabled then
     Telemetry.Span.record_ns
       sp_feed_record
       (Telemetry.Clock.elapsed_ns ~since:t0)
 
-let feed_record t ~values buf ~pos = feed_record_from t ~src:0 ~values buf ~pos
-
 let stats t =
-  let c = Atomic.get t.census.(0)
-  and d = Atomic.get t.census.(1)
-  and n = Atomic.get t.census.(2)
-  and s = Atomic.get t.census.(3) in
   let ptvc_bytes =
     Array.fold_left (fun acc wc -> acc + Warp_clocks.footprint_bytes wc) 0 t.warps
   in
   let total = Layout.total_threads t.layout in
   {
-    accesses_checked = Atomic.get t.accesses;
-    records_processed = Atomic.get t.records;
-    ptvc_converged = c;
-    ptvc_diverged = d;
-    ptvc_nested = n;
-    ptvc_sparse = s;
+    accesses_checked = t.accesses;
+    records_processed = t.records;
+    ptvc_converged = t.census.(0);
+    ptvc_diverged = t.census.(1);
+    ptvc_nested = t.census.(2);
+    ptvc_sparse = t.census.(3);
     shadow_pages = Shadow.pages t.shadow;
     shadow_cells = Shadow.cells t.shadow;
     shadow_bytes = Shadow.bytes t.shadow;

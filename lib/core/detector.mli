@@ -46,6 +46,24 @@ type stats = {
 }
 
 type t
+(** A detector has a single owner.  Only one thread at a time may feed
+    it ({!feed}, {!feed_record}) or read it ({!report}, {!stats}), and
+    it passes between threads or domains only through a synchronising
+    operation ([Domain.join], a mutex, an atomic).  Nothing inside it
+    is locked: neither the shadow cells (the paper's per-location lock,
+    Fig. 8) nor the report, the sync map or the counters.  Sharded
+    detection partitions shadow cells between detectors ([owns])
+    rather than sharing them.  The owners:
+    - the serial sink ([Gpu_runtime.Session.serial_sink]) feeds inline
+      on the producer's thread;
+    - shard [i]'s consumer domain feeds shard [i]'s detector
+      ([Shard.Engine]); the main domain reads it only after
+      [Domain.join], or after [quiesce] has seen the ring's atomic
+      indices drain;
+    - a daemon stream session runs every call on its seat's domain, and
+      a check job stays on one worker domain;
+    - every other caller creates, feeds and reads its detector within
+      one call. *)
 
 val create :
   ?config:config ->
@@ -78,19 +96,15 @@ val feed_record : t -> values:int64 array -> Bytes.t -> pos:int -> unit
 
     With [config.check_integrity] (the default) the record must have
     been {!Wire.seal}ed by its producer: magic, version, checksum, and
-    sequence number are validated first, and any anomaly (corruption,
+    sequence number are validated first (one producer per detector,
+    so one expected-next sequence number), and any anomaly (corruption,
     loss, duplication) is counted in the
     [barracuda_transport_integrity_*] metrics, noted on the report
     (degrading the verdict), and absorbed without raising.
-    Equivalent to {!feed_record_from} with [src = 0].
-    @raise Invalid_argument on an unknown opcode in a valid record. *)
 
-val feed_record_from :
-  t -> src:int -> values:int64 array -> Bytes.t -> pos:int -> unit
-(** Like {!feed_record}, naming the producer queue: sequence numbers
-    are tracked per [src] (one expected-next counter per producer,
-    [0 <= src < 64]; out-of-range sources skip the sequence check but
-    keep the checksum check). *)
+    Whatever [check_integrity], a record with an unknown opcode, or
+    naming a warp, instruction or block outside the detector's layout
+    and kernel, is counted as corrupt and skipped instead of raising. *)
 
 val report : t -> Report.t
 val stats : t -> stats

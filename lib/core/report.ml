@@ -35,14 +35,13 @@ type integrity = { corrupt : int; gaps : int; stale : int; desync : int }
 type t = {
   layout : Vclock.Layout.t;
   max_reports : int;
-  lock : Mutex.t; (* reports arrive from concurrent host threads *)
   mutable seen : Dedup_set.t;
   mutable locs : Loc_set.t;
   mutable errors : error list; (* reversed *)
   mutable kept : int;
   mutable race_count : int;
   mutable bardiv_seen : (int * int) list;
-  mutable corrupt : int; (* transport records failing checksum/magic *)
+  mutable corrupt : int; (* records failing checksum/magic or range checks *)
   mutable gaps : int; (* records lost per sequence-number gaps *)
   mutable stale : int; (* duplicate / out-of-date records skipped *)
   mutable desync : int; (* control records orphaned by upstream losses *)
@@ -52,7 +51,6 @@ let create ?(max_reports = 1000) ~layout () =
   {
     layout;
     max_reports;
-    lock = Mutex.create ();
     seen = Dedup_set.empty;
     locs = Loc_set.empty;
     errors = [];
@@ -65,10 +63,6 @@ let create ?(max_reports = 1000) ~layout () =
     desync = 0;
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let classify layout t1 t2 =
   if Vclock.Layout.warp_of_tid layout t1 = Vclock.Layout.warp_of_tid layout t2
   then Intra_warp
@@ -79,7 +73,6 @@ let classify layout t1 t2 =
 
 let add_race t ~prev_insn ~cur_insn ~loc ~prev_tid ~prev_kind ~cur_tid
     ~cur_kind ~same_instruction =
-  locked t @@ fun () ->
   let key = (loc, prev_tid, prev_kind, cur_tid, cur_kind) in
   if not (Dedup_set.mem key t.seen) then begin
     t.seen <- Dedup_set.add key t.seen;
@@ -106,7 +99,6 @@ let add_race t ~prev_insn ~cur_insn ~loc ~prev_tid ~prev_kind ~cur_tid
   end
 
 let add_barrier_divergence t ~warp ~insn =
-  locked t @@ fun () ->
   if not (List.mem (warp, insn) t.bardiv_seen) then begin
     t.bardiv_seen <- (warp, insn) :: t.bardiv_seen;
     if t.kept < t.max_reports then begin
@@ -115,25 +107,23 @@ let add_barrier_divergence t ~warp ~insn =
     end
   end
 
-let note_corrupt t = locked t @@ fun () -> t.corrupt <- t.corrupt + 1
-let note_gap t n = locked t @@ fun () -> t.gaps <- t.gaps + n
-let note_stale t = locked t @@ fun () -> t.stale <- t.stale + 1
-let note_desync t = locked t @@ fun () -> t.desync <- t.desync + 1
+let note_corrupt t = t.corrupt <- t.corrupt + 1
+let note_gap t n = t.gaps <- t.gaps + n
+let note_stale t = t.stale <- t.stale + 1
+let note_desync t = t.desync <- t.desync + 1
 
 let integrity t =
-  locked t @@ fun () ->
   { corrupt = t.corrupt; gaps = t.gaps; stale = t.stale; desync = t.desync }
 
 (* A degraded verdict is a soundness caveat, not an error: detection
    ran, but part of the event stream was lost or corrupted in
    transport, so "no race found" may under-report. *)
 let degraded t =
-  locked t @@ fun () ->
   t.corrupt > 0 || t.gaps > 0 || t.stale > 0 || t.desync > 0
 
-let errors t = locked t @@ fun () -> List.rev t.errors
-let race_count t = locked t @@ fun () -> t.race_count
-let racy_locations t = locked t @@ fun () -> Loc_set.cardinal t.locs
+let errors t = List.rev t.errors
+let race_count t = t.race_count
+let racy_locations t = Loc_set.cardinal t.locs
 let has_race t = race_count t > 0
 
 let pp_kind ppf = function

@@ -35,7 +35,9 @@ type error =
 
 type t
 (** A mutable collector with duplicate suppression: one report per
-    (location, thread pair, kind pair). *)
+    (location, thread pair, kind pair).  Not synchronised: a report
+    belongs to the detector that fills it and follows its ownership
+    contract (see {!Detector.t}). *)
 
 val create : ?max_reports:int -> layout:Vclock.Layout.t -> unit -> t
 
@@ -80,8 +82,9 @@ val has_race : t -> bool
 type integrity = { corrupt : int; gaps : int; stale : int; desync : int }
 
 val note_corrupt : t -> unit
-(** A record failed its magic/version/checksum validation and was
-    skipped. *)
+(** A record failed its magic/version/checksum validation, or named an
+    opcode, warp, instruction or block that the detector's layout and
+    kernel do not have, and was skipped. *)
 
 val note_gap : t -> int -> unit
 (** [n] records were lost between consecutive sequence numbers. *)

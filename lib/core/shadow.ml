@@ -1,5 +1,4 @@
 type cell = {
-  lock : Mutex.t; (* the paper's per-location spinlock (Fig. 8) *)
   mutable read_clock : int;
   mutable read_tid : int;
   mutable read_insn : int; (* static insn of the last recorded read, -1 if none *)
@@ -15,52 +14,17 @@ type cell = {
 }
 (* Epochs are stored inline as (clock, tid) int pairs — building an
    [Epoch.t] per access was a hot-path allocation.  [read_vc] is a
-   detector-owned mutable clock, mutated only under [lock]; once a cell
-   has been inflated the table is kept (cleared, not dropped) so
-   re-inflation after a clearing write does not allocate. *)
+   detector-owned mutable clock; once a cell has been inflated the
+   table is kept (cleared, not dropped) so re-inflation after a
+   clearing write does not allocate. *)
 
-let page_size = 1024 (* cells per page *)
+let page_bits = 10
+let page_size = 1 lsl page_bits (* cells per page *)
 
-type page = cell option array
-
-(* One-entry page cache so the steady-state lookup is: compare three
-   immediates, index the page.  The cache record is immutable and the
-   [cache] field is a single mutable pointer, so concurrent readers on
-   other domains see either the old or the new record, never a torn
-   one; a stale hit is still a correct (space, region, page) mapping
-   because pages are never removed. *)
-type cache = {
-  c_space : Ptx.Ast.space;
-  c_region : int;
-  c_pidx : int;
-  c_page : page;
-}
-
-type t = {
-  granularity : int;
-  table_lock : Mutex.t; (* guards page/cell allocation (the "root" lock) *)
-  pages : (Ptx.Ast.space * int * int, page) Hashtbl.t;
-      (* (space, region, page index) -> page *)
-  mutable cell_count : int;
-  mutable cache : cache option;
-}
-
-let create ?(granularity = 1) () =
-  if granularity <> 1 && granularity <> 2 && granularity <> 4 && granularity <> 8
-  then invalid_arg "Shadow.create: granularity must be 1, 2, 4 or 8";
-  {
-    granularity;
-    table_lock = Mutex.create ();
-    pages = Hashtbl.create 64;
-    cell_count = 0;
-    cache = None;
-  }
-
-let granularity t = t.granularity
+type page = cell array
 
 let fresh_cell () =
   {
-    lock = Mutex.create ();
     read_clock = 0;
     read_tid = 0;
     read_insn = -1;
@@ -75,51 +39,77 @@ let fresh_cell () =
     sync_loc = false;
   }
 
+(* Fills every slot of a new page.  [cell] replaces it by a fresh cell
+   before returning, so it is never handed out and never written. *)
+let empty = fresh_cell ()
+
+(* The one-entry page cache lives in the last four fields, so the
+   steady-state lookup compares three immediates and indexes the page.
+   [c_pidx = min_int] matches no page: [index asr page_bits] never
+   reaches it. *)
+type t = {
+  granularity : int;
+  pages : (Ptx.Ast.space * int * int, page) Hashtbl.t;
+      (* (space, region, page index) -> page *)
+  mutable cell_count : int;
+  mutable c_space : Ptx.Ast.space;
+  mutable c_region : int;
+  mutable c_pidx : int;
+  mutable c_page : page;
+}
+
+let create ?(granularity = 1) () =
+  if granularity <> 1 && granularity <> 2 && granularity <> 4 && granularity <> 8
+  then invalid_arg "Shadow.create: granularity must be 1, 2, 4 or 8";
+  {
+    granularity;
+    pages = Hashtbl.create 64;
+    cell_count = 0;
+    c_space = Ptx.Ast.Global;
+    c_region = 0;
+    c_pidx = min_int;
+    c_page = [||];
+  }
+
+let granularity t = t.granularity
+
 let page_slow t space region pidx =
-  Mutex.lock t.table_lock;
   let key = (space, region, pidx) in
   let page =
     match Hashtbl.find_opt t.pages key with
     | Some p -> p
     | None ->
-        let p = Array.make page_size None in
+        let p = Array.make page_size empty in
         Hashtbl.add t.pages key p;
         p
   in
-  t.cache <- Some { c_space = space; c_region = region; c_pidx = pidx; c_page = page };
-  Mutex.unlock t.table_lock;
+  t.c_space <- space;
+  t.c_region <- region;
+  t.c_pidx <- pidx;
+  t.c_page <- page;
   page
 
-let page_for t space region pidx =
-  match t.cache with
-  (* [==] on the space: constant constructors are immediates, so
-     physical equality is value equality without a polymorphic-compare
-     call. *)
-  | Some c when c.c_pidx = pidx && c.c_region = region && c.c_space == space ->
-      c.c_page
-  | _ -> page_slow t space region pidx
-
 let cell_slow t page slot =
-  (* Re-check under the lock: another domain may have just created it. *)
-  Mutex.lock t.table_lock;
-  let c =
-    match page.(slot) with
-    | Some c -> c
-    | None ->
-        let c = fresh_cell () in
-        page.(slot) <- Some c;
-        t.cell_count <- t.cell_count + 1;
-        c
-  in
-  Mutex.unlock t.table_lock;
+  let c = fresh_cell () in
+  page.(slot) <- c;
+  t.cell_count <- t.cell_count + 1;
   c
 
+(* [asr] and [land] rather than [/] and [mod]: floor division keeps a
+   negative index's slot inside its page. *)
 let cell t ~space ~region ~index =
-  let page = page_for t space region (index / page_size) in
-  let slot = index mod page_size in
-  match Array.unsafe_get page slot with
-  | Some c -> c
-  | None -> cell_slow t page slot
+  let pidx = index asr page_bits in
+  let page =
+    (* [==] on the space: constant constructors are immediates, so
+       physical equality is value equality without a polymorphic-compare
+       call. *)
+    if pidx = t.c_pidx && region = t.c_region && space == t.c_space then
+      t.c_page
+    else page_slow t space region pidx
+  in
+  let slot = index land (page_size - 1) in
+  let c = Array.unsafe_get page slot in
+  if c != empty then c else cell_slow t page slot
 
 let find t (loc : Gtrace.Loc.t) =
   cell t ~space:loc.Gtrace.Loc.space ~region:loc.Gtrace.Loc.region

@@ -9,15 +9,19 @@
     (e.g. 4) trades fidelity for speed and is exposed as a benchmark
     ablation.
 
+    A shadow memory has a single owner, the detector that created it
+    (see {!Detector.t}), so it carries no locks: where the paper's host
+    threads share shadow memory and lock each cell (Fig. 8), sharded
+    detection partitions the cells between detectors instead.
+
     The steady-state lookup path ({!cell}) is allocation-free: a
-    one-entry page cache answers repeated hits to the same page without
-    touching the table lock, and epochs live inline as [(clock, tid)]
-    int pairs rather than boxed {!Vclock.Epoch.t} values. *)
+    one-entry page cache answers repeated hits to the same page, and
+    epochs live inline as [(clock, tid)] int pairs rather than boxed
+    {!Vclock.Epoch.t} values.  A new page's slots all hold one shared
+    placeholder that {!cell} never returns, so a cell is a single heap
+    block. *)
 
 type cell = {
-  lock : Mutex.t;
-      (** per-location lock, held by the host thread while checking and
-          updating the cell (the paper's spinlock field) *)
   mutable read_clock : int;  (** last-read epoch, [0] = bottom *)
   mutable read_tid : int;
   mutable read_insn : int;
@@ -26,8 +30,8 @@ type cell = {
           instruction — an approximation kept so the hot path stays
           allocation-free (no per-thread insn map). *)
   mutable read_vc : Vclock.Cvc.Mut.t option;
-      (** used once [read_shared]; owned by the cell, mutated only under
-          [lock], and must be frozen if it ever escapes the detector *)
+      (** used once [read_shared]; owned by the cell, and must be frozen
+          if it ever escapes the detector *)
   mutable read_shared : bool;
   mutable write_clock : int;  (** last-write epoch, [0] = bottom *)
   mutable write_tid : int;
@@ -49,7 +53,9 @@ val granularity : t -> int
 val cell : t -> space:Ptx.Ast.space -> region:int -> index:int -> cell
 (** Cell at a granularity-scaled index (i.e. [addr / granularity]),
     allocating page and cell on demand.  Allocation-free on the
-    steady-state hit path. *)
+    steady-state hit path.  Every call for an untouched location returns
+    a fresh cell of its own, never the placeholder that fills new
+    pages. *)
 
 val find : t -> Gtrace.Loc.t -> cell
 (** Cell covering a location's address. *)

@@ -2,28 +2,18 @@ module Cvc = Vclock.Cvc
 module Mut = Vclock.Cvc.Mut
 module Loc = Gtrace.Loc
 
-(* Entries hold detector-owned mutable clocks, mutated only under
-   [lock].  A release reuses the existing entry's tables (clear +
-   refill) instead of rebuilding a persistent clock; every read-side
-   operation freezes before the clock escapes the lock, because the
-   caller may be on a different domain than the next releaser. *)
+(* Entries hold detector-owned mutable clocks.  A release reuses the
+   existing entry's tables (clear + refill) instead of rebuilding a
+   persistent clock; every read-side operation freezes before the clock
+   escapes, because the caller may keep it past the next release. *)
 type entry = {
   mutable global_vc : Mut.t option;
   per_block : (int, Mut.t) Hashtbl.t;
 }
 
-type t = {
-  layout : Vclock.Layout.t;
-  lock : Mutex.t; (* synchronization locations are rare and shared
-                     across host threads: one lock suffices *)
-  locs : entry Loc.Tbl.t;
-}
+type t = { layout : Vclock.Layout.t; locs : entry Loc.Tbl.t }
 
-let create layout = { layout; lock = Mutex.create (); locs = Loc.Tbl.create 16 }
-
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let create layout = { layout; locs = Loc.Tbl.create 16 }
 
 let entry_of t loc =
   match Loc.Tbl.find_opt t.locs loc with
@@ -34,7 +24,6 @@ let entry_of t loc =
       e
 
 let effective t loc ~block =
-  locked t @@ fun () ->
   match Loc.Tbl.find_opt t.locs loc with
   | None -> None
   | Some e -> (
@@ -46,7 +35,6 @@ let effective t loc ~block =
           | None -> None))
 
 let join_all_blocks t loc =
-  locked t @@ fun () ->
   match Loc.Tbl.find_opt t.locs loc with
   | None -> None
   | Some e ->
@@ -60,7 +48,6 @@ let join_all_blocks t loc =
 (* Release semantics replace (not join) the entry, per FastTrack's
    [S_x := C_t]; the stored tables are reused across releases. *)
 let release_block t loc ~block v =
-  locked t @@ fun () ->
   let e = entry_of t loc in
   match Hashtbl.find_opt e.per_block block with
   | Some m ->
@@ -69,7 +56,6 @@ let release_block t loc ~block v =
   | None -> Hashtbl.replace e.per_block block (Mut.thaw v)
 
 let release_global t loc v =
-  locked t @@ fun () ->
   let e = entry_of t loc in
   Hashtbl.reset e.per_block;
   match e.global_vc with
@@ -78,5 +64,5 @@ let release_global t loc v =
       Mut.join_into v m
   | None -> e.global_vc <- Some (Mut.thaw v)
 
-let count t = locked t @@ fun () -> Loc.Tbl.length t.locs
-let mem t loc = locked t @@ fun () -> Loc.Tbl.mem t.locs loc
+let count t = Loc.Tbl.length t.locs
+let mem t loc = Loc.Tbl.mem t.locs loc

@@ -9,11 +9,12 @@
     million-block grid never materializes a million entries.
 
     Internally entries are {!Vclock.Cvc.Mut} clocks owned by this map
-    and mutated only under its lock (a release clears and refills the
-    existing entry in place).  The interface exchanges only persistent
-    {!Vclock.Cvc.t} values: {!effective} and {!join_all_blocks} freeze
-    before the clock escapes the lock — callers may sit on other
-    domains — and releases copy on the way in. *)
+    (a release clears and refills the existing entry in place).  The
+    interface exchanges only persistent {!Vclock.Cvc.t} values:
+    {!effective} and {!join_all_blocks} freeze before the clock escapes
+    — a caller may keep it past the next release — and releases copy
+    on the way in.  Not synchronised: the map belongs to one detector
+    and follows its ownership contract (see {!Detector.t}). *)
 
 type t
 

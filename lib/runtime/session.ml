@@ -69,7 +69,7 @@ let serial_sink ?(config = Barracuda.Detector.default_config) ?fault ~layout
   let records = ref 0 in
   let feed ~values buf =
     let t0 = Telemetry.Clock.now_ns () in
-    Barracuda.Detector.feed_record_from det ~src:0 ~values buf ~pos:0;
+    Barracuda.Detector.feed_record det ~values buf ~pos:0;
     detect := Int64.add !detect (Telemetry.Clock.elapsed_ns ~since:t0)
   in
   let deliver, finish =

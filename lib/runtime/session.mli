@@ -61,11 +61,12 @@ val serial_sink :
   Ptx.Ast.kernel ->
   sink
 (** The single-detector backend: [submit] seals and feeds the staged
-    record synchronously via [Detector.feed_record_from]; [quiesce] is
-    a no-op (nothing is in flight).  [fault]'s transport faults (bit
-    flips, drops, duplicates, delays) are applied to each sealed
-    record before the detector sees it; [finish] feeds any record
-    still held back by a delay. *)
+    record synchronously via [Detector.feed_record] on the producer's
+    thread, which owns the detector; [quiesce] is a no-op (nothing is
+    in flight).  [fault]'s transport faults (bit flips, drops,
+    duplicates, delays) are applied to each sealed record before the
+    detector sees it; [finish] feeds any record still held back by a
+    delay. *)
 
 (** {1 Running a kernel}
 

@@ -66,7 +66,7 @@ let consume t i m_records =
          | _ -> ());
          let values = t.values_ring.(i).(off / Wire.size) in
          let t0 = Telemetry.Clock.now_ns () in
-         Barracuda.Detector.feed_record_from det ~src:0 ~values buf ~pos:off;
+         Barracuda.Detector.feed_record det ~values buf ~pos:off;
          detect := Int64.add !detect (Telemetry.Clock.elapsed_ns ~since:t0);
          incr consumed;
          Telemetry.Metric.counter_incr m_records;

@@ -95,7 +95,7 @@ val report : t -> max_reports:int -> Barracuda.Report.t
 
 val detect_ns : t -> int64
 (** Wall-clock attributable to detection: the busiest consumer
-    domain's cumulative time inside [feed_record_from].  Valid after
+    domain's cumulative time inside [feed_record].  Valid after
     {!finish}. *)
 
 val records : t -> int

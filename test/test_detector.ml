@@ -122,7 +122,34 @@ let test_shadow_pages_on_demand () =
   ignore (Barracuda.Shadow.find s (Gtrace.Loc.shared ~block:1 5));
   Alcotest.(check int) "shared space gets its own page" 2
     (Barracuda.Shadow.pages s);
-  Alcotest.(check int) "32 bytes per cell" 96 (Barracuda.Shadow.bytes s)
+  Alcotest.(check int) "32 bytes per cell" 96 (Barracuda.Shadow.bytes s);
+  (* Untouched slots of a page share one placeholder; each lookup must
+     still hand out a cell of its own, or a write through one would
+     show up at every untouched location. *)
+  let s = Barracuda.Shadow.create () in
+  let c5 = Barracuda.Shadow.find s (Gtrace.Loc.global 5) in
+  c5.Barracuda.Shadow.write_clock <- 3;
+  c5.Barracuda.Shadow.write_insn <- 7;
+  let c6 = Barracuda.Shadow.find s (Gtrace.Loc.global 6) in
+  let c7 = Barracuda.Shadow.find s (Gtrace.Loc.global 7) in
+  List.iter
+    (fun (name, (c : Barracuda.Shadow.cell)) ->
+      Alcotest.(check bool)
+        (name ^ " reads bottom")
+        true
+        (c.Barracuda.Shadow.write_clock = 0
+        && c.Barracuda.Shadow.write_insn = -1
+        && c.Barracuda.Shadow.read_vc = None))
+    [ ("cell 6", c6); ("cell 7", c7) ];
+  Alcotest.(check bool) "distinct cells" true
+    (c6 != c7 && c6 != c5 && c7 != c5);
+  Alcotest.(check int) "three cells" 3 (Barracuda.Shadow.cells s);
+  (* a negative address, as an intact wire record may carry, still maps
+     to a slot inside its page *)
+  let cm = Barracuda.Shadow.find s (Gtrace.Loc.global (-3)) in
+  Alcotest.(check bool) "negative address gets a fresh cell" true
+    (cm != c5 && cm.Barracuda.Shadow.write_clock = 0);
+  Alcotest.(check int) "four cells" 4 (Barracuda.Shadow.cells s)
 
 let test_shadow_granularity () =
   let s = Barracuda.Shadow.create ~granularity:4 () in

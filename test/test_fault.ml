@@ -91,16 +91,17 @@ let test_opcode_bit_flips_detected () =
 
 (* ---- sequence accounting ----------------------------------------- *)
 
+let mk_program = [ Gen.Global_store (0, Gen.Const 1) ]
+
 let mk_detector () =
-  let k = Gen.kernel_of_program [ Gen.Global_store (0, Gen.Const 1) ] in
-  Detector.create ~layout:Gen.layout k
+  Detector.create ~layout:Gen.layout (Gen.kernel_of_program mk_program)
 
 let test_seq_gap_stale_corrupt () =
   let det = mk_detector () in
   let values = Array.make ws 1L in
   let feed ~seq =
     let buf = sealed_access ~seq () in
-    Detector.feed_record_from det ~src:0 ~values buf ~pos:0
+    Detector.feed_record det ~values buf ~pos:0
   in
   feed ~seq:0;
   let i = Report.integrity (Detector.report det) in
@@ -118,21 +119,24 @@ let test_seq_gap_stale_corrupt () =
   Alcotest.(check int) "stale duplicate" 1 i.Report.stale;
   let buf = sealed_access ~seq:6 () in
   Bytes.set_uint8 buf 40 (Bytes.get_uint8 buf 40 lxor 4);
-  Detector.feed_record_from det ~src:0 ~values buf ~pos:0;
+  Detector.feed_record det ~values buf ~pos:0;
   let i = Report.integrity (Detector.report det) in
   Alcotest.(check int) "corrupt record" 1 i.Report.corrupt;
-  Alcotest.(check bool) "degraded" true (Report.degraded (Detector.report det))
-
-let test_per_src_sequences () =
-  (* the same seq on different sources is not a duplicate *)
-  let det = mk_detector () in
-  let values = Array.make ws 1L in
-  let buf = sealed_access ~seq:0 () in
-  Detector.feed_record_from det ~src:0 ~values buf ~pos:0;
-  Detector.feed_record_from det ~src:1 ~values buf ~pos:0;
+  Alcotest.(check bool) "degraded" true (Report.degraded (Detector.report det));
+  (* intact, in sequence, but naming an instruction past the kernel or
+     a warp past the layout: corrupt, skipped, not raised *)
+  let insns = Array.length (Gen.kernel_of_program mk_program).Ptx.Ast.body in
+  let warps = Vclock.Layout.total_warps Gen.layout in
+  let buf = sealed_access ~insn:insns ~seq:6 () in
+  Detector.feed_record det ~values buf ~pos:0;
   let i = Report.integrity (Detector.report det) in
-  Alcotest.(check bool) "independent streams" true
-    (i.Report.stale = 0 && i.Report.gaps = 0)
+  Alcotest.(check int) "insn past the kernel" 2 i.Report.corrupt;
+  let buf = sealed_access ~warp:warps ~seq:7 () in
+  Detector.feed_record det ~values buf ~pos:0;
+  let i = Report.integrity (Detector.report det) in
+  Alcotest.(check int) "warp past the layout" 3 i.Report.corrupt;
+  Alcotest.(check bool) "in sequence: no new gap or stale" true
+    (i.Report.gaps = 4 && i.Report.stale = 1)
 
 let test_orphaned_fi_absorbed () =
   (* a branch_fi whose branch_if was lost upstream must be skipped and
@@ -141,7 +145,7 @@ let test_orphaned_fi_absorbed () =
   let buf = Bytes.make Record.wire_size '\000' in
   Wire.write_branch_fi buf ~pos:0 ~warp:0 ~insn:0 ~mask:((1 lsl ws) - 1);
   Wire.seal buf ~pos:0 ~seq:0;
-  Detector.feed_record_from det ~src:0 ~values:[||] buf ~pos:0;
+  Detector.feed_record det ~values:[||] buf ~pos:0;
   let i = Report.integrity (Detector.report det) in
   Alcotest.(check int) "desync counted" 1 i.Report.desync;
   Alcotest.(check bool) "degraded" true (Report.degraded (Detector.report det))
@@ -156,8 +160,8 @@ let test_integrity_check_disabled () =
   let values = Array.make ws 1L in
   let buf = sealed_access ~seq:99 () in
   (* unsealed garbage seq, still processed; no accounting *)
-  Detector.feed_record_from det ~src:0 ~values buf ~pos:0;
-  Detector.feed_record_from det ~src:0 ~values buf ~pos:0;
+  Detector.feed_record det ~values buf ~pos:0;
+  Detector.feed_record det ~values buf ~pos:0;
   Alcotest.(check bool) "no degradation tracking" false
     (Report.degraded (Detector.report det))
 
@@ -436,7 +440,6 @@ let suite =
       test_opcode_bit_flips_detected;
     Alcotest.test_case "seq gap/stale/corrupt accounting" `Quick
       test_seq_gap_stale_corrupt;
-    Alcotest.test_case "per-src sequences" `Quick test_per_src_sequences;
     Alcotest.test_case "orphaned branch_fi absorbed" `Quick
       test_orphaned_fi_absorbed;
     Alcotest.test_case "integrity check disabled" `Quick

@@ -207,7 +207,19 @@ let test_corrupt_record_counted () =
   Alcotest.(check bool) "degraded" true p.Session.p_degraded;
   Alcotest.(check int) "one corrupt record skipped" 1
     p.Session.p_integrity.Report.corrupt;
-  Alcotest.(check int) "the rest made it" (records - 1) p.Session.p_records
+  Alcotest.(check int) "the rest made it" (records - 1) p.Session.p_records;
+  (* replayed against a one-instruction kernel, every access names an
+     instruction the kernel lacks: counted as corrupt, not raised *)
+  let st =
+    Session.open_stream ~detector:detector_config ~layout
+      (Gen.kernel_of_program [])
+  in
+  Session.feed_chunk st bytes;
+  let p = Session.close_stream st in
+  Alcotest.(check bool) "final" true p.Session.p_final;
+  Alcotest.(check bool) "degraded" true p.Session.p_degraded;
+  Alcotest.(check bool) "out-of-range records counted as corrupt" true
+    (p.Session.p_integrity.Report.corrupt > 0)
 
 let test_framing_is_loud () =
   let c = List.hd Bugsuite.Cases.all in
