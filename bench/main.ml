@@ -68,6 +68,24 @@ let time_keeping f =
   let t = time_it (fun () -> last := Some (f ())) in
   (t, Option.get !last)
 
+(* The ablations read the detector's counters, so they hand
+   [run_stream] a serial sink over a detector they own. *)
+let detector_stats ?config ~machine kernel args =
+  let det =
+    Barracuda.Detector.create ?config ~layout:(Simt.Machine.layout machine)
+      kernel
+  in
+  ignore
+    (Gpu_runtime.Session.run_stream
+       ~sink:(Gpu_runtime.Session.serial_sink det)
+       ~machine kernel args);
+  Barracuda.Detector.stats det
+
+let workload_stats ?config (w : W.t) =
+  let m = W.machine w in
+  let args = w.W.setup m in
+  detector_stats ?config ~machine:m w.W.kernel args
+
 (* ------------------------------------------------------------------ *)
 (* Section 6.1: concurrency bug suite                                  *)
 
@@ -118,8 +136,7 @@ let section_table1 () =
     "threads" "global KiB" "races found";
   List.iter
     (fun (w : W.t) ->
-      let det, _ = W.run_detector w in
-      let report = Barracuda.Detector.report det in
+      let report = (W.run w).Gpu_runtime.Session.sr_report in
       let shared, global = W.racy_word_counts report in
       let races =
         match (shared, global) with
@@ -173,7 +190,7 @@ let section_figure10 () =
       let native, nr = time_keeping (fun () -> W.run_native w) in
       let native_insns = nr.Simt.Machine.dyn_instructions in
       let inst = inst_of w in
-      let piped, pr = time_keeping (fun () -> W.run_pipeline ~inst w) in
+      let piped, pr = time_keeping (fun () -> W.run ~inst w) in
       let piped_insns =
         pr.Gpu_runtime.Session.sr_machine_result.Simt.Machine.dyn_instructions
       in
@@ -196,8 +213,7 @@ let section_ptvc () =
   let tc = ref 0 and td = ref 0 and tn = ref 0 and ts = ref 0 in
   List.iter
     (fun (w : W.t) ->
-      let det, _ = W.run_detector w in
-      let s = Barracuda.Detector.stats det in
+      let s = workload_stats w in
       tc := !tc + s.Barracuda.Detector.ptvc_converged;
       td := !td + s.Barracuda.Detector.ptvc_diverged;
       tn := !tn + s.Barracuda.Detector.ptvc_nested;
@@ -229,7 +245,7 @@ let section_queues () =
      drains them all, which is exactly the pipeline's structure. *)
   let total = 200_000 in
   let fill buf off =
-    Bytes.fill buf off Gpu_runtime.Record.wire_size 'x'
+    Bytes.fill buf off Barracuda.Wire.size 'x'
   in
   Printf.printf "  %7s %12s %14s %16s\n" "queues" "records/s" "records"
     "high watermark";
@@ -285,13 +301,10 @@ let section_granularity () =
     (fun name ->
       let w = Workloads.Registry.find name in
       let run g () =
-        let m = W.machine w in
-        let args = w.W.setup m in
-        let config =
-          { Barracuda.Detector.default_config with shadow_granularity = g }
-        in
-        let det, _ = Barracuda.Detector.run ~config ~machine:m w.W.kernel args in
-        Barracuda.Detector.stats det
+        workload_stats
+          ~config:
+            { Barracuda.Detector.default_config with shadow_granularity = g }
+          w
       in
       let t1, s1 = time_keeping (run 1) in
       let t4, s4 = time_keeping (run 4) in
@@ -346,12 +359,10 @@ let section_scaling () =
         let m = Simt.Machine.create ~layout () in
         let t_in = Simt.Machine.alloc_global m (4 * n) in
         let t_out = Simt.Machine.alloc_global m (4 * n) in
-        Barracuda.Detector.run ~machine:m kernel
+        detector_stats ~machine:m kernel
           [| Int64.of_int t_in; Int64.of_int t_out |]
       in
-      let dt = time_it (fun () -> ignore (run ())) in
-      let det, _ = run () in
-      let s = Barracuda.Detector.stats det in
+      let dt, s = time_keeping run in
       Printf.printf "  %8d %10.1f %12d %12d %16d %8.0fx\n" n (1000.0 *. dt)
         s.Barracuda.Detector.records_processed s.Barracuda.Detector.ptvc_bytes
         s.Barracuda.Detector.full_vc_bytes
@@ -471,7 +482,8 @@ let section_pipeline () =
   let records =
     List.fold_left
       (fun acc name ->
-        let r = W.run_pipeline (Workloads.Registry.find name) in
+        let w = Workloads.Registry.find name in
+        let r = W.run ~inst:(Instrument.Pass.instrument w.W.kernel) w in
         acc + r.Gpu_runtime.Session.sr_records)
       0 subset
   in
@@ -1323,7 +1335,9 @@ let section_bechamel () =
             (Staged.stage (fun () -> ignore (W.run_native w)));
           Test.make
             ~name:(Printf.sprintf "figure10.pipeline.%s" name)
-            (Staged.stage (fun () -> ignore (W.run_pipeline w)));
+            (Staged.stage (fun () ->
+                 ignore
+                   (W.run ~inst:(Instrument.Pass.instrument w.W.kernel) w)));
         ])
       subset
     @ [

@@ -87,28 +87,6 @@ let args_term =
            allocate device memory, $(b,int:V) (or a bare integer) for a \
            scalar. Missing arguments default to $(b,alloc:4096).")
 
-let resolve_args machine kernel specs =
-  let nparams = List.length kernel.Ptx.Ast.params in
-  let parse spec =
-    match String.split_on_char ':' spec with
-    | [ "alloc"; n ] ->
-        Int64.of_int (Simt.Machine.alloc_global machine (int_of_string n))
-    | [ "int"; v ] -> Int64.of_string v
-    | [ v ] -> Int64.of_string v
-    | _ -> failwith (Printf.sprintf "bad argument spec %S" spec)
-  in
-  let given = List.map parse specs in
-  let missing = nparams - List.length given in
-  if missing < 0 then
-    failwith
-      (Printf.sprintf "kernel %s takes %d arguments, got %d"
-         kernel.Ptx.Ast.kname nparams (List.length given));
-  let fill =
-    List.init missing (fun _ ->
-        Int64.of_int (Simt.Machine.alloc_global machine 4096))
-  in
-  Array.of_list (given @ fill)
-
 let load_kernel file =
   let ic = open_in file in
   let n = in_channel_length ic in
@@ -140,19 +118,32 @@ let print_degraded_caveat report =
       (if i.Barracuda.Report.desync = 1 then "" else "s")
   end
 
+(* Races and barrier divergences print under their own headers; the
+   exit code follows the race verdict alone, as the daemon's does. *)
 let print_verdict report =
-  let errors = Barracuda.Report.errors report in
+  let races, divergences =
+    List.partition
+      (function
+        | Barracuda.Report.Race _ -> true
+        | Barracuda.Report.Barrier_divergence _ -> false)
+      (Barracuda.Report.errors report)
+  in
+  let print_errors = List.iter (Format.printf "  %a@." Barracuda.Report.pp_error) in
+  let racy = Barracuda.Report.has_race report in
   print_degraded_caveat report;
-  if errors = [] then begin
-    Format.printf "no races detected.@.";
-    0
-  end
-  else begin
+  if racy then begin
     Format.printf "%d distinct races detected:@."
       (Barracuda.Report.race_count report);
-    List.iter (fun e -> Format.printf "  %a@." Barracuda.Report.pp_error e) errors;
-    1
+    print_errors races
   end
+  else Format.printf "no races detected.@.";
+  if divergences <> [] then begin
+    let n = List.length divergences in
+    Format.printf "barrier divergence in %d warp%s:@." n
+      (if n = 1 then "" else "s");
+    print_errors divergences
+  end;
+  if racy then 1 else 0
 
 let metrics_term =
   Arg.(
@@ -181,7 +172,7 @@ let check_cmd =
     if shards < 1 then failwith "--shards must be at least 1";
     let kernel = load_kernel file in
     let machine = Simt.Machine.create ~layout () in
-    let args = resolve_args machine kernel specs in
+    let args = Service.Exec.resolve_args machine kernel specs in
     let detector = { Barracuda.Detector.default_config with max_reports } in
     if metrics <> None then begin
       Telemetry.Registry.set_enabled true;
@@ -269,7 +260,7 @@ let profile_cmd =
     guard @@ fun () ->
     let kernel = load_kernel file in
     let machine = Simt.Machine.create ~layout () in
-    let args = resolve_args machine kernel specs in
+    let args = Service.Exec.resolve_args machine kernel specs in
     Telemetry.Registry.set_enabled true;
     Telemetry.Registry.reset Telemetry.Registry.default;
     (* The deployed configuration: block + static pruning, so the
@@ -683,7 +674,7 @@ let repair_cmd =
         Telemetry.Registry.reset Telemetry.Registry.default
     | None -> ());
     let kernel = load_kernel file in
-    let setup machine = resolve_args machine kernel specs in
+    let setup machine = Service.Exec.resolve_args machine kernel specs in
     let config =
       {
         Repair.Engine.default_config with
@@ -973,10 +964,10 @@ let sweep_cmd =
   let run layout file specs =
     guard @@ fun () ->
     let kernel = load_kernel file in
-    let setup machine = resolve_args machine kernel specs in
-    let result = Barracuda.Warp_sweep.sweep ~layout ~setup kernel in
-    Format.printf "%a" Barracuda.Warp_sweep.pp result;
-    if result.Barracuda.Warp_sweep.latent then 1 else 0
+    let setup machine = Service.Exec.resolve_args machine kernel specs in
+    let result = Gpu_runtime.Warp_sweep.sweep ~layout ~setup kernel in
+    Format.printf "%a" Gpu_runtime.Warp_sweep.pp result;
+    if result.Gpu_runtime.Warp_sweep.latent then 1 else 0
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -987,20 +978,28 @@ let sweep_cmd =
 
 let table1_cmd =
   let run () =
-    List.iter
-      (fun (w : Workloads.Workload.t) ->
-        let det, _ = Workloads.Workload.run_detector w in
-        let report = Barracuda.Detector.report det in
-        let s, g = Workloads.Workload.racy_word_counts report in
-        Format.printf "%-18s %-9s threads=%-6d shared-races=%-4d global-races=%d@."
+    let matches (w : Workloads.Workload.t) =
+      let report = (Workloads.Workload.run w).Gpu_runtime.Session.sr_report in
+      let s, g = Workloads.Workload.racy_word_counts report in
+      Format.printf "%-18s %-9s threads=%-6d shared-races=%-4d global-races=%d@."
+        w.Workloads.Workload.name w.Workloads.Workload.suite
+        (Workloads.Workload.total_threads w)
+        s g;
+      let ok = Workloads.Workload.races_match w report in
+      if not ok then
+        Format.eprintf "barracuda: %s (%s): expected %a@."
           w.Workloads.Workload.name w.Workloads.Workload.suite
-          (Workloads.Workload.total_threads w)
-          s g)
-      Workloads.Registry.all;
-    0
+          Workloads.Workload.pp_expected w.Workloads.Workload.expected;
+      ok
+    in
+    if List.for_all Fun.id (List.map matches Workloads.Registry.all) then 0
+    else 1
   in
   Cmd.v
-    (Cmd.info "table1" ~doc:"Race-check the 26 evaluation workloads.")
+    (Cmd.info "table1"
+       ~doc:
+         "Race-check the 26 evaluation workloads; exits 1 if any \
+          workload's races differ from the ones it seeds.")
     Term.(const run $ const ())
 
 (* ------------------------- service mode -------------------------- *)

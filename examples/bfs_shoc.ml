@@ -52,10 +52,8 @@ let report_of kernel =
     Simt.Machine.poke machine ~addr:(Int64.to_int cost + (4 * i)) ~width:4
       (Int64.of_int (i / 32))
   done;
-  let det, _ =
-    Barracuda.Detector.run ~machine kernel [| frontier; cost; flag |]
-  in
-  Barracuda.Detector.report det
+  (Gpu_runtime.Session.run_stream ~machine kernel [| frontier; cost; flag |])
+    .Gpu_runtime.Session.sr_report
 
 let show name report =
   Format.printf "%-16s -> " name;
@@ -70,7 +68,6 @@ let show name report =
 let () =
   Format.printf "SHOC breadth-first search (paper 6.3):@.@.";
   let buggy = Workloads.Registry.find "SHOC/bfs" in
-  let det, _ = W.run_detector buggy in
-  show "original" (Barracuda.Detector.report det);
+  show "original" (W.run buggy).Gpu_runtime.Session.sr_report;
   Format.printf "@.";
   show "atomic fix" (report_of fixed_kernel)

@@ -60,10 +60,10 @@ let run ~fixed =
   let alloc n = Int64.of_int (Simt.Machine.alloc_global machine (4 * n)) in
   let lock = alloc 1 and head = alloc 1 and entries = alloc 64 in
   let k = kernel ~fixed in
-  let detector, _ =
-    Barracuda.Detector.run ~machine k [| lock; head; entries |]
+  let report =
+    (Gpu_runtime.Session.run_stream ~machine k [| lock; head; entries |])
+      .Gpu_runtime.Session.sr_report
   in
-  let report = Barracuda.Detector.report detector in
   Format.printf "%-16s -> " k.Ptx.Ast.kname;
   if Barracuda.Report.has_race report then begin
     Format.printf "%d races:@." (Barracuda.Report.race_count report);

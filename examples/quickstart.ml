@@ -37,12 +37,12 @@ let run ~with_barrier =
   let layout = Vclock.Layout.make ~warp_size:32 ~threads_per_block:64 ~blocks:2 in
   let machine = Simt.Machine.create ~layout () in
   let out = Simt.Machine.alloc_global machine (4 * 128) in
-  let detector, result =
-    Barracuda.Detector.run ~machine k [| Int64.of_int out |]
+  let result =
+    Gpu_runtime.Session.run_stream ~machine k [| Int64.of_int out |]
   in
   Format.printf "executed %d warp instructions@."
-    result.Simt.Machine.dyn_instructions;
-  let report = Barracuda.Detector.report detector in
+    result.Gpu_runtime.Session.sr_machine_result.Simt.Machine.dyn_instructions;
+  let report = result.Gpu_runtime.Session.sr_report in
   if Barracuda.Report.has_race report then begin
     Format.printf "@{<bold>RACES DETECTED@} (%d distinct):@."
       (Barracuda.Report.race_count report);

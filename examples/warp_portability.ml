@@ -71,13 +71,13 @@ let () =
     [| Int64.of_int input; Int64.of_int out |]
   in
   Format.printf "Warp-synchronous reduction under simulated warp sizes:@.@.";
-  let result = Barracuda.Warp_sweep.sweep ~layout ~setup kernel in
-  Format.printf "%a@." Barracuda.Warp_sweep.pp result;
+  let result = Gpu_runtime.Warp_sweep.sweep ~layout ~setup kernel in
+  Format.printf "%a@." Gpu_runtime.Warp_sweep.pp result;
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "--debug" then begin
     let m = Simt.Machine.create ~layout () in
     let args = setup m in
-    let det, _ = Barracuda.Detector.run ~machine:m kernel args in
+    let r = Gpu_runtime.Session.run_stream ~machine:m kernel args in
     List.iter
       (fun e -> Format.printf "  %a@." Barracuda.Report.pp_error e)
-      (Barracuda.Report.errors (Barracuda.Detector.report det))
+      (Barracuda.Report.errors r.Gpu_runtime.Session.sr_report)
   end

@@ -46,10 +46,11 @@ let run_barracuda ?max_steps cases =
        (fun (case : Case.t) ->
          let m = machine_of case in
          let args = case.Case.setup m in
-         let det, _ =
-           Barracuda.Detector.run ?max_steps ~machine:m case.Case.kernel args
+         let report =
+           (Gpu_runtime.Session.run_stream ?max_steps ~machine:m
+              case.Case.kernel args)
+             .Gpu_runtime.Session.sr_report
          in
-         let report = Barracuda.Detector.report det in
          judge case
            ~reported_race:(Barracuda.Report.has_race report)
            ~reported_bardiv:(bardiv_reported report)

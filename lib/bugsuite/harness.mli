@@ -20,6 +20,9 @@ type score = {
 }
 
 val run_barracuda : ?max_steps:int -> Case.t list -> score
+(** The deployed detector: each case runs uninstrumented through
+    [Gpu_runtime.Session.run_stream], as [barracuda check] runs it. *)
+
 val run_racecheck : ?max_steps:int -> Case.t list -> score
 
 val run_reference : ?max_steps:int -> Case.t list -> score

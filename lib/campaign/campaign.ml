@@ -142,11 +142,7 @@ let run_machine ~seed ~trials cases =
 
 (* ---- service (worker crashes, respawn, quarantine) --------------- *)
 
-let oneshot_verdict (case : Case.t) =
-  let machine = Simt.Machine.create ~layout:case.Case.layout () in
-  let args = case.Case.setup machine in
-  let det, _ = Barracuda.Detector.run ~machine case.Case.kernel args in
-  Barracuda.Report.has_race (Barracuda.Detector.report det)
+let oneshot_verdict case = fst (pipeline_verdict case)
 
 let run_service ~seed cases =
   let cases = Array.of_list cases in

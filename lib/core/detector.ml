@@ -7,10 +7,7 @@ module Op = Gtrace.Op
    [checks] counts thread-level access checks; the epoch/vc pair
    splits ordering comparisons into the epoch fast path versus full
    vector-clock scans (the compression the paper's §4.3.1 is about);
-   [races] counts raw race observations before report deduplication.
-   [records_inplace] counts records consumed directly from a wire
-   view ([feed_record]) — the in-place transport path — against the
-   pipeline-level fallback-decode counter maintained by the runtime. *)
+   [races] counts raw race observations before report deduplication. *)
 let m_checks =
   Telemetry.Registry.counter
     ~help:"Thread-level access checks performed"
@@ -35,11 +32,6 @@ let m_vc_full =
   Telemetry.Registry.counter
     ~help:"Ordering checks requiring a full vector-clock scan"
     Telemetry.Registry.default "barracuda_detector_vc_full_total"
-
-let m_inplace =
-  Telemetry.Registry.counter
-    ~help:"Records consumed in place from a wire view (feed_record)"
-    Telemetry.Registry.default "barracuda_pipeline_records_inplace_total"
 
 let sp_feed_record = Telemetry.Span.create "detector.feed_record"
 
@@ -108,7 +100,7 @@ type t = {
   shadow : Shadow.t;
   sync : Sync_loc.t;
   report : Report.t;
-  mutable record_id : int; (* unique id per warp-level event *)
+  mutable record_id : int; (* unique id per processed record *)
   mutable accesses : int;
   mutable records : int;
   census : int array; (* converged/diverged/nested/sparse *)
@@ -122,6 +114,11 @@ type t = {
 }
 
 let create ?(config = default_config) ?owns ~layout kernel =
+  if layout.Layout.warp_size > Wire.max_lanes then
+    invalid_arg
+      (Printf.sprintf
+         "Detector.create: warp size %d exceeds the %d lanes of a wire record"
+         layout.Layout.warp_size Wire.max_lanes);
   {
     layout;
     config;
@@ -343,9 +340,8 @@ let do_lane_data t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~addr ~width
     end
   done
 
-(* Per-lane dispatch shared by the event path ([feed]) and the wire
-   path ([feed_record]).  The access kind arrives as its wire opcode so
-   neither path materializes a [Simt.Event.access_kind] (the [Atomic _]
+(* Per-lane dispatch.  The access kind arrives as its wire opcode, so
+   no [Simt.Event.access_kind] is materialized (the [Atomic _]
    constructor would allocate). *)
 let do_lane t ~rid ~wc ~lane ~tid ~insn ~opc ~role ~space ~region ~addr ~width
     ~value =
@@ -381,33 +377,6 @@ let do_lane t ~rid ~wc ~lane ~tid ~insn ~opc ~role ~space ~region ~addr ~width
         do_release t ~wc ~lane ~loc s
       end
 
-let process_access t ~rid (a : Simt.Event.mem_access) =
-  match a.Simt.Event.space with
-  | Ptx.Ast.Local | Ptx.Ast.Param -> () (* thread-private: cannot race *)
-  | (Ptx.Ast.Global | Ptx.Ast.Shared) as space ->
-      let warp = a.Simt.Event.warp in
-      let wc = t.warps.(warp) in
-      census_bump t wc;
-      let region =
-        match space with
-        | Ptx.Ast.Shared -> Layout.block_of_warp t.layout warp
-        | _ -> 0
-      in
-      let insn = a.Simt.Event.insn in
-      let role = t.roles.(insn) in
-      let opc = Wire.opcode_of_kind a.Simt.Event.kind in
-      let mask = a.Simt.Event.mask in
-      let ws = Array.length a.Simt.Event.addrs in
-      for lane = 0 to ws - 1 do
-        if mask land (1 lsl lane) <> 0 then
-          let tid = Layout.tid_of_warp_lane t.layout ~warp ~lane in
-          do_lane t ~rid ~wc ~lane ~tid ~insn ~opc ~role ~space ~region
-            ~addr:a.Simt.Event.addrs.(lane) ~width:a.Simt.Event.width
-            ~value:a.Simt.Event.values.(lane)
-      done;
-      (* endi: join-and-fork the active lanes *)
-      Warp_clocks.join_fork wc ~mask
-
 let do_barrier t block =
   let wpb = Layout.warps_per_block t.layout in
   let first = block * wpb in
@@ -424,24 +393,6 @@ let do_barrier t block =
   for i = first to first + wpb - 1 do
     Warp_clocks.apply_barrier t.warps.(i) ~clock:!clock ~overlay:!overlay
   done
-
-let feed t event =
-  t.record_id <- t.record_id + 1;
-  let rid = t.record_id in
-  t.records <- t.records + 1;
-  Telemetry.Metric.counter_incr m_records;
-  match event with
-  | Simt.Event.Access a -> process_access t ~rid a
-  | Simt.Event.Fence _ -> ()
-  | Simt.Event.Branch_if { warp; then_mask; else_mask; _ } ->
-      Warp_clocks.push_if t.warps.(warp) ~then_mask ~else_mask
-  | Simt.Event.Branch_else { warp; mask } | Simt.Event.Branch_fi { warp; mask }
-    ->
-      Warp_clocks.pop_path t.warps.(warp) ~mask
-  | Simt.Event.Barrier { block } -> do_barrier t block
-  | Simt.Event.Barrier_divergence { warp; insn; _ } ->
-      Report.add_barrier_divergence t.report ~warp ~insn
-  | Simt.Event.Kernel_done -> ()
 
 (* An intact record can still name a warp, instruction or block that
    this detector does not have, e.g. a recording replayed against
@@ -546,7 +497,6 @@ let feed_record t ~values buf ~pos =
   let t0 = if enabled then Telemetry.Clock.now_ns () else 0L in
   t.records <- t.records + 1;
   Telemetry.Metric.counter_incr m_records;
-  Telemetry.Metric.counter_incr m_inplace;
   (if not t.config.check_integrity then process_record t ~values buf ~pos
    else
      match Wire.check buf ~pos with
@@ -593,11 +543,3 @@ let stats t =
     ptvc_bytes;
     full_vc_bytes = total * total * 4;
   }
-
-let run ?config ?max_steps ~machine kernel args =
-  let layout = Simt.Machine.layout machine in
-  let t = create ?config ~layout kernel in
-  let result =
-    Simt.Machine.launch ?max_steps machine kernel args ~on_event:(feed t)
-  in
-  (t, result)

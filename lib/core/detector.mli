@@ -1,9 +1,9 @@
-(** The BARRACUDA race detector (optimized, event-driven).
+(** The BARRACUDA race detector (optimized, record-driven).
 
-    Consumes the simulator's warp-level events directly — mirroring the
-    real system, where the host detector processes fixed-size warp
-    records drained from GPU queues — and implements the operational
-    semantics of Figures 2–3 with all of the paper's optimizations:
+    Consumes sealed fixed-size warp records ({!Wire}) in place, as the
+    real system's host detector consumes the records drained from the
+    GPU queues (§4.2), and implements the operational semantics of
+    Figures 2–3 with all of the paper's optimizations:
 
     - per-thread vector clocks compressed at warp granularity
       ({!Warp_clocks}: CONVERGED / DIVERGED / NESTEDDIVERGED / SPARSEVC);
@@ -15,8 +15,10 @@
     - barrier-divergence detection.
 
     Acquire/release roles come from the static {!Gtrace.Roles}
-    classification of the kernel.  On any trace the reports must match
-    {!Reference}; the test suite enforces this. *)
+    classification of the kernel.  {!feed_record} is the only input;
+    [Gpu_runtime.Session.run_stream] executes a kernel into it.  On any
+    trace the reports must match {!Reference}; the test suite enforces
+    this. *)
 
 type config = {
   max_reports : int;
@@ -32,7 +34,7 @@ val default_config : config
 
 type stats = {
   accesses_checked : int;  (** thread-level access operations processed *)
-  records_processed : int;  (** warp-level events processed *)
+  records_processed : int;  (** wire records fed, skipped ones included *)
   ptvc_converged : int;  (** census: warp format observed per record *)
   ptvc_diverged : int;
   ptvc_nested : int;
@@ -47,7 +49,7 @@ type stats = {
 
 type t
 (** A detector has a single owner.  Only one thread at a time may feed
-    it ({!feed}, {!feed_record}) or read it ({!report}, {!stats}), and
+    it ({!feed_record}) or read it ({!report}, {!stats}), and
     it passes between threads or domains only through a synchronising
     operation ([Domain.join], a mutex, an atomic).  Nothing inside it
     is locked: neither the shadow cells (the paper's per-location lock,
@@ -79,10 +81,11 @@ val create :
     locations, barriers — still processes the full record stream, so a
     detector restricted by [owns] has bit-identical clock state to an
     unrestricted one and reports exactly the subset of races whose
-    location it owns.  Omitted (the default): all cells are checked. *)
+    location it owns.  Omitted (the default): all cells are checked.
 
-val feed : t -> Simt.Event.t -> unit
-(** Consume one decoded warp-level event. *)
+    @raise Invalid_argument if [layout]'s warp is wider than the
+    {!Wire.max_lanes} (32) lane slots of a record: the lanes beyond
+    them could never be checked. *)
 
 val feed_record : t -> values:int64 array -> Bytes.t -> pos:int -> unit
 (** Consume one 280-byte wire record ({!Wire}) in place at offset
@@ -91,8 +94,7 @@ val feed_record : t -> values:int64 array -> Bytes.t -> pos:int -> unit
     the duration of the call (for queue rings: the slot may be
     released as soon as this returns).  [values] is the store/atomic
     lane-value side channel; pass [[||]] when absent (the same-value
-    write filter then compares zeros, as {!Record.of_bytes} without
-    [?values] would).
+    write filter then compares zeros).
 
     With [config.check_integrity] (the default) the record must have
     been {!Wire.seal}ed by its producer: magic, version, checksum, and
@@ -108,13 +110,3 @@ val feed_record : t -> values:int64 array -> Bytes.t -> pos:int -> unit
 
 val report : t -> Report.t
 val stats : t -> stats
-
-val run :
-  ?config:config ->
-  ?max_steps:int ->
-  machine:Simt.Machine.t ->
-  Ptx.Ast.kernel ->
-  int64 array ->
-  t * Simt.Machine.result
-(** Convenience: launch the kernel on [machine] with the detector
-    attached to the event stream. *)

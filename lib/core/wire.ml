@@ -29,7 +29,6 @@ let op_barrier = 23
 let op_barrier_divergence = 24
 
 let is_access opc = opc >= op_load && opc <= op_atomic_last
-let is_atomic opc = opc >= op_atomic_first && opc <= op_atomic_last
 
 let atomic_code = function
   | Ptx.Ast.A_add -> 0
@@ -43,29 +42,10 @@ let atomic_code = function
   | Ptx.Ast.A_inc -> 8
   | Ptx.Ast.A_dec -> 9
 
-let atomic_of_code = function
-  | 0 -> Ptx.Ast.A_add
-  | 1 -> Ptx.Ast.A_exch
-  | 2 -> Ptx.Ast.A_cas
-  | 3 -> Ptx.Ast.A_min
-  | 4 -> Ptx.Ast.A_max
-  | 5 -> Ptx.Ast.A_and
-  | 6 -> Ptx.Ast.A_or
-  | 7 -> Ptx.Ast.A_xor
-  | 8 -> Ptx.Ast.A_inc
-  | _ -> Ptx.Ast.A_dec
-
 let opcode_of_kind = function
   | Simt.Event.Load -> op_load
   | Simt.Event.Store -> op_store
   | Simt.Event.Atomic op -> op_atomic_first + atomic_code op
-
-let kind_of_opcode opc =
-  if opc = op_load then Simt.Event.Load
-  else if opc = op_store then Simt.Event.Store
-  else if is_atomic opc then
-    Simt.Event.Atomic (atomic_of_code (opc - op_atomic_first))
-  else invalid_arg (Printf.sprintf "Wire.kind_of_opcode: bad opcode %d" opc)
 
 let space_code = function
   | Ptx.Ast.Global -> 0

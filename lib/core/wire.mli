@@ -1,7 +1,8 @@
 (** The 280-byte record wire format — the paper's 272-byte layout
     (§4.2, Figure 6) extended with an 8-byte integrity prefix — shared
-    between the runtime transport ([Gpu_runtime.Record]/[Queue]) and
-    the detector's in-place {!Detector.feed_record} path.
+    between the runtime transport ([Gpu_runtime.Session]'s sinks,
+    [Queue] rings, [Stream] cells) and the detector's in-place
+    {!Detector.feed_record}, its only input.
 
     Layout, [pos] being the byte offset of the record inside a larger
     buffer (a queue ring slot or a standalone [Bytes.t]):
@@ -45,7 +46,8 @@ val size : int
 (** 280 bytes: the paper's 272 plus the 8-byte integrity prefix. *)
 
 val max_lanes : int
-(** 32 lane-address slots per record. *)
+(** 32 lane-address slots per record: the widest warp a record can
+    carry, and so the widest a detector accepts. *)
 
 (** {1 Opcodes} *)
 
@@ -66,14 +68,7 @@ val op_barrier_divergence : int
 val is_access : int -> bool
 (** Load, store, or atomic. *)
 
-val is_atomic : int -> bool
 val opcode_of_kind : Simt.Event.access_kind -> int
-
-val kind_of_opcode : int -> Simt.Event.access_kind
-(** Allocates for atomics; decode path only.
-    @raise Invalid_argument on a non-access opcode. *)
-
-val atomic_of_code : int -> Ptx.Ast.atom_op
 val space_code : Ptx.Ast.space -> int
 val space_of_code : int -> Ptx.Ast.space
 

@@ -8,7 +8,7 @@
     entries ahead of the read head.
 
     Storage is one preallocated flat buffer of
-    [capacity * Record.wire_size] bytes; producers serialize directly
+    [capacity * Barracuda.Wire.size] bytes; producers serialize directly
     into their reserved slot and the consumer decodes directly out of
     it, so steady-state transport allocates no per-record [Bytes.t] on
     either side.

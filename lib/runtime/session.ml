@@ -60,9 +60,7 @@ let transport_faults plan feed =
   in
   (deliver, flush)
 
-let serial_sink ?(config = Barracuda.Detector.default_config) ?fault ~layout
-    kernel =
-  let det = Barracuda.Detector.create ~config ~layout kernel in
+let serial_sink ?fault det =
   let stage = Bytes.create Wire.size in
   let seq = ref 0 in
   let detect = ref 0L in
@@ -169,7 +167,8 @@ let drive ?max_steps ?deadline_ns ?fault ?inst ?capture ?tap ~machine sink
         Wire.write_barrier buf ~pos:0 ~warp:(-1) ~insn:(-1) ~mask:0 ~block;
         emit ~values:no_values ~sync:true
     | Simt.Event.Barrier_divergence { warp; insn; mask; expected } ->
-        Wire.write_barrier_divergence buf ~pos:0 ~warp ~insn ~mask ~expected;
+        Wire.write_barrier_divergence buf ~pos:0 ~warp ~insn:(orig insn) ~mask
+          ~expected;
         emit ~values:no_values ~sync:false
     | Simt.Event.Fence _ | Simt.Event.Kernel_done -> ()
   in
@@ -201,8 +200,9 @@ let run_stream ?(detector = Barracuda.Detector.default_config) ?sink
     match sink with
     | Some s -> s
     | None ->
-        serial_sink ~config:detector ?fault
-          ~layout:(Simt.Machine.layout machine) kernel
+        serial_sink ?fault
+          (Barracuda.Detector.create ~config:detector
+             ~layout:(Simt.Machine.layout machine) kernel)
   in
   let t0 = Telemetry.Clock.now_ns () in
   let mr =
@@ -391,7 +391,8 @@ let open_stream ?sink ?(detector = Barracuda.Detector.default_config) ~layout
   let sink =
     match sink with
     | Some s -> s
-    | None -> serial_sink ~config:detector ~layout kernel
+    | None ->
+        serial_sink (Barracuda.Detector.create ~config:detector ~layout kernel)
   in
   let n = 1 + Atomic.fetch_and_add open_count 1 in
   Telemetry.Metric.gauge_set g_open n;

@@ -54,19 +54,15 @@ type sink = {
   sink_records : unit -> int;  (** records ingested *)
 }
 
-val serial_sink :
-  ?config:Barracuda.Detector.config ->
-  ?fault:Fault.Plan.t ->
-  layout:Vclock.Layout.t ->
-  Ptx.Ast.kernel ->
-  sink
-(** The single-detector backend: [submit] seals and feeds the staged
-    record synchronously via [Detector.feed_record] on the producer's
-    thread, which owns the detector; [quiesce] is a no-op (nothing is
-    in flight).  [fault]'s transport faults (bit flips, drops,
-    duplicates, delays) are applied to each sealed record before the
-    detector sees it; [finish] feeds any record still held back by a
-    delay. *)
+val serial_sink : ?fault:Fault.Plan.t -> Barracuda.Detector.t -> sink
+(** The single-detector backend over a detector the caller created
+    (and may read, e.g. [Detector.stats], once the run is finished):
+    [submit] seals and feeds the staged record synchronously via
+    [Detector.feed_record] on the producer's thread, which owns the
+    detector; [quiesce] is a no-op (nothing is in flight).  [fault]'s
+    transport faults (bit flips, drops, duplicates, delays) are applied
+    to each sealed record before the detector sees it; [finish] feeds
+    any record still held back by a delay. *)
 
 (** {1 Running a kernel}
 
@@ -100,16 +96,18 @@ val run_stream :
 (** Execute [kernel] on [machine], submit every logged event to [sink]
     as a sealed wire record, finish the sink and return its verdict.
 
-    - [sink] defaults to {!serial_sink} with [detector] and [fault];
-      a caller-supplied sink (e.g. [Shard.Stream.sink]) is finished
-      here, or aborted if execution raises.  Either way [detector]'s
-      [max_reports] caps the returned report.
+    - [sink] defaults to {!serial_sink} with [fault], over a detector
+      created with [detector]; a caller-supplied sink (e.g.
+      [Shard.Stream.sink]) is finished here, or aborted if execution
+      raises.  Either way [detector]'s [max_reports] caps the returned
+      report.
     - [fault]'s machine faults go to the simulator; its transport
       faults to the default serial sink.
     - [inst] runs the instrumented kernel instead, remapping
-      instruction ids to the original kernel and dropping the accesses
-      whose logging it pruned.  Without it the original kernel runs
-      and every event is logged.
+      instruction ids (of accesses, branches and barrier divergences)
+      to the original kernel and dropping the accesses whose logging it
+      pruned.  Without it the original kernel runs and every event is
+      logged.
     - [capture] appends every submitted record as a sealed {!Stream}
       cell, values included: the recorder behind [check --record].
     - [tap] observes every simulator event (fences and kernel-done
@@ -118,7 +116,10 @@ val run_stream :
 
     With telemetry enabled, records the ["execute"] span (the launch
     minus the detector time the sink spent inline: simulation, logging
-    and sealing) and the ["detect"] span (the sink's detector time). *)
+    and sealing) and the ["detect"] span (the sink's detector time).
+
+    @raise Invalid_argument when the default sink's detector rejects
+    the machine's layout: a warp wider than a record's 32 lanes. *)
 
 (** {1 Multi-launch sessions} *)
 

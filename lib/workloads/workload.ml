@@ -27,18 +27,10 @@ let run_native ?max_steps w =
   let args = w.setup m in
   Simt.Machine.launch ?max_steps m w.kernel args
 
-let run_detector ?max_steps w =
+let run ?max_steps ?inst w =
   let m = machine w in
   let args = w.setup m in
-  Barracuda.Detector.run ?max_steps ~machine:m w.kernel args
-
-let run_pipeline ?max_steps ?inst w =
-  let inst =
-    match inst with Some i -> i | None -> Instrument.Pass.instrument w.kernel
-  in
-  let m = machine w in
-  let args = w.setup m in
-  Gpu_runtime.Session.run_stream ?max_steps ~inst ~machine:m w.kernel args
+  Gpu_runtime.Session.run_stream ?max_steps ?inst ~machine:m w.kernel args
 
 module Loc_set = Set.Make (struct
   type t = Gtrace.Loc.t

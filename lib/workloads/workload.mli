@@ -37,19 +37,16 @@ val machine : t -> Simt.Machine.t
 val run_native : ?max_steps:int -> t -> Simt.Machine.result
 (** Launch the original kernel with no instrumentation or logging. *)
 
-val run_detector : ?max_steps:int -> t -> Barracuda.Detector.t * Simt.Machine.result
-(** Launch with the detector attached directly to the event stream. *)
-
-val run_pipeline :
+val run :
   ?max_steps:int ->
   ?inst:Instrument.Pass.result ->
   t ->
   Gpu_runtime.Session.stream_result
-(** The instrumented kernel (block + static pruning, as deployed)
-    through [Session.run_stream]: what Figure 10 times.  [inst] reuses
-    a precomputed instrumentation result — callers that run the same
-    workload repeatedly (the bench harness) hoist the pass out of the
-    timed region. *)
+(** Race-check the workload on a fresh machine through
+    [Session.run_stream].  Without [inst] the original kernel runs
+    uninstrumented, as [barracuda check] runs it (Table 1); with it,
+    the instrumented build runs, e.g. the deployed block + static
+    pruning that Figure 10 times. *)
 
 val racy_word_counts : Barracuda.Report.t -> int * int
 (** Distinct racy (shared, global) locations at 4-byte granularity. *)

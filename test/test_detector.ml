@@ -1,7 +1,8 @@
 (* Core detector tests: rule-level unit scenarios, PTVC compression
    equivalence against full clocks, and the flagship property — the
-   optimized detector and the literal-semantics reference report the
-   same races on randomized kernels. *)
+   optimized detector, fed sealed wire records by
+   [Session.run_stream] as [check] feeds it, and the literal-semantics
+   reference report the same races on randomized kernels. *)
 
 module Ast = Ptx.Ast
 module B = Ptx.Builder
@@ -186,6 +187,18 @@ let race_set report =
        | Report.Barrier_divergence _ -> None)
   |> List.sort_uniq Stdlib.compare
 
+(* The deployed path: the uninstrumented kernel through the session
+   core's serial sink, with no report cap in the way. *)
+let detect prog =
+  let k = Gen.kernel_of_program prog in
+  let m = Simt.Machine.create ~layout:lay () in
+  let args = Gen.setup m in
+  let detector =
+    { Barracuda.Detector.default_config with max_reports = 100000 }
+  in
+  (Gpu_runtime.Session.run_stream ~detector ~machine:m k args)
+    .Gpu_runtime.Session.sr_report
+
 let run_both prog =
   let k = Gen.kernel_of_program prog in
   let m1 = Simt.Machine.create ~layout:lay () in
@@ -193,14 +206,8 @@ let run_both prog =
   let ops, _ = Gtrace.Infer.run ~layout:lay m1 k args1 in
   let reference = Barracuda.Reference.create ~max_reports:100000 ~layout:lay () in
   Barracuda.Reference.run reference ops;
-  let m2 = Simt.Machine.create ~layout:lay () in
-  let args2 = Gen.setup m2 in
-  let config =
-    { Barracuda.Detector.default_config with max_reports = 100000 }
-  in
-  let det, _ = Barracuda.Detector.run ~config ~machine:m2 k args2 in
   ( race_set (Barracuda.Reference.report reference),
-    race_set (Barracuda.Detector.report det) )
+    race_set (detect prog) )
 
 let pp_race_key ppf k =
   Format.fprintf ppf "%a: %a t%d vs %a t%d" Gtrace.Loc.pp k.loc Report.pp_kind
@@ -228,13 +235,6 @@ let prop_detector_deterministic =
       a = b)
 
 (* ---- Directed rule scenarios ---------------------------------------- *)
-
-let detect prog =
-  let k = Gen.kernel_of_program prog in
-  let m = Simt.Machine.create ~layout:lay () in
-  let args = Gen.setup m in
-  let det, _ = Barracuda.Detector.run ~machine:m k args in
-  Barracuda.Detector.report det
 
 let test_rule_write_write () =
   let r = detect [ Gen.Global_store (0, Gen.Lane_dependent) ] in

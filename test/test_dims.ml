@@ -71,9 +71,12 @@ let test_2d_kernel_executes () =
 let test_2d_kernel_race_free () =
   let m = Simt.Machine.create ~layout:lay2d () in
   let out = Simt.Machine.alloc_global m (4 * 64) in
-  let det, _ = Barracuda.Detector.run ~machine:m coord_kernel [| Int64.of_int out |] in
+  let r =
+    Gpu_runtime.Session.run_stream ~machine:m coord_kernel
+      [| Int64.of_int out |]
+  in
   Alcotest.(check bool) "distinct pixels: no race" false
-    (Barracuda.Report.has_race (Barracuda.Detector.report det))
+    (Barracuda.Report.has_race r.Gpu_runtime.Session.sr_report)
 
 let test_2d_column_conflict_detected () =
   (* every thread writes out[gx]: threads in different rows collide *)
@@ -86,9 +89,9 @@ let test_2d_column_conflict_detected () =
   let k = B.finish b in
   let m = Simt.Machine.create ~layout:lay2d () in
   let out = Simt.Machine.alloc_global m (4 * 64) in
-  let det, _ = Barracuda.Detector.run ~machine:m k [| Int64.of_int out |] in
+  let r = Gpu_runtime.Session.run_stream ~machine:m k [| Int64.of_int out |] in
   Alcotest.(check bool) "row collision detected" true
-    (Barracuda.Report.has_race (Barracuda.Detector.report det))
+    (Barracuda.Report.has_race r.Gpu_runtime.Session.sr_report)
 
 let test_sregs_parse_and_print () =
   let k =

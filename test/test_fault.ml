@@ -3,7 +3,6 @@
    crash recovery and quarantine in the scheduler, wall-clock
    deadlines, versioned formats, and campaign determinism. *)
 
-module Record = Gpu_runtime.Record
 module Wire = Barracuda.Wire
 module Report = Barracuda.Report
 module Detector = Barracuda.Detector
@@ -15,7 +14,7 @@ let ws = Gen.layout.Vclock.Layout.warp_size
 
 let sealed_access ?(mask = (1 lsl ws) - 1) ?(warp = 0) ?(insn = 0) ?(seq = 0)
     () =
-  let buf = Bytes.make Record.wire_size '\000' in
+  let buf = Bytes.make Wire.size '\000' in
   let addrs = Array.init ws (fun i -> 4 * i) in
   Wire.write_access buf ~pos:0 ~kind:Simt.Event.Store ~space:Ptx.Ast.Global
     ~width:4 ~mask ~warp ~insn ~addrs;
@@ -142,7 +141,7 @@ let test_orphaned_fi_absorbed () =
   (* a branch_fi whose branch_if was lost upstream must be skipped and
      accounted, not pop the root reconvergence frame or raise *)
   let det = mk_detector () in
-  let buf = Bytes.make Record.wire_size '\000' in
+  let buf = Bytes.make Wire.size '\000' in
   Wire.write_branch_fi buf ~pos:0 ~warp:0 ~insn:0 ~mask:((1 lsl ws) - 1);
   Wire.seal buf ~pos:0 ~seq:0;
   Detector.feed_record det ~values:[||] buf ~pos:0;
@@ -272,11 +271,7 @@ let test_deadline_stops_spin () =
 
 (* ---- worker crash recovery --------------------------------------- *)
 
-let oneshot_verdict (case : Case.t) =
-  let machine = Simt.Machine.create ~layout:case.Case.layout () in
-  let args = case.Case.setup machine in
-  let det, _ = Detector.run ~machine case.Case.kernel args in
-  Report.has_race (Detector.report det)
+let oneshot_verdict case = fst (Campaign.Trial.pipeline_verdict case)
 
 let scheduler_with_cases ~plan cases =
   let by_name = Hashtbl.create 16 in
@@ -409,15 +404,16 @@ let test_trace_version_rejected () =
         (contains message "version 9")
 
 let test_record_version_rejected () =
+  (* a record of another wire version is skipped as corrupt before any
+     of its fields is trusted *)
+  let det = mk_detector () in
   let buf = sealed_access () in
   Bytes.set_uint8 buf 1 (Wire.version + 1);
-  match Record.of_bytes ~warp_size:ws buf with
-  | _ -> Alcotest.fail "stale record version accepted"
-  | exception Invalid_argument msg ->
-      Alcotest.(check bool)
-        (Printf.sprintf "names the version: %s" msg)
-        true
-        (contains msg "version")
+  Detector.feed_record det ~values:(Array.make ws 1L) buf ~pos:0;
+  let i = Report.integrity (Detector.report det) in
+  Alcotest.(check int) "stale version counted corrupt" 1 i.Report.corrupt;
+  Alcotest.(check int) "no access checked" 0
+    (Detector.stats det).Detector.accesses_checked
 
 (* ---- campaign ----------------------------------------------------- *)
 

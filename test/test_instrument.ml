@@ -188,8 +188,8 @@ let prop_instrumented_execution_equivalent =
          instrumentation perturbs the schedule: restrict to race-free *)
       (let md = Simt.Machine.create ~layout:Gen.layout () in
        let argsd = Gen.setup md in
-       let det, _ = Barracuda.Detector.run ~machine:md k argsd in
-       if Barracuda.Report.has_race (Barracuda.Detector.report det) then
+       let r = Gpu_runtime.Session.run_stream ~machine:md k argsd in
+       if Barracuda.Report.has_race r.Gpu_runtime.Session.sr_report then
          QCheck2.assume_fail ());
       let inst = (Pass.instrument k).Pass.kernel in
       let m1 = Simt.Machine.create ~layout:Gen.layout () in

@@ -125,10 +125,10 @@ let case_named name =
 let online_and_predict (case : Bugsuite.Case.t) =
   let m = Simt.Machine.create ~layout:case.Bugsuite.Case.layout () in
   let args = case.Bugsuite.Case.setup m in
-  let det, _ =
-    Barracuda.Detector.run ~machine:m case.Bugsuite.Case.kernel args
+  let r =
+    Gpu_runtime.Session.run_stream ~machine:m case.Bugsuite.Case.kernel args
   in
-  let online = Barracuda.Report.has_race (Barracuda.Detector.report det) in
+  let online = Barracuda.Report.has_race r.Gpu_runtime.Session.sr_report in
   let m2 = Simt.Machine.create ~layout:case.Bugsuite.Case.layout () in
   let args2 = case.Bugsuite.Case.setup m2 in
   let ops, _ =

@@ -138,13 +138,13 @@ let test_race_reports_carry_insn_ids () =
   let c = case_named "ww_shared_inter_warp" in
   let machine = Simt.Machine.create ~layout:c.Bugsuite.Case.layout () in
   let args = c.Bugsuite.Case.setup machine in
-  let det, _ =
-    Barracuda.Detector.run ~machine c.Bugsuite.Case.kernel args
+  let r =
+    Gpu_runtime.Session.run_stream ~machine c.Bugsuite.Case.kernel args
   in
   let races =
     List.filter_map
       (function Report.Race r -> Some r | Report.Barrier_divergence _ -> None)
-      (Report.errors (Barracuda.Detector.report det))
+      (Report.errors r.Gpu_runtime.Session.sr_report)
   in
   Alcotest.(check bool) "some race reported" true (races <> []);
   List.iter

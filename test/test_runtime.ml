@@ -1,98 +1,49 @@
-(* Runtime layer: record wire format, lock-free queues (including under
-   domains), and the session core's wire transport vs direct
-   detection. *)
+(* Runtime layer: the record wire format, lock-free queues (including
+   under domains), and the session core's wire transport. *)
 
-module Record = Gpu_runtime.Record
+module Wire = Barracuda.Wire
 module Queue = Gpu_runtime.Queue
 module Session = Gpu_runtime.Session
 module Report = Barracuda.Report
 
-let ws = 32
-
 (* ---- Records -------------------------------------------------------- *)
-
-let sample_records =
-  [
-    Record.of_event ~warp_size:ws
-      (Simt.Event.Access
-         {
-           warp = 3;
-           insn = 17;
-           kind = Simt.Event.Store;
-           space = Ptx.Ast.Shared;
-           mask = 0xDEAD;
-           addrs = Array.init ws (fun i -> i * 8);
-           values = Array.init ws (fun i -> Int64.of_int i);
-           width = 4;
-         });
-    Record.of_event ~warp_size:ws
-      (Simt.Event.Access
-         {
-           warp = 1;
-           insn = 2;
-           kind = Simt.Event.Atomic Ptx.Ast.A_cas;
-           space = Ptx.Ast.Global;
-           mask = 0x1;
-           addrs = Array.make ws 0;
-           values = Array.make ws 0L;
-           width = 8;
-         });
-    Record.of_event ~warp_size:ws
-      (Simt.Event.Branch_if { warp = 0; insn = 5; then_mask = 0xF0; else_mask = 0xF });
-    Record.of_event ~warp_size:ws (Simt.Event.Branch_else { warp = 2; mask = 0x3 });
-    Record.of_event ~warp_size:ws (Simt.Event.Branch_fi { warp = 2; mask = 0xFF });
-    Record.of_event ~warp_size:ws (Simt.Event.Barrier { block = 7 });
-    Record.of_event ~warp_size:ws
-      (Simt.Event.Barrier_divergence { warp = 4; insn = 9; mask = 0x1; expected = 0xF });
-  ]
 
 let test_record_wire_size () =
   (* the paper's 272-byte layout plus the 8-byte integrity prefix *)
-  Alcotest.(check int) "wire size" 280 Record.wire_size;
-  List.iter
-    (fun r ->
-      match r with
-      | Some r ->
-          Alcotest.(check int) "serialized size" 280
-            (Bytes.length (Record.to_bytes r))
-      | None -> Alcotest.fail "event should produce a record")
-    sample_records
-
-let test_record_roundtrip () =
-  List.iter
-    (fun r ->
-      match r with
-      | Some r ->
-          let r' =
-            Record.of_bytes ~values:r.Record.values ~warp_size:ws
-              (Record.to_bytes r)
-          in
-          Alcotest.(check bool) "roundtrip" true (r = r')
-      | None -> Alcotest.fail "expected a record")
-    sample_records
+  Alcotest.(check int) "wire size" 280 Wire.size;
+  Alcotest.(check int) "header + 32 lane slots" Wire.size
+    (Wire.header_size + (8 * Wire.max_lanes))
 
 let test_record_fence_elided () =
-  Alcotest.(check bool) "fences produce no record" true
-    (Record.of_event ~warp_size:ws
-       (Simt.Event.Fence { warp = 0; insn = 1; scope = Ptx.Ast.Gl; mask = 1 })
-    = None)
+  (* fences and kernel-done are simulator events with no wire record *)
+  let b = Ptx.Builder.create ~params:[ "out" ] "fenced" in
+  Ptx.Builder.st b (Ptx.Builder.sym "out") (Ptx.Builder.imm 1);
+  Ptx.Builder.membar b Ptx.Ast.Gl;
+  let k = Ptx.Builder.finish b in
+  let m = Simt.Machine.create ~layout:Gen.layout () in
+  let args = [| Int64.of_int (Simt.Machine.alloc_global m 64) |] in
+  let shipped = ref 0 and fences = ref 0 in
+  let tap = function
+    | Simt.Event.Fence _ -> incr fences
+    | Simt.Event.Kernel_done -> ()
+    | _ -> incr shipped
+  in
+  let r = Session.run_stream ~tap ~machine:m k args in
+  Alcotest.(check bool) "the kernel fences" true (!fences > 0);
+  Alcotest.(check int) "one record per non-fence event" !shipped
+    r.Session.sr_records
 
-let test_record_event_roundtrip () =
-  List.iter
-    (fun r ->
-      match r with
-      | Some r ->
-          let ev = Record.to_event r in
-          let r2 = Record.of_event ~warp_size:ws ev in
-          Alcotest.(check bool) "event roundtrip" true (Some r = r2)
-      | None -> ())
-    sample_records
-
-(* ---- Record.View vs decode ---------------------------------------- *)
-
-(* Arbitrary records (not just ones reachable from events), serialized
+(* Arbitrary records (not just ones the simulator produces), written
    at a non-zero offset inside a larger dirty buffer: every [View]
-   accessor must agree field-for-field with the decoded record. *)
+   accessor must read back the field its writer stored. *)
+type written =
+  | Access of Simt.Event.access_kind * Ptx.Ast.space * int * int array
+  | Branch_if of int * int
+  | Branch_else
+  | Branch_fi
+  | Barrier of int
+  | Barrier_divergence of int
+
 let gen_record =
   QCheck2.Gen.(
     let gen_kind =
@@ -105,73 +56,78 @@ let gen_record =
           Simt.Event.Atomic Ptx.Ast.A_dec;
         ]
     in
-    let gen_space = oneofl [ Ptx.Ast.Global; Ptx.Ast.Shared ] in
     let gen_mask = int_range 0 0xFFFF in
-    let gen_warp = oneof [ return (-1); int_range 0 4096 ] in
-    let gen_insn = oneof [ return (-1); int_range 0 100_000 ] in
-    let gen_addrs =
-      array_size (return ws) (int_range 0 0x3FFF_FFFF)
-    in
-    let mk warp insn op mask addrs =
-      { Record.warp; insn; op; mask; addrs; values = [||] }
-    in
     let gen_op =
       oneof
         [
           map3
-            (fun kind space width -> Record.Access { kind; space; width })
-            gen_kind gen_space (oneofl [ 1; 2; 4; 8 ]);
-          map2
-            (fun t e -> Record.Branch_if { then_mask = t; else_mask = e })
-            gen_mask gen_mask;
-          return Record.Branch_else;
-          return Record.Branch_fi;
-          map (fun b -> Record.Barrier { block = b }) (int_range 0 0xFFFF);
-          map
-            (fun e -> Record.Barrier_divergence { expected = e })
-            (int_range 0 0xFFFF);
+            (fun (kind, space) width addrs -> Access (kind, space, width, addrs))
+            (pair gen_kind (oneofl [ Ptx.Ast.Global; Ptx.Ast.Shared ]))
+            (oneofl [ 1; 2; 4; 8 ])
+            (array_size (return Wire.max_lanes) (int_range 0 0x3FFF_FFFF));
+          map2 (fun t e -> Branch_if (t, e)) gen_mask gen_mask;
+          return Branch_else;
+          return Branch_fi;
+          map (fun b -> Barrier b) (int_range 0 0xFFFF);
+          map (fun e -> Barrier_divergence e) (int_range 0 0xFFFF);
         ]
     in
-    map
-      (fun ((warp, insn, op), (mask, addrs)) ->
-        mk warp insn op mask addrs)
-      (pair (triple gen_warp gen_insn gen_op) (pair gen_mask gen_addrs)))
+    tup4
+      (oneof [ return (-1); int_range 0 4096 ])
+      (oneof [ return (-1); int_range 0 100_000 ])
+      gen_mask gen_op)
 
-let print_record r = Format.asprintf "%a" Record.pp r
+let print_record (warp, insn, mask, op) =
+  Printf.sprintf "warp=%d insn=%d mask=%#x %s" warp insn mask
+    (match op with
+    | Access (kind, space, width, _) ->
+        Format.asprintf "access opcode=%d %a width=%d" (Wire.opcode_of_kind kind)
+          Ptx.Ast.pp_space space width
+    | Branch_if (t, e) -> Printf.sprintf "if then=%#x else=%#x" t e
+    | Branch_else -> "else"
+    | Branch_fi -> "fi"
+    | Barrier b -> Printf.sprintf "bar block=%d" b
+    | Barrier_divergence e -> Printf.sprintf "bardiv expected=%#x" e)
 
-let prop_view_matches_decode =
-  QCheck2.Test.make
-    ~name:"Record.View accessors agree with Record.of_bytes" ~count:500
-    ~print:print_record gen_record (fun r ->
-      let img = Record.to_bytes r in
-      let pos = Record.wire_size in
-      let buf = Bytes.make (3 * Record.wire_size) '\xAB' in
-      Bytes.blit img 0 buf pos Record.wire_size;
-      let d = Record.of_bytes ~warp_size:ws img in
-      let module V = Record.View in
-      V.warp buf ~pos = d.Record.warp
-      && V.insn buf ~pos = d.Record.insn
-      && V.mask buf ~pos = d.Record.mask
+let prop_view_reads_back_writes =
+  QCheck2.Test.make ~name:"Wire.View reads back every written field"
+    ~count:500 ~print:print_record gen_record (fun (warp, insn, mask, op) ->
+      let pos = Wire.size in
+      let buf = Bytes.make (3 * Wire.size) '\xAB' in
+      let module V = Wire.View in
+      (match op with
+      | Access (kind, space, width, addrs) ->
+          Wire.write_access buf ~pos ~kind ~space ~width ~mask ~warp ~insn
+            ~addrs
+      | Branch_if (then_mask, else_mask) ->
+          Wire.write_branch_if buf ~pos ~mask ~warp ~insn ~then_mask
+            ~else_mask
+      | Branch_else -> Wire.write_branch_else buf ~pos ~warp ~insn ~mask
+      | Branch_fi -> Wire.write_branch_fi buf ~pos ~warp ~insn ~mask
+      | Barrier block -> Wire.write_barrier buf ~pos ~warp ~insn ~mask ~block
+      | Barrier_divergence expected ->
+          Wire.write_barrier_divergence buf ~pos ~warp ~insn ~mask ~expected);
+      V.warp buf ~pos = warp
+      && V.insn buf ~pos = insn
+      && V.mask buf ~pos = mask
       &&
-      match d.Record.op with
-      | Record.Access { kind; space; width } ->
-          V.opcode buf ~pos = Barracuda.Wire.opcode_of_kind kind
-          && Barracuda.Wire.space_of_code (V.aux buf ~pos) = space
+      match op with
+      | Access (kind, space, width, addrs) ->
+          V.opcode buf ~pos = Wire.opcode_of_kind kind
+          && Wire.space_of_code (V.aux buf ~pos) = space
           && V.width buf ~pos = width
-          && Array.for_all
-               (fun lane -> V.addr buf ~pos ~lane = d.Record.addrs.(lane))
-               (Array.init (min ws Barracuda.Wire.max_lanes) Fun.id)
-      | Record.Branch_if { then_mask; else_mask } ->
-          V.opcode buf ~pos = Barracuda.Wire.op_branch_if
+          && Array.for_all Fun.id
+               (Array.mapi (fun lane a -> V.addr buf ~pos ~lane = a) addrs)
+      | Branch_if (then_mask, else_mask) ->
+          V.opcode buf ~pos = Wire.op_branch_if
           && V.then_mask buf ~pos = then_mask
           && V.else_mask buf ~pos = else_mask
-      | Record.Branch_else -> V.opcode buf ~pos = Barracuda.Wire.op_branch_else
-      | Record.Branch_fi -> V.opcode buf ~pos = Barracuda.Wire.op_branch_fi
-      | Record.Barrier { block } ->
-          V.opcode buf ~pos = Barracuda.Wire.op_barrier
-          && V.aux buf ~pos = block
-      | Record.Barrier_divergence { expected } ->
-          V.opcode buf ~pos = Barracuda.Wire.op_barrier_divergence
+      | Branch_else -> V.opcode buf ~pos = Wire.op_branch_else
+      | Branch_fi -> V.opcode buf ~pos = Wire.op_branch_fi
+      | Barrier block ->
+          V.opcode buf ~pos = Wire.op_barrier && V.aux buf ~pos = block
+      | Barrier_divergence expected ->
+          V.opcode buf ~pos = Wire.op_barrier_divergence
           && V.aux buf ~pos = expected)
 
 (* ---- Queue ----------------------------------------------------------- *)
@@ -179,14 +135,14 @@ let prop_view_matches_decode =
 (* Fill a ring slot with a minimal load record whose warp field carries
    the sequence number [i] (queue tests read it back via the view). *)
 let fill_payload i buf off =
-  Bytes.fill buf off Record.wire_size '\000';
+  Bytes.fill buf off Wire.size '\000';
   Bytes.set_uint8 buf off Barracuda.Wire.magic;
   Bytes.set_uint8 buf (off + 1) Barracuda.Wire.version;
   Bytes.set_uint8 buf (off + 2) Barracuda.Wire.op_load;
   Bytes.set_uint16_le buf (off + 12) (i land 0xFFFF);
   Bytes.set_uint16_le buf (off + 14) ((i lsr 16) land 0xFFFF)
 
-let seq_of buf off = Record.View.warp buf ~pos:off
+let seq_of buf off = Wire.View.warp buf ~pos:off
 
 let test_queue_fifo () =
   let q = Queue.create ~capacity:8 in
@@ -306,36 +262,8 @@ let test_steady_state_allocation () =
 
 (* ---- Session.run_stream ------------------------------------------- *)
 
-let race_fingerprint report =
-  Report.errors report
-  |> List.filter_map (function
-       | Report.Race r ->
-           Some (r.Report.loc, r.Report.prev_tid, r.Report.cur_tid)
-       | Report.Barrier_divergence _ -> None)
-  |> List.sort_uniq Stdlib.compare
-
 let detector_config =
   { Barracuda.Detector.default_config with max_reports = 100000 }
-
-(* The wire transport must be transparent: a detector fed the exact
-   event stream the session core serializes (through its raw-event
-   tap) must agree with the detector fed through sealed records. *)
-let prop_pipeline_matches_teed_detector =
-  QCheck2.Test.make
-    ~name:"single-queue pipeline equals a detector fed the same events"
-    ~count:150 ~print:Gen.print_program Gen.gen_program (fun prog ->
-      let k = Gen.kernel_of_program prog in
-      let m = Simt.Machine.create ~layout:Gen.layout () in
-      let args = Gen.setup m in
-      let direct =
-        Barracuda.Detector.create ~config:detector_config ~layout:Gen.layout k
-      in
-      let r =
-        Session.run_stream ~detector:detector_config
-          ~tap:(Barracuda.Detector.feed direct) ~machine:m k args
-      in
-      race_fingerprint (Barracuda.Detector.report direct)
-      = race_fingerprint r.Session.sr_report)
 
 (* Weaker cross-run property that survives schedule perturbation: a
    race-free program stays race-free with the deployed instrumentation
@@ -347,8 +275,8 @@ let prop_pipeline_no_false_positives =
       let k = Gen.kernel_of_program prog in
       let m1 = Simt.Machine.create ~layout:Gen.layout () in
       let args1 = Gen.setup m1 in
-      let det, _ = Barracuda.Detector.run ~machine:m1 k args1 in
-      if Report.has_race (Barracuda.Detector.report det) then
+      let r1 = Session.run_stream ~machine:m1 k args1 in
+      if Report.has_race r1.Session.sr_report then
         QCheck2.assume_fail ()
       else begin
         let m2 = Simt.Machine.create ~layout:Gen.layout () in
@@ -387,9 +315,7 @@ let test_pipeline_instrumented_execution_correct () =
 let suite =
   [
     Alcotest.test_case "record wire size" `Quick test_record_wire_size;
-    Alcotest.test_case "record bytes roundtrip" `Quick test_record_roundtrip;
     Alcotest.test_case "record fence elided" `Quick test_record_fence_elided;
-    Alcotest.test_case "record event roundtrip" `Quick test_record_event_roundtrip;
     Alcotest.test_case "queue fifo" `Quick test_queue_fifo;
     Alcotest.test_case "queue full/wrap" `Quick test_queue_full;
     Alcotest.test_case "queue in-place protocol" `Quick
@@ -401,8 +327,4 @@ let suite =
       test_pipeline_instrumented_execution_correct;
   ]
   @ List.map Gen.to_alcotest
-      [
-        prop_view_matches_decode;
-        prop_pipeline_matches_teed_detector;
-        prop_pipeline_no_false_positives;
-      ]
+      [ prop_view_reads_back_writes; prop_pipeline_no_false_positives ]

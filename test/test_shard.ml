@@ -35,6 +35,16 @@ let race_set report =
        | Report.Barrier_divergence _ -> None)
   |> List.sort_uniq Stdlib.compare
 
+(* Barrier divergences carry no thread pair and do not depend on the
+   interleaving: every build must name the same warps and the same
+   original instruction. *)
+let divergences report =
+  Report.errors report
+  |> List.filter_map (function
+       | Report.Barrier_divergence { warp; insn } -> Some (warp, insn)
+       | Report.Race _ -> None)
+  |> List.sort_uniq Stdlib.compare
+
 (* The logging code an instrumented build adds shifts how warps
    interleave, so a race can be observed in the other order; compare
    builds on the unordered pair of racing accesses. *)
@@ -97,12 +107,32 @@ let builds (c : Bugsuite.Case.t) =
     ("deployed", Some (Instrument.Pass.instrument kernel));
   ]
 
+(* examples/barrier_divergence.ptx, as [barracuda check] runs it:
+   warp 0 of each block reaches its [bar.sync] with lanes missing *)
+let barrier_divergence_example =
+  let kernel = Ptx.Parser.kernel_of_string Example_ptx.barrier_divergence in
+  {
+    Bugsuite.Case.id = 0;
+    name = "examples/barrier_divergence.ptx";
+    descr = "a shared store and bar.sync under tid < 16";
+    layout = Service.Exec.default_layout;
+    kernel;
+    setup = (fun m -> Service.Exec.resolve_args m kernel []);
+    verdict = Bugsuite.Case.Race_free;
+    expect_bardiv = true;
+  }
+
 let test_bugsuite_parity () =
   List.iter
     (fun (c : Bugsuite.Case.t) ->
       let expected = reference_racy c in
       let name = c.Bugsuite.Case.name in
-      let baseline = racing_pairs (race_set (serial_report c)) in
+      let uninstrumented = serial_report c in
+      let baseline = racing_pairs (race_set uninstrumented) in
+      let baseline_divergences = divergences uninstrumented in
+      if baseline_divergences <> [] <> c.Bugsuite.Case.expect_bardiv then
+        Alcotest.failf "%s: barrier divergence %s" name
+          (if c.Bugsuite.Case.expect_bardiv then "missed" else "invented");
       List.iter
         (fun (build, inst) ->
           let serial = serial_report ?inst c in
@@ -114,6 +144,10 @@ let test_bugsuite_parity () =
           if racing_pairs serial_races <> baseline then
             Alcotest.failf "%s (%s): racing pairs differ from uninstrumented"
               name build;
+          if divergences serial <> baseline_divergences then
+            Alcotest.failf
+              "%s (%s): barrier divergences differ from uninstrumented" name
+              build;
           List.iter
             (fun shards ->
               let merged = sharded_report ?inst ~shards c in
@@ -124,10 +158,14 @@ let test_bugsuite_parity () =
               if race_set merged <> serial_races then
                 Alcotest.failf
                   "%s (%s) @ %d shards: race set differs from serial" name
-                  build shards)
+                  build shards;
+              if divergences merged <> baseline_divergences then
+                Alcotest.failf
+                  "%s (%s) @ %d shards: barrier divergences differ" name build
+                  shards)
             shard_counts)
         (builds c))
-    Bugsuite.Cases.all
+    (barrier_divergence_example :: Bugsuite.Cases.all)
 
 (* ---- the router is a true partition ------------------------------ *)
 

@@ -333,11 +333,12 @@ let test_detector_survives_retired_paths () =
   B.st b (B.reg a) (Ast.Sreg Ast.Tid);
   let k = B.finish b in
   let out = Simt.Machine.alloc_global m 256 in
-  let det, r = Barracuda.Detector.run ~machine:m k [| Int64.of_int out |] in
+  let r = Gpu_runtime.Session.run_stream ~machine:m k [| Int64.of_int out |] in
   Alcotest.(check bool) "completed" true
-    (r.Simt.Machine.status = Simt.Machine.Completed);
+    (r.Gpu_runtime.Session.sr_machine_result.Simt.Machine.status
+    = Simt.Machine.Completed);
   Alcotest.(check bool) "no race" false
-    (Barracuda.Report.has_race (Barracuda.Detector.report det))
+    (Barracuda.Report.has_race r.Gpu_runtime.Session.sr_report)
 
 let prop_generated_kernels_complete =
   QCheck2.Test.make ~name:"generated kernels run to completion" ~count:200

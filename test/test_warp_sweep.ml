@@ -4,6 +4,7 @@
 
 module Ast = Ptx.Ast
 module B = Ptx.Builder
+module Sweep = Gpu_runtime.Warp_sweep
 
 let tpb = 64
 let layout = Vclock.Layout.make ~warp_size:32 ~threads_per_block:tpb ~blocks:1
@@ -57,20 +58,20 @@ let setup m = [| Int64.of_int (Simt.Machine.alloc_global m 256) |]
 
 let find_verdict r ws =
   List.find
-    (fun (v : Barracuda.Warp_sweep.verdict) -> v.Barracuda.Warp_sweep.warp_size = ws)
-    r.Barracuda.Warp_sweep.verdicts
+    (fun (v : Sweep.verdict) -> v.Sweep.warp_size = ws)
+    r.Sweep.verdicts
 
 let test_latent_assumption_found () =
-  let r = Barracuda.Warp_sweep.sweep ~layout ~setup warpsync_kernel in
-  Alcotest.(check bool) "latent flag" true r.Barracuda.Warp_sweep.latent;
+  let r = Sweep.sweep ~layout ~setup warpsync_kernel in
+  Alcotest.(check bool) "latent flag" true r.Sweep.latent;
   Alcotest.(check int) "clean at warp 32" 0
-    (find_verdict r 32).Barracuda.Warp_sweep.races;
+    (find_verdict r 32).Sweep.races;
   Alcotest.(check int) "clean at warp 16" 0
-    (find_verdict r 16).Barracuda.Warp_sweep.races;
+    (find_verdict r 16).Sweep.races;
   Alcotest.(check bool) "racy at warp 8" true
-    ((find_verdict r 8).Barracuda.Warp_sweep.races > 0);
+    ((find_verdict r 8).Sweep.races > 0);
   Alcotest.(check bool) "racy at warp 4" true
-    ((find_verdict r 4).Barracuda.Warp_sweep.races > 0)
+    ((find_verdict r 4).Sweep.races > 0)
 
 let test_portable_kernel_clean_everywhere () =
   (* the reduction above uses one level at stride 16; with the accesses
@@ -84,41 +85,50 @@ let test_portable_kernel_clean_everywhere () =
   B.mad b a (B.reg g) (B.imm 4) (B.sym "out");
   B.st b (B.reg a) (Ast.Sreg Ast.Tid);
   let k = B.finish b in
-  let r = Barracuda.Warp_sweep.sweep ~layout ~setup k in
-  Alcotest.(check bool) "no latent flag" false r.Barracuda.Warp_sweep.latent;
+  let r = Sweep.sweep ~layout ~setup k in
+  Alcotest.(check bool) "no latent flag" false r.Sweep.latent;
   List.iter
-    (fun (v : Barracuda.Warp_sweep.verdict) ->
+    (fun (v : Sweep.verdict) ->
       Alcotest.(check int)
-        (Printf.sprintf "clean at warp %d" v.Barracuda.Warp_sweep.warp_size)
-        0 v.Barracuda.Warp_sweep.races)
-    r.Barracuda.Warp_sweep.verdicts
+        (Printf.sprintf "clean at warp %d" v.Sweep.warp_size)
+        0 v.Sweep.races)
+    r.Sweep.verdicts
 
 let test_racy_everywhere_not_latent () =
   let b = B.create ~params:[ "out" ] "allracy" in
   B.st b (B.sym "out") (Ast.Sreg Ast.Tid);
   let k = B.finish b in
-  let r = Barracuda.Warp_sweep.sweep ~layout ~setup k in
+  let r = Sweep.sweep ~layout ~setup k in
   Alcotest.(check bool) "racy at every width, so not latent" false
-    r.Barracuda.Warp_sweep.latent;
+    r.Sweep.latent;
   List.iter
-    (fun (v : Barracuda.Warp_sweep.verdict) ->
+    (fun (v : Sweep.verdict) ->
       Alcotest.(check bool)
-        (Printf.sprintf "racy at warp %d" v.Barracuda.Warp_sweep.warp_size)
+        (Printf.sprintf "racy at warp %d" v.Sweep.warp_size)
         true
-        (v.Barracuda.Warp_sweep.races > 0))
-    r.Barracuda.Warp_sweep.verdicts
+        (v.Sweep.races > 0))
+    r.Sweep.verdicts
 
 let test_sweep_includes_native_width () =
   let lay5 = Vclock.Layout.make ~warp_size:5 ~threads_per_block:10 ~blocks:1 in
   let b = B.create ~params:[ "out" ] "tiny" in
   B.ret b;
   let k = B.finish b in
-  let r = Barracuda.Warp_sweep.sweep ~layout:lay5 ~setup k in
-  Alcotest.(check bool) "native width swept" true
-    (List.exists
-       (fun (v : Barracuda.Warp_sweep.verdict) ->
-         v.Barracuda.Warp_sweep.warp_size = 5)
-       r.Barracuda.Warp_sweep.verdicts)
+  let swept layout =
+    List.map
+      (fun (v : Sweep.verdict) -> v.Sweep.warp_size)
+      (Sweep.sweep ~layout ~setup k).Sweep.verdicts
+  in
+  Alcotest.(check bool) "native width swept" true (List.mem 5 (swept lay5));
+  (* a record carries 32 lanes: a wider warp is neither swept nor
+     accepted by the detector *)
+  let lay33 = Vclock.Layout.make ~warp_size:33 ~threads_per_block:66 ~blocks:1 in
+  Alcotest.(check (list int)) "widths capped at the record" [ 4; 8; 16; 32 ]
+    (swept lay33);
+  let m = Simt.Machine.create ~layout:lay33 () in
+  match Gpu_runtime.Session.run_stream ~machine:m k (setup m) with
+  | _ -> Alcotest.fail "a 33-lane layout was checked"
+  | exception Invalid_argument _ -> ()
 
 let suite =
   [

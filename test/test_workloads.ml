@@ -1,16 +1,16 @@
 (* Workload suite: each Table 1 benchmark must run to completion and
-   report exactly its seeded race profile, natively, under the direct
-   detector, and through the full pipeline. *)
+   report exactly its seeded race profile, uninstrumented as [check]
+   runs it, and keep its verdict with the deployed instrumentation. *)
 
 module W = Workloads.Workload
 
 let check_workload (w : W.t) () =
-  let det, result = W.run_detector w in
-  (match result.Simt.Machine.status with
+  let r = W.run w in
+  (match r.Gpu_runtime.Session.sr_machine_result.Simt.Machine.status with
   | Simt.Machine.Completed -> ()
   | Simt.Machine.Max_steps _ | Simt.Machine.Deadline _ ->
       Alcotest.fail "did not complete");
-  let report = Barracuda.Detector.report det in
+  let report = r.Gpu_runtime.Session.sr_report in
   let shared, global = W.racy_word_counts report in
   Alcotest.(check bool)
     (Format.asprintf "%s: expected %a, found %d shared / %d global"
@@ -19,7 +19,7 @@ let check_workload (w : W.t) () =
     (W.races_match w report)
 
 let check_pipeline (w : W.t) () =
-  let r = W.run_pipeline w in
+  let r = W.run ~inst:(Instrument.Pass.instrument w.W.kernel) w in
   Alcotest.(check bool) "pipeline run completes" true
     (r.Gpu_runtime.Session.sr_machine_result.Simt.Machine.status
     = Simt.Machine.Completed);
