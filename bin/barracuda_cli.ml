@@ -356,19 +356,10 @@ let replay_cmd =
     guard @@ fun () ->
     let loaded = load_trace file in
     let report = Gpu_runtime.Replay.run loaded in
-    let errors = Barracuda.Report.errors report in
     Format.printf "%d operations replayed on %a@."
       (List.length loaded.Gpu_runtime.Replay.ops)
       Vclock.Layout.pp loaded.Gpu_runtime.Replay.layout;
-    if errors = [] then begin
-      Format.printf "no races detected.@.";
-      0
-    end
-    else begin
-      Format.printf "%d distinct races:@." (Barracuda.Report.race_count report);
-      List.iter (fun e -> Format.printf "  %a@." Barracuda.Report.pp_error e) errors;
-      1
-    end
+    print_verdict report
   in
   Cmd.v
     (Cmd.info "replay"

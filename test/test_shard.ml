@@ -215,38 +215,83 @@ let prop_router_range_locality =
           Shard.Router.owner router ~space ~region ~index:(base + d) = o)
         (List.filter (fun d -> d < range) [ 0; 1; range - 1 ]))
 
-(* ---- exactly-once, in-order broadcast delivery ------------------- *)
+(* ---- exactly-once broadcast, partitioned checks ------------------ *)
 
+(* Every shard consumes the whole stream, but checks only the shadow
+   cells its router assigns it: per-shard [accesses_checked] and
+   [shadow_cells] sum to the serial detector's.  dxtc (uninstrumented,
+   as [check --shards] runs it) pins the serial counts and a ceiling
+   on the busiest of 8 shards. *)
 let test_broadcast_delivery () =
-  let w = Workloads.Registry.find "backprop" in
-  let m = Workloads.Workload.machine w in
-  let args = w.Workloads.Workload.setup m in
-  let kernel = w.Workloads.Workload.kernel in
-  let engine =
-    Shard.Engine.create ~config:detector_config
-      ~layout:w.Workloads.Workload.layout ~shards:4 kernel
-  in
-  let r =
-    Session.run_stream ~detector:detector_config
-      ~sink:(Shard.Stream.sink_of_engine engine) ~machine:m kernel args
-  in
-  let stream = Shard.Engine.records engine in
-  Alcotest.(check int) "the session counts the broadcast stream once" stream
-    r.Session.sr_records;
-  Array.iteri
-    (fun i det ->
-      let s = Barracuda.Detector.stats det in
-      Alcotest.(check int)
-        (Printf.sprintf "shard %d consumed the full stream" i)
-        stream s.Barracuda.Detector.records_processed)
-    (Shard.Engine.detectors engine);
-  let integ = Report.integrity r.Session.sr_report in
-  Alcotest.(check bool)
-    "no integrity anomalies on any shard" true
-    (integ.Report.corrupt = 0 && integ.Report.gaps = 0
-    && integ.Report.stale = 0 && integ.Report.desync = 0);
-  Alcotest.(check bool) "verdict not degraded" false
-    (Report.degraded r.Session.sr_report)
+  List.iter
+    (fun (name, pinned) ->
+      let w = Workloads.Registry.find name in
+      let kernel = w.Workloads.Workload.kernel in
+      let layout = w.Workloads.Workload.layout in
+      let run sink =
+        let m = Workloads.Workload.machine w in
+        let args = w.Workloads.Workload.setup m in
+        Session.run_stream ~detector:detector_config ~sink ~machine:m kernel
+          args
+      in
+      let det =
+        Barracuda.Detector.create ~config:detector_config ~layout kernel
+      in
+      ignore (run (Session.serial_sink det));
+      let serial = Barracuda.Detector.stats det in
+      Option.iter
+        (fun (checked, cells, _) ->
+          Alcotest.(check (pair int int))
+            (name ^ ": serial accesses checked and shadow cells")
+            (checked, cells)
+            ( serial.Barracuda.Detector.accesses_checked,
+              serial.Barracuda.Detector.shadow_cells ))
+        pinned;
+      List.iter
+        (fun shards ->
+          let label what = Printf.sprintf "%s @ %d shards: %s" name shards what in
+          let engine =
+            Shard.Engine.create ~config:detector_config ~layout ~shards kernel
+          in
+          let r = run (Shard.Stream.sink_of_engine engine) in
+          let stream = Shard.Engine.records engine in
+          Alcotest.(check int)
+            (label "the session counts the broadcast stream once")
+            stream r.Session.sr_records;
+          let stats =
+            Array.map Barracuda.Detector.stats (Shard.Engine.detectors engine)
+          in
+          Array.iteri
+            (fun i s ->
+              Alcotest.(check int)
+                (label (Printf.sprintf "shard %d consumed the full stream" i))
+                stream s.Barracuda.Detector.records_processed)
+            stats;
+          let checked =
+            Array.map (fun s -> s.Barracuda.Detector.accesses_checked) stats
+          in
+          let cells = Array.map (fun s -> s.Barracuda.Detector.shadow_cells) stats in
+          let sum = Array.fold_left ( + ) 0 in
+          Alcotest.(check int) (label "checks partition the serial checks")
+            serial.Barracuda.Detector.accesses_checked (sum checked);
+          Alcotest.(check int) (label "cells partition the serial cells")
+            serial.Barracuda.Detector.shadow_cells (sum cells);
+          (match pinned with
+          | Some (_, _, busiest) when shards = 8 ->
+              let most = Array.fold_left max 0 checked in
+              Alcotest.(check bool)
+                (label (Printf.sprintf "busiest shard checks %d <= %d" most busiest))
+                true (most <= busiest)
+          | _ -> ());
+          let integ = Report.integrity r.Session.sr_report in
+          Alcotest.(check bool)
+            (label "no integrity anomalies on any shard") true
+            (integ.Report.corrupt = 0 && integ.Report.gaps = 0
+            && integ.Report.stale = 0 && integ.Report.desync = 0);
+          Alcotest.(check bool) (label "verdict not degraded") false
+            (Report.degraded r.Session.sr_report))
+        [ 1; 2; 4; 8 ])
+    [ ("backprop", None); ("dxtc", Some (5112, 2056, 1280)) ]
 
 (* ---- merged reports are deterministic ---------------------------- *)
 

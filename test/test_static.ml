@@ -360,7 +360,36 @@ let test_pass_static_tier () =
      logging call disappears, so the instrumented body shrinks. *)
   Alcotest.(check bool) "pruning removes logging instructions" true
     (Array.length static_on.Instrument.Pass.kernel.Ptx.Ast.body
-    < Array.length both_off.Instrument.Pass.kernel.Ptx.Ast.body)
+    < Array.length both_off.Instrument.Pass.kernel.Ptx.Ast.body);
+  (* The 26 Table 1 workloads as deployed: Figure 9's per-tier split,
+     and the records [run_stream] ships with the static tier off vs on. *)
+  let module W = Workloads.Workload in
+  let split =
+    List.fold_left
+      (fun (static, block) (w : W.t) ->
+        let st = (Instrument.Pass.instrument w.W.kernel).Instrument.Pass.stats in
+        ( static + st.Instrument.Stats.pruned_static,
+          block + st.Instrument.Stats.pruned_block ))
+      (0, 0) Workloads.Registry.all
+  in
+  Alcotest.(check (pair int int))
+    "Figure 9 split over 26 workloads (static tier, block tier)" (163, 0) split;
+  List.iter
+    (fun (name, off, on) ->
+      let w = Workloads.Registry.find name in
+      let records static =
+        let m = W.machine w in
+        let args = w.W.setup m in
+        (Session.run_stream
+           ~inst:(Instrument.Pass.instrument ~static w.W.kernel)
+           ~machine:m w.W.kernel args)
+          .Session.sr_records
+      in
+      let records_off = records false in
+      Alcotest.(check (pair int int))
+        (name ^ " records shipped, static tier off -> on")
+        (off, on) (records_off, records true))
+    [ ("lavamd", 46, 2); ("nn", 8, 0); ("backprop", 204, 152) ]
 
 let suite =
   [
