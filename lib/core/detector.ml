@@ -60,7 +60,6 @@ let m_int_desync =
 type config = {
   max_reports : int;
   filter_same_value : bool;
-  shadow_granularity : int;
   check_integrity : bool;
 }
 
@@ -68,7 +67,6 @@ let default_config =
   {
     max_reports = 1000;
     filter_same_value = true;
-    shadow_granularity = 1;
     check_integrity = true;
   }
 
@@ -81,6 +79,7 @@ type stats = {
   ptvc_sparse : int;
   shadow_pages : int;
   shadow_cells : int;
+  shadow_byte_cells : int;
   shadow_bytes : int;
   sync_locations : int;
   ptvc_bytes : int;
@@ -127,7 +126,7 @@ let create ?(config = default_config) ?owns ~layout kernel =
     warps =
       Array.init (Layout.total_warps layout) (fun warp ->
           Warp_clocks.create layout ~warp);
-    shadow = Shadow.create ~granularity:config.shadow_granularity ();
+    shadow = Shadow.create ();
     sync = Sync_loc.create layout;
     report = Report.create ~max_reports:config.max_reports ~layout ();
     record_id = 0;
@@ -146,69 +145,91 @@ let epoch_ordered ~wc ~lane ~clock ~tid =
   Telemetry.Metric.counter_incr m_epoch_fast;
   clock <= Warp_clocks.entry wc ~lane ~tid
 
-(* Race-report sites rebuild the cell's location from scalars; this is
-   the only place the hot path touches [Loc.t]. *)
-let cell_loc t ~space ~region ~index =
-  Loc.make ~space ~region ~addr:(index * Shadow.granularity t.shadow)
+(* Does the last write race with the current access?  Not if it is
+   ordered before it, or if the same warp instruction wrote the same
+   value non-atomically (the same-value filter, §3.3.1). *)
+let write_races t ~rid ~wc ~lane ~cur_kind ~value (cell : Shadow.cell) =
+  (not
+     (epoch_ordered ~wc ~lane ~clock:cell.Shadow.write_clock
+        ~tid:cell.Shadow.write_tid))
+  && not
+       (t.config.filter_same_value
+       && cell.Shadow.write_record = rid
+       && cur_kind = Report.Write
+       && (not cell.Shadow.write_atomic)
+       && Int64.equal cell.Shadow.write_value value)
 
-let check_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~cur_kind
-    ~value (cell : Shadow.cell) =
-  if
-    not
-      (epoch_ordered ~wc ~lane ~clock:cell.Shadow.write_clock
-         ~tid:cell.Shadow.write_tid)
-  then begin
-    let same_instruction = cell.Shadow.write_record = rid in
-    let filtered =
-      t.config.filter_same_value && same_instruction
-      && cur_kind = Report.Write
-      && (not cell.Shadow.write_atomic)
-      && Int64.equal cell.Shadow.write_value value
-    in
-    if not filtered then begin
-      Telemetry.Metric.counter_incr m_races;
-      Report.add_race t.report ~prev_insn:cell.Shadow.write_insn ~cur_insn:insn
-        ~loc:(cell_loc t ~space ~region ~index)
-        ~prev_tid:cell.Shadow.write_tid
-        ~prev_kind:
-          (if cell.Shadow.write_atomic then Report.Atomic_rmw else Report.Write)
-        ~cur_tid:tid ~cur_kind ~same_instruction
-    end
-  end
+exception Unordered_read
 
-let check_reads t ~wc ~lane ~tid ~insn ~space ~region ~index ~cur_kind
-    (cell : Shadow.cell) =
+(* Does a recorded read race with the current access?  An inflated
+   read clock costs one full scan, stopped at the first racing
+   reader. *)
+let reads_race ~wc ~lane (cell : Shadow.cell) =
   if cell.Shadow.read_shared then begin
     Telemetry.Metric.counter_incr m_vc_full;
     match cell.Shadow.read_vc with
-    | None -> ()
-    | Some m ->
-        Mut.iter_points
-          (fun u cu ->
-            if cu > Warp_clocks.entry wc ~lane ~tid:u then begin
-              Telemetry.Metric.counter_incr m_races;
-              (* [read_insn] is the latest reader's instruction, not
-                 necessarily thread [u]'s — a deliberate approximation
-                 (see {!Shadow.cell}). *)
-              Report.add_race t.report ~prev_insn:cell.Shadow.read_insn
-                ~cur_insn:insn
-                ~loc:(cell_loc t ~space ~region ~index)
-                ~prev_tid:u ~prev_kind:Report.Read ~cur_tid:tid ~cur_kind
-                ~same_instruction:false
-            end)
-          m
+    | None -> false
+    | Some m -> (
+        try
+          Mut.iter_points
+            (fun u cu ->
+              if cu > Warp_clocks.entry wc ~lane ~tid:u then
+                raise_notrace Unordered_read)
+            m;
+          false
+        with Unordered_read -> true)
   end
-  else if
+  else
     not
       (epoch_ordered ~wc ~lane ~clock:cell.Shadow.read_clock
          ~tid:cell.Shadow.read_tid)
-  then begin
-    Telemetry.Metric.counter_incr m_races;
-    Report.add_race t.report ~prev_insn:cell.Shadow.read_insn ~cur_insn:insn
-      ~loc:(cell_loc t ~space ~region ~index)
-      ~prev_tid:cell.Shadow.read_tid ~prev_kind:Report.Read ~cur_tid:tid
-      ~cur_kind ~same_instruction:false
-  end
+
+(* Report the races found on [cell] at each of the [n] bytes from
+   [index] it stands for, in the byte shadow's order: per byte,
+   ascending, the write race and then the read races. *)
+let report_races t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n
+    ~cur_kind ~wrace ~rrace (cell : Shadow.cell) =
+  for addr = index to index + n - 1 do
+    let loc = Loc.make ~space ~region ~addr in
+    let race ~prev_insn ~prev_tid ~prev_kind ~same_instruction =
+      Telemetry.Metric.counter_incr m_races;
+      Report.add_race t.report ~prev_insn ~cur_insn:insn ~loc ~prev_tid
+        ~prev_kind ~cur_tid:tid ~cur_kind ~same_instruction
+    in
+    if wrace then
+      race ~prev_insn:cell.Shadow.write_insn ~prev_tid:cell.Shadow.write_tid
+        ~prev_kind:
+          (if cell.Shadow.write_atomic then Report.Atomic_rmw else Report.Write)
+        ~same_instruction:(cell.Shadow.write_record = rid);
+    if rrace then
+      if cell.Shadow.read_shared then
+        Option.iter
+          (Mut.iter_points (fun u cu ->
+               if cu > Warp_clocks.entry wc ~lane ~tid:u then
+                 (* [read_insn] is the latest reader's instruction, not
+                    necessarily thread [u]'s — a deliberate
+                    approximation (see {!Shadow.cell}). *)
+                 race ~prev_insn:cell.Shadow.read_insn ~prev_tid:u
+                   ~prev_kind:Report.Read ~same_instruction:false))
+          cell.Shadow.read_vc
+      else
+        race ~prev_insn:cell.Shadow.read_insn ~prev_tid:cell.Shadow.read_tid
+          ~prev_kind:Report.Read ~same_instruction:false
+  done
+
+(* One check of an access against [cell], which stands for the [n]
+   bytes from [index] (4 for a word summary, 1 for a byte cell):
+   against the last write if [write], against the recorded reads if
+   [reads]. *)
+let check t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n ~cur_kind
+    ~value ~write ~reads cell =
+  t.accesses <- t.accesses + 1;
+  Telemetry.Metric.counter_incr m_checks;
+  let wrace = write && write_races t ~rid ~wc ~lane ~cur_kind ~value cell in
+  let rrace = reads && reads_race ~wc ~lane cell in
+  if wrace || rrace then
+    report_races t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n
+      ~cur_kind ~wrace ~rrace cell
 
 (* The inflated read table is kept (cleared) for reuse, so a location
    that oscillates between shared reads and clearing writes settles
@@ -220,11 +241,9 @@ let clear_reads (cell : Shadow.cell) =
   cell.Shadow.read_shared <- false;
   match cell.Shadow.read_vc with Some m -> Mut.clear m | None -> ()
 
-let do_read t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index cell =
-  t.accesses <- t.accesses + 1;
-  Telemetry.Metric.counter_incr m_checks;
-  check_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index
-    ~cur_kind:Report.Read ~value:0L cell;
+let do_read t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n cell =
+  check t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n
+    ~cur_kind:Report.Read ~value:0L ~write:true ~reads:false cell;
   let own = Warp_clocks.own_clock wc ~lane in
   cell.Shadow.read_insn <- insn;
   if cell.Shadow.read_shared then (
@@ -264,27 +283,21 @@ let set_write ~rid ~wc ~lane ~tid ~insn ~atomic ~value (cell : Shadow.cell) =
   cell.Shadow.write_value <- value;
   cell.Shadow.write_record <- rid
 
-let do_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~value cell =
-  t.accesses <- t.accesses + 1;
-  Telemetry.Metric.counter_incr m_checks;
-  check_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index
-    ~cur_kind:Report.Write ~value cell;
-  check_reads t ~wc ~lane ~tid ~insn ~space ~region ~index
-    ~cur_kind:Report.Write cell;
+let do_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n ~value cell
+    =
+  check t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n
+    ~cur_kind:Report.Write ~value ~write:true ~reads:true cell;
   set_write ~rid ~wc ~lane ~tid ~insn ~atomic:false ~value cell
 
-let do_atomic t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~value cell =
-  t.accesses <- t.accesses + 1;
-  Telemetry.Metric.counter_incr m_checks;
-  if not cell.Shadow.write_atomic then
-    check_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index
-      ~cur_kind:Report.Atomic_rmw ~value cell;
-  check_reads t ~wc ~lane ~tid ~insn ~space ~region ~index
-    ~cur_kind:Report.Atomic_rmw cell;
+let do_atomic t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n ~value cell
+    =
+  check t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n
+    ~cur_kind:Report.Atomic_rmw ~value
+    ~write:(not cell.Shadow.write_atomic)
+    ~reads:true cell;
   set_write ~rid ~wc ~lane ~tid ~insn ~atomic:true ~value cell
 
 let do_acquire t ~wc ~lane ~loc scope =
-  (Shadow.find t.shadow loc).Shadow.sync_loc <- true;
   let block = Layout.block_of_warp t.layout (Warp_clocks.warp wc) in
   let gain =
     match scope with
@@ -296,7 +309,6 @@ let do_acquire t ~wc ~lane ~loc scope =
   | Some v -> Warp_clocks.acquire wc ~lane v
 
 let do_release t ~wc ~lane ~loc scope =
-  (Shadow.find t.shadow loc).Shadow.sync_loc <- true;
   let c = Warp_clocks.materialize wc ~lane in
   (match scope with
   | Op.Block ->
@@ -315,30 +327,67 @@ let census_bump t wc =
   in
   t.census.(idx) <- t.census.(idx) + 1
 
-(* Data access over the cells an access covers.  [cls] is 0 = read,
-   1 = write, 2 = atomic. *)
+(* [cls] is 0 = read, 1 = write, 2 = atomic. *)
+let do_cell t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~index ~n ~value
+    cell =
+  if cls = 0 then
+    do_read t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n cell
+  else if cls = 1 then
+    do_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n ~value cell
+  else
+    do_atomic t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n ~value cell
+
+let owned t space region index =
+  match t.owns with None -> true | Some f -> f space region index
+
+let owns_word t space region index =
+  match t.owns with
+  | None -> true
+  | Some f ->
+      f space region index
+      && f space region (index + 1)
+      && f space region (index + 2)
+      && f space region (index + 3)
+
+(* One check per byte cell.  The ownership filter runs before
+   [Shadow.cell], so a sharded detector never materializes pages for
+   cells it does not own — shadow state is genuinely partitioned, not
+   replicated. *)
+let do_bytes t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~first ~last
+    ~value =
+  for index = first to last do
+    if owned t space region index then
+      do_cell t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~index ~n:1
+        ~value
+        (Shadow.cell t.shadow ~space ~region ~index)
+  done
+
+(* Data access over the bytes it covers.  An aligned access of whole
+   words checks each word once, through its summary, wherever the word
+   has one or can get one (this detector owns all four bytes); every
+   other word, and every sub-word or misaligned access, goes byte by
+   byte. *)
 let do_lane_data t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~addr ~width
     ~value =
-  let g = Shadow.granularity t.shadow in
-  let first = addr / g in
-  let last = (addr + width - 1) / g in
-  for index = first to last do
-    (* The ownership filter runs before [Shadow.cell], so a sharded
-       detector never materializes pages for cells it does not own —
-       shadow state is genuinely partitioned, not replicated. *)
-    let owned =
-      match t.owns with None -> true | Some f -> f space region index
-    in
-    if owned then begin
-      let cell = Shadow.cell t.shadow ~space ~region ~index in
-      if cls = 0 then
-        do_read t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index cell
-      else if cls = 1 then
-        do_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~value cell
+  if addr land 3 <> 0 || width land 3 <> 0 then
+    do_bytes t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~first:addr
+      ~last:(addr + width - 1) ~value
+  else
+    for w = 0 to (width asr 2) - 1 do
+      let index = addr + (4 * w) in
+      if owns_word t space region index then begin
+        let s = Shadow.summary t.shadow ~space ~region ~index in
+        if s.Shadow.summary then
+          do_cell t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~index ~n:4
+            ~value s
+        else
+          do_bytes t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region
+            ~first:index ~last:(index + 3) ~value
+      end
       else
-        do_atomic t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~value cell
-    end
-  done
+        do_bytes t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~first:index
+          ~last:(index + 3) ~value
+    done
 
 (* Per-lane dispatch.  The access kind arrives as its wire opcode, so
    no [Simt.Event.access_kind] is materialized (the [Atomic _]
@@ -538,6 +587,7 @@ let stats t =
     ptvc_sparse = t.census.(3);
     shadow_pages = Shadow.pages t.shadow;
     shadow_cells = Shadow.cells t.shadow;
+    shadow_byte_cells = Shadow.byte_cells t.shadow;
     shadow_bytes = Shadow.bytes t.shadow;
     sync_locations = Sync_loc.count t.sync;
     ptvc_bytes;

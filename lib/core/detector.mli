@@ -9,6 +9,9 @@
       ({!Warp_clocks}: CONVERGED / DIVERGED / NESTEDDIVERGED / SPARSEVC);
     - epochs + on-demand read-clock inflation in shadow memory
       ({!Shadow}), allocated page-wise on first touch;
+    - one check per aligned 4-byte word through a word-summary cell,
+      with each race still reported once per byte (§4.3.3's remark,
+      lossless);
     - synchronization locations in their own map ({!Sync_loc});
     - block barriers via a broadcast of the block's maximum clock;
     - same-value intra-warp write filtering (§3.3.1);
@@ -23,7 +26,6 @@
 type config = {
   max_reports : int;
   filter_same_value : bool;
-  shadow_granularity : int;  (** bytes per shadow cell; 1 = the paper *)
   check_integrity : bool;
       (** validate magic/version/checksum and producer sequence numbers
           on the {!feed_record} path (default true); anomalies are
@@ -40,8 +42,10 @@ type stats = {
   ptvc_nested : int;
   ptvc_sparse : int;
   shadow_pages : int;
-  shadow_cells : int;
-  shadow_bytes : int;
+  shadow_cells : int;  (** cells held, a word summary counting once *)
+  shadow_byte_cells : int;
+      (** byte cells those stand for: a cell-per-byte shadow's count *)
+  shadow_bytes : int;  (** at the paper's 32 bytes per cell held *)
   sync_locations : int;
   ptvc_bytes : int;  (** compressed PTVC footprint at the end of the run *)
   full_vc_bytes : int;  (** what uncompressed per-thread VCs would need *)
@@ -73,11 +77,12 @@ val create :
   layout:Vclock.Layout.t ->
   Ptx.Ast.kernel ->
   t
-(** [owns] is the shadow-cell ownership predicate used by sharded
+(** [owns] is the shadow ownership predicate used by sharded
     detection ([Shard.Engine]): called as [owns space region index] for
-    every shadow cell a data access covers, before the cell (or its
-    page) is materialized.  Cells it rejects are neither allocated nor
-    checked; everything else — warp clocks, divergence stack, sync
+    every byte a data access covers, before its cell (or page) is
+    materialized.  Bytes it rejects are neither allocated nor checked,
+    and a word gets a summary cell ({!Shadow.summary}) only if it
+    accepts all four of the word's bytes; everything else — warp clocks, divergence stack, sync
     locations, barriers — still processes the full record stream, so a
     detector restricted by [owns] has bit-identical clock state to an
     unrestricted one and reports exactly the subset of races whose

@@ -1,9 +1,9 @@
 (** Deterministic shadow-state partitioner.
 
     The sharded engine splits detection state by memory location: every
-    shadow cell — a [(space, region, cell-index)] triple at the
-    detector's shadow granularity — is owned by exactly one shard, and
-    only that shard checks (or even materializes) it.  Ownership is a
+    byte of shadow state — a [(space, region, byte index)] triple — is
+    owned by exactly one shard, and only that shard checks (or even
+    materializes) its cell.  Ownership is a
     pure function of the triple and the shard count, so the producer,
     every consumer domain, and the tests all agree on the partition
     without communicating.
@@ -12,21 +12,23 @@
     before hashing, preserving the spatial locality GPU access patterns
     have (coalesced warps touch neighbouring addresses): one warp-wide
     access usually lands on a single shard instead of fanning out to
-    all of them. *)
+    all of them.  With ranges of at least 4 bytes, the four bytes of an
+    aligned word share an owner, which then holds the word's summary
+    cell ({!Barracuda.Shadow.summary}). *)
 
 type t
 
 val make : ?range_log2:int -> shards:int -> unit -> t
-(** [range_log2] defaults to 6 (64-cell ranges — two coalesced 32-lane
-    word accesses).  @raise Invalid_argument if [shards < 1] or
-    [range_log2 < 0]. *)
+(** [range_log2] defaults to 6 (64-byte ranges).
+    @raise Invalid_argument if [shards < 1] or [range_log2 < 0]. *)
 
 val shards : t -> int
 val range_log2 : t -> int
 
 val owner : t -> space:Ptx.Ast.space -> region:int -> index:int -> int
-(** The shard owning a shadow cell, in [0, shards).  Deterministic:
-    depends only on the arguments and the router parameters. *)
+(** The shard owning a byte of shadow state, in [0, shards).
+    Deterministic: depends only on the arguments and the router
+    parameters. *)
 
 val owns : t -> shard:int -> Ptx.Ast.space -> int -> int -> bool
 (** [owns t ~shard] as a predicate suitable for

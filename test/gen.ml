@@ -2,9 +2,13 @@
 
    Programs are trees of statements over one global array ("g") and one
    shared array; barriers only appear at the top level so they are
-   always convergent.  The small grid (warp size 4, 2 warps per block,
-   2 blocks) keeps the reference detector cheap while still exercising
-   intra-warp, inter-warp and inter-block interactions. *)
+   always convergent.  Most accesses are whole 4-byte words; the
+   [Bytes_*] leaves are 1-, 2- and 8-byte accesses at any byte offset
+   inside the data words, so sub-word and misaligned accesses meet the
+   word accesses in the same words.  The small grid (warp size 4, 2
+   warps per block, 2 blocks) keeps the reference detector cheap while
+   still exercising intra-warp, inter-warp and inter-block
+   interactions. *)
 
 module Ast = Ptx.Ast
 module B = Ptx.Builder
@@ -27,6 +31,9 @@ type stmt =
   | Shared_store of int * value
   | Shared_load of int
   | Atomic_add of int
+  | Bytes_store of Ast.space * int * int * value
+      (* space, width, byte offset: a store at any offset in the data *)
+  | Bytes_load of Ast.space * int * int
   | Store_own_slot  (* g[gtid] = tid: never races *)
   | Fence of Ast.fence_scope
   | Barrier
@@ -42,30 +49,28 @@ type stmt =
 
 type program = stmt list
 
+let operand = function Const c -> B.imm c | Lane_dependent -> Ast.Sreg Ast.Tid
+
+let data_array = function Ast.Shared -> B.sym "smem" | _ -> B.sym "g"
+
 let rec emit_stmt b = function
-  | Global_store (i, v) ->
-      let src =
-        match v with
-        | Const c -> B.imm c
-        | Lane_dependent -> Ast.Sreg Ast.Tid
-      in
-      B.st ~offset:(4 * i) b (B.sym "g") src
+  | Global_store (i, v) -> B.st ~offset:(4 * i) b (B.sym "g") (operand v)
   | Global_load i ->
       let r = B.fresh_reg b in
       B.ld ~offset:(4 * i) b r (B.sym "g")
   | Shared_store (i, v) ->
-      let src =
-        match v with
-        | Const c -> B.imm c
-        | Lane_dependent -> Ast.Sreg Ast.Tid
-      in
-      B.st ~space:Ast.Shared ~offset:(4 * i) b (B.sym "smem") src
+      B.st ~space:Ast.Shared ~offset:(4 * i) b (B.sym "smem") (operand v)
   | Shared_load i ->
       let r = B.fresh_reg b in
       B.ld ~space:Ast.Shared ~offset:(4 * i) b r (B.sym "smem")
   | Atomic_add i ->
       let r = B.fresh_reg b in
       B.atom ~offset:(4 * i) b Ast.A_add r (B.sym "g") (B.imm 1)
+  | Bytes_store (space, width, offset, v) ->
+      B.st ~space ~width ~offset b (data_array space) (operand v)
+  | Bytes_load (space, width, offset) ->
+      let r = B.fresh_reg b in
+      B.ld ~space ~width ~offset b r (data_array space)
   | Store_own_slot ->
       let g = B.global_tid b in
       let a = B.fresh_reg ~cls:"rd" b in
@@ -137,6 +142,13 @@ let gen_index = int_range 0 (words - 1)
 
 let gen_scope = oneof [ return Ast.Cta; return Ast.Gl ]
 
+(* space, width and byte offset of an access inside the data words *)
+let gen_bytes =
+  let* space = oneofl [ Ast.Global; Ast.Shared ] in
+  let* width = oneofl [ 1; 2; 8 ] in
+  let* offset = int_range 0 ((4 * words) - width) in
+  return (space, width, offset)
+
 let gen_leaf =
   oneof
     [
@@ -145,6 +157,8 @@ let gen_leaf =
       map2 (fun i v -> Shared_store (i, v)) gen_index gen_value;
       map (fun i -> Shared_load i) gen_index;
       map (fun i -> Atomic_add i) gen_index;
+      map2 (fun (s, w, o) v -> Bytes_store (s, w, o, v)) gen_bytes gen_value;
+      map (fun (s, w, o) -> Bytes_load (s, w, o)) gen_bytes;
       return Store_own_slot;
       return (Fence Ast.Cta);
       return (Fence Ast.Gl);
@@ -183,6 +197,8 @@ let gen_top_stmt =
 
 let gen_program = list_size (int_range 1 12) gen_top_stmt
 
+let array_name = function Ast.Shared -> "s" | _ -> "g"
+
 let rec pp_stmt ppf = function
   | Global_store (i, Const c) -> Format.fprintf ppf "g[%d]=%d" i c
   | Global_store (i, Lane_dependent) -> Format.fprintf ppf "g[%d]=tid" i
@@ -191,6 +207,12 @@ let rec pp_stmt ppf = function
   | Shared_store (i, Lane_dependent) -> Format.fprintf ppf "s[%d]=tid" i
   | Shared_load i -> Format.fprintf ppf "r=s[%d]" i
   | Atomic_add i -> Format.fprintf ppf "atomic(g[%d])" i
+  | Bytes_store (space, w, o, Const c) ->
+      Format.fprintf ppf "%s+%d:%d=%d" (array_name space) o w c
+  | Bytes_store (space, w, o, Lane_dependent) ->
+      Format.fprintf ppf "%s+%d:%d=tid" (array_name space) o w
+  | Bytes_load (space, w, o) ->
+      Format.fprintf ppf "r=%s+%d:%d" (array_name space) o w
   | Store_own_slot -> Format.fprintf ppf "own"
   | Fence s -> Format.fprintf ppf "fence.%a" Ast.pp_fence_scope s
   | Barrier -> Format.fprintf ppf "bar"

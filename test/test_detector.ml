@@ -113,14 +113,17 @@ let test_report_cap () =
 
 (* ---- Shadow --------------------------------------------------------- *)
 
+let global_cell s addr =
+  Barracuda.Shadow.cell s ~space:Ptx.Ast.Global ~region:0 ~index:addr
+
 let test_shadow_pages_on_demand () =
   let s = Barracuda.Shadow.create () in
   Alcotest.(check int) "no pages initially" 0 (Barracuda.Shadow.pages s);
-  ignore (Barracuda.Shadow.find s (Gtrace.Loc.global 5));
-  ignore (Barracuda.Shadow.find s (Gtrace.Loc.global 6));
+  ignore (global_cell s 5);
+  ignore (global_cell s 6);
   Alcotest.(check int) "one page" 1 (Barracuda.Shadow.pages s);
   Alcotest.(check int) "two cells" 2 (Barracuda.Shadow.cells s);
-  ignore (Barracuda.Shadow.find s (Gtrace.Loc.shared ~block:1 5));
+  ignore (Barracuda.Shadow.cell s ~space:Ptx.Ast.Shared ~region:1 ~index:5);
   Alcotest.(check int) "shared space gets its own page" 2
     (Barracuda.Shadow.pages s);
   Alcotest.(check int) "32 bytes per cell" 96 (Barracuda.Shadow.bytes s);
@@ -128,11 +131,11 @@ let test_shadow_pages_on_demand () =
      still hand out a cell of its own, or a write through one would
      show up at every untouched location. *)
   let s = Barracuda.Shadow.create () in
-  let c5 = Barracuda.Shadow.find s (Gtrace.Loc.global 5) in
+  let c5 = global_cell s 5 in
   c5.Barracuda.Shadow.write_clock <- 3;
   c5.Barracuda.Shadow.write_insn <- 7;
-  let c6 = Barracuda.Shadow.find s (Gtrace.Loc.global 6) in
-  let c7 = Barracuda.Shadow.find s (Gtrace.Loc.global 7) in
+  let c6 = global_cell s 6 in
+  let c7 = global_cell s 7 in
   List.iter
     (fun (name, (c : Barracuda.Shadow.cell)) ->
       Alcotest.(check bool)
@@ -147,20 +150,102 @@ let test_shadow_pages_on_demand () =
   Alcotest.(check int) "three cells" 3 (Barracuda.Shadow.cells s);
   (* a negative address, as an intact wire record may carry, still maps
      to a slot inside its page *)
-  let cm = Barracuda.Shadow.find s (Gtrace.Loc.global (-3)) in
+  let cm = global_cell s (-3) in
   Alcotest.(check bool) "negative address gets a fresh cell" true
     (cm != c5 && cm.Barracuda.Shadow.write_clock = 0);
   Alcotest.(check int) "four cells" 4 (Barracuda.Shadow.cells s)
 
-let test_shadow_granularity () =
-  let s = Barracuda.Shadow.create ~granularity:4 () in
-  let cells =
-    Barracuda.Shadow.cells_of_access s (Gtrace.Loc.global 2) ~width:4
+(* Word summaries.  Through the detector, a single thread's aligned
+   4-byte store holds one cell for its four bytes, and a 1-byte store
+   into the word splits it into four byte cells.  In the shadow, the
+   split copies every field into each byte, and gives each byte a read
+   clock of its own. *)
+let test_shadow_summary_split () =
+  let one_thread =
+    Vclock.Layout.make ~warp_size:1 ~threads_per_block:1 ~blocks:1
   in
-  Alcotest.(check int) "unaligned word spans two cells" 2 (List.length cells);
-  let s1 = Barracuda.Shadow.create () in
-  Alcotest.(check int) "byte granularity: 4 cells" 4
-    (List.length (Barracuda.Shadow.cells_of_access s1 (Gtrace.Loc.global 0) ~width:4))
+  let stats stores =
+    let b = Ptx.Builder.create ~params:[ "p" ] "summary" in
+    List.iter
+      (fun (width, offset) ->
+        Ptx.Builder.st ~width ~offset b (Ptx.Builder.sym "p")
+          (Ptx.Builder.imm 7))
+      stores;
+    let kernel = Ptx.Builder.finish b in
+    let m = Simt.Machine.create ~layout:one_thread () in
+    let args = [| Int64.of_int (Simt.Machine.alloc_global m 8) |] in
+    let det = Barracuda.Detector.create ~layout:one_thread kernel in
+    ignore
+      (Gpu_runtime.Session.run_stream
+         ~sink:(Gpu_runtime.Session.serial_sink det) ~machine:m kernel args);
+    let st = Barracuda.Detector.stats det in
+    ( st.Barracuda.Detector.accesses_checked,
+      st.Barracuda.Detector.shadow_cells,
+      st.Barracuda.Detector.shadow_byte_cells )
+  in
+  let counts = Alcotest.(triple int int int) in
+  Alcotest.check counts "aligned word store: one check, one cell for 4 bytes"
+    (1, 1, 4) (stats [ (4, 0) ]);
+  Alcotest.check counts "then a byte store into it: 4 byte cells" (2, 4, 4)
+    (stats [ (4, 0); (1, 2) ]);
+  let s = Barracuda.Shadow.create () in
+  let w = Barracuda.Shadow.summary s ~space:Ptx.Ast.Global ~region:0 ~index:8 in
+  Alcotest.(check bool) "an untouched aligned word gets a summary" true
+    w.Barracuda.Shadow.summary;
+  Alcotest.(check (pair int int)) "one cell standing for 4 bytes" (1, 4)
+    (Barracuda.Shadow.cells s, Barracuda.Shadow.byte_cells s);
+  let vc = Vclock.Cvc.Mut.create lay in
+  Vclock.Cvc.Mut.raise_point vc 1 3;
+  Vclock.Cvc.Mut.raise_point vc 5 2;
+  w.Barracuda.Shadow.read_vc <- Some vc;
+  w.Barracuda.Shadow.read_shared <- true;
+  w.Barracuda.Shadow.read_insn <- 4;
+  w.Barracuda.Shadow.write_clock <- 2;
+  w.Barracuda.Shadow.write_tid <- 6;
+  w.Barracuda.Shadow.write_insn <- 1;
+  w.Barracuda.Shadow.write_value <- 42L;
+  w.Barracuda.Shadow.write_record <- 9;
+  let byte i = global_cell s (8 + i) in
+  let split = byte 2 in
+  Alcotest.(check (pair int int)) "a byte lookup splits it into 4 cells" (4, 4)
+    (Barracuda.Shadow.cells s, Barracuda.Shadow.byte_cells s);
+  let state (c : Barracuda.Shadow.cell) =
+    ( ( c.Barracuda.Shadow.read_clock,
+        c.Barracuda.Shadow.read_tid,
+        c.Barracuda.Shadow.read_insn,
+        c.Barracuda.Shadow.read_shared ),
+      ( c.Barracuda.Shadow.write_clock,
+        c.Barracuda.Shadow.write_tid,
+        c.Barracuda.Shadow.write_insn,
+        c.Barracuda.Shadow.write_atomic,
+        c.Barracuda.Shadow.write_value,
+        c.Barracuda.Shadow.write_record ) )
+  in
+  List.iter
+    (fun i ->
+      let c = byte i in
+      Alcotest.(check bool)
+        (Printf.sprintf "byte %d is a byte cell with the summary's state" i)
+        true
+        ((not c.Barracuda.Shadow.summary)
+        && state c = state w
+        && Option.equal Vclock.Cvc.equal
+             (Option.map Vclock.Cvc.Mut.freeze c.Barracuda.Shadow.read_vc)
+             (Option.map Vclock.Cvc.Mut.freeze w.Barracuda.Shadow.read_vc)))
+    [ 0; 1; 2; 3 ];
+  Alcotest.(check bool) "the split word is no longer summarized" false
+    (Barracuda.Shadow.summary s ~space:Ptx.Ast.Global ~region:0 ~index:8)
+      .Barracuda.Shadow.summary;
+  Vclock.Cvc.Mut.raise_point (Option.get split.Barracuda.Shadow.read_vc) 1 8;
+  List.iter
+    (fun i ->
+      Alcotest.(check int)
+        (Printf.sprintf "byte %d's read clock is its own" i)
+        3
+        (Vclock.Cvc.Mut.get (Option.get (byte i).Barracuda.Shadow.read_vc) 1))
+    [ 0; 1; 3 ];
+  Alcotest.(check int) "the raised byte moved" 8
+    (Vclock.Cvc.Mut.get (Option.get split.Barracuda.Shadow.read_vc) 1)
 
 (* ---- Detector vs Reference equivalence ------------------------------ *)
 
@@ -299,7 +384,7 @@ let suite =
     Alcotest.test_case "report dedup/classes" `Quick test_report_dedup_and_classes;
     Alcotest.test_case "report cap" `Quick test_report_cap;
     Alcotest.test_case "shadow pages" `Quick test_shadow_pages_on_demand;
-    Alcotest.test_case "shadow granularity" `Quick test_shadow_granularity;
+    Alcotest.test_case "shadow summary split" `Quick test_shadow_summary_split;
     Alcotest.test_case "rule: write-write" `Quick test_rule_write_write;
     Alcotest.test_case "rule: same-value filter" `Quick test_rule_same_value_filter;
     Alcotest.test_case "rule: read inflation" `Quick test_rule_read_inflation;

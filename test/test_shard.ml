@@ -219,9 +219,11 @@ let prop_router_range_locality =
 
 (* Every shard consumes the whole stream, but checks only the shadow
    cells its router assigns it: per-shard [accesses_checked] and
-   [shadow_cells] sum to the serial detector's.  dxtc (uninstrumented,
-   as [check --shards] runs it) pins the serial counts and a ceiling
-   on the busiest of 8 shards. *)
+   [shadow_cells] sum to the serial detector's.  threadfencered's
+   acquires and releases touch no shadow cell.  dxtc (uninstrumented,
+   as [check --shards] runs it) pins the serial counts, one check and
+   one cell per aligned word, and a ceiling on the busiest of 8
+   shards. *)
 let test_broadcast_delivery () =
   List.iter
     (fun (name, pinned) ->
@@ -291,7 +293,11 @@ let test_broadcast_delivery () =
           Alcotest.(check bool) (label "verdict not degraded") false
             (Report.degraded r.Session.sr_report))
         [ 1; 2; 4; 8 ])
-    [ ("backprop", None); ("dxtc", Some (5112, 2056, 1280)) ]
+    [
+      ("backprop", None);
+      ("threadfencered", None);
+      ("dxtc", Some (1278, 514, 320));
+    ]
 
 (* ---- merged reports are deterministic ---------------------------- *)
 

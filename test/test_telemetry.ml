@@ -216,6 +216,43 @@ let test_verdicts_unchanged () =
             (Barracuda.Report.has_race on_report)))
     Workloads.Registry.all
 
+(* The detector's counters say what the word path does: one check per
+   word summary, one full scan of a summary's inflated read clock, and
+   one race observation per byte it stands for.  One warp of 4 lanes
+   over one 4-byte word. *)
+let test_word_path_counters () =
+  let layout = Vclock.Layout.make ~warp_size:4 ~threads_per_block:4 ~blocks:1 in
+  let counters emit =
+    with_telemetry (fun () ->
+        let b = Ptx.Builder.create ~params:[ "p" ] "word_path" in
+        emit b;
+        let kernel = Ptx.Builder.finish b in
+        let machine = Simt.Machine.create ~layout () in
+        let args = [| Int64.of_int (Simt.Machine.alloc_global machine 4) |] in
+        let r = Session.run_stream ~machine kernel args in
+        let c name =
+          Telemetry.Registry.find_counter Telemetry.Registry.default
+            ("barracuda_detector_" ^ name ^ "_total")
+        in
+        ( (c "checks", c "vc_full", c "races"),
+          Barracuda.Report.race_count r.Session.sr_report ))
+  in
+  let p = Ptx.Builder.sym "p" in
+  let counts = Alcotest.(pair (triple int int int) int) in
+  (* four concurrent reads inflate the summary's read clock; lane 0's
+     store, after them, scans it once *)
+  Alcotest.check counts "reads, then an ordered store: one scan"
+    ((5, 1, 0), 0)
+    (counters (fun b ->
+         Ptx.Builder.ld b (Ptx.Builder.fresh_reg b) p;
+         Ptx.Builder.if_ b Ptx.Ast.C_eq (Ptx.Ast.Sreg Ptx.Ast.Tid)
+           (Ptx.Builder.imm 0) (fun b ->
+             Ptx.Builder.st b p (Ptx.Builder.imm 1))));
+  (* lanes 1-3 each race with the lane before: 3 races per byte *)
+  Alcotest.check counts "one racy warp store: 4 checks, 12 byte races"
+    ((4, 0, 12), 12)
+    (counters (fun b -> Ptx.Builder.st b p (Ptx.Ast.Sreg Ptx.Ast.Tid)))
+
 let test_session_rollups () =
   with_telemetry (fun () ->
       let w = Workloads.Registry.find "backprop" in
@@ -257,4 +294,6 @@ let suite =
     Alcotest.test_case "verdicts unchanged by telemetry" `Quick
       test_verdicts_unchanged;
     Alcotest.test_case "session rollups" `Quick test_session_rollups;
+    Alcotest.test_case "detector counters on the word path" `Quick
+      test_word_path_counters;
   ]

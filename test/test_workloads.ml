@@ -31,6 +31,23 @@ let check_pipeline (w : W.t) () =
     (w.W.name ^ ": pipeline verdict")
     expected has
 
+(* Every race-checkable lane access of the Table 1 workloads is a
+   4-byte word at a 4-aligned address, so each is one check of a word
+   summary: a quarter of the byte shadow's 251,384 checks. *)
+let test_table1_checks () =
+  let checks (w : W.t) =
+    let m = W.machine w in
+    let args = w.W.setup m in
+    let det = Barracuda.Detector.create ~layout:w.W.layout w.W.kernel in
+    ignore
+      (Gpu_runtime.Session.run_stream
+         ~sink:(Gpu_runtime.Session.serial_sink det)
+         ~machine:m w.W.kernel args);
+    (Barracuda.Detector.stats det).Barracuda.Detector.accesses_checked
+  in
+  Alcotest.(check int) "Table 1 checks, one per aligned word" 62_846
+    (List.fold_left (fun acc w -> acc + checks w) 0 Workloads.Registry.all)
+
 let test_registry_size () =
   Alcotest.(check int) "26 workloads as in Table 1" 26
     (List.length Workloads.Registry.all)
@@ -109,6 +126,7 @@ let suite =
   [
     Alcotest.test_case "registry has 26 entries" `Quick test_registry_size;
     Alcotest.test_case "registry lookup" `Quick test_registry_find;
+    Alcotest.test_case "Table 1 shadow checks" `Quick test_table1_checks;
     Alcotest.test_case "d_scan computes prefix sums" `Quick test_block_scan_output;
     Alcotest.test_case "block_radix_sort sorts" `Quick test_block_radix_sort_output;
     Alcotest.test_case "d_reduce totals" `Quick test_device_reduce_output;
