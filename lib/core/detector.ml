@@ -148,47 +148,47 @@ let epoch_ordered ~wc ~lane ~clock ~tid =
 (* Does the last write race with the current access?  Not if it is
    ordered before it, or if the same warp instruction wrote the same
    value non-atomically (the same-value filter, §3.3.1). *)
-let write_races t ~rid ~wc ~lane ~cur_kind ~value (cell : Shadow.cell) =
+let write_races t ~rid ~wc ~lane ~cur_kind ~value cell =
+  let s = t.shadow in
   (not
-     (epoch_ordered ~wc ~lane ~clock:cell.Shadow.write_clock
-        ~tid:cell.Shadow.write_tid))
+     (epoch_ordered ~wc ~lane ~clock:(Shadow.write_clock s cell)
+        ~tid:(Shadow.write_tid s cell)))
   && not
        (t.config.filter_same_value
-       && cell.Shadow.write_record = rid
+       && Shadow.write_record s cell = rid
        && cur_kind = Report.Write
-       && (not cell.Shadow.write_atomic)
-       && Int64.equal cell.Shadow.write_value value)
+       && (not (Shadow.write_atomic s cell))
+       && Shadow.same_value s cell value)
 
 exception Unordered_read
 
 (* Does a recorded read race with the current access?  An inflated
    read clock costs one full scan, stopped at the first racing
    reader. *)
-let reads_race ~wc ~lane (cell : Shadow.cell) =
-  if cell.Shadow.read_shared then begin
+let reads_race t ~wc ~lane cell =
+  let s = t.shadow in
+  if Shadow.read_shared s cell then begin
     Telemetry.Metric.counter_incr m_vc_full;
-    match cell.Shadow.read_vc with
-    | None -> false
-    | Some m -> (
-        try
-          Mut.iter_points
-            (fun u cu ->
-              if cu > Warp_clocks.entry wc ~lane ~tid:u then
-                raise_notrace Unordered_read)
-            m;
-          false
-        with Unordered_read -> true)
+    try
+      Mut.iter_points
+        (fun u cu ->
+          if cu > Warp_clocks.entry wc ~lane ~tid:u then
+            raise_notrace Unordered_read)
+        (Shadow.read_vc s cell);
+      false
+    with Unordered_read -> true
   end
   else
     not
-      (epoch_ordered ~wc ~lane ~clock:cell.Shadow.read_clock
-         ~tid:cell.Shadow.read_tid)
+      (epoch_ordered ~wc ~lane ~clock:(Shadow.read_clock s cell)
+         ~tid:(Shadow.read_tid s cell))
 
 (* Report the races found on [cell] at each of the [n] bytes from
    [index] it stands for, in the byte shadow's order: per byte,
    ascending, the write race and then the read races. *)
 let report_races t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n
-    ~cur_kind ~wrace ~rrace (cell : Shadow.cell) =
+    ~cur_kind ~wrace ~rrace cell =
+  let s = t.shadow in
   for addr = index to index + n - 1 do
     let loc = Loc.make ~space ~region ~addr in
     let race ~prev_insn ~prev_tid ~prev_kind ~same_instruction =
@@ -197,24 +197,27 @@ let report_races t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n
         ~prev_kind ~cur_tid:tid ~cur_kind ~same_instruction
     in
     if wrace then
-      race ~prev_insn:cell.Shadow.write_insn ~prev_tid:cell.Shadow.write_tid
+      race ~prev_insn:(Shadow.write_insn s cell)
+        ~prev_tid:(Shadow.write_tid s cell)
         ~prev_kind:
-          (if cell.Shadow.write_atomic then Report.Atomic_rmw else Report.Write)
-        ~same_instruction:(cell.Shadow.write_record = rid);
+          (if Shadow.write_atomic s cell then Report.Atomic_rmw
+           else Report.Write)
+        ~same_instruction:(Shadow.write_record s cell = rid);
     if rrace then
-      if cell.Shadow.read_shared then
-        Option.iter
-          (Mut.iter_points (fun u cu ->
-               if cu > Warp_clocks.entry wc ~lane ~tid:u then
-                 (* [read_insn] is the latest reader's instruction, not
-                    necessarily thread [u]'s — a deliberate
-                    approximation (see {!Shadow.cell}). *)
-                 race ~prev_insn:cell.Shadow.read_insn ~prev_tid:u
-                   ~prev_kind:Report.Read ~same_instruction:false))
-          cell.Shadow.read_vc
+      if Shadow.read_shared s cell then
+        Mut.iter_points
+          (fun u cu ->
+            if cu > Warp_clocks.entry wc ~lane ~tid:u then
+              (* [read_insn] is the latest reader's instruction, not
+                 necessarily thread [u]'s — a deliberate approximation
+                 (see {!Shadow.read_insn}). *)
+              race ~prev_insn:(Shadow.read_insn s cell) ~prev_tid:u
+                ~prev_kind:Report.Read ~same_instruction:false)
+          (Shadow.read_vc s cell)
       else
-        race ~prev_insn:cell.Shadow.read_insn ~prev_tid:cell.Shadow.read_tid
-          ~prev_kind:Report.Read ~same_instruction:false
+        race ~prev_insn:(Shadow.read_insn s cell)
+          ~prev_tid:(Shadow.read_tid s cell) ~prev_kind:Report.Read
+          ~same_instruction:false
   done
 
 (* One check of an access against [cell], which stands for the [n]
@@ -226,79 +229,61 @@ let check t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n ~cur_kind
   t.accesses <- t.accesses + 1;
   Telemetry.Metric.counter_incr m_checks;
   let wrace = write && write_races t ~rid ~wc ~lane ~cur_kind ~value cell in
-  let rrace = reads && reads_race ~wc ~lane cell in
+  let rrace = reads && reads_race t ~wc ~lane cell in
   if wrace || rrace then
     report_races t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n
       ~cur_kind ~wrace ~rrace cell
 
-(* The inflated read table is kept (cleared) for reuse, so a location
-   that oscillates between shared reads and clearing writes settles
-   into a no-allocation cycle. *)
-let clear_reads (cell : Shadow.cell) =
-  cell.Shadow.read_clock <- 0;
-  cell.Shadow.read_tid <- 0;
-  cell.Shadow.read_insn <- -1;
-  cell.Shadow.read_shared <- false;
-  match cell.Shadow.read_vc with Some m -> Mut.clear m | None -> ()
-
 let do_read t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n cell =
   check t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n
     ~cur_kind:Report.Read ~value:0L ~write:true ~reads:false cell;
+  let s = t.shadow in
   let own = Warp_clocks.own_clock wc ~lane in
-  cell.Shadow.read_insn <- insn;
-  if cell.Shadow.read_shared then (
+  Shadow.set_read_insn s cell insn;
+  if Shadow.read_shared s cell then
     (* ReadShared *)
-    match cell.Shadow.read_vc with
-    | Some m -> Mut.raise_point m tid own
-    | None -> assert false)
+    Mut.raise_point (Shadow.read_vc s cell) tid own
   else if
-    epoch_ordered ~wc ~lane ~clock:cell.Shadow.read_clock
-      ~tid:cell.Shadow.read_tid
-  then begin
+    epoch_ordered ~wc ~lane ~clock:(Shadow.read_clock s cell)
+      ~tid:(Shadow.read_tid s cell)
+  then
     (* ReadExcl *)
-    cell.Shadow.read_clock <- own;
-    cell.Shadow.read_tid <- tid
-  end
+    Shadow.set_read s cell ~clock:own ~tid
   else begin
     (* ReadInflate: first concurrent read *)
     let m =
-      match cell.Shadow.read_vc with
-      | Some m -> m
-      | None ->
-          let m = Mut.create t.layout in
-          cell.Shadow.read_vc <- Some m;
-          m
+      if Shadow.has_read_vc s cell then Shadow.read_vc s cell
+      else begin
+        let m = Mut.create t.layout in
+        Shadow.set_read_vc s cell m;
+        m
+      end
     in
-    Mut.raise_point m cell.Shadow.read_tid cell.Shadow.read_clock;
+    Mut.raise_point m (Shadow.read_tid s cell) (Shadow.read_clock s cell);
     Mut.raise_point m tid own;
-    cell.Shadow.read_shared <- true
+    Shadow.share_reads s cell
   end
 
-let set_write ~rid ~wc ~lane ~tid ~insn ~atomic ~value (cell : Shadow.cell) =
-  clear_reads cell;
-  cell.Shadow.write_clock <- Warp_clocks.own_clock wc ~lane;
-  cell.Shadow.write_tid <- tid;
-  cell.Shadow.write_insn <- insn;
-  cell.Shadow.write_atomic <- atomic;
-  cell.Shadow.write_value <- value;
-  cell.Shadow.write_record <- rid
+let set_write t ~rid ~wc ~lane ~tid ~insn ~atomic ~value cell =
+  Shadow.set_write t.shadow cell ~clock:(Warp_clocks.own_clock wc ~lane) ~tid
+    ~insn ~atomic ~value ~record:rid
 
 let do_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n ~value cell
     =
   check t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n
     ~cur_kind:Report.Write ~value ~write:true ~reads:true cell;
-  set_write ~rid ~wc ~lane ~tid ~insn ~atomic:false ~value cell
+  set_write t ~rid ~wc ~lane ~tid ~insn ~atomic:false ~value cell
 
 let do_atomic t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n ~value cell
     =
   check t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n
     ~cur_kind:Report.Atomic_rmw ~value
-    ~write:(not cell.Shadow.write_atomic)
+    ~write:(not (Shadow.write_atomic t.shadow cell))
     ~reads:true cell;
-  set_write ~rid ~wc ~lane ~tid ~insn ~atomic:true ~value cell
+  set_write t ~rid ~wc ~lane ~tid ~insn ~atomic:true ~value cell
 
 let do_acquire t ~wc ~lane ~loc scope =
-  let block = Layout.block_of_warp t.layout (Warp_clocks.warp wc) in
+  let block = Warp_clocks.block wc in
   let gain =
     match scope with
     | Op.Block -> Sync_loc.effective t.sync loc ~block
@@ -312,7 +297,7 @@ let do_release t ~wc ~lane ~loc scope =
   let c = Warp_clocks.materialize wc ~lane in
   (match scope with
   | Op.Block ->
-      let block = Layout.block_of_warp t.layout (Warp_clocks.warp wc) in
+      let block = Warp_clocks.block wc in
       Sync_loc.release_block t.sync loc ~block c
   | Op.Global_scope -> Sync_loc.release_global t.sync loc c);
   Warp_clocks.release_increment wc ~lane
@@ -377,7 +362,7 @@ let do_lane_data t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~addr ~width
       let index = addr + (4 * w) in
       if owns_word t space region index then begin
         let s = Shadow.summary t.shadow ~space ~region ~index in
-        if s.Shadow.summary then
+        if s <> Shadow.none then
           do_cell t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~index ~n:4
             ~value s
         else
@@ -432,7 +417,7 @@ let do_barrier t block =
   let clock = ref 0 in
   let overlay = ref None in
   for i = first to first + wpb - 1 do
-    clock := max !clock (Warp_clocks.max_own t.warps.(i));
+    clock := Int.max !clock (Warp_clocks.max_own t.warps.(i));
     overlay :=
       (match (!overlay, Warp_clocks.overlay_union t.warps.(i)) with
       | None, o -> o
@@ -488,16 +473,17 @@ let process_record t ~values buf ~pos =
         let wc = Array.unsafe_get t.warps warp in
         census_bump t wc;
         let space = Wire.space_of_code sc in
-        let region = if sc = 1 then Layout.block_of_warp t.layout warp else 0 in
+        let region = if sc = 1 then Warp_clocks.block wc else 0 in
         let insn = Wire.View.insn buf ~pos in
         let role = Array.unsafe_get t.roles insn in
         let mask = Wire.View.mask buf ~pos in
         let width = Wire.View.width buf ~pos in
         let nvals = Array.length values in
         let ws = t.layout.Layout.warp_size in
+        let first_tid = Warp_clocks.first_tid wc in
         for lane = 0 to ws - 1 do
           if mask land (1 lsl lane) <> 0 then
-            let tid = Layout.tid_of_warp_lane t.layout ~warp ~lane in
+            let tid = first_tid + lane in
             let addr = Wire.View.addr buf ~pos ~lane in
             let value =
               if lane < nvals then Array.unsafe_get values lane else 0L

@@ -45,7 +45,9 @@ type stats = {
   shadow_cells : int;  (** cells held, a word summary counting once *)
   shadow_byte_cells : int;
       (** byte cells those stand for: a cell-per-byte shadow's count *)
-  shadow_bytes : int;  (** at the paper's 32 bytes per cell held *)
+  shadow_bytes : int;
+      (** bytes allocated for the shadow's page arrays and read-clock
+          side table ({!Shadow.bytes}) *)
   sync_locations : int;
   ptvc_bytes : int;  (** compressed PTVC footprint at the end of the run *)
   full_vc_bytes : int;  (** what uncompressed per-thread VCs would need *)

@@ -17,13 +17,37 @@ type error =
   | Race of race
   | Barrier_divergence of { warp : int; insn : int }
 
+(* A race's identity, (location, previous thread and kind, current
+   thread and kind), flattened into immediates: the space and both
+   kinds share [tag]. *)
 module Dedup_key = struct
-  type t = Gtrace.Loc.t * int * access_kind * int * access_kind
+  type t = { tag : int; region : int; addr : int; prev_tid : int; cur_tid : int }
 
-  let compare = Stdlib.compare
+  let equal a b =
+    a.addr = b.addr && a.prev_tid = b.prev_tid && a.cur_tid = b.cur_tid
+    && a.tag = b.tag && a.region = b.region
+
+  let hash k =
+    let h = (k.addr * 0x9E3779B1) + k.prev_tid in
+    let h = (h * 0x85EBCA6B) + k.cur_tid in
+    let h = (h * 0xC2B2AE35) + (k.region lsl 4) + k.tag in
+    (h lxor (h lsr 29)) land max_int
+
+  let kind_code = function Read -> 0 | Write -> 1 | Atomic_rmw -> 2
+
+  let make (loc : Gtrace.Loc.t) ~prev_tid ~prev_kind ~cur_tid ~cur_kind =
+    let space = match loc.space with Ptx.Ast.Global -> 0 | _ -> 1 in
+    {
+      tag = (space * 9) + (kind_code prev_kind * 3) + kind_code cur_kind;
+      region = loc.region;
+      addr = loc.addr;
+      prev_tid;
+      cur_tid;
+    }
 end
 
-module Dedup_set = Set.Make (Dedup_key)
+module Dedup = Hashtbl.Make (Dedup_key)
+
 module Loc_set = Set.Make (struct
   type t = Gtrace.Loc.t
 
@@ -35,7 +59,7 @@ type integrity = { corrupt : int; gaps : int; stale : int; desync : int }
 type t = {
   layout : Vclock.Layout.t;
   max_reports : int;
-  mutable seen : Dedup_set.t;
+  seen : unit Dedup.t;
   mutable locs : Loc_set.t;
   mutable errors : error list; (* reversed *)
   mutable kept : int;
@@ -51,7 +75,7 @@ let create ?(max_reports = 1000) ~layout () =
   {
     layout;
     max_reports;
-    seen = Dedup_set.empty;
+    seen = Dedup.create 64;
     locs = Loc_set.empty;
     errors = [];
     kept = 0;
@@ -73,9 +97,9 @@ let classify layout t1 t2 =
 
 let add_race t ~prev_insn ~cur_insn ~loc ~prev_tid ~prev_kind ~cur_tid
     ~cur_kind ~same_instruction =
-  let key = (loc, prev_tid, prev_kind, cur_tid, cur_kind) in
-  if not (Dedup_set.mem key t.seen) then begin
-    t.seen <- Dedup_set.add key t.seen;
+  let key = Dedup_key.make loc ~prev_tid ~prev_kind ~cur_tid ~cur_kind in
+  if not (Dedup.mem t.seen key) then begin
+    Dedup.add t.seen key ();
     t.locs <- Loc_set.add loc t.locs;
     t.race_count <- t.race_count + 1;
     if t.kept < t.max_reports then begin

@@ -19,9 +19,11 @@ type frame = {
    return persistent snapshots. *)
 type t = {
   layout : Layout.t;
-  warp : int;
   ws : int;
   first_tid : int;
+  block : int;
+  block_lo : int; (* the block's tids are [block_lo, block_hi) *)
+  block_hi : int;
   own : int array; (* own clock per lane *)
   overlay : Mut.t option array; (* per-lane acquire-derived entries *)
   owned : bool array; (* copy-on-write flag per lane *)
@@ -35,11 +37,15 @@ type format = Converged | Diverged | Nested_diverged | Sparse_vc
 let create layout ~warp =
   let ws = layout.Layout.warp_size in
   let mask = Layout.full_mask layout ~warp in
+  let block = Layout.block_of_warp layout warp in
+  let block_lo = Layout.first_tid_of_block layout block in
   {
     layout;
-    warp;
     ws;
     first_tid = Layout.tid_of_warp_lane layout ~warp ~lane:0;
+    block;
+    block_lo;
+    block_hi = block_lo + layout.Layout.threads_per_block;
     own = Array.make ws 1;
     overlay = Array.make ws None;
     owned = Array.make ws false;
@@ -47,7 +53,8 @@ let create layout ~warp =
     stack = [ { mask; local = 0; sib = Array.make ws 0 } ];
   }
 
-let warp t = t.warp
+let block t = t.block
+let first_tid t = t.first_tid
 
 let top t =
   match t.stack with f :: _ -> f | [] -> assert false
@@ -62,16 +69,15 @@ let epoch t ~lane =
 let base_entry t ~lane ~tid =
   if tid >= t.first_tid && tid < t.first_tid + t.ws then
     let u = tid - t.first_tid in
-    if u = lane then t.own.(lane) else max (top t).sib.(u) t.block_clock
-  else if Layout.block_of_tid t.layout tid = Layout.block_of_warp t.layout t.warp
-  then t.block_clock
+    if u = lane then t.own.(lane) else Int.max (top t).sib.(u) t.block_clock
+  else if tid >= t.block_lo && tid < t.block_hi then t.block_clock
   else 0
 
 let entry t ~lane ~tid =
   let base = base_entry t ~lane ~tid in
   match t.overlay.(lane) with
   | None -> base
-  | Some o -> max base (Mut.get o tid)
+  | Some o -> Int.max base (Mut.get o tid)
 
 (* Union of [mask]'s lane overlays as a value to be shared (unowned) by
    those lanes.  When every active lane already aliases the same clock
@@ -185,8 +191,7 @@ let release_increment t ~lane = t.own.(lane) <- t.own.(lane) + 1
 
 let materialize t ~lane =
   let base = Cvc.bottom t.layout in
-  let block = Layout.block_of_warp t.layout t.warp in
-  let v = Cvc.raise_block base block t.block_clock in
+  let v = Cvc.raise_block base t.block t.block_clock in
   let f = top t in
   let v = ref v in
   for u = 0 to t.ws - 1 do
@@ -206,7 +211,7 @@ let to_vector_clock t ~lane =
   done;
   !acc
 
-let max_own t = Array.fold_left max 0 t.own
+let max_own t = Array.fold_left Int.max 0 t.own
 
 let block_clock t = t.block_clock
 
@@ -226,7 +231,7 @@ let apply_barrier t ~clock ~overlay =
     else
       (* lanes that retired (or never existed): freeze at their final
          own clock so their past accesses stay ordered by the barrier *)
-      f.sib.(u) <- max f.sib.(u) t.own.(u)
+      f.sib.(u) <- Int.max f.sib.(u) t.own.(u)
   done;
   f.local <- clock;
   t.block_clock <- clock

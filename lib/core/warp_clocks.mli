@@ -42,7 +42,12 @@ type t
 type format = Converged | Diverged | Nested_diverged | Sparse_vc
 
 val create : Vclock.Layout.t -> warp:int -> t
-val warp : t -> int
+val block : t -> int
+(** The warp's block. *)
+
+val first_tid : t -> int
+(** Global thread id of lane 0: lane [l] is thread [first_tid t + l]. *)
+
 val active_mask : t -> int
 val depth : t -> int
 (** Divergence-stack depth (1 = converged). *)

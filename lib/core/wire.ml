@@ -148,9 +148,9 @@ let write_barrier_divergence b ~pos ~warp ~insn ~mask ~expected =
    guarantee is structural, not probabilistic.  Rotation makes
    repeated or swapped chunks contribute differently (the schedule
    only cycles every 31 chunks).  The fold is tail-recursive over
-   immediates — no tuple or ref allocation on the hot path — and
-   touches two bytes per primitive read, which is what keeps [seal] +
-   [check] cheap enough to run on every record of the hot path. *)
+   immediates — no tuple or ref allocation on the hot path — and takes
+   three chunks per step (below), which is what keeps [seal] + [check]
+   cheap enough to run on every record of the hot path. *)
 
 let top_bit_index m =
   let a = if m land 0x7FFF0000 <> 0 then 16 else 0 in
@@ -189,13 +189,38 @@ let rotl62 x r = ((x lsl r) land max_int) lor (x lsr (62 - r))
    process — the checksum never leaves the machine that computed
    it. *)
 external unsafe_get16 : bytes -> int -> int = "%caml_bytes_get16u"
+external unsafe_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
 
-let rec sum_range b i stop r acc =
+(* Rotation is linear over XOR and the schedule advances 16 per chunk,
+   so rotating [c0 lor c1 lsl 16 lor c2 lsl 32] by [r] is the three
+   one-chunk steps at [r], [r + 16] and [r + 32] (mod 62), and the next
+   step starts at [r + 48].  The 48 bits are one 64-bit load, masked,
+   where little-endian order makes it the three native 16-bit chunks
+   and 8 bytes remain in the buffer; otherwise three 16-bit loads. *)
+let little_endian = not Sys.big_endian
+
+let[@inline] chunks3 b i =
+  if little_endian && i + 8 <= Bytes.length b then
+    Int64.to_int (unsafe_get64 b i) land 0xFFFF_FFFF_FFFF
+  else
+    unsafe_get16 b i
+    lor (unsafe_get16 b (i + 2) lsl 16)
+    lor (unsafe_get16 b (i + 4) lsl 32)
+
+(* The 0-2 chunk tail, one chunk per step. *)
+let rec sum_tail b i stop r acc =
   if i >= stop then acc
   else
-    sum_range b (i + 2) stop
+    sum_tail b (i + 2) stop
       (if r >= 46 then r - 46 else r + 16)
       (acc lxor rotl62 (unsafe_get16 b i) r)
+
+let rec sum_range b i stop r acc =
+  if i + 6 > stop then sum_tail b i stop r acc
+  else
+    sum_range b (i + 6) stop
+      (if r >= 14 then r - 14 else r + 48)
+      (acc lxor rotl62 (chunks3 b i) r)
 
 let checksum_at b ~pos =
   let n = covered_bytes b ~pos in

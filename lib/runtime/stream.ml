@@ -119,12 +119,15 @@ let write_file path ~layout cells =
       output_string oc (encode_header layout);
       Buffer.output_buffer oc cells)
 
+(* The header, then the payload, each read once: no copy of the
+   stream. *)
 let read_file path =
   let ic = open_in_bin path in
-  let s =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let layout = decode_header s in
-  (layout, String.sub s header_size (String.length s - header_size))
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let len = in_channel_length ic in
+      let layout =
+        decode_header (really_input_string ic (min len header_size))
+      in
+      (layout, really_input_string ic (len - header_size)))

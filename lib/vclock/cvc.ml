@@ -26,9 +26,9 @@ let find0 key m = match Imap.find_opt key m with Some c -> c | None -> 0
 let floor_for_tid v tid =
   let b = Layout.block_of_tid v.layout tid in
   let w = Layout.warp_of_tid v.layout tid in
-  max (find0 b v.block_floor) (find0 w v.warp_floor)
+  Int.max (find0 b v.block_floor) (find0 w v.warp_floor)
 
-let get v tid = max (floor_for_tid v tid) (find0 tid v.point)
+let get v tid = Int.max (floor_for_tid v tid) (find0 tid v.point)
 
 let set_point v tid c =
   if c <= floor_for_tid v tid || c <= find0 tid v.point then v
@@ -70,8 +70,8 @@ let join a b =
   let v =
     {
       a with
-      block_floor = Imap.union (fun _ x y -> Some (max x y)) a.block_floor b.block_floor;
-      warp_floor = Imap.union (fun _ x y -> Some (max x y)) a.warp_floor b.warp_floor;
+      block_floor = Imap.union (fun _ x y -> Some (Int.max x y)) a.block_floor b.block_floor;
+      warp_floor = Imap.union (fun _ x y -> Some (Int.max x y)) a.warp_floor b.warp_floor;
     }
   in
   let v = Imap.fold (fun tid c acc -> set_point acc tid c) a.point v in
@@ -170,9 +170,9 @@ module Mut = struct
   let floor_for_tid m tid =
     let b = Layout.block_of_tid m.layout tid in
     let w = Layout.warp_of_tid m.layout tid in
-    max (find0 m.block_floor b) (find0 m.warp_floor w)
+    Int.max (find0 m.block_floor b) (find0 m.warp_floor w)
 
-  let get m tid = max (floor_for_tid m tid) (find0 m.point tid)
+  let get m tid = Int.max (floor_for_tid m tid) (find0 m.point tid)
 
   (* [Hashtbl.replace] of an existing key updates the bucket in place,
      so repeated raises of the same thread do not allocate. *)

@@ -113,47 +113,54 @@ let test_report_cap () =
 
 (* ---- Shadow --------------------------------------------------------- *)
 
-let global_cell s addr =
-  Barracuda.Shadow.cell s ~space:Ptx.Ast.Global ~region:0 ~index:addr
+module Shadow = Barracuda.Shadow
+
+let global_cell s addr = Shadow.cell s ~space:Ptx.Ast.Global ~region:0 ~index:addr
+
+let reads_bottom s c =
+  Shadow.write_clock s c = 0
+  && Shadow.write_insn s c = -1
+  && Shadow.write_record s c = -1
+  && Shadow.read_insn s c = -1
+  && not (Shadow.has_read_vc s c)
 
 let test_shadow_pages_on_demand () =
-  let s = Barracuda.Shadow.create () in
-  Alcotest.(check int) "no pages initially" 0 (Barracuda.Shadow.pages s);
+  let s = Shadow.create () in
+  Alcotest.(check int) "no pages initially" 0 (Shadow.pages s);
   ignore (global_cell s 5);
   ignore (global_cell s 6);
-  Alcotest.(check int) "one page" 1 (Barracuda.Shadow.pages s);
-  Alcotest.(check int) "two cells" 2 (Barracuda.Shadow.cells s);
-  ignore (Barracuda.Shadow.cell s ~space:Ptx.Ast.Shared ~region:1 ~index:5);
-  Alcotest.(check int) "shared space gets its own page" 2
-    (Barracuda.Shadow.pages s);
-  Alcotest.(check int) "32 bytes per cell" 96 (Barracuda.Shadow.bytes s);
-  (* Untouched slots of a page share one placeholder; each lookup must
-     still hand out a cell of its own, or a write through one would
-     show up at every untouched location. *)
-  let s = Barracuda.Shadow.create () in
+  Alcotest.(check int) "one page" 1 (Shadow.pages s);
+  Alcotest.(check int) "two cells" 2 (Shadow.cells s);
+  ignore (Shadow.cell s ~space:Ptx.Ast.Shared ~region:1 ~index:5);
+  Alcotest.(check int) "shared space gets its own page" 2 (Shadow.pages s);
+  (* Each page is 64 word slots of 11 ints; a byte lookup gives it 256
+     byte slots as well; each array has a one-word header. *)
+  Alcotest.(check int) "bytes: two pages, each with its byte slots"
+    ((2 * 8 * ((64 * 11) + 1)) + (2 * 8 * ((256 * 11) + 1)))
+    (Shadow.bytes s);
+  (* Every slot of a new page reads bottom; each lookup must still hand
+     out a slot of its own, or a write through one would show up at
+     every untouched location. *)
+  let s = Shadow.create () in
   let c5 = global_cell s 5 in
-  c5.Barracuda.Shadow.write_clock <- 3;
-  c5.Barracuda.Shadow.write_insn <- 7;
+  Shadow.set_write s c5 ~clock:3 ~tid:1 ~insn:7 ~atomic:false ~value:0L
+    ~record:1;
   let c6 = global_cell s 6 in
+  Alcotest.(check bool) "cell 6 reads bottom" true (reads_bottom s c6);
   let c7 = global_cell s 7 in
-  List.iter
-    (fun (name, (c : Barracuda.Shadow.cell)) ->
-      Alcotest.(check bool)
-        (name ^ " reads bottom")
-        true
-        (c.Barracuda.Shadow.write_clock = 0
-        && c.Barracuda.Shadow.write_insn = -1
-        && c.Barracuda.Shadow.read_vc = None))
-    [ ("cell 6", c6); ("cell 7", c7) ];
-  Alcotest.(check bool) "distinct cells" true
-    (c6 != c7 && c6 != c5 && c7 != c5);
-  Alcotest.(check int) "three cells" 3 (Barracuda.Shadow.cells s);
+  Alcotest.(check bool) "cell 7 reads bottom" true (reads_bottom s c7);
+  Alcotest.(check bool) "distinct cells" true (c6 <> c7 && c6 <> c5 && c7 <> c5);
+  Alcotest.(check int) "three cells" 3 (Shadow.cells s);
   (* a negative address, as an intact wire record may carry, still maps
      to a slot inside its page *)
   let cm = global_cell s (-3) in
   Alcotest.(check bool) "negative address gets a fresh cell" true
-    (cm != c5 && cm.Barracuda.Shadow.write_clock = 0);
-  Alcotest.(check int) "four cells" 4 (Barracuda.Shadow.cells s)
+    (reads_bottom s cm);
+  Alcotest.(check int) "in a page of its own" 2 (Shadow.pages s);
+  Alcotest.(check int) "four cells" 4 (Shadow.cells s);
+  let c5 = global_cell s 5 in
+  Alcotest.(check (pair int int)) "cell 5 kept its write" (3, 7)
+    (Shadow.write_clock s c5, Shadow.write_insn s c5)
 
 (* Word summaries.  Through the detector, a single thread's aligned
    4-byte store holds one cell for its four bytes, and a 1-byte store
@@ -188,64 +195,84 @@ let test_shadow_summary_split () =
     (1, 1, 4) (stats [ (4, 0) ]);
   Alcotest.check counts "then a byte store into it: 4 byte cells" (2, 4, 4)
     (stats [ (4, 0); (1, 2) ]);
-  let s = Barracuda.Shadow.create () in
-  let w = Barracuda.Shadow.summary s ~space:Ptx.Ast.Global ~region:0 ~index:8 in
+  let s = Shadow.create () in
+  let summary () = Shadow.summary s ~space:Ptx.Ast.Global ~region:0 ~index:8 in
+  let w = summary () in
   Alcotest.(check bool) "an untouched aligned word gets a summary" true
-    w.Barracuda.Shadow.summary;
+    (w <> Shadow.none);
   Alcotest.(check (pair int int)) "one cell standing for 4 bytes" (1, 4)
-    (Barracuda.Shadow.cells s, Barracuda.Shadow.byte_cells s);
+    (Shadow.cells s, Shadow.byte_cells s);
   let vc = Vclock.Cvc.Mut.create lay in
   Vclock.Cvc.Mut.raise_point vc 1 3;
   Vclock.Cvc.Mut.raise_point vc 5 2;
-  w.Barracuda.Shadow.read_vc <- Some vc;
-  w.Barracuda.Shadow.read_shared <- true;
-  w.Barracuda.Shadow.read_insn <- 4;
-  w.Barracuda.Shadow.write_clock <- 2;
-  w.Barracuda.Shadow.write_tid <- 6;
-  w.Barracuda.Shadow.write_insn <- 1;
-  w.Barracuda.Shadow.write_value <- 42L;
-  w.Barracuda.Shadow.write_record <- 9;
-  let byte i = global_cell s (8 + i) in
-  let split = byte 2 in
-  Alcotest.(check (pair int int)) "a byte lookup splits it into 4 cells" (4, 4)
-    (Barracuda.Shadow.cells s, Barracuda.Shadow.byte_cells s);
-  let state (c : Barracuda.Shadow.cell) =
-    ( ( c.Barracuda.Shadow.read_clock,
-        c.Barracuda.Shadow.read_tid,
-        c.Barracuda.Shadow.read_insn,
-        c.Barracuda.Shadow.read_shared ),
-      ( c.Barracuda.Shadow.write_clock,
-        c.Barracuda.Shadow.write_tid,
-        c.Barracuda.Shadow.write_insn,
-        c.Barracuda.Shadow.write_atomic,
-        c.Barracuda.Shadow.write_value,
-        c.Barracuda.Shadow.write_record ) )
+  (* the write first: a write clears the reads *)
+  Shadow.set_write s w ~clock:2 ~tid:6 ~insn:1 ~atomic:true ~value:0x1_0000_002AL
+    ~record:9;
+  Shadow.set_read_vc s w vc;
+  Shadow.share_reads s w;
+  Shadow.set_read s w ~clock:5 ~tid:3;
+  Shadow.set_read_insn s w 4;
+  let state c =
+    ( ( Shadow.read_clock s c,
+        Shadow.read_tid s c,
+        Shadow.read_insn s c,
+        Shadow.read_shared s c ),
+      ( Shadow.write_clock s c,
+        Shadow.write_tid s c,
+        Shadow.write_insn s c,
+        Shadow.write_atomic s c,
+        Shadow.same_value s c 0x1_0000_002AL,
+        Shadow.write_record s c ),
+      Vclock.Cvc.Mut.freeze (Shadow.read_vc s c) )
   in
+  let summarized = state w in
+  let byte i = global_cell s (8 + i) in
+  ignore (byte 2);
+  Alcotest.(check (pair int int)) "a byte lookup splits it into 4 cells" (4, 4)
+    (Shadow.cells s, Shadow.byte_cells s);
+  let handles = List.map byte [ 0; 1; 2; 3 ] in
+  Alcotest.(check int) "four byte cells of their own" 4
+    (List.length (List.sort_uniq compare handles));
   List.iter
     (fun i ->
-      let c = byte i in
+      let (r, w, v) = state (byte i) in
+      let (r', w', v') = summarized in
       Alcotest.(check bool)
         (Printf.sprintf "byte %d is a byte cell with the summary's state" i)
         true
-        ((not c.Barracuda.Shadow.summary)
-        && state c = state w
-        && Option.equal Vclock.Cvc.equal
-             (Option.map Vclock.Cvc.Mut.freeze c.Barracuda.Shadow.read_vc)
-             (Option.map Vclock.Cvc.Mut.freeze w.Barracuda.Shadow.read_vc)))
+        (r = r' && w = w' && Vclock.Cvc.equal v v'))
     [ 0; 1; 2; 3 ];
-  Alcotest.(check bool) "the split word is no longer summarized" false
-    (Barracuda.Shadow.summary s ~space:Ptx.Ast.Global ~region:0 ~index:8)
-      .Barracuda.Shadow.summary;
-  Vclock.Cvc.Mut.raise_point (Option.get split.Barracuda.Shadow.read_vc) 1 8;
+  Alcotest.(check bool) "the value compares all 64 bits" false
+    (Shadow.same_value s (byte 0) 0x2AL);
+  Alcotest.(check bool) "the split word is no longer summarized" true
+    (summary () = Shadow.none);
+  Vclock.Cvc.Mut.raise_point (Shadow.read_vc s (byte 2)) 1 8;
   List.iter
     (fun i ->
       Alcotest.(check int)
         (Printf.sprintf "byte %d's read clock is its own" i)
         3
-        (Vclock.Cvc.Mut.get (Option.get (byte i).Barracuda.Shadow.read_vc) 1))
+        (Vclock.Cvc.Mut.get (Shadow.read_vc s (byte i)) 1))
     [ 0; 1; 3 ];
   Alcotest.(check int) "the raised byte moved" 8
-    (Vclock.Cvc.Mut.get (Option.get split.Barracuda.Shadow.read_vc) 1)
+    (Vclock.Cvc.Mut.get (Shadow.read_vc s (byte 2)) 1)
+
+(* A cell is ints in a page, not a heap block: once the page exists,
+   creating word summaries allocates nothing on the minor heap. *)
+let test_shadow_summary_no_alloc () =
+  let s = Shadow.create () in
+  let summary index =
+    ignore (Shadow.summary s ~space:Ptx.Ast.Global ~region:0 ~index)
+  in
+  summary 0;
+  let before = Gc.minor_words () in
+  for i = 1 to 15 do
+    summary (4 * i)
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check int) "15 new summaries" 16 (Shadow.cells s);
+  Alcotest.(check int) "minor-heap words allocated" 0
+    (int_of_float (after -. before))
 
 (* ---- Detector vs Reference equivalence ------------------------------ *)
 
@@ -385,6 +412,8 @@ let suite =
     Alcotest.test_case "report cap" `Quick test_report_cap;
     Alcotest.test_case "shadow pages" `Quick test_shadow_pages_on_demand;
     Alcotest.test_case "shadow summary split" `Quick test_shadow_summary_split;
+    Alcotest.test_case "shadow summaries allocate nothing" `Quick
+      test_shadow_summary_no_alloc;
     Alcotest.test_case "rule: write-write" `Quick test_rule_write_write;
     Alcotest.test_case "rule: same-value filter" `Quick test_rule_same_value_filter;
     Alcotest.test_case "rule: read inflation" `Quick test_rule_read_inflation;

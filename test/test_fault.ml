@@ -39,6 +39,102 @@ let test_seal_check () =
   Alcotest.(check bool) "payload corruption" true
     (Wire.check b ~pos:0 = Wire.Bad_checksum)
 
+(* The checksum one 16-bit chunk per step, as first specified: the
+   fold [Wire.checksum_at] speeds up must give the same value. *)
+let reference_checksum b ~pos =
+  let n = Wire.covered_bytes b ~pos in
+  let rotl62 x r = ((x lsl r) land max_int) lor (x lsr (62 - r)) in
+  let rec sum i stop r acc =
+    if i >= stop then acc
+    else
+      sum (i + 2) stop
+        (if r >= 46 then r - 46 else r + 16)
+        (acc lxor rotl62 (Bytes.get_uint16_ne b i) r)
+  in
+  let h = n * 0x9E3779B1 in
+  let acc = (h lxor (h lsr 17)) land max_int in
+  let acc = sum pos (pos + 6) 3 acc in
+  let acc = sum (pos + 8) (pos + Wire.header_size) 23 acc in
+  let acc =
+    sum (pos + Wire.header_size) (pos + Wire.header_size + n) 9 acc
+  in
+  let acc = acc lxor (acc lsr 32) in
+  let acc = acc lxor (acc lsr 16) in
+  acc land 0xFFFF
+
+let opcodes =
+  List.init (Wire.op_atomic_last - Wire.op_load + 1) (fun i -> Wire.op_load + i)
+  @ Wire.
+      [
+        op_branch_if;
+        op_branch_else;
+        op_branch_fi;
+        op_barrier;
+        op_barrier_divergence;
+      ]
+
+(* A record of random bytes with the given opcode and mask at [pos],
+   in a buffer that ends [slack] bytes after its covered region. *)
+let random_record ~seed ~opcode ~mask ~pos ~slack =
+  let rng = Random.State.make [| seed |] in
+  let scratch = Bytes.init Wire.size (fun _ -> Char.chr (Random.State.int rng 256)) in
+  Bytes.set_uint8 scratch 2 opcode;
+  Bytes.set_int32_le scratch 8 (Int32.of_int mask);
+  let n = Wire.header_size + Wire.covered_bytes scratch ~pos:0 in
+  let b = Bytes.make (pos + n + slack) '\255' in
+  Bytes.blit scratch 0 b pos n;
+  b
+
+let prop_checksum_matches_reference =
+  QCheck2.Test.make ~name:"checksum equals the 16-bit reference fold"
+    ~count:1000
+    QCheck2.Gen.(
+      tup5 (int_range 0 (List.length opcodes - 1)) (int_range 0 0xFFFFFFFF)
+        (int_range 0 40) (int_range 0 9) (int_range 0 1_000_000))
+    (fun (op, mask, pos, slack, seed) ->
+      let b =
+        random_record ~seed ~opcode:(List.nth opcodes op) ~mask ~pos ~slack
+      in
+      Wire.checksum_at b ~pos = reference_checksum b ~pos)
+
+let test_checksum_pinned () =
+  (* Each opcode and width of mask, the covered region ending at the
+     buffer's last byte, where the fold cannot load past it. *)
+  List.iter
+    (fun opcode ->
+      List.iter
+        (fun mask ->
+          let b = random_record ~seed:mask ~opcode ~mask ~pos:5 ~slack:0 in
+          Alcotest.(check int)
+            (Printf.sprintf "opcode %d mask %#x ends the buffer" opcode mask)
+            (reference_checksum b ~pos:5) (Wire.checksum_at b ~pos:5))
+        [ 0; 1; 0x5; 0xFF; 0x8000_0000; 0xFFFF_FFFF ])
+    opcodes;
+  (* Sealed records whose checksums were computed by the 16-bit fold:
+     recorded streams must keep verifying. *)
+  let b1 = Bytes.make Wire.size '\000' in
+  Wire.write_access b1 ~pos:0 ~kind:Simt.Event.Store ~space:Ptx.Ast.Global
+    ~width:4 ~mask:0xFFFFFFFF ~warp:3 ~insn:5
+    ~addrs:(Array.init 32 (fun i -> 0x1000 + (4 * i)));
+  Wire.seal b1 ~pos:0 ~seq:7;
+  let b2 = Bytes.make Wire.size '\000' in
+  Wire.write_branch_if b2 ~pos:0 ~mask:0xF0F0 ~warp:1 ~insn:9
+    ~then_mask:0xF000 ~else_mask:0x00F0;
+  Wire.seal b2 ~pos:0 ~seq:42;
+  let b3 = Bytes.make (3 + Wire.size) '\000' in
+  Wire.write_access b3 ~pos:3 ~kind:(Simt.Event.Atomic Ptx.Ast.A_add)
+    ~space:Ptx.Ast.Shared ~width:8 ~mask:0x5 ~warp:12 ~insn:77
+    ~addrs:(Array.init 32 (fun i -> 0x40 + (8 * i)));
+  Wire.seal b3 ~pos:3 ~seq:0xFFFFFFFF;
+  Alcotest.(check (list int)) "pinned checksums" [ 0xeef; 0x7bbf; 0x273 ]
+    [
+      Bytes.get_uint16_le b1 6; Bytes.get_uint16_le b2 6; Bytes.get_uint16_le b3 9;
+    ];
+  Alcotest.(check bool) "and they verify" true
+    (Wire.check b1 ~pos:0 = Wire.Intact
+    && Wire.check b2 ~pos:0 = Wire.Intact
+    && Wire.check b3 ~pos:3 = Wire.Intact)
+
 (* Any single bit flip that leaves the covered length unchanged must be
    detected — guaranteed structurally by the rotate-XOR checksum.  The
    length-changing bytes (opcode at 2, mask word at 8-11) reshape the
@@ -430,6 +526,7 @@ let test_campaign_quick_deterministic () =
 let suite =
   [
     Alcotest.test_case "seal and check" `Quick test_seal_check;
+    Alcotest.test_case "checksum pinned" `Quick test_checksum_pinned;
     Alcotest.test_case "mask bit flips detected" `Quick
       test_mask_bit_flips_detected;
     Alcotest.test_case "opcode bit flips detected" `Quick
@@ -461,4 +558,5 @@ let suite =
     Alcotest.test_case "campaign determinism" `Quick
       test_campaign_quick_deterministic;
   ]
-  @ List.map Gen.to_alcotest [ prop_single_bit_flip_detected ]
+  @ List.map Gen.to_alcotest
+      [ prop_single_bit_flip_detected; prop_checksum_matches_reference ]

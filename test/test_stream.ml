@@ -265,6 +265,29 @@ let test_bad_header_rejected () =
   | _ -> Alcotest.fail "expected Stream.Framing"
   | exception Stream.Framing _ -> ()
 
+(* A file too short for a header, or with the wrong magic, is a
+   framing error, never [End_of_file]. *)
+let test_bad_stream_files_rejected () =
+  let path = Filename.temp_file "barracuda-stream" ".baws" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun (name, contents) ->
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc contents);
+          match Stream.read_file path with
+          | _ -> Alcotest.failf "%s: expected Stream.Framing" name
+          | exception Stream.Framing _ -> ())
+        [
+          ("10-byte file", String.sub (Stream.encode_header Gen.layout) 0 10);
+          ( "bad magic",
+            "BAWX"
+            ^ String.sub (Stream.encode_header Gen.layout) 4
+                (Stream.header_size - 4)
+            ^ String.make 64 '\000' );
+        ])
+
 (* ---- op-plane lifecycle ------------------------------------------ *)
 
 let test_ops_lifecycle () =
@@ -389,6 +412,8 @@ let suite =
       test_stream_file_roundtrip;
     Alcotest.test_case "bad stream header rejected" `Quick
       test_bad_header_rejected;
+    Alcotest.test_case "bad stream files rejected" `Quick
+      test_bad_stream_files_rejected;
     Alcotest.test_case "op-plane lifecycle" `Quick test_ops_lifecycle;
     Alcotest.test_case "session seats are bounded and reusable" `Quick
       test_seats_bounded;
