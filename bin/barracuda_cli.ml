@@ -11,7 +11,7 @@
      barracuda serve [--socket PATH] [--workers N]          race-checking daemon
      barracuda submit FILE [--kind check|predict]           send a job to the daemon
      barracuda stream FILE --trace REC [--chunk N]          stream a recording to the daemon
-     barracuda svc-status [--prometheus]                    query the daemon
+     barracuda svc-status [--prometheus]                    query the daemon (= fleet-status)
 
    Exit codes: 0 = clean, 1 = race found (or an I/O error), 2 = bad
    input — argument specs, PTX/trace parse errors, ill-formed kernels. *)
@@ -19,16 +19,19 @@
 open Cmdliner
 
 (* Every command body runs under this guard: user-input mistakes that
-   used to escape as an OCaml backtrace become a one-line error with a
-   usage hint and exit code 2, distinct from exit 1 (race found / I/O
-   error). *)
+   used to escape as an OCaml backtrace become a one-line error (with a
+   usage hint where one applies) and exit code 2, distinct from exit 1
+   (race found / I/O error). *)
 let guard f =
   try f () with
-  | Failure msg ->
+  | Service.Exec.Bad_args msg ->
       Format.eprintf "barracuda: %s@." msg;
       Format.eprintf
         "hint: argument specs are alloc:BYTES, int:V or a bare integer; see \
          --help.@.";
+      2
+  | Failure msg ->
+      Format.eprintf "barracuda: %s@." msg;
       2
   | Ptx.Parser.Error { line; message } ->
       Format.eprintf "barracuda: PTX parse error at line %d: %s@." line message;
@@ -87,12 +90,8 @@ let args_term =
            allocate device memory, $(b,int:V) (or a bare integer) for a \
            scalar. Missing arguments default to $(b,alloc:4096).")
 
-let load_kernel file =
-  let ic = open_in file in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  Ptx.Parser.kernel_of_string src
+let read_file file = In_channel.with_open_bin file In_channel.input_all
+let load_kernel file = Ptx.Parser.kernel_of_string (read_file file)
 
 let print_machine_result kernel (result : Simt.Machine.result) =
   Format.printf "kernel %s: %d warp instructions executed (%s)@."
@@ -156,36 +155,45 @@ let metrics_term =
            the same as without telemetry; the execute and detect stage \
            spans are populated.")
 
+(* A JSON document to [path], or to stdout for "-". *)
+let write_json ~what path json =
+  if path = "-" then print_endline json
+  else begin
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc json;
+        output_char oc '\n');
+    Format.printf "%s written to %s@." what path
+  end
+
+let enable_telemetry () =
+  Telemetry.Registry.set_enabled true;
+  Telemetry.Registry.reset Telemetry.Registry.default
+
 let write_metrics path =
-  if path = "-" then
-    print_string (Telemetry.Export.to_json_string Telemetry.Registry.default)
-  else
-    match Telemetry.Export.write_json Telemetry.Registry.default ~path with
-    | () -> Format.printf "metrics written to %s@." path
-    | exception Sys_error msg ->
-        Format.eprintf "barracuda: cannot write metrics: %s@." msg;
-        exit 1
+  write_json ~what:"metrics" path
+    (Telemetry.Export.to_json_string Telemetry.Registry.default)
+
+(* --metrics: telemetry on, from zero, for the command's run, and the
+   registry written once the command has printed its result. *)
+let with_metrics metrics f =
+  if metrics <> None then enable_telemetry ();
+  let code = f () in
+  Option.iter write_metrics metrics;
+  code
 
 let check_cmd =
   let run layout file specs max_reports dump_trace metrics shards record =
     guard @@ fun () ->
     if shards < 1 then failwith "--shards must be at least 1";
+    with_metrics metrics @@ fun () ->
     let kernel = load_kernel file in
     let machine = Simt.Machine.create ~layout () in
     let args = Service.Exec.resolve_args machine kernel specs in
     let detector = { Barracuda.Detector.default_config with max_reports } in
-    if metrics <> None then begin
-      Telemetry.Registry.set_enabled true;
-      Telemetry.Registry.reset Telemetry.Registry.default
-    end;
     (* One code path: the flags only pick a backend (--shards), a raw
        event tap (--dump-trace), a capture (--record) or telemetry
        (--metrics); none of them changes the verdict. *)
-    let sink =
-      if shards > 1 then
-        Some (Shard.Stream.sink ~config:detector ~layout ~shards kernel)
-      else None
-    in
+    let sink = Shard.Stream.sink_for ~config:detector ~layout ~shards kernel in
     let trace = ref [] in
     let tap =
       Option.map
@@ -214,9 +222,7 @@ let check_cmd =
           result.Gpu_runtime.Session.sr_records
     | _ -> ());
     print_machine_result kernel result.Gpu_runtime.Session.sr_machine_result;
-    let code = print_verdict result.Gpu_runtime.Session.sr_report in
-    Option.iter write_metrics metrics;
-    code
+    print_verdict result.Gpu_runtime.Session.sr_report
   in
   let max_reports =
     Arg.(value & opt int 50 & info [ "max-reports" ] ~docv:"N"
@@ -261,8 +267,7 @@ let profile_cmd =
     let kernel = load_kernel file in
     let machine = Simt.Machine.create ~layout () in
     let args = Service.Exec.resolve_args machine kernel specs in
-    Telemetry.Registry.set_enabled true;
-    Telemetry.Registry.reset Telemetry.Registry.default;
+    enable_telemetry ();
     (* The deployed configuration: block + static pruning, so the
        profile measures the overhead the in-process tool would pay. *)
     let t0 = Telemetry.Clock.now_ns () in
@@ -369,18 +374,10 @@ let replay_cmd =
 let predict_cmd =
   let run file json witness_dir max_predictions no_validate metrics =
     guard @@ fun () ->
-    (match metrics with
-    | Some _ ->
-        Telemetry.Registry.set_enabled true;
-        Telemetry.Registry.reset Telemetry.Registry.default
-    | None -> ());
+    with_metrics metrics @@ fun () ->
     let loaded = load_trace file in
     let config =
-      {
-        Predict.Analysis.default_config with
-        Predict.Analysis.max_predictions;
-        validate = not no_validate;
-      }
+      { Predict.Analysis.max_predictions; validate = not no_validate }
     in
     let a =
       Predict.Analysis.run ~config ~layout:loaded.Gpu_runtime.Replay.layout
@@ -409,7 +406,6 @@ let predict_cmd =
                 if not json then
                   Format.printf "witness for #%d written to %s@." (i + 1) path)
           a.Predict.Analysis.predictions);
-    (match metrics with Some path -> write_metrics path | None -> ());
     if Predict.Analysis.has_race a then 1 else 0
   in
   let json =
@@ -538,11 +534,7 @@ let analyze_json kernel layout (a : Static.Analysis.t) =
 let analyze_cmd =
   let run layout file json noalias metrics =
     guard @@ fun () ->
-    (match metrics with
-    | Some _ ->
-        Telemetry.Registry.set_enabled true;
-        Telemetry.Registry.reset Telemetry.Registry.default
-    | None -> ());
+    with_metrics metrics @@ fun () ->
     let kernel = load_kernel file in
     let a = Static.Analysis.analyze ~assume_noalias:noalias kernel in
     let racy_now = Static.Analysis.provably_racy a ~layout in
@@ -581,7 +573,6 @@ let analyze_cmd =
           (racy + unknown)
           (if racy + unknown = 1 then "" else "es")
     end;
-    (match metrics with Some path -> write_metrics path | None -> ());
     if racy_now then 1 else 0
   in
   let json =
@@ -659,11 +650,7 @@ let repair_json ~original (r : Repair.Engine.result) =
 let repair_cmd =
   let run layout file specs max_candidates max_steps seed json out metrics =
     guard @@ fun () ->
-    (match metrics with
-    | Some _ ->
-        Telemetry.Registry.set_enabled true;
-        Telemetry.Registry.reset Telemetry.Registry.default
-    | None -> ());
+    with_metrics metrics @@ fun () ->
     let kernel = load_kernel file in
     let setup machine = Service.Exec.resolve_args machine kernel specs in
     let config =
@@ -698,63 +685,59 @@ let repair_cmd =
                   ptx_path patch_path
           | None -> ())
     in
-    let code =
-      if json then begin
-        print_endline (Telemetry.Json.to_string (repair_json ~original:kernel r));
-        match r.Repair.Engine.verdict with
-        | Repair.Engine.Fixed f ->
-            write_out (Some f);
-            0
-        | Repair.Engine.Already_clean -> 0
-        | Repair.Engine.Unfixable -> 1
-      end
-      else begin
-        let d = r.Repair.Engine.diagnosis in
-        if d.Repair.Localize.racy then begin
-          Format.printf "kernel %s is racy (%s%s%s)@." kernel.Ptx.Ast.kname
-            (if d.Repair.Localize.observed_racy then "observed" else "")
-            (if d.Repair.Localize.predicted_racy then
-               (if d.Repair.Localize.observed_racy then ", predicted"
-                else "predicted")
-             else "")
-            (if d.Repair.Localize.static_racy then ", provably static"
-             else "");
+    if json then begin
+      print_endline (Telemetry.Json.to_string (repair_json ~original:kernel r));
+      match r.Repair.Engine.verdict with
+      | Repair.Engine.Fixed f ->
+          write_out (Some f);
+          0
+      | Repair.Engine.Already_clean -> 0
+      | Repair.Engine.Unfixable -> 1
+    end
+    else begin
+      let d = r.Repair.Engine.diagnosis in
+      if d.Repair.Localize.racy then begin
+        Format.printf "kernel %s is racy (%s%s%s)@." kernel.Ptx.Ast.kname
+          (if d.Repair.Localize.observed_racy then "observed" else "")
+          (if d.Repair.Localize.predicted_racy then
+             (if d.Repair.Localize.observed_racy then ", predicted"
+              else "predicted")
+           else "")
+          (if d.Repair.Localize.static_racy then ", provably static"
+           else "");
+        List.iter
+          (fun (a, b) ->
+            Format.printf "  racy pair: insn %d vs insn %d@." a b)
+          d.Repair.Localize.pairs
+      end;
+      match r.Repair.Engine.verdict with
+      | Repair.Engine.Already_clean ->
+          Format.printf
+            "kernel %s is already race-free: nothing to repair.@."
+            kernel.Ptx.Ast.kname;
+          0
+      | Repair.Engine.Fixed f ->
+          Format.printf "accepted fix (%d of %d candidates tried): %s@."
+            r.Repair.Engine.candidates_tried r.Repair.Engine.candidates_total
+            f.Repair.Engine.description;
           List.iter
-            (fun (a, b) ->
-              Format.printf "  racy pair: insn %d vs insn %d@." a b)
-            d.Repair.Localize.pairs
-        end;
-        match r.Repair.Engine.verdict with
-        | Repair.Engine.Already_clean ->
-            Format.printf
-              "kernel %s is already race-free: nothing to repair.@."
-              kernel.Ptx.Ast.kname;
-            0
-        | Repair.Engine.Fixed f ->
-            Format.printf "accepted fix (%d of %d candidates tried): %s@."
-              r.Repair.Engine.candidates_tried r.Repair.Engine.candidates_total
-              f.Repair.Engine.description;
-            List.iter
-              (fun (c, why) -> Format.printf "  rejected: %s — %s@." c why)
-              r.Repair.Engine.rejected;
-            Format.printf "%s@." (Repair.Engine.patch_of ~original:kernel f);
-            Format.printf
-              "validated: serial x2 (deterministic), sharded parity, \
-               predictive schedules, fault slice — all race-free.@.";
-            write_out (Some f);
-            0
-        | Repair.Engine.Unfixable ->
-            Format.printf
-              "no fix found: %d of %d candidates tried, all rejected.@."
-              r.Repair.Engine.candidates_tried r.Repair.Engine.candidates_total;
-            List.iter
-              (fun (c, why) -> Format.printf "  rejected: %s — %s@." c why)
-              r.Repair.Engine.rejected;
-            1
-      end
-    in
-    (match metrics with Some path -> write_metrics path | None -> ());
-    code
+            (fun (c, why) -> Format.printf "  rejected: %s — %s@." c why)
+            r.Repair.Engine.rejected;
+          Format.printf "%s@." (Repair.Engine.patch_of ~original:kernel f);
+          Format.printf
+            "validated: serial x2 (deterministic), sharded parity, \
+             predictive schedules, fault slice — all race-free.@.";
+          write_out (Some f);
+          0
+      | Repair.Engine.Unfixable ->
+          Format.printf
+            "no fix found: %d of %d candidates tried, all rejected.@."
+            r.Repair.Engine.candidates_tried r.Repair.Engine.candidates_total;
+          List.iter
+            (fun (c, why) -> Format.printf "  rejected: %s — %s@." c why)
+            r.Repair.Engine.rejected;
+          1
+    end
   in
   let max_candidates =
     Arg.(value
@@ -1035,7 +1018,6 @@ let serve_cmd =
     let tenant_quotas = List.map parse_tenant_quota quotas in
     let config =
       {
-        Service.Server.default_config with
         Service.Server.socket_path = socket;
         workers;
         queue_capacity;
@@ -1084,9 +1066,8 @@ let serve_cmd =
       Format.printf
         "barracuda service listening on %s (%d job seats x %d shards from a \
          %d-domain budget, queue %d, cache %d)@."
-        socket
-        (max 1 (workers / job_shards))
-        job_shards workers queue_capacity cache_capacity
+        socket (Service.Server.status t).Service.Protocol.workers job_shards
+        workers queue_capacity cache_capacity
     else
       Format.printf
         "barracuda service listening on %s (%d workers, %d session seats, \
@@ -1219,32 +1200,32 @@ let tenant_term =
           "Tenant the job is accounted (and rate-limited) under; \
            omitted jobs join the daemon's default tenant.")
 
+(* FILE's contents as a submission under [layout]. *)
+let submission ~kind ~layout ~tenant file =
+  {
+    (Service.Protocol.submit_defaults ~kind (read_file file)) with
+    Service.Protocol.layout =
+      Some
+        ( layout.Vclock.Layout.blocks,
+          layout.Vclock.Layout.threads_per_block,
+          layout.Vclock.Layout.warp_size );
+    tenant;
+  }
+
 let submit_cmd =
   let run socket layout file specs kind no_prune no_static retries json tenant =
     guard @@ fun () ->
-    let ic = open_in file in
-    let payload = really_input_string ic (in_channel_length ic) in
-    close_in ic;
     let kind =
-      match kind with
-      | "check" -> Service.Protocol.Check
-      | "predict" -> Service.Protocol.Predict
-      | "repair" -> Service.Protocol.Repair
-      | k -> failwith (Printf.sprintf "unknown job kind %S" k)
+      match Service.Protocol.kind_of_string kind with
+      | Some kind -> kind
+      | None -> failwith (Printf.sprintf "unknown job kind %S" kind)
     in
     let sub =
       {
-        Service.Protocol.kind;
-        payload;
-        layout =
-          Some
-            ( layout.Vclock.Layout.blocks,
-              layout.Vclock.Layout.threads_per_block,
-              layout.Vclock.Layout.warp_size );
-        args = specs;
+        (submission ~kind ~layout ~tenant file) with
+        Service.Protocol.args = specs;
         prune = not no_prune;
         static = not no_static;
-        tenant;
       }
     in
     match Service.Client.submit ~retries ~socket sub with
@@ -1344,31 +1325,13 @@ let submit_cmd =
       $ no_prune $ no_static $ retries $ json $ tenant_term)
 
 let stream_cmd =
-  let run socket file trace specs chunk flush_every no_prune no_static retries
-      tenant =
+  let run socket file trace chunk flush_every retries tenant =
     guard @@ fun () ->
     if chunk < 1 then failwith "--chunk must be at least 1";
-    let ic = open_in file in
-    let payload = really_input_string ic (in_channel_length ic) in
-    close_in ic;
     (* The recorded layout travels in the stream file's header: the
        session replays under exactly the grid that produced it. *)
     let layout, cells = Gpu_runtime.Stream.read_file trace in
-    let sub =
-      {
-        Service.Protocol.kind = Service.Protocol.Check;
-        payload;
-        layout =
-          Some
-            ( layout.Vclock.Layout.blocks,
-              layout.Vclock.Layout.threads_per_block,
-              layout.Vclock.Layout.warp_size );
-        args = specs;
-        prune = not no_prune;
-        static = not no_static;
-        tenant;
-      }
-    in
+    let sub = submission ~kind:Service.Protocol.Check ~layout ~tenant file in
     let print_verdict ~label (v : Service.Client.stream_verdict) =
       Format.printf "%s: %d records, %s (%d race%s)@." label
         v.Service.Client.v_records
@@ -1457,15 +1420,6 @@ let stream_cmd =
           ~doc:"Checkpoint (and print the verdict so far) every $(docv) \
                 chunks; 0 checkpoints only at close.")
   in
-  let no_prune =
-    Arg.(value & flag
-           & info [ "no-prune" ] ~doc:"Disable the logging-pruning pass.")
-  in
-  let no_static =
-    Arg.(value & flag
-           & info [ "no-static" ]
-               ~doc:"Disable the static race analysis tier.")
-  in
   let retries =
     Arg.(value & opt int 10
            & info [ "retries" ] ~docv:"N"
@@ -1479,72 +1433,107 @@ let stream_cmd =
           each checkpoint.  The final verdict is bitwise-identical to a \
           one-shot check of the same kernel.")
     Term.(
-      const run $ socket_term $ file_term $ trace $ args_term $ chunk
-      $ flush_every $ no_prune $ no_static $ retries $ tenant_term)
+      const run $ socket_term $ file_term $ trace $ chunk $ flush_every
+      $ retries $ tenant_term)
 
-let svc_status_cmd =
-  let run socket prometheus json shutdown =
+(* The daemon and campaign dashboard, registered as both svc-status
+   and fleet-status.  It exits 1 on any silent-wrong trial. *)
+let status_cmd name =
+  let run socket dir prometheus json shutdown =
     guard @@ fun () ->
+    let unreachable message =
+      Format.eprintf "barracuda: cannot reach the daemon: %s@." message;
+      1
+    in
     if shutdown then
       match Service.Client.shutdown ~socket with
       | Ok () ->
           Format.printf "daemon on %s is stopping.@." socket;
           0
-      | Error message ->
-          Format.eprintf "barracuda: cannot reach the daemon: %s@." message;
-          1
-    else if prometheus then
-      match Service.Client.metrics ~socket with
-      | Ok text ->
-          print_string text;
-          0
-      | Error message ->
-          Format.eprintf "barracuda: cannot reach the daemon: %s@." message;
-          1
+      | Error message -> unreachable message
     else
-      match Service.Client.status ~socket with
-      | Ok s ->
-          if json then
-            print_endline
-              (Service.Protocol.encode_response
-                 (Service.Protocol.Status_reply s))
-          else begin
-            Format.printf "daemon on %s: up %.1f s@." socket
-              (s.Service.Protocol.uptime_ms /. 1000.0);
-            Format.printf "  workers   %d (%d busy)@."
-              s.Service.Protocol.workers s.Service.Protocol.busy;
-            Format.printf "  queue     %d/%d@." s.Service.Protocol.queue_depth
-              s.Service.Protocol.queue_capacity;
-            Format.printf
-              "  jobs      %d submitted, %d completed (%d racy / %d \
-               race-free), %d failed, %d rejected@."
-              s.Service.Protocol.submitted s.Service.Protocol.completed
-              s.Service.Protocol.racy s.Service.Protocol.race_free
-              s.Service.Protocol.failed s.Service.Protocol.rejected;
-            Format.printf "  healing   %d workers respawned, %d jobs \
-                           quarantined@."
-              s.Service.Protocol.workers_restarted
-              s.Service.Protocol.quarantined;
-            Format.printf "  cache     %d entries, %d hits / %d misses, %d \
-                           evictions@."
-              s.Service.Protocol.cache_entries s.Service.Protocol.cache_hits
-              s.Service.Protocol.cache_misses
-              s.Service.Protocol.cache_evictions;
-            Format.printf "  sessions  %d seats, %d open, %d opened total@."
-              s.Service.Protocol.session_seats
-              s.Service.Protocol.open_sessions
-              s.Service.Protocol.sessions_opened;
-            Format.printf
-              "  transport %d corrupt, %d lost, %d stale, %d desynced@."
-              s.Service.Protocol.integrity_corrupt
-              s.Service.Protocol.integrity_gaps
-              s.Service.Protocol.integrity_stale
-              s.Service.Protocol.integrity_desync
-          end;
-          0
-      | Error message ->
-          Format.eprintf "barracuda: cannot reach the daemon: %s@." message;
-          1
+      match dir with
+      | Some dir -> (
+          (* Campaign state straight from disk: no daemon needed (after a
+             crash, say, before the resume). *)
+          match Campaign.Journal.open_dir dir with
+          | Error message ->
+              Format.eprintf "barracuda: %s@." message;
+              1
+          | Ok j ->
+              if json then print_endline (Campaign.Journal.report_json j)
+              else Format.printf "%a" Campaign.Journal.pp j;
+              if Campaign.Journal.clean j then 0 else 1)
+      | None when prometheus -> (
+          match Service.Client.metrics ~socket with
+          | Ok text ->
+              print_string text;
+              0
+          | Error message -> unreachable message)
+      | None -> (
+          match Service.Client.status ~socket with
+          | Error message -> unreachable message
+          | Ok s ->
+              let module P = Service.Protocol in
+              if json then print_endline (P.encode_response (P.Status_reply s))
+              else begin
+                Format.printf "daemon on %s: up %.1f s@." socket
+                  (s.P.uptime_ms /. 1000.0);
+                Format.printf "  workers   %d (%d busy)@." s.P.workers s.P.busy;
+                Format.printf "  queue     %d/%d@." s.P.queue_depth
+                  s.P.queue_capacity;
+                Format.printf
+                  "  jobs      %d submitted, %d completed (%d racy / %d \
+                   race-free), %d failed, %d rejected@."
+                  s.P.submitted s.P.completed s.P.racy s.P.race_free s.P.failed
+                  s.P.rejected;
+                Format.printf
+                  "  healing   %d workers respawned, %d jobs quarantined@."
+                  s.P.workers_restarted s.P.quarantined;
+                Format.printf
+                  "  cache     %d entries, %d hits / %d misses, %d evictions@."
+                  s.P.cache_entries s.P.cache_hits s.P.cache_misses
+                  s.P.cache_evictions;
+                Format.printf "  sessions  %d seats, %d open, %d opened total@."
+                  s.P.session_seats s.P.open_sessions s.P.sessions_opened;
+                Format.printf
+                  "  transport %d corrupt, %d lost, %d stale, %d desynced@."
+                  s.P.integrity_corrupt s.P.integrity_gaps s.P.integrity_stale
+                  s.P.integrity_desync;
+                if s.P.tenants = [] then
+                  Format.printf "  tenants   none seen yet@.";
+                List.iter
+                  (fun (tn : P.tenant_status) ->
+                    Format.printf
+                      "  tenant %-10s %d queued, %d in flight, %d submitted, \
+                       %d done, %d rejected, p50 %.1f ms, p99 %.1f ms@."
+                      tn.P.t_name tn.P.t_queued tn.P.t_inflight tn.P.t_submitted
+                      tn.P.t_completed tn.P.t_rejected tn.P.t_p50_ms
+                      tn.P.t_p99_ms)
+                  s.P.tenants;
+                match s.P.campaign with
+                | None -> Format.printf "  campaign  not running@."
+                | Some c ->
+                    Format.printf
+                      "  campaign  %d/%d trials (%d batches)%s, silent-wrong \
+                       %d%s@."
+                      c.P.ca_trials c.P.ca_total c.P.ca_batches
+                      (if c.P.ca_paused then " [paused for paying work]"
+                       else "")
+                      c.P.ca_silent_wrong
+                      (if c.P.ca_silent_wrong > 0 then
+                         "  ** SILENT CORRUPTION **"
+                       else "")
+              end;
+              match s.P.campaign with
+              | Some c when c.P.ca_silent_wrong > 0 -> 1
+              | _ -> 0)
+  in
+  let dir =
+    Arg.(value & opt (some string) None
+           & info [ "dir" ] ~docv:"DIR"
+               ~doc:"Read campaign state from a journal directory instead \
+                     of a live daemon.")
   in
   let prometheus =
     Arg.(value & flag
@@ -1552,16 +1541,24 @@ let svc_status_cmd =
                ~doc:"Print the daemon's registry in Prometheus text format.")
   in
   let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the raw JSON status line.")
+    Arg.(value & flag
+           & info [ "json" ]
+               ~doc:"Raw JSON: the status line (daemon mode) or the \
+                     deterministic campaign report (--dir mode).")
   in
   let shutdown =
     Arg.(value & flag
            & info [ "shutdown" ] ~doc:"Ask the daemon to shut down instead.")
   in
   Cmd.v
-    (Cmd.info "svc-status"
-       ~doc:"Query (or shut down) a running barracuda daemon.")
-    Term.(const run $ socket_term $ prometheus $ json $ shutdown)
+    (Cmd.info name
+       ~doc:
+         "Query (or shut down) a running barracuda daemon: service \
+          counters, per-tenant queue depth, throughput, rejections and \
+          latency percentiles, and background-campaign survival state \
+          (silent-wrong must stay 0), or a campaign journal with \
+          $(b,--dir).  Exits non-zero on any silent-wrong trial.")
+    Term.(const run $ socket_term $ dir $ prometheus $ json $ shutdown)
 
 let faults_cmd =
   let run seed quick trials json =
@@ -1570,18 +1567,10 @@ let faults_cmd =
       Campaign.run ~config:{ Campaign.seed; quick; trials } ()
     in
     Format.printf "%a" Campaign.pp report;
-    (match json with
-    | None -> ()
-    | Some path ->
-        let line = Campaign.to_json report in
-        if path = "-" then print_endline line
-        else begin
-          let oc = open_out path in
-          output_string oc line;
-          output_char oc '\n';
-          close_out oc;
-          Format.printf "campaign report written to %s@." path
-        end);
+    Option.iter
+      (fun path ->
+        write_json ~what:"campaign report" path (Campaign.to_json report))
+      json;
     if Campaign.ok report then 0 else 1
   in
   let seed =
@@ -1630,64 +1619,33 @@ let fleet_cmd =
            "%s already holds a campaign journal; pass --resume to continue \
             it (or point --dir at a fresh directory)"
            dir);
-    let j =
-      if exists then
-        match Campaign.Journal.load ~dir with
-        | Ok j -> j
-        | Error message -> failwith message
-      else begin
-        let j =
-          Campaign.Journal.create ~seed
-            ~cases:(min cases (List.length Bugsuite.Cases.all))
-            ~trials
-        in
-        Campaign.Journal.save ~dir j;
-        j
-      end
-    in
     if resume && not exists then
       failwith (Printf.sprintf "no campaign journal to resume in %s" dir);
-    (* Foreground runner: same deterministic stepper the in-daemon
-       campaign uses, checkpointing after every batch so a kill at any
-       point resumes without losing or double-counting trials. *)
-    let baselines = Hashtbl.create 8 in
-    let budget =
-      match max_trials with
-      | None -> max_int
-      | Some m -> if m < 0 then 0 else m
+    let fresh = { Campaign.Journal.seed; cases; trials } in
+    let j =
+      match Campaign.Journal.open_dir ~fresh dir with
+      | Ok j -> j
+      | Error message -> failwith message
     in
+    (* Foreground runner: the in-daemon campaign's batch step,
+       checkpointing after every batch so a kill at any point resumes
+       without losing or double-counting trials. *)
+    let baselines = Hashtbl.create 8 in
+    let budget = match max_trials with None -> max_int | Some m -> max 0 m in
     let rec drive done_now =
-      if done_now >= budget || Campaign.Journal.complete j then ()
-      else begin
-        let ran =
-          Campaign.Daemon.step ~baselines j
-            ~n:(min batch (budget - done_now))
-        in
-        Campaign.Journal.save ~dir j;
-        if ran = 0 then () else drive (done_now + ran)
-      end
+      if done_now < budget then
+        let n = min batch (budget - done_now) in
+        let ran = Campaign.Journal.advance ~baselines ~dir j ~n in
+        if ran > 0 then drive (done_now + ran)
     in
     drive 0;
     Format.printf "%a" Campaign.Journal.pp j;
-    (match json with
-    | None -> ()
-    | Some path ->
-        let line = Campaign.Journal.report_json j in
-        if path = "-" then print_endline line
-        else begin
-          let oc = open_out path in
-          output_string oc line;
-          output_char oc '\n';
-          close_out oc;
-          Format.printf "fleet campaign report written to %s@." path
-        end);
-    let clean =
-      List.for_all
-        (fun (_, (c : Campaign.Trial.cell)) ->
-          c.Campaign.Trial.silent_wrong = 0 && c.Campaign.Trial.crashed = 0)
-        j.Campaign.Journal.j_cells
-    in
-    if not clean then 1
+    Option.iter
+      (fun path ->
+        write_json ~what:"fleet campaign report" path
+          (Campaign.Journal.report_json j))
+      json;
+    if not (Campaign.Journal.clean j) then 1
     else if Campaign.Journal.complete j || max_trials <> None then 0
     else 1
   in
@@ -1743,124 +1701,6 @@ let fleet_cmd =
     Term.(const run $ dir $ seed $ cases $ trials $ batch $ resume
           $ max_trials $ json)
 
-let fleet_status_cmd =
-  let run socket dir prometheus json =
-    guard @@ fun () ->
-    match dir with
-    | Some dir -> (
-        (* Journal mode: render campaign state straight from disk — no
-           daemon required (e.g. after a crash, before the resume). *)
-        match Campaign.Journal.load ~dir with
-        | Error message ->
-            Format.eprintf "barracuda: %s@." message;
-            1
-        | Ok j ->
-            if json then print_endline (Campaign.Journal.report_json j)
-            else Format.printf "%a" Campaign.Journal.pp j;
-            if Campaign.Journal.silent_wrong j = 0 then 0 else 1)
-    | None ->
-        if prometheus then
-          match Service.Client.metrics ~socket with
-          | Ok text ->
-              print_string text;
-              0
-          | Error message ->
-              Format.eprintf "barracuda: cannot reach the daemon: %s@."
-                message;
-              1
-        else (
-          match Service.Client.status ~socket with
-          | Error message ->
-              Format.eprintf "barracuda: cannot reach the daemon: %s@."
-                message;
-              1
-          | Ok s ->
-              if json then
-                print_endline
-                  (Service.Protocol.encode_response
-                     (Service.Protocol.Status_reply s))
-              else begin
-                Format.printf "fleet on %s: up %.1f s@." socket
-                  (s.Service.Protocol.uptime_ms /. 1000.0);
-                Format.printf
-                  "  service   %d workers (%d busy), queue %d/%d, %d \
-                   submitted, %d rejected@."
-                  s.Service.Protocol.workers s.Service.Protocol.busy
-                  s.Service.Protocol.queue_depth
-                  s.Service.Protocol.queue_capacity
-                  s.Service.Protocol.submitted s.Service.Protocol.rejected;
-                Format.printf
-                  "  healing   %d workers respawned, %d jobs quarantined@."
-                  s.Service.Protocol.workers_restarted
-                  s.Service.Protocol.quarantined;
-                (match s.Service.Protocol.tenants with
-                | [] -> Format.printf "  tenants   none seen yet@."
-                | tenants ->
-                    List.iter
-                      (fun (tn : Service.Protocol.tenant_status) ->
-                        Format.printf
-                          "  tenant %-10s %d queued, %d in flight, %d \
-                           submitted, %d done, %d rejected, p50 %.1f ms, \
-                           p99 %.1f ms@."
-                          tn.Service.Protocol.t_name
-                          tn.Service.Protocol.t_queued
-                          tn.Service.Protocol.t_inflight
-                          tn.Service.Protocol.t_submitted
-                          tn.Service.Protocol.t_completed
-                          tn.Service.Protocol.t_rejected
-                          tn.Service.Protocol.t_p50_ms
-                          tn.Service.Protocol.t_p99_ms)
-                      tenants);
-                (match s.Service.Protocol.campaign with
-                | None -> Format.printf "  campaign  not running@."
-                | Some c ->
-                    Format.printf
-                      "  campaign  %d/%d trials (%d batches)%s, \
-                       silent-wrong %d%s@."
-                      c.Service.Protocol.ca_trials
-                      c.Service.Protocol.ca_total
-                      c.Service.Protocol.ca_batches
-                      (if c.Service.Protocol.ca_paused then
-                         " [paused for paying work]"
-                       else "")
-                      c.Service.Protocol.ca_silent_wrong
-                      (if c.Service.Protocol.ca_silent_wrong > 0 then
-                         "  ** SILENT CORRUPTION **"
-                       else ""))
-              end;
-              let silent =
-                match s.Service.Protocol.campaign with
-                | Some c -> c.Service.Protocol.ca_silent_wrong
-                | None -> 0
-              in
-              if silent = 0 then 0 else 1)
-  in
-  let dir =
-    Arg.(value & opt (some string) None
-           & info [ "dir" ] ~docv:"DIR"
-               ~doc:"Read campaign state from a journal directory instead \
-                     of a live daemon.")
-  in
-  let prometheus =
-    Arg.(value & flag
-           & info [ "prometheus" ]
-               ~doc:"Print the daemon's registry in Prometheus text format.")
-  in
-  let json =
-    Arg.(value & flag
-           & info [ "json" ]
-               ~doc:"Raw JSON: the status line (daemon mode) or the \
-                     deterministic campaign report (--dir mode).")
-  in
-  Cmd.v
-    (Cmd.info "fleet-status"
-       ~doc:
-         "Live reliability dashboard: per-tenant queue depth, \
-          throughput, rejections and latency percentiles joined with \
-          background-campaign survival state (silent-wrong must stay \
-          0).  Exits non-zero on any silent-wrong trial.")
-    Term.(const run $ socket_term $ dir $ prometheus $ json)
-
 let () =
   let doc = "binary-level data race detection for (simulated) CUDA kernels" in
   let info = Cmd.info "barracuda" ~version:"1.0.0" ~doc in
@@ -1871,6 +1711,6 @@ let () =
             check_cmd; profile_cmd; instrument_cmd; analyze_cmd; repair_cmd;
             suite_cmd;
             litmus_cmd; table1_cmd; sweep_cmd; replay_cmd; predict_cmd; faults_cmd;
-            serve_cmd; submit_cmd; stream_cmd; svc_status_cmd;
-            fleet_cmd; fleet_status_cmd;
+            serve_cmd; submit_cmd; stream_cmd; status_cmd "svc-status";
+            fleet_cmd; status_cmd "fleet-status";
           ]))

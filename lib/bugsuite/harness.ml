@@ -33,13 +33,6 @@ let score_of outcomes =
 let machine_of (case : Case.t) =
   Simt.Machine.create ~layout:case.Case.layout ()
 
-let bardiv_reported report =
-  List.exists
-    (function
-      | Barracuda.Report.Barrier_divergence _ -> true
-      | Barracuda.Report.Race _ -> false)
-    (Barracuda.Report.errors report)
-
 let run_barracuda ?max_steps cases =
   score_of
     (List.map
@@ -53,7 +46,7 @@ let run_barracuda ?max_steps cases =
          in
          judge case
            ~reported_race:(Barracuda.Report.has_race report)
-           ~reported_bardiv:(bardiv_reported report)
+           ~reported_bardiv:(Repair.Localize.bardiv_reported report)
            ~check_bardiv:true)
        cases)
 

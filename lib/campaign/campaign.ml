@@ -29,8 +29,6 @@ type cell = Trial.cell = {
   crashed : int;
 }
 
-let empty_cell = Trial.empty_cell
-
 type machine_cell = {
   m_trials : int;
   applied : int;
@@ -64,45 +62,16 @@ type t = {
   shard : shard_cell;
 }
 
-(* ---- seeding / transport (shared machinery in {!Trial}) ---------- *)
-
-let trial_seed = Trial.trial_seed
-let transport_classes = Trial.transport_classes
-let pipeline_verdict = Trial.pipeline_verdict
-let transport_trial = Trial.transport_trial
-
-let run_transport ~seed ~trials cases =
-  List.mapi
-    (fun cls (name, spec_of) ->
-      let cell =
-        List.fold_left
-          (fun cell (case : Case.t) ->
-            let baseline_race, _ = pipeline_verdict case in
-            let rec go cell trial =
-              if trial >= trials then cell
-              else
-                let s =
-                  trial_seed ~seed ~case_id:case.Case.id ~cls ~trial
-                in
-                let plan = Plan.make (spec_of s) in
-                go (transport_trial ~baseline_race ~plan case cell) (trial + 1)
-            in
-            go cell 0)
-          empty_cell cases
-      in
-      (name, cell))
-    transport_classes
-
 (* ---- machine (gpuFI-style architectural flips) ------------------- *)
 
 let run_machine ~seed ~trials cases =
   List.fold_left
     (fun acc (case : Case.t) ->
-      let baseline_race, _ = pipeline_verdict case in
+      let baseline_race, _ = Trial.pipeline_verdict case in
       let rec go acc trial =
         if trial >= trials then acc
         else
-          let s = trial_seed ~seed ~case_id:case.Case.id ~cls:17 ~trial in
+          let s = Trial.trial_seed ~seed ~case_id:case.Case.id ~cls:17 ~trial in
           let plan =
             Plan.make
               {
@@ -118,7 +87,7 @@ let run_machine ~seed ~trials cases =
           in
           let acc = { acc with m_trials = acc.m_trials + 1 } in
           let acc =
-            match pipeline_verdict ~fault:plan case with
+            match Trial.pipeline_verdict ~fault:plan case with
             | exception _ -> { acc with m_crashed = acc.m_crashed + 1 }
             | race, _ ->
                 let inj = Plan.injected plan in
@@ -142,7 +111,7 @@ let run_machine ~seed ~trials cases =
 
 (* ---- service (worker crashes, respawn, quarantine) --------------- *)
 
-let oneshot_verdict case = fst (pipeline_verdict case)
+let oneshot_verdict case = fst (Trial.pipeline_verdict case)
 
 let run_service ~seed cases =
   let cases = Array.of_list cases in
@@ -161,20 +130,10 @@ let run_service ~seed cases =
             job;
             outcome =
               {
+                Service.Protocol.default_outcome with
                 Service.Protocol.verdict =
                   (if race then Service.Protocol.Racy
                    else Service.Protocol.Race_free);
-                races = 0;
-                errors = [];
-                cache_hit = false;
-                predicted = 0;
-                confirmed = 0;
-                degraded = false;
-                static = false;
-                repaired = false;
-                fix = "";
-                repair_tried = 0;
-                detect_ms = 0.0;
               };
             queue_ms = 0.0;
             run_ms = 0.0;
@@ -262,11 +221,11 @@ let run_shard ~seed ~trials cases =
   let shards = 3 in
   List.fold_left
     (fun acc (case : Case.t) ->
-      let baseline_race, _ = pipeline_verdict case in
+      let baseline_race, _ = Trial.pipeline_verdict case in
       let rec go acc trial =
         if trial >= trials then acc
         else begin
-          let s = trial_seed ~seed ~case_id:case.Case.id ~cls:23 ~trial in
+          let s = Trial.trial_seed ~seed ~case_id:case.Case.id ~cls:23 ~trial in
           let plan =
             Plan.make
               {
@@ -309,13 +268,17 @@ let take k l = List.filteri (fun i _ -> i < k) l
 let run ?(config = default_config) () =
   let all = Bugsuite.Cases.all in
   let transport_cases, machine_cases, service_cases, shard_cases, trials =
-    if config.quick then (take 8 all, take 4 all, take 6 all, take 4 all, 1)
-    else (all, take 16 all, take 12 all, take 12 all, config.trials)
+    if config.quick then (8, take 4 all, take 6 all, take 4 all, 1)
+    else (List.length all, take 16 all, take 12 all, take 12 all, config.trials)
   in
+  (* The transport sweep is the fleet campaign's trial space, stepped
+     through in one go. *)
+  let j = Journal.create ~seed:config.seed ~cases:transport_cases ~trials in
+  ignore (Journal.step j ~n:(Journal.total j));
   {
     seed = config.seed;
-    cases = List.length transport_cases;
-    transport = run_transport ~seed:config.seed ~trials transport_cases;
+    cases = j.Journal.j_cases;
+    transport = j.Journal.j_cells;
     machine = run_machine ~seed:config.seed ~trials:1 machine_cases;
     service = run_service ~seed:config.seed service_cases;
     shard = run_shard ~seed:config.seed ~trials shard_cases;
@@ -334,37 +297,47 @@ let ok t =
 (* ---- rendering --------------------------------------------------- *)
 
 let to_json t =
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let module J = Telemetry.Json in
+  let ints fields = J.Obj (List.map (fun (k, v) -> (k, J.Int v)) fields) in
   (* The schema version travels with every campaign artifact (this
      report and the resumable journal alike) so consumers — and
      journal merges — can reject incompatible trial formats loudly. *)
-  add "{\"schema_version\":%d,\"seed\":%d,\"cases\":%d,\"ok\":%b,\"transport\":{"
-    Journal.schema_version t.seed t.cases (ok t);
-  List.iteri
-    (fun i (name, c) ->
-      if i > 0 then add ",";
-      add
-        "%S:{\"trials\":%d,\"injected\":%d,\"masked\":%d,\"absorbed\":%d,\
-         \"degraded_wrong\":%d,\"silent_wrong\":%d,\"crashed\":%d}"
-        name c.trials c.injected c.masked c.absorbed c.degraded_wrong
-        c.silent_wrong c.crashed)
-    t.transport;
-  add "},\"machine\":{\"trials\":%d,\"applied\":%d,\"masked\":%d,\"sdc\":%d,\
-       \"crashed\":%d}"
-    t.machine.m_trials t.machine.applied t.machine.m_masked t.machine.sdc
-    t.machine.m_crashed;
-  add
-    ",\"service\":{\"jobs\":%d,\"parity\":%b,\"workers_restarted\":%d,\
-     \"quarantined\":%d,\"quarantine_ok\":%b}"
-    t.service.jobs t.service.parity t.service.workers_restarted
-    t.service.quarantined t.service.quarantine_ok;
-  add
-    ",\"shard\":{\"trials\":%d,\"injected\":%d,\"loud\":%d,\"masked\":%d,\
-     \"silent_wrong\":%d}}"
-    t.shard.s_trials t.shard.s_injected t.shard.s_loud t.shard.s_masked
-    t.shard.s_silent_wrong;
-  Buffer.contents buf
+  J.to_string ~minify:true
+    (J.Obj
+       [
+         ("schema_version", J.Int Journal.schema_version);
+         ("seed", J.Int t.seed);
+         ("cases", J.Int t.cases);
+         ("ok", J.Bool (ok t));
+         ("transport", Journal.classes_json t.transport);
+         ( "machine",
+           ints
+             [
+               ("trials", t.machine.m_trials);
+               ("applied", t.machine.applied);
+               ("masked", t.machine.m_masked);
+               ("sdc", t.machine.sdc);
+               ("crashed", t.machine.m_crashed);
+             ] );
+         ( "service",
+           J.Obj
+             [
+               ("jobs", J.Int t.service.jobs);
+               ("parity", J.Bool t.service.parity);
+               ("workers_restarted", J.Int t.service.workers_restarted);
+               ("quarantined", J.Int t.service.quarantined);
+               ("quarantine_ok", J.Bool t.service.quarantine_ok);
+             ] );
+         ( "shard",
+           ints
+             [
+               ("trials", t.shard.s_trials);
+               ("injected", t.shard.s_injected);
+               ("loud", t.shard.s_loud);
+               ("masked", t.shard.s_masked);
+               ("silent_wrong", t.shard.s_silent_wrong);
+             ] );
+       ])
 
 let pp ppf t =
   Format.fprintf ppf "fault campaign: seed %d, %d bug-suite cases@." t.seed

@@ -31,8 +31,8 @@
 
     Beyond the foreground sweep, the library exposes the fleet-mode
     building blocks: {!Trial} (the per-trial machinery every sweep
-    shares), {!Journal} (the versioned on-disk checkpoint format that
-    makes campaigns resumable) and {!Daemon} (the continuous
+    shares), {!Journal} (the trial-space walk and the versioned on-disk
+    checkpoint that makes campaigns resumable) and {!Daemon} (the continuous
     background sweep that runs inside the live service at a duty
     cycle). *)
 
@@ -99,6 +99,11 @@ type t = {
 }
 
 val run : ?config:config -> unit -> t
+(** The transport sweep steps a fresh {!Journal} over the whole trial
+    space, so its cells are exactly what [fleet] would journal for the
+    same seed, cases and trials.
+    @raise Invalid_argument when [config.trials] is below 1 (and not
+    [quick]). *)
 
 val ok : t -> bool
 (** No silent corruption, no transport crashes, service parity held,

@@ -8,9 +8,6 @@
    yields while any paying work exists; after each batch it sleeps the
    duty-cycle complement of the time the batch took. *)
 
-module Case = Bugsuite.Case
-module Plan = Fault.Plan
-
 type config = {
   seed : int;
   cases : int;
@@ -30,52 +27,6 @@ let default_config =
   { seed = 42; cases = 8; trials = 25; batch = 8; duty = 0.25;
     load = default_load }
 
-let take k l = List.filteri (fun i _ -> i < k) l
-
-(* Advance the journal by up to [n] trials.  Pure replay: which trials
-   run, and their outcomes, depend only on the journal's seed and
-   cursor — never on wall-clock, load or previous interruptions.
-   [baselines] memoizes the fault-free verdict per case across
-   batches. *)
-let step ?(baselines = Hashtbl.create 8) j ~n =
-  let cases = Array.of_list (take j.Journal.j_cases Bugsuite.Cases.all) in
-  let classes = Array.of_list Trial.transport_classes in
-  let per_case = Trial.class_count * j.Journal.j_trials in
-  (* A journal written against a larger bug suite than this build
-     carries can only be advanced over the cases that exist. *)
-  let ceiling = min (Journal.total j) (Array.length cases * per_case) in
-  let stop = min ceiling (j.Journal.j_cursor + max 0 n) in
-  let ran = stop - j.Journal.j_cursor in
-  for i = j.Journal.j_cursor to stop - 1 do
-    let case = cases.(i / per_case) in
-    let rem = i mod per_case in
-    let cls = rem / j.Journal.j_trials in
-    let trial = rem mod j.Journal.j_trials in
-    let baseline_race =
-      match Hashtbl.find_opt baselines (i / per_case) with
-      | Some b -> b
-      | None ->
-          let b, _ = Trial.pipeline_verdict case in
-          Hashtbl.replace baselines (i / per_case) b;
-          b
-    in
-    let name, spec_of = classes.(cls) in
-    let s =
-      Trial.trial_seed ~seed:j.Journal.j_seed ~case_id:case.Case.id ~cls ~trial
-    in
-    let plan = Plan.make (spec_of s) in
-    j.Journal.j_cells <-
-      List.map
-        (fun (n', cell) ->
-          if String.equal n' name then
-            (n', Trial.transport_trial ~baseline_race ~plan case cell)
-          else (n', cell))
-        j.Journal.j_cells
-  done;
-  j.Journal.j_cursor <- stop;
-  if ran > 0 then j.Journal.j_batches <- j.Journal.j_batches + 1;
-  ran
-
 type t = {
   config : config;
   dir : string;
@@ -86,33 +37,16 @@ type t = {
   mutable thread : Thread.t option;
 }
 
-let journal_status ~paused (j : Journal.t) =
-  {
-    Service.Protocol.ca_trials = j.Journal.j_cursor;
-    ca_total = Journal.total j;
-    ca_batches = j.Journal.j_batches;
-    ca_silent_wrong = Journal.silent_wrong j;
-    ca_paused = paused;
-  }
-
 let status t =
-  Mutex.lock t.lock;
-  let s = journal_status ~paused:t.paused t.journal in
-  Mutex.unlock t.lock;
-  s
-
-let journal t =
-  Mutex.lock t.lock;
-  (* Snapshot under the lock so readers never see a half-applied
-     batch. *)
-  let j =
-    {
-      t.journal with
-      Journal.j_cells = t.journal.Journal.j_cells;
-    }
-  in
-  Mutex.unlock t.lock;
-  j
+  Mutex.protect t.lock (fun () ->
+      let j = t.journal in
+      {
+        Service.Protocol.ca_trials = j.Journal.j_cursor;
+        ca_total = Journal.total j;
+        ca_batches = j.Journal.j_batches;
+        ca_silent_wrong = Journal.silent_wrong j;
+        ca_paused = t.paused;
+      })
 
 (* Sleep in short slices so [stop] never waits long. *)
 let interruptible_sleep t s =
@@ -142,10 +76,10 @@ let loop t =
     else begin
       t.paused <- false;
       let t0 = Telemetry.Clock.now_ns () in
-      Mutex.lock t.lock;
-      let ran = step ~baselines t.journal ~n:t.config.batch in
-      Mutex.unlock t.lock;
-      if ran > 0 then Journal.save ~dir:t.dir t.journal;
+      Mutex.protect t.lock (fun () ->
+          ignore
+            (Journal.advance ~baselines ~dir:t.dir t.journal
+               ~n:t.config.batch));
       let elapsed_s =
         Int64.to_float (Telemetry.Clock.elapsed_ns ~since:t0) /. 1e9
       in
@@ -158,22 +92,10 @@ let loop t =
   done
 
 let start ?(config = default_config) ~dir () =
-  if config.cases < 1 || config.trials < 1 || config.batch < 1 then
-    Error "campaign daemon: cases, trials and batch must be positive"
+  if config.batch < 1 then Error "campaign daemon: batch must be at least 1"
   else
-    let journal =
-      if Sys.file_exists (Journal.path ~dir) then Journal.load ~dir
-      else begin
-        let j =
-          Journal.create ~seed:config.seed
-            ~cases:(min config.cases (List.length Bugsuite.Cases.all))
-            ~trials:config.trials
-        in
-        Journal.save ~dir j;
-        Ok j
-      end
-    in
-    match journal with
+    let { seed; cases; trials; _ } = config in
+    match Journal.open_dir ~fresh:{ Journal.seed; cases; trials } dir with
     | Error _ as e -> e
     | Ok j ->
         let t =

@@ -33,29 +33,15 @@ val default_config : config
 (** seed 42, 8 cases, 25 trials, batch 8, duty 0.25, telemetry-gauge
     load probe. *)
 
-val default_load : unit -> int
-
-val step : ?baselines:(int, bool) Hashtbl.t -> Journal.t -> n:int -> int
-(** Advance the journal by up to [n] trials (bounded by the trial
-    space) and return how many ran.  Pure deterministic replay — which
-    trials run and their outcomes depend only on the journal's seed
-    and cursor — exposed for tests and the foreground [fleet] runner.
-    Counts one batch when at least one trial ran.  [baselines]
-    memoizes fault-free verdicts per case across calls. *)
-
 type t
 
 val start : ?config:config -> dir:string -> unit -> (t, string) result
-(** Resume the journal in [dir] if one exists (rejecting mismatched
-    schema versions loudly), otherwise create and checkpoint a fresh
-    one; then spawn the sweep thread.  [Error] on an invalid config or
-    an unreadable/incompatible journal. *)
+(** Open the journal in [dir] with {!Journal.open_dir} (resuming one
+    if present), then spawn the sweep thread.  [Error] on a batch below
+    1 or anything {!Journal.open_dir} rejects. *)
 
 val status : t -> Service.Protocol.campaign_status
 (** Live snapshot for status replies and the fleet dashboard. *)
-
-val journal : t -> Journal.t
-(** Snapshot of the journal (safe to render while the sweep runs). *)
 
 val stop : t -> unit
 (** Stop the sweep thread and write a final checkpoint. *)

@@ -12,6 +12,7 @@
    kill can neither lose nor double-count trials. *)
 
 module Json = Telemetry.Json
+module Case = Bugsuite.Case
 
 (* 2: trials run the kernel uninstrumented through the session core,
    with one transport-fault stream per run. *)
@@ -28,9 +29,11 @@ type t = {
 }
 
 let create ~seed ~cases ~trials =
+  if cases < 1 || trials < 1 then
+    invalid_arg "campaign: cases and trials must be at least 1";
   {
     j_seed = seed;
-    j_cases = cases;
+    j_cases = min cases (List.length Bugsuite.Cases.all);
     j_trials = trials;
     j_cursor = 0;
     j_batches = 0;
@@ -40,10 +43,59 @@ let create ~seed ~cases ~trials =
 let total j = j.j_cases * Trial.class_count * j.j_trials
 let complete j = j.j_cursor >= total j
 
+(* Which trials run, and their outcomes, depend only on the seed and
+   the cursor — never on wall-clock, load or earlier interruptions. *)
+let step ?(baselines = Hashtbl.create 8) j ~n =
+  let cases =
+    Array.of_list (List.filteri (fun i _ -> i < j.j_cases) Bugsuite.Cases.all)
+  in
+  let classes = Array.of_list Trial.transport_classes in
+  let per_case = Trial.class_count * j.j_trials in
+  (* A journal written against a larger bug suite than this build
+     carries can only be advanced over the cases that exist. *)
+  let ceiling = min (total j) (Array.length cases * per_case) in
+  let stop = min ceiling (j.j_cursor + max 0 n) in
+  let ran = stop - j.j_cursor in
+  for i = j.j_cursor to stop - 1 do
+    let case = cases.(i / per_case) in
+    let rem = i mod per_case in
+    let cls = rem / j.j_trials in
+    let trial = rem mod j.j_trials in
+    let baseline_race =
+      match Hashtbl.find_opt baselines (i / per_case) with
+      | Some b -> b
+      | None ->
+          let b, _ = Trial.pipeline_verdict case in
+          Hashtbl.replace baselines (i / per_case) b;
+          b
+    in
+    let name, spec_of = classes.(cls) in
+    let s = Trial.trial_seed ~seed:j.j_seed ~case_id:case.Case.id ~cls ~trial in
+    let plan = Fault.Plan.make (spec_of s) in
+    j.j_cells <-
+      List.map
+        (fun (n', cell) ->
+          if String.equal n' name then
+            (n', Trial.transport_trial ~baseline_race ~plan case cell)
+          else (n', cell))
+        j.j_cells
+  done;
+  j.j_cursor <- stop;
+  if ran > 0 then j.j_batches <- j.j_batches + 1;
+  ran
+
 let silent_wrong j =
   List.fold_left
     (fun acc (_, (c : Trial.cell)) -> acc + c.Trial.silent_wrong)
     0 j.j_cells
+
+let clean j =
+  List.for_all
+    (fun (_, (c : Trial.cell)) ->
+      c.Trial.silent_wrong = 0 && c.Trial.crashed = 0)
+    j.j_cells
+
+let ok j = complete j && clean j
 
 let cell_fields (c : Trial.cell) =
   [
@@ -56,6 +108,9 @@ let cell_fields (c : Trial.cell) =
     ("crashed", Json.Int c.Trial.crashed);
   ]
 
+let classes_json cells =
+  Json.Obj (List.map (fun (name, c) -> (name, Json.Obj (cell_fields c))) cells)
+
 let to_json j =
   Json.Obj
     [
@@ -65,10 +120,7 @@ let to_json j =
       ("trials", Json.Int j.j_trials);
       ("cursor", Json.Int j.j_cursor);
       ("batches", Json.Int j.j_batches);
-      ( "classes",
-        Json.Obj
-          (List.map (fun (name, c) -> (name, Json.Obj (cell_fields c))) j.j_cells)
-      );
+      ("classes", classes_json j.j_cells);
     ]
 
 let int_field name doc =
@@ -172,33 +224,40 @@ let load ~dir =
     of_string s
   end
 
-let ok j =
-  complete j
-  && List.for_all
-       (fun (_, (c : Trial.cell)) ->
-         c.Trial.silent_wrong = 0 && c.Trial.crashed = 0)
-       j.j_cells
+type spec = { seed : int; cases : int; trials : int }
+
+let open_dir ?fresh dir =
+  match
+    Option.map
+      (fun f -> create ~seed:f.seed ~cases:f.cases ~trials:f.trials)
+      fresh
+  with
+  | exception Invalid_argument message -> Error message
+  | Some j when not (Sys.file_exists (path ~dir)) ->
+      save ~dir j;
+      Ok j
+  | _ -> load ~dir
+
+let advance ?baselines ~dir j ~n =
+  let ran = step ?baselines j ~n in
+  if ran > 0 then save ~dir j;
+  ran
 
 (* The report deliberately excludes [batches] (and any other
    run-shape detail): an interrupted-and-resumed campaign must render
    bitwise the same report as an uninterrupted one. *)
 let report_json j =
-  let buf = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\"schema_version\":%d,\"seed\":%d,\"cases\":%d,\"trials\":%d,\
-       \"trials_done\":%d,\"ok\":%b,\"classes\":{"
-    schema_version j.j_seed j.j_cases j.j_trials j.j_cursor (ok j);
-  List.iteri
-    (fun i (name, (c : Trial.cell)) ->
-      if i > 0 then add ",";
-      add
-        "%S:{\"trials\":%d,\"injected\":%d,\"masked\":%d,\"absorbed\":%d,\
-         \"degraded_wrong\":%d,\"silent_wrong\":%d,\"crashed\":%d}"
-        name c.Trial.trials c.Trial.injected c.Trial.masked c.Trial.absorbed
-        c.Trial.degraded_wrong c.Trial.silent_wrong c.Trial.crashed)
-    j.j_cells;
-  add "}}";
-  Buffer.contents buf
+  Json.to_string ~minify:true
+    (Json.Obj
+       [
+         ("schema_version", Json.Int schema_version);
+         ("seed", Json.Int j.j_seed);
+         ("cases", Json.Int j.j_cases);
+         ("trials", Json.Int j.j_trials);
+         ("trials_done", Json.Int j.j_cursor);
+         ("ok", Json.Bool (ok j));
+         ("classes", classes_json j.j_cells);
+       ])
 
 let pp ppf j =
   Format.fprintf ppf

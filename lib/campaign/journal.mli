@@ -1,4 +1,7 @@
-(** Versioned on-disk journal for resumable fault campaigns.
+(** Versioned on-disk journal for resumable fault campaigns, and the
+    one engine that walks their trial space: [faults], [fleet] and the
+    in-daemon campaign all open ({!open_dir}), step ({!step},
+    {!advance}) and judge ({!clean}) a journal here.
 
     The campaign's trial space — [cases x transport classes x trials]
     — is linearized case-major; the journal holds the cursor into that
@@ -11,7 +14,7 @@
 
     Checkpoints are atomic (write to a temp file, rename into place),
     so a crash mid-save leaves the previous checkpoint intact.  Files
-    carry {!schema_version}; {!load} rejects a mismatched version with
+    carry {!schema_version}; {!open_dir} rejects a mismatched version with
     a loud, versioned error rather than silently merging incompatible
     trial formats. *)
 
@@ -37,26 +40,55 @@ type t = {
 }
 
 val create : seed:int -> cases:int -> trials:int -> t
+(** A fresh journal at cursor 0, with [cases] clamped to the bug
+    suite's size.
+    @raise Invalid_argument when [cases] or [trials] is below 1. *)
 
 val total : t -> int
 (** [cases * classes * trials]. *)
 
 val complete : t -> bool
+
+val step : ?baselines:(int, bool) Hashtbl.t -> t -> n:int -> int
+(** Advance the cursor by up to [n] trials (bounded by the trial
+    space) and return how many ran.  Pure deterministic replay: which
+    trials run and their outcomes depend only on the seed and the
+    cursor.  Counts one batch when at least one trial ran.
+    [baselines] memoizes fault-free verdicts per case across calls. *)
+
 val silent_wrong : t -> int
 
-val ok : t -> bool
-(** Complete with zero silent-wrong and zero crashes. *)
+val clean : t -> bool
+(** No silent-wrong and no crashed trial so far: the verdict on a
+    journal, complete or not. *)
 
-val to_json : t -> Telemetry.Json.t
-val of_string : string -> (t, string) result
+val ok : t -> bool
+(** {!complete} and {!clean}. *)
+
+val classes_json : (string * Trial.cell) list -> Telemetry.Json.t
+(** The per-class cells as one JSON object, keyed by class name; the
+    one encoding of a cell, shared by journals and campaign reports. *)
 
 val path : dir:string -> string
 val save : dir:string -> t -> unit
 (** Atomic checkpoint (creates [dir] if missing). *)
 
-val load : dir:string -> (t, string) result
-(** Rejects missing files, unparsable journals and schema-version
-    mismatches (loud, versioned message). *)
+type spec = { seed : int; cases : int; trials : int }
+(** A campaign to create: its seed and dimensions. *)
+
+val open_dir : ?fresh:spec -> string -> (t, string) result
+(** The campaign's one way in.  Resume the journal in the directory,
+    rejecting missing files, unparsable journals and schema-version
+    mismatches (loud, versioned message); the journal's own seed and
+    dimensions win.  With [fresh] and no journal there, create and
+    checkpoint one instead.  [fresh] is validated as {!create} does
+    before anything is read or written: nothing is written on
+    [Error]. *)
+
+val advance :
+  ?baselines:(int, bool) Hashtbl.t -> dir:string -> t -> n:int -> int
+(** One batch: {!step} by up to [n] trials, then checkpoint to [dir]
+    if any ran.  Returns how many ran. *)
 
 val report_json : t -> string
 (** One deterministic JSON line: schema version, seed, dimensions,

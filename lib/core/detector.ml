@@ -57,18 +57,9 @@ let m_int_desync =
     ~help:"Branch else/fi records orphaned by an upstream loss, skipped"
     Telemetry.Registry.default "barracuda_transport_integrity_desync_total"
 
-type config = {
-  max_reports : int;
-  filter_same_value : bool;
-  check_integrity : bool;
-}
+type config = { max_reports : int; filter_same_value : bool }
 
-let default_config =
-  {
-    max_reports = 1000;
-    filter_same_value = true;
-    check_integrity = true;
-  }
+let default_config = { max_reports = 1000; filter_same_value = true }
 
 type stats = {
   accesses_checked : int;
@@ -532,28 +523,26 @@ let feed_record t ~values buf ~pos =
   let t0 = if enabled then Telemetry.Clock.now_ns () else 0L in
   t.records <- t.records + 1;
   Telemetry.Metric.counter_incr m_records;
-  (if not t.config.check_integrity then process_record t ~values buf ~pos
-   else
-     match Wire.check buf ~pos with
-     | Wire.Intact ->
-         let expect = t.seq_next in
-         let seq = Wire.View.seq buf ~pos in
-         let diff = (seq - (expect land 0xFFFFFFFF)) land 0xFFFFFFFF in
-         if diff = 0 then begin
-           t.seq_next <- expect + 1;
-           process_record t ~values buf ~pos
-         end
-         else if diff < 0x80000000 then begin
-           t.seq_next <- expect + diff + 1;
-           Telemetry.Metric.counter_add m_int_gap diff;
-           Report.note_gap t.report diff;
-           process_record t ~values buf ~pos
-         end
-         else begin
-           Telemetry.Metric.counter_incr m_int_stale;
-           Report.note_stale t.report
-         end
-     | Wire.Bad_magic | Wire.Bad_version | Wire.Bad_checksum -> note_corrupt t);
+  (match Wire.check buf ~pos with
+  | Wire.Intact ->
+      let expect = t.seq_next in
+      let seq = Wire.View.seq buf ~pos in
+      let diff = (seq - (expect land 0xFFFFFFFF)) land 0xFFFFFFFF in
+      if diff = 0 then begin
+        t.seq_next <- expect + 1;
+        process_record t ~values buf ~pos
+      end
+      else if diff < 0x80000000 then begin
+        t.seq_next <- expect + diff + 1;
+        Telemetry.Metric.counter_add m_int_gap diff;
+        Report.note_gap t.report diff;
+        process_record t ~values buf ~pos
+      end
+      else begin
+        Telemetry.Metric.counter_incr m_int_stale;
+        Report.note_stale t.report
+      end
+  | Wire.Bad_magic | Wire.Bad_version | Wire.Bad_checksum -> note_corrupt t);
   if enabled then
     Telemetry.Span.record_ns
       sp_feed_record

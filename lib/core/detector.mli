@@ -23,14 +23,7 @@
     trace the reports must match {!Reference}; the test suite enforces
     this. *)
 
-type config = {
-  max_reports : int;
-  filter_same_value : bool;
-  check_integrity : bool;
-      (** validate magic/version/checksum and producer sequence numbers
-          on the {!feed_record} path (default true); anomalies are
-          counted, absorbed, and degrade the verdict via {!Report} *)
-}
+type config = { max_reports : int; filter_same_value : bool }
 
 val default_config : config
 
@@ -103,17 +96,15 @@ val feed_record : t -> values:int64 array -> Bytes.t -> pos:int -> unit
     lane-value side channel; pass [[||]] when absent (the same-value
     write filter then compares zeros).
 
-    With [config.check_integrity] (the default) the record must have
-    been {!Wire.seal}ed by its producer: magic, version, checksum, and
-    sequence number are validated first (one producer per detector,
-    so one expected-next sequence number), and any anomaly (corruption,
-    loss, duplication) is counted in the
+    The record must have been {!Wire.seal}ed by its producer: magic,
+    version, checksum, and sequence number are validated first (one
+    producer per detector, so one expected-next sequence number), and
+    any anomaly (corruption, loss, duplication) is counted in the
     [barracuda_transport_integrity_*] metrics, noted on the report
-    (degrading the verdict), and absorbed without raising.
-
-    Whatever [check_integrity], a record with an unknown opcode, or
-    naming a warp, instruction or block outside the detector's layout
-    and kernel, is counted as corrupt and skipped instead of raising. *)
+    (degrading the verdict), and absorbed without raising.  A record
+    with an unknown opcode, or naming a warp, instruction or block
+    outside the detector's layout and kernel, is counted as corrupt
+    and skipped instead of raising. *)
 
 val report : t -> Report.t
 val stats : t -> stats

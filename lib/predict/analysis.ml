@@ -2,20 +2,12 @@ module Layout = Vclock.Layout
 module Loc = Gtrace.Loc
 module Report = Barracuda.Report
 
-type config = {
-  max_predictions : int;
-  max_pairs : int;
-  filter_same_value : bool;
-  validate : bool;
-}
+type config = { max_predictions : int; validate : bool }
 
-let default_config =
-  {
-    max_predictions = 256;
-    max_pairs = 4_000_000;
-    filter_same_value = true;
-    validate = true;
-  }
+let default_config = { max_predictions = 256; validate = true }
+
+(* Conflicting pairs examined at most; the rest count as dropped. *)
+let max_pairs = 4_000_000
 
 type status = Observed | Confirmed | Unconfirmed
 
@@ -102,15 +94,15 @@ let run ?(config = default_config) ~layout ops =
               for i = 0 to j - 1 do
                 let a = arr.(i) and b = arr.(j) in
                 if Graph.conflicting a b then
-                  if !pairs_examined >= config.max_pairs then
+                  if !pairs_examined >= max_pairs then
                     incr pairs_dropped
                   else begin
                     incr pairs_examined;
+                    (* same-instruction same-value plain writes are
+                       benign, as the online detector's filter says *)
                     if
                       (not (Graph.ordered a b))
-                      && not
-                           (config.filter_same_value
-                           && Graph.same_value_benign a b)
+                      && not (Graph.same_value_benign a b)
                     then begin
                       let t1 = min a.Graph.tid b.Graph.tid
                       and t2 = max a.Graph.tid b.Graph.tid in

@@ -12,12 +12,11 @@
 
 type config = {
   max_predictions : int;  (** cap on emitted predictions *)
-  max_pairs : int;  (** cap on conflicting pairs examined *)
-  filter_same_value : bool;
-      (** drop same-instruction same-value plain-write pairs, matching
-          the online detector's benign filter *)
   validate : bool;  (** replay witnesses through the reference detector *)
 }
+(** At most 4,000,000 conflicting pairs are examined, and
+    same-instruction same-value plain-write pairs are dropped, matching
+    the online detector's benign filter. *)
 
 val default_config : config
 
@@ -41,7 +40,7 @@ type t = {
   access_count : int;
   location_count : int;
   pairs_examined : int;
-  pairs_dropped : int;  (** candidates lost to [max_pairs]/[max_predictions] *)
+  pairs_dropped : int;  (** candidates lost to the pair or prediction cap *)
   observed_race_count : int;  (** races in the recorded order *)
   predictions : prediction list;
 }

@@ -11,13 +11,11 @@ type config = {
   max_candidates : int;  (** validation budget per kernel *)
   max_steps : int;
   shards : int;  (** shard count for the parity check *)
-  fault_trials : int;
   seed : int;
 }
 
 let default_config =
-  { max_candidates = 24; max_steps = 400_000; shards = 2; fault_trials = 2;
-    seed = 42 }
+  { max_candidates = 24; max_steps = 400_000; shards = 2; seed = 42 }
 
 type fix = {
   description : string;
@@ -95,7 +93,6 @@ let repair ?(config = default_config) ~layout
       {
         Validate.max_steps = config.max_steps;
         shards = config.shards;
-        fault_trials = config.fault_trials;
         seed = config.seed;
       }
     in

@@ -14,7 +14,6 @@ type config = {
   max_candidates : int;  (** validation budget per kernel *)
   max_steps : int;
   shards : int;  (** shard count for the parity check *)
-  fault_trials : int;
   seed : int;
 }
 

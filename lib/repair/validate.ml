@@ -25,15 +25,10 @@
 
 module Report = Barracuda.Report
 
-type config = {
-  max_steps : int;
-  shards : int;
-  fault_trials : int;
-  seed : int;
-}
+type config = { max_steps : int; shards : int; seed : int }
 
-let default_config =
-  { max_steps = 400_000; shards = 2; fault_trials = 2; seed = 42 }
+(* Seeded lossy-transport runs in stage 6. *)
+let fault_trials = 2
 
 type verdict = Accepted of Ptx.Ast.kernel * string | Rejected of string
 (** [Accepted (reparsed, ptx)] carries the printed artifact and its
@@ -53,15 +48,13 @@ let race_summary report =
 
 (* Every stage runs the kernel exactly as [barracuda check] does:
    uninstrumented, through the session core; [shards] selects the
-   sharded backend. *)
-let run ?shards ?fault ~config ~layout ~setup kernel =
+   backend. *)
+let run ?(shards = 1) ?fault ~config ~layout ~setup kernel =
   let machine = Simt.Machine.create ~layout () in
   let args = setup machine in
-  let sink =
-    Option.map (fun shards -> Shard.Stream.sink ~layout ~shards kernel) shards
-  in
-  Gpu_runtime.Session.run_stream ?sink ?fault ~max_steps:config.max_steps
-    ~machine kernel args
+  Gpu_runtime.Session.run_stream
+    ?sink:(Shard.Stream.sink_for ~layout ~shards kernel)
+    ?fault ~max_steps:config.max_steps ~machine kernel args
 
 let rec check ~config ~layout ~setup ~baseline_bardiv kernel =
   (* 1. roundtrip through the printer and parser *)
@@ -169,7 +162,7 @@ and validate_faults ~config ~layout ~setup ~baseline_bardiv:_ ~kernel ~ptx =
      outcome is absorbed — dropping barrier records legitimately
      manufactures apparent races, and the report carries the caveat. *)
   let rec trial i =
-    if i > config.fault_trials then Accepted (kernel, ptx)
+    if i > fault_trials then Accepted (kernel, ptx)
     else
       let plan =
         Fault.Plan.make

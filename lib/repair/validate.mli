@@ -10,11 +10,8 @@
 type config = {
   max_steps : int;
   shards : int;  (** shard count for the parity run (min 2) *)
-  fault_trials : int;
-  seed : int;
+  seed : int;  (** seeds the two fault-slice runs *)
 }
-
-val default_config : config
 
 type verdict =
   | Accepted of Ptx.Ast.kernel * string

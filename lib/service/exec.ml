@@ -1,18 +1,17 @@
 type config = {
   max_steps : int;
-  max_report_strings : int;
   deadline_ms : int;
   job_shards : int;
       (* detector domains per check job; 1 = the serial sink *)
 }
 
-let default_config =
-  {
-    max_steps = 2_000_000;
-    max_report_strings = 20;
-    deadline_ms = 0;
-    job_shards = 1;
-  }
+let default_config = { max_steps = 2_000_000; deadline_ms = 0; job_shards = 1 }
+
+(* Pretty-printed errors returned per job. *)
+let max_report_strings = 20
+let first_reports l = List.filteri (fun i _ -> i < max_report_strings) l
+
+exception Bad_args of string
 
 let default_layout =
   Vclock.Layout.make ~warp_size:32 ~threads_per_block:64 ~blocks:2
@@ -20,28 +19,26 @@ let default_layout =
 let resolve_args machine kernel specs =
   let nparams = List.length kernel.Ptx.Ast.params in
   let parse spec =
+    let bad () =
+      raise (Bad_args (Printf.sprintf "bad argument spec %S" spec))
+    in
     match String.split_on_char ':' spec with
     | [ "alloc"; n ] -> (
         match int_of_string_opt n with
         | Some bytes when bytes >= 0 ->
             Int64.of_int (Simt.Machine.alloc_global machine bytes)
-        | _ -> failwith (Printf.sprintf "bad argument spec %S" spec))
-    | [ "int"; v ] -> (
-        match Int64.of_string_opt v with
-        | Some x -> x
-        | None -> failwith (Printf.sprintf "bad argument spec %S" spec))
-    | [ v ] -> (
-        match Int64.of_string_opt v with
-        | Some x -> x
-        | None -> failwith (Printf.sprintf "bad argument spec %S" spec))
-    | _ -> failwith (Printf.sprintf "bad argument spec %S" spec)
+        | _ -> bad ())
+    | [ "int"; v ] | [ v ] -> (
+        match Int64.of_string_opt v with Some x -> x | None -> bad ())
+    | _ -> bad ()
   in
   let given = List.map parse specs in
   let missing = nparams - List.length given in
   if missing < 0 then
-    failwith
-      (Printf.sprintf "kernel %s takes %d arguments, got %d"
-         kernel.Ptx.Ast.kname nparams (List.length given));
+    raise
+      (Bad_args
+         (Printf.sprintf "kernel %s takes %d arguments, got %d"
+            kernel.Ptx.Ast.kname nparams (List.length given)));
   let fill =
     List.init missing (fun _ ->
         Int64.of_int (Simt.Machine.alloc_global machine 4096))
@@ -59,28 +56,21 @@ let m_static_fast =
     ~help:"Check jobs answered by the static analysis without execution"
     Telemetry.Registry.default "barracuda_service_static_fast_total"
 
-let outcome_of_report ?(static = false) ~config ~cache_hit ~detect_ms report =
-  let errors =
-    List.filteri
-      (fun i _ -> i < config.max_report_strings)
-      (List.map
-         (Format.asprintf "%a" Barracuda.Report.pp_error)
-         (Barracuda.Report.errors report))
-  in
+let outcome_of_report ?(static = false) ~cache_hit ~detect_ms report =
   {
+    Protocol.default_outcome with
     Protocol.verdict =
       (if Barracuda.Report.has_race report then Protocol.Racy
        else Protocol.Race_free);
     races = Barracuda.Report.race_count report;
-    errors;
+    errors =
+      first_reports
+        (List.map
+           (Format.asprintf "%a" Barracuda.Report.pp_error)
+           (Barracuda.Report.errors report));
     cache_hit;
-    predicted = 0;
-    confirmed = 0;
     degraded = Barracuda.Report.degraded report;
     static;
-    repaired = false;
-    fix = "";
-    repair_tried = 0;
     detect_ms;
   }
 
@@ -105,8 +95,7 @@ let entry_for ~cache (s : Protocol.submit) =
    (for this launch layout) is answered without ever executing it.
    Race-free and unknown kernels still run — the analysis only
    certifies [Racy] on its own. *)
-let static_result ~config ~cache_hit ~job ~layout entry
-    (s : Protocol.submit) =
+let static_result ~cache_hit ~job ~layout entry (s : Protocol.submit) =
   if not s.Protocol.static then None
   else
     match Static.Analysis.report entry.Cache.analysis ~layout with
@@ -118,14 +107,13 @@ let static_result ~config ~cache_hit ~job ~layout entry
              {
                job;
                outcome =
-                 outcome_of_report ~static:true ~config ~cache_hit
-                   ~detect_ms:0.0 report;
+                 outcome_of_report ~static:true ~cache_hit ~detect_ms:0.0
+                   report;
                queue_ms = 0.0;
                run_ms = 0.0;
              })
 
-let static_verdict ?(config = default_config) ~cache ~job
-    (s : Protocol.submit) =
+let static_verdict ~cache ~job (s : Protocol.submit) =
   match s.Protocol.kind with
   | Protocol.Predict | Protocol.Repair -> None
   | Protocol.Check -> (
@@ -146,21 +134,13 @@ let static_verdict ?(config = default_config) ~cache ~job
           | None -> None
           | Some entry ->
               let layout = layout_of s in
-              static_result ~config ~cache_hit:true ~job ~layout entry s
+              static_result ~cache_hit:true ~job ~layout entry s
         with _ -> None)
-
-(* The detection backend of a check or stream job: [job_shards = 1]
-   is the serial sink (the [run_stream]/[open_stream] default), above
-   that the sharded engine, with bitwise-identical verdicts.  Batch and
-   streamed jobs pick it here, so they share one backend. *)
-let sink_for ~config ~layout kernel =
-  if config.job_shards <= 1 then None
-  else Some (Shard.Stream.sink ~shards:config.job_shards ~layout kernel)
 
 let run_check ~config ~cache ~job (s : Protocol.submit) =
   let entry, cache_hit = entry_for ~cache s in
   let layout = layout_of s in
-  match static_result ~config ~cache_hit ~job ~layout entry s with
+  match static_result ~cache_hit ~job ~layout entry s with
   | Some result -> result
   | None ->
   let machine = Simt.Machine.create ~layout () in
@@ -174,7 +154,8 @@ let run_check ~config ~cache ~job (s : Protocol.submit) =
   in
   let result =
     Gpu_runtime.Session.run_stream
-      ?sink:(sink_for ~config ~layout entry.Cache.kernel)
+      ?sink:(Shard.Stream.sink_for ~layout ~shards:config.job_shards
+               entry.Cache.kernel)
       ~max_steps:config.max_steps ?deadline_ns ~inst:entry.Cache.inst ~machine
       entry.Cache.kernel args
   in
@@ -203,7 +184,7 @@ let run_check ~config ~cache ~job (s : Protocol.submit) =
         {
           job;
           outcome =
-            outcome_of_report ~config ~cache_hit
+            outcome_of_report ~cache_hit
               ~detect_ms:
                 (Int64.to_float result.Gpu_runtime.Session.sr_detect_ns /. 1e6)
               result.Gpu_runtime.Session.sr_report;
@@ -211,12 +192,11 @@ let run_check ~config ~cache ~job (s : Protocol.submit) =
           run_ms = 0.0;
         }
 
-let run_predict ~config ~job (s : Protocol.submit) =
+let run_predict ~job (s : Protocol.submit) =
   let layout, ops = Gtrace.Serialize.of_string s.Protocol.payload in
   let a = Predict.Analysis.run ~layout ops in
   let errors =
-    List.filteri
-      (fun i _ -> i < config.max_report_strings)
+    first_reports
       (List.filter_map
          (fun (p : Predict.Analysis.prediction) ->
            match p.Predict.Analysis.status with
@@ -233,20 +213,14 @@ let run_predict ~config ~job (s : Protocol.submit) =
       job;
       outcome =
         {
+          Protocol.default_outcome with
           Protocol.verdict =
             (if Predict.Analysis.has_race a then Protocol.Racy
              else Protocol.Race_free);
           races = a.Predict.Analysis.observed_race_count;
           errors;
-          cache_hit = false;
           predicted = Predict.Analysis.predicted_count a;
           confirmed = Predict.Analysis.confirmed_count a;
-          degraded = false;
-          static = false;
-          repaired = false;
-          fix = "";
-          repair_tried = 0;
-          detect_ms = 0.0;
         };
       queue_ms = 0.0;
       run_ms = 0.0;
@@ -277,8 +251,7 @@ let run_repair ~config ~cache ~job (s : Protocol.submit) =
   in
   let d = r.Repair.Engine.diagnosis in
   let pair_errors =
-    List.filteri
-      (fun i _ -> i < config.max_report_strings)
+    first_reports
       (List.map
          (fun (a, b) -> Printf.sprintf "racy pair: insn %d vs insn %d" a b)
          d.Repair.Localize.pairs)
@@ -298,14 +271,11 @@ let run_repair ~config ~cache ~job (s : Protocol.submit) =
       job;
       outcome =
         {
+          Protocol.default_outcome with
           Protocol.verdict;
           races = List.length d.Repair.Localize.pairs;
           errors;
           cache_hit;
-          predicted = 0;
-          confirmed = 0;
-          degraded = false;
-          static = false;
           repaired;
           fix;
           repair_tried = r.Repair.Engine.candidates_tried;
@@ -324,7 +294,8 @@ let stream_open ?(config = default_config) ~cache (s : Protocol.submit) =
   let entry, _ = entry_for ~cache s in
   let layout = layout_of s in
   Gpu_runtime.Session.open_stream
-    ?sink:(sink_for ~config ~layout entry.Cache.kernel)
+    ?sink:(Shard.Stream.sink_for ~layout ~shards:config.job_shards
+             entry.Cache.kernel)
     ~layout entry.Cache.kernel
 
 let error_response ~job exn =
@@ -340,7 +311,7 @@ let error_response ~job exn =
       (* never degrade to a partial merge: a dead shard domain means
          the verdict is unrecoverable for this attempt *)
       failed "shard_crashed" (Printf.sprintf "shard %d consumer domain died" i)
-  | Failure message -> failed "bad_request" message
+  | Bad_args message | Failure message -> failed "bad_request" message
   | Invalid_argument message -> failed "exec_error" message
   | Stack_overflow -> failed "exec_error" "stack overflow"
   | exn -> failed "exec_error" (Printexc.to_string exn)
@@ -349,6 +320,6 @@ let run ?(config = default_config) ~cache ~job (s : Protocol.submit) =
   try
     match s.Protocol.kind with
     | Protocol.Check -> run_check ~config ~cache ~job s
-    | Protocol.Predict -> run_predict ~config ~job s
+    | Protocol.Predict -> run_predict ~job s
     | Protocol.Repair -> run_repair ~config ~cache ~job s
   with exn -> error_response ~job exn

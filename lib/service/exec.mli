@@ -17,7 +17,6 @@ type config = {
       (** per-job step budget; exceeding it fails the job with code
           ["timeout"] (a domain cannot be killed, so the budget is the
           service's cancellation point) *)
-  max_report_strings : int;  (** cap on pretty-printed errors returned *)
   deadline_ms : int;
       (** per-job wall-clock deadline; [0] (the default) disables it.
           Exceeding it fails the job with code ["deadline"] — the
@@ -39,11 +38,15 @@ val default_layout : Vclock.Layout.t
 (** The layout used when a submission does not carry one; equals the
     [barracuda check] CLI defaults (2 blocks of 64 threads, warp 32). *)
 
+exception Bad_args of string
+(** An argument spec that does not parse, or more specs than the
+    kernel has parameters. *)
+
 val resolve_args :
   Simt.Machine.t -> Ptx.Ast.kernel -> string list -> int64 array
 (** CLI-syntax argument resolution ([alloc:BYTES] / [int:V] / bare
     integer; missing arguments become [alloc:4096]).
-    @raise Failure on a bad spec or too many arguments. *)
+    @raise Bad_args on a bad spec or too many arguments. *)
 
 val run :
   ?config:config -> cache:Cache.t -> job:int -> Protocol.submit ->
@@ -71,7 +74,7 @@ val error_response : job:int -> exn -> Protocol.response
     own exception boundary. *)
 
 val static_verdict :
-  ?config:config -> cache:Cache.t -> job:int -> Protocol.submit ->
+  cache:Cache.t -> job:int -> Protocol.submit ->
   Protocol.response option
 (** The instant-answer probe: [Some (Result ...)] iff the submission is
     a [Check] with static analysis enabled whose kernel's artifacts are

@@ -60,6 +60,22 @@ type outcome = {
          sharded ones; 0 for cache-trivial or predict jobs *)
 }
 
+let default_outcome =
+  {
+    verdict = Race_free;
+    races = 0;
+    errors = [];
+    cache_hit = false;
+    predicted = 0;
+    confirmed = 0;
+    degraded = false;
+    static = false;
+    repaired = false;
+    fix = "";
+    repair_tried = 0;
+    detect_ms = 0.0;
+  }
+
 type tenant_status = {
   t_name : string;
   t_queued : int;
@@ -178,6 +194,9 @@ let kind_string = function
   | Predict -> "predict"
   | Repair -> "repair"
 
+let kind_of_string k =
+  List.find_opt (fun kind -> kind_string kind = k) [ Check; Predict; Repair ]
+
 (* ------------------------------ encoding ------------------------- *)
 
 let submit_fields ~cmd s =
@@ -270,10 +289,11 @@ let ( let* ) = Result.bind
 let decode_submit doc =
   let* kind =
     match field "kind" doc with
-    | Some (Json.Str "check") | None -> Ok Check
-    | Some (Json.Str "predict") -> Ok Predict
-    | Some (Json.Str "repair") -> Ok Repair
-    | Some (Json.Str k) -> Result.Error (Printf.sprintf "unknown kind %S" k)
+    | None -> Ok Check
+    | Some (Json.Str k) -> (
+        match kind_of_string k with
+        | Some kind -> Ok kind
+        | None -> Result.Error (Printf.sprintf "unknown kind %S" k))
     | Some _ -> Result.Error "field \"kind\" must be a string"
   in
   let* payload = str_field "payload" doc in

@@ -51,6 +51,9 @@ type submit = {
           round-robin so none can starve another. *)
 }
 
+val kind_of_string : string -> kind option
+(** ["check"], ["predict"] or ["repair"], as the wire spells them. *)
+
 val submit_defaults : kind:kind -> string -> submit
 (** A submission of [payload] with default layout, args, pruning and
     static analysis. *)
@@ -106,6 +109,10 @@ type outcome = {
       (** wall-clock spent inside the race detector for this job (the
           busiest shard domain when sharded); 0 for [Predict] *)
 }
+
+val default_outcome : outcome
+(** [Race_free] with nothing found, flagged or tried: the base every
+    outcome is built from. *)
 
 type tenant_status = {
   t_name : string;

@@ -3,9 +3,6 @@ type quota = { rate : float; burst : int; seats : int }
 type config = {
   workers : int;
   queue_capacity : int;
-  retry_after_ms : int;
-  max_job_restarts : int;
-  watchdog_interval_s : float;
   session_seats : int;
   fault : Fault.Plan.t option;
   tenant_quotas : (string * quota) list;
@@ -15,15 +12,18 @@ let default_config =
   {
     workers = 2;
     queue_capacity = 64;
-    retry_after_ms = 50;
-    max_job_restarts = 2;
-    watchdog_interval_s = 0.02;
     session_seats = 2;
     fault = None;
     tenant_quotas = [];
   }
 
 let default_tenant = "default"
+let retry_after_ms = 50
+
+(* Crash-restarts a job gets before it is quarantined as poison, and
+   the watchdog's poll period. *)
+let max_job_restarts = 2
+let watchdog_interval_s = 0.02
 
 type counts = {
   submitted : int;
@@ -76,7 +76,6 @@ and tenant = {
    into the same slot. *)
 type slot = {
   mutable dom : unit Domain.t option;
-  mutable beat_ns : int64;  (* last heartbeat (job pickup/completion) *)
   mutable current : job option;  (* job in flight on this seat *)
   mutable crashed : bool;  (* set by the dying worker, cleared by reaper *)
 }
@@ -297,7 +296,6 @@ let worker_body t slot =
         t.busy <- t.busy + 1;
         tn.tn_inflight <- tn.tn_inflight + 1;
         slot.current <- Some job;
-        slot.beat_ns <- Telemetry.Clock.now_ns ();
         Telemetry.Metric.gauge_set t.g_depth t.pending_total;
         Telemetry.Metric.gauge_set t.g_busy t.busy;
         Telemetry.Metric.gauge_set tn.tn_g_inflight tn.tn_inflight;
@@ -341,7 +339,6 @@ let worker_body t slot =
         tn.tn_inflight <- tn.tn_inflight - 1;
         tn.tn_completed <- tn.tn_completed + 1;
         slot.current <- None;
-        slot.beat_ns <- Telemetry.Clock.now_ns ();
         Telemetry.Metric.gauge_set t.g_busy t.busy;
         Telemetry.Metric.gauge_set tn.tn_g_inflight tn.tn_inflight;
         (match response with
@@ -392,7 +389,7 @@ let quarantine_message attempts =
 let watchdog_loop t =
   let stop_now = ref false in
   while not !stop_now do
-    Thread.delay t.config.watchdog_interval_s;
+    Thread.delay watchdog_interval_s;
     Mutex.lock t.lock;
     let reaped = ref [] in
     Array.iter
@@ -412,7 +409,7 @@ let watchdog_loop t =
                 Telemetry.Metric.gauge_set tn.tn_g_inflight tn.tn_inflight;
                 slot.current <- None;
                 job.attempts <- job.attempts + 1;
-                if job.attempts > t.config.max_job_restarts then begin
+                if job.attempts > max_job_restarts then begin
                   t.c <-
                     {
                       t.c with
@@ -508,8 +505,6 @@ let create ?(config = default_config) ~exec () =
     invalid_arg "Scheduler.create: workers must be positive";
   if config.queue_capacity < 1 then
     invalid_arg "Scheduler.create: queue_capacity must be positive";
-  if config.max_job_restarts < 0 then
-    invalid_arg "Scheduler.create: max_job_restarts must be non-negative";
   if config.session_seats < 0 then
     invalid_arg "Scheduler.create: session_seats must be non-negative";
   List.iter
@@ -549,12 +544,7 @@ let create ?(config = default_config) ~exec () =
         };
       slots =
         Array.init config.workers (fun _ ->
-            {
-              dom = None;
-              beat_ns = Telemetry.Clock.now_ns ();
-              current = None;
-              crashed = false;
-            });
+            { dom = None; current = None; crashed = false });
       seats =
         Array.init config.session_seats (fun i ->
             {
@@ -696,11 +686,9 @@ let submit t sub ~reply =
   Mutex.lock t.lock;
   let tn = tenant_of t (tenant_name sub) in
   if t.stopping then
-    reject t tn ~reason:"shutting_down"
-      ~retry_after_ms:t.config.retry_after_ms ~reply
+    reject t tn ~reason:"shutting_down" ~retry_after_ms ~reply
   else if t.pending_total >= t.config.queue_capacity then
-    reject t tn ~reason:"queue_full" ~retry_after_ms:t.config.retry_after_ms
-      ~reply
+    reject t tn ~reason:"queue_full" ~retry_after_ms ~reply
   else
     match quota_admit tn with
     | Some retry_after_ms ->
@@ -813,12 +801,6 @@ let tenant_status t =
   List.sort
     (fun a b -> String.compare a.Protocol.t_name b.Protocol.t_name)
     tenants
-
-let heartbeats t =
-  Mutex.lock t.lock;
-  let beats = Array.map (fun slot -> slot.beat_ns) t.slots in
-  Mutex.unlock t.lock;
-  beats
 
 let stop t =
   Mutex.lock t.lock;

@@ -27,14 +27,13 @@
     a [Failed] response.  An exception that escapes the worker loop
     {e itself} (an injected crash, or machinery bugs outside [exec]'s
     reach) kills only that worker's domain: a watchdog thread notices
-    the dead seat, requeues its in-flight job (or, after
-    [max_job_restarts] crash-restarts, quarantines it with a [Failed]
-    response, code ["quarantined"]), joins the corpse, and spawns a
-    replacement domain into the same seat.  The daemon survives; the
-    client always gets an answer.
+    the dead seat, requeues its in-flight job (or, after two
+    crash-restarts, quarantines it with a [Failed] response, code
+    ["quarantined"]), joins the corpse, and spawns a replacement domain
+    into the same seat.  The daemon survives; the client always gets an
+    answer.
 
-    Workers heartbeat ({!heartbeats}) at job pickup and completion.  A
-    {e hung} worker cannot be killed (OCaml domains are not
+    A {e hung} worker cannot be killed (OCaml domains are not
     cancellable), so hangs are bounded one layer down by the per-job
     wall-clock deadline ({!Exec.config.deadline_ms}).
 
@@ -78,13 +77,6 @@ type quota = {
 type config = {
   workers : int;
   queue_capacity : int;  (** shared bound across all tenant queues *)
-  retry_after_ms : int;
-      (** hint carried by queue-full / shutdown rejects (quota rejects
-          compute their own exact refill hint) *)
-  max_job_restarts : int;
-      (** crash-restarts granted to a job before it is quarantined as
-          poison (0 = quarantine on first crash) *)
-  watchdog_interval_s : float;  (** supervision poll period *)
   session_seats : int;
       (** dedicated domains for long-lived streaming sessions (0
           disables streaming) *)
@@ -97,11 +89,15 @@ type config = {
 }
 
 val default_config : config
-(** 2 workers, capacity 64, retry after 50 ms, 2 crash-restarts,
-    20 ms watchdog poll, 2 session seats, no faults, no quotas. *)
+(** 2 workers, capacity 64, 2 session seats, no faults, no quotas. *)
 
 val default_tenant : string
 (** The tenant jobs without an explicit tenant id join: ["default"]. *)
+
+val retry_after_ms : int
+(** The retry hint, 50 ms, carried by queue-full and shutdown rejects
+    and by the daemon's [sessions_exhausted] (quota rejects compute
+    their own exact refill hint). *)
 
 type counts = {
   submitted : int;
@@ -126,7 +122,7 @@ val create :
     tenant are seated up front (stable ring order); others join lazily
     on first submission.
     @raise Invalid_argument on a non-positive worker count or
-    capacity, a negative [max_job_restarts] or [session_seats], or a
+    capacity, a negative [session_seats], or a
     quota with a negative rate, burst or seat count (or an empty
     tenant name). *)
 
@@ -190,10 +186,6 @@ val open_sessions : t -> int
 val sessions_opened : t -> int
 (** Seats configured / currently occupied / total sessions ever
     opened. *)
-
-val heartbeats : t -> int64 array
-(** Per-seat last-heartbeat timestamps ({!Telemetry.Clock.now_ns}
-    domain), updated at job pickup and completion. *)
 
 val stop : t -> unit
 (** Stop accepting work, let the workers finish everything already

@@ -2,11 +2,9 @@ type config = {
   socket_path : string;
   workers : int;
   queue_capacity : int;
-  retry_after_ms : int;
   max_steps : int;
   job_deadline_ms : int;
   cache_capacity : int;
-  read_timeout_s : float;
   job_shards : int;
   session_seats : int;
   tenant_quotas : (string * Scheduler.quota) list;
@@ -17,15 +15,17 @@ let default_config =
     socket_path = Filename.concat (Filename.get_temp_dir_name ()) "barracuda.sock";
     workers = 2;
     queue_capacity = 64;
-    retry_after_ms = 50;
     max_steps = Exec.default_config.Exec.max_steps;
     job_deadline_ms = 30_000;
     cache_capacity = 128;
-    read_timeout_s = 30.0;
     job_shards = 1;
     session_seats = Scheduler.default_config.Scheduler.session_seats;
     tenant_quotas = [];
   }
+
+(* A client that connects and sends nothing is dropped after this
+   long. *)
+let read_timeout_s = 30.0
 
 (* [workers] is the total domain budget.  With intra-job sharding each
    job seat drives [job_shards] detector domains, so the scheduler gets
@@ -141,7 +141,7 @@ let stream_verdict ~sid (p : Gpu_runtime.Session.progress) =
    seat. *)
 let handle_connection t fd =
   Telemetry.Metric.counter_incr t.m_connections;
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.read_timeout_s
+  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO read_timeout_s
    with Unix.Unix_error _ | Invalid_argument _ -> ());
   let ic = Unix.in_channel_of_descr fd in
   let sessions :
@@ -223,7 +223,7 @@ let handle_connection t fd =
                     (Protocol.Rejected
                        {
                          reason = "sessions_exhausted";
-                         retry_after_ms = t.config.retry_after_ms;
+                         retry_after_ms = Scheduler.retry_after_ms;
                        });
                   continue ()
               | Some seat -> (
@@ -319,8 +319,7 @@ let handle_connection t fd =
                normal queued path, which enforces admission control,
                warms the cache, and short-circuits statically itself. *)
             match
-              Exec.static_verdict ~config:t.exec_config ~cache:t.cache
-                ~job:0 sub
+              Exec.static_verdict ~cache:t.cache ~job:0 sub
             with
             | Some resp ->
                 (* Account the answer like any other job: a real id from
@@ -385,7 +384,6 @@ let start ?(config = default_config) () =
   let cache = Cache.create ~capacity:config.cache_capacity () in
   let exec_config =
     {
-      Exec.default_config with
       Exec.max_steps = config.max_steps;
       deadline_ms = config.job_deadline_ms;
       job_shards = config.job_shards;
@@ -398,7 +396,6 @@ let start ?(config = default_config) () =
           Scheduler.default_config with
           Scheduler.workers = worker_seats config;
           queue_capacity = config.queue_capacity;
-          retry_after_ms = config.retry_after_ms;
           session_seats = config.session_seats;
           tenant_quotas = config.tenant_quotas;
         }

@@ -28,15 +28,11 @@ type config = {
   socket_path : string;
   workers : int;
   queue_capacity : int;
-  retry_after_ms : int;
   max_steps : int;  (** per-job step budget (the timeout) *)
   job_deadline_ms : int;
       (** per-job wall-clock deadline ({!Exec.config.deadline_ms});
           [0] disables it *)
   cache_capacity : int;
-  read_timeout_s : float;
-      (** receive timeout per connection; a client that connects and
-          sends nothing is dropped after this long *)
   job_shards : int;
       (** detector domains per job ({!Exec.config.job_shards}).  Above
           [1], the [workers] domain budget is {e split} between jobs
@@ -53,9 +49,9 @@ type config = {
 
 val default_config : config
 (** Socket [barracuda.sock] in the system temp directory, 2 workers,
-    queue 64, 2M-step budget, 30 s job deadline, cache 128, 30 s read
-    timeout, 1 job shard (serial per-job detection), 2 session seats,
-    no tenant quotas. *)
+    queue 64, 2M-step budget, 30 s job deadline, cache 128, 1 job
+    shard (serial per-job detection), 2 session seats, no tenant
+    quotas.  A connection that sends nothing for 30 s is dropped. *)
 
 type t
 

@@ -5,6 +5,9 @@ exception Shard_crashed of int
 
 let no_values : int64 array = [||]
 
+(* Records in flight per shard ring. *)
+let ring_slots = 4096
+
 (* Producer-side wait for a full ring while its consumer drains
    concurrently: spin briefly, then sleep with a capped exponential
    backoff (50us doubling to ~3ms) instead of a fixed-rate poll. *)
@@ -21,7 +24,6 @@ type t = {
   detectors : Barracuda.Detector.t array;
   rings : Queue.t array;
   values_ring : int64 array array array;
-  cap : int;
   scratch : Bytes.t;
   mutable seq : int;
   mutable last_sync_seq : int;
@@ -82,17 +84,10 @@ let consume t i m_records =
    with Fault.Plan.Injected_shard_crash -> Atomic.set t.failed.(i) true);
   !detect
 
-let create ?router ?(ring_capacity = 4096) ?fault
-    ?(config = Barracuda.Detector.default_config) ~layout ~shards kernel =
+let create ?fault ?(config = Barracuda.Detector.default_config) ~layout
+    ~shards kernel =
   if shards < 1 then invalid_arg "Engine.create: shards must be >= 1";
-  let router =
-    match router with
-    | Some r ->
-        if Router.shards r <> shards then
-          invalid_arg "Engine.create: router/shard count mismatch";
-        r
-    | None -> Router.make ~shards ()
-  in
+  let router = Router.make ~shards () in
   (* Shards keep every race they own: the report cap applies once, in
      the merge, so the merged race count is the serial detector's
      whatever the cap (a per-shard cap would drop races from the count
@@ -108,10 +103,9 @@ let create ?router ?(ring_capacity = 4096) ?fault
     {
       layout;
       detectors;
-      rings = Array.init shards (fun _ -> Queue.create ~capacity:ring_capacity);
+      rings = Array.init shards (fun _ -> Queue.create ~capacity:ring_slots);
       values_ring =
-        Array.init shards (fun _ -> Array.make ring_capacity no_values);
-      cap = ring_capacity;
+        Array.init shards (fun _ -> Array.make ring_slots no_values);
       scratch = Bytes.create Wire.size;
       seq = 0;
       last_sync_seq = 0;
@@ -186,7 +180,7 @@ let broadcast t ~values ~sync =
     let w = reserve t i in
     let pos = Queue.offset_of q w in
     Bytes.blit t.scratch 0 (Queue.buffer q) pos Wire.size;
-    t.values_ring.(i).(w mod t.cap) <- values;
+    t.values_ring.(i).(w mod ring_slots) <- values;
     Queue.commit q w
   done;
   t.records <- t.records + 1

@@ -34,20 +34,17 @@ exception Shard_crashed of int
     the job's verdict is unrecoverable.  Carries the shard index. *)
 
 val create :
-  ?router:Router.t ->
-  ?ring_capacity:int ->
   ?fault:Fault.Plan.t ->
   ?config:Barracuda.Detector.config ->
   layout:Vclock.Layout.t ->
   shards:int ->
   Ptx.Ast.kernel ->
   t
-(** Spawns [shards] consumer domains immediately.  [router] defaults
-    to [Router.make ~shards ()]; its shard count must match.
-    [ring_capacity] defaults to 4096 records per shard.  [fault] is
-    consulted for shard-crash injection only (transport faults live in
-    [Gpu_runtime.Session.serial_sink]).  @raise Invalid_argument on [shards < 1]
-    or a router/shard-count mismatch. *)
+(** Spawns [shards] consumer domains immediately, each behind a
+    4096-record ring, partitioned by [Router.make ~shards ()].
+    [fault] is consulted for shard-crash injection only (transport
+    faults live in [Gpu_runtime.Session.serial_sink]).
+    @raise Invalid_argument on [shards < 1]. *)
 
 val shards : t -> int
 

@@ -5,9 +5,6 @@ let make ?(range_log2 = 6) ~shards () =
   if range_log2 < 0 then invalid_arg "Router.make: range_log2 must be >= 0";
   { shards; range_log2 }
 
-let shards t = t.shards
-let range_log2 t = t.range_log2
-
 (* Splitmix-style avalanche (same shape as Fault.Plan's): the cell
    population of a real kernel is dense ranges at arbitrary bases, so a
    plain modulus would alias entire data structures onto one shard.

@@ -22,9 +22,6 @@ val make : ?range_log2:int -> shards:int -> unit -> t
 (** [range_log2] defaults to 6 (64-byte ranges).
     @raise Invalid_argument if [shards < 1] or [range_log2 < 0]. *)
 
-val shards : t -> int
-val range_log2 : t -> int
-
 val owner : t -> space:Ptx.Ast.space -> region:int -> index:int -> int
 (** The shard owning a byte of shadow state, in [0, shards).
     Deterministic: depends only on the arguments and the router

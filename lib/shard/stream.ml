@@ -10,6 +10,8 @@ let sink_of_engine engine =
     sink_records = (fun () -> Engine.records engine);
   }
 
-let sink ?router ?ring_capacity ?fault ?config ~layout ~shards kernel =
-  sink_of_engine
-    (Engine.create ?router ?ring_capacity ?fault ?config ~layout ~shards kernel)
+let sink ?fault ?config ~layout ~shards kernel =
+  sink_of_engine (Engine.create ?fault ?config ~layout ~shards kernel)
+
+let sink_for ?config ~layout ~shards kernel =
+  if shards <= 1 then None else Some (sink ?config ~layout ~shards kernel)

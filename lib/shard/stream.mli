@@ -16,8 +16,6 @@ val sink_of_engine : Engine.t -> Gpu_runtime.Session.sink
     engine directly while the sink is live. *)
 
 val sink :
-  ?router:Router.t ->
-  ?ring_capacity:int ->
   ?fault:Fault.Plan.t ->
   ?config:Barracuda.Detector.config ->
   layout:Vclock.Layout.t ->
@@ -25,3 +23,13 @@ val sink :
   Ptx.Ast.kernel ->
   Gpu_runtime.Session.sink
 (** Create an engine (spawning its consumer domains) and wrap it. *)
+
+val sink_for :
+  ?config:Barracuda.Detector.config ->
+  layout:Vclock.Layout.t ->
+  shards:int ->
+  Ptx.Ast.kernel ->
+  Gpu_runtime.Session.sink option
+(** The detection backend for a shard count: [None] (the session's
+    serial sink) at [shards <= 1], above that {!sink}.  Verdicts are
+    bitwise identical either way. *)

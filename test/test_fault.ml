@@ -245,21 +245,6 @@ let test_orphaned_fi_absorbed () =
   Alcotest.(check int) "desync counted" 1 i.Report.desync;
   Alcotest.(check bool) "degraded" true (Report.degraded (Detector.report det))
 
-let test_integrity_check_disabled () =
-  let k = Gen.kernel_of_program [ Gen.Global_store (0, Gen.Const 1) ] in
-  let det =
-    Detector.create
-      ~config:{ Detector.default_config with check_integrity = false }
-      ~layout:Gen.layout k
-  in
-  let values = Array.make ws 1L in
-  let buf = sealed_access ~seq:99 () in
-  (* unsealed garbage seq, still processed; no accounting *)
-  Detector.feed_record det ~values buf ~pos:0;
-  Detector.feed_record det ~values buf ~pos:0;
-  Alcotest.(check bool) "no degradation tracking" false
-    (Report.degraded (Detector.report det))
-
 (* ---- transport faults through the serial sink --------------------- *)
 
 let racy_prog = [ Gen.Global_store (0, Gen.Lane_dependent); Gen.Global_load 0 ]
@@ -382,18 +367,8 @@ let scheduler_with_cases ~plan cases =
             job;
             outcome =
               {
+                P.default_outcome with
                 P.verdict = (if race then P.Racy else P.Race_free);
-                races = 0;
-                errors = [];
-                cache_hit = false;
-                predicted = 0;
-                confirmed = 0;
-                degraded = false;
-                static = false;
-                repaired = false;
-                fix = "";
-                repair_tried = 0;
-                detect_ms = 0.0;
               };
             queue_ms = 0.0;
             run_ms = 0.0;
@@ -535,8 +510,6 @@ let suite =
       test_seq_gap_stale_corrupt;
     Alcotest.test_case "orphaned branch_fi absorbed" `Quick
       test_orphaned_fi_absorbed;
-    Alcotest.test_case "integrity check disabled" `Quick
-      test_integrity_check_disabled;
     Alcotest.test_case "drop plan degrades" `Quick test_drop_plan_degrades;
     Alcotest.test_case "duplicate plan degrades" `Quick
       test_duplicate_plan_degrades;

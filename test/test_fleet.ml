@@ -28,15 +28,29 @@ let test_journal_roundtrip () =
   let dir = tmp_dir "roundtrip" in
   let j = Journal.create ~seed:7 ~cases:3 ~trials:2 in
   Alcotest.(check int) "total trials" (3 * 4 * 2) (Journal.total j);
-  ignore (Daemon.step j ~n:5);
+  ignore (Journal.step j ~n:5);
   Journal.save ~dir j;
-  match Journal.load ~dir with
+  match Journal.open_dir dir with
   | Error e -> Alcotest.failf "load: %s" e
   | Ok j' ->
       Alcotest.(check int) "cursor survives" 5 j'.Journal.j_cursor;
       Alcotest.(check int) "batches survive" 1 j'.Journal.j_batches;
       Alcotest.(check string) "report identical"
         (Journal.report_json j) (Journal.report_json j')
+
+(* Bad dimensions are refused before anything is written, so no
+   command leaves behind a journal that cannot run or resume. *)
+let test_journal_dimensions_rejected () =
+  List.iter
+    (fun (name, cases, trials) ->
+      let dir = tmp_dir name in
+      let fresh = { Journal.seed = 1; cases; trials } in
+      (match Journal.open_dir ~fresh dir with
+      | Ok _ -> Alcotest.failf "%s: opened a journal" name
+      | Error _ -> ());
+      Alcotest.(check bool) (name ^ ": no journal written") false
+        (Sys.file_exists (Journal.path ~dir)))
+    [ ("trials0", 2, 0); ("trials-1", 2, -1); ("cases0", 0, 2) ]
 
 let contains ~needle haystack =
   let n = String.length needle and h = String.length haystack in
@@ -51,7 +65,7 @@ let test_journal_version_rejected () =
   (* A future format: only the version stamp is understood. *)
   write_file path
     (Printf.sprintf "{\"schema_version\":%d}\n" (Journal.schema_version + 1));
-  match Journal.load ~dir with
+  match Journal.open_dir dir with
   | Ok _ -> Alcotest.fail "mismatched schema version must be rejected"
   | Error e ->
       (* Loud and versioned: the message names both versions. *)
@@ -91,7 +105,7 @@ let test_kill_and_resume_determinism () =
   let reference =
     let j = Journal.create ~seed ~cases ~trials in
     let n = Journal.total j in
-    ignore (Daemon.step j ~n);
+    ignore (Journal.step j ~n);
     Journal.report_json j
   in
   let total = cases * 4 * trials in
@@ -99,26 +113,26 @@ let test_kill_and_resume_determinism () =
   for _ = 1 to 3 do
     let kill_at = 1 + Random.State.int rng (total - 1) in
     let dir = tmp_dir (Printf.sprintf "kill%d" kill_at) in
-    (* run to the kill point in small batches, checkpointing like the
-       daemon does *)
+    (* run to the kill point in small checkpointed batches, as fleet
+       and the daemon do *)
     let j = Journal.create ~seed ~cases ~trials in
     Journal.save ~dir j;
     let rec drive () =
       if j.Journal.j_cursor < kill_at then begin
-        ignore (Daemon.step j ~n:(min 3 (kill_at - j.Journal.j_cursor)));
-        Journal.save ~dir j;
+        let n = min 3 (kill_at - j.Journal.j_cursor) in
+        ignore (Journal.advance ~dir j ~n);
         drive ()
       end
     in
     drive ();
     (* "crash": drop the in-memory state, resume from disk *)
-    match Journal.load ~dir with
+    match Journal.open_dir dir with
     | Error e -> Alcotest.failf "resume load: %s" e
     | Ok resumed ->
         Alcotest.(check int)
           (Printf.sprintf "cursor at kill point %d" kill_at)
           kill_at resumed.Journal.j_cursor;
-        ignore (Daemon.step resumed ~n:(Journal.total resumed));
+        ignore (Journal.step resumed ~n:(Journal.total resumed));
         Alcotest.(check string)
           (Printf.sprintf "killed at %d/%d, resumed report is bitwise \
                            identical" kill_at total)
@@ -174,7 +188,7 @@ let test_daemon_completes_and_resumes () =
       Daemon.stop d;
       Alcotest.(check bool) "made progress" true progressed);
   let mid =
-    match Journal.load ~dir with
+    match Journal.open_dir dir with
     | Ok j -> j.Journal.j_cursor
     | Error e -> Alcotest.failf "mid load: %s" e
   in
@@ -198,10 +212,10 @@ let test_daemon_completes_and_resumes () =
          in-memory run of the same campaign. *)
       let reference =
         let j = Journal.create ~seed:11 ~cases:2 ~trials:1 in
-        ignore (Daemon.step j ~n:(Journal.total j));
+        ignore (Journal.step j ~n:(Journal.total j));
         Journal.report_json j
       in
-      (match Journal.load ~dir with
+      (match Journal.open_dir dir with
       | Ok j ->
           Alcotest.(check string) "report matches uninterrupted run"
             reference (Journal.report_json j);
@@ -214,6 +228,8 @@ let suite =
       test_journal_roundtrip;
     Alcotest.test_case "journal schema version rejected" `Quick
       test_journal_version_rejected;
+    Alcotest.test_case "journal dimensions rejected" `Quick
+      test_journal_dimensions_rejected;
     Alcotest.test_case "faults report carries schema version" `Quick
       test_campaign_report_carries_version;
     Alcotest.test_case "kill-and-resume determinism" `Quick

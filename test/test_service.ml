@@ -5,22 +5,6 @@
 module P = Service.Protocol
 module Case = Bugsuite.Case
 
-let ok_outcome =
-  {
-    P.verdict = P.Race_free;
-    races = 0;
-    errors = [];
-    cache_hit = false;
-    predicted = 0;
-    confirmed = 0;
-    degraded = false;
-    static = false;
-    repaired = false;
-    fix = "";
-    repair_tried = 0;
-    detect_ms = 0.0;
-  }
-
 let tmp_socket name =
   Filename.concat
     (Filename.get_temp_dir_name ())
@@ -338,7 +322,7 @@ let test_backpressure () =
       Condition.wait cv m
     done;
     Mutex.unlock m;
-    P.Result { job; outcome = ok_outcome; queue_ms = 0.0; run_ms = 0.0 }
+    P.Result { job; outcome = P.default_outcome; queue_ms = 0.0; run_ms = 0.0 }
   in
   let sched =
     Service.Scheduler.create
@@ -347,7 +331,6 @@ let test_backpressure () =
           Service.Scheduler.default_config with
           Service.Scheduler.workers = 1;
           queue_capacity = 1;
-          retry_after_ms = 7;
         }
       ~exec ()
   in
@@ -373,7 +356,8 @@ let test_backpressure () =
   (match !rejected with
   | Some (P.Rejected { reason; retry_after_ms }) ->
       Alcotest.(check string) "reject reason" "queue_full" reason;
-      Alcotest.(check int) "retry hint" 7 retry_after_ms
+      Alcotest.(check int) "retry hint" Service.Scheduler.retry_after_ms
+        retry_after_ms
   | _ -> Alcotest.fail "third submission should be rejected synchronously");
   Alcotest.(check int) "queue holds the waiting job" 1
     (Service.Scheduler.depth sched);
@@ -809,7 +793,7 @@ let gated_scheduler ?(workers = 1) ?(queue_capacity = 64) ?(tenant_quotas = [])
       Condition.wait cv m
     done;
     Mutex.unlock m;
-    P.Result { job; outcome = ok_outcome; queue_ms = 0.0; run_ms = 0.0 }
+    P.Result { job; outcome = P.default_outcome; queue_ms = 0.0; run_ms = 0.0 }
   in
   let sched =
     Service.Scheduler.create
