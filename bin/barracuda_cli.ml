@@ -348,23 +348,25 @@ let profile_cmd =
     Term.(const run $ layout_term $ file_term $ args_term $ metrics_term $ prom)
 
 let load_trace file =
-  let loaded = Gpu_runtime.Replay.load_file file in
-  (match Gpu_runtime.Replay.feasibility loaded with
+  let layout, ops =
+    In_channel.with_open_text file Gtrace.Serialize.of_channel
+  in
+  (match Gtrace.Feasible.check ~layout ops with
   | Ok () -> ()
   | Error v ->
       Format.printf "warning: trace is not feasible: %a@."
         Gtrace.Feasible.pp_violation v);
-  loaded
+  (layout, ops)
 
 let replay_cmd =
   let run file =
     guard @@ fun () ->
-    let loaded = load_trace file in
-    let report = Gpu_runtime.Replay.run loaded in
-    Format.printf "%d operations replayed on %a@."
-      (List.length loaded.Gpu_runtime.Replay.ops)
-      Vclock.Layout.pp loaded.Gpu_runtime.Replay.layout;
-    print_verdict report
+    let layout, ops = load_trace file in
+    let r = Barracuda.Reference.create ~layout () in
+    Barracuda.Reference.run r ops;
+    Format.printf "%d operations replayed on %a@." (List.length ops)
+      Vclock.Layout.pp layout;
+    print_verdict (Barracuda.Reference.report r)
   in
   Cmd.v
     (Cmd.info "replay"
@@ -375,14 +377,11 @@ let predict_cmd =
   let run file json witness_dir max_predictions no_validate metrics =
     guard @@ fun () ->
     with_metrics metrics @@ fun () ->
-    let loaded = load_trace file in
+    let layout, ops = load_trace file in
     let config =
       { Predict.Analysis.max_predictions; validate = not no_validate }
     in
-    let a =
-      Predict.Analysis.run ~config ~layout:loaded.Gpu_runtime.Replay.layout
-        loaded.Gpu_runtime.Replay.ops
-    in
+    let a = Predict.Analysis.run ~config ~layout ops in
     if json then
       print_endline (Telemetry.Json.to_string (Predict.Analysis.to_json a))
     else Format.printf "@[<v>%a@]@." Predict.Analysis.pp a;
@@ -399,9 +398,7 @@ let predict_cmd =
                   Filename.concat dir (Printf.sprintf "witness-%d.trace" (i + 1))
                 in
                 let oc = open_out path in
-                Gtrace.Serialize.to_channel
-                  ~layout:loaded.Gpu_runtime.Replay.layout oc
-                  w.Predict.Witness.ops;
+                Gtrace.Serialize.to_channel ~layout oc w.Predict.Witness.ops;
                 close_out oc;
                 if not json then
                   Format.printf "witness for #%d written to %s@." (i + 1) path)
@@ -1045,10 +1042,13 @@ let serve_cmd =
               trials = campaign_trials;
               batch = campaign_batch;
               duty = campaign_duty;
-              load = (fun () -> Service.Server.load t);
             }
           in
-          match Campaign.Daemon.start ~config:cfg ~dir () with
+          match
+            Campaign.Daemon.start ~config:cfg
+              ~load:(fun () -> Service.Server.load t)
+              ~dir ()
+          with
           | Error message ->
               Service.Server.stop t;
               failwith message
@@ -1368,7 +1368,7 @@ let stream_cmd =
             let len = min chunk (total - sent) in
             match Service.Client.stream_append s (String.sub cells sent len) with
             | Error message -> failed message
-            | Ok records -> (
+            | Ok _ -> (
                 let sent = sent + len and i = i + 1 in
                 if
                   flush_every > 0 && i mod flush_every = 0 && sent < total
@@ -1381,10 +1381,7 @@ let stream_cmd =
                           (Printf.sprintf "chunk %d/%d" i nchunks)
                         v;
                       ship sent i
-                else begin
-                  ignore records;
-                  ship sent i
-                end)
+                else ship sent i)
         in
         match ship 0 0 with
         | None -> 1

@@ -3,10 +3,10 @@
    A single sys-thread walks the journal's linear trial space in
    batches, checkpointing after every batch.  It is deliberately the
    lowest-priority work in the process: before each batch it probes
-   the service load (queued + executing jobs, read from the telemetry
-   gauges by default so this layer needs no handle on the server) and
-   yields while any paying work exists; after each batch it sleeps the
-   duty-cycle complement of the time the batch took. *)
+   the service load (the caller's [load], e.g. the server's queued +
+   executing jobs) and yields while any paying work exists; after
+   each batch it sleeps the duty-cycle complement of the time the
+   batch took. *)
 
 type config = {
   seed : int;
@@ -14,21 +14,14 @@ type config = {
   trials : int;
   batch : int;  (* trials per checkpoint *)
   duty : float;  (* fraction of wall-clock spent running trials *)
-  load : unit -> int;  (* paying work right now; > 0 pauses the sweep *)
 }
 
-let default_load () =
-  Telemetry.Registry.find_gauge Telemetry.Registry.default
-    "barracuda_service_queue_depth"
-  + Telemetry.Registry.find_gauge Telemetry.Registry.default
-      "barracuda_service_busy_workers"
-
 let default_config =
-  { seed = 42; cases = 8; trials = 25; batch = 8; duty = 0.25;
-    load = default_load }
+  { seed = 42; cases = 8; trials = 25; batch = 8; duty = 0.25 }
 
 type t = {
   config : config;
+  load : unit -> int;  (* paying work right now; > 0 pauses the sweep *)
   dir : string;
   journal : Journal.t;
   lock : Mutex.t;
@@ -66,7 +59,7 @@ let loop t =
       t.paused <- false;
       interruptible_sleep t 0.2
     end
-    else if t.config.load () > 0 then begin
+    else if t.load () > 0 then begin
       (* Paying work in the house: yield immediately and re-probe
          soon.  The campaign never occupies the process while a real
          job is queued or running. *)
@@ -91,7 +84,7 @@ let loop t =
     end
   done
 
-let start ?(config = default_config) ~dir () =
+let start ?(config = default_config) ~load ~dir () =
   if config.batch < 1 then Error "campaign daemon: batch must be at least 1"
   else
     let { seed; cases; trials; _ } = config in
@@ -101,6 +94,7 @@ let start ?(config = default_config) ~dir () =
         let t =
           {
             config;
+            load;
             dir;
             journal = j;
             lock = Mutex.create ();

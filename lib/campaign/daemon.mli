@@ -8,9 +8,9 @@
     trials.
 
     The campaign is strictly lowest-priority: before each batch it
-    probes [config.load] — by default the daemon's own
-    [barracuda_service_queue_depth] + [barracuda_service_busy_workers]
-    gauges — and yields whenever any paying work is queued or running;
+    probes [load] — in the daemon, [Service.Server.load], its queued +
+    executing jobs — and yields whenever any paying work is queued or
+    running;
     between batches it sleeps the duty-cycle complement of the batch's
     runtime, so even an idle service only spends [duty] of wall-clock
     on fault trials. *)
@@ -23,21 +23,22 @@ type config = {
   duty : float;
       (** fraction of wall-clock spent running trials when the service
           is otherwise idle (clamped to [0.01, 1.0]) *)
-  load : unit -> int;
-      (** paying work right now; any positive value pauses the sweep.
-          Defaults to reading the service telemetry gauges, so the
-          campaign needs no handle on the server. *)
 }
 
 val default_config : config
-(** seed 42, 8 cases, 25 trials, batch 8, duty 0.25, telemetry-gauge
-    load probe. *)
+(** seed 42, 8 cases, 25 trials, batch 8, duty 0.25. *)
 
 type t
 
-val start : ?config:config -> dir:string -> unit -> (t, string) result
+val start :
+  ?config:config ->
+  load:(unit -> int) ->
+  dir:string ->
+  unit ->
+  (t, string) result
 (** Open the journal in [dir] with {!Journal.open_dir} (resuming one
-    if present), then spawn the sweep thread.  [Error] on a batch below
+    if present), then spawn the sweep thread.  [load] is the paying
+    work right now; any positive value pauses the sweep.  [Error] on a batch below
     1 or anything {!Journal.open_dir} rejects. *)
 
 val status : t -> Service.Protocol.campaign_status

@@ -101,7 +101,11 @@ val feed_record : t -> values:int64 array -> Bytes.t -> pos:int -> unit
     producer per detector, so one expected-next sequence number), and
     any anomaly (corruption, loss, duplication) is counted in the
     [barracuda_transport_integrity_*] metrics, noted on the report
-    (degrading the verdict), and absorbed without raising.  A record
+    (degrading the verdict), and absorbed without raising.  This is
+    the only check: record sinks, shard rings and streaming sessions
+    pass the producer's record through verbatim.  The metrics count
+    per detector, so a sharded run, whose every shard sees the whole
+    stream, counts an anomaly once per shard.  A record
     with an unknown opcode, or naming a warp, instruction or block
     outside the detector's layout and kernel, is counted as corrupt
     and skipped instead of raising. *)

@@ -58,9 +58,9 @@ let span_witness = Telemetry.Span.create "predict.witness"
 (* The races the recorded schedule already exposes, keyed like the
    report's dedup (location + unordered thread pair). *)
 let observed_races ~layout ops =
-  let s = Gpu_runtime.Session.open_ops ~max_reports:10_000 ~layout () in
-  Gpu_runtime.Session.feed_ops s ops;
-  let report = Gpu_runtime.Session.close_ops s in
+  let r = Barracuda.Reference.create ~max_reports:10_000 ~layout () in
+  Barracuda.Reference.run r ops;
+  let report = Barracuda.Reference.report r in
   let seen = Hashtbl.create 32 in
   List.iter
     (function

@@ -86,12 +86,11 @@ let generate ?(validate = true) (g : Graph.t) (a : Graph.access)
     (* Self-validation: replay the witness through the unmodified
        reference detector; the prediction stands only if the recorded
        pair races in the reordered schedule. *)
-    let s =
-      Gpu_runtime.Session.open_ops ~max_reports:10_000 ~layout:g.Graph.layout
-        ()
+    let r =
+      Barracuda.Reference.create ~max_reports:10_000 ~layout:g.Graph.layout ()
     in
-    Gpu_runtime.Session.feed_ops s ops;
-    races_pair (Gpu_runtime.Session.close_ops s) a.Graph.loc a.Graph.tid
+    Barracuda.Reference.run r ops;
+    races_pair (Barracuda.Reference.report r) a.Graph.loc a.Graph.tid
       b.Graph.tid
   in
   { first = a; second = b; order; ops; feasible; violation; confirmed }

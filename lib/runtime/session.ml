@@ -4,8 +4,7 @@ module Wire = Barracuda.Wire
 (* Record sinks                                                        *)
 
 type sink = {
-  stage : Bytes.t;
-  submit : values:int64 array -> sync:bool -> unit;
+  feed : values:int64 array -> Bytes.t -> pos:int -> unit;
   quiesce : unit -> unit;
   sink_report : max_reports:int -> Barracuda.Report.t;
   finish : unit -> unit;
@@ -15,7 +14,7 @@ type sink = {
 }
 
 (* Transport-fault injection for the serial backend, applied to each
-   record after it is sealed — where a real DMA/interconnect fault
+   sealed record as it arrives — where a real DMA/interconnect fault
    would land.  A delayed record is copied aside and re-fed [hold]
    records later: by then the detector's sequence tracking has moved
    past it, so it surfaces as an accounted gap + stale pair rather
@@ -24,8 +23,8 @@ type sink = {
 let transport_faults plan feed =
   let stream = Fault.Plan.Transport.stream plan in
   let held = ref [] in
-  let flip buf bit =
-    let byte = bit / 8 in
+  let flip buf ~pos bit =
+    let byte = pos + (bit / 8) in
     Bytes.set_uint8 buf byte
       (Bytes.get_uint8 buf byte lxor (1 lsl (bit land 7)))
   in
@@ -33,41 +32,39 @@ let transport_faults plan feed =
     if !held <> [] then begin
       let ready, waiting = List.partition (fun (n, _, _) -> n <= 1) !held in
       held := List.map (fun (n, b, v) -> (n - 1, b, v)) waiting;
-      List.iter (fun (_, b, v) -> feed ~values:v b) ready
+      List.iter (fun (_, b, v) -> feed ~values:v b ~pos:0) ready
     end
   in
-  let deliver ~values buf =
+  let deliver ~values buf ~pos =
     (match Fault.Plan.Transport.next stream with
-    | Fault.Plan.Transport.Pass -> feed ~values buf
+    | Fault.Plan.Transport.Pass -> feed ~values buf ~pos
     | Fault.Plan.Transport.Flip raw ->
-        (* flipped for the detector only: the staged record (and any
-           capture of it) stays the one the producer sealed *)
+        (* flipped for the detector only: the record (and any capture
+           of it) stays the one the producer sealed *)
         let bit = raw mod (Wire.size * 8) in
-        flip buf bit;
-        feed ~values buf;
-        flip buf bit
+        flip buf ~pos bit;
+        feed ~values buf ~pos;
+        flip buf ~pos bit
     | Fault.Plan.Transport.Drop -> ()
     | Fault.Plan.Transport.Duplicate ->
-        feed ~values buf;
-        feed ~values buf
+        feed ~values buf ~pos;
+        feed ~values buf ~pos
     | Fault.Plan.Transport.Delay hold ->
-        held := !held @ [ (hold, Bytes.sub buf 0 Wire.size, values) ]);
+        held := !held @ [ (hold, Bytes.sub buf pos Wire.size, values) ]);
     tick ()
   in
   let flush () =
-    List.iter (fun (_, b, v) -> feed ~values:v b) !held;
+    List.iter (fun (_, b, v) -> feed ~values:v b ~pos:0) !held;
     held := []
   in
   (deliver, flush)
 
 let serial_sink ?fault det =
-  let stage = Bytes.create Wire.size in
-  let seq = ref 0 in
   let detect = ref 0L in
   let records = ref 0 in
-  let feed ~values buf =
+  let feed ~values buf ~pos =
     let t0 = Telemetry.Clock.now_ns () in
-    Barracuda.Detector.feed_record det ~values buf ~pos:0;
+    Barracuda.Detector.feed_record det ~values buf ~pos;
     detect := Int64.add !detect (Telemetry.Clock.elapsed_ns ~since:t0)
   in
   let deliver, finish =
@@ -76,13 +73,10 @@ let serial_sink ?fault det =
     | Some plan -> transport_faults plan feed
   in
   {
-    stage;
-    submit =
-      (fun ~values ~sync:_ ->
-        Wire.seal stage ~pos:0 ~seq:!seq;
-        incr seq;
+    feed =
+      (fun ~values buf ~pos ->
         incr records;
-        deliver ~values stage);
+        deliver ~values buf ~pos);
     quiesce = ignore;
     sink_report = (fun ~max_reports:_ -> Barracuda.Detector.report det);
     finish;
@@ -104,11 +98,11 @@ let no_values : int64 array = [||]
 
 (* The producer half: execute [kernel] (the instrumented version when
    [inst] is given, remapping instruction ids back to the original
-   kernel and dropping accesses whose logging was pruned) and submit
-   every logged event into [sink] as a sealed wire record. *)
+   kernel and dropping accesses whose logging was pruned), write every
+   logged event as a wire record, seal it — the one place a record is
+   sealed — feed it to [sink] and capture it. *)
 let drive ?max_steps ?deadline_ns ?fault ?inst ?capture ?tap ~machine sink
     kernel args =
-  let roles = Gtrace.Roles.classify kernel in
   let orig, keep, run_kernel =
     match inst with
     | Some i ->
@@ -120,23 +114,16 @@ let drive ?max_steps ?deadline_ns ?fault ?inst ?capture ?tap ~machine sink
           i.Instrument.Pass.kernel )
     | None -> ((fun j -> j), (fun _ -> true), kernel)
   in
-  (* Synchronization classification for epoch accounting: barriers
-     always; accesses when the static role analysis gave them
-     acquire/release semantics.  Never affects detection. *)
-  let is_sync_access o =
-    o >= 0
-    &&
-    match roles.(o) with
-    | Gtrace.Roles.Acquire _ | Gtrace.Roles.Release _
-    | Gtrace.Roles.Acquire_release _ ->
-        true
-    | Gtrace.Roles.Plain -> false
-  in
-  let buf = sink.stage in
-  let emit ~values ~sync =
-    sink.submit ~values ~sync;
-    (* after [submit]: the staged record is sealed, so the capture is a
-       byte-faithful recording of the ingested stream *)
+  (* zeroed, so the lane bytes a record's payload leaves unused (which
+     the checksum does not cover) are reproducible in a recording *)
+  let buf = Bytes.make Wire.size '\000' in
+  let seq = ref 0 in
+  let emit values =
+    Wire.seal buf ~pos:0 ~seq:!seq;
+    incr seq;
+    sink.feed ~values buf ~pos:0;
+    (* the sink has put back any byte a transport fault flipped, so the
+       capture is a byte-faithful recording of the sealed stream *)
     match capture with
     | Some b -> Stream.append_cell b buf ~pos:0 ~values
     | None -> ()
@@ -150,26 +137,26 @@ let drive ?max_steps ?deadline_ns ?fault ?inst ?capture ?tap ~machine sink
             ~space:a.Simt.Event.space ~width:a.Simt.Event.width
             ~mask:a.Simt.Event.mask ~warp:a.Simt.Event.warp ~insn:o
             ~addrs:a.Simt.Event.addrs;
-          emit ~values:a.Simt.Event.values ~sync:(is_sync_access o)
+          emit a.Simt.Event.values
         end
     | Simt.Event.Branch_if { warp; insn; then_mask; else_mask } ->
         let o = orig insn in
         Wire.write_branch_if buf ~pos:0 ~mask:(then_mask lor else_mask) ~warp
           ~insn:o ~then_mask ~else_mask;
-        emit ~values:no_values ~sync:false
+        emit no_values
     | Simt.Event.Branch_else { warp; mask } ->
         Wire.write_branch_else buf ~pos:0 ~warp ~insn:(-1) ~mask;
-        emit ~values:no_values ~sync:false
+        emit no_values
     | Simt.Event.Branch_fi { warp; mask } ->
         Wire.write_branch_fi buf ~pos:0 ~warp ~insn:(-1) ~mask;
-        emit ~values:no_values ~sync:false
+        emit no_values
     | Simt.Event.Barrier { block } ->
         Wire.write_barrier buf ~pos:0 ~warp:(-1) ~insn:(-1) ~mask:0 ~block;
-        emit ~values:no_values ~sync:true
+        emit no_values
     | Simt.Event.Barrier_divergence { warp; insn; mask; expected } ->
         Wire.write_barrier_divergence buf ~pos:0 ~warp ~insn:(orig insn) ~mask
           ~expected;
-        emit ~values:no_values ~sync:false
+        emit no_values
     | Simt.Event.Fence _ | Simt.Event.Kernel_done -> ()
   in
   let on_event =
@@ -333,7 +320,7 @@ let g_rate =
 
 let c_stream_records =
   Telemetry.Registry.counter
-    ~help:"Records accepted across streaming sessions"
+    ~help:"Cells received across streaming sessions"
     Telemetry.Registry.default "barracuda_session_stream_records_total"
 
 let h_checkpoint =
@@ -341,24 +328,6 @@ let h_checkpoint =
     ~help:"Streaming-session checkpoint latency (ms)"
     ~bounds:[| 0.01; 0.05; 0.1; 0.5; 1.; 5.; 10.; 50.; 100. |]
     Telemetry.Registry.default "barracuda_session_checkpoint_ms"
-
-(* The same global transport-integrity counters the detector's own
-   validation feeds (the registry dedupes by name): session-level
-   validation of externally fed records is the same transport layer. *)
-let c_int_corrupt =
-  Telemetry.Registry.counter
-    ~help:"Wire records dropped: magic/version/checksum validation failed"
-    Telemetry.Registry.default "barracuda_transport_integrity_corrupt_total"
-
-let c_int_gap =
-  Telemetry.Registry.counter
-    ~help:"Wire records lost between consecutive sequence numbers"
-    Telemetry.Registry.default "barracuda_transport_integrity_gap_total"
-
-let c_int_stale =
-  Telemetry.Registry.counter
-    ~help:"Wire records dropped: duplicate or out-of-date sequence"
-    Telemetry.Registry.default "barracuda_transport_integrity_stale_total"
 
 type progress = {
   p_records : int;
@@ -373,14 +342,8 @@ type progress = {
 
 type stream = {
   st_sink : sink;
-  st_roles : Gtrace.Roles.t array;
   st_reader : Stream.reader;
   st_max_reports : int;
-  mutable st_expected_seq : int;
-  mutable st_corrupt : int;
-  mutable st_gaps : int;
-  mutable st_stale : int;
-  mutable st_records : int;
   mutable st_checkpoints : int;
   mutable st_closed : bool;
   st_opened_ns : int64;
@@ -398,109 +361,55 @@ let open_stream ?sink ?(detector = Barracuda.Detector.default_config) ~layout
   Telemetry.Metric.gauge_set g_open n;
   {
     st_sink = sink;
-    st_roles = Gtrace.Roles.classify kernel;
     st_reader = Stream.reader ();
     st_max_reports = detector.Barracuda.Detector.max_reports;
-    st_expected_seq = 0;
-    st_corrupt = 0;
-    st_gaps = 0;
-    st_stale = 0;
-    st_records = 0;
     st_checkpoints = 0;
     st_closed = false;
     st_opened_ns = Telemetry.Clock.now_ns ();
   }
 
-let is_sync_record st buf ~pos =
-  let op = Wire.View.opcode buf ~pos in
-  if op = Wire.op_barrier then true
-  else
-    Wire.is_access op
-    &&
-    let insn = Wire.View.insn buf ~pos in
-    insn >= 0
-    && insn < Array.length st.st_roles
-    &&
-    match st.st_roles.(insn) with
-    | Gtrace.Roles.Plain -> false
-    | Gtrace.Roles.Acquire _ | Gtrace.Roles.Release _
-    | Gtrace.Roles.Acquire_release _ ->
-        true
-
-(* Validate one reassembled cell, mirroring the detector's transport
-   tracking (checksum first, then sequence continuity), and re-seal
-   accepted records through the sink so the backend always sees a
-   contiguous intact stream — crucial for shard broadcast, whose
-   reseal would otherwise mask client-side corruption. *)
-let ingest_cell st ~buf ~pos ~values =
-  match Wire.check buf ~pos with
-  | Wire.Bad_magic | Wire.Bad_version | Wire.Bad_checksum ->
-      st.st_corrupt <- st.st_corrupt + 1;
-      Telemetry.Metric.counter_incr c_int_corrupt
-  | Wire.Intact ->
-      let seq = Wire.View.seq buf ~pos in
-      if seq < st.st_expected_seq then begin
-        st.st_stale <- st.st_stale + 1;
-        Telemetry.Metric.counter_incr c_int_stale
-      end
-      else begin
-        if seq > st.st_expected_seq then begin
-          let lost = seq - st.st_expected_seq in
-          st.st_gaps <- st.st_gaps + lost;
-          Telemetry.Metric.counter_add c_int_gap lost
-        end;
-        st.st_expected_seq <- seq + 1;
-        let sync = is_sync_record st buf ~pos in
-        Bytes.blit buf pos st.st_sink.stage 0 Wire.size;
-        st.st_sink.submit ~values ~sync;
-        st.st_records <- st.st_records + 1;
-        Telemetry.Metric.counter_incr c_stream_records
-      end
-
+(* Each reassembled cell's record goes to the sink where it lies, still
+   sealed by the producer that recorded it: the detector validates it
+   exactly as it would a batch run's record. *)
 let feed_chunk st ?pos ?len chunk =
   if st.st_closed then invalid_arg "Session.feed_chunk: stream is closed";
-  ignore
+  let sink = st.st_sink in
+  Telemetry.Metric.counter_add c_stream_records
     (Stream.feed st.st_reader ?pos ?len chunk (fun ~buf ~pos ~values ->
-         ingest_cell st ~buf ~pos ~values))
-
-let session_degraded st = st.st_corrupt + st.st_gaps + st.st_stale > 0
+         sink.feed ~values buf ~pos))
 
 let progress_of ?(final = false) st =
   let r = st.st_sink.sink_report ~max_reports:st.st_max_reports in
-  let di = Barracuda.Report.integrity r in
+  let i = Barracuda.Report.integrity r in
   {
-    p_records = st.st_records;
+    p_records =
+      st.st_sink.sink_records () - i.Barracuda.Report.corrupt
+      - i.Barracuda.Report.stale;
     p_race_count = Barracuda.Report.race_count r;
     p_has_race = Barracuda.Report.has_race r;
-    p_degraded = Barracuda.Report.degraded r || session_degraded st;
-    p_integrity =
-      {
-        Barracuda.Report.corrupt = di.Barracuda.Report.corrupt + st.st_corrupt;
-        gaps = di.Barracuda.Report.gaps + st.st_gaps;
-        stale = di.Barracuda.Report.stale + st.st_stale;
-        desync = di.Barracuda.Report.desync;
-      };
+    p_degraded = Barracuda.Report.degraded r;
+    p_integrity = i;
     p_errors = Barracuda.Report.errors r;
     p_checkpoints = st.st_checkpoints;
     p_final = final;
   }
 
-let note_rate st =
+let note_rate st p =
   let el = Telemetry.Clock.ns_to_s (Telemetry.Clock.elapsed_ns ~since:st.st_opened_ns) in
   if el > 0. then
     Telemetry.Metric.gauge_set g_rate
-      (int_of_float (float_of_int st.st_records /. el))
+      (int_of_float (float_of_int p.p_records /. el))
 
 let checkpoint st =
   if st.st_closed then invalid_arg "Session.checkpoint: stream is closed";
   let t0 = Telemetry.Clock.now_ns () in
   st.st_sink.quiesce ();
-  let p = progress_of st in
   st.st_checkpoints <- st.st_checkpoints + 1;
+  let p = progress_of st in
   Telemetry.Metric.histogram_observe h_checkpoint
     (Telemetry.Clock.ns_to_ms (Telemetry.Clock.elapsed_ns ~since:t0));
-  note_rate st;
-  { p with p_checkpoints = st.st_checkpoints }
+  note_rate st p;
+  p
 
 let release_slot () =
   let n = Atomic.fetch_and_add open_count (-1) - 1 in
@@ -511,8 +420,9 @@ let close_stream st =
   st.st_sink.finish ();
   st.st_closed <- true;
   release_slot ();
-  note_rate st;
-  progress_of ~final:true st
+  let p = progress_of ~final:true st in
+  note_rate st p;
+  p
 
 let abort_stream st =
   if not st.st_closed then begin
@@ -521,36 +431,5 @@ let abort_stream st =
     release_slot ()
   end
 
-let stream_records st = st.st_records
+let stream_records st = st.st_sink.sink_records ()
 let stream_detect_ns st = st.st_sink.detect_ns ()
-
-(* Op-plane sessions: the incremental lifecycle over abstract trace
-   operations.  The reference detector is synchronous, so there is no
-   quiesce step — a report between feeds is already epoch-aligned. *)
-
-type ops = {
-  o_ref : Barracuda.Reference.t;
-  mutable o_fed : int;
-  mutable o_closed : bool;
-}
-
-let open_ops ?max_reports ?filter_same_value ~layout () =
-  {
-    o_ref =
-      Barracuda.Reference.create ?max_reports ?filter_same_value ~layout ();
-    o_fed = 0;
-    o_closed = false;
-  }
-
-let feed_op o op =
-  if o.o_closed then invalid_arg "Session.feed_op: op-session is closed";
-  Barracuda.Reference.step o.o_ref op;
-  o.o_fed <- o.o_fed + 1
-
-let feed_ops o l = List.iter (feed_op o) l
-let ops_fed o = o.o_fed
-let ops_report o = Barracuda.Reference.report o.o_ref
-
-let close_ops o =
-  o.o_closed <- true;
-  Barracuda.Reference.report o.o_ref

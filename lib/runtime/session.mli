@@ -27,21 +27,20 @@
     The serial backend ({!serial_sink}) feeds a single
     {!Barracuda.Detector} in place; the sharded backend
     ([Shard.Stream.sink]) broadcasts into the shard engine's SPSC
-    rings.  Producers serialize a record directly into {!sink.stage}
-    (at offset 0) and call {!sink.submit}, which seals it with the
-    sink's own monotonic sequence number and ingests it. *)
+    rings.  Only the producer seals a record ({!run_stream}, or
+    whichever run recorded a stream); a sink takes the record as it is,
+    and the detector's checksum and sequence check is the only one. *)
 
 type sink = {
-  stage : Bytes.t;
-      (** staging buffer, at least [Barracuda.Wire.size] bytes; the
-          next record is written at offset 0 *)
-  submit : values:int64 array -> sync:bool -> unit;
-      (** seal the staged record and feed it; [sync] marks
-          synchronization records for epoch accounting *)
+  feed : values:int64 array -> Bytes.t -> pos:int -> unit;
+      (** consume the sealed [Barracuda.Wire.size]-byte record at [pos]
+          of the buffer, for the duration of the call only (the
+          contract of [Detector.feed_record]); [values] is its lane-value
+          side channel *)
   quiesce : unit -> unit;
-      (** wait until every record submitted so far is fully detected —
-          the epoch-aligned barrier behind checkpoints.  May raise the
-          backend's failure exception (e.g. [Shard_crashed]). *)
+      (** wait until every record fed so far is fully detected — the
+          barrier behind checkpoints.  May raise the backend's failure
+          exception (e.g. [Shard_crashed]). *)
   sink_report : max_reports:int -> Barracuda.Report.t;
       (** verdict over everything detected so far; call only when
           quiesced (or after [finish]) *)
@@ -50,19 +49,19 @@ type sink = {
   abort : unit -> unit;  (** tear down without raising *)
   detect_ns : unit -> int64;
       (** cumulative detector time (final after [finish]); before
-          [finish], only the time spent inline in [submit] *)
-  sink_records : unit -> int;  (** records ingested *)
+          [finish], only the time spent inline in [feed] *)
+  sink_records : unit -> int;  (** records fed, anomalous ones included *)
 }
 
 val serial_sink : ?fault:Fault.Plan.t -> Barracuda.Detector.t -> sink
 (** The single-detector backend over a detector the caller created
     (and may read, e.g. [Detector.stats], once the run is finished):
-    [submit] seals and feeds the staged record synchronously via
-    [Detector.feed_record] on the producer's thread, which owns the
-    detector; [quiesce] is a no-op (nothing is in flight).  [fault]'s
-    transport faults (bit flips, drops, duplicates, delays) are applied
-    to each sealed record before the detector sees it; [finish] feeds
-    any record still held back by a delay. *)
+    [feed] hands the record to [Detector.feed_record] synchronously on
+    the producer's thread, which owns the detector; [quiesce] is a
+    no-op (nothing is in flight).  [fault]'s transport faults (bit
+    flips, drops, duplicates, delays) are applied to each record before
+    the detector sees it, and a flipped bit is flipped back afterwards;
+    [finish] feeds any record still held back by a delay. *)
 
 (** {1 Running a kernel}
 
@@ -74,7 +73,7 @@ val serial_sink : ?fault:Fault.Plan.t -> Barracuda.Detector.t -> sink
 type stream_result = {
   sr_report : Barracuda.Report.t;
   sr_machine_result : Simt.Machine.result;
-  sr_records : int;  (** records submitted to the sink *)
+  sr_records : int;  (** records fed to the sink *)
   sr_detect_ns : int64;
       (** the backend's detector time (the busiest shard's for the
           sharded sink); measured with telemetry on or off *)
@@ -93,8 +92,9 @@ val run_stream :
   Ptx.Ast.kernel ->
   int64 array ->
   stream_result
-(** Execute [kernel] on [machine], submit every logged event to [sink]
-    as a sealed wire record, finish the sink and return its verdict.
+(** Execute [kernel] on [machine], feed every logged event to [sink]
+    as a wire record sealed with the run's next sequence number (from
+    0), finish the sink and return its verdict.
 
     - [sink] defaults to {!serial_sink} with [fault], over a detector
       created with [detector]; a caller-supplied sink (e.g.
@@ -108,8 +108,8 @@ val run_stream :
       to the original kernel and dropping the accesses whose logging it
       pruned.  Without it the original kernel runs and every event is
       logged.
-    - [capture] appends every submitted record as a sealed {!Stream}
-      cell, values included: the recorder behind [check --record].
+    - [capture] appends every sealed record as a {!Stream} cell,
+      values included: the recorder behind [check --record].
     - [tap] observes every simulator event (fences and kernel-done
       included) before it is serialized, with the executed kernel's
       instruction ids.
@@ -169,22 +169,24 @@ val total_races : t -> int
 
     The incremental lifecycle: open → feed chunks of sealed wire
     records → checkpoint (verdict-so-far) → close (final verdict).
-    Chunks split cells at arbitrary byte boundaries; reassembly,
-    integrity validation (checksum + sequence continuity, mirroring
-    the detector's own transport tracking) and re-sealing happen here,
-    so the backend always sees a contiguous intact stream and any
-    chunking yields exactly the batch race set. *)
+    Chunks split cells at arbitrary byte boundaries; the session only
+    reassembles them and hands each record, as its producer sealed it,
+    to the sink.  Nothing is checked or resealed here: the detector
+    validates a streamed record exactly as it does a batch run's, so
+    any chunking yields exactly the batch race set. *)
 
 type stream
 
 type progress = {
-  p_records : int;  (** records accepted so far *)
+  p_records : int;
+      (** records accepted so far: cells received minus those the
+          detector counted corrupt or stale *)
   p_race_count : int;
   p_has_race : bool;
-  p_degraded : bool;
-      (** any transport anomaly absorbed (session- or detector-level) *)
+  p_degraded : bool;  (** any transport anomaly absorbed *)
   p_integrity : Barracuda.Report.integrity;
-      (** session-level validation counts merged with the backend's *)
+      (** the detector's transport-integrity counts (for the sharded
+          backend, the merge of the shards' identical counts) *)
   p_errors : Barracuda.Report.error list;
   p_checkpoints : int;
   p_final : bool;  (** from {!close_stream}: ingestion is complete *)
@@ -201,17 +203,17 @@ val open_stream :
     [barracuda_session_open_streams] rises until close/abort. *)
 
 val feed_chunk : stream -> ?pos:int -> ?len:int -> string -> unit
-(** Feed a chunk of stream bytes (any framing).  Corrupt records are
-    counted and skipped; sequence gaps and stale records are counted —
-    all surfaced through {!progress.p_integrity}/[p_degraded].
+(** Feed a chunk of stream bytes (any framing).  The detector counts
+    and skips corrupt and stale records and counts sequence gaps, all
+    surfaced through {!progress.p_integrity}/[p_degraded].  Counts the
+    cells received in [barracuda_session_stream_records_total].
     @raise Stream.Framing if the bytes cannot be a cell sequence.
     @raise Invalid_argument on a closed stream. *)
 
 val checkpoint : stream -> progress
-(** Quiesce the sink (every accepted record fully detected — for the
-    sharded backend this waits for all shard rings to drain, aligning
-    the checkpoint with a broadcast epoch) and return the
-    verdict-so-far.  Observes the checkpoint-latency histogram
+(** Quiesce the sink (every record fed so far fully detected — for the
+    sharded backend this waits for all shard rings to drain) and return
+    the verdict-so-far.  Observes the checkpoint-latency histogram
     [barracuda_session_checkpoint_ms] and updates the per-session
     throughput gauge [barracuda_session_records_per_sec]. *)
 
@@ -225,38 +227,7 @@ val abort_stream : stream -> unit
     after {!close_stream}. *)
 
 val stream_records : stream -> int
+(** Cells received so far ([sink_records]), anomalous ones included:
+    readable between feeds without quiescing the sink. *)
+
 val stream_detect_ns : stream -> int64
-
-(** {1 Op-plane sessions}
-
-    The same incremental lifecycle over abstract trace operations
-    ({!Gtrace.Op}) instead of wire records: one operation at a time
-    into the reference detector via [Reference.step], with a
-    verdict-so-far available between feeds.  [Replay.run] and the
-    predictive analysis' trace ingestion are thin drivers over this
-    plane, so a replayed trace is judged by the same incremental core
-    a live session is. *)
-
-type ops
-
-val open_ops :
-  ?max_reports:int ->
-  ?filter_same_value:bool ->
-  layout:Vclock.Layout.t ->
-  unit ->
-  ops
-
-val feed_op : ops -> Gtrace.Op.t -> unit
-(** @raise Invalid_argument on a closed op-session. *)
-
-val feed_ops : ops -> Gtrace.Op.t list -> unit
-
-val ops_fed : ops -> int
-(** Operations fed so far. *)
-
-val ops_report : ops -> Barracuda.Report.t
-(** Verdict-so-far; callable between feeds (the reference detector is
-    synchronous, so nothing is in flight). *)
-
-val close_ops : ops -> Barracuda.Report.t
-(** Final verdict; further feeds raise. *)

@@ -16,8 +16,8 @@
 
 exception Framing of string
 (** The byte stream cannot be a cell sequence (impossible value count).
-    Distinct from record-level corruption, which is absorbed and
-    accounted by the session's integrity tracking: framing corruption
+    Distinct from record-level corruption, which the detector absorbs
+    and counts when it validates the record: framing corruption
     desynchronizes every subsequent cell boundary, so it is loud. *)
 
 val cell_size : nvalues:int -> int

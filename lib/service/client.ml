@@ -48,26 +48,37 @@ let backoff_s rng ~retry_after_ms ~attempt =
   let exp = base *. (2.0 ** float_of_int (min attempt 24)) in
   Float.min exp backoff_cap_s *. (0.5 +. Random.State.float rng 0.5)
 
-let submit ?(retries = 0) ?(retry_budget_s = 30.0) ~socket sub =
+(* The one retry loop, behind [submit] and [stream_open]: run
+   [attempt] again while its reply ([reply] of its result) is
+   [Rejected] and both [retries] and the [retry_budget_s] budget
+   remain, sleeping a jittered backoff in between. *)
+let retrying ~retries ~retry_budget_s ~reply attempt =
   let rng = lazy (Random.State.make_self_init ()) in
   let give_up_ns =
     Int64.add (Telemetry.Clock.now_ns ())
       (Int64.of_float (retry_budget_s *. 1e9))
   in
-  let rec go attempt remaining =
-    match request ~socket (Protocol.Submit sub) with
-    | Ok (Protocol.Rejected { retry_after_ms; _ })
-      when remaining > 0 && Telemetry.Clock.now_ns () < give_up_ns ->
-        let delay = backoff_s (Lazy.force rng) ~retry_after_ms ~attempt in
-        let left =
-          Int64.to_float (Int64.sub give_up_ns (Telemetry.Clock.now_ns ()))
-          /. 1e9
-        in
-        Unix.sleepf (Float.max 0.0 (Float.min delay left));
-        go (attempt + 1) (remaining - 1)
-    | other -> other
+  let rec go n =
+    match attempt () with
+    | Ok x as r -> (
+        match reply x with
+        | Protocol.Rejected { retry_after_ms; _ }
+          when n < retries && Telemetry.Clock.now_ns () < give_up_ns ->
+            let delay = backoff_s (Lazy.force rng) ~retry_after_ms ~attempt:n in
+            let left =
+              Int64.to_float (Int64.sub give_up_ns (Telemetry.Clock.now_ns ()))
+              /. 1e9
+            in
+            Unix.sleepf (Float.max 0.0 (Float.min delay left));
+            go (n + 1)
+        | _ -> r)
+    | Error _ as e -> e
   in
-  go 0 retries
+  go 0
+
+let submit ?(retries = 0) ?(retry_budget_s = 30.0) ~socket sub =
+  retrying ~retries ~retry_budget_s ~reply:Fun.id (fun () ->
+      request ~socket (Protocol.Submit sub))
 
 let status ~socket =
   match request ~socket Protocol.Status with
@@ -143,51 +154,33 @@ let session_exchange s req =
     | Ok _ as ok -> ok
 
 let stream_open ?(retries = 0) ?(retry_budget_s = 30.0) ~socket sub =
-  let rng = lazy (Random.State.make_self_init ()) in
-  let give_up_ns =
-    Int64.add (Telemetry.Clock.now_ns ())
-      (Int64.of_float (retry_budget_s *. 1e9))
-  in
-  let rec go attempt remaining =
+  (* Each attempt is a fresh connection, kept only by the one the
+     daemon opens a session on.  Seat exhaustion is backpressure, not
+     failure: it is retried like a rejected submission. *)
+  let attempt () =
     match connect ~socket with
     | Error _ as e -> e
     | Ok fd -> (
         let ic = Unix.in_channel_of_descr fd in
-        let fail msg =
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Error msg
-        in
         match exchange ~socket fd ic (Protocol.Stream_open sub) with
-        | Ok (Protocol.Stream_opened { sid }) ->
-            Ok { s_socket = socket; s_fd = fd; s_ic = ic; s_sid = sid;
-                 s_alive = true }
-        | Ok (Protocol.Rejected { reason; retry_after_ms }) ->
-            (* Seat exhaustion is backpressure, not failure: honor the
-               daemon's hint with the same jittered-backoff loop
-               [submit] uses, under the same retry budget. *)
+        | Ok (Protocol.Stream_opened _ as r) -> Ok (r, Some (fd, ic))
+        | r ->
             (try Unix.close fd with Unix.Unix_error _ -> ());
-            if remaining > 0 && Telemetry.Clock.now_ns () < give_up_ns then begin
-              let delay =
-                backoff_s (Lazy.force rng) ~retry_after_ms ~attempt
-              in
-              let left =
-                Int64.to_float
-                  (Int64.sub give_up_ns (Telemetry.Clock.now_ns ()))
-                /. 1e9
-              in
-              Unix.sleepf (Float.max 0.0 (Float.min delay left));
-              go (attempt + 1) (remaining - 1)
-            end
-            else
-              Error
-                (Printf.sprintf "rejected: %s (retry after %d ms)" reason
-                   retry_after_ms)
-        | Ok (Protocol.Failed { code; message; _ }) ->
-            fail (Printf.sprintf "%s: %s" code message)
-        | Ok r -> fail ("unexpected reply: " ^ Protocol.encode_response r)
-        | Error msg -> fail msg)
+            Result.map (fun r -> (r, None)) r)
   in
-  go 0 retries
+  match retrying ~retries ~retry_budget_s ~reply:fst attempt with
+  | Ok (Protocol.Stream_opened { sid }, Some (fd, ic)) ->
+      Ok
+        { s_socket = socket; s_fd = fd; s_ic = ic; s_sid = sid;
+          s_alive = true }
+  | Ok (Protocol.Rejected { reason; retry_after_ms }, _) ->
+      Error
+        (Printf.sprintf "rejected: %s (retry after %d ms)" reason
+           retry_after_ms)
+  | Ok (Protocol.Failed { code; message; _ }, _) ->
+      Error (Printf.sprintf "%s: %s" code message)
+  | Ok (r, _) -> Error ("unexpected reply: " ^ Protocol.encode_response r)
+  | Error _ as e -> e
 
 let stream_append s chunk =
   match

@@ -85,7 +85,7 @@ val session_sid : session -> int
 val stream_append : session -> string -> (int, string) result
 (** Ship a chunk of recorded stream bytes (any byte boundary; cells
     are reassembled daemon-side).  [Ok n] is the cumulative count of
-    records accepted by the session. *)
+    cells the session has received, anomalous ones included. *)
 
 val stream_flush : session -> (stream_verdict, string) result
 (** Checkpoint: block until every record shipped so far is fully

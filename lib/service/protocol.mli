@@ -156,12 +156,16 @@ type status = {
   open_sessions : int;  (** seats currently occupied *)
   sessions_opened : int;  (** sessions opened since start *)
   integrity_corrupt : int;
-      (** global transport-integrity counters
-          ([barracuda_transport_integrity_*]): wire records dropped for
+      (** transport anomalies of this daemon's streaming sessions, as
+          of each session's latest verdict (flush or close), merged
+          across shards as the verdict is: wire records dropped for
           failed checksum validation, lost in sequence gaps, or dropped
-          as stale/desynchronized — across batch jobs and streaming
-          sessions alike, so streaming clients can observe their own
-          corruption without scraping the Prometheus dump *)
+          as stale/desynchronized.  Batch jobs seal their records
+          locally and add nothing, and faults injected elsewhere in the
+          process (the background campaign) are not counted.  The
+          Prometheus [barracuda_transport_integrity_*] counters differ:
+          they are process-wide and count per detector, so a sharded
+          stream's anomaly counts once per shard there. *)
   integrity_gaps : int;
   integrity_stale : int;
   integrity_desync : int;
@@ -188,8 +192,9 @@ type response =
           [timeout] or [exec_error] — without affecting the daemon *)
   | Stream_opened of { sid : int }
   | Stream_ack of { sid : int; records : int }
-      (** append accepted; [records] is the session's cumulative
-          accepted-record count *)
+      (** append accepted; [records] is the session's cumulative count
+          of cells received, anomalous ones included (the verdict's
+          [records] counts those accepted) *)
   | Stream_verdict of {
       sid : int;
       final : bool;  (** [true] from [Stream_close] *)

@@ -35,6 +35,17 @@ let worker_seats config =
   if config.job_shards <= 1 then config.workers
   else max 1 (config.workers / config.job_shards)
 
+(* A streaming session on one connection, with the transport counts of
+   its latest verdict. *)
+type session = {
+  seat : Scheduler.seat;
+  st : Gpu_runtime.Session.stream;
+  mutable reported : Barracuda.Report.integrity;
+}
+
+let no_anomalies =
+  { Barracuda.Report.corrupt = 0; gaps = 0; stale = 0; desync = 0 }
+
 type t = {
   config : config;
   exec_config : Exec.config;
@@ -49,6 +60,9 @@ type t = {
       (* composed in by the CLI when a background campaign daemon runs
          inside this process; the server itself never depends on the
          campaign layer (which depends on this one) *)
+  integrity_lock : Mutex.t;
+  mutable integrity : Barracuda.Report.integrity;
+      (* the sum of every session's [reported] counts *)
   m_connections : Telemetry.Metric.counter;
   m_protocol_errors : Telemetry.Metric.counter;
 }
@@ -60,6 +74,7 @@ let load t = Scheduler.depth t.sched + Scheduler.busy t.sched
 let status t =
   let c = Scheduler.counts t.sched in
   let cs = Cache.stats t.cache in
+  let i = Mutex.protect t.integrity_lock (fun () -> t.integrity) in
   {
     Protocol.uptime_ms =
       Int64.to_float (Telemetry.Clock.elapsed_ns ~since:t.started_ns) /. 1e6;
@@ -82,21 +97,10 @@ let status t =
     session_seats = Scheduler.session_seats t.sched;
     open_sessions = Scheduler.open_sessions t.sched;
     sessions_opened = Scheduler.sessions_opened t.sched;
-    (* The global transport-integrity counters cover batch jobs and
-       streaming sessions alike; surfacing them here lets svc-status
-       report desyncs without a Prometheus scrape. *)
-    integrity_corrupt =
-      Telemetry.Registry.find_counter Telemetry.Registry.default
-        "barracuda_transport_integrity_corrupt_total";
-    integrity_gaps =
-      Telemetry.Registry.find_counter Telemetry.Registry.default
-        "barracuda_transport_integrity_gap_total";
-    integrity_stale =
-      Telemetry.Registry.find_counter Telemetry.Registry.default
-        "barracuda_transport_integrity_stale_total";
-    integrity_desync =
-      Telemetry.Registry.find_counter Telemetry.Registry.default
-        "barracuda_transport_integrity_desync_total";
+    integrity_corrupt = i.Barracuda.Report.corrupt;
+    integrity_gaps = i.Barracuda.Report.gaps;
+    integrity_stale = i.Barracuda.Report.stale;
+    integrity_desync = i.Barracuda.Report.desync;
     tenants = Scheduler.tenant_status t.sched;
     campaign = t.campaign_hook ();
   }
@@ -115,7 +119,22 @@ let request_stop t =
     with Unix.Unix_error _ -> ()
   end
 
-let stream_verdict ~sid (p : Gpu_runtime.Session.progress) =
+(* A session's verdict (flush or close).  The counts its integrity
+   gained since its previous verdict join the daemon's total, so status
+   counts each anomaly of the daemon's own sessions once. *)
+let stream_verdict t s ~sid (p : Gpu_runtime.Session.progress) =
+  let cur = p.Gpu_runtime.Session.p_integrity and prev = s.reported in
+  s.reported <- cur;
+  Mutex.protect t.integrity_lock (fun () ->
+      let tot = t.integrity in
+      t.integrity <-
+        Barracuda.Report.
+          {
+            corrupt = tot.corrupt + cur.corrupt - prev.corrupt;
+            gaps = tot.gaps + cur.gaps - prev.gaps;
+            stale = tot.stale + cur.stale - prev.stale;
+            desync = tot.desync + cur.desync - prev.desync;
+          });
   Protocol.Stream_verdict
     {
       sid;
@@ -126,10 +145,10 @@ let stream_verdict ~sid (p : Gpu_runtime.Session.progress) =
         (if p.Gpu_runtime.Session.p_has_race then Protocol.Racy
          else Protocol.Race_free);
       degraded = p.Gpu_runtime.Session.p_degraded;
-      corrupt = p.Gpu_runtime.Session.p_integrity.Barracuda.Report.corrupt;
-      gaps = p.Gpu_runtime.Session.p_integrity.Barracuda.Report.gaps;
-      stale = p.Gpu_runtime.Session.p_integrity.Barracuda.Report.stale;
-      desync = p.Gpu_runtime.Session.p_integrity.Barracuda.Report.desync;
+      corrupt = cur.Barracuda.Report.corrupt;
+      gaps = cur.Barracuda.Report.gaps;
+      stale = cur.Barracuda.Report.stale;
+      desync = cur.Barracuda.Report.desync;
     }
 
 (* One client connection, on its own thread.  Reads are channel-based
@@ -144,23 +163,20 @@ let handle_connection t fd =
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO read_timeout_s
    with Unix.Unix_error _ | Invalid_argument _ -> ());
   let ic = Unix.in_channel_of_descr fd in
-  let sessions :
-      (int, Scheduler.seat * Gpu_runtime.Session.stream) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  let drop_session sid seat st =
+  let sessions : (int, session) Hashtbl.t = Hashtbl.create 4 in
+  let drop_session sid s =
     (* Abort on the seat when it still answers; directly otherwise
        (abort never raises, and at teardown the connection thread may
        run it). *)
-    (try Scheduler.session_call seat (fun () ->
-         Gpu_runtime.Session.abort_stream st)
-     with _ -> ( try Gpu_runtime.Session.abort_stream st with _ -> ()));
+    (try Scheduler.session_call s.seat (fun () ->
+         Gpu_runtime.Session.abort_stream s.st)
+     with _ -> ( try Gpu_runtime.Session.abort_stream s.st with _ -> ()));
     Hashtbl.remove sessions sid;
-    Scheduler.session_close t.sched seat
+    Scheduler.session_close t.sched s.seat
   in
   let abort_sessions () =
-    Hashtbl.fold (fun sid (seat, st) acc -> (sid, seat, st) :: acc) sessions []
-    |> List.iter (fun (sid, seat, st) -> drop_session sid seat st)
+    Hashtbl.fold (fun sid s acc -> (sid, s) :: acc) sessions []
+    |> List.iter (fun (sid, s) -> drop_session sid s)
   in
   let closed = ref false in
   let close () =
@@ -173,6 +189,23 @@ let handle_connection t fd =
   let send resp =
     try Protocol.write_frame fd (Protocol.encode_response resp)
     with Unix.Unix_error _ | Sys_error _ -> close ()
+  in
+  (* A command on an open session: run [f] on the session's seat and
+     pass its result to [k].  An unknown id ends the exchange; so does
+     any exception (a framing error, a dead shard), which leaves the
+     session unusable, so it is torn down first. *)
+  let on_session sid f k =
+    match Hashtbl.find_opt sessions sid with
+    | None ->
+        send (Protocol.Error "unknown session id");
+        close ()
+    | Some s -> (
+        match Scheduler.session_call s.seat (fun () -> f s.st) with
+        | v -> k s v
+        | exception exn ->
+            drop_session sid s;
+            send (Exec.error_response ~job:sid exn);
+            close ())
   in
   let rec loop () =
     (* [send] closes the descriptor on a failed write; never read after
@@ -234,74 +267,32 @@ let handle_connection t fd =
                   with
                   | st ->
                       let sid = Atomic.fetch_and_add t.next_sid 1 in
-                      Hashtbl.replace sessions sid (seat, st);
+                      Hashtbl.replace sessions sid
+                        { seat; st; reported = no_anomalies };
                       send (Protocol.Stream_opened { sid });
                       continue ()
                   | exception exn ->
                       Scheduler.session_close t.sched seat;
                       send (Exec.error_response ~job:0 exn);
                       continue ()))
-        | Ok (Protocol.Stream_append { sid; chunk }) -> (
-            match Hashtbl.find_opt sessions sid with
-            | None ->
-                send (Protocol.Error "unknown session id");
-                close ()
-            | Some (seat, st) -> (
-                match
-                  Scheduler.session_call seat (fun () ->
-                      Gpu_runtime.Session.feed_chunk st chunk)
-                with
-                | () ->
-                    send
-                      (Protocol.Stream_ack
-                         {
-                           sid;
-                           records = Gpu_runtime.Session.stream_records st;
-                         });
-                    continue ()
-                | exception exn ->
-                    (* A framing error (or a dead shard) leaves the
-                       session unusable; tear it down and end the
-                       exchange. *)
-                    drop_session sid seat st;
-                    send (Exec.error_response ~job:sid exn);
-                    close ()))
-        | Ok (Protocol.Stream_flush { sid }) -> (
-            match Hashtbl.find_opt sessions sid with
-            | None ->
-                send (Protocol.Error "unknown session id");
-                close ()
-            | Some (seat, st) -> (
-                match
-                  Scheduler.session_call seat (fun () ->
-                      Gpu_runtime.Session.checkpoint st)
-                with
-                | p ->
-                    send (stream_verdict ~sid p);
-                    continue ()
-                | exception exn ->
-                    drop_session sid seat st;
-                    send (Exec.error_response ~job:sid exn);
-                    close ()))
-        | Ok (Protocol.Stream_close { sid }) -> (
-            match Hashtbl.find_opt sessions sid with
-            | None ->
-                send (Protocol.Error "unknown session id");
-                close ()
-            | Some (seat, st) -> (
-                match
-                  Scheduler.session_call seat (fun () ->
-                      Gpu_runtime.Session.close_stream st)
-                with
-                | p ->
-                    Hashtbl.remove sessions sid;
-                    Scheduler.session_close t.sched seat;
-                    send (stream_verdict ~sid p);
-                    continue ()
-                | exception exn ->
-                    drop_session sid seat st;
-                    send (Exec.error_response ~job:sid exn);
-                    close ()))
+        | Ok (Protocol.Stream_append { sid; chunk }) ->
+            on_session sid
+              (fun st ->
+                Gpu_runtime.Session.feed_chunk st chunk;
+                Gpu_runtime.Session.stream_records st)
+              (fun _ records ->
+                send (Protocol.Stream_ack { sid; records });
+                continue ())
+        | Ok (Protocol.Stream_flush { sid }) ->
+            on_session sid Gpu_runtime.Session.checkpoint (fun s p ->
+                send (stream_verdict t s ~sid p);
+                continue ())
+        | Ok (Protocol.Stream_close { sid }) ->
+            on_session sid Gpu_runtime.Session.close_stream (fun s p ->
+                Hashtbl.remove sessions sid;
+                Scheduler.session_close t.sched s.seat;
+                send (stream_verdict t s ~sid p);
+                continue ())
         | Ok (Protocol.Submit _) when Hashtbl.length sessions > 0 ->
             (* A dispatched submission hands the descriptor to a worker,
                which would orphan the live sessions; keep the exchange
@@ -439,6 +430,8 @@ let start ?(config = default_config) () =
       next_sid = Atomic.make 1;
       accept_domain = None;
       campaign_hook = (fun () -> None);
+      integrity_lock = Mutex.create ();
+      integrity = no_anomalies;
       m_connections =
         Telemetry.Registry.counter ~help:"Client connections accepted"
           Telemetry.Registry.default "barracuda_service_connections_total";

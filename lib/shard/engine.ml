@@ -24,9 +24,6 @@ type t = {
   detectors : Barracuda.Detector.t array;
   rings : Queue.t array;
   values_ring : int64 array array array;
-  scratch : Bytes.t;
-  mutable seq : int;
-  mutable last_sync_seq : int;
   mutable records : int;
   producing : bool Atomic.t;
   failed : bool Atomic.t array;
@@ -34,7 +31,6 @@ type t = {
   mutable joined : bool;
   mutable detect : int64;
   fault : Fault.Plan.t option;
-  m_epoch : Telemetry.Metric.histogram;
   m_imbalance : Telemetry.Metric.gauge;
 }
 
@@ -106,9 +102,6 @@ let create ?fault ?(config = Barracuda.Detector.default_config) ~layout
       rings = Array.init shards (fun _ -> Queue.create ~capacity:ring_slots);
       values_ring =
         Array.init shards (fun _ -> Array.make ring_slots no_values);
-      scratch = Bytes.create Wire.size;
-      seq = 0;
-      last_sync_seq = 0;
       records = 0;
       producing = Atomic.make true;
       failed = Array.init shards (fun _ -> Atomic.make false);
@@ -116,11 +109,6 @@ let create ?fault ?(config = Barracuda.Detector.default_config) ~layout
       joined = false;
       detect = 0L;
       fault;
-      m_epoch =
-        Telemetry.Registry.histogram
-          ~help:"Records between consecutive broadcast synchronization epochs"
-          ~bounds:[| 1.; 4.; 16.; 64.; 256.; 1024.; 4096. |]
-          reg "barracuda_shard_epoch_records";
       m_imbalance =
         Telemetry.Registry.gauge
           ~help:
@@ -142,7 +130,6 @@ let create ?fault ?(config = Barracuda.Detector.default_config) ~layout
   t
 
 let shards t = Array.length t.detectors
-let scratch t = t.scratch
 
 let reserve t i =
   let q = t.rings.(i) in
@@ -160,33 +147,23 @@ let reserve t i =
   in
   go 0
 
-let broadcast t ~values ~sync =
-  let seq = t.seq in
-  t.seq <- seq + 1;
-  (* Seal once: every ring receives byte-identical sealed records, and
-     because each ring carries the full stream, the global sequence
-     number doubles as the per-ring sequence number the detectors'
-     integrity tracking expects. *)
-  Wire.seal t.scratch ~pos:0 ~seq;
-  if sync then begin
-    if Telemetry.Registry.enabled () then
-      Telemetry.Metric.histogram_observe t.m_epoch
-        (float_of_int (seq - t.last_sync_seq));
-    t.last_sync_seq <- seq
-  end;
+(* Every ring receives the producer's record byte for byte, seal and
+   sequence number included: each ring carries the full stream, so the
+   producer's sequence number is the one each shard's detector
+   expects. *)
+let broadcast t ~values buf ~pos =
   let n = Array.length t.rings in
   for i = 0 to n - 1 do
     let q = t.rings.(i) in
     let w = reserve t i in
-    let pos = Queue.offset_of q w in
-    Bytes.blit t.scratch 0 (Queue.buffer q) pos Wire.size;
+    Bytes.blit buf pos (Queue.buffer q) (Queue.offset_of q w) Wire.size;
     t.values_ring.(i).(w mod ring_slots) <- values;
     Queue.commit q w
   done;
   t.records <- t.records + 1
 
 (* Wait until every ring is fully drained while the consumers keep
-   running — the epoch-aligned barrier behind streaming checkpoints.
+   running — the barrier behind streaming checkpoints.
    The producer (the one caller) is quiescent by contract, so once the
    rings are empty every broadcast record has been fed and released;
    reading the ring's consumer index synchronizes with the release, so

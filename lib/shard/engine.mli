@@ -7,16 +7,18 @@
     records, on its own domain.
 
     The producer {e broadcasts}: every record — data access,
-    branch, barrier, fence-role access — is sealed once with a global
-    sequence number (the {e epoch} stamp) and committed to every
-    shard's ring.  Each shard therefore observes the identical totally
+    branch, barrier, fence-role access — is copied verbatim, as its
+    producer sealed it, into every shard's ring; the engine stamps
+    nothing.  Each shard therefore observes the identical totally
     ordered stream, so warp clocks, divergence stacks, and
     synchronization state evolve bit-identically on every shard, and
     every shard applies a barrier or release/acquire edge at the same
-    epoch boundary without any cross-shard handshake.  Only the
-    shadow-cell {e checks} are partitioned: a given cell is checked by
-    exactly one shard, making the per-shard race sets disjoint and
-    their union equal to the serial detector's.
+    stream position without any cross-shard handshake.  Each shard's
+    detector validates the producer's checksum and sequence number, so
+    every shard counts the same transport anomalies, and the merge
+    keeps one count.  Only the shadow-cell {e checks} are partitioned:
+    a given cell is checked by exactly one shard, making the per-shard
+    race sets disjoint and their union equal to the serial detector's.
 
     A shard ring is strictly SPSC (the broadcasting producer, the
     shard's consumer domain), so the per-record transport cost is one
@@ -48,24 +50,17 @@ val create :
 
 val shards : t -> int
 
-val scratch : t -> Bytes.t
-(** The producer's staging buffer: serialize one wire record at offset
-    0 with the [Barracuda.Wire] writers, then call {!broadcast}.
-    Owned by the producer; never touched by consumers. *)
-
-val broadcast : t -> values:int64 array -> sync:bool -> unit
-(** Seal the record currently in {!scratch} with the next global
-    sequence number and commit a copy into every shard's ring,
-    blocking (with backoff) on any ring that is full.  [sync] marks
-    synchronization records (barriers, acquire/release-role accesses)
-    for the broadcast-epoch histogram; it does not change routing —
-    every record is broadcast.  @raise Shard_crashed instead of
-    blocking forever on a ring whose consumer has died. *)
+val broadcast : t -> values:int64 array -> Bytes.t -> pos:int -> unit
+(** Copy the sealed record at [pos] of the buffer, byte for byte, into
+    every shard's ring, blocking (with backoff) on any ring that is
+    full; the buffer is not retained.  Every record is broadcast.
+    @raise Shard_crashed instead of blocking forever on a ring whose
+    consumer has died. *)
 
 val quiesce : t -> unit
 (** Wait until every shard ring is fully drained {e without} stopping
-    the consumers — the epoch-aligned barrier behind streaming
-    checkpoints: on return, every broadcast record has been detected
+    the consumers — the barrier behind streaming checkpoints: on
+    return, every broadcast record has been detected
     and per-shard state is stable until the producer broadcasts again.
     Producer-side call (same caller as {!broadcast}).
     @raise Shard_crashed if a consumer died, since its ring would

@@ -1,7 +1,6 @@
 let sink_of_engine engine =
   {
-    Gpu_runtime.Session.stage = Engine.scratch engine;
-    submit = (fun ~values ~sync -> Engine.broadcast engine ~values ~sync);
+    Gpu_runtime.Session.feed = Engine.broadcast engine;
     quiesce = (fun () -> Engine.quiesce engine);
     sink_report = (fun ~max_reports -> Engine.report engine ~max_reports);
     finish = (fun () -> Engine.finish engine);

@@ -1,15 +1,14 @@
 (** The sharded backend for streaming sessions: a
     {!Gpu_runtime.Session.sink} over {!Engine}'s broadcast transport.
 
-    The sink's staging buffer {e is} the engine's scratch record, so
-    producers (the streaming session core, or
-    {!Gpu_runtime.Session.run_stream}) serialize once and broadcast in
-    place; [quiesce] waits for every
-    shard ring to drain, which aligns checkpoints with broadcast
-    epochs; [finish]/[abort] join the consumer domains.  Feeding the
-    same record stream through this sink and through the serial sink
-    yields bitwise-identical merged race sets — the shard parity
-    guarantee, now available incrementally. *)
+    [feed] is {!Engine.broadcast}: each sealed record, from the
+    streaming session core or {!Gpu_runtime.Session.run_stream}, is
+    copied verbatim into every shard ring, with no epoch stamp or
+    reseal; [quiesce] waits for every shard ring to drain;
+    [finish]/[abort] join the consumer domains.  Feeding the same record
+    stream through this sink and through the serial sink yields
+    bitwise-identical merged race sets and integrity counts — the shard
+    parity guarantee, available incrementally. *)
 
 val sink_of_engine : Engine.t -> Gpu_runtime.Session.sink
 (** Wrap an existing engine.  The caller must not also drive the

@@ -150,19 +150,18 @@ let rec wait_until ?(timeout_s = 20.0) f =
     wait_until ~timeout_s:(timeout_s -. 0.02) f
   end
 
-let daemon_config ~load =
+let daemon_config =
   {
     Daemon.seed = 11;
     cases = 2;
     trials = 1;
     batch = 3;
     duty = 1.0;  (* tests want speed, not politeness *)
-    load;
   }
 
 let test_daemon_yields_to_paying_work () =
   let dir = tmp_dir "yield" in
-  match Daemon.start ~config:(daemon_config ~load:(fun () -> 1)) ~dir () with
+  match Daemon.start ~config:daemon_config ~load:(fun () -> 1) ~dir () with
   | Error e -> Alcotest.failf "start: %s" e
   | Ok d ->
       (* With paying work permanently present the sweep must not move. *)
@@ -179,7 +178,7 @@ let test_daemon_yields_to_paying_work () =
 let test_daemon_completes_and_resumes () =
   let dir = tmp_dir "complete" in
   (* Phase 1: run a few batches, then stop mid-campaign. *)
-  (match Daemon.start ~config:(daemon_config ~load:(fun () -> 0)) ~dir () with
+  (match Daemon.start ~config:daemon_config ~load:(fun () -> 0) ~dir () with
   | Error e -> Alcotest.failf "start: %s" e
   | Ok d ->
       let progressed =
@@ -193,7 +192,7 @@ let test_daemon_completes_and_resumes () =
     | Error e -> Alcotest.failf "mid load: %s" e
   in
   (* Phase 2: a fresh daemon resumes the same journal and finishes. *)
-  match Daemon.start ~config:(daemon_config ~load:(fun () -> 0)) ~dir () with
+  match Daemon.start ~config:daemon_config ~load:(fun () -> 0) ~dir () with
   | Error e -> Alcotest.failf "restart: %s" e
   | Ok d ->
       let finished =

@@ -11,6 +11,13 @@ let flag = Loc.global 64
 
 let run ?config ops = A.run ?config ~layout ops
 
+(* A witness re-checked the way [barracuda replay] checks a trace:
+   straight into the reference detector. *)
+let replay ~layout ops =
+  let r = Barracuda.Reference.create ~layout () in
+  Barracuda.Reference.run r ops;
+  Barracuda.Reference.report r
+
 let statuses a = List.map (fun (p : A.prediction) -> p.A.status) a.A.predictions
 
 let witness_races (a : A.t) =
@@ -20,9 +27,7 @@ let witness_races (a : A.t) =
       | None -> true
       | Some w ->
           w.Predict.Witness.feasible
-          && Barracuda.Report.has_race
-               (Gpu_runtime.Replay.run
-                  (Gpu_runtime.Replay.of_ops ~layout w.Predict.Witness.ops)))
+          && Barracuda.Report.has_race (replay ~layout w.Predict.Witness.ops))
     a.A.predictions
 
 (* ---- Hand-built traces -------------------------------------------- *)
@@ -153,10 +158,8 @@ let check_hidden_race name () =
          | Some w ->
              w.Predict.Witness.feasible
              && Barracuda.Report.has_race
-                  (Gpu_runtime.Replay.run
-                     (Gpu_runtime.Replay.of_ops
-                        ~layout:case.Bugsuite.Case.layout
-                        w.Predict.Witness.ops)))
+                  (replay ~layout:case.Bugsuite.Case.layout
+                     w.Predict.Witness.ops))
        a.A.predictions)
 
 let test_predictive_twin_race_free () =

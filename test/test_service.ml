@@ -10,7 +10,8 @@ let tmp_socket name =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "barracuda-test-%d-%s.sock" (Unix.getpid ()) name)
 
-let with_server ?(workers = 2) ?(queue_capacity = 64) ?max_steps name f =
+let with_server ?(workers = 2) ?(queue_capacity = 64) ?max_steps
+    ?(job_shards = 1) name f =
   let socket_path = tmp_socket name in
   (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
   let config =
@@ -19,6 +20,7 @@ let with_server ?(workers = 2) ?(queue_capacity = 64) ?max_steps name f =
       socket_path;
       workers;
       queue_capacity;
+      job_shards;
       max_steps =
         (match max_steps with
         | Some n -> n
@@ -742,36 +744,88 @@ let test_streaming_seat_exhaustion () =
       Service.Client.stream_abort b)
 
 let test_streaming_integrity_in_status () =
-  (* a corrupted chunk must degrade the session verdict AND surface in
-     the daemon's status integrity counters (satellite: previously
-     Prometheus-only) *)
+  (* a corrupted chunk must degrade the session verdict, and the
+     daemon's status must count exactly the anomalies its verdict
+     reports, on the serial backend and on 2 shards alike *)
   let was_enabled = Telemetry.Registry.enabled () in
   Telemetry.Registry.set_enabled true;
   Fun.protect ~finally:(fun () -> Telemetry.Registry.set_enabled was_enabled)
   @@ fun () ->
-  with_server "integrity" (fun socket _t ->
-      let c = List.hd Bugsuite.Cases.all in
-      let _, records, bytes = record_case c in
-      let b = Bytes.of_string bytes in
-      (* flip a checksum-covered header byte of the first record *)
-      Bytes.set b 12 (Char.chr (Char.code (Bytes.get b 12) lxor 0xff));
-      match Service.Client.stream_open ~socket (stream_sub c) with
-      | Result.Error e -> Alcotest.failf "open: %s" e
-      | Ok s -> (
-          ship_chunked s ~chunk:4096 (Bytes.to_string b);
-          (match Service.Client.stream_close s with
-          | Ok v ->
-              Alcotest.(check bool) "degraded" true v.Service.Client.v_degraded;
-              Alcotest.(check int) "one corrupt record" 1
+  List.iter
+    (fun job_shards ->
+      let label what = Printf.sprintf "%d job shards: %s" job_shards what in
+      with_server ~job_shards "integrity" (fun socket _t ->
+          let c = List.hd Bugsuite.Cases.all in
+          let _, records, bytes = record_case c in
+          let b = Bytes.of_string bytes in
+          (* flip a checksum-covered header byte of the first record *)
+          Bytes.set b 12 (Char.chr (Char.code (Bytes.get b 12) lxor 0xff));
+          match Service.Client.stream_open ~socket (stream_sub c) with
+          | Result.Error e -> Alcotest.failf "open: %s" e
+          | Ok s -> (
+              ship_chunked s ~chunk:4096 (Bytes.to_string b);
+              let v =
+                match Service.Client.stream_close s with
+                | Ok v -> v
+                | Result.Error e -> Alcotest.failf "close: %s" e
+              in
+              Alcotest.(check bool) (label "degraded") true
+                v.Service.Client.v_degraded;
+              Alcotest.(check int) (label "one corrupt record") 1
                 v.Service.Client.v_corrupt;
-              Alcotest.(check int) "the rest landed" (records - 1)
-                v.Service.Client.v_records
-          | Result.Error e -> Alcotest.failf "close: %s" e);
-          match Service.Client.status ~socket with
-          | Ok st ->
-              Alcotest.(check bool) "status surfaces the desync counts" true
-                (st.P.integrity_corrupt >= 1)
-          | Result.Error e -> Alcotest.failf "status: %s" e))
+              Alcotest.(check int) (label "its sequence number lost") 1
+                v.Service.Client.v_gaps;
+              Alcotest.(check int) (label "the rest landed") (records - 1)
+                v.Service.Client.v_records;
+              match Service.Client.status ~socket with
+              | Ok st ->
+                  Alcotest.(check (list int))
+                    (label "status counts the session's anomalies")
+                    Service.Client.
+                      [ v.v_corrupt; v.v_gaps; v.v_stale; v.v_desync ]
+                    P.
+                      [
+                        st.integrity_corrupt;
+                        st.integrity_gaps;
+                        st.integrity_stale;
+                        st.integrity_desync;
+                      ]
+              | Result.Error e -> Alcotest.failf "status: %s" e)))
+    [ 1; 2 ]
+
+(* Transport faults injected elsewhere in the daemon's process — the
+   background campaign's trials run in it — are not the daemon's
+   sessions' anomalies, so status does not count them. *)
+let test_status_ignores_outside_faults () =
+  let was_enabled = Telemetry.Registry.enabled () in
+  Telemetry.Registry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.Registry.set_enabled was_enabled)
+  @@ fun () ->
+  let c = List.hd Bugsuite.Cases.all in
+  let machine = Simt.Machine.create ~layout:c.Case.layout () in
+  let fault =
+    Fault.Plan.make
+      { Fault.Plan.none with seed = 7; bit_flip = 0.2; drop = 0.2;
+        duplicate = 0.2 }
+  in
+  let r =
+    Gpu_runtime.Session.run_stream ~fault ~machine c.Case.kernel
+      (c.Case.setup machine)
+  in
+  Alcotest.(check bool) "the faulted run is degraded" true
+    (Barracuda.Report.degraded r.Gpu_runtime.Session.sr_report);
+  with_server "outside" (fun socket _t ->
+      match Service.Client.status ~socket with
+      | Ok st ->
+          Alcotest.(check (list int)) "no transport anomalies" [ 0; 0; 0; 0 ]
+            P.
+              [
+                st.integrity_corrupt;
+                st.integrity_gaps;
+                st.integrity_stale;
+                st.integrity_desync;
+              ]
+      | Result.Error e -> Alcotest.failf "status: %s" e)
 
 (* ---- multi-tenant scheduling ------------------------------------- *)
 
@@ -1067,6 +1121,8 @@ let suite =
       test_streaming_seat_exhaustion;
     Alcotest.test_case "streaming integrity in status" `Quick
       test_streaming_integrity_in_status;
+    Alcotest.test_case "status ignores faults outside the daemon's sessions"
+      `Quick test_status_ignores_outside_faults;
     Alcotest.test_case "tenant fairness (DRR)" `Quick test_tenant_fairness;
     Alcotest.test_case "tenant quota rejects" `Quick test_tenant_quota_reject;
     Alcotest.test_case "tenant seat cap" `Quick test_tenant_seat_cap;

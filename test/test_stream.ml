@@ -2,8 +2,9 @@
    the load-bearing claim is chunk invariance — feeding a recorded wire
    stream through a session in ANY chunking (1-byte, mid-record,
    straddling barrier epochs) yields bitwise the batch race set, on the
-   serial backend and on the sharded one.  Plus the stream file codec,
-   the op-plane lifecycle, and the scheduler's session seats. *)
+   serial backend and on the sharded one.  Plus transport integrity
+   through a session, the stream file codec, the reference detector's
+   incremental verdicts, and the scheduler's session seats. *)
 
 module Report = Barracuda.Report
 module Session = Gpu_runtime.Session
@@ -57,7 +58,8 @@ let oneshot ~layout kernel args_of_machine =
 
 (* Replay [bytes] through a streaming session, cutting chunks by the
    (cyclic, positive) sizes in [cuts], checkpointing every
-   [checkpoint_every] chunks.  [shards = 0] is the serial backend. *)
+   [checkpoint_every] chunks, and return the final progress.
+   [shards = 0] is the serial backend. *)
 let streamed ~layout ~shards ~cuts ~checkpoint_every kernel bytes =
   let sink =
     if shards = 0 then None
@@ -80,10 +82,14 @@ let streamed ~layout ~shards ~cuts ~checkpoint_every kernel bytes =
     done;
     Session.close_stream st
   with
-  | p -> (race_set_of_errors p.Session.p_errors, p.Session.p_records)
+  | p -> p
   | exception e ->
       Session.abort_stream st;
       raise e
+
+(* What a replay must share with the one-shot run: the race set and
+   the records accepted. *)
+let outcome p = (race_set_of_errors p.Session.p_errors, p.Session.p_records)
 
 (* ---- QCheck: chunk invariance ------------------------------------ *)
 
@@ -122,10 +128,12 @@ let prop_chunk_invariance =
       let layout = Gen.layout in
       let expected, records, bytes = oneshot ~layout kernel Gen.setup in
       let serial =
-        streamed ~layout ~shards:0 ~cuts ~checkpoint_every kernel bytes
+        outcome
+          (streamed ~layout ~shards:0 ~cuts ~checkpoint_every kernel bytes)
       in
       let sharded =
-        streamed ~layout ~shards:4 ~cuts ~checkpoint_every kernel bytes
+        outcome
+          (streamed ~layout ~shards:4 ~cuts ~checkpoint_every kernel bytes)
       in
       if serial <> (expected, records) then
         QCheck2.Test.fail_reportf
@@ -158,8 +166,9 @@ let test_awkward_chunk_sizes () =
       List.iter
         (fun shards ->
           let got =
-            streamed ~layout ~shards ~cuts:[| size |] ~checkpoint_every:3
-              kernel bytes
+            outcome
+              (streamed ~layout ~shards ~cuts:[| size |] ~checkpoint_every:3
+                 kernel bytes)
           in
           if got <> (expected, records) then
             Alcotest.failf "chunk=%d shards=%d: diverged from one-shot" size
@@ -181,8 +190,9 @@ let test_bugsuite_streaming_parity () =
       List.iter
         (fun shards ->
           let got =
-            streamed ~layout ~shards ~cuts:[| 997 |] ~checkpoint_every:4
-              kernel bytes
+            outcome
+              (streamed ~layout ~shards ~cuts:[| 997 |] ~checkpoint_every:4
+                 kernel bytes)
           in
           if got <> (expected, records) then
             Alcotest.failf "%s @ %d shards: streamed race set differs"
@@ -192,22 +202,31 @@ let test_bugsuite_streaming_parity () =
 
 (* ---- integrity: corruption is absorbed and surfaced -------------- *)
 
+(* Flip a checksum-covered header byte of the record at [pos]. *)
+let corrupt_at b pos =
+  Bytes.set_uint8 b (pos + 12) (Bytes.get_uint8 b (pos + 12) lxor 0xff)
+
 let test_corrupt_record_counted () =
   let c = List.hd Bugsuite.Cases.all in
   let layout = c.Bugsuite.Case.layout in
   let kernel = c.Bugsuite.Case.kernel in
   let _, records, bytes = oneshot ~layout kernel c.Bugsuite.Case.setup in
   Alcotest.(check bool) "have records" true (records > 1);
-  (* flip a checksum-covered header byte of the first cell's record *)
   let b = Bytes.of_string bytes in
-  Bytes.set b 12 (Char.chr (Char.code (Bytes.get b 12) lxor 0xff));
-  let st = Session.open_stream ~detector:detector_config ~layout kernel in
-  Session.feed_chunk st (Bytes.to_string b);
-  let p = Session.close_stream st in
-  Alcotest.(check bool) "degraded" true p.Session.p_degraded;
-  Alcotest.(check int) "one corrupt record skipped" 1
-    p.Session.p_integrity.Report.corrupt;
-  Alcotest.(check int) "the rest made it" (records - 1) p.Session.p_records;
+  corrupt_at b 0;
+  List.iter
+    (fun shards ->
+      let p =
+        streamed ~layout ~shards ~cuts:[| 4096 |] ~checkpoint_every:0 kernel
+          (Bytes.to_string b)
+      in
+      let label what = Printf.sprintf "%d shards: %s" shards what in
+      Alcotest.(check bool) (label "degraded") true p.Session.p_degraded;
+      Alcotest.(check int) (label "one corrupt record skipped") 1
+        p.Session.p_integrity.Report.corrupt;
+      Alcotest.(check int) (label "the rest made it") (records - 1)
+        p.Session.p_records)
+    [ 0; 4 ];
   (* replayed against a one-instruction kernel, every access names an
      instruction the kernel lacks: counted as corrupt, not raised *)
   let st =
@@ -220,6 +239,60 @@ let test_corrupt_record_counted () =
   Alcotest.(check bool) "degraded" true p.Session.p_degraded;
   Alcotest.(check bool) "out-of-range records counted as corrupt" true
     (p.Session.p_integrity.Report.corrupt > 0)
+
+(* The cells of a recorded stream, in order. *)
+let cells_of bytes =
+  let rec go pos acc =
+    if pos >= String.length bytes then List.rev acc
+    else
+      let n = String.get_uint16_le bytes (pos + Barracuda.Wire.size) in
+      let len = Stream.cell_size ~nvalues:n in
+      go (pos + len) (String.sub bytes pos len :: acc)
+  in
+  go 0 []
+
+(* Corruption, loss and duplication in one stream: every backend counts
+   each anomaly once and accepts the same records. *)
+let test_degraded_counts_alike () =
+  let c =
+    List.find
+      (fun (c : Bugsuite.Case.t) ->
+        c.Bugsuite.Case.name = "ww_global_inter_block")
+      Bugsuite.Cases.all
+  in
+  let layout = c.Bugsuite.Case.layout in
+  let kernel = c.Bugsuite.Case.kernel in
+  let _, records, bytes = oneshot ~layout kernel c.Bugsuite.Case.setup in
+  Alcotest.(check int) "recorded records" 8 records;
+  (* corrupt cell 2, drop cell 3, duplicate cell 5 *)
+  let mangled =
+    List.mapi
+      (fun i cell ->
+        match i with
+        | 2 ->
+            let b = Bytes.of_string cell in
+            corrupt_at b 0;
+            [ Bytes.to_string b ]
+        | 3 -> []
+        | 5 -> [ cell; cell ]
+        | _ -> [ cell ])
+      (cells_of bytes)
+    |> List.concat |> String.concat ""
+  in
+  List.iter
+    (fun shards ->
+      let p =
+        streamed ~layout ~shards ~cuts:[| 4096 |] ~checkpoint_every:0 kernel
+          mangled
+      in
+      let label what = Printf.sprintf "%d shards: %s" shards what in
+      let i = p.Session.p_integrity in
+      Alcotest.(check bool) (label "degraded") true p.Session.p_degraded;
+      Alcotest.(check int) (label "corrupt") 1 i.Report.corrupt;
+      Alcotest.(check int) (label "gaps") 2 i.Report.gaps;
+      Alcotest.(check int) (label "stale") 1 i.Report.stale;
+      Alcotest.(check int) (label "records accepted") 6 p.Session.p_records)
+    [ 0; 3 ]
 
 let test_framing_is_loud () =
   let c = List.hd Bugsuite.Cases.all in
@@ -254,8 +327,9 @@ let test_stream_file_roundtrip () =
       Alcotest.(check int) "cell bytes survive" (String.length bytes)
         (String.length cells);
       let got =
-        streamed ~layout:layout' ~shards:0 ~cuts:[| 512 |] ~checkpoint_every:0
-          kernel cells
+        outcome
+          (streamed ~layout:layout' ~shards:0 ~cuts:[| 512 |]
+             ~checkpoint_every:0 kernel cells)
       in
       Alcotest.(check bool) "replay matches the recording run" true
         (got = (expected, records)))
@@ -288,32 +362,26 @@ let test_bad_stream_files_rejected () =
             ^ String.make 64 '\000' );
         ])
 
-(* ---- op-plane lifecycle ------------------------------------------ *)
+(* ---- trace ops into the reference detector ---------------------- *)
 
-let test_ops_lifecycle () =
+let test_reference_lifecycle () =
   let layout = Gen.layout in
-  let s = Session.open_ops ~layout () in
+  let r = Barracuda.Reference.create ~layout () in
   let loc = Gtrace.Loc.global 0x100 in
-  Session.feed_ops s
+  Barracuda.Reference.run r
     [
       Gtrace.Op.Wr { tid = 0; loc; value = 1L };
       Gtrace.Op.Endi { warp = 0; mask = 1 };
     ];
   Alcotest.(check bool) "no race yet" false
-    (Report.has_race (Session.ops_report s));
-  Session.feed_ops s
+    (Report.has_race (Barracuda.Reference.report r));
+  Barracuda.Reference.run r
     [
       Gtrace.Op.Wr { tid = 9; loc; value = 2L };
       Gtrace.Op.Endi { warp = 2; mask = 2 };
     ];
   Alcotest.(check bool) "verdict-so-far sees the race" true
-    (Report.has_race (Session.ops_report s));
-  Alcotest.(check int) "ops counted" 4 (Session.ops_fed s);
-  let final = Session.close_ops s in
-  Alcotest.(check bool) "final verdict" true (Report.has_race final);
-  match Session.feed_op s (Gtrace.Op.Endi { warp = 0; mask = 1 }) with
-  | () -> Alcotest.fail "feed after close must raise"
-  | exception Invalid_argument _ -> ()
+    (Report.has_race (Barracuda.Reference.report r))
 
 (* ---- scheduler session seats ------------------------------------- *)
 
@@ -407,6 +475,8 @@ let suite =
       test_bugsuite_streaming_parity;
     Alcotest.test_case "corrupt record absorbed and counted" `Quick
       test_corrupt_record_counted;
+    Alcotest.test_case "degraded streams count alike on every backend" `Quick
+      test_degraded_counts_alike;
     Alcotest.test_case "framing corruption raises" `Quick test_framing_is_loud;
     Alcotest.test_case "stream file round-trip" `Quick
       test_stream_file_roundtrip;
@@ -414,7 +484,8 @@ let suite =
       test_bad_header_rejected;
     Alcotest.test_case "bad stream files rejected" `Quick
       test_bad_stream_files_rejected;
-    Alcotest.test_case "op-plane lifecycle" `Quick test_ops_lifecycle;
+    Alcotest.test_case "reference detector lifecycle" `Quick
+      test_reference_lifecycle;
     Alcotest.test_case "session seats are bounded and reusable" `Quick
       test_seats_bounded;
     Alcotest.test_case "stop zeroes every scheduler gauge" `Quick
