@@ -1332,18 +1332,17 @@ let stream_cmd =
        session replays under exactly the grid that produced it. *)
     let layout, cells = Gpu_runtime.Stream.read_file trace in
     let sub = submission ~kind:Service.Protocol.Check ~layout ~tenant file in
-    let print_verdict ~label (v : Service.Client.stream_verdict) =
-      Format.printf "%s: %d records, %s (%d race%s)@." label
-        v.Service.Client.v_records
-        (Service.Protocol.verdict_string v.Service.Client.v_verdict)
-        v.Service.Client.v_races
-        (if v.Service.Client.v_races = 1 then "" else "s");
-      if v.Service.Client.v_degraded then
+    let print_verdict ~label (v : Service.Protocol.stream_verdict) =
+      Format.printf "%s: %d records, %s (%d race%s)@." label v.records
+        (Service.Protocol.verdict_string v.verdict)
+        v.races
+        (if v.races = 1 then "" else "s");
+      let i = v.integrity in
+      if v.degraded then
         Format.printf
           "  warning: degraded transport — %d corrupt, %d lost, %d stale, \
            %d desynced@."
-          v.Service.Client.v_corrupt v.Service.Client.v_gaps
-          v.Service.Client.v_stale v.Service.Client.v_desync
+          i.corrupt i.gaps i.stale i.desync
     in
     match Service.Client.stream_open ~retries ~socket sub with
     | Error message ->
@@ -1392,8 +1391,7 @@ let stream_cmd =
                 1
             | Ok v ->
                 print_verdict ~label:"final" v;
-                if v.Service.Client.v_verdict = Service.Protocol.Racy then 1
-                else 0))
+                if v.verdict = Service.Protocol.Racy then 1 else 0))
   in
   let trace =
     Arg.(
@@ -1479,24 +1477,23 @@ let status_cmd name =
                 Format.printf "  workers   %d (%d busy)@." s.P.workers s.P.busy;
                 Format.printf "  queue     %d/%d@." s.P.queue_depth
                   s.P.queue_capacity;
+                let j = s.P.jobs and c = s.P.cache and i = s.P.transport in
                 Format.printf
                   "  jobs      %d submitted, %d completed (%d racy / %d \
                    race-free), %d failed, %d rejected@."
-                  s.P.submitted s.P.completed s.P.racy s.P.race_free s.P.failed
-                  s.P.rejected;
+                  j.submitted j.completed j.racy j.race_free j.failed
+                  j.rejected;
                 Format.printf
                   "  healing   %d workers respawned, %d jobs quarantined@."
-                  s.P.workers_restarted s.P.quarantined;
+                  j.workers_restarted j.quarantined;
                 Format.printf
                   "  cache     %d entries, %d hits / %d misses, %d evictions@."
-                  s.P.cache_entries s.P.cache_hits s.P.cache_misses
-                  s.P.cache_evictions;
+                  c.entries c.hits c.misses c.evictions;
                 Format.printf "  sessions  %d seats, %d open, %d opened total@."
-                  s.P.session_seats s.P.open_sessions s.P.sessions_opened;
+                  s.P.sessions.seats s.P.sessions.occupied s.P.sessions.opened;
                 Format.printf
                   "  transport %d corrupt, %d lost, %d stale, %d desynced@."
-                  s.P.integrity_corrupt s.P.integrity_gaps s.P.integrity_stale
-                  s.P.integrity_desync;
+                  i.corrupt i.gaps i.stale i.desync;
                 if s.P.tenants = [] then
                   Format.printf "  tenants   none seen yet@.";
                 List.iter

@@ -97,102 +97,62 @@ let clean j =
 
 let ok j = complete j && clean j
 
-let cell_fields (c : Trial.cell) =
-  [
-    ("trials", Json.Int c.Trial.trials);
-    ("injected", Json.Int c.Trial.injected);
-    ("masked", Json.Int c.Trial.masked);
-    ("absorbed", Json.Int c.Trial.absorbed);
-    ("degraded_wrong", Json.Int c.Trial.degraded_wrong);
-    ("silent_wrong", Json.Int c.Trial.silent_wrong);
-    ("crashed", Json.Int c.Trial.crashed);
-  ]
+module C = Json.Codec
 
-let classes_json cells =
-  Json.Obj (List.map (fun (name, c) -> (name, Json.Obj (cell_fields c))) cells)
+let cell =
+  C.(
+    seal
+      (obj
+         (fun trials injected masked absorbed degraded_wrong silent_wrong
+              crashed ->
+           { Trial.trials; injected; masked; absorbed; degraded_wrong;
+             silent_wrong; crashed })
+      |+ field "trials" int (fun c -> c.Trial.trials)
+      |+ field "injected" int (fun c -> c.Trial.injected)
+      |+ field "masked" int (fun c -> c.Trial.masked)
+      |+ field "absorbed" int (fun c -> c.Trial.absorbed)
+      |+ field "degraded_wrong" int (fun c -> c.Trial.degraded_wrong)
+      |+ field "silent_wrong" int (fun c -> c.Trial.silent_wrong)
+      |+ field "crashed" int (fun c -> c.Trial.crashed)))
 
-let to_json j =
-  Json.Obj
-    [
-      ("schema_version", Json.Int schema_version);
-      ("seed", Json.Int j.j_seed);
-      ("cases", Json.Int j.j_cases);
-      ("trials", Json.Int j.j_trials);
-      ("cursor", Json.Int j.j_cursor);
-      ("batches", Json.Int j.j_batches);
-      ("classes", classes_json j.j_cells);
-    ]
+let classes = C.assoc Trial.class_names cell
+let classes_json cells = C.encode classes cells
 
-let int_field name doc =
-  match Option.bind (Json.member name doc) Json.to_int with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "campaign journal: missing field %S" name)
+(* Checked as the first field, so a journal of another version is
+   refused before any field it may lack is missed.  Loud and versioned,
+   mirroring the trace-file rejection: silently merging incompatible
+   trial formats would corrupt the campaign. *)
+let version =
+  C.conv Fun.id
+    (fun v ->
+      if v = schema_version then Ok v
+      else
+        Error
+          (Printf.sprintf
+             "schema version %d (expected %d): refusing to merge \
+              incompatible trial formats"
+             v schema_version))
+    C.int
 
-let ( let* ) = Result.bind
-
-let cell_of_json doc =
-  let* trials = int_field "trials" doc in
-  let* injected = int_field "injected" doc in
-  let* masked = int_field "masked" doc in
-  let* absorbed = int_field "absorbed" doc in
-  let* degraded_wrong = int_field "degraded_wrong" doc in
-  let* silent_wrong = int_field "silent_wrong" doc in
-  let* crashed = int_field "crashed" doc in
-  Ok
-    {
-      Trial.trials;
-      injected;
-      masked;
-      absorbed;
-      degraded_wrong;
-      silent_wrong;
-      crashed;
-    }
+let journal =
+  C.(
+    seal
+      (obj (fun _ j_seed j_cases j_trials j_cursor j_batches j_cells ->
+           { j_seed; j_cases; j_trials; j_cursor; j_batches; j_cells })
+      |+ field "schema_version" version (fun _ -> schema_version)
+      |+ field "seed" int (fun j -> j.j_seed)
+      |+ field "cases" int (fun j -> j.j_cases)
+      |+ field "trials" int (fun j -> j.j_trials)
+      |+ field "cursor" int (fun j -> j.j_cursor)
+      |+ field "batches" int (fun j -> j.j_batches)
+      |+ field "classes" classes (fun j -> j.j_cells)))
 
 let of_string s =
-  let* doc =
-    Result.map_error (fun e -> "campaign journal: " ^ e) (Json.of_string s)
-  in
-  let* version = int_field "schema_version" doc in
-  if version <> schema_version then
-    (* Loud and versioned, mirroring the trace-file rejection: silently
-       merging incompatible trial formats would corrupt the campaign. *)
-    Error
-      (Printf.sprintf
-         "campaign journal schema version %d (expected %d): refusing to \
-          merge incompatible trial formats"
-         version schema_version)
-  else
-    let* seed = int_field "seed" doc in
-    let* cases = int_field "cases" doc in
-    let* trials = int_field "trials" doc in
-    let* cursor = int_field "cursor" doc in
-    let* batches = int_field "batches" doc in
-    let* cells =
-      List.fold_left
-        (fun acc name ->
-          let* acc = acc in
-          match Option.bind (Json.member "classes" doc) (Json.member name) with
-          | None ->
-              Error
-                (Printf.sprintf "campaign journal: missing class %S" name)
-          | Some c ->
-              let* cell = cell_of_json c in
-              Ok ((name, cell) :: acc))
-        (Ok []) Trial.class_names
-    in
-    if cursor < 0 || cases < 0 || trials < 0 then
+  match C.of_string journal s with
+  | Error e -> Error ("campaign journal: " ^ e)
+  | Ok j when j.j_cursor < 0 || j.j_cases < 0 || j.j_trials < 0 ->
       Error "campaign journal: negative cursor or dimensions"
-    else
-      Ok
-        {
-          j_seed = seed;
-          j_cases = cases;
-          j_trials = trials;
-          j_cursor = cursor;
-          j_batches = batches;
-          j_cells = List.rev cells;
-        }
+  | Ok _ as ok -> ok
 
 let path ~dir = Filename.concat dir file_name
 
@@ -203,7 +163,7 @@ let save ~dir j =
   let final = path ~dir in
   let tmp = final ^ ".tmp" in
   let oc = open_out tmp in
-  output_string oc (Json.to_string ~minify:true (to_json j));
+  output_string oc (C.to_string journal j);
   output_char oc '\n';
   close_out oc;
   (* Atomic within the directory: a kill leaves either the previous

@@ -69,7 +69,7 @@ let feed t = function
 
 let trace_of_events t events = List.concat_map (feed t) events
 
-let run ?max_steps ?policy:_ ~layout machine kernel args =
+let run ?max_steps ~layout machine kernel args =
   let t = create ~layout kernel in
   let ops = ref [] in
   let on_event e = ops := List.rev_append (feed t e) !ops in

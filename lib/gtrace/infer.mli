@@ -26,7 +26,6 @@ val trace_of_events : t -> Simt.Event.t list -> Op.t list
 
 val run :
   ?max_steps:int ->
-  ?policy:Simt.Machine.policy ->
   layout:Vclock.Layout.t ->
   Simt.Machine.t ->
   Ptx.Ast.kernel ->

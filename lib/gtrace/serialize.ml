@@ -60,35 +60,55 @@ let to_string ~layout ops =
 let fail line fmt =
   Printf.ksprintf (fun message -> raise (Parse_error { line; message })) fmt
 
-let parse_tid line s =
-  match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
-  | Some t when String.length s > 1 && s.[0] = 't' -> t
-  | _ -> fail line "bad thread id %S" s
+(* [prefix] then an integer ("t12"), else "bad WHAT". *)
+let parse_id prefix what line s =
+  let n = String.length s in
+  match
+    if n > 1 && s.[0] = prefix then int_of_string_opt (String.sub s 1 (n - 1))
+    else None
+  with
+  | Some v -> v
+  | None -> fail line "bad %s %S" what s
 
-let parse_warp line s =
-  match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
-  | Some w when String.length s > 1 && s.[0] = 'w' -> w
-  | _ -> fail line "bad warp id %S" s
+(* Every id a trace names must exist in its header's layout. *)
+let within line what limit v =
+  if v < 0 || v >= limit then
+    fail line "%s %d outside the trace's layout (%d %ss)" what v limit what;
+  v
 
-let parse_mask line s =
+let parse_tid layout line s =
+  within line "thread" (Vclock.Layout.total_threads layout)
+    (parse_id 't' "thread id" line s)
+
+let parse_warp layout line s =
+  within line "warp" (Vclock.Layout.total_warps layout)
+    (parse_id 'w' "warp id" line s)
+
+let parse_mask layout line s =
+  let w = layout.Vclock.Layout.warp_size in
   match int_of_string_opt ("0x" ^ s) with
-  | Some m -> m
+  | Some m when m >= 0 && (w >= Sys.int_size || m lsr w = 0) -> m
+  | Some _ -> fail line "mask %s has a lane beyond the warp size %d" s w
   | None -> fail line "bad mask %S" s
 
-let parse_loc line s =
+let parse_loc layout line s =
   match String.index_opt s ':' with
   | None -> fail line "bad location %S" s
-  | Some i -> (
+  | Some i ->
       let sp = String.sub s 0 i in
       let addr_s = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt addr_s with
-      | None -> fail line "bad address %S" addr_s
-      | Some addr -> (
-          if sp = "g" then Loc.global addr
-          else
-            match int_of_string_opt (String.sub sp 1 (String.length sp - 1)) with
-            | Some block when sp.[0] = 's' -> Loc.shared ~block addr
-            | _ -> fail line "bad space %S" sp))
+      let addr =
+        match int_of_string_opt addr_s with
+        | Some addr -> addr
+        | None -> fail line "bad address %S" addr_s
+      in
+      if sp = "g" then Loc.global addr
+      else
+        let block =
+          within line "shared region" layout.Vclock.Layout.blocks
+            (parse_id 's' "space" line sp)
+        in
+        Loc.shared ~block addr
 
 let parse_value line s =
   if String.length s > 0 && s.[0] = '=' then
@@ -116,50 +136,39 @@ let parse_header line s =
     Scanf.sscanf s "# barracuda-trace v1 warp_size=%d threads_per_block=%d blocks=%d"
       (fun warp_size threads_per_block blocks ->
         Vclock.Layout.make ~warp_size ~threads_per_block ~blocks)
-  with Scanf.Scan_failure _ | Failure _ | End_of_file ->
-    fail line "bad trace header %S" s
+  with
+  | Scanf.Scan_failure _ | Failure _ | End_of_file ->
+      fail line "bad trace header %S" s
+  | Invalid_argument message -> fail line "bad trace header %S: %s" s message
 
-let parse_op lineno s =
+let parse_op layout lineno s =
+  let tid = parse_tid layout lineno
+  and loc = parse_loc layout lineno
+  and warp = parse_warp layout lineno
+  and mask = parse_mask layout lineno
+  and value = parse_value lineno in
   let parts =
     String.split_on_char ' ' s |> List.filter (fun p -> p <> "")
   in
   match parts with
-  | [ "rd"; t; l ] -> Op.Rd { tid = parse_tid lineno t; loc = parse_loc lineno l }
-  | [ "wr"; t; l; v ] ->
-      Op.Wr
-        {
-          tid = parse_tid lineno t;
-          loc = parse_loc lineno l;
-          value = parse_value lineno v;
-        }
-  | [ "atm"; t; l; v ] ->
-      Op.Atm
-        {
-          tid = parse_tid lineno t;
-          loc = parse_loc lineno l;
-          value = parse_value lineno v;
-        }
-  | [ "endi"; w; m ] ->
-      Op.Endi { warp = parse_warp lineno w; mask = parse_mask lineno m }
+  | [ "rd"; t; l ] -> Op.Rd { tid = tid t; loc = loc l }
+  | [ "wr"; t; l; v ] -> Op.Wr { tid = tid t; loc = loc l; value = value v }
+  | [ "atm"; t; l; v ] -> Op.Atm { tid = tid t; loc = loc l; value = value v }
+  | [ "endi"; w; m ] -> Op.Endi { warp = warp w; mask = mask m }
   | [ "if"; w; tm; em ] ->
-      Op.If
+      Op.If { warp = warp w; then_mask = mask tm; else_mask = mask em }
+  | [ "else"; w; m ] -> Op.Else { warp = warp w; mask = mask m }
+  | [ "fi"; w; m ] -> Op.Fi { warp = warp w; mask = mask m }
+  | [ "bar"; b ] ->
+      Op.Bar
         {
-          warp = parse_warp lineno w;
-          then_mask = parse_mask lineno tm;
-          else_mask = parse_mask lineno em;
+          block =
+            within lineno "block" layout.Vclock.Layout.blocks
+              (parse_id 'b' "block id" lineno b);
         }
-  | [ "else"; w; m ] ->
-      Op.Else { warp = parse_warp lineno w; mask = parse_mask lineno m }
-  | [ "fi"; w; m ] ->
-      Op.Fi { warp = parse_warp lineno w; mask = parse_mask lineno m }
-  | [ "bar"; b ] -> (
-      match int_of_string_opt (String.sub b 1 (String.length b - 1)) with
-      | Some block when b.[0] = 'b' -> Op.Bar { block }
-      | _ -> fail lineno "bad block id %S" b)
   | [ ("acqblk" | "acqglb" | "relblk" | "relglb" | "arblk" | "arglb") as k; t; l ]
     -> (
-      let tid = parse_tid lineno t in
-      let loc = parse_loc lineno l in
+      let tid = tid t and loc = loc l in
       let scope =
         if String.sub k (String.length k - 3) 3 = "blk" then Op.Block
         else Op.Global_scope
@@ -178,7 +187,7 @@ let of_string s =
       let layout = parse_header 1 header in
       let ops =
         List.filteri (fun _ l -> String.trim l <> "") rest
-        |> List.mapi (fun i l -> parse_op (i + 2) (String.trim l))
+        |> List.mapi (fun i l -> parse_op layout (i + 2) (String.trim l))
       in
       (layout, ops)
 

@@ -29,6 +29,11 @@ val to_string : layout:Vclock.Layout.t -> Op.t list -> string
 exception Parse_error of { line : int; message : string }
 
 val of_channel : in_channel -> Vclock.Layout.t * Op.t list
-(** @raise Parse_error on malformed input. *)
+(** @raise Parse_error on malformed input: a bad header (a layout
+    dimension below 1 included), an unrecognized operation or empty
+    tag, or an id outside the header's layout — a thread, warp, block
+    or shared region that does not exist, or a mask lane beyond the
+    warp size. *)
 
 val of_string : string -> Vclock.Layout.t * Op.t list
+(** As {!of_channel}. *)

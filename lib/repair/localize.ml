@@ -37,11 +37,17 @@ let diagnose ?(max_steps = 400_000) ~layout
     ~(setup : Simt.Machine.t -> int64 array) kernel =
   let nbody = Array.length kernel.Ptx.Ast.body in
   let counts = Array.make (max nbody 1) 0 in
-  let tap = function
+  (* One launch feeds the detector, the execution census and the
+     abstract trace that schedule exploration replays. *)
+  let infer = Gtrace.Infer.create ~layout kernel in
+  let ops = ref [] in
+  let tap ev =
+    (match ev with
     | Simt.Event.Access a ->
         let i = a.Simt.Event.insn in
         if i >= 0 && i < nbody then counts.(i) <- counts.(i) + 1
-    | _ -> ()
+    | _ -> ());
+    ops := List.rev_append (Gtrace.Infer.feed infer ev) !ops
   in
   let machine = Simt.Machine.create ~layout () in
   let args = setup machine in
@@ -78,10 +84,7 @@ let diagnose ?(max_steps = 400_000) ~layout
   (* Schedule exploration: races the recorded order happened to hide.
      Predictions carry locations, not static ids — they gate the
      verdict and steer the space-directed fallback candidates. *)
-  let machine2 = Simt.Machine.create ~layout () in
-  let args2 = setup machine2 in
-  let ops, _ = Gtrace.Infer.run ~max_steps ~layout machine2 kernel args2 in
-  let analysis_p = Predict.Analysis.run ~layout ops in
+  let analysis_p = Predict.Analysis.run ~layout (List.rev !ops) in
   let predicted_racy = Predict.Analysis.has_race analysis_p in
   if predicted_racy then
     List.iter

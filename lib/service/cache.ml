@@ -1,6 +1,5 @@
 type entry = {
   kernel : Ptx.Ast.kernel;
-  cfg : Cfg.Graph.t;
   inst : Instrument.Pass.result;
   analysis : Static.Analysis.t;
 }
@@ -71,19 +70,6 @@ let evict_lru t =
       t.evictions <- t.evictions + 1;
       Telemetry.Metric.counter_incr t.m_evictions
   | None -> ()
-
-let peek t key =
-  Mutex.lock t.lock;
-  let found =
-    match Hashtbl.find_opt t.index key with
-    | Some slot ->
-        t.tick <- t.tick + 1;
-        slot.last_use <- t.tick;
-        Some slot.value
-    | None -> None
-  in
-  Mutex.unlock t.lock;
-  found
 
 let find_or_build t key ~build =
   Mutex.lock t.lock;

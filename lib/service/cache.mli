@@ -1,11 +1,11 @@
 (** Content-hash artifact cache.
 
     Memoizes the front half of the checking pipeline — parsed kernel,
-    control-flow graph, instrumented kernel and static race analysis — keyed by a digest of
-    the PTX source and the instrumentation options, so repeat
+    instrumented kernel and static race analysis — keyed by a digest
+    of the PTX source and the instrumentation options, so repeat
     submissions of the same kernel pay only machine creation and
     execution.  All three artifacts are immutable once built (the
-    pipeline never mutates a kernel, a CFG or an instrumentation
+    pipeline never mutates a kernel, an analysis or an instrumentation
     result), which is what makes sharing them across worker domains
     sound.
 
@@ -21,11 +21,11 @@
 
 type entry = {
   kernel : Ptx.Ast.kernel;
-  cfg : Cfg.Graph.t;
   inst : Instrument.Pass.result;
   analysis : Static.Analysis.t;
-      (** static race verdicts of the original kernel — what the
-          instant-answer fast path consults *)
+      (** static race verdicts of the original kernel — what a worker
+          consults to answer a provably racy check without executing
+          it *)
 }
 
 type t
@@ -40,13 +40,6 @@ val key : prune:bool -> static:bool -> string -> string
 (** Digest of the source text and the options that shape the
     artifacts. *)
 
-val peek : t -> string -> entry option
-(** The entry for a key if one is already resident — never builds.
-    Refreshes LRU recency but does not touch the hit/miss counters:
-    those account {!find_or_build} traffic, and a peek's caller falls
-    through to [find_or_build] (which counts the hit) whenever the
-    peek alone does not settle the request. *)
-
 val find_or_build : t -> string -> build:(unit -> entry) -> entry * bool
 (** The entry for a key, building (and inserting) it on a miss; the
     boolean is [true] on a hit.  Exceptions from [build] propagate and
@@ -56,3 +49,4 @@ val find_or_build : t -> string -> build:(unit -> entry) -> entry * bool
 type stats = { entries : int; hits : int; misses : int; evictions : int }
 
 val stats : t -> stats
+(** The [cache] object of a daemon's status reply. *)

@@ -113,18 +113,6 @@ type session = {
   mutable s_alive : bool;
 }
 
-type stream_verdict = {
-  v_final : bool;
-  v_records : int;
-  v_races : int;
-  v_verdict : Protocol.verdict;
-  v_degraded : bool;
-  v_corrupt : int;
-  v_gaps : int;
-  v_stale : int;
-  v_desync : int;
-}
-
 let session_sid s = s.s_sid
 
 let session_teardown s =
@@ -193,21 +181,7 @@ let stream_append s chunk =
   | Error _ as e -> e
 
 let verdict_of_response s = function
-  | Protocol.Stream_verdict
-      { final; records; races; verdict; degraded; corrupt; gaps; stale;
-        desync; _ } ->
-      Ok
-        {
-          v_final = final;
-          v_records = records;
-          v_races = races;
-          v_verdict = verdict;
-          v_degraded = degraded;
-          v_corrupt = corrupt;
-          v_gaps = gaps;
-          v_stale = stale;
-          v_desync = desync;
-        }
+  | Protocol.Stream_verdict v -> Ok v
   | r ->
       session_teardown s;
       Error ("unexpected reply: " ^ Protocol.encode_response r)

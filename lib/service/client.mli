@@ -53,18 +53,6 @@ type session
 (** A live streaming session: an open connection plus the daemon-side
     session id. *)
 
-type stream_verdict = {
-  v_final : bool;  (** [true] only from {!stream_close} *)
-  v_records : int;  (** records accepted so far *)
-  v_races : int;
-  v_verdict : Protocol.verdict;
-  v_degraded : bool;  (** transport integrity trouble was seen *)
-  v_corrupt : int;
-  v_gaps : int;
-  v_stale : int;
-  v_desync : int;
-}
-
 val stream_open :
   ?retries:int ->
   ?retry_budget_s:float ->
@@ -87,11 +75,11 @@ val stream_append : session -> string -> (int, string) result
     are reassembled daemon-side).  [Ok n] is the cumulative count of
     cells the session has received, anomalous ones included. *)
 
-val stream_flush : session -> (stream_verdict, string) result
+val stream_flush : session -> (Protocol.stream_verdict, string) result
 (** Checkpoint: block until every record shipped so far is fully
     detected, and return the verdict over that prefix. *)
 
-val stream_close : session -> (stream_verdict, string) result
+val stream_close : session -> (Protocol.stream_verdict, string) result
 (** Final checkpoint + verdict; tears the session down whatever the
     outcome. *)
 

@@ -81,20 +81,19 @@ let entry_for ~cache (s : Protocol.submit) =
   in
   Cache.find_or_build cache key ~build:(fun () ->
       let kernel = Ptx.Parser.kernel_of_string s.Protocol.payload in
-      let cfg = Cfg.Graph.of_kernel kernel in
       (* one analysis serves both the instrument pass's static tier and
-         the entry's instant-answer verdicts *)
+         the entry's static answers *)
       let analysis = Static.Analysis.analyze kernel in
       let inst =
         Instrument.Pass.instrument ~prune:s.Protocol.prune
           ~static:s.Protocol.static ~analysis kernel
       in
-      { Cache.kernel; cfg; inst; analysis })
+      { Cache.kernel; inst; analysis })
 
-(* The instant-answer path: a kernel the static analysis proves racy
-   (for this launch layout) is answered without ever executing it.
-   Race-free and unknown kernels still run — the analysis only
-   certifies [Racy] on its own. *)
+(* The one static answer: a kernel the static analysis proves racy
+   (for this launch layout) is answered from its cache entry without
+   ever executing it.  Race-free and unknown kernels still run — the
+   analysis only certifies [Racy] on its own. *)
 let static_result ~cache_hit ~job ~layout entry (s : Protocol.submit) =
   if not s.Protocol.static then None
   else
@@ -112,30 +111,6 @@ let static_result ~cache_hit ~job ~layout entry (s : Protocol.submit) =
                queue_ms = 0.0;
                run_ms = 0.0;
              })
-
-let static_verdict ~cache ~job (s : Protocol.submit) =
-  match s.Protocol.kind with
-  | Protocol.Predict | Protocol.Repair -> None
-  | Protocol.Check -> (
-      if not s.Protocol.static then None
-      else
-        (* Peek only — never parse or analyze here.  The probe runs on
-           the caller's thread (the daemon's per-connection threads),
-           so a cold kernel must take the queued path, where the
-           scheduler's admission control bounds the heavy work and
-           [run_check] both warms the cache and short-circuits
-           statically itself. *)
-        try
-          match
-            Cache.peek cache
-              (Cache.key ~prune:s.Protocol.prune ~static:s.Protocol.static
-                 s.Protocol.payload)
-          with
-          | None -> None
-          | Some entry ->
-              let layout = layout_of s in
-              static_result ~cache_hit:true ~job ~layout entry s
-        with _ -> None)
 
 let run_check ~config ~cache ~job (s : Protocol.submit) =
   let entry, cache_hit = entry_for ~cache s in
@@ -227,7 +202,7 @@ let run_predict ~job (s : Protocol.submit) =
     }
 
 (* A repair job: diagnose, search the candidate-fix space, validate
-   through the unchanged detector.  The parse/CFG/analysis artifacts
+   through the unchanged detector.  The parse/analysis artifacts
    come from the same source-digest cache as check jobs; the verdict
    describes the post-repair state ([Race_free] + [repaired] = fixed,
    [Racy] = unfixable) so verdict parity with the one-shot

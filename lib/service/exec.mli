@@ -3,8 +3,11 @@
     A [Check] job parses/instruments via the artifact {!Cache}
     (skipping the front half of the pipeline on a hit), then runs the
     cached instrumentation through {!Gpu_runtime.Session.run_stream}
-    on a fresh machine.  A [Predict]
-    job deserializes the trace and runs {!Predict.Analysis}.
+    on a fresh machine — unless the cached static analysis proves the
+    kernel racy for the requested layout, which answers the job
+    without executing it.  This is the daemon's only static answer:
+    every submission reaches it through the scheduler's queue.  A
+    [Predict] job deserializes the trace and runs {!Predict.Analysis}.
 
     {!run} never raises: every failure mode — malformed PTX or trace,
     a bad argument spec, a step-budget timeout, an exception anywhere
@@ -54,7 +57,9 @@ val run :
 (** Always a [Result] or [Failed]; [queue_ms]/[run_ms] are left zero
     for the scheduler to fill in.  A [Check] whose kernel the static
     analysis proves racy for the requested layout is answered without
-    executing it (outcome flagged [static]). *)
+    executing it (outcome flagged [static], counted in
+    [barracuda_service_static_fast_total]); its cache lookup counts a
+    hit or a miss like any other. *)
 
 val stream_open :
   ?config:config -> cache:Cache.t -> Protocol.submit ->
@@ -72,15 +77,3 @@ val error_response : job:int -> exn -> Protocol.response
     (including stream framing errors), [shard_crashed], [timeout]…  —
     exposed for the daemon's streaming handlers, which manage their
     own exception boundary. *)
-
-val static_verdict :
-  cache:Cache.t -> job:int -> Protocol.submit ->
-  Protocol.response option
-(** The instant-answer probe: [Some (Result ...)] iff the submission is
-    a [Check] with static analysis enabled whose kernel's artifacts are
-    {e already resident} in the cache and provably racy for the
-    requested layout.  A pure cache peek — it never parses, instruments
-    or analyzes, so it is cheap enough for the daemon's per-connection
-    threads; a cold kernel returns [None] and takes the queued path,
-    whose {!run} warms the cache (and short-circuits statically
-    itself).  Never raises — any failure returns [None]. *)

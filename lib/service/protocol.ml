@@ -1,4 +1,6 @@
 module Json = Telemetry.Json
+module C = Json.Codec
+module Report = Barracuda.Report
 
 type kind = Check | Predict | Repair
 
@@ -35,6 +37,18 @@ type request =
   | Shutdown
 
 type verdict = Racy | Race_free
+
+(* Declared before [outcome], so the labels the two share ([races],
+   [verdict], [degraded]) default to the outcome's. *)
+type stream_verdict = {
+  sid : int;
+  final : bool;
+  records : int;
+  races : int;
+  verdict : verdict;
+  degraded : bool;
+  integrity : Report.integrity;
+}
 
 type outcome = {
   verdict : verdict;
@@ -95,12 +109,7 @@ type campaign_status = {
   ca_paused : bool;
 }
 
-type status = {
-  uptime_ms : float;
-  workers : int;
-  busy : int;
-  queue_depth : int;
-  queue_capacity : int;
+type jobs = {
   submitted : int;
   completed : int;
   failed : int;
@@ -109,39 +118,38 @@ type status = {
   race_free : int;
   quarantined : int;
   workers_restarted : int;
-  cache_entries : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
-  session_seats : int;
-  open_sessions : int;
-  sessions_opened : int;
-  integrity_corrupt : int;
-  integrity_gaps : int;
-  integrity_stale : int;
-  integrity_desync : int;
+}
+
+type sessions = { seats : int; occupied : int; opened : int }
+
+type status = {
+  uptime_ms : float;
+  workers : int;
+  busy : int;
+  queue_depth : int;
+  queue_capacity : int;
+  jobs : jobs;
+  cache : Cache.stats;
+  sessions : sessions;
+  transport : Report.integrity;
   tenants : tenant_status list;
   campaign : campaign_status option;
 }
 
+type job_result = {
+  job : int;
+  outcome : outcome;
+  queue_ms : float;
+  run_ms : float;
+}
+
 type response =
-  | Result of { job : int; outcome : outcome; queue_ms : float; run_ms : float }
+  | Result of job_result
   | Rejected of { reason : string; retry_after_ms : int }
   | Failed of { job : int; code : string; message : string }
   | Stream_opened of { sid : int }
   | Stream_ack of { sid : int; records : int }
-  | Stream_verdict of {
-      sid : int;
-      final : bool;
-      records : int;
-      races : int;
-      verdict : verdict;
-      degraded : bool;
-      corrupt : int;
-      gaps : int;
-      stale : int;
-      desync : int;
-    }
+  | Stream_verdict of stream_verdict
   | Status_reply of status
   | Metrics_reply of string
   | Pong
@@ -188,595 +196,335 @@ let of_hex s =
     else Ok (Bytes.unsafe_to_string b)
   end
 
-let verdict_string = function Racy -> "racy" | Race_free -> "race_free"
-let kind_string = function
-  | Check -> "check"
-  | Predict -> "predict"
-  | Repair -> "repair"
+(* ------------------------------ frames ---------------------------- *)
 
-let kind_of_string k =
-  List.find_opt (fun kind -> kind_string kind = k) [ Check; Predict; Repair ]
+(* Every frame is declared once, below; the declarations drive both
+   the encoder and the decoder. *)
 
-(* ------------------------------ encoding ------------------------- *)
+let kinds = [ ("check", Check); ("predict", Predict); ("repair", Repair) ]
+let kind_of_string k = List.assoc_opt k kinds
+let verdicts = [ ("racy", Racy); ("race_free", Race_free) ]
+let verdict_string v = fst (List.find (fun (_, v') -> v' = v) verdicts)
+let verdict = C.enum verdicts
 
-let submit_fields ~cmd s =
-  let layout =
-    match s.layout with
-    | None -> []
-    | Some (blocks, tpb, warp) ->
-        [
-          ( "layout",
-            Json.Obj
-              [
-                ("blocks", Json.Int blocks);
-                ("tpb", Json.Int tpb);
-                ("warp", Json.Int warp);
-              ] );
-        ]
-  in
-  let args =
-    match s.args with
-    | [] -> []
-    | l -> [ ("args", Json.List (List.map (fun a -> Json.Str a) l)) ]
-  in
-  let tenant =
-    match s.tenant with
-    | None -> []
-    | Some name -> [ ("tenant", Json.Str name) ]
-  in
-  Json.Obj
-    ([
-       ("cmd", Json.Str cmd);
-       ("kind", Json.Str (kind_string s.kind));
-       ("payload", Json.Str s.payload);
-     ]
-    @ layout @ args @ tenant
-    @ (if s.prune then [] else [ ("prune", Json.Bool false) ])
-    @ if s.static then [] else [ ("static", Json.Bool false) ])
+(* A count, 0 when absent; a sub-object, all defaults when absent. *)
+let count name get = C.field ~default:0 name C.int get
 
-let encode_request r =
-  let doc =
-    match r with
-    | Submit s -> submit_fields ~cmd:"submit" s
-    | Stream_open s -> submit_fields ~cmd:"stream_open" s
-    | Stream_append { sid; chunk } ->
-        Json.Obj
-          [
-            ("cmd", Json.Str "stream_append");
-            ("sid", Json.Int sid);
-            ("hex", Json.Str (to_hex chunk));
-          ]
-    | Stream_flush { sid } ->
-        Json.Obj [ ("cmd", Json.Str "stream_flush"); ("sid", Json.Int sid) ]
-    | Stream_close { sid } ->
-        Json.Obj [ ("cmd", Json.Str "stream_close"); ("sid", Json.Int sid) ]
-    | Status -> Json.Obj [ ("cmd", Json.Str "status") ]
-    | Metrics -> Json.Obj [ ("cmd", Json.Str "metrics") ]
-    | Ping -> Json.Obj [ ("cmd", Json.Str "ping") ]
-    | Shutdown -> Json.Obj [ ("cmd", Json.Str "shutdown") ]
-  in
-  Json.to_string ~minify:true doc
+let sub name c get =
+  C.field ~default:(Result.get_ok (C.decode c (Json.Obj []))) name c get
 
-let field name doc = Json.member name doc
+let layout =
+  C.(
+    seal
+      (obj (fun blocks tpb warp -> (blocks, tpb, warp))
+      |+ field "blocks" int (fun (b, _, _) -> b)
+      |+ field "tpb" int (fun (_, t, _) -> t)
+      |+ field ~default:32 "warp" int (fun (_, _, w) -> w)))
 
-let int_field ?default name doc =
-  match field name doc with
-  | Some (Json.Int i) -> Ok i
-  | Some _ -> Result.Error (Printf.sprintf "field %S must be an integer" name)
-  | None -> (
-      match default with
-      | Some d -> Ok d
-      | None -> Result.Error (Printf.sprintf "missing field %S" name))
+let submit =
+  C.(
+    seal
+      (obj (fun kind payload layout args tenant prune static ->
+           { kind; payload; layout; args; prune; static; tenant })
+      |+ field ~default:Check "kind" (enum kinds) (fun s -> s.kind)
+      |+ field "payload" str (fun s -> s.payload)
+      |+ opt "layout" layout (fun s -> s.layout)
+      |+ field ~default:[] ~omit:(( = ) []) "args" (list str) (fun s -> s.args)
+      |+ opt "tenant" str (fun s -> s.tenant)
+      |+ field ~default:true ~omit:Fun.id "prune" bool (fun s -> s.prune)
+      |+ field ~default:true ~omit:Fun.id "static" bool (fun (s : submit) ->
+             s.static)))
 
-let str_field name doc =
-  match field name doc with
-  | Some (Json.Str s) -> Ok s
-  | Some _ -> Result.Error (Printf.sprintf "field %S must be a string" name)
-  | None -> Result.Error (Printf.sprintf "missing field %S" name)
+let sid = C.(seal (obj Fun.id |+ field "sid" int Fun.id))
 
-let float_field ?default name doc =
-  match field name doc with
-  | Some (Json.Float f) -> Ok f
-  | Some (Json.Int i) -> Ok (float_of_int i)
-  | Some _ -> Result.Error (Printf.sprintf "field %S must be a number" name)
-  | None -> (
-      match default with
-      | Some d -> Ok d
-      | None -> Result.Error (Printf.sprintf "missing field %S" name))
+let append =
+  C.(
+    seal
+      (obj (fun sid chunk -> (sid, chunk))
+      |+ field "sid" int fst
+      |+ field "hex" (conv to_hex of_hex str) snd))
 
-let ( let* ) = Result.bind
+(* A frame whose [key] field, when given, is a [true] marker. *)
+let constant ?key v =
+  let fields =
+    match key with
+    | None -> C.(seal (obj ()))
+    | Some key -> C.(seal (obj Fun.id |+ field key marker Fun.id))
+  in
+  C.case fields (fun () -> v) (fun r -> if r = v then Some () else None)
 
-let decode_submit doc =
-  let* kind =
-    match field "kind" doc with
-    | None -> Ok Check
-    | Some (Json.Str k) -> (
-        match kind_of_string k with
-        | Some kind -> Ok kind
-        | None -> Result.Error (Printf.sprintf "unknown kind %S" k))
-    | Some _ -> Result.Error "field \"kind\" must be a string"
-  in
-  let* payload = str_field "payload" doc in
-  let* layout =
-    match field "layout" doc with
-    | None -> Ok None
-    | Some l ->
-        let* blocks = int_field "blocks" l in
-        let* tpb = int_field "tpb" l in
-        let* warp = int_field ~default:32 "warp" l in
-        Ok (Some (blocks, tpb, warp))
-  in
-  let* args =
-    match field "args" doc with
-    | None -> Ok []
-    | Some (Json.List l) ->
-        List.fold_right
-          (fun a acc ->
-            let* acc = acc in
-            match a with
-            | Json.Str s -> Ok (s :: acc)
-            | _ -> Result.Error "field \"args\" must be a list of strings")
-          l (Ok [])
-    | Some _ -> Result.Error "field \"args\" must be a list"
-  in
-  let prune =
-    match field "prune" doc with Some (Json.Bool b) -> b | _ -> true
-  in
-  let static =
-    match field "static" doc with Some (Json.Bool b) -> b | _ -> true
-  in
-  let* tenant =
-    match field "tenant" doc with
-    | None -> Ok None
-    | Some (Json.Str name) -> Ok (Some name)
-    | Some _ -> Result.Error "field \"tenant\" must be a string"
-  in
-  Ok { kind; payload; layout; args; prune; static; tenant }
+let request =
+  C.tagged "cmd"
+    [
+      ( "submit",
+        C.case submit
+          (fun s -> Submit s)
+          (function Submit s -> Some s | _ -> None) );
+      ( "stream_open",
+        C.case submit
+          (fun s -> Stream_open s)
+          (function Stream_open s -> Some s | _ -> None) );
+      ( "stream_append",
+        C.case append
+          (fun (sid, chunk) -> Stream_append { sid; chunk })
+          (function
+            | Stream_append { sid; chunk } -> Some (sid, chunk) | _ -> None) );
+      ( "stream_flush",
+        C.case sid
+          (fun sid -> Stream_flush { sid })
+          (function Stream_flush { sid } -> Some sid | _ -> None) );
+      ( "stream_close",
+        C.case sid
+          (fun sid -> Stream_close { sid })
+          (function Stream_close { sid } -> Some sid | _ -> None) );
+      ("status", constant Status);
+      ("metrics", constant Metrics);
+      ("ping", constant Ping);
+      ("shutdown", constant Shutdown);
+    ]
 
-let decode_sid doc k =
-  let* sid = int_field "sid" doc in
-  k sid
+let job_result =
+  let o f r = f r.outcome in
+  C.(
+    seal
+      (obj
+         (fun job verdict races errors cache_hit predicted confirmed degraded
+              static repaired fix repair_tried detect_ms queue_ms run_ms ->
+           let outcome =
+             { verdict; races; errors; cache_hit; predicted; confirmed;
+               degraded; static; repaired; fix; repair_tried; detect_ms }
+           in
+           { job; outcome; queue_ms; run_ms })
+      |+ field "job" int (fun r -> r.job)
+      |+ field "verdict" verdict (o (fun o -> o.verdict))
+      |+ count "races" (o (fun o -> o.races))
+      |+ field ~default:[] "errors" (list str) (o (fun o -> o.errors))
+      |+ field ~default:false "cache"
+           (enum [ ("hit", true); ("miss", false) ])
+           (o (fun o -> o.cache_hit))
+      |+ count "predicted" (o (fun o -> o.predicted))
+      |+ count "confirmed" (o (fun o -> o.confirmed))
+      |+ field ~default:false "degraded" bool (o (fun o -> o.degraded))
+      |+ field ~default:false "static" bool (o (fun o -> o.static))
+      |+ field ~default:false "repaired" bool (o (fun o -> o.repaired))
+      |+ field ~default:"" "fix" str (o (fun o -> o.fix))
+      |+ count "repair_tried" (o (fun o -> o.repair_tried))
+      |+ field ~default:0.0 "detect_ms" float (o (fun o -> o.detect_ms))
+      |+ field ~default:0.0 "queue_ms" float (fun r -> r.queue_ms)
+      |+ field ~default:0.0 "run_ms" float (fun r -> r.run_ms)))
 
-let decode_request line =
-  match Json.of_string line with
-  | Result.Error e -> Result.Error e
-  | Ok doc -> (
-      match field "cmd" doc with
-      | Some (Json.Str "submit") ->
-          let* s = decode_submit doc in
-          Ok (Submit s)
-      | Some (Json.Str "stream_open") ->
-          let* s = decode_submit doc in
-          Ok (Stream_open s)
-      | Some (Json.Str "stream_append") ->
-          decode_sid doc (fun sid ->
-              let* hex = str_field "hex" doc in
-              let* chunk = of_hex hex in
-              Ok (Stream_append { sid; chunk }))
-      | Some (Json.Str "stream_flush") ->
-          decode_sid doc (fun sid -> Ok (Stream_flush { sid }))
-      | Some (Json.Str "stream_close") ->
-          decode_sid doc (fun sid -> Ok (Stream_close { sid }))
-      | Some (Json.Str "status") -> Ok Status
-      | Some (Json.Str "metrics") -> Ok Metrics
-      | Some (Json.Str "ping") -> Ok Ping
-      | Some (Json.Str "shutdown") -> Ok Shutdown
-      | Some (Json.Str c) -> Result.Error (Printf.sprintf "unknown cmd %S" c)
-      | Some _ -> Result.Error "field \"cmd\" must be a string"
-      | None -> Result.Error "missing field \"cmd\"")
+let integrity =
+  C.(
+    seal
+      (obj (fun corrupt gaps stale desync ->
+           { Report.corrupt; gaps; stale; desync })
+      |+ count "corrupt" (fun i -> i.Report.corrupt)
+      |+ count "gaps" (fun i -> i.Report.gaps)
+      |+ count "stale" (fun i -> i.Report.stale)
+      |+ count "desync" (fun i -> i.Report.desync)))
 
-let encode_response r =
-  let doc =
-    match r with
-    | Result { job; outcome = o; queue_ms; run_ms } ->
-        Json.Obj
-          [
-            ("ok", Json.Bool true);
-            ("job", Json.Int job);
-            ("verdict", Json.Str (verdict_string o.verdict));
-            ("races", Json.Int o.races);
-            ("errors", Json.List (List.map (fun e -> Json.Str e) o.errors));
-            ("cache", Json.Str (if o.cache_hit then "hit" else "miss"));
-            ("predicted", Json.Int o.predicted);
-            ("confirmed", Json.Int o.confirmed);
-            ("degraded", Json.Bool o.degraded);
-            ("static", Json.Bool o.static);
-            ("repaired", Json.Bool o.repaired);
-            ("fix", Json.Str o.fix);
-            ("repair_tried", Json.Int o.repair_tried);
-            ("detect_ms", Json.Float o.detect_ms);
-            ("queue_ms", Json.Float queue_ms);
-            ("run_ms", Json.Float run_ms);
-          ]
-    | Rejected { reason; retry_after_ms } ->
-        Json.Obj
-          [
-            ("ok", Json.Bool false);
-            ("error", Json.Str reason);
-            ("retry_after_ms", Json.Int retry_after_ms);
-          ]
-    | Failed { job; code; message } ->
-        Json.Obj
-          [
-            ("ok", Json.Bool false);
-            ("job", Json.Int job);
-            ("error", Json.Str code);
-            ("message", Json.Str message);
-          ]
-    | Stream_opened { sid } ->
-        Json.Obj
-          [
-            ("ok", Json.Bool true);
-            ("sid", Json.Int sid);
-            ("opened", Json.Bool true);
-          ]
-    | Stream_ack { sid; records } ->
-        Json.Obj
-          [
-            ("ok", Json.Bool true);
-            ("sid", Json.Int sid);
-            ("accepted", Json.Int records);
-          ]
-    | Stream_verdict v ->
-        Json.Obj
-          [
-            ("ok", Json.Bool true);
-            ("sid", Json.Int v.sid);
-            ("stream", Json.Bool true);
-            ("final", Json.Bool v.final);
-            ("records", Json.Int v.records);
-            ("races", Json.Int v.races);
-            ("verdict", Json.Str (verdict_string v.verdict));
-            ("degraded", Json.Bool v.degraded);
-            ( "integrity",
-              Json.Obj
-                [
-                  ("corrupt", Json.Int v.corrupt);
-                  ("gaps", Json.Int v.gaps);
-                  ("stale", Json.Int v.stale);
-                  ("desync", Json.Int v.desync);
-                ] );
-          ]
-    | Status_reply s ->
-        let tenants =
-          match s.tenants with
-          | [] -> []
-          | ts ->
-              [
-                ( "tenants",
-                  Json.List
-                    (List.map
-                       (fun tn ->
-                         Json.Obj
-                           [
-                             ("name", Json.Str tn.t_name);
-                             ("queued", Json.Int tn.t_queued);
-                             ("inflight", Json.Int tn.t_inflight);
-                             ("submitted", Json.Int tn.t_submitted);
-                             ("completed", Json.Int tn.t_completed);
-                             ("rejected", Json.Int tn.t_rejected);
-                             ("p50_ms", Json.Float tn.t_p50_ms);
-                             ("p99_ms", Json.Float tn.t_p99_ms);
-                           ])
-                       ts) );
-              ]
-        in
-        let campaign =
-          match s.campaign with
-          | None -> []
-          | Some ca ->
-              [
-                ( "campaign",
-                  Json.Obj
-                    [
-                      ("trials", Json.Int ca.ca_trials);
-                      ("total", Json.Int ca.ca_total);
-                      ("batches", Json.Int ca.ca_batches);
-                      ("silent_wrong", Json.Int ca.ca_silent_wrong);
-                      ("paused", Json.Bool ca.ca_paused);
-                    ] );
-              ]
-        in
-        Json.Obj
-          ([
-            ("ok", Json.Bool true);
-            ("uptime_ms", Json.Float s.uptime_ms);
-            ("workers", Json.Int s.workers);
-            ("busy", Json.Int s.busy);
-            ("queue_depth", Json.Int s.queue_depth);
-            ("queue_capacity", Json.Int s.queue_capacity);
-            ( "jobs",
-              Json.Obj
-                [
-                  ("submitted", Json.Int s.submitted);
-                  ("completed", Json.Int s.completed);
-                  ("failed", Json.Int s.failed);
-                  ("rejected", Json.Int s.rejected);
-                  ("racy", Json.Int s.racy);
-                  ("race_free", Json.Int s.race_free);
-                  ("quarantined", Json.Int s.quarantined);
-                ] );
-            ("workers_restarted", Json.Int s.workers_restarted);
-            ( "cache",
-              Json.Obj
-                [
-                  ("entries", Json.Int s.cache_entries);
-                  ("hits", Json.Int s.cache_hits);
-                  ("misses", Json.Int s.cache_misses);
-                  ("evictions", Json.Int s.cache_evictions);
-                ] );
-            ( "sessions",
-              Json.Obj
-                [
-                  ("seats", Json.Int s.session_seats);
-                  ("open", Json.Int s.open_sessions);
-                  ("opened", Json.Int s.sessions_opened);
-                ] );
-            ( "transport",
-              Json.Obj
-                [
-                  ("corrupt", Json.Int s.integrity_corrupt);
-                  ("gaps", Json.Int s.integrity_gaps);
-                  ("stale", Json.Int s.integrity_stale);
-                  ("desync", Json.Int s.integrity_desync);
-                ] );
-          ]
-          @ tenants @ campaign)
-    | Metrics_reply text ->
-        Json.Obj [ ("ok", Json.Bool true); ("metrics", Json.Str text) ]
-    | Pong -> Json.Obj [ ("ok", Json.Bool true); ("pong", Json.Bool true) ]
-    | Stopping -> Json.Obj [ ("ok", Json.Bool true); ("stopping", Json.Bool true) ]
-    | Error message ->
-        Json.Obj
-          [
-            ("ok", Json.Bool false);
-            ("error", Json.Str "protocol_error");
-            ("message", Json.Str message);
-          ]
-  in
-  Json.to_string ~minify:true doc
+let stream_verdict =
+  C.(
+    seal
+      (obj (fun sid () final records races verdict degraded integrity ->
+           { sid; final; records; races; verdict; degraded; integrity })
+      |+ field "sid" int (fun (v : stream_verdict) -> v.sid)
+      |+ field "stream" marker (fun _ -> ())
+      |+ field ~default:false "final" bool (fun v -> v.final)
+      |+ count "records" (fun v -> v.records)
+      |+ count "races" (fun (v : stream_verdict) -> v.races)
+      |+ field "verdict" verdict (fun (v : stream_verdict) -> v.verdict)
+      |+ field ~default:false "degraded" bool (fun (v : stream_verdict) ->
+             v.degraded)
+      |+ sub "integrity" integrity (fun v -> v.integrity)))
 
-let decode_status doc =
-  let* uptime_ms = float_field ~default:0.0 "uptime_ms" doc in
-  let* workers = int_field "workers" doc in
-  let* busy = int_field "busy" doc in
-  let* queue_depth = int_field "queue_depth" doc in
-  let* queue_capacity = int_field "queue_capacity" doc in
-  let jobs = Option.value ~default:(Json.Obj []) (field "jobs" doc) in
-  let cache = Option.value ~default:(Json.Obj []) (field "cache" doc) in
-  let* submitted = int_field ~default:0 "submitted" jobs in
-  let* completed = int_field ~default:0 "completed" jobs in
-  let* failed = int_field ~default:0 "failed" jobs in
-  let* rejected = int_field ~default:0 "rejected" jobs in
-  let* racy = int_field ~default:0 "racy" jobs in
-  let* race_free = int_field ~default:0 "race_free" jobs in
-  let* quarantined = int_field ~default:0 "quarantined" jobs in
-  let* workers_restarted = int_field ~default:0 "workers_restarted" doc in
-  let* cache_entries = int_field ~default:0 "entries" cache in
-  let* cache_hits = int_field ~default:0 "hits" cache in
-  let* cache_misses = int_field ~default:0 "misses" cache in
-  let* cache_evictions = int_field ~default:0 "evictions" cache in
-  let sessions = Option.value ~default:(Json.Obj []) (field "sessions" doc) in
-  let transport = Option.value ~default:(Json.Obj []) (field "transport" doc) in
-  let* session_seats = int_field ~default:0 "seats" sessions in
-  let* open_sessions = int_field ~default:0 "open" sessions in
-  let* sessions_opened = int_field ~default:0 "opened" sessions in
-  let* integrity_corrupt = int_field ~default:0 "corrupt" transport in
-  let* integrity_gaps = int_field ~default:0 "gaps" transport in
-  let* integrity_stale = int_field ~default:0 "stale" transport in
-  let* integrity_desync = int_field ~default:0 "desync" transport in
-  let* tenants =
-    match field "tenants" doc with
-    | None -> Ok []
-    | Some (Json.List l) ->
-        List.fold_right
-          (fun tn acc ->
-            let* acc = acc in
-            let* t_name = str_field "name" tn in
-            let* t_queued = int_field ~default:0 "queued" tn in
-            let* t_inflight = int_field ~default:0 "inflight" tn in
-            let* t_submitted = int_field ~default:0 "submitted" tn in
-            let* t_completed = int_field ~default:0 "completed" tn in
-            let* t_rejected = int_field ~default:0 "rejected" tn in
-            let* t_p50_ms = float_field ~default:0.0 "p50_ms" tn in
-            let* t_p99_ms = float_field ~default:0.0 "p99_ms" tn in
-            Ok
-              ({
-                 t_name;
-                 t_queued;
-                 t_inflight;
-                 t_submitted;
-                 t_completed;
-                 t_rejected;
-                 t_p50_ms;
-                 t_p99_ms;
-               }
-              :: acc))
-          l (Ok [])
-    | Some _ -> Result.Error "field \"tenants\" must be a list"
-  in
-  let* campaign =
-    match field "campaign" doc with
-    | None -> Ok None
-    | Some ca ->
-        let* ca_trials = int_field ~default:0 "trials" ca in
-        let* ca_total = int_field ~default:0 "total" ca in
-        let* ca_batches = int_field ~default:0 "batches" ca in
-        let* ca_silent_wrong = int_field ~default:0 "silent_wrong" ca in
-        let ca_paused =
-          match field "paused" ca with Some (Json.Bool b) -> b | _ -> false
-        in
-        Ok (Some { ca_trials; ca_total; ca_batches; ca_silent_wrong; ca_paused })
-  in
-  Ok
-    (Status_reply
-       {
-         uptime_ms;
-         workers;
-         busy;
-         queue_depth;
-         queue_capacity;
-         submitted;
-         completed;
-         failed;
-         rejected;
-         racy;
-         race_free;
-         quarantined;
-         workers_restarted;
-         cache_entries;
-         cache_hits;
-         cache_misses;
-         cache_evictions;
-         session_seats;
-         open_sessions;
-         sessions_opened;
-         integrity_corrupt;
-         integrity_gaps;
-         integrity_stale;
-         integrity_desync;
-         tenants;
-         campaign;
-       })
+let jobs =
+  C.(
+    seal
+      (obj
+         (fun submitted completed failed rejected racy race_free quarantined ->
+           { submitted; completed; failed; rejected; racy; race_free;
+             quarantined; workers_restarted = 0 })
+      |+ count "submitted" (fun j -> j.submitted)
+      |+ count "completed" (fun j -> j.completed)
+      |+ count "failed" (fun j -> j.failed)
+      |+ count "rejected" (fun j -> j.rejected)
+      |+ count "racy" (fun j -> j.racy)
+      |+ count "race_free" (fun j -> j.race_free)
+      |+ count "quarantined" (fun j -> j.quarantined)))
 
-let decode_result doc =
-  let* job = int_field "job" doc in
-  let* verdict =
-    match field "verdict" doc with
-    | Some (Json.Str "racy") -> Ok Racy
-    | Some (Json.Str "race_free") -> Ok Race_free
-    | Some (Json.Str v) -> Result.Error (Printf.sprintf "unknown verdict %S" v)
-    | _ -> Result.Error "missing field \"verdict\""
-  in
-  let* races = int_field ~default:0 "races" doc in
-  let* predicted = int_field ~default:0 "predicted" doc in
-  let* confirmed = int_field ~default:0 "confirmed" doc in
-  let errors =
-    match field "errors" doc with
-    | Some (Json.List l) ->
-        List.filter_map (function Json.Str s -> Some s | _ -> None) l
-    | _ -> []
-  in
-  let cache_hit =
-    match field "cache" doc with Some (Json.Str "hit") -> true | _ -> false
-  in
-  let degraded =
-    match field "degraded" doc with Some (Json.Bool b) -> b | _ -> false
-  in
-  let static =
-    match field "static" doc with Some (Json.Bool b) -> b | _ -> false
-  in
-  let repaired =
-    match field "repaired" doc with Some (Json.Bool b) -> b | _ -> false
-  in
-  let fix =
-    match field "fix" doc with Some (Json.Str s) -> s | _ -> ""
-  in
-  let* repair_tried = int_field ~default:0 "repair_tried" doc in
-  let* detect_ms = float_field ~default:0.0 "detect_ms" doc in
-  let* queue_ms = float_field ~default:0.0 "queue_ms" doc in
-  let* run_ms = float_field ~default:0.0 "run_ms" doc in
-  Ok
-    (Result
-       {
-         job;
-         outcome =
-           {
-             verdict;
-             races;
-             errors;
-             cache_hit;
-             predicted;
-             confirmed;
-             degraded;
-             static;
-             repaired;
-             fix;
-             repair_tried;
-             detect_ms;
-           };
-         queue_ms;
-         run_ms;
-       })
+let cache =
+  C.(
+    seal
+      (obj (fun entries hits misses evictions ->
+           { Cache.entries; hits; misses; evictions })
+      |+ count "entries" (fun c -> c.Cache.entries)
+      |+ count "hits" (fun c -> c.Cache.hits)
+      |+ count "misses" (fun c -> c.Cache.misses)
+      |+ count "evictions" (fun c -> c.Cache.evictions)))
 
-let decode_stream_reply ~sid doc =
-  match field "stream" doc with
-  | Some (Json.Bool true) ->
-      let final =
-        match field "final" doc with Some (Json.Bool b) -> b | _ -> false
-      in
-      let* records = int_field ~default:0 "records" doc in
-      let* races = int_field ~default:0 "races" doc in
-      let* verdict =
-        match field "verdict" doc with
-        | Some (Json.Str "racy") -> Ok Racy
-        | Some (Json.Str "race_free") -> Ok Race_free
-        | _ -> Result.Error "missing field \"verdict\""
-      in
-      let degraded =
-        match field "degraded" doc with Some (Json.Bool b) -> b | _ -> false
-      in
-      let integ = Option.value ~default:(Json.Obj []) (field "integrity" doc) in
-      let* corrupt = int_field ~default:0 "corrupt" integ in
-      let* gaps = int_field ~default:0 "gaps" integ in
-      let* stale = int_field ~default:0 "stale" integ in
-      let* desync = int_field ~default:0 "desync" integ in
-      Ok
-        (Stream_verdict
-           {
-             sid;
-             final;
-             records;
-             races;
-             verdict;
-             degraded;
-             corrupt;
-             gaps;
-             stale;
-             desync;
-           })
-  | _ -> (
-      match field "accepted" doc with
-      | Some (Json.Int records) -> Ok (Stream_ack { sid; records })
-      | _ -> (
-          match field "opened" doc with
-          | Some (Json.Bool true) -> Ok (Stream_opened { sid })
-          | _ -> Result.Error "unrecognized stream reply"))
+let sessions =
+  C.(
+    seal
+      (obj (fun seats occupied opened -> { seats; occupied; opened })
+      |+ count "seats" (fun s -> s.seats)
+      |+ count "open" (fun s -> s.occupied)
+      |+ count "opened" (fun s -> s.opened)))
 
-let decode_response line =
-  match Json.of_string line with
-  | Result.Error e -> Result.Error e
-  | Ok doc -> (
-      let ok = match field "ok" doc with Some (Json.Bool b) -> b | _ -> false in
-      if ok then
-        match field "pong" doc with
-        | Some (Json.Bool true) -> Ok Pong
-        | _ -> (
-            match field "stopping" doc with
-            | Some (Json.Bool true) -> Ok Stopping
-            | _ -> (
-                match field "metrics" doc with
-                | Some (Json.Str text) -> Ok (Metrics_reply text)
-                | _ -> (
-                    match field "sid" doc with
-                    | Some (Json.Int sid) -> decode_stream_reply ~sid doc
-                    | _ ->
-                        if field "workers" doc <> None then decode_status doc
-                        else decode_result doc)))
-      else
-        match field "error" doc with
-        | Some (Json.Str "protocol_error") ->
-            let* message = str_field "message" doc in
-            Ok (Error message)
-        | Some (Json.Str reason) -> (
-            match field "retry_after_ms" doc with
-            | Some (Json.Int retry_after_ms) ->
-                Ok (Rejected { reason; retry_after_ms })
-            | _ ->
-                let* job = int_field "job" doc in
-                let* message = str_field "message" doc in
-                Ok (Failed { job; code = reason; message }))
-        | _ -> Result.Error "missing field \"error\"")
+let tenant =
+  C.(
+    seal
+      (obj
+         (fun t_name t_queued t_inflight t_submitted t_completed t_rejected
+              t_p50_ms t_p99_ms ->
+           { t_name; t_queued; t_inflight; t_submitted; t_completed;
+             t_rejected; t_p50_ms; t_p99_ms })
+      |+ field "name" str (fun t -> t.t_name)
+      |+ count "queued" (fun t -> t.t_queued)
+      |+ count "inflight" (fun t -> t.t_inflight)
+      |+ count "submitted" (fun t -> t.t_submitted)
+      |+ count "completed" (fun t -> t.t_completed)
+      |+ count "rejected" (fun t -> t.t_rejected)
+      |+ field ~default:0.0 "p50_ms" float (fun t -> t.t_p50_ms)
+      |+ field ~default:0.0 "p99_ms" float (fun t -> t.t_p99_ms)))
+
+let campaign =
+  C.(
+    seal
+      (obj (fun ca_trials ca_total ca_batches ca_silent_wrong ca_paused ->
+           { ca_trials; ca_total; ca_batches; ca_silent_wrong; ca_paused })
+      |+ count "trials" (fun c -> c.ca_trials)
+      |+ count "total" (fun c -> c.ca_total)
+      |+ count "batches" (fun c -> c.ca_batches)
+      |+ count "silent_wrong" (fun c -> c.ca_silent_wrong)
+      |+ field ~default:false "paused" bool (fun c -> c.ca_paused)))
+
+(* [workers_restarted] is counted with the jobs but travels beside the
+   [jobs] object. *)
+let status =
+  C.(
+    seal
+      (obj
+         (fun uptime_ms workers busy queue_depth queue_capacity jobs
+              workers_restarted cache sessions transport tenants campaign ->
+           { uptime_ms; workers; busy; queue_depth; queue_capacity;
+             jobs = { jobs with workers_restarted };
+             cache; sessions; transport; tenants; campaign })
+      |+ field ~default:0.0 "uptime_ms" float (fun s -> s.uptime_ms)
+      |+ field "workers" int (fun s -> s.workers)
+      |+ field "busy" int (fun s -> s.busy)
+      |+ field "queue_depth" int (fun s -> s.queue_depth)
+      |+ field "queue_capacity" int (fun s -> s.queue_capacity)
+      |+ sub "jobs" jobs (fun s -> s.jobs)
+      |+ count "workers_restarted" (fun s -> s.jobs.workers_restarted)
+      |+ sub "cache" cache (fun s -> s.cache)
+      |+ sub "sessions" sessions (fun s -> s.sessions)
+      |+ sub "transport" integrity (fun s -> s.transport)
+      |+ field ~default:[] ~omit:(( = ) []) "tenants" (list tenant) (fun s ->
+             s.tenants)
+      |+ opt "campaign" campaign (fun s -> s.campaign)))
+
+let ack =
+  C.(
+    seal
+      (obj (fun sid records -> (sid, records))
+      |+ field "sid" int fst
+      |+ field "accepted" int snd))
+
+let opened =
+  C.(
+    seal
+      (obj (fun sid () -> sid)
+      |+ field "sid" int Fun.id
+      |+ field "opened" marker (fun _ -> ())))
+
+let rejected =
+  C.(
+    seal
+      (obj (fun reason retry -> (reason, retry))
+      |+ field "error" str fst
+      |+ field "retry_after_ms" int snd))
+
+let failed =
+  C.(
+    seal
+      (obj (fun job code message -> (job, code, message))
+      |+ field "job" int (fun (j, _, _) -> j)
+      |+ field "error" str (fun (_, c, _) -> c)
+      |+ field "message" str (fun (_, _, m) -> m)))
+
+let protocol_error =
+  C.(
+    seal
+      (obj (fun () message -> message)
+      |+ field "error" (enum [ ("protocol_error", ()) ]) (fun _ -> ())
+      |+ field "message" str Fun.id))
+
+(* Replies are untagged: [ok] and the first key field present (one its
+   case always writes) pick the case, in this order. *)
+let response =
+  C.keyed "ok"
+    [
+      (true, "pong", constant ~key:"pong" Pong);
+      (true, "stopping", constant ~key:"stopping" Stopping);
+      ( true,
+        "metrics",
+        C.case
+          C.(seal (obj Fun.id |+ field "metrics" str Fun.id))
+          (fun text -> Metrics_reply text)
+          (function Metrics_reply text -> Some text | _ -> None) );
+      ( true,
+        "stream",
+        C.case stream_verdict
+          (fun v -> Stream_verdict v)
+          (function Stream_verdict v -> Some v | _ -> None) );
+      ( true,
+        "accepted",
+        C.case ack
+          (fun (sid, records) -> Stream_ack { sid; records })
+          (function
+            | Stream_ack { sid; records } -> Some (sid, records) | _ -> None) );
+      ( true,
+        "opened",
+        C.case opened
+          (fun sid -> Stream_opened { sid })
+          (function Stream_opened { sid } -> Some sid | _ -> None) );
+      ( true,
+        "workers",
+        C.case status
+          (fun s -> Status_reply s)
+          (function Status_reply s -> Some s | _ -> None) );
+      ( true,
+        "job",
+        C.case job_result
+          (fun r -> Result r)
+          (function Result r -> Some r | _ -> None) );
+      ( false,
+        "retry_after_ms",
+        C.case rejected
+          (fun (reason, retry_after_ms) -> Rejected { reason; retry_after_ms })
+          (function
+            | Rejected { reason; retry_after_ms } ->
+                Some (reason, retry_after_ms)
+            | _ -> None) );
+      ( false,
+        "job",
+        C.case failed
+          (fun (job, code, message) -> Failed { job; code; message })
+          (function
+            | Failed { job; code; message } -> Some (job, code, message)
+            | _ -> None) );
+      ( false,
+        "message",
+        C.case protocol_error
+          (fun message -> Error message)
+          (function Error message -> Some message | _ -> None) );
+    ]
+
+let encode_request r = C.to_string request r
+let decode_request line = C.of_string request line
+let encode_response r = C.to_string response r
+let decode_response line = C.of_string response line
 
 (* ------------------------------ framing -------------------------- *)
 

@@ -20,7 +20,17 @@
 
     Everything a daemon can send is a {!response}; malformed requests
     produce [Error] (and close the connection) rather than killing the
-    server. *)
+    server.
+
+    Every frame is declared once, as a {!Telemetry.Json.Codec} object,
+    and that declaration drives both the encoder and the decoder.
+    Requests are tagged by [cmd]; replies are untagged, told apart by
+    [ok] and the first key field present, from one ordered table
+    ([pong], [stopping], [metrics], [stream], [accepted], [opened],
+    [workers], [job] when [ok] is true; [retry_after_ms], [job],
+    [message] when it is false).  A decoded field of the wrong JSON
+    type fails the frame with [field "x" must be …]; an absent
+    optional field takes its default. *)
 
 type kind =
   | Check  (** race-check a PTX kernel through the deployed pipeline *)
@@ -83,6 +93,20 @@ type request =
 
 type verdict = Racy | Race_free
 
+type stream_verdict = {
+  sid : int;
+  final : bool;  (** [true] from [Stream_close] *)
+  records : int;
+      (** cells accepted so far: received, less the corrupt and stale *)
+  races : int;
+  verdict : verdict;
+  degraded : bool;  (** transport integrity trouble was seen *)
+  integrity : Barracuda.Report.integrity;
+      (** the session's transport anomalies, merged across shards *)
+}
+(** A streaming session's verdict so far (flush) or final verdict
+    (close). *)
+
 type outcome = {
   verdict : verdict;
   races : int;  (** distinct races (observed, for [Predict]) *)
@@ -134,28 +158,36 @@ type campaign_status = {
       (** the daemon deferred its last batch to paying work *)
 }
 
+type jobs = {
+  submitted : int;
+  completed : int;
+  failed : int;  (** includes quarantined jobs *)
+  rejected : int;  (** queue-full, shutdown and quota rejects alike *)
+  racy : int;
+  race_free : int;
+  quarantined : int;  (** jobs failed after exhausting crash-restarts *)
+  workers_restarted : int;
+      (** dead worker domains respawned; on the wire it sits beside the
+          [jobs] object rather than inside it *)
+}
+(** Job counts since start: the record {!Scheduler.counts} returns. *)
+
+type sessions = {
+  seats : int;  (** long-lived streaming-session seats *)
+  occupied : int;  (** seats currently occupied (["open"] on the wire) *)
+  opened : int;  (** sessions opened since start *)
+}
+
 type status = {
   uptime_ms : float;
   workers : int;
   busy : int;  (** workers currently executing a job *)
   queue_depth : int;
   queue_capacity : int;
-  submitted : int;
-  completed : int;
-  failed : int;
-  rejected : int;
-  racy : int;
-  race_free : int;
-  quarantined : int;  (** jobs failed after exhausting crash-restarts *)
-  workers_restarted : int;  (** dead worker domains respawned *)
-  cache_entries : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
-  session_seats : int;  (** long-lived streaming-session seats *)
-  open_sessions : int;  (** seats currently occupied *)
-  sessions_opened : int;  (** sessions opened since start *)
-  integrity_corrupt : int;
+  jobs : jobs;
+  cache : Cache.stats;
+  sessions : sessions;
+  transport : Barracuda.Report.integrity;
       (** transport anomalies of this daemon's streaming sessions, as
           of each session's latest verdict (flush or close), merged
           across shards as the verdict is: wire records dropped for
@@ -166,9 +198,6 @@ type status = {
           Prometheus [barracuda_transport_integrity_*] counters differ:
           they are process-wide and count per detector, so a sharded
           stream's anomaly counts once per shard there. *)
-  integrity_gaps : int;
-  integrity_stale : int;
-  integrity_desync : int;
   tenants : tenant_status list;
       (** one entry per tenant the scheduler has seen, sorted by name;
           empty from daemons predating fleet mode *)
@@ -176,14 +205,18 @@ type status = {
       (** the background fault campaign, when one is running inside the
           daemon *)
 }
+(** A [status] reply.  It nests the way its JSON does: [jobs], [cache],
+    [sessions] and [transport] are sub-objects on the wire too. *)
+
+type job_result = {
+  job : int;
+  outcome : outcome;
+  queue_ms : float;  (** time spent waiting in the job queue *)
+  run_ms : float;  (** execution time on the worker *)
+}
 
 type response =
-  | Result of {
-      job : int;
-      outcome : outcome;
-      queue_ms : float;  (** time spent waiting in the job queue *)
-      run_ms : float;  (** execution time on the worker *)
-    }
+  | Result of job_result
   | Rejected of { reason : string; retry_after_ms : int }
       (** backpressure: the job queue is full (or the daemon is
           stopping); retry after the hinted delay *)
@@ -195,18 +228,7 @@ type response =
       (** append accepted; [records] is the session's cumulative count
           of cells received, anomalous ones included (the verdict's
           [records] counts those accepted) *)
-  | Stream_verdict of {
-      sid : int;
-      final : bool;  (** [true] from [Stream_close] *)
-      records : int;
-      races : int;
-      verdict : verdict;
-      degraded : bool;
-      corrupt : int;
-      gaps : int;
-      stale : int;
-      desync : int;
-    }  (** verdict-so-far (flush) or final verdict (close) *)
+  | Stream_verdict of stream_verdict
   | Status_reply of status
   | Metrics_reply of string
   | Pong

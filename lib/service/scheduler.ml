@@ -25,7 +25,7 @@ let retry_after_ms = 50
 let max_job_restarts = 2
 let watchdog_interval_s = 0.02
 
-type counts = {
+type counts = Protocol.jobs = {
   submitted : int;
   completed : int;
   failed : int;
@@ -607,8 +607,6 @@ let create ?(config = default_config) ~exec () =
   t.watchdog <- Some (Thread.create watchdog_loop t);
   t
 
-let session_seats t = Array.length t.seats
-
 let session_open t =
   Mutex.lock t.lock;
   let found =
@@ -662,17 +660,13 @@ let session_close t seat =
   end;
   Mutex.unlock t.lock
 
-let open_sessions t =
-  Mutex.lock t.lock;
-  let n = t.sessions_open in
-  Mutex.unlock t.lock;
-  n
-
-let sessions_opened t =
-  Mutex.lock t.lock;
-  let n = t.sessions_opened_total in
-  Mutex.unlock t.lock;
-  n
+let sessions t =
+  Mutex.protect t.lock (fun () ->
+      {
+        Protocol.seats = Array.length t.seats;
+        occupied = t.sessions_open;
+        opened = t.sessions_opened_total;
+      })
 
 let reject t tn ~reason ~retry_after_ms ~reply =
   t.c <- { t.c with rejected = t.c.rejected + 1 };
@@ -716,28 +710,6 @@ let submit t sub ~reply =
         Telemetry.Metric.counter_incr tn.tn_m_submitted;
         Condition.signal t.nonempty;
         Mutex.unlock t.lock
-
-let note_static ?tenant t ~racy =
-  Mutex.lock t.lock;
-  let tn = tenant_of t (Option.value ~default:default_tenant tenant) in
-  t.next_id <- t.next_id + 1;
-  let id = t.next_id in
-  let c = t.c in
-  t.c <-
-    (if racy then
-       { c with submitted = c.submitted + 1; completed = c.completed + 1;
-         racy = c.racy + 1 }
-     else
-       { c with submitted = c.submitted + 1; completed = c.completed + 1;
-         race_free = c.race_free + 1 });
-  tn.tn_submitted <- tn.tn_submitted + 1;
-  tn.tn_completed <- tn.tn_completed + 1;
-  Mutex.unlock t.lock;
-  Telemetry.Metric.counter_incr tn.tn_m_submitted;
-  Telemetry.Metric.counter_incr tn.tn_m_completed;
-  Telemetry.Metric.counter_incr
-    (if racy then t.m_jobs_racy else t.m_jobs_race_free);
-  id
 
 let depth t =
   Mutex.lock t.lock;

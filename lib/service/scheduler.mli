@@ -99,7 +99,7 @@ val retry_after_ms : int
     and by the daemon's [sessions_exhausted] (quota rejects compute
     their own exact refill hint). *)
 
-type counts = {
+type counts = Protocol.jobs = {
   submitted : int;
   completed : int;
   failed : int;  (** includes quarantined jobs *)
@@ -109,6 +109,7 @@ type counts = {
   quarantined : int;  (** jobs failed after exhausting crash-restarts *)
   workers_restarted : int;  (** dead worker domains respawned *)
 }
+(** The [jobs] counts of a daemon's status reply. *)
 
 type t
 
@@ -128,7 +129,9 @@ val create :
 
 val submit :
   t -> Protocol.submit -> reply:(Protocol.response -> unit) -> unit
-(** Enqueue a job under its tenant.  [reply] is invoked exactly once —
+(** Enqueue a job under its tenant: the daemon's one way to a job's
+    answer, provably racy submissions included (their worker answers
+    them without executing).  [reply] is invoked exactly once —
     with [Rejected] synchronously when the shared queue is full, the
     scheduler is stopping, or the tenant's token bucket is dry (reason
     ["tenant_quota"], retry hint = time until a token accrues);
@@ -137,16 +140,6 @@ val submit :
     [Failed {code = "quarantined"}] if the job kept crashing its
     workers.  Exceptions from [reply] are swallowed: a client that
     hung up cannot hurt the worker. *)
-
-val note_static : ?tenant:string -> t -> racy:bool -> int
-(** Account a job answered outside the worker pool (the daemon's
-    static-verdict fast path): allocates a fresh job id from the same
-    sequence worker jobs use and counts the job as submitted, completed
-    and racy/race-free — under [tenant] (default {!default_tenant}) —
-    so [counts], {!tenant_status} and the
-    [barracuda_service_jobs_total] telemetry cover statically-answered
-    submissions and clients see a real, unique job id.  Static answers
-    bypass quota admission: they cost no worker time. *)
 
 val depth : t -> int
 (** Jobs waiting across every tenant queue. *)
@@ -181,11 +174,9 @@ val session_call : seat -> (unit -> 'a) -> 'a
 val session_close : t -> seat -> unit
 (** Release the seat for the next session.  Idempotent. *)
 
-val session_seats : t -> int
-val open_sessions : t -> int
-val sessions_opened : t -> int
-(** Seats configured / currently occupied / total sessions ever
-    opened. *)
+val sessions : t -> Protocol.sessions
+(** Seats configured, currently occupied, and sessions ever opened: the
+    [sessions] object of a daemon's status reply. *)
 
 val stop : t -> unit
 (** Stop accepting work, let the workers finish everything already

@@ -72,9 +72,6 @@ let set_campaign_hook t hook = t.campaign_hook <- hook
 let load t = Scheduler.depth t.sched + Scheduler.busy t.sched
 
 let status t =
-  let c = Scheduler.counts t.sched in
-  let cs = Cache.stats t.cache in
-  let i = Mutex.protect t.integrity_lock (fun () -> t.integrity) in
   {
     Protocol.uptime_ms =
       Int64.to_float (Telemetry.Clock.elapsed_ns ~since:t.started_ns) /. 1e6;
@@ -82,25 +79,10 @@ let status t =
     busy = Scheduler.busy t.sched;
     queue_depth = Scheduler.depth t.sched;
     queue_capacity = t.config.queue_capacity;
-    submitted = c.Scheduler.submitted;
-    completed = c.Scheduler.completed;
-    failed = c.Scheduler.failed;
-    rejected = c.Scheduler.rejected;
-    racy = c.Scheduler.racy;
-    race_free = c.Scheduler.race_free;
-    quarantined = c.Scheduler.quarantined;
-    workers_restarted = c.Scheduler.workers_restarted;
-    cache_entries = cs.Cache.entries;
-    cache_hits = cs.Cache.hits;
-    cache_misses = cs.Cache.misses;
-    cache_evictions = cs.Cache.evictions;
-    session_seats = Scheduler.session_seats t.sched;
-    open_sessions = Scheduler.open_sessions t.sched;
-    sessions_opened = Scheduler.sessions_opened t.sched;
-    integrity_corrupt = i.Barracuda.Report.corrupt;
-    integrity_gaps = i.Barracuda.Report.gaps;
-    integrity_stale = i.Barracuda.Report.stale;
-    integrity_desync = i.Barracuda.Report.desync;
+    jobs = Scheduler.counts t.sched;
+    cache = Cache.stats t.cache;
+    sessions = Scheduler.sessions t.sched;
+    transport = Mutex.protect t.integrity_lock (fun () -> t.integrity);
     tenants = Scheduler.tenant_status t.sched;
     campaign = t.campaign_hook ();
   }
@@ -145,10 +127,7 @@ let stream_verdict t s ~sid (p : Gpu_runtime.Session.progress) =
         (if p.Gpu_runtime.Session.p_has_race then Protocol.Racy
          else Protocol.Race_free);
       degraded = p.Gpu_runtime.Session.p_degraded;
-      corrupt = cur.Barracuda.Report.corrupt;
-      gaps = cur.Barracuda.Report.gaps;
-      stale = cur.Barracuda.Report.stale;
-      desync = cur.Barracuda.Report.desync;
+      integrity = cur;
     }
 
 (* One client connection, on its own thread.  Reads are channel-based
@@ -300,46 +279,13 @@ let handle_connection t fd =
             send
               (Protocol.Error "cannot submit while a streaming session is open");
             close ()
-        | Ok (Protocol.Submit sub) -> (
-            (* Statically-provable racy kernels whose artifacts are
-               already cached are answered right here on the connection
-               thread: no queue seat, no worker, no execution.  The
-               probe is a pure cache peek, so a burst of connections
-               cannot pile heavy analysis work onto accept threads —
-               cold kernels (and anything the probe chokes on) take the
-               normal queued path, which enforces admission control,
-               warms the cache, and short-circuits statically itself. *)
-            match
-              Exec.static_verdict ~cache:t.cache ~job:0 sub
-            with
-            | Some resp ->
-                (* Account the answer like any other job: a real id from
-                   the scheduler's sequence, counted in status. *)
-                let resp =
-                  match resp with
-                  | Protocol.Result ({ outcome; _ } as r) ->
-                      let racy =
-                        outcome.Protocol.verdict = Protocol.Racy
-                      in
-                      Protocol.Result
-                        {
-                          r with
-                          job =
-                            Scheduler.note_static ?tenant:sub.Protocol.tenant
-                              t.sched ~racy;
-                        }
-                  | other -> other
-                in
-                send resp;
-                continue ()
-            | None ->
-                (* The reply callback runs on a worker domain; from here
-                   on the worker owns the descriptor. *)
-                Scheduler.submit t.sched sub ~reply:(fun resp ->
-                    (try
-                       Protocol.write_frame fd (Protocol.encode_response resp)
-                     with Unix.Unix_error _ | Sys_error _ -> ());
-                    try Unix.close fd with Unix.Unix_error _ -> ())))
+        | Ok (Protocol.Submit sub) ->
+            (* The reply callback runs on a worker domain; from here on
+               the worker owns the descriptor. *)
+            Scheduler.submit t.sched sub ~reply:(fun resp ->
+                (try Protocol.write_frame fd (Protocol.encode_response resp)
+                 with Unix.Unix_error _ | Sys_error _ -> ());
+                try Unix.close fd with Unix.Unix_error _ -> ()))
   in
   try loop () with _ -> close ()
 

@@ -182,10 +182,12 @@ let of_string s =
           | Some f -> Float f
           | None -> fail ("bad number " ^ text))
   in
-  let rec parse_value () =
+  (* [depth] is bounded, so no input can exhaust the stack *)
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
+    | Some ('{' | '[') when depth >= 64 -> fail "nesting deeper than 64"
     | Some '{' ->
         advance ();
         skip_ws ();
@@ -200,7 +202,7 @@ let of_string s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             fields := (k, v) :: !fields;
             skip_ws ();
             match peek () with
@@ -221,7 +223,7 @@ let of_string s =
         else begin
           let items = ref [] in
           let rec items_loop () =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             items := v :: !items;
             skip_ws ();
             match peek () with
@@ -240,7 +242,7 @@ let of_string s =
     | Some c -> fail (Printf.sprintf "unexpected character %c" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v
@@ -249,10 +251,141 @@ let of_string s =
   | exception Parse_error (at, msg) ->
       Error (Printf.sprintf "JSON parse error at byte %d: %s" at msg)
 
-let member k = function
-  | Obj fields -> List.assoc_opt k fields
-  | _ -> None
+let rec lookup k = function
+  | [] -> None
+  | (k', v) :: rest -> if String.equal k k' then Some v else lookup k rest
+
+let member k = function Obj fields -> lookup k fields | _ -> None
 
 let to_int = function Int i -> Some i | _ -> None
 let to_list = function List l -> Some l | _ -> None
 let to_str = function Str s -> Some s | _ -> None
+
+(* ------------------------------ codecs -------------------------- *)
+
+module Codec = struct
+  type json = t
+
+  (* Decoders raise [Invalid] (a whole message) or [Mismatch w], which a
+     field reports as [field "x" must be w]; [decode] catches both. *)
+  exception Mismatch of string
+  exception Invalid of string
+
+  type 'a t = { enc : 'a -> json; dec : json -> 'a }
+
+  let invalid fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt
+
+  let scalar what enc read =
+    let dec j = match read j with Some v -> v | None -> raise (Mismatch what) in
+    { enc; dec }
+
+  let int = scalar "an integer" (fun i -> Int i) to_int
+  let str = scalar "a string" (fun s -> Str s) to_str
+  let bool = scalar "a boolean" (fun b -> Bool b) (function
+      | Bool b -> Some b | _ -> None)
+  let marker = scalar "true" (fun () -> Bool true) (function
+      | Bool true -> Some () | _ -> None)
+  let float = scalar "a number" (fun f -> Float f) (function
+      | Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None)
+  let list c =
+    let item j =
+      try c.dec j with Mismatch w -> raise (Mismatch ("a list, each item " ^ w))
+    in
+    scalar "a list" (fun l -> List (List.map c.enc l)) (fun j ->
+        Option.map (List.map item) (to_list j))
+
+  let enum cases =
+    let names = List.map (fun (n, _) -> Printf.sprintf "%S" n) cases in
+    scalar ("one of " ^ String.concat ", " names)
+      (fun v -> Str (fst (List.find (fun (_, v') -> v' = v) cases)))
+      (fun j -> Option.bind (to_str j) (fun s -> lookup s cases))
+
+  let conv enc dec c =
+    let dec j = Result.fold ~ok:Fun.id ~error:(invalid "%s") (dec (c.dec j)) in
+    { enc = (fun v -> c.enc (enc v)); dec }
+
+  type ('o, 'a) field =
+    ('o -> (string * json) list -> (string * json) list)
+    * ((string * json) list -> 'a)
+
+  let field ?default ?omit name c get =
+    ( (fun o acc ->
+        let v = get o in
+        match omit with
+        | Some omit when omit v -> acc
+        | _ -> (name, c.enc v) :: acc),
+      fun fields ->
+        match (lookup name fields, default) with
+        | Some j, _ -> (
+            try c.dec j with Mismatch w -> invalid "field %S must be %s" name w)
+        | None, Some d -> d
+        | None, None -> invalid "missing field %S" name )
+
+  let opt name c get =
+    let enc = function Some v -> c.enc v | None -> Null in
+    field ~default:None ~omit:Option.is_none name
+      { enc; dec = (fun j -> Some (c.dec j)) } get
+
+  (* The encoders, last declared first, and the fields' decoder. *)
+  type ('o, 'k) obj =
+    ('o -> (string * json) list -> (string * json) list) list
+    * ((string * json) list -> 'k)
+
+  let obj k = ([], fun _ -> k)
+  let ( |+ ) (encs, build) (enc, dec) =
+    (enc :: encs, fun fields -> let k = build fields in k (dec fields))
+  let fields_of = function Obj f -> f | _ -> raise (Mismatch "an object")
+
+  let seal (encs, build) =
+    let enc o = Obj (List.fold_left (fun acc e -> e o acc) [] encs) in
+    { enc; dec = (fun j -> build (fields_of j)) }
+
+  let assoc names c =
+    let enc l = Obj (List.map (fun (k, v) -> (k, c.enc v)) l) in
+    let read fields name = (name, snd (field name c Fun.id) fields) in
+    { enc; dec = (fun j -> List.map (read (fields_of j)) names) }
+
+  type 'a case = Case : 'b t * ('b -> 'a) * ('a -> 'b option) -> 'a case
+  let case c inj proj = Case (c, inj, proj)
+
+  (* A sum: a value's first case encodes it after its [head] field, and
+     [pick] chooses the case that decodes a document. *)
+  let union heads pick =
+    let rec enc v = function
+      | [] -> invalid_arg "Json.Codec: a value outside every case"
+      | (head, Case (c, _, proj)) :: rest -> (
+          match proj v with
+          | None -> enc v rest
+          | Some b -> ( match c.enc b with Obj f -> Obj (head :: f) | j -> j))
+    in
+    let dec j = match pick (fields_of j) with Case (c, i, _) -> i (c.dec j) in
+    { enc = (fun v -> enc v heads); dec }
+
+  let tagged tag cases =
+    let read = snd (field tag str Fun.id) in
+    union (List.map (fun (name, case) -> ((tag, Str name), case)) cases)
+      (fun fields ->
+        let name = read fields in
+        match lookup name cases with
+        | Some case -> case
+        | None -> invalid "unknown %s %S" tag name)
+
+  let keyed flag rows =
+    let read = snd (field ~default:false flag bool Fun.id) in
+    union (List.map (fun (b, _, case) -> ((flag, Bool b), case)) rows)
+      (fun fields ->
+        let b = read fields in
+        let rows = List.filter (fun (b', _, _) -> b' = b) rows in
+        let has (_, key, _) = Option.is_some (lookup key fields) in
+        let last = List.hd (List.rev rows) in
+        let _, _, c = List.find_opt has rows |> Option.value ~default:last in
+        c)
+
+  let encode c v = c.enc v
+  let decode c j =
+    try Ok (c.dec j) with
+    | Invalid m -> Error m
+    | Mismatch w -> Error ("document must be " ^ w)
+  let to_string c v = to_string ~minify:true (c.enc v)
+  let of_string c s = Result.bind (of_string s) (decode c)
+end

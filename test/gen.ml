@@ -244,6 +244,23 @@ let trace_of_program prog =
   let args = setup m in
   Gtrace.Infer.run ~layout m k args
 
+(* ---- Byte mutations of untrusted inputs -------------------------- *)
+
+(* 1-4 byte flips, deletions, insertions or cuts, at seeded positions. *)
+let gen_mutations = list_size (int_range 1 4) (triple (int_range 0 3) nat char)
+
+let mutate s muts =
+  List.fold_left
+    (fun s (op, at, c) ->
+      let n = String.length s in
+      let i = at mod (n + 1) in
+      match op with
+      | 0 when i < n -> String.mapi (fun j d -> if j = i then c else d) s
+      | 1 when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+      | 2 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+      | _ -> String.sub s 0 i)
+    s muts
+
 (* ---- Deterministic property runs --------------------------------- *)
 
 (* Property tests draw from a pinned PRNG seed so a CI failure

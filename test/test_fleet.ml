@@ -79,6 +79,22 @@ let test_journal_version_rejected () =
            ~needle:(Printf.sprintf "expected %d" Journal.schema_version)
            e)
 
+(* A journal is untrusted input: a mutated one opens or fails with a
+   message, and nothing escapes. *)
+let prop_mutated_journal =
+  let dir = tmp_dir "mutated" in
+  let journal =
+    lazy
+      (let j = Journal.create ~seed:7 ~cases:1 ~trials:1 in
+       ignore (Journal.step j ~n:2);
+       Journal.save ~dir j;
+       In_channel.with_open_bin (Journal.path ~dir) In_channel.input_all)
+  in
+  QCheck2.Test.make ~name:"mutated journals open or fail, never raise"
+    ~count:300 Gen.gen_mutations (fun muts ->
+      write_file (Journal.path ~dir) (Gen.mutate (Lazy.force journal) muts);
+      match Journal.open_dir dir with Ok _ | Error _ -> true)
+
 let test_campaign_report_carries_version () =
   let report =
     Campaign.run ~config:{ Campaign.seed = 3; quick = true; trials = 1 } ()
@@ -238,3 +254,4 @@ let suite =
     Alcotest.test_case "daemon completes and resumes" `Quick
       test_daemon_completes_and_resumes;
   ]
+  @ List.map Gen.to_alcotest [ prop_mutated_journal ]

@@ -208,6 +208,38 @@ let test_serialize_rejects_garbage () =
   expect_error "# barracuda-trace v1 warp_size=4 threads_per_block=8 blocks=2\nbogus op";
   expect_error "# barracuda-trace v1 warp_size=4 threads_per_block=8 blocks=2\nwr tX g:0x0 =1"
 
+(* Inputs that escaped as [Invalid_argument] or parsed silently into a
+   trace naming ids its layout does not have: each is a [Parse_error]
+   at its line, the one error the CLI (exit 2) and the daemon
+   ([parse_error]) report. *)
+let test_serialize_typed_errors () =
+  let header =
+    "# barracuda-trace v1 warp_size=4 threads_per_block=8 blocks=2"
+  in
+  List.iter
+    (fun (what, text, line) ->
+      match Gtrace.Serialize.of_string text with
+      | exception Gtrace.Serialize.Parse_error e ->
+          Alcotest.(check int) (what ^ ": line") line e.line
+      | exception e ->
+          Alcotest.failf "%s: escaped %s" what (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: accepted" what)
+    [
+      ("empty space tag", header ^ "\nrd t0 :0x1000", 2);
+      ("negative thread", header ^ "\nrd t-1 g:0x1000", 2);
+      ( "zero blocks",
+        "# barracuda-trace v1 warp_size=4 threads_per_block=8 blocks=0",
+        1 );
+      ( "zero warp size",
+        "# barracuda-trace v1 warp_size=0 threads_per_block=8 blocks=2",
+        1 );
+      ("thread outside the layout", header ^ "\nrd t99999 g:0x1000", 2);
+      ("block outside the layout", header ^ "\nbar b7", 2);
+      ("warp outside the layout", header ^ "\nendi w99 f", 2);
+      ("shared region outside the layout", header ^ "\nrd t0 s9:0x10", 2);
+      ("mask lane beyond the warp", header ^ "\nendi w0 ffffffffff", 2);
+    ]
+
 let test_serialize_replay_equal_verdict () =
   let prog = [ Gen.Global_store (0, Gen.Lane_dependent); Gen.Barrier; Gen.Global_load 0 ] in
   let ops, _ = trace_of prog in
@@ -250,6 +282,8 @@ let suite =
     Alcotest.test_case "feasible: accepts simple" `Quick test_feasible_accepts_simple;
     Alcotest.test_case "serialize rejects garbage" `Quick
       test_serialize_rejects_garbage;
+    Alcotest.test_case "serialize: typed errors" `Quick
+      test_serialize_typed_errors;
     Alcotest.test_case "serialize replay verdict" `Quick
       test_serialize_replay_equal_verdict;
   ]

@@ -38,149 +38,191 @@ let with_server ?(workers = 2) ?(queue_capacity = 64) ?max_steps
 
 (* ---- protocol ---------------------------------------------------- *)
 
-let check_request_roundtrip req =
-  match P.decode_request (P.encode_request req) with
-  | Ok req' ->
-      Alcotest.(check bool) (P.encode_request req) true (req = req')
-  | Result.Error e -> Alcotest.failf "decode_request: %s" e
+let golden_status =
+  {
+    P.uptime_ms = 1234.5;
+    workers = 4;
+    busy = 1;
+    queue_depth = 2;
+    queue_capacity = 64;
+    jobs =
+      {
+        P.submitted = 10;
+        completed = 7;
+        failed = 1;
+        rejected = 2;
+        racy = 3;
+        race_free = 4;
+        quarantined = 1;
+        workers_restarted = 2;
+      };
+    cache = { Service.Cache.entries = 5; hits = 6; misses = 5; evictions = 0 };
+    sessions = { P.seats = 2; occupied = 1; opened = 9 };
+    transport =
+      { Barracuda.Report.corrupt = 3; gaps = 2; stale = 1; desync = 4 };
+    tenants =
+      [
+        {
+          P.t_name = "acme";
+          t_queued = 1;
+          t_inflight = 2;
+          t_submitted = 9;
+          t_completed = 6;
+          t_rejected = 1;
+          t_p50_ms = 2.5;
+          t_p99_ms = 50.0;
+        };
+        {
+          P.t_name = "default";
+          t_queued = 0;
+          t_inflight = 0;
+          t_submitted = 1;
+          t_completed = 1;
+          t_rejected = 0;
+          t_p50_ms = 0.0;
+          t_p99_ms = 0.0;
+        };
+      ];
+    campaign =
+      Some
+        {
+          P.ca_trials = 12;
+          ca_total = 800;
+          ca_batches = 2;
+          ca_silent_wrong = 0;
+          ca_paused = true;
+        };
+  }
 
-let check_response_roundtrip resp =
-  match P.decode_response (P.encode_response resp) with
-  | Ok resp' ->
-      Alcotest.(check bool) (P.encode_response resp) true (resp = resp')
-  | Result.Error e -> Alcotest.failf "decode_response: %s" e
+(* Every constructor, with the line the wire format has always had for
+   it: clients and daemons of any build interoperate. *)
+let golden_requests =
+  [
+    ( P.Ping, "{\"cmd\":\"ping\"}" );
+    ( P.Status, "{\"cmd\":\"status\"}" );
+    ( P.Metrics, "{\"cmd\":\"metrics\"}" );
+    ( P.Shutdown, "{\"cmd\":\"shutdown\"}" );
+    ( P.Submit (P.submit_defaults ~kind:P.Check ".visible .entry k () { ret; }"),
+      "{\"cmd\":\"submit\",\"kind\":\"check\",\"payload\":\".visible .entry k () { ret; }\"}" );
+    ( P.Submit
+      {
+        P.kind = P.Predict;
+        payload = "line one\nline \"two\"\ttab\\slash\x01";
+        layout = Some (4, 128, 32);
+        args = [ "alloc:256"; "int:7"; "42" ];
+        prune = false;
+        static = false;
+        tenant = Some "acme";
+      },
+      "{\"cmd\":\"submit\",\"kind\":\"predict\",\"payload\":\"line one\\nline \\\"two\\\"\\ttab\\\\slash\\u0001\",\"layout\":{\"blocks\":4,\"tpb\":128,\"warp\":32},\"args\":[\"alloc:256\",\"int:7\",\"42\"],\"tenant\":\"acme\",\"prune\":false,\"static\":false}" );
+    ( P.Stream_open
+      {
+        (P.submit_defaults ~kind:P.Repair "k") with
+        P.layout = Some (2, 64, 16);
+        tenant = Some "t";
+        static = false;
+      },
+      "{\"cmd\":\"stream_open\",\"kind\":\"repair\",\"payload\":\"k\",\"layout\":{\"blocks\":2,\"tpb\":64,\"warp\":16},\"tenant\":\"t\",\"static\":false}" );
+    ( P.Stream_append { sid = 7; chunk = "\x00\xffbinary\ngoo\x01" },
+      "{\"cmd\":\"stream_append\",\"sid\":7,\"hex\":\"00ff62696e6172790a676f6f01\"}" );
+    ( P.Stream_flush { sid = 7 }, "{\"cmd\":\"stream_flush\",\"sid\":7}" );
+    ( P.Stream_close { sid = 8 }, "{\"cmd\":\"stream_close\",\"sid\":8}" );
+  ]
+
+let golden_responses =
+  [
+    ( P.Pong, "{\"ok\":true,\"pong\":true}" );
+    ( P.Stopping, "{\"ok\":true,\"stopping\":true}" );
+    ( P.Error "unparsable request",
+      "{\"ok\":false,\"error\":\"protocol_error\",\"message\":\"unparsable request\"}" );
+    ( P.Rejected { reason = "queue_full"; retry_after_ms = 50 },
+      "{\"ok\":false,\"error\":\"queue_full\",\"retry_after_ms\":50}" );
+    ( P.Failed { job = 9; code = "parse_error"; message = "PTX line 3: no" },
+      "{\"ok\":false,\"job\":9,\"error\":\"parse_error\",\"message\":\"PTX line 3: no\"}" );
+    ( P.Result
+      {
+        P.job = 4;
+        outcome =
+          {
+            P.verdict = P.Racy;
+            races = 3;
+            errors = [ "race on g[0]"; "race on g[1]" ];
+            cache_hit = true;
+            predicted = 2;
+            confirmed = 1;
+            degraded = true;
+            static = true;
+            repaired = false;
+            fix = "";
+            repair_tried = 0;
+            detect_ms = 0.1;
+          };
+        queue_ms = 0.25;
+        run_ms = 41.5;
+      },
+      "{\"ok\":true,\"job\":4,\"verdict\":\"racy\",\"races\":3,\"errors\":[\"race on g[0]\",\"race on g[1]\"],\"cache\":\"hit\",\"predicted\":2,\"confirmed\":1,\"degraded\":true,\"static\":true,\"repaired\":false,\"fix\":\"\",\"repair_tried\":0,\"detect_ms\":0.10000000000000001,\"queue_ms\":0.25,\"run_ms\":41.5}" );
+    ( P.Result
+      {
+        P.job = 5;
+        outcome =
+          {
+            P.default_outcome with
+            P.repaired = true;
+            fix = "insert bar.sync after insn 3";
+            repair_tried = 2;
+            detect_ms = 12.0;
+          };
+        queue_ms = 1e-3;
+        run_ms = 2e15;
+      },
+      "{\"ok\":true,\"job\":5,\"verdict\":\"race_free\",\"races\":0,\"errors\":[],\"cache\":\"miss\",\"predicted\":0,\"confirmed\":0,\"degraded\":false,\"static\":false,\"repaired\":true,\"fix\":\"insert bar.sync after insn 3\",\"repair_tried\":2,\"detect_ms\":12.0,\"queue_ms\":0.001,\"run_ms\":2000000000000000}" );
+    ( P.Status_reply golden_status,
+      "{\"ok\":true,\"uptime_ms\":1234.5,\"workers\":4,\"busy\":1,\"queue_depth\":2,\"queue_capacity\":64,\"jobs\":{\"submitted\":10,\"completed\":7,\"failed\":1,\"rejected\":2,\"racy\":3,\"race_free\":4,\"quarantined\":1},\"workers_restarted\":2,\"cache\":{\"entries\":5,\"hits\":6,\"misses\":5,\"evictions\":0},\"sessions\":{\"seats\":2,\"open\":1,\"opened\":9},\"transport\":{\"corrupt\":3,\"gaps\":2,\"stale\":1,\"desync\":4},\"tenants\":[{\"name\":\"acme\",\"queued\":1,\"inflight\":2,\"submitted\":9,\"completed\":6,\"rejected\":1,\"p50_ms\":2.5,\"p99_ms\":50.0},{\"name\":\"default\",\"queued\":0,\"inflight\":0,\"submitted\":1,\"completed\":1,\"rejected\":0,\"p50_ms\":0.0,\"p99_ms\":0.0}],\"campaign\":{\"trials\":12,\"total\":800,\"batches\":2,\"silent_wrong\":0,\"paused\":true}}" );
+    ( P.Status_reply
+      { golden_status with P.tenants = []; campaign = None; uptime_ms = 0.0 },
+      "{\"ok\":true,\"uptime_ms\":0.0,\"workers\":4,\"busy\":1,\"queue_depth\":2,\"queue_capacity\":64,\"jobs\":{\"submitted\":10,\"completed\":7,\"failed\":1,\"rejected\":2,\"racy\":3,\"race_free\":4,\"quarantined\":1},\"workers_restarted\":2,\"cache\":{\"entries\":5,\"hits\":6,\"misses\":5,\"evictions\":0},\"sessions\":{\"seats\":2,\"open\":1,\"opened\":9},\"transport\":{\"corrupt\":3,\"gaps\":2,\"stale\":1,\"desync\":4}}" );
+    ( P.Stream_opened { sid = 7 }, "{\"ok\":true,\"sid\":7,\"opened\":true}" );
+    ( P.Stream_ack { sid = 7; records = 1234 },
+      "{\"ok\":true,\"sid\":7,\"accepted\":1234}" );
+    ( P.Stream_verdict
+      {
+        P.sid = 7;
+        final = false;
+        records = 1234;
+        races = 2;
+        verdict = P.Racy;
+        degraded = true;
+        integrity =
+          { Barracuda.Report.corrupt = 1; gaps = 2; stale = 0; desync = 0 };
+      },
+      "{\"ok\":true,\"sid\":7,\"stream\":true,\"final\":false,\"records\":1234,\"races\":2,\"verdict\":\"racy\",\"degraded\":true,\"integrity\":{\"corrupt\":1,\"gaps\":2,\"stale\":0,\"desync\":0}}" );
+    ( P.Stream_verdict
+      {
+        P.sid = 8;
+        final = true;
+        records = 0;
+        races = 0;
+        verdict = P.Race_free;
+        degraded = false;
+        integrity =
+          { Barracuda.Report.corrupt = 0; gaps = 0; stale = 0; desync = 3 };
+      },
+      "{\"ok\":true,\"sid\":8,\"stream\":true,\"final\":true,\"records\":0,\"races\":0,\"verdict\":\"race_free\",\"degraded\":false,\"integrity\":{\"corrupt\":0,\"gaps\":0,\"stale\":0,\"desync\":3}}" );
+    ( P.Metrics_reply "# TYPE a counter\na 1\n",
+      "{\"ok\":true,\"metrics\":\"# TYPE a counter\\na 1\\n\"}" );
+  ]
 
 let test_protocol_roundtrip () =
-  List.iter check_request_roundtrip
-    [
-      P.Ping;
-      P.Status;
-      P.Metrics;
-      P.Shutdown;
-      P.Submit (P.submit_defaults ~kind:P.Check ".visible .entry k () { ret; }");
-      P.Submit
-        {
-          P.kind = P.Predict;
-          payload = "line one\nline \"two\"\ttab\\slash";
-          layout = Some (4, 128, 32);
-          args = [ "alloc:256"; "int:7"; "42" ];
-          prune = false;
-          static = false;
-          tenant = Some "acme";
-        };
-      P.Stream_open
-        (P.submit_defaults ~kind:P.Check ".visible .entry k () { ret; }");
-      P.Stream_append { sid = 7; chunk = "\x00\xffbinary\ngoo\x01" };
-      P.Stream_flush { sid = 7 };
-      P.Stream_close { sid = 7 };
-    ];
-  List.iter check_response_roundtrip
-    [
-      P.Pong;
-      P.Stopping;
-      P.Error "unparsable request";
-      P.Rejected { reason = "queue_full"; retry_after_ms = 50 };
-      P.Failed { job = 9; code = "parse_error"; message = "PTX line 3: no" };
-      P.Result
-        {
-          job = 4;
-          outcome =
-            {
-              P.verdict = P.Racy;
-              races = 3;
-              errors = [ "race on g[0]"; "race on g[1]" ];
-              cache_hit = true;
-              predicted = 2;
-              confirmed = 1;
-              degraded = true;
-              static = true;
-              repaired = false;
-              fix = "";
-              repair_tried = 0;
-              detect_ms = 1.75;
-            };
-          queue_ms = 0.25;
-          run_ms = 41.5;
-        };
-      P.Status_reply
-        {
-          P.uptime_ms = 1234.5;
-          workers = 4;
-          busy = 1;
-          queue_depth = 2;
-          queue_capacity = 64;
-          submitted = 10;
-          completed = 7;
-          failed = 1;
-          rejected = 2;
-          racy = 3;
-          race_free = 4;
-          quarantined = 1;
-          workers_restarted = 2;
-          cache_entries = 5;
-          cache_hits = 6;
-          cache_misses = 5;
-          cache_evictions = 0;
-          session_seats = 2;
-          open_sessions = 1;
-          sessions_opened = 9;
-          integrity_corrupt = 3;
-          integrity_gaps = 2;
-          integrity_stale = 1;
-          integrity_desync = 4;
-          tenants =
-            [
-              {
-                P.t_name = "acme";
-                t_queued = 1;
-                t_inflight = 2;
-                t_submitted = 9;
-                t_completed = 6;
-                t_rejected = 1;
-                t_p50_ms = 2.5;
-                t_p99_ms = 50.0;
-              };
-            ];
-          campaign =
-            Some
-              {
-                P.ca_trials = 12;
-                ca_total = 800;
-                ca_batches = 2;
-                ca_silent_wrong = 0;
-                ca_paused = true;
-              };
-        };
-      P.Stream_opened { sid = 7 };
-      P.Stream_ack { sid = 7; records = 1234 };
-      P.Stream_verdict
-        {
-          sid = 7;
-          final = false;
-          records = 1234;
-          races = 2;
-          verdict = P.Racy;
-          degraded = true;
-          corrupt = 1;
-          gaps = 2;
-          stale = 0;
-          desync = 0;
-        };
-      P.Stream_verdict
-        {
-          sid = 8;
-          final = true;
-          records = 0;
-          races = 0;
-          verdict = P.Race_free;
-          degraded = false;
-          corrupt = 0;
-          gaps = 0;
-          stale = 0;
-          desync = 0;
-        };
-      P.Metrics_reply "# TYPE a counter\na 1\n";
-    ];
+  List.iter
+    (fun (req, _) ->
+      let line = P.encode_request req in
+      Alcotest.(check bool) line true (P.decode_request line = Ok req))
+    golden_requests;
+  List.iter
+    (fun (resp, _) ->
+      let line = P.encode_response resp in
+      Alcotest.(check bool) line true (P.decode_response line = Ok resp))
+    golden_responses;
   (* Malformed input degrades to [Error], never an exception. *)
   (match P.decode_request "{\"cmd\":\"no_such\"}" with
   | Result.Error _ -> ()
@@ -188,6 +230,192 @@ let test_protocol_roundtrip () =
   match P.decode_request "not json at all" with
   | Result.Error _ -> ()
   | Ok _ -> Alcotest.fail "junk should not decode"
+
+let test_protocol_golden () =
+  List.iter
+    (fun (req, line) ->
+      Alcotest.(check string) "request line" line (P.encode_request req))
+    golden_requests;
+  List.iter
+    (fun (resp, line) ->
+      Alcotest.(check string) "response line" line (P.encode_response resp))
+    golden_responses
+
+(* ---- generated frames -------------------------------------------- *)
+
+module G = QCheck2.Gen
+
+let gen_text = G.string_size ~gen:G.char (G.int_range 0 12)
+let gen_texts = G.list_size (G.int_range 0 3) gen_text
+
+(* finite floats: the wire has no spelling for nan or infinity *)
+let gen_float =
+  G.oneof
+    [
+      G.map (fun n -> float_of_int n /. 64.0) G.int;
+      G.float_range (-1e300) 1e300;
+    ]
+
+let gen_submit =
+  G.(
+    map
+      (fun ((kind, payload, layout), (args, prune, static, tenant)) ->
+        { P.kind; payload; layout; args; prune; static; tenant })
+      (pair
+         (triple
+            (oneofl [ P.Check; P.Predict; P.Repair ])
+            gen_text
+            (option (triple int int int)))
+         (quad gen_texts bool bool (option gen_text))))
+
+let gen_request =
+  G.(
+    oneof
+      [
+        map (fun s -> P.Submit s) gen_submit;
+        map (fun s -> P.Stream_open s) gen_submit;
+        map2 (fun sid chunk -> P.Stream_append { sid; chunk }) int gen_text;
+        map (fun sid -> P.Stream_flush { sid }) int;
+        map (fun sid -> P.Stream_close { sid }) int;
+        oneofl [ P.Status; P.Metrics; P.Ping; P.Shutdown ];
+      ])
+
+let gen_verdict = G.oneofl [ P.Racy; P.Race_free ]
+
+let gen_integrity =
+  G.map
+    (fun (corrupt, gaps, stale, desync) ->
+      { Barracuda.Report.corrupt; gaps; stale; desync })
+    G.(quad int int int int)
+
+let gen_outcome =
+  G.(
+    map
+      (fun ( (verdict, races, errors, cache_hit),
+             (predicted, confirmed, degraded, static),
+             (repaired, fix, repair_tried, detect_ms) ) ->
+        { P.verdict; races; errors; cache_hit; predicted; confirmed;
+          degraded; static; repaired; fix; repair_tried; detect_ms })
+      (triple
+         (quad gen_verdict int gen_texts bool)
+         (quad int int bool bool)
+         (quad bool gen_text int gen_float)))
+
+let gen_jobs =
+  G.(
+    map
+      (fun ((submitted, completed, failed, rejected),
+            (racy, race_free, quarantined, workers_restarted)) ->
+        { P.submitted; completed; failed; rejected; racy; race_free;
+          quarantined; workers_restarted })
+      (pair (quad int int int int) (quad int int int int)))
+
+let gen_cache =
+  G.map
+    (fun (entries, hits, misses, evictions) ->
+      { Service.Cache.entries; hits; misses; evictions })
+    G.(quad int int int int)
+
+let gen_sessions =
+  G.map
+    (fun (seats, occupied, opened) -> { P.seats; occupied; opened })
+    G.(triple int int int)
+
+let gen_tenant =
+  G.(
+    map
+      (fun ((t_name, t_queued, t_inflight, t_submitted),
+            (t_completed, t_rejected, t_p50_ms, t_p99_ms)) ->
+        { P.t_name; t_queued; t_inflight; t_submitted; t_completed;
+          t_rejected; t_p50_ms; t_p99_ms })
+      (pair (quad gen_text int int int) (quad int int gen_float gen_float)))
+
+let gen_campaign =
+  G.(
+    map
+      (fun (ca_trials, ca_total, ca_batches, (ca_silent_wrong, ca_paused)) ->
+        { P.ca_trials; ca_total; ca_batches; ca_silent_wrong; ca_paused })
+      (quad int int int (pair int bool)))
+
+let gen_status =
+  G.(
+    map
+      (fun ( (uptime_ms, workers, busy, queue_depth),
+             (queue_capacity, jobs, cache, sessions),
+             (transport, tenants, campaign) ) ->
+        { P.uptime_ms; workers; busy; queue_depth; queue_capacity; jobs;
+          cache; sessions; transport; tenants; campaign })
+      (triple
+         (quad gen_float int int int)
+         (quad int gen_jobs gen_cache gen_sessions)
+         (triple gen_integrity
+            (list_size (int_range 0 3) gen_tenant)
+            (option gen_campaign))))
+
+let gen_response =
+  G.(
+    oneof
+      [
+        map
+          (fun (job, outcome, queue_ms, run_ms) ->
+            P.Result { P.job; outcome; queue_ms; run_ms })
+          (quad int gen_outcome gen_float gen_float);
+        map2
+          (fun reason retry_after_ms -> P.Rejected { reason; retry_after_ms })
+          gen_text int;
+        map
+          (fun (job, code, message) -> P.Failed { job; code; message })
+          (triple int gen_text gen_text);
+        map (fun sid -> P.Stream_opened { sid }) int;
+        map2 (fun sid records -> P.Stream_ack { sid; records }) int int;
+        map
+          (fun ((sid, final, records, races), (verdict, degraded, integrity)) ->
+            P.Stream_verdict
+              { P.sid; final; records; races; verdict; degraded; integrity })
+          (pair
+             (quad int bool int int)
+             (triple gen_verdict bool gen_integrity));
+        map (fun s -> P.Status_reply s) gen_status;
+        map (fun text -> P.Metrics_reply text) gen_text;
+        oneofl [ P.Pong; P.Stopping ];
+        map (fun message -> P.Error message) gen_text;
+      ])
+
+let prop_request_roundtrip =
+  QCheck2.Test.make ~name:"generated requests round-trip" ~count:1000
+    ~print:P.encode_request gen_request (fun r ->
+      P.decode_request (P.encode_request r) = Ok r)
+
+let prop_response_roundtrip =
+  QCheck2.Test.make ~name:"generated responses round-trip" ~count:1000
+    ~print:P.encode_response gen_response (fun r ->
+      P.decode_response (P.encode_response r) = Ok r)
+
+let prop_mutated_frames =
+  QCheck2.Test.make ~name:"mutated frames decode or fail, never raise"
+    ~count:2000 ~print:(fun (line, _) -> line)
+    G.(
+      pair
+        (oneof
+           [
+             map P.encode_request gen_request;
+             map P.encode_response gen_response;
+           ])
+        Gen.gen_mutations)
+    (fun (line, muts) ->
+      let m = Gen.mutate line muts in
+      ignore (P.decode_request m);
+      ignore (P.decode_response m);
+      true)
+
+(* A frame of nothing but '[' used to recurse once per byte on the
+   connection thread; it now fails at the 65th. *)
+let test_deep_frame () =
+  match P.decode_request (String.make 1_000_000 '[') with
+  | Ok _ -> Alcotest.fail "a 1 MB frame of '[' decoded"
+  | Result.Error e ->
+      Alcotest.(check string) "nesting error"
+        "JSON parse error at byte 64: nesting deeper than 64" e
 
 (* ---- framing ----------------------------------------------------- *)
 
@@ -259,7 +487,6 @@ let tiny_entry () =
   let kernel = Ptx.Builder.finish b in
   {
     Service.Cache.kernel;
-    cfg = Cfg.Graph.of_kernel kernel;
     inst = Instrument.Pass.instrument ~prune:true kernel;
     analysis = Static.Analysis.analyze kernel;
   }
@@ -409,7 +636,7 @@ let test_ping_and_status () =
       in
       Alcotest.(check int) "workers" 2 s.P.workers;
       Alcotest.(check int) "queue capacity" 64 s.P.queue_capacity;
-      Alcotest.(check int) "nothing submitted yet" 0 s.P.submitted;
+      Alcotest.(check int) "nothing submitted yet" 0 s.P.jobs.submitted;
       Alcotest.(check bool) "uptime advances" true (s.P.uptime_ms >= 0.0);
       (* The server-side view agrees with the wire view. *)
       let local = Service.Server.status t in
@@ -448,8 +675,8 @@ let test_crash_isolation () =
       | Result.Error e -> Alcotest.failf "submit after crash: %s" e);
       match Service.Client.status ~socket with
       | Ok s ->
-          Alcotest.(check int) "one failed job" 1 s.P.failed;
-          Alcotest.(check int) "one completed job" 1 s.P.completed
+          Alcotest.(check int) "one failed job" 1 s.P.jobs.failed;
+          Alcotest.(check int) "one completed job" 1 s.P.jobs.completed
       | Result.Error e -> Alcotest.failf "status: %s" e)
 
 let test_job_timeout () =
@@ -580,9 +807,10 @@ let test_bugsuite_parity () =
       | Result.Error e -> Alcotest.failf "resubmit: transport: %s" e);
       (match Service.Client.status ~socket with
       | Ok s ->
-          Alcotest.(check bool) "status counts the hit" true (s.P.cache_hits >= 1);
+          Alcotest.(check bool) "status counts the hit" true
+            (s.P.cache.hits >= 1);
           Alcotest.(check int) "every submission accounted" (List.length cases + 1)
-            s.P.submitted
+            s.P.jobs.submitted
       | Result.Error e -> Alcotest.failf "status: %s" e);
       match Service.Client.metrics ~socket with
       | Ok text ->
@@ -693,23 +921,22 @@ let test_streaming_session () =
                   Alcotest.(check bool)
                     (c.Case.name ^ ": checkpoint is a prefix verdict")
                     true
-                    (v.Service.Client.v_records <= records
-                    && not v.Service.Client.v_final)
+                    (v.P.records <= records && not v.P.final)
               | Result.Error e -> Alcotest.failf "flush: %s" e);
               ship_chunked s ~chunk:777
                 (String.sub bytes half (String.length bytes - half));
               (match Service.Client.stream_close s with
               | Ok v ->
                   Alcotest.(check bool) (c.Case.name ^ ": final") true
-                    v.Service.Client.v_final;
+                    v.P.final;
                   Alcotest.(check int) (c.Case.name ^ ": all records landed")
-                    records v.Service.Client.v_records;
+                    records v.P.records;
                   Alcotest.(check bool)
                     (c.Case.name ^ ": verdict matches the local batch run")
                     racy
-                    (v.Service.Client.v_verdict = P.Racy);
+                    (v.P.verdict = P.Racy);
                   Alcotest.(check bool) (c.Case.name ^ ": clean transport")
-                    false v.Service.Client.v_degraded
+                    false v.P.degraded
               | Result.Error e -> Alcotest.failf "close: %s" e))
         [ List.hd Bugsuite.Cases.all;
           List.find (fun (c : Case.t) -> c.Case.verdict = Case.Race_free)
@@ -737,11 +964,14 @@ let test_streaming_seat_exhaustion () =
       (match Service.Client.stream_close a with
       | Ok v ->
           Alcotest.(check bool) "empty session closes race-free" true
-            (v.Service.Client.v_verdict = P.Race_free)
+            (v.P.verdict = P.Race_free)
       | Result.Error e -> Alcotest.failf "close: %s" e);
       let c3 = open_ok () in
       Service.Client.stream_abort c3;
       Service.Client.stream_abort b)
+
+let anomalies (i : Barracuda.Report.integrity) =
+  [ i.corrupt; i.gaps; i.stale; i.desync ]
 
 let test_streaming_integrity_in_status () =
   (* a corrupted chunk must degrade the session verdict, and the
@@ -769,27 +999,18 @@ let test_streaming_integrity_in_status () =
                 | Ok v -> v
                 | Result.Error e -> Alcotest.failf "close: %s" e
               in
-              Alcotest.(check bool) (label "degraded") true
-                v.Service.Client.v_degraded;
+              Alcotest.(check bool) (label "degraded") true v.P.degraded;
               Alcotest.(check int) (label "one corrupt record") 1
-                v.Service.Client.v_corrupt;
+                v.P.integrity.corrupt;
               Alcotest.(check int) (label "its sequence number lost") 1
-                v.Service.Client.v_gaps;
+                v.P.integrity.gaps;
               Alcotest.(check int) (label "the rest landed") (records - 1)
-                v.Service.Client.v_records;
+                v.P.records;
               match Service.Client.status ~socket with
               | Ok st ->
                   Alcotest.(check (list int))
                     (label "status counts the session's anomalies")
-                    Service.Client.
-                      [ v.v_corrupt; v.v_gaps; v.v_stale; v.v_desync ]
-                    P.
-                      [
-                        st.integrity_corrupt;
-                        st.integrity_gaps;
-                        st.integrity_stale;
-                        st.integrity_desync;
-                      ]
+                    (anomalies v.P.integrity) (anomalies st.P.transport)
               | Result.Error e -> Alcotest.failf "status: %s" e)))
     [ 1; 2 ]
 
@@ -818,13 +1039,32 @@ let test_status_ignores_outside_faults () =
       match Service.Client.status ~socket with
       | Ok st ->
           Alcotest.(check (list int)) "no transport anomalies" [ 0; 0; 0; 0 ]
-            P.
-              [
-                st.integrity_corrupt;
-                st.integrity_gaps;
-                st.integrity_stale;
-                st.integrity_desync;
-              ]
+            (anomalies st.P.transport)
+      | Result.Error e -> Alcotest.failf "status: %s" e)
+
+(* A provably racy kernel is answered by the worker from its cache
+   entry, without executing it; the second submission's cache hit is
+   counted like any other. *)
+let test_static_hit_counted () =
+  with_server "static-hit" (fun socket _t ->
+      let sub = P.submit_defaults ~kind:P.Check Example_ptx.static_racy in
+      let submit () =
+        match Service.Client.submit ~socket sub with
+        | Ok (P.Result { outcome; _ }) -> outcome
+        | Ok r -> Alcotest.failf "unexpected reply %s" (P.encode_response r)
+        | Result.Error e -> Alcotest.failf "transport: %s" e
+      in
+      let first = submit () in
+      let second = submit () in
+      Alcotest.(check bool) "answered statically" true
+        (first.P.static && second.P.static && second.P.verdict = P.Racy);
+      Alcotest.(check (pair bool bool)) "miss, then hit" (false, true)
+        (first.P.cache_hit, second.P.cache_hit);
+      match Service.Client.status ~socket with
+      | Ok s ->
+          Alcotest.(check (pair int int)) "status counts the hit" (1, 1)
+            (s.P.cache.hits, s.P.cache.misses);
+          Alcotest.(check int) "both jobs racy" 2 s.P.jobs.racy
       | Result.Error e -> Alcotest.failf "status: %s" e)
 
 (* ---- multi-tenant scheduling ------------------------------------- *)
@@ -1104,6 +1344,8 @@ let test_status_tenants_end_to_end () =
 let suite =
   [
     Alcotest.test_case "protocol roundtrip" `Quick test_protocol_roundtrip;
+    Alcotest.test_case "protocol golden lines" `Quick test_protocol_golden;
+    Alcotest.test_case "deep frame is a nesting error" `Quick test_deep_frame;
     Alcotest.test_case "oversized frame" `Quick test_oversized_frame;
     Alcotest.test_case "oversized frame on daemon" `Quick
       test_oversized_frame_daemon;
@@ -1130,4 +1372,8 @@ let suite =
       test_tenant_gauge_hygiene;
     Alcotest.test_case "status tenants end-to-end" `Quick
       test_status_tenants_end_to_end;
+    Alcotest.test_case "status counts a statically answered hit" `Quick
+      test_static_hit_counted;
   ]
+  @ List.map Gen.to_alcotest
+      [ prop_request_roundtrip; prop_response_roundtrip; prop_mutated_frames ]

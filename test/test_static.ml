@@ -307,42 +307,30 @@ let submit ?(static = true) src =
 
 let test_service_static_verdict () =
   let cache = Service.Cache.create ~capacity:4 () in
-  (* The probe is a pure cache peek: a kernel never seen before takes
-     the queued path even when provably racy — heavy analysis work
-     never runs on the probing (connection) thread. *)
-  Alcotest.(check bool) "cold cache: no instant answer" true
-    (Service.Exec.static_verdict ~cache ~job:0 (submit static_racy_src)
-    = None);
-  (* The queued executor short-circuits statically and warms the
-     cache... *)
-  (match Service.Exec.run ~cache ~job:7 (submit static_racy_src) with
-  | Service.Protocol.Result { outcome; job; _ } ->
-      Alcotest.(check bool) "run short-circuits statically" true
-        outcome.Service.Protocol.static;
-      Alcotest.(check int) "run keeps its job id" 7 job
-  | _ -> Alcotest.fail "expected a result from run");
-  (* ...after which the probe answers without execution. *)
-  (match Service.Exec.static_verdict ~cache ~job:3 (submit static_racy_src) with
-  | Some (Service.Protocol.Result { outcome; _ }) ->
-      Alcotest.(check bool) "verdict is racy" true
-        (outcome.Service.Protocol.verdict = Service.Protocol.Racy);
-      Alcotest.(check bool) "flagged static" true
-        outcome.Service.Protocol.static;
-      Alcotest.(check bool) "counted as a cache hit" true
-        outcome.Service.Protocol.cache_hit
-  | _ -> Alcotest.fail "expected an instant racy result");
-  (* ...but not when the client disabled the analysis... *)
-  Alcotest.(check bool) "no probe with static off" true
-    (Service.Exec.static_verdict ~cache ~job:0
-       (submit ~static:false static_racy_src)
-    = None);
-  (* ...and race-free or unprovable kernels take the queued path even
-     once cached. *)
-  ignore (Service.Exec.run ~cache ~job:8 (submit vecadd_src));
-  Alcotest.(check bool) "no probe for a safe kernel" true
-    (Service.Exec.static_verdict ~cache ~job:0 (submit vecadd_src) = None);
-  Alcotest.(check bool) "no probe for garbage (queued path reports it)" true
-    (Service.Exec.static_verdict ~cache ~job:0 (submit "not ptx") = None)
+  let run ?static ~job src =
+    match Service.Exec.run ~cache ~job (submit ?static src) with
+    | Service.Protocol.Result r -> r
+    | _ -> Alcotest.fail "expected a result from run"
+  in
+  (* The worker answers a provably racy kernel without executing it,
+     cold or cached, and counts its cache lookup like any other. *)
+  let cold = run ~job:7 static_racy_src in
+  Alcotest.(check int) "run keeps its job id" 7 cold.job;
+  Alcotest.(check bool) "run short-circuits statically" true
+    cold.outcome.Service.Protocol.static;
+  Alcotest.(check bool) "verdict is racy" true
+    (cold.outcome.Service.Protocol.verdict = Service.Protocol.Racy);
+  let warm = run ~job:8 static_racy_src in
+  Alcotest.(check bool) "cached answer is static too" true
+    warm.outcome.Service.Protocol.static;
+  Alcotest.(check bool) "counted as a cache hit" true
+    warm.outcome.Service.Protocol.cache_hit;
+  (* ...but not when the client disabled the analysis, nor for a
+     kernel the analysis cannot prove racy. *)
+  Alcotest.(check bool) "no static answer with static off" false
+    (run ~static:false ~job:9 static_racy_src).outcome.Service.Protocol.static;
+  Alcotest.(check bool) "no static answer for a safe kernel" false
+    (run ~job:10 vecadd_src).outcome.Service.Protocol.static
 
 (* ---- instrumentation wiring -------------------------------------- *)
 

@@ -406,7 +406,7 @@ let test_seats_bounded () =
       with
       | Some a, Some b, None ->
           Alcotest.(check int) "both seats open" 2
-            (Service.Scheduler.open_sessions t);
+            (Service.Scheduler.sessions t).Service.Protocol.occupied;
           (* session compute really runs on the seat's own domain *)
           let here = (Domain.self () :> int) in
           let seat_dom =
@@ -425,7 +425,7 @@ let test_seats_bounded () =
           Alcotest.(check bool) "freed seat is reusable" true
             (Service.Scheduler.session_open t <> None);
           Alcotest.(check int) "opened total counts every claim" 3
-            (Service.Scheduler.sessions_opened t)
+            (Service.Scheduler.sessions t).Service.Protocol.opened
       | _ -> Alcotest.fail "expected exactly 2 seats")
 
 (* Satellite: stop must zero EVERY scheduler-owned gauge — busy-worker

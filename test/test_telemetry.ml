@@ -112,6 +112,64 @@ let test_json_parser () =
   | Ok _ -> Alcotest.fail "malformed JSON accepted"
   | Error _ -> ()
 
+let test_json_depth_bound () =
+  let nested n = String.make n '[' ^ String.make n ']' in
+  (match Telemetry.Json.of_string (nested 64) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "depth 64 rejected: %s" e);
+  match Telemetry.Json.of_string (nested 65) with
+  | Ok _ -> Alcotest.fail "depth 65 accepted"
+  | Error e ->
+      Alcotest.(check string) "error names the offending bracket"
+        "JSON parse error at byte 64: nesting deeper than 64" e
+
+(* One declaration, both directions, and the decoder's three error
+   shapes: a missing field, a wrong JSON type, an unknown tag. *)
+let test_json_codec () =
+  let module C = Telemetry.Json.Codec in
+  let point =
+    C.(
+      seal
+        (obj (fun x tags -> (x, tags))
+        |+ field "x" int fst
+        |+ field ~default:[] ~omit:(( = ) []) "tags" (list str) snd))
+  in
+  Alcotest.(check string) "encoded in declaration order"
+    {|{"x":1,"tags":["a"]}|}
+    (C.to_string point (1, [ "a" ]));
+  Alcotest.(check string) "omitted when empty" {|{"x":2}|}
+    (C.to_string point (2, []));
+  let decode s = C.of_string point s in
+  Alcotest.(check bool) "default when absent" true
+    (decode {|{"x":2}|} = Ok (2, []));
+  Alcotest.(check bool) "missing field" true
+    (decode {|{"tags":[]}|} = Error {|missing field "x"|});
+  Alcotest.(check bool) "wrong type" true
+    (decode {|{"x":"1"}|} = Error {|field "x" must be an integer|});
+  Alcotest.(check bool) "wrong item type" true
+    (decode {|{"x":1,"tags":[3]}|}
+    = Error {|field "tags" must be a list, each item a string|});
+  let shape =
+    C.tagged "cmd"
+      [
+        ( "point",
+          C.case point
+            (fun p -> `Point p)
+            (function `Point p -> Some p | _ -> None) );
+        ( "stop",
+          C.case
+            C.(seal (obj ()))
+            (fun () -> `Stop)
+            (function `Stop -> Some () | _ -> None) );
+      ]
+  in
+  Alcotest.(check string) "tag first" {|{"cmd":"point","x":3}|}
+    (C.to_string shape (`Point (3, [])));
+  Alcotest.(check bool) "tag decodes" true
+    (C.of_string shape {|{"cmd":"stop"}|} = Ok `Stop);
+  Alcotest.(check bool) "unknown tag" true
+    (C.of_string shape {|{"cmd":"go"}|} = Error {|unknown cmd "go"|})
+
 let test_prometheus () =
   with_telemetry (fun () ->
       let r = sample_registry () in
@@ -286,6 +344,8 @@ let suite =
       test_labels_distinct;
     Alcotest.test_case "JSON export round-trips" `Quick test_json_roundtrip;
     Alcotest.test_case "JSON parser corners" `Quick test_json_parser;
+    Alcotest.test_case "JSON nesting is bounded" `Quick test_json_depth_bound;
+    Alcotest.test_case "JSON codec both directions" `Quick test_json_codec;
     Alcotest.test_case "Prometheus exposition format" `Quick test_prometheus;
     Alcotest.test_case "hooks match queue_stats" `Quick
       test_hooks_match_queue_stats;
