@@ -52,14 +52,19 @@ let check (k : Ast.kernel) =
           add i "guard %s is not a register" p
       | _ -> ());
       match insn.Ast.kind with
-      | Ast.Ld { addr; width; _ } ->
+      | Ast.Ld { addr; width; space; _ } ->
           check_address i addr;
-          check_width i width
-      | Ast.St { addr; src; width; _ } ->
+          check_width i width;
+          if space = Ast.Param && addr.offset <> 0 then
+            add i "ld.param [%a+%d]: a parameter is read whole, at offset 0"
+              Printer.pp_operand addr.base addr.offset
+      | Ast.St { addr; src; width; space; _ } ->
           check_address i addr;
           check_operand i src;
-          check_width i width
-      | Ast.Atom { addr; src; src2; op; width; _ } ->
+          check_width i width;
+          if space = Ast.Param then add i "st.param: kernel parameters are read-only"
+      | Ast.Atom { addr; src; src2; op; width; space; _ } ->
+          if space = Ast.Param then add i "atom.param: kernel parameters are read-only";
           check_address i addr;
           check_operand i src;
           check_width i width;

@@ -3,8 +3,9 @@
     Run before a kernel is simulated or instrumented; catches the
     mistakes that would otherwise surface as confusing runtime failures:
     dangling branch targets, unknown parameter/shared symbols, duplicate
-    labels or shared declarations, [cas] without two sources, guards on
-    predicate-producing instructions the simulator can't honor. *)
+    labels or shared declarations, [cas] without two sources, and what
+    the simulator cannot honour: stores and atomics on [.param], and a
+    parameter load at a non-zero offset. *)
 
 type issue = {
   index : int;  (** instruction index, or -1 for kernel-level issues *)

@@ -28,8 +28,6 @@ let mask_lanes mask =
   in
   go 0 []
 
-let popcount mask = List.length (mask_lanes mask)
-
 let pp_kind ppf = function
   | Load -> Format.pp_print_string ppf "ld"
   | Store -> Format.pp_print_string ppf "st"

@@ -36,5 +36,4 @@ type t =
 val mask_lanes : int -> int list
 (** Lane indices set in a mask, ascending. *)
 
-val popcount : int -> int
 val pp : Format.formatter -> t -> unit

@@ -59,14 +59,141 @@ let peek t ~addr ~width = Memory.read t.global ~addr ~width
 let poke t ~addr ~width v = Memory.write t.global ~addr ~width v
 
 (* ------------------------------------------------------------------ *)
+(* The kernel, resolved once per launch                                *)
+
+(* Registers are dense indices in sorted name order; parameters and
+   shared symbols are bound to their values. *)
+type operand = Reg of int | Const of int64 | Sreg of Ptx.Ast.sreg
+
+(* Register-to-register instructions, executed lane by lane. *)
+type alu =
+  | Move of { dst : int; src : operand } (* mov, cvt and ld.param *)
+  | Not of { dst : int; src : operand }
+  | Setp of { cmp : Ptx.Ast.cmp; dst : int; a : operand; b : operand }
+  | Binop of { bop : Ptx.Ast.binop; dst : int; a : operand; b : operand }
+  | Mad of { dst : int; a : operand; b : operand; c : operand }
+  | Selp of { dst : int; a : operand; b : operand; pred : int }
+
+type access = {
+  kind : Event.access_kind;
+  space : Ptx.Ast.space;
+  width : int;
+  dst : int; (* loads and atomics *)
+  base : operand;
+  offset : int;
+  src : operand; (* stores and atomics *)
+  src2 : operand; (* atom.cas *)
+}
+
+type op =
+  | Alu of alu
+  | Access of access
+  | Bra of { target : int; reconv : int }
+  | Bar
+  | Membar of Ptx.Ast.fence_scope
+  | Ret (* ret and exit *)
+  | Nop
+
+type insn = { guard : int; (* predicate register, -1 if unguarded *) want : bool; op : op }
+
+let resolve (kernel : Ptx.Ast.kernel) args =
+  let names =
+    Array.fold_left
+      (fun acc insn ->
+        Option.to_list (Ptx.Ast.register_written insn) @ Ptx.Ast.registers_read insn @ acc)
+      [] kernel.body
+    |> List.sort_uniq compare
+  in
+  let index = Hashtbl.create 64 in
+  List.iteri (fun i name -> Hashtbl.replace index name i) names;
+  let reg = Hashtbl.find index in
+  let params = List.combine kernel.params (Array.to_list args) in
+  (* Shared symbol offsets, in declaration order. *)
+  let shared_syms =
+    let off = ref 0 in
+    List.map
+      (fun (name, size) ->
+        let base = !off in
+        off := (!off + size + 7) land lnot 7;
+        (name, Int64.of_int base))
+      kernel.shared_decls
+  in
+  (* [Validate] has rejected unknown symbols. *)
+  let operand = function
+    | Ptx.Ast.Reg r -> Reg (reg r)
+    | Ptx.Ast.Imm v -> Const v
+    | Ptx.Ast.Sym s -> (
+        match List.assoc_opt s params with
+        | Some v -> Const v
+        | None -> Const (List.assoc s shared_syms))
+    | Ptx.Ast.Sreg s -> Sreg s
+  in
+  let access kind space width dst (addr : Ptx.Ast.address) src src2 =
+    let src2 = match src2 with Some o -> operand o | None -> Const 0L in
+    Access { kind; space; width; dst; base = operand addr.base; offset = addr.offset; src; src2 }
+  in
+  let labels = Ptx.Ast.label_index kernel in
+  let g = Cfg.Graph.of_kernel kernel in
+  let pdoms = Cfg.Dominance.post_dominators g in
+  let n = Array.length kernel.body in
+  let resolve_kind pc = function
+    | Ptx.Ast.Ld { space = Ptx.Ast.Param; dst; addr; _ } ->
+        (* a parameter load is a register move, no memory event *)
+        Alu (Move { dst = reg dst; src = operand addr.base })
+    | Ptx.Ast.Ld { space; width; dst; addr; _ } ->
+        access Event.Load space width (reg dst) addr (Const 0L) None
+    | Ptx.Ast.St { space; width; src; addr; _ } ->
+        access Event.Store space width (-1) addr (operand src) None
+    | Ptx.Ast.Atom { space; op; width; dst; addr; src; src2 } ->
+        access (Event.Atomic op) space width (reg dst) addr (operand src) src2
+    | Ptx.Ast.Mov { dst; src } | Ptx.Ast.Cvt { dst; src } ->
+        Alu (Move { dst = reg dst; src = operand src })
+    | Ptx.Ast.Not { dst; src } -> Alu (Not { dst = reg dst; src = operand src })
+    | Ptx.Ast.Setp { cmp; dst; a; b } ->
+        Alu (Setp { cmp; dst = reg dst; a = operand a; b = operand b })
+    | Ptx.Ast.Binop { op; dst; a; b } ->
+        Alu (Binop { bop = op; dst = reg dst; a = operand a; b = operand b })
+    | Ptx.Ast.Mad { dst; a; b; c } ->
+        Alu (Mad { dst = reg dst; a = operand a; b = operand b; c = operand c })
+    | Ptx.Ast.Selp { dst; a; b; pred } ->
+        Alu (Selp { dst = reg dst; a = operand a; b = operand b; pred = reg pred })
+    | Ptx.Ast.Bra { target; _ } ->
+        (* a conditional branch pops at its reconvergence pc *)
+        let reconv =
+          if Cfg.Graph.is_conditional_branch g pc then
+            let rb = Cfg.Dominance.reconvergence_block g pdoms pc in
+            if rb = Cfg.Graph.exit_node g then n
+            else (Cfg.Graph.blocks g).(rb).Cfg.Graph.first
+          else -1
+        in
+        Bra { target = Hashtbl.find labels target; reconv }
+    | Ptx.Ast.Bar_sync _ -> Bar
+    | Ptx.Ast.Membar scope -> Membar scope
+    | Ptx.Ast.Ret | Ptx.Ast.Exit -> Ret
+    | Ptx.Ast.Nop -> Nop
+  in
+  let prog =
+    Array.mapi
+      (fun pc (insn : Ptx.Ast.insn) ->
+        let guard, want =
+          match insn.guard with Some (want, p) -> (reg p, want) | None -> (-1, true)
+        in
+        { guard; want; op = resolve_kind pc insn.kind })
+      kernel.body
+  in
+  (prog, List.length names)
+
+(* ------------------------------------------------------------------ *)
 (* Per-launch state                                                    *)
 
 type warp_state = {
   wid : int; (* global warp id *)
   block : int;
+  in_block : int; (* warp index within its block *)
   init_mask : int;
   stack : Simt_stack.t;
-  regs : (string, int64 array) Hashtbl.t; (* reg -> per-lane values *)
+  regs : Bytes.t; (* register r of lane l: int64 at ((r * ws) + l) * 8 *)
+  touched : Bytes.t; (* per register: read or written by some lane *)
   local : Memory.t option array; (* per-lane local memory, lazily built *)
   mutable retired : int; (* lanes that executed ret/exit *)
   mutable at_barrier : bool;
@@ -83,20 +210,14 @@ let local_memory w lane =
 
 type launch_ctx = {
   m : t;
-  kernel : Ptx.Ast.kernel;
-  labels : (string, int) Hashtbl.t;
-  params : (string * int64) list;
-  shared_syms : (string * int) list; (* symbol -> offset in block segment *)
-  reconv_pc : int array; (* per conditional-branch insn: reconvergence pc *)
+  prog : insn array;
+  ws : int;
   warps : warp_state array;
   emit : Event.t -> unit;
-  end_pc : int; (* = body length; virtual return point *)
   mutable dyn_instructions : int;
   mutable barrier_divergence : bool;
   mutable rng : int;
 }
-
-let ws_of ctx = ctx.m.layout.Vclock.Layout.warp_size
 
 let next_rand ctx =
   (* xorshift64* *)
@@ -107,73 +228,49 @@ let next_rand ctx =
   ctx.rng <- x land max_int;
   ctx.rng
 
-let get_reg ctx w name lane =
-  match Hashtbl.find_opt w.regs name with
-  | Some arr -> arr.(lane)
-  | None ->
-      let arr = Array.make (ws_of ctx) 0L in
-      Hashtbl.add w.regs name arr;
-      arr.(lane)
+let get_reg ctx w r lane =
+  Bytes.unsafe_set w.touched r '\001';
+  Bytes.get_int64_le w.regs (((r * ctx.ws) + lane) lsl 3)
 
-let set_reg ctx w name lane v =
-  let arr =
-    match Hashtbl.find_opt w.regs name with
-    | Some arr -> arr
-    | None ->
-        let arr = Array.make (ws_of ctx) 0L in
-        Hashtbl.add w.regs name arr;
-        arr
-  in
-  arr.(lane) <- v
+let set_reg ctx w r lane v =
+  Bytes.unsafe_set w.touched r '\001';
+  Bytes.set_int64_le w.regs (((r * ctx.ws) + lane) lsl 3) v
 
+(* Special registers, from the lane's in-block index and the block id
+   decomposed against the block and grid shapes (x fastest). *)
 let sreg_value ctx w lane sreg =
   let layout = ctx.m.layout in
-  let in_block_tid () =
-    let tid = Vclock.Layout.tid_of_warp_lane layout ~warp:w.wid ~lane in
-    tid - Vclock.Layout.first_tid_of_block layout w.block
-  in
+  let bd = layout.Vclock.Layout.block_dim and gd = layout.Vclock.Layout.grid_dim in
+  let tid = ((w.in_block * ctx.ws) + lane) mod layout.Vclock.Layout.threads_per_block in
   Int64.of_int
     (match sreg with
-    | Ptx.Ast.Tid -> (Vclock.Layout.thread_coords layout (in_block_tid ())).x
-    | Ptx.Ast.Tid_y -> (Vclock.Layout.thread_coords layout (in_block_tid ())).y
-    | Ptx.Ast.Tid_z -> (Vclock.Layout.thread_coords layout (in_block_tid ())).z
-    | Ptx.Ast.Ntid -> layout.Vclock.Layout.block_dim.x
-    | Ptx.Ast.Ntid_y -> layout.Vclock.Layout.block_dim.y
-    | Ptx.Ast.Ntid_z -> layout.Vclock.Layout.block_dim.z
-    | Ptx.Ast.Ctaid -> (Vclock.Layout.block_coords layout w.block).x
-    | Ptx.Ast.Ctaid_y -> (Vclock.Layout.block_coords layout w.block).y
-    | Ptx.Ast.Ctaid_z -> (Vclock.Layout.block_coords layout w.block).z
-    | Ptx.Ast.Nctaid -> layout.Vclock.Layout.grid_dim.x
-    | Ptx.Ast.Nctaid_y -> layout.Vclock.Layout.grid_dim.y
-    | Ptx.Ast.Nctaid_z -> layout.Vclock.Layout.grid_dim.z
+    | Ptx.Ast.Tid -> tid mod bd.x
+    | Ptx.Ast.Tid_y -> tid / bd.x mod bd.y
+    | Ptx.Ast.Tid_z -> tid / (bd.x * bd.y)
+    | Ptx.Ast.Ntid -> bd.x
+    | Ptx.Ast.Ntid_y -> bd.y
+    | Ptx.Ast.Ntid_z -> bd.z
+    | Ptx.Ast.Ctaid -> w.block mod gd.x
+    | Ptx.Ast.Ctaid_y -> w.block / gd.x mod gd.y
+    | Ptx.Ast.Ctaid_z -> w.block / (gd.x * gd.y)
+    | Ptx.Ast.Nctaid -> gd.x
+    | Ptx.Ast.Nctaid_y -> gd.y
+    | Ptx.Ast.Nctaid_z -> gd.z
     | Ptx.Ast.Laneid -> lane
-    | Ptx.Ast.Warpid ->
-        let wpb = Vclock.Layout.warps_per_block layout in
-        w.wid - (w.block * wpb))
-
-let sym_value ctx name =
-  match List.assoc_opt name ctx.params with
-  | Some v -> v
-  | None -> (
-      match List.assoc_opt name ctx.shared_syms with
-      | Some off -> Int64.of_int off
-      | None -> invalid_arg ("unknown symbol " ^ name))
+    | Ptx.Ast.Warpid -> w.in_block)
 
 let operand_value ctx w lane = function
-  | Ptx.Ast.Reg r -> get_reg ctx w r lane
-  | Ptx.Ast.Imm v -> v
-  | Ptx.Ast.Sym s -> sym_value ctx s
-  | Ptx.Ast.Sreg s -> sreg_value ctx w lane s
+  | Reg r -> get_reg ctx w r lane
+  | Const v -> v
+  | Sreg s -> sreg_value ctx w lane s
 
-let address_value ctx w lane (a : Ptx.Ast.address) =
-  Int64.to_int (operand_value ctx w lane a.base) + a.offset
-
-(* Local memory is resolved per-lane at the access sites. *)
-let memory_for ctx w = function
+(* Local memory is per lane.  [Validate] rejects stores and atomics on
+   [.param], and a parameter load resolves to a move. *)
+let memory_for ctx w lane = function
   | Ptx.Ast.Global -> ctx.m.global
   | Ptx.Ast.Shared -> ctx.m.shared.(w.block)
-  | Ptx.Ast.Local | Ptx.Ast.Param ->
-      invalid_arg "memory_for: local/param resolved elsewhere"
+  | Ptx.Ast.Local -> local_memory w lane
+  | Ptx.Ast.Param -> assert false
 
 let truncate_width width v =
   if width >= 8 then v
@@ -210,10 +307,7 @@ let eval_atom op ~old ~src ~src2 =
   match op with
   | Ptx.Ast.A_add -> add old src
   | Ptx.Ast.A_exch -> src
-  | Ptx.Ast.A_cas -> (
-      match src2 with
-      | Some value -> if old = src then value else old
-      | None -> assert false)
+  | Ptx.Ast.A_cas -> if old = src then src2 else old
   | Ptx.Ast.A_min -> if compare src old < 0 then src else old
   | Ptx.Ast.A_max -> if compare src old > 0 then src else old
   | Ptx.Ast.A_and -> logand old src
@@ -224,15 +318,17 @@ let eval_atom op ~old ~src ~src2 =
       if old = 0L || compare old src > 0 then src else sub old 1L
 
 (* Lanes of [mask] where the instruction's guard predicate holds. *)
-let guarded_mask ctx w mask = function
-  | None -> mask
-  | Some (want, p) ->
-      List.fold_left
-        (fun acc lane ->
-          let v = get_reg ctx w p lane in
-          if (v <> 0L) = want then acc lor (1 lsl lane) else acc)
-        0
-        (Event.mask_lanes mask)
+let guarded_mask ctx w mask insn =
+  if insn.guard < 0 then mask
+  else begin
+    let taken = ref 0 in
+    for lane = 0 to ctx.ws - 1 do
+      if mask land (1 lsl lane) <> 0
+         && (get_reg ctx w insn.guard lane <> 0L) = insn.want
+      then taken := !taken lor (1 lsl lane)
+    done;
+    !taken
+  end
 
 (* Pop reconvergence entries reached by the current pc, emitting
    else/fi transitions.  Events are emitted even when every lane of the
@@ -248,109 +344,65 @@ let rec drain_pops ctx w =
       ctx.emit (Event.Branch_fi { warp = w.wid; mask = e.Simt_stack.mask });
       drain_pops ctx w
 
-let exec_memory_access ctx w insn_idx active kind =
-  let ws = ws_of ctx in
-  match kind with
-  | Ptx.Ast.Ld { space = Ptx.Ast.Param; dst; addr; _ } ->
-      (* parameter load: a register move, no memory event *)
-      List.iter
-        (fun lane ->
-          let v =
-            match addr.Ptx.Ast.base with
-            | Ptx.Ast.Sym s -> sym_value ctx s
-            | o -> operand_value ctx w lane o
-          in
-          set_reg ctx w dst lane v)
-        (Event.mask_lanes active)
-  | Ptx.Ast.Ld { space; width; dst; addr; _ } ->
-      let addrs = Array.make ws 0 in
-      let values = Array.make ws 0L in
-      List.iter
-        (fun lane ->
-          let a = address_value ctx w lane addr in
-          let mem =
-            match space with
-            | Ptx.Ast.Local -> local_memory w lane
-            | _ -> memory_for ctx w space
-          in
-          let v = Memory.read mem ~addr:a ~width in
-          addrs.(lane) <- a;
-          values.(lane) <- v;
-          set_reg ctx w dst lane v)
-        (Event.mask_lanes active);
-      ctx.emit
-        (Event.Access
-           {
-             warp = w.wid;
-             insn = insn_idx;
-             kind = Event.Load;
-             space;
-             mask = active;
-             addrs;
-             values;
-             width;
-           })
-  | Ptx.Ast.St { space; width; src; addr; _ } ->
-      let addrs = Array.make ws 0 in
-      let values = Array.make ws 0L in
-      List.iter
-        (fun lane ->
-          let a = address_value ctx w lane addr in
-          let v = truncate_width width (operand_value ctx w lane src) in
-          let mem =
-            match space with
-            | Ptx.Ast.Local -> local_memory w lane
-            | _ -> memory_for ctx w space
-          in
-          Memory.write mem ~addr:a ~width v;
-          addrs.(lane) <- a;
-          values.(lane) <- v)
-        (Event.mask_lanes active);
-      ctx.emit
-        (Event.Access
-           {
-             warp = w.wid;
-             insn = insn_idx;
-             kind = Event.Store;
-             space;
-             mask = active;
-             addrs;
-             values;
-             width;
-           })
-  | Ptx.Ast.Atom { space; op; width; dst; addr; src; src2 } ->
-      let addrs = Array.make ws 0 in
-      let values = Array.make ws 0L in
-      List.iter
-        (fun lane ->
-          let a = address_value ctx w lane addr in
-          let mem =
-            match space with
-            | Ptx.Ast.Local -> local_memory w lane
-            | _ -> memory_for ctx w space
-          in
-          let old = Memory.read mem ~addr:a ~width in
-          let sv = operand_value ctx w lane src in
-          let s2 = Option.map (operand_value ctx w lane) src2 in
-          let nv = truncate_width width (eval_atom op ~old ~src:sv ~src2:s2) in
-          Memory.write mem ~addr:a ~width nv;
-          set_reg ctx w dst lane old;
-          addrs.(lane) <- a;
-          values.(lane) <- nv)
-        (Event.mask_lanes active);
-      ctx.emit
-        (Event.Access
-           {
-             warp = w.wid;
-             insn = insn_idx;
-             kind = Event.Atomic op;
-             space;
-             mask = active;
-             addrs;
-             values;
-             width;
-           })
-  | _ -> assert false
+(* One active lane's register-to-register instruction. *)
+let exec_lane ctx w lane = function
+  | Move { dst; src } -> set_reg ctx w dst lane (operand_value ctx w lane src)
+  | Not { dst; src } ->
+      let v = operand_value ctx w lane src in
+      set_reg ctx w dst lane (if v = 0L then 1L else 0L)
+  | Setp { cmp; dst; a; b } ->
+      let va = operand_value ctx w lane a in
+      let vb = operand_value ctx w lane b in
+      set_reg ctx w dst lane (if eval_cmp cmp va vb then 1L else 0L)
+  | Binop { bop; dst; a; b } ->
+      let va = operand_value ctx w lane a in
+      let vb = operand_value ctx w lane b in
+      set_reg ctx w dst lane (eval_binop bop va vb)
+  | Mad { dst; a; b; c } ->
+      let va = operand_value ctx w lane a in
+      let vb = operand_value ctx w lane b in
+      let vc = operand_value ctx w lane c in
+      set_reg ctx w dst lane (Int64.add (Int64.mul va vb) vc)
+  | Selp { dst; a; b; pred } ->
+      let v =
+        if get_reg ctx w pred lane <> 0L then operand_value ctx w lane a
+        else operand_value ctx w lane b
+      in
+      set_reg ctx w dst lane v
+
+(* One warp-wide memory access: lane by lane, so atomics serialize in
+   lane order.  The event gets fresh arrays, which consumers may keep. *)
+let exec_access ctx w pc active a =
+  let addrs = Array.make ctx.ws 0 and values = Array.make ctx.ws 0L in
+  for lane = 0 to ctx.ws - 1 do
+    if active land (1 lsl lane) <> 0 then begin
+      let addr = Int64.to_int (operand_value ctx w lane a.base) + a.offset in
+      let mem = memory_for ctx w lane a.space and width = a.width in
+      addrs.(lane) <- addr;
+      values.(lane) <-
+        (match a.kind with
+        | Event.Load ->
+            let v = Memory.read mem ~addr ~width in
+            set_reg ctx w a.dst lane v;
+            v
+        | Event.Store ->
+            let v = truncate_width width (operand_value ctx w lane a.src) in
+            Memory.write mem ~addr ~width v;
+            v
+        | Event.Atomic op ->
+            let old = Memory.read mem ~addr ~width in
+            let src = operand_value ctx w lane a.src in
+            let src2 = operand_value ctx w lane a.src2 in
+            let v = truncate_width width (eval_atom op ~old ~src ~src2) in
+            Memory.write mem ~addr ~width v;
+            set_reg ctx w a.dst lane old;
+            v)
+    end
+  done;
+  ctx.emit
+    (Event.Access
+       { warp = w.wid; insn = pc; kind = a.kind; space = a.space; mask = active; addrs;
+         values; width = a.width })
 
 (* Execute one instruction for warp [w].  Returns [true] if the warp made
    progress (it was runnable). *)
@@ -371,7 +423,7 @@ let step_warp ctx w =
             settle ()
           end
         end
-        else if Simt_stack.pc w.stack >= ctx.end_pc then begin
+        else if Simt_stack.pc w.stack >= Array.length ctx.prog then begin
           (* fell off the end: implicit ret for the active path *)
           let lanes = Simt_stack.active_mask w.stack in
           Simt_stack.retire w.stack lanes;
@@ -383,34 +435,33 @@ let step_warp ctx w =
     if w.finished then false
     else begin
       let pc = Simt_stack.pc w.stack in
-      let insn = ctx.kernel.Ptx.Ast.body.(pc) in
+      let insn = ctx.prog.(pc) in
       let path_mask = Simt_stack.active_mask w.stack in
       ctx.dyn_instructions <- ctx.dyn_instructions + 1;
-      (match insn.Ptx.Ast.kind with
-      | Ptx.Ast.Bra { target; _ } ->
-          let tgt = Hashtbl.find ctx.labels target in
-          let taken = guarded_mask ctx w path_mask insn.Ptx.Ast.guard in
-          let not_taken = path_mask land lnot taken in
-          if taken = 0 then Simt_stack.set_pc w.stack (pc + 1)
-          else if not_taken = 0 then Simt_stack.set_pc w.stack tgt
+      (* a nop's guard is never read *)
+      let active =
+        match insn.op with Nop -> 0 | _ -> guarded_mask ctx w path_mask insn
+      in
+      (match insn.op with
+      | Bra { target; reconv } ->
+          let not_taken = path_mask land lnot active in
+          if active = 0 then Simt_stack.set_pc w.stack (pc + 1)
+          else if not_taken = 0 then Simt_stack.set_pc w.stack target
           else begin
-            let reconv = ctx.reconv_pc.(pc) in
             Telemetry.Metric.counter_incr m_branch_div;
             ctx.emit
               (Event.Branch_if
-                 { warp = w.wid; insn = pc; then_mask = not_taken; else_mask = taken });
+                 { warp = w.wid; insn = pc; then_mask = not_taken; else_mask = active });
             (* fallthrough path executes first, taken path second *)
             Simt_stack.diverge w.stack ~reconv ~first:(pc + 1, not_taken)
-              ~second:(tgt, taken)
+              ~second:(target, active)
           end
-      | Ptx.Ast.Ret | Ptx.Ast.Exit ->
-          let lanes = guarded_mask ctx w path_mask insn.Ptx.Ast.guard in
-          w.retired <- w.retired lor lanes;
-          Simt_stack.retire w.stack lanes;
-          if lanes <> path_mask then Simt_stack.set_pc w.stack (pc + 1)
-      | Ptx.Ast.Bar_sync _ ->
+      | Ret ->
+          w.retired <- w.retired lor active;
+          Simt_stack.retire w.stack active;
+          if active <> path_mask then Simt_stack.set_pc w.stack (pc + 1)
+      | Bar ->
           let live = w.init_mask land lnot w.retired in
-          let active = guarded_mask ctx w path_mask insn.Ptx.Ast.guard in
           if active <> live then begin
             ctx.barrier_divergence <- true;
             Telemetry.Metric.counter_incr m_barrier_div;
@@ -420,71 +471,18 @@ let step_warp ctx w =
           end;
           w.at_barrier <- true;
           Simt_stack.set_pc w.stack (pc + 1)
-      | Ptx.Ast.Membar scope ->
-          let active = guarded_mask ctx w path_mask insn.Ptx.Ast.guard in
-          ctx.emit
-            (Event.Fence { warp = w.wid; insn = pc; scope; mask = active });
+      | Membar scope ->
+          ctx.emit (Event.Fence { warp = w.wid; insn = pc; scope; mask = active });
           Simt_stack.set_pc w.stack (pc + 1)
-      | Ptx.Ast.Ld _ | Ptx.Ast.St _ | Ptx.Ast.Atom _ ->
-          let active = guarded_mask ctx w path_mask insn.Ptx.Ast.guard in
-          if active <> 0 then
-            exec_memory_access ctx w pc active insn.Ptx.Ast.kind;
+      | Access a ->
+          if active <> 0 then exec_access ctx w pc active a;
           Simt_stack.set_pc w.stack (pc + 1)
-      | Ptx.Ast.Setp { cmp; dst; a; b } ->
-          let active = guarded_mask ctx w path_mask insn.Ptx.Ast.guard in
-          List.iter
-            (fun lane ->
-              let va = operand_value ctx w lane a in
-              let vb = operand_value ctx w lane b in
-              set_reg ctx w dst lane (if eval_cmp cmp va vb then 1L else 0L))
-            (Event.mask_lanes active);
+      | Alu alu ->
+          for lane = 0 to ctx.ws - 1 do
+            if active land (1 lsl lane) <> 0 then exec_lane ctx w lane alu
+          done;
           Simt_stack.set_pc w.stack (pc + 1)
-      | Ptx.Ast.Mov { dst; src } | Ptx.Ast.Cvt { dst; src } ->
-          let active = guarded_mask ctx w path_mask insn.Ptx.Ast.guard in
-          List.iter
-            (fun lane -> set_reg ctx w dst lane (operand_value ctx w lane src))
-            (Event.mask_lanes active);
-          Simt_stack.set_pc w.stack (pc + 1)
-      | Ptx.Ast.Not { dst; src } ->
-          let active = guarded_mask ctx w path_mask insn.Ptx.Ast.guard in
-          List.iter
-            (fun lane ->
-              let v = operand_value ctx w lane src in
-              set_reg ctx w dst lane (if v = 0L then 1L else 0L))
-            (Event.mask_lanes active);
-          Simt_stack.set_pc w.stack (pc + 1)
-      | Ptx.Ast.Binop { op; dst; a; b } ->
-          let active = guarded_mask ctx w path_mask insn.Ptx.Ast.guard in
-          List.iter
-            (fun lane ->
-              let va = operand_value ctx w lane a in
-              let vb = operand_value ctx w lane b in
-              set_reg ctx w dst lane (eval_binop op va vb))
-            (Event.mask_lanes active);
-          Simt_stack.set_pc w.stack (pc + 1)
-      | Ptx.Ast.Mad { dst; a; b; c } ->
-          let active = guarded_mask ctx w path_mask insn.Ptx.Ast.guard in
-          List.iter
-            (fun lane ->
-              let va = operand_value ctx w lane a in
-              let vb = operand_value ctx w lane b in
-              let vc = operand_value ctx w lane c in
-              set_reg ctx w dst lane (Int64.add (Int64.mul va vb) vc))
-            (Event.mask_lanes active);
-          Simt_stack.set_pc w.stack (pc + 1)
-      | Ptx.Ast.Selp { dst; a; b; pred } ->
-          let active = guarded_mask ctx w path_mask insn.Ptx.Ast.guard in
-          List.iter
-            (fun lane ->
-              let p = get_reg ctx w pred lane in
-              let v =
-                if p <> 0L then operand_value ctx w lane a
-                else operand_value ctx w lane b
-              in
-              set_reg ctx w dst lane v)
-            (Event.mask_lanes active);
-          Simt_stack.set_pc w.stack (pc + 1)
-      | Ptx.Ast.Nop -> Simt_stack.set_pc w.stack (pc + 1));
+      | Nop -> Simt_stack.set_pc w.stack (pc + 1));
       true
     end
   end
@@ -535,38 +533,20 @@ let launch ?(max_steps = 50_000_000) ?deadline_ns ?fault ?(on_event = fun _ -> (
          (List.length kernel.Ptx.Ast.params)
          (Array.length args));
   let layout = t.layout in
-  let g = Cfg.Graph.of_kernel kernel in
-  let pdoms = Cfg.Dominance.post_dominators g in
-  let n = Array.length kernel.Ptx.Ast.body in
-  let reconv_pc =
-    Array.init n (fun i ->
-        if Cfg.Graph.is_conditional_branch g i then
-          let rb = Cfg.Dominance.reconvergence_block g pdoms i in
-          if rb = Cfg.Graph.exit_node g then n
-          else (Cfg.Graph.blocks g).(rb).Cfg.Graph.first
-        else -1)
-  in
-  (* Shared symbol offsets, in declaration order. *)
-  let shared_syms =
-    let off = ref 0 in
-    List.map
-      (fun (name, size) ->
-        let base = !off in
-        off := (!off + size + 7) land lnot 7;
-        (name, base))
-      kernel.Ptx.Ast.shared_decls
-  in
-  let params = List.combine kernel.Ptx.Ast.params (Array.to_list args) in
+  let prog, nregs = resolve kernel args in
   let ws = layout.Vclock.Layout.warp_size in
   let warps =
     Array.init (Vclock.Layout.total_warps layout) (fun wid ->
         let mask = Vclock.Layout.full_mask layout ~warp:wid in
+        let block = Vclock.Layout.block_of_warp layout wid in
         {
           wid;
-          block = Vclock.Layout.block_of_warp layout wid;
+          block;
+          in_block = wid - (block * Vclock.Layout.warps_per_block layout);
           init_mask = mask;
           stack = Simt_stack.create ~pc:0 ~mask;
-          regs = Hashtbl.create 32;
+          regs = Bytes.make (nregs * ws * 8) '\000';
+          touched = Bytes.make nregs '\000';
           local = Array.make ws None;
           retired = 0;
           at_barrier = false;
@@ -576,14 +556,10 @@ let launch ?(max_steps = 50_000_000) ?deadline_ns ?fault ?(on_event = fun _ -> (
   let ctx =
     {
       m = t;
-      kernel;
-      labels = Ptx.Ast.label_index kernel;
-      params;
-      shared_syms;
-      reconv_pc;
+      prog;
+      ws;
       warps;
       emit = on_event;
-      end_pc = n;
       dyn_instructions = 0;
       barrier_divergence = false;
       rng = (match t.policy with Random s -> (s lor 1) land max_int | Round_robin -> 1);
@@ -604,18 +580,15 @@ let launch ?(max_steps = 50_000_000) ?deadline_ns ?fault ?(on_event = fun _ -> (
   let mfi = ref 0 in
   let apply_machine_fault = function
     | Fault.Plan.Reg_flip { warp_r; reg_r; lane_r; bit } -> (
+        (* among the registers the warp has touched, in name order *)
         let w = warps.(warp_r mod nw) in
-        let names =
-          List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) w.regs [])
-        in
-        match names with
+        match List.filter (fun r -> Bytes.get w.touched r <> '\000') (List.init nregs Fun.id) with
         | [] -> ()
-        | _ :: _ ->
-            let name = List.nth names (reg_r mod List.length names) in
-            let arr = Hashtbl.find w.regs name in
-            let lane = lane_r mod Array.length arr in
-            arr.(lane) <-
-              Int64.logxor arr.(lane) (Int64.shift_left 1L (bit land 63));
+        | touched ->
+            let r = List.nth touched (reg_r mod List.length touched) in
+            let at = ((r * ws) + (lane_r mod ws)) * 8 in
+            Bytes.set_int64_le w.regs at
+              (Int64.logxor (Bytes.get_int64_le w.regs at) (Int64.shift_left 1L (bit land 63)));
             Option.iter Fault.Plan.note_reg_applied fault)
     | Fault.Plan.Smem_flip { block_r; addr_r; bit } ->
         let mem = t.shared.(block_r mod layout.Vclock.Layout.blocks) in

@@ -8,7 +8,6 @@ let top t =
   | e :: _ -> e
   | [] -> assert false
 
-let depth t = List.length t.entries
 let active_mask t = (top t).mask
 let pc t = (top t).pc
 

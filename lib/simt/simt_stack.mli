@@ -22,7 +22,6 @@ val create : pc:int -> mask:int -> t
 (** A converged warp about to execute [pc]. *)
 
 val top : t -> entry
-val depth : t -> int
 val active_mask : t -> int
 val pc : t -> int
 val set_pc : t -> int -> unit

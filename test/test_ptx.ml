@@ -292,6 +292,33 @@ let test_validate_catches () =
   in
   Alcotest.(check bool) "unknown symbol" false (Ptx.Validate.check bad_sym = [])
 
+(* What the simulator cannot honour is rejected, and the message names
+   the instruction. *)
+let test_validate_param_space () =
+  List.iter
+    (fun (insn, expected) ->
+      let src =
+        Printf.sprintf ".entry probe (.param .u64 a, .param .u64 b)\n{\n  %s;\n  ret;\n}\n" insn
+      in
+      match Ptx.Validate.check (Ptx.Parser.kernel_of_string src) with
+      | [ { Ptx.Validate.index = 0; message } ] ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %S names %s" insn message expected)
+            true
+            (String.starts_with ~prefix:expected message)
+      | issues ->
+          Alcotest.failf "%s: expected one issue, got %d" insn (List.length issues))
+    [
+      ("st.param.u64 [a], 1", "st.param");
+      ("atom.param.add.u64 %rd1, [a], 1", "atom.param");
+      ("ld.param.u64 %rd1, [a+8]", "ld.param [a+8]");
+    ];
+  Alcotest.(check int) "ld.param at offset 0 is fine" 0
+    (List.length
+       (Ptx.Validate.check
+          (Ptx.Parser.kernel_of_string
+             ".entry probe (.param .u64 a)\n{\n  ld.param.u64 %rd1, [a];\n  ret;\n}\n")))
+
 let prop_builder_kernels_validate =
   QCheck2.Test.make ~name:"generated kernels are well-formed" ~count:200
     ~print:Gen.print_program Gen.gen_program (fun prog ->
@@ -313,6 +340,8 @@ let suite =
     Alcotest.test_case "builder auto ret" `Quick test_builder_auto_ret;
     Alcotest.test_case "builder while loop" `Quick test_builder_while_loops;
     Alcotest.test_case "validate catches errors" `Quick test_validate_catches;
+    Alcotest.test_case "validate rejects param writes and offsets" `Quick
+      test_validate_param_space;
   ]
   @ List.map Gen.to_alcotest
       [

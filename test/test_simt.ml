@@ -21,6 +21,74 @@ let test_memory_widths () =
   Alcotest.(check int64) "partial overwrite" 0x01FF0304L
     (Simt.Memory.read m ~addr:0 ~width:4)
 
+(* The per-byte map that [Memory]'s pages replaced, kept as the model
+   they must agree with. *)
+module Byte_map = struct
+  let create () : (int, int) Hashtbl.t = Hashtbl.create 64
+
+  let read t ~addr ~width =
+    let v = ref 0L in
+    for i = width - 1 downto 0 do
+      let byte =
+        match Hashtbl.find_opt t (addr + i) with Some b -> b | None -> 0
+      in
+      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int byte)
+    done;
+    !v
+
+  let write t ~addr ~width v =
+    for i = 0 to width - 1 do
+      let byte = Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL) in
+      Hashtbl.replace t (addr + i) byte
+    done
+
+  let footprint = Hashtbl.length
+end
+
+type mem_op = Read of int * int | Write of int * int * int64
+
+let print_mem_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | Read (a, w) -> Printf.sprintf "read %d/%d" a w
+         | Write (a, w, v) -> Printf.sprintf "write %d/%d %Ld" a w v)
+       ops)
+
+(* Addresses cluster around page boundaries (multiples of 256),
+   negative ones included, so accesses straddle pages and reads hit
+   both written and never-written bytes. *)
+let gen_mem_ops =
+  let open QCheck2.Gen in
+  let addr =
+    map2 (fun page d -> (page * 256) + d) (int_range (-3) 3) (int_range (-9) 9)
+  in
+  let width = oneofl [ 1; 2; 4; 8 ] in
+  list_size (int_range 1 40)
+    (oneof
+       [
+         map2 (fun a w -> Read (a, w)) addr width;
+         map3 (fun a w v -> Write (a, w, v)) addr width int64;
+       ])
+
+let prop_memory_matches_byte_map =
+  QCheck2.Test.make ~name:"memory pages agree with a byte map" ~count:500
+    ~print:print_mem_ops gen_mem_ops (fun ops ->
+      let m = Simt.Memory.create () and model = Byte_map.create () in
+      List.for_all
+        (fun op ->
+          let same_value =
+            match op with
+            | Read (addr, width) ->
+                Simt.Memory.read m ~addr ~width = Byte_map.read model ~addr ~width
+            | Write (addr, width, v) ->
+                Simt.Memory.write m ~addr ~width v;
+                Byte_map.write model ~addr ~width v;
+                true
+          in
+          same_value && Simt.Memory.footprint m = Byte_map.footprint model)
+        ops)
+
 (* ---- SIMT stack ----------------------------------------------------- *)
 
 let test_stack_diverge_pop () =
@@ -340,6 +408,243 @@ let test_detector_survives_retired_paths () =
   Alcotest.(check bool) "no race" false
     (Barracuda.Report.has_race r.Gpu_runtime.Session.sr_report)
 
+(* ---- Pinned executions --------------------------------------------- *)
+
+(* Every shipped kernel: the 26 Table 1 workloads and the bug suite. *)
+let shipped_kernels =
+  List.map
+    (fun (w : Workloads.Workload.t) ->
+      ("w_" ^ w.suite ^ "_" ^ w.name, w.layout, w.kernel, w.setup))
+    Workloads.Registry.all
+  @ List.map
+      (fun (c : Bugsuite.Case.t) -> ("c_" ^ c.name, c.layout, c.kernel, c.setup))
+      Bugsuite.Cases.all
+
+(* One MD5 over four recorded runs of a kernel — plain, instrumented,
+   under a seeded random schedule, and under a seeded machine-fault
+   plan — each with its status and dynamic instruction count, plus the
+   faults the plan applied. *)
+let pin_digest index (layout, kernel, setup) =
+  let runs = Buffer.create 256 in
+  let run ?policy ?inst ?fault ?max_steps () =
+    let capture = Buffer.create 4096 in
+    let machine = Simt.Machine.create ?policy ~layout () in
+    let args = setup machine in
+    let r =
+      Gpu_runtime.Session.run_stream ?inst ?fault ?max_steps ~capture ~machine
+        kernel args
+    in
+    let mr = r.Gpu_runtime.Session.sr_machine_result in
+    Printf.bprintf runs "%s %s %d\n"
+      (Digest.to_hex (Digest.string (Buffer.contents capture)))
+      (match mr.Simt.Machine.status with
+      | Simt.Machine.Completed -> "completed"
+      | Simt.Machine.Max_steps n -> Printf.sprintf "max_steps %d" n
+      | Simt.Machine.Deadline n -> Printf.sprintf "deadline %d" n)
+      mr.Simt.Machine.dyn_instructions
+  in
+  run ();
+  run ~inst:(Instrument.Pass.instrument kernel) ();
+  run ~policy:(Simt.Machine.Random 7) ();
+  let plan =
+    Fault.Plan.make
+      {
+        Fault.Plan.none with
+        Fault.Plan.seed = index;
+        reg_flips = 3;
+        smem_flips = 3;
+        fault_window = 40;
+      }
+  in
+  run ~fault:plan ~max_steps:100_000 ();
+  let i = Fault.Plan.injected plan in
+  Printf.bprintf runs "%d %d %d %d %d %d %d %d\n" i.Fault.Plan.flips i.drops
+    i.dups i.delays i.crashes i.shard_crashes i.reg_flips_applied
+    i.smem_flips_applied;
+  Digest.to_hex (Digest.string (Buffer.contents runs))
+
+(* Computed with the interpreter this simulator replaced (per-byte
+   hash-table memory, name-keyed registers): recordings, schedules and
+   fault targets must not move. *)
+let pinned =
+  [
+    ("w_Rodinia_bfs", "bceec3f72535cbb74d47a32554d7eec5");
+    ("w_Rodinia_backprop", "9c263843a37f5e16b5ab3e6d1bfca0c8");
+    ("w_Rodinia_dwt2d", "51349edf4499e565a51ea5ae3ae1417d");
+    ("w_Rodinia_gaussian", "53f07dc1c68d370ac91d724190bd989f");
+    ("w_Rodinia_hotspot", "e3ea203fb521215dba6fbe12726b2612");
+    ("w_Rodinia_hybridsort", "d866a6deea914644d9d03493e9c214ca");
+    ("w_Rodinia_kmeans", "717eee9632e9786e0d367e6eedb4ae0f");
+    ("w_Rodinia_lavamd", "2e1e46f9204b3bce933f374c3de068d8");
+    ("w_Rodinia_needle", "878af8570f7beb550187742050a840d6");
+    ("w_Rodinia_nn", "8bdc9d225486d6ce38b75b687bad1b0c");
+    ("w_Rodinia_pathfinder", "635c7e62c5567328d2272e2108be5834");
+    ("w_Rodinia_streamcluster", "c500023595a2ed847232c5314ee61be5");
+    ("w_SHOC_bfs", "a59bf93c8cdaa38df8cce9836536db70");
+    ("w_GPU-TM_hashtable", "f8dfb5f7402680d9423b704d0be2fd8a");
+    ("w_CUDA SDK_dxtc", "ca16f0b7fea796794c584734757050a8");
+    ("w_CUDA SDK_threadfencered", "0880b68fcf331119883cba92cd9162e3");
+    ("w_CUB_block_radix_sort", "eec1603b223833e317c5426aaa0a7f26");
+    ("w_CUB_block_reduce", "dc059bcae9efa9b27e6dcba1ccc135ce");
+    ("w_CUB_block_scan", "72e4cf8c9dfb4c15329e14da9e6d41e1");
+    ("w_CUB_d_partition_flagged", "6dd4f342773d94662ad60b5c0a92eca4");
+    ("w_CUB_d_reduce", "9777cc4c82a3ebd9a76eaf4d13a06632");
+    ("w_CUB_d_scan", "7a589c41d70c920c02638ffacd530ffe");
+    ("w_CUB_d_select_flagged", "6654c2298b4794fb133b0df410c8f593");
+    ("w_CUB_d_select_if", "4a0453dbd22a748ec4fe205dec0ad112");
+    ("w_CUB_d_select_unique", "215410aea7024e13eb013541e7c26e12");
+    ("w_CUB_d_sort_find_runs", "9c1f518dde3ac859228e00b90944d68a");
+    ("c_ww_global_inter_block", "02b5e37f43e29237879fb895f4eb9afa");
+    ("c_ww_global_inter_warp", "37edc8edf83193de166fd603db689b4c");
+    ("c_ww_global_intra_warp_same_value", "400dd02211e57a572b0366ad720d9597");
+    ("c_ww_global_intra_warp_diff_value", "790c9d77e0aebb484caadbbaa61c925a");
+    ("c_ww_shared_inter_warp", "b48c1b7e5c96077e3833bd919a83f292");
+    ("c_ww_shared_intra_warp_diff_value", "46803e61bf121f74556403ceebacbfef");
+    ("c_ww_shared_intra_warp_same_value", "5f9137496e853c35d21a2a05d43d7124");
+    ("c_ww_global_disjoint", "a8da0bacf0ac7c99952402c5b8777acf");
+    ("c_ww_shared_disjoint", "4a63f69fb450d6cb74fbd58579a0afa6");
+    ("c_rw_global_inter_block", "ee33bd8fe6cf80f40134a8a3e345f42c");
+    ("c_rw_global_inter_warp", "c654990220fae2b41a8f5bc7e80e7b64");
+    ("c_rw_shared_inter_warp", "7a13e52942a2be7063cdc75c4afc8256");
+    ("c_rr_global", "82a799df314d6dcf4767ac35bacbc1ae");
+    ("c_rw_same_thread", "1c981c8eece758d7cea4591c363cf7f0");
+    ("c_bar_shared_handoff", "f489610c0c51d31b7a5119d80d97e4b2");
+    ("c_nobar_shared_handoff", "a8344501f2e0a8428c47e8f3b5531af8");
+    ("c_bar_global_same_block", "14219b676cceb3c0cc4f6e64ceb80b5b");
+    ("c_bar_global_cross_block", "9609779cbe0beedb5458a8edef434d4d");
+    ("c_double_barrier_phases", "6722d5e87f182eead9a8a36d5c66b0d4");
+    ("c_barrier_divergence", "5d49426f1a233c63ad06a29417f45ad1");
+    ("c_write_before_and_after_bar", "70e3caf4ec029c6b3281316be7110b1e");
+    ("c_lockstep_orders_instructions", "4dbc943cdafa7c86293c03ade017ab22");
+    ("c_branch_ordering_ww", "e861a77e54c76e3e2cabdfbcbe0261e9");
+    ("c_branch_ordering_rw", "62066f5ec35c39aa112a9f6953d08526");
+    ("c_branch_paths_disjoint", "617887edbff2c8999740a09accf6a468");
+    ("c_nested_branch_conflict", "8690fb4638fb19ec93cbe3ee4488ee01");
+    ("c_nested_branch_disjoint", "6af61c50fe719d804f7c9fd64e818161");
+    ("c_reconvergence_orders", "5f4330b0de77e8ab7085be21db844e7f");
+    ("c_pre_branch_write_in_branch_read", "29d9530636c02205f694373923780aa5");
+    ("c_loop_divergence_conflict", "146ebc87f03dfedc82abce5a0684d1d5");
+    ("c_atomics_dont_race", "b9db04a6ba7b9e83f157027f31e2eebb");
+    ("c_atomic_vs_plain_write", "806c386d42ad2cfe71366157a46ece82");
+    ("c_atomic_vs_plain_read", "f6cc02864dcf35ea55f2d7c92d37440d");
+    ("c_atomics_dont_synchronize", "48719a5df1e1a01e6f82d057274130fd");
+    ("c_atomic_histogram_then_bar", "045a53a04e916b8585178942f43538b9");
+    ("c_lock_global_fenced", "b0cb4c5bfbe6197a4b316a18f60cdd05");
+    ("c_lock_missing_acquire_fence", "e90e127816fc3ce562c64f6f26396b76");
+    ("c_lock_unlock_plain_store", "c80d85eb3cb7e4142826210a9fdf4ffb");
+    ("c_lock_cta_fence_cross_block", "b0cb4c5bfbe6197a4b316a18f60cdd05");
+    ("c_lock_cta_fence_same_block", "80f2b6fa08d04565b21a24374f50a629");
+    ("c_lock_protects_only_some_accesses", "6eb2650539b775ae4927e1c6c755e1be");
+    ("c_two_locks_disjoint_data", "77d5747ef0963cbfeb12268200b8a140");
+    ("c_flag_handoff_gl_gl", "10596e367e5ba3d231b878a0cc842c25");
+    ("c_flag_handoff_no_writer_fence", "4f5575f26acd27bca13bf7ee5b45d9da");
+    ("c_flag_handoff_no_reader_fence", "5679ee36409ba3b92d81077ac4908c40");
+    ("c_flag_handoff_cta_cta_cross_block", "ce20606f3c5c48080371d99b71ccd00c");
+    ("c_flag_handoff_gl_cta_cross_block", "10596e367e5ba3d231b878a0cc842c25");
+    ("c_flag_handoff_cta_within_block", "776864ae667984dc2b4ef9ace4d98952");
+    ("c_acqrel_atomic_chain", "5b50a72698c53ce4ec92f3c0474406a3");
+    ("c_grid_barrier_fenced", "646b9ba344838af9cba5159deaf75eb3");
+    ("c_grid_barrier_unfenced", "5be36dda41eff620de98157f05c2a167");
+    ("c_sync_loc_reused_as_data_racy", "b7bbe8e154b1b828abf4ab3c6fc8e937");
+    ("c_sync_loc_reused_after_barrier", "f5d9e38825f9810ffcd76b3284f042d9");
+    ("c_overlap_word_vs_byte", "84d66065aebd4f19b3f53cacbbc57843");
+    ("c_adjacent_bytes_disjoint", "791565f4f4b1f8b2d8418c6034bea3a7");
+    ("c_misaligned_read_overlap", "3208be82c613b40352d7f2e3a1b152f3");
+    ("c_wide_disjoint", "82f9cfe7097d252307a6c5013a4bc513");
+    ("c_predicated_store_conflict", "50536731e6c25dcdf39de56a07af6c3b");
+    ("c_partial_warp_disjoint", "d5ee12a28c8348866a8a16e3eaabac04");
+    ("c_partial_warp_conflict", "97a2e542ebad431bd84aab5d29ecd021");
+    ("c_bar_then_cross_block_conflict", "8d4ccc8aaa5c8f2a825f7112d530ddd8");
+    ("c_exch_handoff_unfenced", "408ce50fa1120b48eaceed325ebf820d");
+    ("c_transitive_release_chain", "7f2aca3ffed10b9d6b1fe1f0adad563d");
+    ("c_transitive_chain_broken", "dc35eb9e6aa0a63ac33140d22029ffb1");
+    ("c_read_only_kernel", "27a9c6cf1dbf661d7bdca63d7ac198bf");
+    ("c_atomic_reduce_then_fenced_read", "d7ba3f2754a1c9f91d773bb5c97956e2");
+  ]
+
+let test_pinned_executions () =
+  Alcotest.(check int) "every shipped kernel pinned" (List.length pinned)
+    (List.length shipped_kernels);
+  List.iteri
+    (fun index (name, layout, kernel, setup) ->
+      Alcotest.(check string) name (List.assoc name pinned)
+        (pin_digest index (layout, kernel, setup)))
+    shipped_kernels
+
+(* A register flip picks among the registers its warp has touched, in
+   name order.  Touched: read or written by some lane — a register read
+   before any write counts; a [nop]'s guard, the operand [selp] does not
+   pick ([%r7]) and the operands of an instruction whose guard leaves no
+   lane active ([%r5], [%r6]) do not.  Sixty seeded plans, pinned like
+   the shipped kernels above. *)
+let touched_probe =
+  {|.visible .entry touched_probe (.param .u64 out)
+{
+    setp.ne.s32 %p1, %tid.x, %tid.x;
+    @%p9 nop;
+    selp.u32 %r1, %r7, %r8, %p1;
+    @%p1 add.s32 %r5, %r6, 1;
+    add.s32 %r2, %r3, 1;
+    mov.u32 %r4, 0;
+LOOP:
+    add.s32 %r4, %r4, 1;
+    add.s32 %r1, %r1, %r2;
+    setp.lt.s32 %p2, %r4, 12;
+    @%p2 bra LOOP;
+    mad.lo.s32 %r9, %ctaid.x, %ntid.x, %tid.x;
+    mad.lo.s64 %rd1, %r9, 16, out;
+    st.global.u32 [%rd1], %r1;
+    st.global.u32 [%rd1+4], %r2;
+    st.global.u32 [%rd1+8], %r4;
+    st.global.u32 [%rd1+12], %r8;
+    ret;
+}
+|}
+
+let test_flips_follow_touched_set () =
+  let kernel = Ptx.Parser.kernel_of_string touched_probe in
+  let runs = Buffer.create 256 in
+  for seed = 0 to 59 do
+    let machine = Simt.Machine.create ~layout:lay () in
+    let out = Simt.Machine.alloc_global machine 256 in
+    let capture = Buffer.create 4096 in
+    let plan =
+      Fault.Plan.make
+        { Fault.Plan.none with Fault.Plan.seed; reg_flips = 3; fault_window = 150 }
+    in
+    let r =
+      Gpu_runtime.Session.run_stream ~fault:plan ~max_steps:20_000 ~capture ~machine
+        kernel [| Int64.of_int out |]
+    in
+    Printf.bprintf runs "%s %d %d\n"
+      (Digest.to_hex (Digest.string (Buffer.contents capture)))
+      r.Gpu_runtime.Session.sr_machine_result.Simt.Machine.dyn_instructions
+      (Fault.Plan.injected plan).Fault.Plan.reg_flips_applied
+  done;
+  Alcotest.(check string) "sixty flipped runs" "117a08c3835cda76694a7552153a31de"
+    (Digest.to_hex (Digest.string (Buffer.contents runs)))
+
+(* A daemon job runs one instrumented launch on a fresh device.  Every
+   lane that logs owns a [.local] memory, so memory pages must stay
+   small enough for the minor heap: the job's major-heap allocation is
+   the guard. *)
+let test_daemon_job_allocation () =
+  let c =
+    List.find
+      (fun (c : Bugsuite.Case.t) -> c.name = "ww_global_inter_block")
+      Bugsuite.Cases.all
+  in
+  let inst = Instrument.Pass.instrument c.kernel in
+  Gc.minor ();
+  let _, _, major0 = Gc.counters () in
+  let machine = Simt.Machine.create ~layout:c.layout () in
+  let args = c.setup machine in
+  ignore (Gpu_runtime.Session.run_stream ~inst ~machine c.kernel args);
+  let _, _, major1 = Gc.counters () in
+  let words = major1 -. major0 in
+  if words >= 4096. then
+    Alcotest.failf "one daemon-shaped job allocated %.0f major-heap words" words
+
 let prop_generated_kernels_complete =
   QCheck2.Test.make ~name:"generated kernels run to completion" ~count:200
     ~print:Gen.print_program Gen.gen_program (fun prog ->
@@ -371,5 +676,10 @@ let suite =
     Alcotest.test_case "detector survives retired paths" `Quick
       test_detector_survives_retired_paths;
     Alcotest.test_case "exec deterministic" `Quick test_exec_deterministic;
+    Alcotest.test_case "pinned executions" `Quick test_pinned_executions;
+    Alcotest.test_case "flips follow the touched set" `Quick
+      test_flips_follow_touched_set;
+    Alcotest.test_case "daemon job allocation" `Quick test_daemon_job_allocation;
   ]
-  @ List.map Gen.to_alcotest [ prop_generated_kernels_complete ]
+  @ List.map Gen.to_alcotest
+      [ prop_memory_matches_byte_map; prop_generated_kernels_complete ]
