@@ -7,7 +7,9 @@ module Op = Gtrace.Op
    [checks] counts thread-level access checks; the epoch/vc pair
    splits ordering comparisons into the epoch fast path versus full
    vector-clock scans (the compression the paper's §4.3.1 is about);
-   [races] counts raw race observations before report deduplication. *)
+   [races] counts raw race observations before report deduplication.
+   A detector counts these in its own fields and publishes them once
+   per record ([publish]). *)
 let m_checks =
   Telemetry.Registry.counter
     ~help:"Thread-level access checks performed"
@@ -91,8 +93,15 @@ type t = {
   sync : Sync_loc.t;
   report : Report.t;
   mutable record_id : int; (* unique id per processed record *)
-  mutable accesses : int;
+  mutable accesses : int; (* checks *)
   mutable records : int;
+  mutable published_checks : int; (* [accesses] at the last [publish] *)
+  mutable epoch_fast : int; (* these three: since the last [publish] *)
+  mutable vc_full : int;
+  mutable races : int;
+  addrs : int array; (* the access record's lanes, decoded once *)
+  value_lo : int array; (* store and atomic values, as 32-bit halves *)
+  value_hi : int array;
   census : int array; (* converged/diverged/nested/sparse *)
   mutable seq_next : int; (* the producer's expected sequence number *)
   owns : (Ptx.Ast.space -> int -> int -> bool) option;
@@ -123,6 +132,13 @@ let create ?(config = default_config) ?owns ~layout kernel =
     record_id = 0;
     accesses = 0;
     records = 0;
+    published_checks = 0;
+    epoch_fast = 0;
+    vc_full = 0;
+    races = 0;
+    addrs = Array.make Wire.max_lanes 0;
+    value_lo = Array.make Wire.max_lanes 0;
+    value_hi = Array.make Wire.max_lanes 0;
     census = Array.make 4 0;
     seq_next = 0;
   }
@@ -132,24 +148,27 @@ let report t = t.report
 (* [c@u <= C_lane?] via the compressed clock layers.  Epochs arrive as
    bare (clock, tid) ints — the boxed [Epoch.t] is gone from this
    path. *)
-let epoch_ordered ~wc ~lane ~clock ~tid =
-  Telemetry.Metric.counter_incr m_epoch_fast;
+let epoch_ordered t ~wc ~lane ~clock ~tid =
+  t.epoch_fast <- t.epoch_fast + 1;
   clock <= Warp_clocks.entry wc ~lane ~tid
 
 (* Does the last write race with the current access?  Not if it is
    ordered before it, or if the same warp instruction wrote the same
-   value non-atomically (the same-value filter, §3.3.1). *)
-let write_races t ~rid ~wc ~lane ~cur_kind ~value cell =
+   value non-atomically (the same-value filter, §3.3.1).  A write's
+   value is lane [lane]'s in the decoded record. *)
+let write_races t ~rid ~wc ~lane ~cur_kind cell =
   let s = t.shadow in
   (not
-     (epoch_ordered ~wc ~lane ~clock:(Shadow.write_clock s cell)
+     (epoch_ordered t ~wc ~lane ~clock:(Shadow.write_clock s cell)
         ~tid:(Shadow.write_tid s cell)))
   && not
        (t.config.filter_same_value
        && Shadow.write_record s cell = rid
        && cur_kind = Report.Write
        && (not (Shadow.write_atomic s cell))
-       && Shadow.same_value s cell value)
+       && Shadow.same_value s cell
+            ~lo:(Array.unsafe_get t.value_lo lane)
+            ~hi:(Array.unsafe_get t.value_hi lane))
 
 exception Unordered_read
 
@@ -159,7 +178,7 @@ exception Unordered_read
 let reads_race t ~wc ~lane cell =
   let s = t.shadow in
   if Shadow.read_shared s cell then begin
-    Telemetry.Metric.counter_incr m_vc_full;
+    t.vc_full <- t.vc_full + 1;
     try
       Mut.iter_points
         (fun u cu ->
@@ -171,7 +190,7 @@ let reads_race t ~wc ~lane cell =
   end
   else
     not
-      (epoch_ordered ~wc ~lane ~clock:(Shadow.read_clock s cell)
+      (epoch_ordered t ~wc ~lane ~clock:(Shadow.read_clock s cell)
          ~tid:(Shadow.read_tid s cell))
 
 (* Report the races found on [cell] at each of the [n] bytes from
@@ -183,7 +202,7 @@ let report_races t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n
   for addr = index to index + n - 1 do
     let loc = Loc.make ~space ~region ~addr in
     let race ~prev_insn ~prev_tid ~prev_kind ~same_instruction =
-      Telemetry.Metric.counter_incr m_races;
+      t.races <- t.races + 1;
       Report.add_race t.report ~prev_insn ~cur_insn:insn ~loc ~prev_tid
         ~prev_kind ~cur_tid:tid ~cur_kind ~same_instruction
     in
@@ -216,10 +235,9 @@ let report_races t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n
    against the last write if [write], against the recorded reads if
    [reads]. *)
 let check t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n ~cur_kind
-    ~value ~write ~reads cell =
+    ~write ~reads cell =
   t.accesses <- t.accesses + 1;
-  Telemetry.Metric.counter_incr m_checks;
-  let wrace = write && write_races t ~rid ~wc ~lane ~cur_kind ~value cell in
+  let wrace = write && write_races t ~rid ~wc ~lane ~cur_kind cell in
   let rrace = reads && reads_race t ~wc ~lane cell in
   if wrace || rrace then
     report_races t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n
@@ -227,7 +245,7 @@ let check t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n ~cur_kind
 
 let do_read t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n cell =
   check t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n
-    ~cur_kind:Report.Read ~value:0L ~write:true ~reads:false cell;
+    ~cur_kind:Report.Read ~write:true ~reads:false cell;
   let s = t.shadow in
   let own = Warp_clocks.own_clock wc ~lane in
   Shadow.set_read_insn s cell insn;
@@ -235,7 +253,7 @@ let do_read t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n cell =
     (* ReadShared *)
     Mut.raise_point (Shadow.read_vc s cell) tid own
   else if
-    epoch_ordered ~wc ~lane ~clock:(Shadow.read_clock s cell)
+    epoch_ordered t ~wc ~lane ~clock:(Shadow.read_clock s cell)
       ~tid:(Shadow.read_tid s cell)
   then
     (* ReadExcl *)
@@ -255,23 +273,24 @@ let do_read t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n cell =
     Shadow.share_reads s cell
   end
 
-let set_write t ~rid ~wc ~lane ~tid ~insn ~atomic ~value cell =
+let set_write t ~rid ~wc ~lane ~tid ~insn ~atomic cell =
   Shadow.set_write t.shadow cell ~clock:(Warp_clocks.own_clock wc ~lane) ~tid
-    ~insn ~atomic ~value ~record:rid
+    ~insn ~atomic
+    ~value_lo:(Array.unsafe_get t.value_lo lane)
+    ~value_hi:(Array.unsafe_get t.value_hi lane)
+    ~record:rid
 
-let do_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n ~value cell
-    =
+let do_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n cell =
   check t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n
-    ~cur_kind:Report.Write ~value ~write:true ~reads:true cell;
-  set_write t ~rid ~wc ~lane ~tid ~insn ~atomic:false ~value cell
+    ~cur_kind:Report.Write ~write:true ~reads:true cell;
+  set_write t ~rid ~wc ~lane ~tid ~insn ~atomic:false cell
 
-let do_atomic t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n ~value cell
-    =
+let do_atomic t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n cell =
   check t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n
-    ~cur_kind:Report.Atomic_rmw ~value
+    ~cur_kind:Report.Atomic_rmw
     ~write:(not (Shadow.write_atomic t.shadow cell))
     ~reads:true cell;
-  set_write t ~rid ~wc ~lane ~tid ~insn ~atomic:true ~value cell
+  set_write t ~rid ~wc ~lane ~tid ~insn ~atomic:true cell
 
 let do_acquire t ~wc ~lane ~loc scope =
   let block = Warp_clocks.block wc in
@@ -304,14 +323,12 @@ let census_bump t wc =
   t.census.(idx) <- t.census.(idx) + 1
 
 (* [cls] is 0 = read, 1 = write, 2 = atomic. *)
-let do_cell t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~index ~n ~value
-    cell =
+let do_cell t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~index ~n cell =
   if cls = 0 then
     do_read t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n cell
   else if cls = 1 then
-    do_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n ~value cell
-  else
-    do_atomic t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n ~value cell
+    do_write t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n cell
+  else do_atomic t ~rid ~wc ~lane ~tid ~insn ~space ~region ~index ~n cell
 
 let owned t space region index =
   match t.owns with None -> true | Some f -> f space region index
@@ -329,12 +346,10 @@ let owns_word t space region index =
    [Shadow.cell], so a sharded detector never materializes pages for
    cells it does not own — shadow state is genuinely partitioned, not
    replicated. *)
-let do_bytes t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~first ~last
-    ~value =
+let do_bytes t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~first ~last =
   for index = first to last do
     if owned t space region index then
       do_cell t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~index ~n:1
-        ~value
         (Shadow.cell t.shadow ~space ~region ~index)
   done
 
@@ -344,32 +359,31 @@ let do_bytes t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~first ~last
    other word, and every sub-word or misaligned access, goes byte by
    byte. *)
 let do_lane_data t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~addr ~width
-    ~value =
+    =
   if addr land 3 <> 0 || width land 3 <> 0 then
     do_bytes t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~first:addr
-      ~last:(addr + width - 1) ~value
+      ~last:(addr + width - 1)
   else
     for w = 0 to (width asr 2) - 1 do
       let index = addr + (4 * w) in
       if owns_word t space region index then begin
         let s = Shadow.summary t.shadow ~space ~region ~index in
         if s <> Shadow.none then
-          do_cell t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~index ~n:4
-            ~value s
+          do_cell t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~index ~n:4 s
         else
           do_bytes t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region
-            ~first:index ~last:(index + 3) ~value
+            ~first:index ~last:(index + 3)
       end
       else
         do_bytes t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~first:index
-          ~last:(index + 3) ~value
+          ~last:(index + 3)
     done
 
 (* Per-lane dispatch.  The access kind arrives as its wire opcode, so
    no [Simt.Event.access_kind] is materialized (the [Atomic _]
    constructor would allocate). *)
 let do_lane t ~rid ~wc ~lane ~tid ~insn ~opc ~role ~space ~region ~addr ~width
-    ~value =
+    =
   let is_load = opc = Wire.op_load in
   let is_store = opc = Wire.op_store in
   (* [Loc.make] is built inline on the sync branches only: a closure
@@ -378,24 +392,23 @@ let do_lane t ~rid ~wc ~lane ~tid ~insn ~opc ~role ~space ~region ~addr ~width
   | Gtrace.Roles.Plain ->
       let cls = if is_load then 0 else if is_store then 1 else 2 in
       do_lane_data t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~addr ~width
-        ~value
   | Gtrace.Roles.Acquire s ->
       if is_store then
         do_lane_data t ~rid ~wc ~lane ~tid ~insn ~cls:1 ~space ~region ~addr
-          ~width ~value
+          ~width
       else do_acquire t ~wc ~lane ~loc:(Loc.make ~space ~region ~addr) s
   | Gtrace.Roles.Release s ->
       if is_load then
         do_lane_data t ~rid ~wc ~lane ~tid ~insn ~cls:0 ~space ~region ~addr
-          ~width ~value
+          ~width
       else do_release t ~wc ~lane ~loc:(Loc.make ~space ~region ~addr) s
   | Gtrace.Roles.Acquire_release s ->
       if is_load then
         do_lane_data t ~rid ~wc ~lane ~tid ~insn ~cls:0 ~space ~region ~addr
-          ~width ~value
+          ~width
       else if is_store then
         do_lane_data t ~rid ~wc ~lane ~tid ~insn ~cls:1 ~space ~region ~addr
-          ~width ~value
+          ~width
       else begin
         let loc = Loc.make ~space ~region ~addr in
         do_acquire t ~wc ~lane ~loc s;
@@ -445,12 +458,12 @@ let note_corrupt t =
   Telemetry.Metric.counter_incr m_int_corrupt;
   Report.note_corrupt t.report
 
-(* The in-place entry: consume a 280-byte record directly out of a
-   transport buffer.  The view (buf, pos) is only guaranteed valid for
-   the duration of the call — for queue rings, until the consumer
-   releases the slot — and nothing here retains it.  [values] is the
-   producer's lane-value side channel ([ [||] ] when absent). *)
-let process_record t ~values buf ~pos =
+(* The in-place entry: consume a cell directly out of a transport
+   buffer.  The view (buf, pos) is only guaranteed valid for the
+   duration of the call — for queue rings, until the consumer releases
+   the slot — and nothing here retains it.  A load never uses its
+   lanes' values, so only stores and atomics decode them. *)
+let process_record t ~nvalues buf ~pos =
   let opc = Wire.View.opcode buf ~pos in
   if not (well_formed t opc buf ~pos) then note_corrupt t
   else begin
@@ -469,18 +482,17 @@ let process_record t ~values buf ~pos =
         let role = Array.unsafe_get t.roles insn in
         let mask = Wire.View.mask buf ~pos in
         let width = Wire.View.width buf ~pos in
-        let nvals = Array.length values in
         let ws = t.layout.Layout.warp_size in
         let first_tid = Warp_clocks.first_tid wc in
+        let addrs = t.addrs in
+        Wire.View.addrs buf ~pos ~mask addrs;
+        if opc <> Wire.op_load then
+          Wire.View.values buf ~pos ~nvalues ~mask ~lo:t.value_lo
+            ~hi:t.value_hi;
         for lane = 0 to ws - 1 do
           if mask land (1 lsl lane) <> 0 then
-            let tid = first_tid + lane in
-            let addr = Wire.View.addr buf ~pos ~lane in
-            let value =
-              if lane < nvals then Array.unsafe_get values lane else 0L
-            in
-            do_lane t ~rid ~wc ~lane ~tid ~insn ~opc ~role ~space ~region
-              ~addr ~width ~value
+            do_lane t ~rid ~wc ~lane ~tid:(first_tid + lane) ~insn ~opc ~role
+              ~space ~region ~addr:(Array.unsafe_get addrs lane) ~width
         done;
         Warp_clocks.join_fork wc ~mask
       end
@@ -511,42 +523,59 @@ let process_record t ~values buf ~pos =
         ~insn:(Wire.View.insn buf ~pos)
   end
 
-(* Integrity-checked wrapper: validate magic/version/checksum, then the
-   producer's sequence number.  Anomalies are counted, noted on the
-   report (degrading the verdict), and absorbed — a corrupted or stale
-   record is skipped, a gap is accounted and the stream accepted from
-   the new position.  Stale records cannot be replayed: warp-clock
-   state has already moved past them, so feeding them again would
-   corrupt detection rather than repair it. *)
-let feed_record t ~values buf ~pos =
+(* Add the counts since the last publish to the registry, or drop them
+   with telemetry off: at every record boundary the totals are what a
+   counter bump per event would make them. *)
+let publish t enabled =
+  if enabled then begin
+    Telemetry.Metric.counter_incr m_records;
+    Telemetry.Metric.counter_add m_checks (t.accesses - t.published_checks);
+    Telemetry.Metric.counter_add m_epoch_fast t.epoch_fast;
+    Telemetry.Metric.counter_add m_vc_full t.vc_full;
+    Telemetry.Metric.counter_add m_races t.races
+  end;
+  t.published_checks <- t.accesses;
+  t.epoch_fast <- 0;
+  t.vc_full <- 0;
+  t.races <- 0
+
+(* Integrity-checked wrapper: validate magic/version/checksum and the
+   value count, then the producer's sequence number.  Anomalies are
+   counted, noted on the report (degrading the verdict), and absorbed —
+   a corrupted or stale record is skipped, a gap is accounted and the
+   stream accepted from the new position.  Stale records cannot be
+   replayed: warp-clock state has already moved past them, so feeding
+   them again would corrupt detection rather than repair it. *)
+let feed_record t buf ~pos =
   let enabled = Telemetry.Registry.enabled () in
   let t0 = if enabled then Telemetry.Clock.now_ns () else 0L in
   t.records <- t.records + 1;
-  Telemetry.Metric.counter_incr m_records;
+  let nvalues = Wire.value_count buf ~pos in
   (match Wire.check buf ~pos with
-  | Wire.Intact ->
+  | Wire.Intact when nvalues >= 0 ->
       let expect = t.seq_next in
       let seq = Wire.View.seq buf ~pos in
       let diff = (seq - (expect land 0xFFFFFFFF)) land 0xFFFFFFFF in
       if diff = 0 then begin
         t.seq_next <- expect + 1;
-        process_record t ~values buf ~pos
+        process_record t ~nvalues buf ~pos
       end
       else if diff < 0x80000000 then begin
         t.seq_next <- expect + diff + 1;
         Telemetry.Metric.counter_add m_int_gap diff;
         Report.note_gap t.report diff;
-        process_record t ~values buf ~pos
+        process_record t ~nvalues buf ~pos
       end
       else begin
         Telemetry.Metric.counter_incr m_int_stale;
         Report.note_stale t.report
       end
-  | Wire.Bad_magic | Wire.Bad_version | Wire.Bad_checksum -> note_corrupt t);
+  | Wire.Intact | Wire.Bad_magic | Wire.Bad_version | Wire.Bad_checksum ->
+      note_corrupt t);
+  publish t enabled;
   if enabled then
-    Telemetry.Span.record_ns
-      sp_feed_record
-      (Telemetry.Clock.elapsed_ns ~since:t0)
+    Telemetry.Span.record_ns sp_feed_record
+      (Int64.sub (Telemetry.Clock.now_ns ()) t0)
 
 let stats t =
   let ptvc_bytes =

@@ -87,28 +87,31 @@ val create :
     {!Wire.max_lanes} (32) lane slots of a record: the lanes beyond
     them could never be checked. *)
 
-val feed_record : t -> values:int64 array -> Bytes.t -> pos:int -> unit
-(** Consume one 280-byte wire record ({!Wire}) in place at offset
-    [pos] of [buf], without decoding it into an event — the
-    steady-state path is allocation-free.  The view is only read for
-    the duration of the call (for queue rings: the slot may be
-    released as soon as this returns).  [values] is the store/atomic
-    lane-value side channel; pass [[||]] when absent (the same-value
-    write filter then compares zeros).
+val feed_record : t -> Bytes.t -> pos:int -> unit
+(** Consume one cell ({!Wire}: the sealed 280-byte record, its value
+    count and lane values) in place at offset [pos] of [buf], without
+    decoding it into an event — the steady-state path is
+    allocation-free.  The view is only read for the duration of the
+    call (for queue rings: the slot may be released as soon as this
+    returns).  A buffer ending with the record is a cell with no values
+    (the same-value write filter then compares zeros).
 
     The record must have been {!Wire.seal}ed by its producer: magic,
-    version, checksum, and sequence number are validated first (one
-    producer per detector, so one expected-next sequence number), and
-    any anomaly (corruption, loss, duplication) is counted in the
-    [barracuda_transport_integrity_*] metrics, noted on the report
-    (degrading the verdict), and absorbed without raising.  This is
+    version, checksum, value count and sequence number are validated
+    first (one producer per detector, so one expected-next sequence
+    number), and any anomaly (corruption, loss, duplication) is counted
+    in the [barracuda_transport_integrity_*] metrics, noted on the
+    report (degrading the verdict), and absorbed without raising; a
+    count that {!Wire.value_count} rejects is corrupt.  This is
     the only check: record sinks, shard rings and streaming sessions
     pass the producer's record through verbatim.  The metrics count
     per detector, so a sharded run, whose every shard sees the whole
     stream, counts an anomaly once per shard.  A record
     with an unknown opcode, or naming a warp, instruction or block
     outside the detector's layout and kernel, is counted as corrupt
-    and skipped instead of raising. *)
+    and skipped instead of raising.  With telemetry on, the detector's
+    own counts reach the [barracuda_detector_*] counters once per
+    record. *)
 
 val report : t -> Report.t
 val stats : t -> stats

@@ -195,11 +195,9 @@ let[@inline] write_tid t h = get t h f_write_tid
 let[@inline] write_insn t h = get t h f_write_insn
 let[@inline] write_record t h = get t h f_write_record
 let[@inline] write_atomic t h = get t h f_flags land atomic_bit <> 0
-let[@inline] value_lo v = Int64.to_int v land 0xFFFFFFFF
-let[@inline] value_hi v = Int64.to_int (Int64.shift_right_logical v 32)
 
-let[@inline] same_value t h v =
-  get t h f_value_lo = value_lo v && get t h f_value_hi = value_hi v
+let[@inline] same_value t h ~lo ~hi =
+  get t h f_value_lo = lo && get t h f_value_hi = hi
 
 let[@inline] read_clock t h = get t h f_read_clock
 let[@inline] read_tid t h = get t h f_read_tid
@@ -211,13 +209,13 @@ let read_vc t h = t.vcs.(get t h f_read_vc)
 (* The read clock is cleared, not dropped, so a location that
    oscillates between shared reads and clearing writes settles into a
    no-allocation cycle. *)
-let set_write t h ~clock ~tid ~insn ~atomic ~value ~record =
+let set_write t h ~clock ~tid ~insn ~atomic ~value_lo ~value_hi ~record =
   set t h f_write_clock clock;
   set t h f_write_tid tid;
   set t h f_write_insn insn;
   set t h f_write_record record;
-  set t h f_value_lo (value_lo value);
-  set t h f_value_hi (value_hi value);
+  set t h f_value_lo value_lo;
+  set t h f_value_hi value_hi;
   set t h f_read_clock 0;
   set t h f_read_tid 0;
   set t h f_read_insn (-1);

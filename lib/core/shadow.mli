@@ -81,8 +81,8 @@ val write_record : t -> slot -> int
 
 val write_atomic : t -> slot -> bool
 
-val same_value : t -> slot -> int64 -> bool
-(** Whether the last write's value equals the given one, all 64 bits. *)
+val same_value : t -> slot -> lo:int -> hi:int -> bool
+(** Whether the last write's value has 32-bit halves [lo] and [hi]. *)
 
 val set_write :
   t ->
@@ -91,12 +91,13 @@ val set_write :
   tid:int ->
   insn:int ->
   atomic:bool ->
-  value:int64 ->
+  value_lo:int ->
+  value_hi:int ->
   record:int ->
   unit
 (** Record a write, which clears the reads: read epoch and instruction
-    to bottom, not shared.  A read clock is cleared and kept, so
-    re-inflating it does not allocate. *)
+    to bottom, not shared.  The value is given as its 32-bit halves.  A
+    read clock is cleared and kept, so re-inflating it does not allocate. *)
 
 val read_clock : t -> slot -> int
 val read_tid : t -> slot -> int

@@ -27,6 +27,7 @@ type t = {
   own : int array; (* own clock per lane *)
   overlay : Mut.t option array; (* per-lane acquire-derived entries *)
   owned : bool array; (* copy-on-write flag per lane *)
+  mutable overlays : int; (* lanes whose overlay is [Some _] *)
   mutable block_clock : int;
   mutable stack : frame list; (* top first; never empty *)
 }
@@ -49,6 +50,7 @@ let create layout ~warp =
     own = Array.make ws 1;
     overlay = Array.make ws None;
     owned = Array.make ws false;
+    overlays = 0;
     block_clock = 0;
     stack = [ { mask; local = 0; sib = Array.make ws 0 } ];
   }
@@ -129,8 +131,15 @@ let overlay_union t =
   | None -> None
   | Some m -> Some (Mut.freeze m)
 
+let count_overlays t =
+  t.overlays <-
+    Array.fold_left (fun n o -> if Option.is_some o then n + 1 else n) 0
+      t.overlay
+
 (* Renormalizing join-and-fork over [mask]'s lanes within the top frame:
-   new shared clock = max own; every lane's own moves one past it. *)
+   new shared clock = max own; every lane's own moves one past it.  A
+   warp with no overlay has none to share, so it leaves the overlay and
+   ownership slots alone (ownership is only read beside an overlay). *)
 let join_fork t ~mask =
   if mask <> 0 then begin
     let f = top t in
@@ -140,15 +149,18 @@ let join_fork t ~mask =
     done;
     let m = !m in
     f.local <- m;
-    let shared = overlay_union_mut t mask in
+    let shared = if t.overlays > 0 then overlay_union_mut t mask else None in
     for l = 0 to t.ws - 1 do
       if mask land (1 lsl l) <> 0 then begin
         f.sib.(l) <- m;
         t.own.(l) <- m + 1;
-        t.overlay.(l) <- shared;
-        t.owned.(l) <- false
+        if t.overlays > 0 then begin
+          t.overlay.(l) <- shared;
+          t.owned.(l) <- false
+        end
       end
-    done
+    done;
+    if t.overlays > 0 then count_overlays t
   end
 
 let push_if t ~then_mask ~else_mask =
@@ -173,7 +185,8 @@ let acquire t ~lane cvc =
   match t.overlay.(lane) with
   | None ->
       t.overlay.(lane) <- Some (Mut.thaw cvc);
-      t.owned.(lane) <- true
+      t.owned.(lane) <- true;
+      t.overlays <- t.overlays + 1
   | Some o ->
       let o =
         if t.owned.(lane) then o
@@ -233,6 +246,7 @@ let apply_barrier t ~clock ~overlay =
          own clock so their past accesses stay ordered by the barrier *)
       f.sib.(u) <- Int.max f.sib.(u) t.own.(u)
   done;
+  count_overlays t;
   f.local <- clock;
   t.block_clock <- clock
 
@@ -250,12 +264,8 @@ let frozen_uniform ws (f : frame) =
 
 let format_of t =
   let f = top t in
-  let has_overlay = ref false in
-  for l = 0 to t.ws - 1 do
-    if f.mask land (1 lsl l) <> 0 then
-      match t.overlay.(l) with Some _ -> has_overlay := true | None -> ()
-  done;
-  if !has_overlay then Sparse_vc
+  if t.overlays > 0 && first_overlay_lane t.overlay f.mask t.ws 0 >= 0 then
+    Sparse_vc
   else
     match t.stack with
     | [ _ ] -> Converged

@@ -3,7 +3,7 @@
    version, a 16-bit rotate-XOR checksum, and a per-producer sequence
    number.
    Shared between the runtime transport and the detector's in-place
-   [feed_record] path.
+   [feed_record] path, as the head of a cell.
 
    All multi-byte fields are read and written through
    [set_uint16_le]/[get_uint16_le] compositions: those primitives take
@@ -83,6 +83,33 @@ let get_i64 b pos =
   lor (Bytes.get_uint16_le b (pos + 2) lsl 16)
   lor (Bytes.get_uint16_le b (pos + 4) lsl 32)
   lor (Bytes.get_uint16_le b (pos + 6) lsl 48)
+
+(* Cells: the record, a u16 count [n] and [n] little-endian 64-bit lane
+   values, outside the checksum. *)
+let cell_size ~nvalues = size + 2 + (8 * nvalues)
+let max_cell_size = cell_size ~nvalues:max_lanes
+
+let write_values b ~pos values =
+  let n = Array.length values in
+  if n > max_lanes then invalid_arg "Wire.write_values: too many values";
+  Bytes.set_uint16_le b (pos + size) n;
+  for i = 0 to n - 1 do
+    Bytes.set_int64_le b (pos + size + 2 + (8 * i)) values.(i)
+  done
+
+let value_count b ~pos =
+  let at = pos + size and len = Bytes.length b in
+  if at = len then 0
+  else if at + 2 > len then -1
+  else
+    let n = Bytes.get_uint16_le b at in
+    if n > max_lanes || at + 2 + (8 * n) > len then -1 else n
+
+let copy_cell src ~pos dst ~dst_pos =
+  let n = value_count src ~pos in
+  Bytes.blit src pos dst dst_pos (if n > 0 then cell_size ~nvalues:n else size);
+  if n <= 0 then
+    Bytes.set_uint16_le dst (dst_pos + size) (if n = 0 then 0 else 0xFFFF)
 
 (* Writers: each writes the full 24-byte header deterministically (ring
    slots are reused, so unset header fields must be cleared, not
@@ -267,4 +294,22 @@ module View = struct
   let addr b ~pos ~lane = get_i64 b (pos + header_size + (8 * lane))
   let then_mask b ~pos = get_i64 b (pos + header_size)
   let else_mask b ~pos = get_i64 b (pos + header_size + 8)
+
+  let addrs b ~pos ~mask dst =
+    for l = 0 to max_lanes - 1 do
+      if mask land (1 lsl l) <> 0 then
+        dst.(l) <-
+          Int64.to_int (Bytes.get_int64_le b (pos + header_size + (8 * l)))
+    done
+
+  let values b ~pos ~nvalues ~mask ~lo ~hi =
+    for l = 0 to max_lanes - 1 do
+      if mask land (1 lsl l) <> 0 then
+        let v =
+          if l < nvalues then Bytes.get_int64_le b (pos + size + 2 + (8 * l))
+          else 0L
+        in
+        lo.(l) <- Int64.to_int v land 0xFFFFFFFF;
+        hi.(l) <- Int64.to_int (Int64.shift_right_logical v 32)
+    done
 end

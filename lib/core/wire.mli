@@ -1,8 +1,8 @@
 (** The 280-byte record wire format — the paper's 272-byte layout
-    (§4.2, Figure 6) extended with an 8-byte integrity prefix — shared
-    between the runtime transport ([Gpu_runtime.Session]'s sinks,
-    [Queue] rings, [Stream] cells) and the detector's in-place
-    {!Detector.feed_record}, its only input.
+    (§4.2, Figure 6) extended with an 8-byte integrity prefix — and its
+    {e cell}, the one unit every layer passes: sinks, [Queue] rings,
+    [Stream]s and the detector's in-place {!Detector.feed_record}, its
+    only input.
 
     Layout, [pos] being the byte offset of the record inside a larger
     buffer (a queue ring slot or a standalone [Bytes.t]):
@@ -111,6 +111,29 @@ val write_barrier :
 val write_barrier_divergence :
   Bytes.t -> pos:int -> warp:int -> insn:int -> mask:int -> expected:int -> unit
 
+(** {1 Cells}
+
+    A cell is a sealed record, a u16 little-endian count [n] (at most
+    {!max_lanes}) and [n] 64-bit little-endian lane values, which the
+    same-value write filter (§3.3.1) compares; count and values lie
+    outside the checksum.  A buffer that ends with the record holds a
+    cell with no values. *)
+
+val cell_size : nvalues:int -> int
+val max_cell_size : int (** [cell_size ~nvalues:max_lanes]: 538 bytes. *)
+
+val write_values : Bytes.t -> pos:int -> int64 array -> unit
+(** Write the count and values of the cell whose record is at [pos].
+    @raise Invalid_argument on more than {!max_lanes} values. *)
+
+val value_count : Bytes.t -> pos:int -> int
+(** The value count of the cell at [pos]; [-1] when it exceeds
+    {!max_lanes} or the values run past the end of the buffer. *)
+
+val copy_cell : Bytes.t -> pos:int -> Bytes.t -> dst_pos:int -> unit
+(** Copy the cell at [pos] to [dst_pos], which must have room for
+    {!max_cell_size} bytes; the copy's {!value_count} is the source's. *)
+
 (** {1 Integrity}
 
     The checksum is a rotate-XOR sum over a length prefix, the header
@@ -178,4 +201,13 @@ module View : sig
   (** Branch payloads (lane slots 0 and 1 reused). *)
 
   val else_mask : Bytes.t -> pos:int -> int
+
+  val addrs : Bytes.t -> pos:int -> mask:int -> int array -> unit
+  (** Decode each [mask] lane's address into that lane's slot. *)
+
+  val values :
+    Bytes.t -> pos:int -> nvalues:int -> mask:int -> lo:int array ->
+    hi:int array -> unit
+  (** Decode each [mask] lane's value as its 32-bit halves (bits 0-31
+      into [lo], 32-63 into [hi]); 0 for lanes from [nvalues] on. *)
 end

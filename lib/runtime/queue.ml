@@ -26,7 +26,7 @@ let m_stalls =
 
 type t = {
   capacity : int;
-  buf : Bytes.t; (* capacity * Barracuda.Wire.size, one contiguous ring *)
+  buf : Bytes.t; (* capacity * Barracuda.Wire.max_cell_size, one contiguous ring *)
   write_head : int Atomic.t; (* next reservable virtual index *)
   commit_index : int Atomic.t; (* records visible to the consumer *)
   read_head : int Atomic.t; (* next record to consume *)
@@ -38,7 +38,7 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Queue.create: capacity <= 0";
   {
     capacity;
-    buf = Bytes.make (capacity * Barracuda.Wire.size) '\000';
+    buf = Bytes.make (capacity * Barracuda.Wire.max_cell_size) '\000';
     write_head = Atomic.make 0;
     commit_index = Atomic.make 0;
     read_head = Atomic.make 0;
@@ -48,7 +48,7 @@ let create ~capacity =
 
 let capacity t = t.capacity
 let buffer t = t.buf
-let offset_of t w = w mod t.capacity * Barracuda.Wire.size
+let offset_of t w = w mod t.capacity * Barracuda.Wire.max_cell_size
 
 let rec bump_high t backlog =
   let cur = Atomic.get t.high in

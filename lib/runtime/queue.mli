@@ -8,10 +8,10 @@
     entries ahead of the read head.
 
     Storage is one preallocated flat buffer of
-    [capacity * Barracuda.Wire.size] bytes; producers serialize directly
-    into their reserved slot and the consumer decodes directly out of
-    it, so steady-state transport allocates no per-record [Bytes.t] on
-    either side.
+    [capacity * Barracuda.Wire.max_cell_size] bytes, a slot per cell;
+    producers serialize directly into their reserved slot and the
+    consumer decodes directly out of it, so steady-state transport
+    allocates no per-record [Bytes.t] on either side.
 
     Producer protocol (any domain):
     {[

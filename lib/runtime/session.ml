@@ -4,7 +4,7 @@ module Wire = Barracuda.Wire
 (* Record sinks                                                        *)
 
 type sink = {
-  feed : values:int64 array -> Bytes.t -> pos:int -> unit;
+  feed : Bytes.t -> pos:int -> unit;
   quiesce : unit -> unit;
   sink_report : max_reports:int -> Barracuda.Report.t;
   finish : unit -> unit;
@@ -15,11 +15,11 @@ type sink = {
 
 (* Transport-fault injection for the serial backend, applied to each
    sealed record as it arrives — where a real DMA/interconnect fault
-   would land.  A delayed record is copied aside and re-fed [hold]
+   would land.  A delayed cell is copied aside and re-fed [hold]
    records later: by then the detector's sequence tracking has moved
    past it, so it surfaces as an accounted gap + stale pair rather
    than silently reordering detection state.  Returns the per-record
-   delivery and the end-of-stream flush of still-held records. *)
+   delivery and the end-of-stream flush of still-held cells. *)
 let transport_faults plan feed =
   let stream = Fault.Plan.Transport.stream plan in
   let held = ref [] in
@@ -30,42 +30,46 @@ let transport_faults plan feed =
   in
   let tick () =
     if !held <> [] then begin
-      let ready, waiting = List.partition (fun (n, _, _) -> n <= 1) !held in
-      held := List.map (fun (n, b, v) -> (n - 1, b, v)) waiting;
-      List.iter (fun (_, b, v) -> feed ~values:v b ~pos:0) ready
+      let ready, waiting = List.partition (fun (n, _) -> n <= 1) !held in
+      held := List.map (fun (n, b) -> (n - 1, b)) waiting;
+      List.iter (fun (_, b) -> feed b ~pos:0) ready
     end
   in
-  let deliver ~values buf ~pos =
+  let deliver buf ~pos =
     (match Fault.Plan.Transport.next stream with
-    | Fault.Plan.Transport.Pass -> feed ~values buf ~pos
+    | Fault.Plan.Transport.Pass -> feed buf ~pos
     | Fault.Plan.Transport.Flip raw ->
         (* flipped for the detector only: the record (and any capture
            of it) stays the one the producer sealed *)
         let bit = raw mod (Wire.size * 8) in
         flip buf ~pos bit;
-        feed ~values buf ~pos;
+        feed buf ~pos;
         flip buf ~pos bit
     | Fault.Plan.Transport.Drop -> ()
     | Fault.Plan.Transport.Duplicate ->
-        feed ~values buf ~pos;
-        feed ~values buf ~pos
+        feed buf ~pos;
+        feed buf ~pos
     | Fault.Plan.Transport.Delay hold ->
-        held := !held @ [ (hold, Bytes.sub buf pos Wire.size, values) ]);
+        let cell = Bytes.create Wire.max_cell_size in
+        Wire.copy_cell buf ~pos cell ~dst_pos:0;
+        held := !held @ [ (hold, cell) ]);
     tick ()
   in
   let flush () =
-    List.iter (fun (_, b, v) -> feed ~values:v b ~pos:0) !held;
+    List.iter (fun (_, b) -> feed b ~pos:0) !held;
     held := []
   in
   (deliver, flush)
 
+(* Detector time is summed as an [int], so its clock reads allocate
+   nothing. *)
 let serial_sink ?fault det =
-  let detect = ref 0L in
+  let detect = ref 0 in
   let records = ref 0 in
-  let feed ~values buf ~pos =
+  let feed buf ~pos =
     let t0 = Telemetry.Clock.now_ns () in
-    Barracuda.Detector.feed_record det ~values buf ~pos;
-    detect := Int64.add !detect (Telemetry.Clock.elapsed_ns ~since:t0)
+    Barracuda.Detector.feed_record det buf ~pos;
+    detect := !detect + Int64.to_int (Int64.sub (Telemetry.Clock.now_ns ()) t0)
   in
   let deliver, finish =
     match fault with
@@ -74,14 +78,14 @@ let serial_sink ?fault det =
   in
   {
     feed =
-      (fun ~values buf ~pos ->
+      (fun buf ~pos ->
         incr records;
-        deliver ~values buf ~pos);
+        deliver buf ~pos);
     quiesce = ignore;
     sink_report = (fun ~max_reports:_ -> Barracuda.Detector.report det);
     finish;
     abort = ignore;
-    detect_ns = (fun () -> !detect);
+    detect_ns = (fun () -> Int64.of_int !detect);
     sink_records = (fun () -> !records);
   }
 
@@ -94,13 +98,12 @@ let serial_sink ?fault det =
 let sp_execute = Telemetry.Span.create "execute"
 let sp_detect = Telemetry.Span.create "detect"
 
-let no_values : int64 array = [||]
-
 (* The producer half: execute [kernel] (the instrumented version when
    [inst] is given, remapping instruction ids back to the original
    kernel and dropping accesses whose logging was pruned), write every
-   logged event as a wire record, seal it — the one place a record is
-   sealed — feed it to [sink] and capture it. *)
+   logged event as a cell — the record and its lane values — seal it,
+   the one place a record is sealed, feed it to [sink] and capture
+   it. *)
 let drive ?max_steps ?deadline_ns ?fault ?inst ?capture ?tap ~machine sink
     kernel args =
   let orig, keep, run_kernel =
@@ -116,16 +119,19 @@ let drive ?max_steps ?deadline_ns ?fault ?inst ?capture ?tap ~machine sink
   in
   (* zeroed, so the lane bytes a record's payload leaves unused (which
      the checksum does not cover) are reproducible in a recording *)
-  let buf = Bytes.make Wire.size '\000' in
+  let buf = Bytes.make Wire.max_cell_size '\000' in
   let seq = ref 0 in
   let emit values =
+    Wire.write_values buf ~pos:0 values;
     Wire.seal buf ~pos:0 ~seq:!seq;
     incr seq;
-    sink.feed ~values buf ~pos:0;
+    sink.feed buf ~pos:0;
     (* the sink has put back any byte a transport fault flipped, so the
        capture is a byte-faithful recording of the sealed stream *)
     match capture with
-    | Some b -> Stream.append_cell b buf ~pos:0 ~values
+    | Some b ->
+        Buffer.add_subbytes b buf 0
+          (Wire.cell_size ~nvalues:(Array.length values))
     | None -> ()
   in
   let on_event ev =
@@ -143,20 +149,20 @@ let drive ?max_steps ?deadline_ns ?fault ?inst ?capture ?tap ~machine sink
         let o = orig insn in
         Wire.write_branch_if buf ~pos:0 ~mask:(then_mask lor else_mask) ~warp
           ~insn:o ~then_mask ~else_mask;
-        emit no_values
+        emit [||]
     | Simt.Event.Branch_else { warp; mask } ->
         Wire.write_branch_else buf ~pos:0 ~warp ~insn:(-1) ~mask;
-        emit no_values
+        emit [||]
     | Simt.Event.Branch_fi { warp; mask } ->
         Wire.write_branch_fi buf ~pos:0 ~warp ~insn:(-1) ~mask;
-        emit no_values
+        emit [||]
     | Simt.Event.Barrier { block } ->
         Wire.write_barrier buf ~pos:0 ~warp:(-1) ~insn:(-1) ~mask:0 ~block;
-        emit no_values
+        emit [||]
     | Simt.Event.Barrier_divergence { warp; insn; mask; expected } ->
         Wire.write_barrier_divergence buf ~pos:0 ~warp ~insn:(orig insn) ~mask
           ~expected;
-        emit no_values
+        emit [||]
     | Simt.Event.Fence _ | Simt.Event.Kernel_done -> ()
   in
   let on_event =
@@ -368,15 +374,13 @@ let open_stream ?sink ?(detector = Barracuda.Detector.default_config) ~layout
     st_opened_ns = Telemetry.Clock.now_ns ();
   }
 
-(* Each reassembled cell's record goes to the sink where it lies, still
-   sealed by the producer that recorded it: the detector validates it
-   exactly as it would a batch run's record. *)
+(* Each reassembled cell goes to the sink where it lies, still sealed
+   by the producer that recorded it: the detector validates it exactly
+   as it would a batch run's cell. *)
 let feed_chunk st ?pos ?len chunk =
   if st.st_closed then invalid_arg "Session.feed_chunk: stream is closed";
-  let sink = st.st_sink in
   Telemetry.Metric.counter_add c_stream_records
-    (Stream.feed st.st_reader ?pos ?len chunk (fun ~buf ~pos ~values ->
-         sink.feed ~values buf ~pos))
+    (Stream.feed st.st_reader ?pos ?len chunk st.st_sink.feed)
 
 let progress_of ?(final = false) st =
   let r = st.st_sink.sink_report ~max_reports:st.st_max_reports in

@@ -15,28 +15,26 @@
 
     {b Streaming sessions} ({!stream}) are the incremental core every
     frontend shares: a session is opened against a kernel, fed chunks
-    of sealed wire records ({!Stream} cells) at arbitrary byte
-    boundaries, checkpointed for a verdict-so-far, and closed for the
+    of cells ({!Stream}) at arbitrary byte boundaries, checkpointed for a verdict-so-far, and closed for the
     final verdict.  The same {!sink} abstraction also drives batch
     execution ({!run_stream}). *)
 
 (** {1 Record sinks}
 
-    A sink is one incremental consumer of sealed wire records — the
-    seam between the streaming-session core and a detection backend.
-    The serial backend ({!serial_sink}) feeds a single
+    A sink is one incremental consumer of cells ({!Barracuda.Wire}: a
+    sealed wire record, its value count and lane values) — the seam
+    between the streaming-session core and a detection backend.  The
+    serial backend ({!serial_sink}) feeds a single
     {!Barracuda.Detector} in place; the sharded backend
-    ([Shard.Stream.sink]) broadcasts into the shard engine's SPSC
+    ([Shard.Stream.sink]) copies each cell into the shard engine's SPSC
     rings.  Only the producer seals a record ({!run_stream}, or
-    whichever run recorded a stream); a sink takes the record as it is,
+    whichever run recorded a stream); a sink takes the cell as it is,
     and the detector's checksum and sequence check is the only one. *)
 
 type sink = {
-  feed : values:int64 array -> Bytes.t -> pos:int -> unit;
-      (** consume the sealed [Barracuda.Wire.size]-byte record at [pos]
-          of the buffer, for the duration of the call only (the
-          contract of [Detector.feed_record]); [values] is its lane-value
-          side channel *)
+  feed : Bytes.t -> pos:int -> unit;
+      (** consume the cell at [pos] of the buffer, for the duration of
+          the call only (the contract of [Detector.feed_record]) *)
   quiesce : unit -> unit;
       (** wait until every record fed so far is fully detected — the
           barrier behind checkpoints.  May raise the backend's failure
@@ -108,8 +106,8 @@ val run_stream :
       to the original kernel and dropping the accesses whose logging it
       pruned.  Without it the original kernel runs and every event is
       logged.
-    - [capture] appends every sealed record as a {!Stream} cell,
-      values included: the recorder behind [check --record].
+    - [capture] appends every cell as the sink received it: the
+      recorder behind [check --record].
     - [tap] observes every simulator event (fences and kernel-done
       included) before it is serialized, with the executed kernel's
       instruction ids.
@@ -170,7 +168,7 @@ val total_races : t -> int
     The incremental lifecycle: open → feed chunks of sealed wire
     records → checkpoint (verdict-so-far) → close (final verdict).
     Chunks split cells at arbitrary byte boundaries; the session only
-    reassembles them and hands each record, as its producer sealed it,
+    reassembles them and hands each cell, as its producer sealed it,
     to the sink.  Nothing is checked or resealed here: the detector
     validates a streamed record exactly as it does a batch run's, so
     any chunking yields exactly the batch race set. *)

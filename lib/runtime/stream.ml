@@ -2,18 +2,8 @@ module Wire = Barracuda.Wire
 
 exception Framing of string
 
-let cell_size ~nvalues = Wire.size + 2 + (8 * nvalues)
-let max_cell_size = cell_size ~nvalues:Wire.max_lanes
-
-let append_cell b buf ~pos ~values =
-  Buffer.add_subbytes b buf pos Wire.size;
-  let n = Array.length values in
-  if n > Wire.max_lanes then invalid_arg "Stream.append_cell: too many values";
-  Buffer.add_char b (Char.chr (n land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 8) land 0xff));
-  for i = 0 to n - 1 do
-    Buffer.add_int64_le b values.(i)
-  done
+let cell_size = Wire.cell_size
+let max_cell_size = Wire.max_cell_size
 
 type reader = {
   mutable buf : Bytes.t;
@@ -56,10 +46,7 @@ let feed r ?(pos = 0) ?len chunk k =
     if r.avail < Wire.size + 2 then continue := false
     else begin
       let at = r.start + Wire.size in
-      let n =
-        Char.code (Bytes.get r.buf at)
-        lor (Char.code (Bytes.get r.buf (at + 1)) lsl 8)
-      in
+      let n = Bytes.get_uint16_le r.buf at in
       if n > Wire.max_lanes then
         raise
           (Framing
@@ -68,10 +55,7 @@ let feed r ?(pos = 0) ?len chunk k =
       let cell = cell_size ~nvalues:n in
       if r.avail < cell then continue := false
       else begin
-        let values =
-          Array.init n (fun i -> Bytes.get_int64_le r.buf (at + 2 + (8 * i)))
-        in
-        k ~buf:r.buf ~pos:r.start ~values;
+        k r.buf ~pos:r.start;
         r.start <- r.start + cell;
         r.avail <- r.avail - cell;
         incr delivered

@@ -1,14 +1,14 @@
 (** Incremental wire-record streams: the byte format streaming sessions
     feed on and batch runs record to.
 
-    A stream is a sequence of {e cells}.  Each cell is one sealed
-    280-byte wire record ({!Barracuda.Wire}) followed by its value
-    side channel: a 16-bit little-endian count [n] (at most
-    {!Barracuda.Wire.max_lanes}) and [n] 64-bit little-endian lane
-    values.  The real system rereads store values from device memory
-    when applying the same-value write filter; carrying them in the
-    cell preserves bitwise verdict parity between a replayed stream and
-    the run that recorded it.
+    A stream is a sequence of {e cells} ({!Barracuda.Wire}'s cell
+    layout): one sealed 280-byte wire record, then a 16-bit
+    little-endian count [n] (at most {!Barracuda.Wire.max_lanes}) and
+    [n] 64-bit little-endian lane values, exactly as the producer wrote
+    them and the detector reads them.  The real system rereads store
+    values from device memory when applying the same-value write
+    filter; carrying them in the cell preserves bitwise verdict parity
+    between a replayed stream and the run that recorded it.
 
     Cells may be split at {e any} byte boundary when shipped in chunks;
     {!feed} reassembles them.  Recorded stream files prepend a fixed
@@ -21,13 +21,10 @@ exception Framing of string
     desynchronizes every subsequent cell boundary, so it is loud. *)
 
 val cell_size : nvalues:int -> int
-(** Bytes occupied by a cell carrying [nvalues] lane values. *)
+(** {!Barracuda.Wire.cell_size}. *)
 
 val max_cell_size : int
-(** [cell_size ~nvalues:Barracuda.Wire.max_lanes]. *)
-
-val append_cell : Buffer.t -> Bytes.t -> pos:int -> values:int64 array -> unit
-(** Append one cell: the sealed record at [pos] plus [values]. *)
+(** {!Barracuda.Wire.max_cell_size}. *)
 
 type reader
 (** Incremental cell reassembly with partial-cell buffering. *)
@@ -38,15 +35,12 @@ val pending : reader -> int
 (** Bytes buffered awaiting the rest of their cell. *)
 
 val feed :
-  reader ->
-  ?pos:int ->
-  ?len:int ->
-  string ->
-  (buf:Bytes.t -> pos:int -> values:int64 array -> unit) ->
-  int
+  reader -> ?pos:int -> ?len:int -> string -> (Bytes.t -> pos:int -> unit) -> int
 (** Feed a chunk and invoke the callback once per completed cell, in
-    stream order; the record bytes are valid only for the duration of
-    the callback.  Returns the number of cells delivered.
+    stream order, with the cell where it lies in the reader's buffer:
+    the bytes are valid only for the duration of the callback, and the
+    buffer may extend past the cell.  Returns the number of cells
+    delivered.
     @raise Framing on an impossible value count. *)
 
 (** {1 Recorded stream files} *)

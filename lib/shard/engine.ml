@@ -3,10 +3,8 @@ module Queue = Gpu_runtime.Queue
 
 exception Shard_crashed of int
 
-let no_values : int64 array = [||]
-
-(* Records in flight per shard ring. *)
-let ring_slots = 4096
+(* Cells in flight per shard ring: ~1.1 MB, zeroed per sharded job. *)
+let ring_slots = 2048
 
 (* Producer-side wait for a full ring while its consumer drains
    concurrently: spin briefly, then sleep with a capped exponential
@@ -23,7 +21,6 @@ type t = {
   layout : Vclock.Layout.t;
   detectors : Barracuda.Detector.t array;
   rings : Queue.t array;
-  values_ring : int64 array array array;
   mutable records : int;
   producing : bool Atomic.t;
   failed : bool Atomic.t array;
@@ -49,7 +46,7 @@ let consume t i m_records =
     | None -> None
     | Some p -> Fault.Plan.shard_crash_after p ~shard:i
   in
-  let detect = ref 0L in
+  let detect = ref 0 in
   let consumed = ref 0 in
   (try
      let rec loop () =
@@ -62,10 +59,10 @@ let consume t i m_records =
              | None -> ());
              raise Fault.Plan.Injected_shard_crash
          | _ -> ());
-         let values = t.values_ring.(i).(off / Wire.size) in
          let t0 = Telemetry.Clock.now_ns () in
-         Barracuda.Detector.feed_record det ~values buf ~pos:off;
-         detect := Int64.add !detect (Telemetry.Clock.elapsed_ns ~since:t0);
+         Barracuda.Detector.feed_record det buf ~pos:off;
+         detect :=
+           !detect + Int64.to_int (Int64.sub (Telemetry.Clock.now_ns ()) t0);
          incr consumed;
          Telemetry.Metric.counter_incr m_records;
          Queue.release q;
@@ -78,7 +75,7 @@ let consume t i m_records =
      in
      loop ()
    with Fault.Plan.Injected_shard_crash -> Atomic.set t.failed.(i) true);
-  !detect
+  Int64.of_int !detect
 
 let create ?fault ?(config = Barracuda.Detector.default_config) ~layout
     ~shards kernel =
@@ -100,8 +97,6 @@ let create ?fault ?(config = Barracuda.Detector.default_config) ~layout
       layout;
       detectors;
       rings = Array.init shards (fun _ -> Queue.create ~capacity:ring_slots);
-      values_ring =
-        Array.init shards (fun _ -> Array.make ring_slots no_values);
       records = 0;
       producing = Atomic.make true;
       failed = Array.init shards (fun _ -> Atomic.make false);
@@ -147,17 +142,16 @@ let reserve t i =
   in
   go 0
 
-(* Every ring receives the producer's record byte for byte, seal and
+(* Every ring receives the producer's cell byte for byte, seal and
    sequence number included: each ring carries the full stream, so the
    producer's sequence number is the one each shard's detector
    expects. *)
-let broadcast t ~values buf ~pos =
+let broadcast t buf ~pos =
   let n = Array.length t.rings in
   for i = 0 to n - 1 do
     let q = t.rings.(i) in
     let w = reserve t i in
-    Bytes.blit buf pos (Queue.buffer q) (Queue.offset_of q w) Wire.size;
-    t.values_ring.(i).(w mod ring_slots) <- values;
+    Wire.copy_cell buf ~pos (Queue.buffer q) ~dst_pos:(Queue.offset_of q w);
     Queue.commit q w
   done;
   t.records <- t.records + 1

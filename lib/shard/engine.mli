@@ -3,10 +3,10 @@
     One job's shadow state is split across [N] shards by the
     deterministic {!Router}; each shard runs an unchanged
     [Barracuda.Detector] restricted to its cells (the detector's
-    [?owns] predicate) over its own bounded SPSC ring of in-place wire
-    records, on its own domain.
+    [?owns] predicate) over its own bounded SPSC ring of in-place
+    cells ({!Barracuda.Wire}), on its own domain.
 
-    The producer {e broadcasts}: every record — data access,
+    The producer {e broadcasts}: every cell — data access,
     branch, barrier, fence-role access — is copied verbatim, as its
     producer sealed it, into every shard's ring; the engine stamps
     nothing.  Each shard therefore observes the identical totally
@@ -22,7 +22,8 @@
 
     A shard ring is strictly SPSC (the broadcasting producer, the
     shard's consumer domain), so the per-record transport cost is one
-    280-byte blit + commit per shard.
+    cell blit (280 bytes, plus 2 and 8 per lane value) + commit per
+    shard.
 
     If a shard's consumer domain dies mid-job (fault injection, or a
     real bug), the engine fails the whole job loudly with
@@ -43,16 +44,16 @@ val create :
   Ptx.Ast.kernel ->
   t
 (** Spawns [shards] consumer domains immediately, each behind a
-    4096-record ring, partitioned by [Router.make ~shards ()].
+    2048-cell ring (~1.1 MB), partitioned by [Router.make ~shards ()].
     [fault] is consulted for shard-crash injection only (transport
     faults live in [Gpu_runtime.Session.serial_sink]).
     @raise Invalid_argument on [shards < 1]. *)
 
 val shards : t -> int
 
-val broadcast : t -> values:int64 array -> Bytes.t -> pos:int -> unit
-(** Copy the sealed record at [pos] of the buffer, byte for byte, into
-    every shard's ring, blocking (with backoff) on any ring that is
+val broadcast : t -> Bytes.t -> pos:int -> unit
+(** Copy the cell at [pos] of the buffer ({!Barracuda.Wire.copy_cell}),
+    byte for byte, into every shard's ring, blocking (with backoff) on any ring that is
     full; the buffer is not retained.  Every record is broadcast.
     @raise Shard_crashed instead of blocking forever on a ring whose
     consumer has died. *)

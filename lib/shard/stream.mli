@@ -1,9 +1,9 @@
 (** The sharded backend for streaming sessions: a
     {!Gpu_runtime.Session.sink} over {!Engine}'s broadcast transport.
 
-    [feed] is {!Engine.broadcast}: each sealed record, from the
-    streaming session core or {!Gpu_runtime.Session.run_stream}, is
-    copied verbatim into every shard ring, with no epoch stamp or
+    [feed] is {!Engine.broadcast}: each cell, from the streaming
+    session core or {!Gpu_runtime.Session.run_stream}, is copied
+    verbatim into every shard ring, with no epoch stamp or
     reseal; [quiesce] waits for every shard ring to drain;
     [finish]/[abort] join the consumer domains.  Feeding the same record
     stream through this sink and through the serial sink yields

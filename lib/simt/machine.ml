@@ -371,7 +371,9 @@ let exec_lane ctx w lane = function
       set_reg ctx w dst lane v
 
 (* One warp-wide memory access: lane by lane, so atomics serialize in
-   lane order.  The event gets fresh arrays, which consumers may keep. *)
+   lane order.  The event gets fresh arrays, though no consumer keeps
+   them past the event: the session copies them into the record's
+   cell. *)
 let exec_access ctx w pc active a =
   let addrs = Array.make ctx.ws 0 and values = Array.make ctx.ws 0L in
   for lane = 0 to ctx.ws - 1 do

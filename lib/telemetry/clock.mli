@@ -4,8 +4,11 @@
     to wall-clock adjustments.  Absolute values are meaningless except
     as differences. *)
 
-val now_ns : unit -> int64
-(** Nanoseconds since an arbitrary fixed origin. *)
+external now_ns : unit -> (int64[@unboxed])
+  = "barracuda_monotonic_now_ns_byte" "barracuda_monotonic_now_ns"
+[@@noalloc]
+(** Nanoseconds since an arbitrary fixed origin, read without
+    allocating in native code. *)
 
 val elapsed_ns : since:int64 -> int64
 (** [elapsed_ns ~since:t0] is [now_ns () - t0]. *)

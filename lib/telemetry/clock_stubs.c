@@ -3,16 +3,25 @@
    CLOCK_MONOTONIC is immune to wall-clock adjustments (NTP slew,
    manual date changes), which matters for the benchmark harness:
    Figure 10 overheads are ratios of measured durations, and a clock
-   step mid-run would silently corrupt them. */
+   step mid-run would silently corrupt them.
+
+   Native code calls the unboxed form directly (no allocation, no
+   runtime transition); bytecode gets the boxed one. */
 
 #include <time.h>
 #include <stdint.h>
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
 
-CAMLprim value barracuda_monotonic_now_ns(value unit)
+int64_t barracuda_monotonic_now_ns(value unit)
 {
     struct timespec ts;
+    (void)unit;
     clock_gettime(CLOCK_MONOTONIC, &ts);
-    return caml_copy_int64((int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+CAMLprim value barracuda_monotonic_now_ns_byte(value unit)
+{
+    return caml_copy_int64(barracuda_monotonic_now_ns(unit));
 }

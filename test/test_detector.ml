@@ -49,7 +49,14 @@ let test_wc_overlay_sparse () =
   Alcotest.(check bool) "sparse format" true (Wc.format_of wc = Wc.Sparse_vc);
   (* a join spreads the overlay to the whole active set *)
   Wc.join_fork wc ~mask:0xF;
-  Alcotest.(check int) "overlay propagated" 7 (Wc.entry wc ~lane:0 ~tid:12)
+  Alcotest.(check int) "overlay propagated" 7 (Wc.entry wc ~lane:0 ~tid:12);
+  Alcotest.(check bool) "still sparse after the join" true
+    (Wc.format_of wc = Wc.Sparse_vc);
+  (* a barrier with no block-wide overlay clears every lane's *)
+  Wc.apply_barrier wc ~clock:(Wc.max_own wc) ~overlay:None;
+  Alcotest.(check int) "overlay cleared" 0 (Wc.entry wc ~lane:1 ~tid:12);
+  Alcotest.(check bool) "converged after the barrier" true
+    (Wc.format_of wc = Wc.Converged)
 
 let test_wc_barrier_block_clock () =
   let wc0 = Wc.create lay ~warp:0 in
@@ -143,8 +150,8 @@ let test_shadow_pages_on_demand () =
      every untouched location. *)
   let s = Shadow.create () in
   let c5 = global_cell s 5 in
-  Shadow.set_write s c5 ~clock:3 ~tid:1 ~insn:7 ~atomic:false ~value:0L
-    ~record:1;
+  Shadow.set_write s c5 ~clock:3 ~tid:1 ~insn:7 ~atomic:false ~value_lo:0
+    ~value_hi:0 ~record:1;
   let c6 = global_cell s 6 in
   Alcotest.(check bool) "cell 6 reads bottom" true (reads_bottom s c6);
   let c7 = global_cell s 7 in
@@ -206,8 +213,8 @@ let test_shadow_summary_split () =
   Vclock.Cvc.Mut.raise_point vc 1 3;
   Vclock.Cvc.Mut.raise_point vc 5 2;
   (* the write first: a write clears the reads *)
-  Shadow.set_write s w ~clock:2 ~tid:6 ~insn:1 ~atomic:true ~value:0x1_0000_002AL
-    ~record:9;
+  Shadow.set_write s w ~clock:2 ~tid:6 ~insn:1 ~atomic:true ~value_lo:0x2A
+    ~value_hi:1 ~record:9;
   Shadow.set_read_vc s w vc;
   Shadow.share_reads s w;
   Shadow.set_read s w ~clock:5 ~tid:3;
@@ -221,7 +228,7 @@ let test_shadow_summary_split () =
         Shadow.write_tid s c,
         Shadow.write_insn s c,
         Shadow.write_atomic s c,
-        Shadow.same_value s c 0x1_0000_002AL,
+        Shadow.same_value s c ~lo:0x2A ~hi:1,
         Shadow.write_record s c ),
       Vclock.Cvc.Mut.freeze (Shadow.read_vc s c) )
   in
@@ -243,7 +250,7 @@ let test_shadow_summary_split () =
         (r = r' && w = w' && Vclock.Cvc.equal v v'))
     [ 0; 1; 2; 3 ];
   Alcotest.(check bool) "the value compares all 64 bits" false
-    (Shadow.same_value s (byte 0) 0x2AL);
+    (Shadow.same_value s (byte 0) ~lo:0x2A ~hi:0);
   Alcotest.(check bool) "the split word is no longer summarized" true
     (summary () = Shadow.none);
   Vclock.Cvc.Mut.raise_point (Shadow.read_vc s (byte 2)) 1 8;
@@ -346,6 +353,56 @@ let prop_detector_deterministic =
       let _, b = run_both prog in
       a = b)
 
+(* ---- PTVC census ------------------------------------------------------ *)
+
+(* The census reads each access record's warp format, and warps that
+   hold no overlay skip the scan for one; the counts must not move.
+   Pinned, as they were before the skip: the four format counts and
+   [ptvc_bytes] of every shipped kernel, and of 400 generated programs,
+   whose acquires, releases and acq-rel atomics install overlays. *)
+let census (layout, kernel, setup) =
+  let m = Simt.Machine.create ~layout () in
+  let args = setup m in
+  let det = Barracuda.Detector.create ~layout kernel in
+  ignore
+    (Gpu_runtime.Session.run_stream
+       ~sink:(Gpu_runtime.Session.serial_sink det) ~machine:m kernel args);
+  let st = Barracuda.Detector.stats det in
+  Barracuda.Detector.
+    [
+      st.ptvc_converged;
+      st.ptvc_diverged;
+      st.ptvc_nested;
+      st.ptvc_sparse;
+      st.ptvc_bytes;
+    ]
+
+let test_ptvc_census_pinned () =
+  let check label corpus totals digest =
+    let counts = List.map census corpus in
+    Alcotest.(check (list int))
+      (label ^ ": converged, diverged, nested, sparse, PTVC bytes")
+      totals
+      (List.fold_left (List.map2 ( + )) [ 0; 0; 0; 0; 0 ] counts);
+    Alcotest.(check string) (label ^ ": per-kernel counts") digest
+      (Digest.to_hex
+         (Digest.string
+            (String.concat "\n"
+               (List.map
+                  (fun c -> String.concat " " (List.map string_of_int c))
+                  counts))))
+  in
+  check "92 shipped kernels"
+    (List.map (fun (_, l, k, s) -> (l, k, s)) Test_simt.shipped_kernels)
+    [ 1786; 1098; 8; 62; 176928 ] "3063e01908cc32252bf4b35190746e1a";
+  let programs =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 2026 |]) ~n:400
+      Gen.gen_program
+  in
+  check "400 generated programs"
+    (List.map (fun p -> (lay, Gen.kernel_of_program p, Gen.setup)) programs)
+    [ 4787; 2661; 223; 3051; 386240 ] "c5cfaace5bc8c564dad62a4b388b061d"
+
 (* ---- Directed rule scenarios ---------------------------------------- *)
 
 let test_rule_write_write () =
@@ -404,6 +461,7 @@ let suite =
     Alcotest.test_case "wc join-fork" `Quick test_wc_join_fork_advances;
     Alcotest.test_case "wc divergence formats" `Quick test_wc_divergence_formats;
     Alcotest.test_case "wc overlays" `Quick test_wc_overlay_sparse;
+    Alcotest.test_case "PTVC census pinned" `Quick test_ptvc_census_pinned;
     Alcotest.test_case "wc barrier" `Quick test_wc_barrier_block_clock;
     Alcotest.test_case "wc materialize" `Quick test_wc_materialize_roundtrip;
     Alcotest.test_case "wc release increment" `Quick

@@ -193,10 +193,9 @@ let mk_detector () =
 
 let test_seq_gap_stale_corrupt () =
   let det = mk_detector () in
-  let values = Array.make ws 1L in
   let feed ~seq =
     let buf = sealed_access ~seq () in
-    Detector.feed_record det ~values buf ~pos:0
+    Detector.feed_record det buf ~pos:0
   in
   feed ~seq:0;
   let i = Report.integrity (Detector.report det) in
@@ -214,7 +213,7 @@ let test_seq_gap_stale_corrupt () =
   Alcotest.(check int) "stale duplicate" 1 i.Report.stale;
   let buf = sealed_access ~seq:6 () in
   Bytes.set_uint8 buf 40 (Bytes.get_uint8 buf 40 lxor 4);
-  Detector.feed_record det ~values buf ~pos:0;
+  Detector.feed_record det buf ~pos:0;
   let i = Report.integrity (Detector.report det) in
   Alcotest.(check int) "corrupt record" 1 i.Report.corrupt;
   Alcotest.(check bool) "degraded" true (Report.degraded (Detector.report det));
@@ -223,15 +222,40 @@ let test_seq_gap_stale_corrupt () =
   let insns = Array.length (Gen.kernel_of_program mk_program).Ptx.Ast.body in
   let warps = Vclock.Layout.total_warps Gen.layout in
   let buf = sealed_access ~insn:insns ~seq:6 () in
-  Detector.feed_record det ~values buf ~pos:0;
+  Detector.feed_record det buf ~pos:0;
   let i = Report.integrity (Detector.report det) in
   Alcotest.(check int) "insn past the kernel" 2 i.Report.corrupt;
   let buf = sealed_access ~warp:warps ~seq:7 () in
-  Detector.feed_record det ~values buf ~pos:0;
+  Detector.feed_record det buf ~pos:0;
   let i = Report.integrity (Detector.report det) in
   Alcotest.(check int) "warp past the layout" 3 i.Report.corrupt;
   Alcotest.(check bool) "in sequence: no new gap or stale" true
     (i.Report.gaps = 4 && i.Report.stale = 1)
+
+(* The value count lies outside the checksum, so the detector bounds
+   it: a count above 32, or values running past the end of the buffer,
+   make the cell corrupt, skipped without reading out of bounds, and a
+   buffer that ends with the record is a cell with no values. *)
+let test_value_count_bounded () =
+  let cell ~len ~count =
+    let b = Bytes.make len '\000' in
+    Bytes.blit (sealed_access ()) 0 b 0 Wire.size;
+    if len > Wire.size then Bytes.set_uint16_le b Wire.size count;
+    b
+  in
+  List.iter
+    (fun (label, buf, corrupt, checks) ->
+      let det = mk_detector () in
+      Detector.feed_record det buf ~pos:0;
+      let i = Report.integrity (Detector.report det) in
+      Alcotest.(check (pair int int))
+        (label ^ ": corrupt, checks") (corrupt, checks)
+        (i.Report.corrupt, (Detector.stats det).Detector.accesses_checked))
+    [
+      ("count 33", cell ~len:(Wire.cell_size ~nvalues:33) ~count:33, 1, 0);
+      ("values overrun a 300-byte buffer", cell ~len:300 ~count:3, 1, 0);
+      ("bare 280-byte store", cell ~len:Wire.size ~count:0, 0, ws);
+    ]
 
 let test_orphaned_fi_absorbed () =
   (* a branch_fi whose branch_if was lost upstream must be skipped and
@@ -240,7 +264,7 @@ let test_orphaned_fi_absorbed () =
   let buf = Bytes.make Wire.size '\000' in
   Wire.write_branch_fi buf ~pos:0 ~warp:0 ~insn:0 ~mask:((1 lsl ws) - 1);
   Wire.seal buf ~pos:0 ~seq:0;
-  Detector.feed_record det ~values:[||] buf ~pos:0;
+  Detector.feed_record det buf ~pos:0;
   let i = Report.integrity (Detector.report det) in
   Alcotest.(check int) "desync counted" 1 i.Report.desync;
   Alcotest.(check bool) "degraded" true (Report.degraded (Detector.report det))
@@ -480,7 +504,7 @@ let test_record_version_rejected () =
   let det = mk_detector () in
   let buf = sealed_access () in
   Bytes.set_uint8 buf 1 (Wire.version + 1);
-  Detector.feed_record det ~values:(Array.make ws 1L) buf ~pos:0;
+  Detector.feed_record det buf ~pos:0;
   let i = Report.integrity (Detector.report det) in
   Alcotest.(check int) "stale version counted corrupt" 1 i.Report.corrupt;
   Alcotest.(check int) "no access checked" 0
@@ -508,6 +532,7 @@ let suite =
       test_opcode_bit_flips_detected;
     Alcotest.test_case "seq gap/stale/corrupt accounting" `Quick
       test_seq_gap_stale_corrupt;
+    Alcotest.test_case "value count bounded" `Quick test_value_count_bounded;
     Alcotest.test_case "orphaned branch_fi absorbed" `Quick
       test_orphaned_fi_absorbed;
     Alcotest.test_case "drop plan degrades" `Quick test_drop_plan_degrades;

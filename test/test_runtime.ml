@@ -233,7 +233,6 @@ let test_steady_state_allocation () =
   let q = Queue.create ~capacity:64 in
   let buf = Queue.buffer q in
   let addrs = Array.init wsz (fun i -> 4 * i) in
-  let values = Array.make wsz 1L in
   let mask = (1 lsl wsz) - 1 in
   let pump n =
     for _ = 1 to n do
@@ -244,7 +243,7 @@ let test_steady_state_allocation () =
       Barracuda.Wire.seal buf ~pos ~seq:w;
       Queue.commit q w;
       let off = Queue.peek q in
-      Barracuda.Detector.feed_record det ~values buf ~pos:off;
+      Barracuda.Detector.feed_record det buf ~pos:off;
       Queue.release q
     done
   in

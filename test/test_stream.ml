@@ -466,6 +466,52 @@ let test_stop_zeroes_all_gauges () =
       "barracuda_service_open_sessions";
     ]
 
+(* A cell is the one unit from a chunk's bytes to the detector, values
+   included: a session fed one chunk of [n] converged 32-lane store
+   cells allocates nothing per cell, so [n = 64] and [n = 1024] cost
+   the same minor-heap words, within 64. *)
+let test_streamed_cells_no_alloc () =
+  Telemetry.Registry.set_enabled false;
+  let layout =
+    Vclock.Layout.make ~warp_size:32 ~threads_per_block:32 ~blocks:1
+  in
+  let b = Ptx.Builder.create ~params:[ "p" ] "cells" in
+  let a = Ptx.Builder.fresh_reg b in
+  Ptx.Builder.mad b a (Ptx.Ast.Sreg Ptx.Ast.Tid) (Ptx.Builder.imm 4)
+    (Ptx.Builder.sym "p");
+  Ptx.Builder.st b (Ptx.Builder.reg a) (Ptx.Ast.Sreg Ptx.Ast.Tid);
+  let kernel = Ptx.Builder.finish b in
+  let _, records, recording =
+    oneshot ~layout kernel (fun m ->
+        [| Int64.of_int (Simt.Machine.alloc_global m 128) |])
+  in
+  let cell = Stream.cell_size ~nvalues:32 in
+  Alcotest.(check int) "one store cell with 32 values" cell
+    (String.length recording);
+  Alcotest.(check int) "one record" 1 records;
+  let words n =
+    let chunk = Bytes.create (n * cell) in
+    for i = 0 to n - 1 do
+      Bytes.blit_string recording 0 chunk (i * cell) cell;
+      Barracuda.Wire.seal chunk ~pos:(i * cell) ~seq:i
+    done;
+    let chunk = Bytes.to_string chunk in
+    let st = Session.open_stream ~layout kernel in
+    let before = Gc.minor_words () in
+    Session.feed_chunk st chunk;
+    let after = Gc.minor_words () in
+    let p = Session.close_stream st in
+    Alcotest.(check int) "every cell accepted" n p.Session.p_records;
+    Alcotest.(check bool) "race free, undegraded" false
+      (p.Session.p_has_race || p.Session.p_degraded);
+    after -. before
+  in
+  let small = words 64 and large = words 1024 in
+  Alcotest.(check bool)
+    (Printf.sprintf "64 cells: %.0f words, 1024 cells: %.0f words" small large)
+    true
+    (Float.abs (large -. small) <= 64.)
+
 let suite =
   [
     Gen.to_alcotest prop_chunk_invariance;
@@ -478,6 +524,8 @@ let suite =
     Alcotest.test_case "degraded streams count alike on every backend" `Quick
       test_degraded_counts_alike;
     Alcotest.test_case "framing corruption raises" `Quick test_framing_is_loud;
+    Alcotest.test_case "streamed cells allocate nothing" `Quick
+      test_streamed_cells_no_alloc;
     Alcotest.test_case "stream file round-trip" `Quick
       test_stream_file_roundtrip;
     Alcotest.test_case "bad stream header rejected" `Quick

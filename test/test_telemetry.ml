@@ -311,6 +311,58 @@ let test_word_path_counters () =
     ((4, 0, 12), 12)
     (counters (fun b -> Ptx.Builder.st b p (Ptx.Ast.Sreg Ptx.Ast.Tid)))
 
+(* The detector counts for itself and publishes once per record: the
+   registry's deltas over a run must be the parent's per-event counts.
+   [atomic_vs_plain_read] inflates a read clock (one full scan) and
+   races (eight observations); the five deltas were measured before the
+   detector kept its own counts.  Across shards, the published checks
+   must add up to the detectors' own. *)
+let test_published_counters () =
+  let case =
+    List.find
+      (fun (c : Bugsuite.Case.t) -> c.name = "atomic_vs_plain_read")
+      Bugsuite.Cases.all
+  in
+  let names = [ "records"; "checks"; "epoch_fast"; "vc_full"; "races" ] in
+  let deltas run =
+    with_telemetry (fun () ->
+        run ();
+        List.map
+          (fun n ->
+            Telemetry.Registry.find_counter Telemetry.Registry.default
+              ("barracuda_detector_" ^ n ^ "_total"))
+          names)
+  in
+  let machine () =
+    let m = Simt.Machine.create ~layout:case.layout () in
+    (m, case.setup m)
+  in
+  Alcotest.(check (list int))
+    "records, checks, epoch fast path, full scans, races" [ 16; 4; 6; 1; 8 ]
+    (deltas (fun () ->
+         let m, args = machine () in
+         ignore (Session.run_stream ~machine:m case.kernel args)));
+  let w = Workloads.Registry.find "backprop" in
+  let engine = Shard.Engine.create ~layout:w.W.layout ~shards:3 w.W.kernel in
+  let published =
+    deltas (fun () ->
+        let m = W.machine w in
+        let args = w.W.setup m in
+        ignore
+          (Session.run_stream ~sink:(Shard.Stream.sink_of_engine engine)
+             ~machine:m w.W.kernel args))
+  in
+  let own =
+    Array.fold_left
+      (fun acc d ->
+        acc + (Barracuda.Detector.stats d).Barracuda.Detector.accesses_checked)
+      0
+      (Shard.Engine.detectors engine)
+  in
+  Alcotest.(check bool) "the shards checked something" true (own > 0);
+  Alcotest.(check int) "3 shards: published checks = the detectors' own" own
+    (List.nth published 1)
+
 let test_session_rollups () =
   with_telemetry (fun () ->
       let w = Workloads.Registry.find "backprop" in
@@ -356,4 +408,6 @@ let suite =
     Alcotest.test_case "session rollups" `Quick test_session_rollups;
     Alcotest.test_case "detector counters on the word path" `Quick
       test_word_path_counters;
+    Alcotest.test_case "published counters equal the detector's own" `Quick
+      test_published_counters;
   ]
