@@ -261,7 +261,6 @@ let check_cmd =
       $ dump_trace $ metrics_term $ shards $ record)
 
 let profile_cmd =
-  let stage_order = [ "instrument"; "execute"; "detect" ] in
   let run layout file specs metrics prom =
     guard @@ fun () ->
     let kernel = load_kernel file in
@@ -275,32 +274,23 @@ let profile_cmd =
     let result = Gpu_runtime.Session.run_stream ~inst ~machine kernel args in
     let total_ns = Telemetry.Clock.elapsed_ns ~since:t0 in
     print_machine_result kernel result.Gpu_runtime.Session.sr_machine_result;
-    let totals = Telemetry.Span.totals () in
-    let by_name n = List.assoc_opt n totals in
-    Format.printf "@.%-12s %12s %12s %12s %8s@." "stage" "calls" "total ms"
+    Format.printf "@.%-24s %8s %12s %12s %8s@." "stage" "calls" "total ms"
       "mean us" "share";
-    let row name (calls, ns) =
-      let ms = Telemetry.Clock.ns_to_ms ns in
-      let mean_us =
-        if calls = 0 then 0.0 else Int64.to_float ns /. 1e3 /. float_of_int calls
-      in
-      let share =
-        100.0 *. Int64.to_float ns /. Int64.to_float (Int64.max total_ns 1L)
-      in
-      Format.printf "%-12s %12d %12.3f %12.3f %7.1f%%@." name calls ms mean_us
-        share
-    in
     List.iter
-      (fun name ->
-        match by_name name with
-        | Some t -> row name t
-        | None -> row name (0, 0L))
-      stage_order;
-    List.iter
-      (fun (name, ((calls, _) as t)) ->
-        if calls > 0 && not (List.mem name stage_order) then row name t)
-      totals;
-    Format.printf "%-12s %12s %12.3f %12s %7.1f%%@." "wall" ""
+      (fun (r : Telemetry.Span.row) ->
+        let name = if r.nested then "  " ^ r.stage else r.stage in
+        let calls, mean_us =
+          if r.calls = 0 then ("", "")
+          else
+            ( string_of_int r.calls,
+              Printf.sprintf "%.3f"
+                (Int64.to_float r.ns /. 1e3 /. float_of_int r.calls) )
+        in
+        Format.printf "%-24s %8s %12.3f %12s %7.1f%%@." name calls
+          (Telemetry.Clock.ns_to_ms r.ns) mean_us r.share)
+      (Telemetry.Span.breakdown ~stages:Gpu_runtime.Session.profile_stages
+         ~wall_ns:total_ns (Telemetry.Span.totals ()));
+    Format.printf "%-24s %8s %12.3f %12s %7.1f%%@." "wall" ""
       (Telemetry.Clock.ns_to_ms total_ns) "" 100.0;
     let c = Telemetry.Registry.find_counter Telemetry.Registry.default in
     Format.printf "@.counters@.";

@@ -98,6 +98,13 @@ let serial_sink ?fault det =
 let sp_execute = Telemetry.Span.create "execute"
 let sp_detect = Telemetry.Span.create "detect"
 
+let profile_stages =
+  [
+    ("instrument", [ "static.analyze" ]);
+    ("execute", []);
+    ("detect", [ "detector.feed_record" ]);
+  ]
+
 (* The producer half: execute [kernel] (the instrumented version when
    [inst] is given, remapping instruction ids back to the original
    kernel and dropping accesses whose logging was pruned), write every

@@ -119,6 +119,13 @@ val run_stream :
     @raise Invalid_argument when the default sink's detector rejects
     the machine's layout: a warp wider than a record's 32 lanes. *)
 
+val profile_stages : (string * string list) list
+(** The stage spans of an instrumented run, in pipeline order, each
+    with the spans recorded inside it: ["instrument"] (the pass, with
+    ["static.analyze"]), ["execute"] and ["detect"] (with
+    ["detector.feed_record"]).  The rows of [barracuda profile]
+    ({!Telemetry.Span.breakdown}). *)
+
 (** {1 Multi-launch sessions} *)
 
 type rollup = {

@@ -1,41 +1,91 @@
-(* One request/response exchange on an already-connected descriptor;
-   the caller owns the close. *)
-let exchange ~socket fd ic req =
+(* A connection to the daemon: its descriptor and the buffered reader
+   over it. *)
+type conn = { fd : Unix.file_descr; ic : in_channel }
+
+let close_conn c = try Unix.close c.fd with Unix.Unix_error _ -> ()
+
+(* One request/response exchange on [c]; the caller settles [c].  An
+   error is flagged [true] when the connection died before a reply
+   (end of file, [EPIPE], [ECONNRESET]): on a kept connection that is a
+   daemon that dropped it, not a failed request. *)
+let exchange ~socket c req =
+  let lost = Error (true, "connection closed before a reply") in
   match
-    Protocol.write_frame fd (Protocol.encode_request req);
+    Protocol.write_frame c.fd (Protocol.encode_request req);
     (* The reply may take as long as the job does; no read
        timeout here, the daemon's queue bound is the limit. *)
-    Protocol.read_frame ic
+    Protocol.read_frame c.ic
   with
-  | Protocol.Eof -> Error "connection closed before a reply"
+  | Protocol.Eof -> lost
   | Protocol.Oversized ->
       Error
-        (Printf.sprintf "reply exceeds the %d-byte frame limit"
-           Protocol.max_frame_bytes)
-  | Protocol.Frame line -> Protocol.decode_response line
+        ( false,
+          Printf.sprintf "reply exceeds the %d-byte frame limit"
+            Protocol.max_frame_bytes )
+  | Protocol.Frame line ->
+      Result.map_error (fun e -> (false, e)) (Protocol.decode_response line)
   | exception Unix.Unix_error (e, fn, _) ->
-      Error (Printf.sprintf "%s: %s (%s)" socket (Unix.error_message e) fn)
-  | exception Sys_error msg -> Error msg
-  | exception End_of_file -> Error "connection closed before a reply"
+      Error
+        ( e = Unix.EPIPE || e = Unix.ECONNRESET,
+          Printf.sprintf "%s: %s (%s)" socket (Unix.error_message e) fn )
+  | exception Sys_error msg ->
+      (* a channel read reports its errno as text *)
+      Error (msg = Unix.error_message Unix.ECONNRESET, msg)
+  | exception End_of_file -> lost
 
 let connect ~socket =
   match Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   | fd -> (
       match Unix.connect fd (Unix.ADDR_UNIX socket) with
-      | () -> Ok fd
+      | () -> Ok { fd; ic = Unix.in_channel_of_descr fd }
       | exception Unix.Unix_error (e, fn, _) ->
           (try Unix.close fd with Unix.Unix_error _ -> ());
           Error
             (Printf.sprintf "%s: %s (%s)" socket (Unix.error_message e) fn))
 
+(* Idle connections per socket path, shared by every thread and domain
+   of the process. *)
+let idle : (string, conn list) Hashtbl.t = Hashtbl.create 4
+let idle_lock = Mutex.create ()
+
+let take_idle socket =
+  Mutex.protect idle_lock (fun () ->
+      match Hashtbl.find_opt idle socket with
+      | Some (c :: rest) ->
+          Hashtbl.replace idle socket rest;
+          Some c
+      | _ -> None)
+
+let put_idle socket c =
+  Mutex.protect idle_lock (fun () ->
+      Hashtbl.replace idle socket
+        (c :: Option.value ~default:[] (Hashtbl.find_opt idle socket)))
+
+(* The one request path: an idle connection or a new one, one
+   exchange, and the connection back to the idle list after any reply
+   but the two the daemon closes it after.  A kept connection that died
+   before its reply is closed and the request retried once, on a new
+   connection; a new connection's failure is the caller's. *)
 let request ~socket req =
-  match connect ~socket with
-  | Error _ as e -> e
-  | Ok fd ->
-      let r = exchange ~socket fd (Unix.in_channel_of_descr fd) req in
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      r
+  let on c =
+    let r = exchange ~socket c req in
+    (match r with
+    | Ok (Protocol.Error _ | Protocol.Stopping) | Error _ -> close_conn c
+    | Ok _ -> put_idle socket c);
+    r
+  in
+  let fresh () =
+    match connect ~socket with
+    | Error _ as e -> e
+    | Ok c -> Result.map_error snd (on c)
+  in
+  match take_idle socket with
+  | None -> fresh ()
+  | Some c -> (
+      match on c with
+      | Error (true, _) -> fresh ()
+      | r -> Result.map_error snd r)
 
 let backoff_cap_s = 2.0
 
@@ -107,8 +157,7 @@ let shutdown ~socket =
 
 type session = {
   s_socket : string;
-  s_fd : Unix.file_descr;
-  s_ic : in_channel;
+  s_conn : conn;
   s_sid : int;
   mutable s_alive : bool;
 }
@@ -118,7 +167,7 @@ let session_sid s = s.s_sid
 let session_teardown s =
   if s.s_alive then begin
     s.s_alive <- false;
-    try Unix.close s.s_fd with Unix.Unix_error _ -> ()
+    close_conn s.s_conn
   end
 
 let stream_abort = session_teardown
@@ -129,38 +178,36 @@ let stream_abort = session_teardown
 let session_exchange s req =
   if not s.s_alive then Error "stream session is closed"
   else
-    match exchange ~socket:s.s_socket s.s_fd s.s_ic req with
+    match exchange ~socket:s.s_socket s.s_conn req with
     | Ok (Protocol.Failed { code; message; _ }) ->
         session_teardown s;
         Error (Printf.sprintf "%s: %s" code message)
     | Ok (Protocol.Error msg) ->
         session_teardown s;
         Error ("daemon: " ^ msg)
-    | Error msg ->
+    | Error (_, msg) ->
         session_teardown s;
         Error msg
     | Ok _ as ok -> ok
 
 let stream_open ?(retries = 0) ?(retry_budget_s = 30.0) ~socket sub =
-  (* Each attempt is a fresh connection, kept only by the one the
-     daemon opens a session on.  Seat exhaustion is backpressure, not
-     failure: it is retried like a rejected submission. *)
+  (* Each attempt is a fresh connection of its own, never an idle one,
+     kept only by the one the daemon opens a session on.  Seat
+     exhaustion is backpressure, not failure: it is retried like a
+     rejected submission. *)
   let attempt () =
     match connect ~socket with
     | Error _ as e -> e
-    | Ok fd -> (
-        let ic = Unix.in_channel_of_descr fd in
-        match exchange ~socket fd ic (Protocol.Stream_open sub) with
-        | Ok (Protocol.Stream_opened _ as r) -> Ok (r, Some (fd, ic))
+    | Ok c -> (
+        match exchange ~socket c (Protocol.Stream_open sub) with
+        | Ok (Protocol.Stream_opened _ as r) -> Ok (r, Some c)
         | r ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            Result.map (fun r -> (r, None)) r)
+            close_conn c;
+            Result.map (fun r -> (r, None)) (Result.map_error snd r))
   in
   match retrying ~retries ~retry_budget_s ~reply:fst attempt with
-  | Ok (Protocol.Stream_opened { sid }, Some (fd, ic)) ->
-      Ok
-        { s_socket = socket; s_fd = fd; s_ic = ic; s_sid = sid;
-          s_alive = true }
+  | Ok (Protocol.Stream_opened { sid }, Some c) ->
+      Ok { s_socket = socket; s_conn = c; s_sid = sid; s_alive = true }
   | Ok (Protocol.Rejected { reason; retry_after_ms }, _) ->
       Error
         (Printf.sprintf "rejected: %s (retry after %d ms)" reason

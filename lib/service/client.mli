@@ -1,13 +1,21 @@
 (** Client side of the service protocol.
 
-    One-shot helpers: each call opens a connection to the daemon's
-    socket, performs a single exchange, and closes.  Results come back
-    as [(response, string) result] — the [Error] side is transport
-    trouble (no daemon, connection refused, malformed reply), while
-    job-level failure lives inside the {!Protocol.response}. *)
+    Requests ride kept connections: the client keeps the idle
+    connections of each socket path (shared by every thread of the
+    process), and each call takes one, or connects when none is idle,
+    performs one exchange and puts the connection back, unless the
+    reply is one the daemon closes the connection after ([Error],
+    [Stopping]).  A kept connection that fails before its reply (end of
+    file, [EPIPE], [ECONNRESET]: a daemon that restarted, stopped or
+    timed the connection out) is closed and the request retried once on
+    a new connection; a failure on a new connection is the caller's.
+    A retried submission can therefore run twice on a daemon that died
+    mid-job, which is harmless: a job only reads its submission.
 
-val request :
-  socket:string -> Protocol.request -> (Protocol.response, string) result
+    Results come back as [(response, string) result] — the [Error]
+    side is transport trouble (no daemon, connection refused,
+    malformed reply), while job-level failure lives inside the
+    {!Protocol.response}. *)
 
 val submit :
   ?retries:int ->
@@ -39,8 +47,8 @@ val wait_ready : ?timeout_s:float -> socket:string -> unit -> bool
 
 (** {1 Streaming sessions}
 
-    Unlike the one-shot helpers, a streaming session holds its
-    connection open for its whole lifetime: {!stream_open} connects
+    A streaming session holds a connection of its own, never a kept
+    one, for its whole lifetime: {!stream_open} connects
     and claims a daemon session seat, {!stream_append} ships chunks of
     recorded wire bytes, {!stream_flush} forces a checkpoint and
     returns the verdict so far, and {!stream_close} returns the final

@@ -7,7 +7,7 @@ type config = {
 
 let default_config = { max_steps = 2_000_000; deadline_ms = 0; job_shards = 1 }
 
-(* Pretty-printed errors returned per job. *)
+(* Pretty-printed errors returned per job: only these are formatted. *)
 let max_report_strings = 20
 let first_reports l = List.filteri (fun i _ -> i < max_report_strings) l
 
@@ -64,10 +64,9 @@ let outcome_of_report ?(static = false) ~cache_hit ~detect_ms report =
        else Protocol.Race_free);
     races = Barracuda.Report.race_count report;
     errors =
-      first_reports
-        (List.map
-           (Format.asprintf "%a" Barracuda.Report.pp_error)
-           (Barracuda.Report.errors report));
+      List.map
+        (Format.asprintf "%a" Barracuda.Report.pp_error)
+        (first_reports (Barracuda.Report.errors report));
     cache_hit;
     degraded = Barracuda.Report.degraded report;
     static;
@@ -171,17 +170,16 @@ let run_predict ~job (s : Protocol.submit) =
   let layout, ops = Gtrace.Serialize.of_string s.Protocol.payload in
   let a = Predict.Analysis.run ~layout ops in
   let errors =
-    first_reports
-      (List.filter_map
-         (fun (p : Predict.Analysis.prediction) ->
-           match p.Predict.Analysis.status with
-           | Predict.Analysis.Observed -> None
-           | st ->
-               Some
-                 (Format.asprintf "%s race predicted at %a"
-                    (Predict.Analysis.status_string st)
-                    Gtrace.Loc.pp p.Predict.Analysis.loc))
-         a.Predict.Analysis.predictions)
+    List.map
+      (fun (p : Predict.Analysis.prediction) ->
+        Format.asprintf "%s race predicted at %a"
+          (Predict.Analysis.status_string p.Predict.Analysis.status)
+          Gtrace.Loc.pp p.Predict.Analysis.loc)
+      (first_reports
+         (List.filter
+            (fun (p : Predict.Analysis.prediction) ->
+              p.Predict.Analysis.status <> Predict.Analysis.Observed)
+            a.Predict.Analysis.predictions))
   in
   Protocol.Result
     {
@@ -226,10 +224,9 @@ let run_repair ~config ~cache ~job (s : Protocol.submit) =
   in
   let d = r.Repair.Engine.diagnosis in
   let pair_errors =
-    first_reports
-      (List.map
-         (fun (a, b) -> Printf.sprintf "racy pair: insn %d vs insn %d" a b)
-         d.Repair.Localize.pairs)
+    List.map
+      (fun (a, b) -> Printf.sprintf "racy pair: insn %d vs insn %d" a b)
+      (first_reports d.Repair.Localize.pairs)
   in
   let verdict, repaired, fix, errors =
     match r.Repair.Engine.verdict with

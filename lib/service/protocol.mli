@@ -1,11 +1,11 @@
 (** Wire protocol of the race-checking service.
 
     Newline-delimited JSON over a Unix domain socket: each request and
-    each response is one JSON object on one line.  A client sends any
-    number of control requests ([ping]/[status]/[metrics]) on a
-    connection; a [submit] request is answered asynchronously by a
-    worker when the job completes, and ends the exchange on that
-    connection.
+    each response is one JSON object on one line.  A connection carries
+    any number of requests, submissions included, and each is answered
+    in order: a [submit] is answered when its job completes (or at once
+    when it is rejected), and the connection stays open for the next
+    request.
 
     {v
     -> {"cmd":"submit","kind":"check","payload":".visible .entry k..."}
@@ -72,9 +72,9 @@ type request =
   | Submit of submit
   | Stream_open of submit
       (** open a streaming session against [payload]'s kernel; answered
-          with [Stream_opened] carrying the session id.  Unlike
-          [Submit], the connection stays open for the session's
-          lifetime; [kind] must be [Check]. *)
+          with [Stream_opened] carrying the session id.  The session
+          lives as long as the connection (other requests may share
+          it); [kind] must be [Check]. *)
   | Stream_append of { sid : int; chunk : string }
       (** ship a chunk of recorded wire-stream bytes
           ([Gpu_runtime.Stream] cells, split at any byte boundary);

@@ -23,8 +23,8 @@ let default_config =
     tenant_quotas = [];
   }
 
-(* A client that connects and sends nothing is dropped after this
-   long. *)
+(* A client that sends nothing for this long, on a new or a kept
+   connection, is dropped. *)
 let read_timeout_s = 30.0
 
 (* [workers] is the total domain budget.  With intra-job sharding each
@@ -63,6 +63,9 @@ type t = {
   integrity_lock : Mutex.t;
   mutable integrity : Barracuda.Report.integrity;
       (* the sum of every session's [reported] counts *)
+  live_lock : Mutex.t;
+  live : (Unix.file_descr, unit) Hashtbl.t;
+      (* every open client connection, so a stop can end idle ones *)
   m_connections : Telemetry.Metric.counter;
   m_protocol_errors : Telemetry.Metric.counter;
 }
@@ -92,7 +95,7 @@ let request_stop t =
     (* A blocked [accept] does not notice its descriptor being closed
        (Linux keeps it parked), so wake the accept loop with a
        throwaway self-connection; it re-checks the stopping flag on
-       every accept. *)
+       every accept, and on the way out ends the idle connections. *)
     try
       let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       (try Unix.connect fd (Unix.ADDR_UNIX t.config.socket_path)
@@ -100,6 +103,48 @@ let request_stop t =
       try Unix.close fd with Unix.Unix_error _ -> ()
     with Unix.Unix_error _ -> ()
   end
+
+(* A stopping daemon ends every idle kept connection at once instead
+   of waiting out its read timeout: shutting down the read side makes
+   the connection thread's next read see end of file, after any reply
+   it still owes is written.  The accept loop sweeps the live
+   connections when it sees the stopping flag (so {!request_stop}
+   stays safe from a signal handler); a connection registered after
+   the sweep sees the flag and ends itself. *)
+let end_reads fd =
+  try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ()
+
+let register t fd =
+  Mutex.protect t.live_lock (fun () ->
+      Hashtbl.replace t.live fd ();
+      if Atomic.get t.stopping then end_reads fd)
+
+let unregister t fd =
+  Mutex.protect t.live_lock (fun () -> Hashtbl.remove t.live fd)
+
+let end_live_reads t =
+  Mutex.protect t.live_lock (fun () ->
+      Hashtbl.iter (fun fd () -> end_reads fd) t.live)
+
+(* Queue a job and block the connection's thread until it is answered:
+   by a worker with its result, or at once by the scheduler with a
+   rejection. *)
+let job_reply t sub =
+  let m = Mutex.create () and answered = Condition.create () in
+  let reply = ref None in
+  Scheduler.submit t.sched sub ~reply:(fun resp ->
+      Mutex.protect m (fun () ->
+          reply := Some resp;
+          Condition.signal answered));
+  Mutex.protect m (fun () ->
+      let rec wait () =
+        match !reply with
+        | Some resp -> resp
+        | None ->
+            Condition.wait answered m;
+            wait ()
+      in
+      wait ())
 
 (* A session's verdict (flush or close).  The counts its integrity
    gained since its previous verdict join the daemon's total, so status
@@ -130,15 +175,16 @@ let stream_verdict t s ~sid (p : Gpu_runtime.Session.progress) =
       integrity = cur;
     }
 
-(* One client connection, on its own thread.  Reads are channel-based
-   (line framing); replies go straight to the descriptor.  Every exit
-   path closes the descriptor exactly once — except a dispatched
-   submission, whose worker owns the close.  Streaming sessions opened
-   on the connection live in a connection-local table and are aborted
-   (seat released) on any exit, so a client hang-up cannot leak a
-   seat. *)
+(* One client connection, on its own thread, carrying any number of
+   requests, each answered in order.  Reads are channel-based (line
+   framing); replies go straight to the descriptor, a job's result
+   included: the thread waits for it.  Every exit path closes the
+   descriptor exactly once.  Streaming sessions opened on the
+   connection live in a connection-local table and are aborted (seat
+   released) on any exit, so a client hang-up cannot leak a seat. *)
 let handle_connection t fd =
   Telemetry.Metric.counter_incr t.m_connections;
+  register t fd;
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO read_timeout_s
    with Unix.Unix_error _ | Invalid_argument _ -> ());
   let ic = Unix.in_channel_of_descr fd in
@@ -162,6 +208,7 @@ let handle_connection t fd =
     if not !closed then begin
       closed := true;
       abort_sessions ();
+      unregister t fd;
       try Unix.close fd with Unix.Unix_error _ -> ()
     end
   in
@@ -272,27 +319,15 @@ let handle_connection t fd =
                 Scheduler.session_close t.sched s.seat;
                 send (stream_verdict t s ~sid p);
                 continue ())
-        | Ok (Protocol.Submit _) when Hashtbl.length sessions > 0 ->
-            (* A dispatched submission hands the descriptor to a worker,
-               which would orphan the live sessions; keep the exchange
-               modes separate. *)
-            send
-              (Protocol.Error "cannot submit while a streaming session is open");
-            close ()
         | Ok (Protocol.Submit sub) ->
-            (* The reply callback runs on a worker domain; from here on
-               the worker owns the descriptor. *)
-            Scheduler.submit t.sched sub ~reply:(fun resp ->
-                (try Protocol.write_frame fd (Protocol.encode_response resp)
-                 with Unix.Unix_error _ | Sys_error _ -> ());
-                try Unix.close fd with Unix.Unix_error _ -> ()))
+            send (job_reply t sub);
+            continue ())
   in
   try loop () with _ -> close ()
 
 let accept_loop t =
   let rec go () =
-    if Atomic.get t.stopping then ()
-    else
+    if not (Atomic.get t.stopping) then
       match Unix.accept ~cloexec:true t.listener with
       | fd, _ ->
           if Atomic.get t.stopping then (
@@ -308,14 +343,17 @@ let accept_loop t =
              rather than spin. *)
           ()
   in
-  go ()
+  go ();
+  (* The domain, which {!wait} joins, ends only when its connection
+     threads do. *)
+  if Atomic.get t.stopping then end_live_reads t
 
 let start ?(config = default_config) () =
-  (* Worker reply callbacks write to client descriptors that may
-     already be closed (killed/timed-out submit clients); without this
-     the resulting SIGPIPE would kill the daemon before the EPIPE
-     handlers run.  [Protocol.write_frame] latches this too, but do it
-     eagerly so the daemon is covered from the first accept. *)
+  (* Replies go to client descriptors that may already be closed
+     (killed/timed-out submit clients); without this the resulting
+     SIGPIPE would kill the daemon before the EPIPE handlers run.
+     [Protocol.write_frame] latches this too, but do it eagerly so the
+     daemon is covered from the first accept. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
   let cache = Cache.create ~capacity:config.cache_capacity () in
@@ -378,6 +416,8 @@ let start ?(config = default_config) () =
       campaign_hook = (fun () -> None);
       integrity_lock = Mutex.create ();
       integrity = no_anomalies;
+      live_lock = Mutex.create ();
+      live = Hashtbl.create 16;
       m_connections =
         Telemetry.Registry.counter ~help:"Client connections accepted"
           Telemetry.Registry.default "barracuda_service_connections_total";

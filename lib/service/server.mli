@@ -6,10 +6,11 @@
 
     Concurrency shape: one accept domain; each accepted connection is
     read on a lightweight thread of that domain (so a slow or silent
-    client never blocks other clients); job replies are written
-    directly from whichever worker domain completed the job.  A
-    connection carries any number of control requests but at most one
-    submission — the worker's reply ends it.
+    client never blocks other clients).  A connection carries any
+    number of requests, each answered in order by its thread, which
+    waits for a submitted job's result and writes it itself, so the
+    thread owns its descriptor on every path.  A connection that sends
+    nothing for 30 s is dropped.
 
     Streaming sessions ([stream_open]/[append]/[flush]/[close]) are
     long-lived: the connection stays open for the session's lifetime,
@@ -63,8 +64,11 @@ val start : ?config:config -> unit -> t
 val socket_path : t -> string
 
 val request_stop : t -> unit
-(** Initiate shutdown: stop accepting connections.  Returns
-    immediately; pair with {!wait}.  Safe from a signal handler. *)
+(** Initiate shutdown: stop accepting connections, and end every idle
+    connection (its read side is shut down once the accept loop wakes,
+    so a kept connection does not hold {!wait} for its read timeout).
+    Returns immediately; pair with {!wait}.  Safe from a signal
+    handler. *)
 
 val wait : t -> unit
 (** Block until shutdown is initiated (a [shutdown] request,

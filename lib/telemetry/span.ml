@@ -75,3 +75,44 @@ let totals ?(registry = Registry.default) () =
       | _ -> None)
     samples
   |> List.sort (fun (_, (_, a)) (_, (_, b)) -> Int64.compare b a)
+
+type row = {
+  stage : string;
+  nested : bool;
+  calls : int;
+  ns : int64;
+  share : float;
+}
+
+let breakdown ~stages ~wall_ns totals =
+  let share ns =
+    100.0 *. Int64.to_float ns /. Int64.to_float (Int64.max wall_ns 1L)
+  in
+  let row ~nested stage (calls, ns) =
+    { stage; nested; calls; ns; share = share ns }
+  in
+  let named ~nested stage =
+    row ~nested stage
+      (Option.value ~default:(0, 0L) (List.assoc_opt stage totals))
+  in
+  let listed =
+    List.concat_map
+      (fun (stage, inner) ->
+        named ~nested:false stage :: List.map (named ~nested:true) inner)
+      stages
+  in
+  let others =
+    List.filter_map
+      (fun (stage, ((calls, _) as t)) ->
+        if calls > 0 && not (List.exists (fun r -> r.stage = stage) listed)
+        then Some (row ~nested:false stage t)
+        else None)
+      totals
+  in
+  let rows = listed @ others in
+  let rest =
+    List.fold_left
+      (fun acc r -> if r.nested then acc else Int64.sub acc r.ns)
+      wall_ns rows
+  in
+  rows @ [ row ~nested:false "unattributed" (0, rest) ]

@@ -39,5 +39,26 @@ val totals :
 (** Per-span (calls, total ns) rollup from the registry snapshot,
     sorted by descending total time — the profile table's input. *)
 
+type row = {
+  stage : string;
+  nested : bool;
+      (** a span recorded inside the stage listed above it: its time is
+          already that stage's *)
+  calls : int;
+  ns : int64;
+  share : float;  (** percent of the wall time *)
+}
+
+val breakdown :
+  stages:(string * string list) list ->
+  wall_ns:int64 ->
+  (string * (int * int64)) list ->
+  row list
+(** The stage table of [barracuda profile] over {!totals}: each of
+    [stages] in order, followed by the spans nested in it, then every
+    other span that ran, as a stage of its own, then ["unattributed"]:
+    the part of [wall_ns] no stage covers.  The shares of the rows that
+    are not nested sum to 100%. *)
+
 val duration_ms_bounds : float array
 (** The fixed histogram buckets, in milliseconds. *)

@@ -1341,6 +1341,186 @@ let test_status_tenants_end_to_end () =
           Alcotest.(check bool) "no campaign in a bare daemon" true
             (s.P.campaign = None))
 
+(* ---- kept connections ------------------------------------------ *)
+
+(* A connection of its own, outside the client's kept ones: [f] gets an
+   exchange that sends one request and reads its reply. *)
+let on_own_connection socket f =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let ic = Unix.in_channel_of_descr fd in
+      f (fun req ->
+          P.write_frame fd (P.encode_request req);
+          match P.read_frame ic with
+          | P.Frame line -> (
+              match P.decode_response line with
+              | Ok r -> r
+              | Result.Error e -> Alcotest.failf "undecodable reply: %s" e)
+          | P.Eof | P.Oversized -> Alcotest.fail "no reply"))
+
+(* A daemon configuration on a socket path no client of this process
+   has used, so the client holds no kept connection to it yet. *)
+let fresh_config name =
+  let config =
+    { Service.Server.default_config with socket_path = tmp_socket name }
+  in
+  (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
+  config
+
+let with_started config f =
+  let t = Service.Server.start ~config () in
+  Fun.protect ~finally:(fun () -> Service.Server.stop t) f
+
+(* daemon-fleet's traffic: the first four bug-suite cases, every
+   parameter an [alloc:256] buffer *)
+let case_sub (c : Case.t) =
+  { (stream_sub c) with P.args = arg_specs c }
+
+let outcome_of = function
+  | P.Result { outcome; _ } -> { outcome with P.detect_ms = 0.0 }
+  | r -> Alcotest.failf "unexpected reply %s" (P.encode_response r)
+
+(* One connection carries every sequential submission of a thread, and
+   the replies are the ones connections of their own get. *)
+let test_kept_connection_reused () =
+  let was_enabled = Telemetry.Registry.enabled () in
+  Telemetry.Registry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.Registry.set_enabled was_enabled)
+  @@ fun () ->
+  let config = fresh_config "kept" in
+  with_started config (fun () ->
+      let socket = config.Service.Server.socket_path in
+      let connections () =
+        Telemetry.Registry.find_counter Telemetry.Registry.default
+          "barracuda_service_connections_total"
+      in
+      let mix =
+        Array.of_list (List.filteri (fun i _ -> i < 4) Bugsuite.Cases.all)
+      in
+      let before = connections () in
+      let kept =
+        List.init 50 (fun i ->
+            let c = mix.(i mod Array.length mix) in
+            match Service.Client.submit ~socket (case_sub c) with
+            | Ok r -> (c, outcome_of r)
+            | Result.Error e -> Alcotest.failf "submit %d: %s" i e)
+      in
+      Alcotest.(check int) "50 submissions, one connection" 1
+        (connections () - before);
+      (* the last round, all cache hits like the own-connection ones *)
+      List.iter
+        (fun (c, kept) ->
+          let own =
+            on_own_connection socket (fun ex ->
+                outcome_of (ex (P.Submit (case_sub c))))
+          in
+          if own <> kept then
+            Alcotest.failf "%s: kept-connection outcome differs" c.Case.name)
+        (List.filteri (fun i _ -> i >= 50 - Array.length mix) kept))
+
+(* A kept connection to a daemon that has since stopped is replaced on
+   the next request, not reported. *)
+let test_kept_connection_outlives_daemon () =
+  let config = fresh_config "restart" in
+  let socket = config.Service.Server.socket_path in
+  let sub = P.submit_defaults ~kind:P.Check trivial_ptx in
+  let t = Service.Server.start ~config () in
+  let first = submit_verdict ~socket sub in
+  Service.Server.stop t;
+  (match first with
+  | Ok _ -> ()
+  | Result.Error e -> Alcotest.failf "first daemon: %s" e);
+  with_started config (fun () ->
+      (match submit_verdict ~socket sub with
+      | Ok o ->
+          Alcotest.(check bool) "second daemon checks" true
+            (o.P.verdict = P.Race_free)
+      | Result.Error e -> Alcotest.failf "second daemon: %s" e);
+      Alcotest.(check bool) "second daemon answers a ping" true
+        (Service.Client.ping ~socket))
+
+(* An idle kept connection does not hold a stopping daemon for its
+   read timeout. *)
+let test_stop_with_idle_connection () =
+  let config = fresh_config "idle-stop" in
+  let t = Service.Server.start ~config () in
+  let alive = Service.Client.ping ~socket:config.socket_path in
+  let t0 = Telemetry.Clock.now_ns () in
+  Service.Server.stop t;
+  let s = Int64.to_float (Telemetry.Clock.elapsed_ns ~since:t0) /. 1e9 in
+  Alcotest.(check bool) "ping" true alive;
+  if s >= 1.0 then Alcotest.failf "stop took %.2f s" s
+
+(* A reply carries the first 20 of a report's errors, as formatting
+   them all and keeping 20 would give. *)
+let test_reply_error_strings () =
+  let c =
+    List.find
+      (fun (c : Case.t) -> c.Case.name = "ww_global_intra_warp_diff_value")
+      Bugsuite.Cases.all
+  in
+  let sub = case_sub c in
+  let kernel = Ptx.Parser.kernel_of_string sub.P.payload in
+  let machine = Simt.Machine.create ~layout:c.Case.layout () in
+  let args = Service.Exec.resolve_args machine kernel sub.P.args in
+  let inst = Instrument.Pass.instrument ~prune:true ~static:true kernel in
+  let r = Gpu_runtime.Session.run_stream ~inst ~machine kernel args in
+  let all = Barracuda.Report.errors r.Gpu_runtime.Session.sr_report in
+  Alcotest.(check int) "errors in the report" 124 (List.length all);
+  let expect =
+    List.filteri
+      (fun i _ -> i < 20)
+      (List.map (Format.asprintf "%a" Barracuda.Report.pp_error) all)
+  in
+  with_server "errors" (fun socket _t ->
+      match submit_verdict ~socket sub with
+      | Ok o -> Alcotest.(check (list string)) "reply errors" expect o.P.errors
+      | Result.Error e -> Alcotest.failf "submit: %s" e)
+
+(* A check submitted on a connection with an open streaming session is
+   answered, and the session goes on to the verdict it would have had. *)
+let test_submit_beside_session () =
+  with_server "beside" (fun socket _t ->
+      let c = List.hd Bugsuite.Cases.all in
+      let racy, records, bytes = record_case c in
+      let half = String.length bytes / 2 in
+      on_own_connection socket (fun ex ->
+          let sid =
+            match ex (P.Stream_open (stream_sub c)) with
+            | P.Stream_opened { sid } -> sid
+            | r -> Alcotest.failf "open: %s" (P.encode_response r)
+          in
+          let append chunk =
+            match ex (P.Stream_append { sid; chunk }) with
+            | P.Stream_ack _ -> ()
+            | r -> Alcotest.failf "append: %s" (P.encode_response r)
+          in
+          append (String.sub bytes 0 half);
+          (match
+             ex (P.Submit (P.submit_defaults ~kind:P.Check trivial_ptx))
+           with
+          | P.Result { outcome; _ } ->
+              Alcotest.(check bool) "submission answered" true
+                (outcome.P.verdict = P.Race_free)
+          | r -> Alcotest.failf "submit: %s" (P.encode_response r));
+          append (String.sub bytes half (String.length bytes - half));
+          List.iter
+            (fun (what, req, final) ->
+              match ex req with
+              | P.Stream_verdict v ->
+                  Alcotest.(check (triple bool int bool))
+                    (what ^ ": final, records, racy")
+                    (final, records, racy)
+                    (v.P.final, v.P.records, v.P.verdict = P.Racy)
+              | r -> Alcotest.failf "%s: %s" what (P.encode_response r))
+            [
+              ("flush", P.Stream_flush { sid }, false);
+              ("close", P.Stream_close { sid }, true);
+            ]))
+
 let suite =
   [
     Alcotest.test_case "protocol roundtrip" `Quick test_protocol_roundtrip;
@@ -1374,6 +1554,16 @@ let suite =
       test_status_tenants_end_to_end;
     Alcotest.test_case "status counts a statically answered hit" `Quick
       test_static_hit_counted;
+    Alcotest.test_case "kept connection carries 50 submissions" `Quick
+      test_kept_connection_reused;
+    Alcotest.test_case "kept connection outlives its daemon" `Quick
+      test_kept_connection_outlives_daemon;
+    Alcotest.test_case "stop ends idle kept connections" `Quick
+      test_stop_with_idle_connection;
+    Alcotest.test_case "reply formats its 20 errors" `Quick
+      test_reply_error_strings;
+    Alcotest.test_case "submit beside a streaming session" `Quick
+      test_submit_beside_session;
   ]
   @ List.map Gen.to_alcotest
       [ prop_request_roundtrip; prop_response_roundtrip; prop_mutated_frames ]

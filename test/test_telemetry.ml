@@ -387,6 +387,51 @@ let test_session_rollups () =
         (Telemetry.Registry.find_counter Telemetry.Registry.default
            "barracuda_session_launches_total"))
 
+(* [barracuda profile]'s table over its own run of
+   examples/stencil_race.ptx: every stage and nested span ran, a nested
+   span prints under its stage and within its time, and the
+   unattributed row closes the stages' sum to 100% of wall. *)
+let test_profile_rows_sum () =
+  with_telemetry (fun () ->
+      let kernel = Ptx.Parser.kernel_of_string Example_ptx.stencil_race in
+      let machine = Simt.Machine.create ~layout:Service.Exec.default_layout () in
+      let args = Service.Exec.resolve_args machine kernel [] in
+      let t0 = Telemetry.Clock.now_ns () in
+      let inst = Instrument.Pass.instrument kernel in
+      ignore (Session.run_stream ~inst ~machine kernel args);
+      let rows =
+        Telemetry.Span.breakdown ~stages:Session.profile_stages
+          ~wall_ns:(Telemetry.Clock.elapsed_ns ~since:t0)
+          (Telemetry.Span.totals ())
+      in
+      let open Telemetry.Span in
+      Alcotest.(check (list (pair string bool)))
+        "rows, nested under their stage"
+        [
+          ("instrument", false); ("static.analyze", true); ("execute", false);
+          ("detect", false); ("detector.feed_record", true);
+          ("unattributed", false);
+        ]
+        (List.map (fun r -> (r.stage, r.nested)) rows);
+      let row name = List.find (fun r -> r.stage = name) rows in
+      List.iter
+        (fun (stage, inner) ->
+          Alcotest.(check bool) (stage ^ " ran") true ((row stage).calls > 0);
+          List.iter
+            (fun name ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s ran within %s" name stage)
+                true
+                ((row name).calls > 0 && (row name).ns <= (row stage).ns))
+            inner)
+        Session.profile_stages;
+      Alcotest.(check bool) "unattributed time is not negative" true
+        ((row "unattributed").ns >= 0L);
+      Alcotest.(check (float 0.1)) "top-level shares sum to wall" 100.0
+        (List.fold_left
+           (fun acc r -> if r.nested then acc else acc +. r.share)
+           0.0 rows))
+
 let suite =
   [
     Alcotest.test_case "counter/gauge semantics" `Quick test_counter_gauge;
@@ -410,4 +455,6 @@ let suite =
       test_word_path_counters;
     Alcotest.test_case "published counters equal the detector's own" `Quick
       test_published_counters;
+    Alcotest.test_case "profile rows add up to wall" `Quick
+      test_profile_rows_sum;
   ]
