@@ -1474,7 +1474,8 @@ let status_cmd name =
                   j.submitted j.completed j.racy j.race_free j.failed
                   j.rejected;
                 Format.printf
-                  "  healing   %d workers respawned, %d jobs quarantined@."
+                  "  healing   %d worker crashes recovered, %d jobs \
+                   quarantined@."
                   j.workers_restarted j.quarantined;
                 Format.printf
                   "  cache     %d entries, %d hits / %d misses, %d evictions@."

@@ -109,7 +109,7 @@ let run_machine ~seed ~trials cases =
     { m_trials = 0; applied = 0; m_masked = 0; sdc = 0; m_crashed = 0 }
     cases
 
-(* ---- service (worker crashes, respawn, quarantine) --------------- *)
+(* ---- service (worker crashes, requeue, quarantine) --------------- *)
 
 let oneshot_verdict case = fst (Trial.pipeline_verdict case)
 
@@ -140,7 +140,7 @@ let run_service ~seed cases =
           }
   in
   (* Jobs 1..n are the parity sweep; every third crashes its worker
-     once (exercising respawn + requeue).  Job n+1 is poison: it
+     once (exercising requeue + retry).  Job n+1 is poison: it
      crashes on every attempt and must come back quarantined. *)
   let crash_once =
     List.filter (fun id -> id mod 3 = 1) (List.init n (fun i -> i + 1))
@@ -356,8 +356,8 @@ let pp ppf t =
     t.machine.m_trials t.machine.applied t.machine.m_masked t.machine.sdc
     t.machine.m_crashed;
   Format.fprintf ppf
-    "  service: %d jobs, parity %b, %d workers respawned, %d quarantined \
-     (poison reply %s)@."
+    "  service: %d jobs, parity %b, %d worker crashes recovered, %d \
+     quarantined (poison reply %s)@."
     t.service.jobs t.service.parity t.service.workers_restarted
     t.service.quarantined
     (if t.service.quarantine_ok then "ok" else "WRONG");

@@ -17,8 +17,8 @@
       corrupt the {e program} rather than the transport, so a changed
       verdict is legitimate behavior, not a detector failure;
     - {b service}: a live {!Service.Scheduler} with planned worker
-      crashes — every third job kills its worker once (the watchdog
-      must respawn and the retried verdicts must match one-shot
+      crashes — every third job crashes its worker once (the worker
+      must requeue it and the retried verdicts must match one-shot
       checking) and a final poison job crashes every attempt (it must
       come back [Failed] with code ["quarantined"]);
     - {b shard}: sharded detection ({!Shard.Stream.sink}) with one shard
@@ -107,7 +107,7 @@ val run : ?config:config -> unit -> t
 
 val ok : t -> bool
 (** No silent corruption, no transport crashes, service parity held,
-    the watchdog respawned at least one worker, exactly the poison job
+    at least one worker crash was recovered, exactly the poison job
     was quarantined, every fired shard crash failed its job loudly,
     and at least one shard crash actually fired. *)
 

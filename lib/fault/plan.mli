@@ -80,9 +80,9 @@ exception Injected_worker_crash
 
 val crash_at_pickup : t -> job:int -> attempt:int -> bool
 (** Whether the worker picking up [job] on its [attempt]-th
-    crash-restart should die.  [poison_jobs] crash on every attempt
+    crash-restart should crash.  [poison_jobs] crash on every attempt
     (exercising quarantine); [crash_once_jobs] crash only on attempt 0
-    (exercising respawn + retry); otherwise a seeded Bernoulli draw of
+    (exercising requeue + retry); otherwise a seeded Bernoulli draw of
     probability [worker_crash]. *)
 
 (** {1 Shard crashes} *)

@@ -167,8 +167,8 @@ type jobs = {
   race_free : int;
   quarantined : int;  (** jobs failed after exhausting crash-restarts *)
   workers_restarted : int;
-      (** dead worker domains respawned; on the wire it sits beside the
-          [jobs] object rather than inside it *)
+      (** worker crashes recovered, one per crash; on the wire it sits
+          beside the [jobs] object rather than inside it *)
 }
 (** Job counts since start: the record {!Scheduler.counts} returns. *)
 

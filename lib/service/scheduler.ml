@@ -20,10 +20,8 @@ let default_config =
 let default_tenant = "default"
 let retry_after_ms = 50
 
-(* Crash-restarts a job gets before it is quarantined as poison, and
-   the watchdog's poll period. *)
+(* Crash-restarts a job gets before it is quarantined as poison. *)
 let max_job_restarts = 2
-let watchdog_interval_s = 0.02
 
 type counts = Protocol.jobs = {
   submitted : int;
@@ -41,8 +39,7 @@ type job = {
   submit : Protocol.submit;
   reply : Protocol.response -> unit;
   enqueued_ns : int64;
-  mutable attempts : int;
-      (* crash-restarts so far; bumped by the watchdog on requeue *)
+  mutable attempts : int;  (* crash-restarts so far *)
   tn : tenant;  (* the tenant the job is queued and accounted under *)
 }
 
@@ -57,8 +54,7 @@ and tenant = {
   tn_jobs : job Queue.t;
   mutable tn_tokens : float;  (* token bucket, refilled lazily *)
   mutable tn_refill_ns : int64;
-  mutable tn_deficit : float;  (* DRR deficit counter, cost 1 per job *)
-  tn_quantum : float;
+  mutable tn_credit : bool;  (* DRR: may take one job this round *)
   mutable tn_inflight : int;  (* jobs currently on a worker *)
   mutable tn_submitted : int;
   mutable tn_completed : int;  (* settled with a terminal reply *)
@@ -71,24 +67,15 @@ and tenant = {
   tn_h_latency : Telemetry.Metric.histogram;  (* queue + run, ms *)
 }
 
-(* One worker seat.  The domain occupying it changes over time: when a
-   worker dies the watchdog reaps the corpse and spawns a replacement
-   into the same slot. *)
-type slot = {
-  mutable dom : unit Domain.t option;
-  mutable current : job option;  (* job in flight on this seat *)
-  mutable crashed : bool;  (* set by the dying worker, cleared by reaper *)
-}
-
 (* One long-lived streaming-session seat.  Each seat owns a dedicated
    domain; connection sys-threads rendezvous closures onto it through
    [session_call], so detector compute never runs on the accept
-   domain (every [Thread.create] thread shares its spawning domain).
-   A seat serves one session at a time — occupancy is tracked in the
-   scheduler under its lock, the rendezvous state under the seat's
-   own lock so calls never contend with the job queue. *)
+   domain, which every connection thread shares.  A seat serves one
+   session at a time: [taken] is guarded by the scheduler's lock, the
+   rendezvous state by the seat's own lock, so calls never contend
+   with the job queue. *)
 type seat = {
-  seat_id : int;
+  mutable taken : bool;
   s_lock : Mutex.t;
   s_wake : Condition.t;  (* a call arrived, or shutdown *)
   s_done : Condition.t;  (* the pending call completed *)
@@ -108,16 +95,12 @@ type t = {
   mutable rr : int;  (* ring cursor *)
   mutable pending_total : int;  (* jobs across every tenant queue *)
   mutable stopping : bool;
-  mutable joined : bool;
   mutable next_id : int;
   mutable busy : int;
   mutable c : counts;
-  slots : slot array;
+  mutable workers : unit Domain.t array;
   seats : seat array;
-  seat_taken : bool array;  (* indexed by [seat_id], guarded by [lock] *)
-  mutable sessions_open : int;
   mutable sessions_opened_total : int;
-  mutable watchdog : Thread.t option;
   m_jobs_racy : Telemetry.Metric.counter;
   m_jobs_race_free : Telemetry.Metric.counter;
   m_jobs_failed : Telemetry.Metric.counter;
@@ -163,8 +146,7 @@ let make_tenant ~quota name =
       | Some q when q.rate > 0.0 -> float_of_int (max 1 q.burst)
       | _ -> 0.0);
     tn_refill_ns = Telemetry.Clock.now_ns ();
-    tn_deficit = 0.0;
-    tn_quantum = 1.0;
+    tn_credit = false;
     tn_inflight = 0;
     tn_submitted = 0;
     tn_completed = 0;
@@ -230,35 +212,30 @@ let eligible tn = (not (Queue.is_empty tn.tn_jobs)) && seats_free tn
 
 let exists_eligible t = Array.exists eligible t.ring
 
-(* Deficit round-robin: visit tenants from the cursor; an eligible
-   tenant whose deficit covers the unit job cost is served and pays.
-   A full lap without service tops up every eligible tenant's deficit
-   by its quantum and rescans — with unit cost and quantum 1 at least
-   one can then pay, so this terminates whenever the caller has
-   checked [exists_eligible].  Equal quanta make the steady state a
-   fair round-robin over backlogged tenants; the deficit machinery
-   keeps the share exact across seat-cap stalls.  Call under
+(* Deficit round-robin with unit job cost and unit quantum, so a
+   tenant's deficit only ever holds 0 or 1: its credit bit.  Visit
+   tenants from the cursor; an eligible tenant with credit is served
+   and spends it.  A full lap without service gives every eligible
+   tenant credit and rescans, so this terminates whenever the caller
+   has checked [exists_eligible].  The steady state is a fair
+   round-robin over backlogged tenants, and the bit keeps the share
+   exact across seat-cap stalls; a queue only empties by a pop, which
+   spends the credit, so an idle tenant holds none.  Call under
    [t.lock]. *)
 let drr_pop t =
   let n = Array.length t.ring in
   let rec scan tried =
     if tried >= n then begin
-      Array.iter
-        (fun tn ->
-          if eligible tn then tn.tn_deficit <- tn.tn_deficit +. tn.tn_quantum)
-        t.ring;
+      Array.iter (fun tn -> if eligible tn then tn.tn_credit <- true) t.ring;
       scan 0
     end
     else begin
       let tn = t.ring.(t.rr) in
       t.rr <- (t.rr + 1) mod n;
-      if eligible tn && tn.tn_deficit >= 1.0 then begin
-        tn.tn_deficit <- tn.tn_deficit -. 1.0;
+      if eligible tn && tn.tn_credit then begin
+        tn.tn_credit <- false;
         let job = Queue.pop tn.tn_jobs in
         t.pending_total <- t.pending_total - 1;
-        (* An emptied queue forfeits its saved deficit (classic DRR):
-           credit must not accumulate while a tenant is idle. *)
-        if Queue.is_empty tn.tn_jobs then tn.tn_deficit <- 0.0;
         Telemetry.Metric.gauge_set tn.tn_g_queued (Queue.length tn.tn_jobs);
         job
       end
@@ -273,8 +250,9 @@ let drr_pop t =
    whenever some tenant is eligible; park otherwise.  Queued jobs are
    honored across shutdown — their clients are still waiting — so a
    stopping scheduler only releases the worker once every queue is
-   empty.  Completions broadcast [nonempty] because they can unblock a
-   seat-capped tenant, not just refill an empty queue. *)
+   empty.  Every release of a worker or tenant seat broadcasts
+   [nonempty], because it can unblock a seat-capped tenant, not just
+   refill an empty queue. *)
 let rec take_job t =
   if exists_eligible t then Some (drr_pop t)
   else if t.stopping && t.pending_total = 0 then None
@@ -283,198 +261,123 @@ let rec take_job t =
     take_job t
   end
 
-let worker_body t slot =
-  let running = ref true in
-  while !running do
-    Mutex.lock t.lock;
-    match take_job t with
-    | None ->
-        Mutex.unlock t.lock;
-        running := false
-    | Some job ->
-        let tn = job.tn in
-        t.busy <- t.busy + 1;
-        tn.tn_inflight <- tn.tn_inflight + 1;
-        slot.current <- Some job;
-        Telemetry.Metric.gauge_set t.g_depth t.pending_total;
-        Telemetry.Metric.gauge_set t.g_busy t.busy;
-        Telemetry.Metric.gauge_set tn.tn_g_inflight tn.tn_inflight;
-        Mutex.unlock t.lock;
-        (* Fault injection: a planned crash fires here, after the job is
-           claimed but before any work — the worst spot for the
-           supervisor, since without requeue the job would be lost and
-           its client left hanging. *)
-        (match t.config.fault with
-        | Some p
-          when Fault.Plan.crash_at_pickup p ~job:job.id ~attempt:job.attempts
-          ->
-            raise Fault.Plan.Injected_worker_crash
-        | _ -> ());
-        let queue_ms =
-          ms_of_ns (Telemetry.Clock.elapsed_ns ~since:job.enqueued_ns)
-        in
-        Telemetry.Metric.histogram_observe t.h_queue_wait queue_ms;
-        let t0 = Telemetry.Clock.now_ns () in
-        let response =
-          try t.exec ~job:job.id job.submit
-          with exn ->
-            (* {!Exec.run} already catches everything; this guards a
-               future exec that does not. *)
-            Protocol.Failed
-              { job = job.id; code = "exec_error";
-                message = Printexc.to_string exn }
-        in
-        let run_ms = ms_of_ns (Telemetry.Clock.elapsed_ns ~since:t0) in
-        Telemetry.Metric.histogram_observe t.h_run run_ms;
-        Telemetry.Metric.histogram_observe tn.tn_h_latency (queue_ms +. run_ms);
-        let response =
-          match response with
-          | Protocol.Result r -> Protocol.Result { r with queue_ms; run_ms }
-          | other -> other
-        in
-        (* Account the job before replying: a client that has received
-           its result must observe it in a subsequent status query. *)
-        Mutex.lock t.lock;
-        t.busy <- t.busy - 1;
-        tn.tn_inflight <- tn.tn_inflight - 1;
-        tn.tn_completed <- tn.tn_completed + 1;
-        slot.current <- None;
-        Telemetry.Metric.gauge_set t.g_busy t.busy;
-        Telemetry.Metric.gauge_set tn.tn_g_inflight tn.tn_inflight;
-        (match response with
-        | Protocol.Result { outcome; _ } ->
-            let c = t.c in
-            t.c <-
-              (match outcome.Protocol.verdict with
-              | Protocol.Racy ->
-                  { c with completed = c.completed + 1; racy = c.racy + 1 }
-              | Protocol.Race_free ->
-                  { c with completed = c.completed + 1;
-                    race_free = c.race_free + 1 });
-            Telemetry.Metric.counter_incr
-              (match outcome.Protocol.verdict with
-              | Protocol.Racy -> t.m_jobs_racy
-              | Protocol.Race_free -> t.m_jobs_race_free)
-        | _ ->
-            t.c <- { t.c with failed = t.c.failed + 1 };
-            Telemetry.Metric.counter_incr t.m_jobs_failed);
-        Telemetry.Metric.counter_incr tn.tn_m_completed;
-        (* The freed worker — and the freed tenant seat — may unblock a
-           parked peer. *)
-        Condition.broadcast t.nonempty;
-        Mutex.unlock t.lock;
-        (try job.reply response with _ -> ())
-  done
+(* A claimed job's run, outside the lock, with its timings filled in.
+   A planned crash fires first, after the job is claimed but before
+   any work: the spot where a lost job would leave its client
+   hanging. *)
+let run t job =
+  (match t.config.fault with
+  | Some p when Fault.Plan.crash_at_pickup p ~job:job.id ~attempt:job.attempts
+    ->
+      raise Fault.Plan.Injected_worker_crash
+  | _ -> ());
+  let queue_ms = ms_of_ns (Telemetry.Clock.elapsed_ns ~since:job.enqueued_ns) in
+  Telemetry.Metric.histogram_observe t.h_queue_wait queue_ms;
+  let t0 = Telemetry.Clock.now_ns () in
+  let response =
+    try t.exec ~job:job.id job.submit
+    with exn ->
+      (* {!Exec.run} already catches everything; this guards a future
+         exec that does not. *)
+      Protocol.Failed
+        { job = job.id; code = "exec_error"; message = Printexc.to_string exn }
+  in
+  let run_ms = ms_of_ns (Telemetry.Clock.elapsed_ns ~since:t0) in
+  Telemetry.Metric.histogram_observe t.h_run run_ms;
+  Telemetry.Metric.histogram_observe job.tn.tn_h_latency (queue_ms +. run_ms);
+  match response with
+  | Protocol.Result r -> Protocol.Result { r with queue_ms; run_ms }
+  | other -> other
 
-(* The supervised entry point: any exception that escapes the worker
-   loop — an injected crash, or machinery bugs [exec]'s own catch-all
-   cannot see — marks the seat crashed and lets the domain die.  The
-   watchdog notices, settles the in-flight job, and respawns. *)
-let worker_loop t slot =
-  try worker_body t slot
-  with _ ->
-    Mutex.lock t.lock;
-    slot.crashed <- true;
-    Mutex.unlock t.lock
+(* Give back the worker and the tenant seat a claimed job held, and
+   wake every parked worker: either seat may unblock one.  Called under
+   [t.lock], just before the caller unlocks it. *)
+let release t tn =
+  t.busy <- t.busy - 1;
+  tn.tn_inflight <- tn.tn_inflight - 1;
+  Telemetry.Metric.gauge_set t.g_busy t.busy;
+  Telemetry.Metric.gauge_set tn.tn_g_inflight tn.tn_inflight;
+  Condition.broadcast t.nonempty
+
+(* Answer a claimed job for good (a result, a failure or a quarantine).
+   Called under [t.lock], which it releases before replying: a client
+   that has its answer must see the job counted in a subsequent status
+   query. *)
+let settle t job response =
+  let tn = job.tn and c = t.c in
+  tn.tn_completed <- tn.tn_completed + 1;
+  Telemetry.Metric.counter_incr tn.tn_m_completed;
+  (match response with
+  | Protocol.Result { outcome = { Protocol.verdict = Protocol.Racy; _ }; _ } ->
+      t.c <- { c with completed = c.completed + 1; racy = c.racy + 1 };
+      Telemetry.Metric.counter_incr t.m_jobs_racy
+  | Protocol.Result _ ->
+      t.c <-
+        { c with completed = c.completed + 1; race_free = c.race_free + 1 };
+      Telemetry.Metric.counter_incr t.m_jobs_race_free
+  | _ ->
+      t.c <- { c with failed = c.failed + 1 };
+      Telemetry.Metric.counter_incr t.m_jobs_failed);
+  release t tn;
+  Mutex.unlock t.lock;
+  try job.reply response with _ -> ()
 
 let quarantine_message attempts =
   Printf.sprintf
     "job crashed its worker %d time%s and was quarantined as poison" attempts
     (if attempts = 1 then "" else "s")
 
-(* Watchdog: reap crashed workers, requeue or quarantine their jobs,
-   respawn replacement domains.  Runs on a sys-thread of the spawning
-   domain so it costs no domain slot; it polls rather than waiting on a
-   condition because a dying worker cannot be relied on to signal. *)
-let watchdog_loop t =
-  let stop_now = ref false in
-  while not !stop_now do
-    Thread.delay watchdog_interval_s;
-    Mutex.lock t.lock;
-    let reaped = ref [] in
-    Array.iter
-      (fun slot ->
-        if slot.crashed then begin
-          slot.crashed <- false;
-          let dead = slot.dom in
-          slot.dom <- None;
-          let quarantined =
-            match slot.current with
-            | None -> None
-            | Some job ->
-                let tn = job.tn in
-                t.busy <- t.busy - 1;
-                tn.tn_inflight <- tn.tn_inflight - 1;
-                Telemetry.Metric.gauge_set t.g_busy t.busy;
-                Telemetry.Metric.gauge_set tn.tn_g_inflight tn.tn_inflight;
-                slot.current <- None;
-                job.attempts <- job.attempts + 1;
-                if job.attempts > max_job_restarts then begin
-                  t.c <-
-                    {
-                      t.c with
-                      failed = t.c.failed + 1;
-                      quarantined = t.c.quarantined + 1;
-                    };
-                  tn.tn_completed <- tn.tn_completed + 1;
-                  Telemetry.Metric.counter_incr t.m_jobs_failed;
-                  Telemetry.Metric.counter_incr t.m_jobs_quarantined;
-                  Telemetry.Metric.counter_incr tn.tn_m_completed;
-                  Some job
-                end
-                else begin
-                  (* Back to its tenant's tail with enqueued_ns intact,
-                     so queue-wait telemetry reflects the true
-                     end-to-end wait including the crash. *)
-                  Queue.push job tn.tn_jobs;
-                  t.pending_total <- t.pending_total + 1;
-                  Telemetry.Metric.gauge_set t.g_depth t.pending_total;
-                  Telemetry.Metric.gauge_set tn.tn_g_queued
-                    (Queue.length tn.tn_jobs);
-                  None
-                end
-          in
-          (* The reap freed a worker seat and possibly a tenant seat;
-             wake every parked worker either way. *)
-          Condition.broadcast t.nonempty;
-          reaped := (slot, dead, quarantined) :: !reaped
-        end)
-      t.slots;
-    let exit_now =
-      t.stopping && t.pending_total = 0 && t.busy = 0 && !reaped = []
-      && Array.for_all (fun s -> not s.crashed) t.slots
-    in
-    Mutex.unlock t.lock;
-    List.iter
-      (fun (slot, dead, quarantined) ->
-        (* Join the corpse outside the lock (the supervised entry caught
-           the exception, so the domain terminated normally and this
-           returns promptly), settle the quarantined client, and seat a
-           replacement. *)
-        (match dead with
-        | Some d -> ( try Domain.join d with _ -> ())
-        | None -> ());
-        (match quarantined with
-        | None -> ()
-        | Some job -> (
-            try
-              job.reply
-                (Protocol.Failed
-                   {
-                     job = job.id;
-                     code = "quarantined";
-                     message = quarantine_message job.attempts;
-                   })
-            with _ -> ()));
-        let d = Domain.spawn (fun () -> worker_loop t slot) in
-        Mutex.lock t.lock;
-        slot.dom <- Some d;
-        t.c <- { t.c with workers_restarted = t.c.workers_restarted + 1 };
-        Mutex.unlock t.lock;
-        Telemetry.Metric.counter_incr t.m_workers_restarted)
-      !reaped;
-    if exit_now then stop_now := true
-  done
+(* An exception escaped a job's run: an injected crash, or a bug
+   outside [exec]'s catch-all.  The worker recovers in place: it counts
+   the restart and puts the job back at its tenant's tail with
+   [enqueued_ns] intact, so queue-wait telemetry spans the crash, or,
+   past [max_job_restarts], answers it as poison. *)
+let crashed t job =
+  let tn = job.tn in
+  Mutex.lock t.lock;
+  t.c <- { t.c with workers_restarted = t.c.workers_restarted + 1 };
+  Telemetry.Metric.counter_incr t.m_workers_restarted;
+  job.attempts <- job.attempts + 1;
+  if job.attempts > max_job_restarts then begin
+    t.c <- { t.c with quarantined = t.c.quarantined + 1 };
+    Telemetry.Metric.counter_incr t.m_jobs_quarantined;
+    settle t job
+      (Protocol.Failed
+         {
+           job = job.id;
+           code = "quarantined";
+           message = quarantine_message job.attempts;
+         })
+  end
+  else begin
+    Queue.push job tn.tn_jobs;
+    t.pending_total <- t.pending_total + 1;
+    Telemetry.Metric.gauge_set t.g_depth t.pending_total;
+    Telemetry.Metric.gauge_set tn.tn_g_queued (Queue.length tn.tn_jobs);
+    release t tn;
+    Mutex.unlock t.lock
+  end
+
+(* A worker domain: claim a job, run it unlocked, settle it or recover
+   from its crash, and take the next, until [take_job] lets it go. *)
+let rec work t =
+  Mutex.lock t.lock;
+  match take_job t with
+  | None -> Mutex.unlock t.lock
+  | Some job ->
+      let tn = job.tn in
+      t.busy <- t.busy + 1;
+      tn.tn_inflight <- tn.tn_inflight + 1;
+      Telemetry.Metric.gauge_set t.g_depth t.pending_total;
+      Telemetry.Metric.gauge_set t.g_busy t.busy;
+      Telemetry.Metric.gauge_set tn.tn_g_inflight tn.tn_inflight;
+      Mutex.unlock t.lock;
+      (match run t job with
+      | response ->
+          Mutex.lock t.lock;
+          settle t job response
+      | exception _ -> crashed t job);
+      work t
 
 (* A seat domain: park on the condition variable, run rendezvoused
    calls to completion.  Pending work is always honored before a
@@ -528,7 +431,6 @@ let create ?(config = default_config) ~exec () =
       rr = 0;
       pending_total = 0;
       stopping = false;
-      joined = false;
       next_id = 0;
       busy = 0;
       c =
@@ -542,13 +444,11 @@ let create ?(config = default_config) ~exec () =
           quarantined = 0;
           workers_restarted = 0;
         };
-      slots =
-        Array.init config.workers (fun _ ->
-            { dom = None; current = None; crashed = false });
+      workers = [||];
       seats =
-        Array.init config.session_seats (fun i ->
+        Array.init config.session_seats (fun _ ->
             {
-              seat_id = i;
+              taken = false;
               s_lock = Mutex.create ();
               s_wake = Condition.create ();
               s_done = Condition.create ();
@@ -557,18 +457,16 @@ let create ?(config = default_config) ~exec () =
               s_shutdown = false;
               s_dom = None;
             });
-      seat_taken = Array.make config.session_seats false;
-      sessions_open = 0;
       sessions_opened_total = 0;
-      watchdog = None;
       m_jobs_racy = jobs_counter "racy";
       m_jobs_race_free = jobs_counter "race_free";
       m_jobs_failed = jobs_counter "failed";
       m_jobs_rejected = jobs_counter "rejected";
       m_workers_restarted =
         Telemetry.Registry.counter
-          ~help:"Dead worker domains respawned by the watchdog" reg
-          "barracuda_service_workers_restarted_total";
+          ~help:"Worker crashes recovered in place (job requeued or \
+                 quarantined)"
+          reg "barracuda_service_workers_restarted_total";
       m_jobs_quarantined =
         Telemetry.Registry.counter
           ~help:"Jobs quarantined after exhausting crash-restarts" reg
@@ -598,36 +496,30 @@ let create ?(config = default_config) ~exec () =
   ignore (tenant_of t default_tenant);
   List.iter (fun (name, _) -> ignore (tenant_of t name)) config.tenant_quotas;
   Mutex.unlock t.lock;
-  Array.iter
-    (fun slot -> slot.dom <- Some (Domain.spawn (fun () -> worker_loop t slot)))
-    t.slots;
+  t.workers <-
+    Array.init config.workers (fun _ -> Domain.spawn (fun () -> work t));
   Array.iter
     (fun seat -> seat.s_dom <- Some (Domain.spawn (fun () -> seat_loop seat)))
     t.seats;
-  t.watchdog <- Some (Thread.create watchdog_loop t);
   t
 
+(* Seats held by a session, under [t.lock]. *)
+let occupied t =
+  Array.fold_left (fun n s -> if s.taken then n + 1 else n) 0 t.seats
+
 let session_open t =
-  Mutex.lock t.lock;
-  let found =
-    if t.stopping then None
-    else
-      Array.fold_left
-        (fun acc seat ->
-          match acc with
-          | Some _ -> acc
-          | None -> if t.seat_taken.(seat.seat_id) then None else Some seat)
-        None t.seats
-  in
-  (match found with
-  | Some seat ->
-      t.seat_taken.(seat.seat_id) <- true;
-      t.sessions_open <- t.sessions_open + 1;
-      t.sessions_opened_total <- t.sessions_opened_total + 1;
-      Telemetry.Metric.gauge_set t.g_sessions t.sessions_open
-  | None -> ());
-  Mutex.unlock t.lock;
-  found
+  Mutex.protect t.lock (fun () ->
+      let found =
+        if t.stopping then None
+        else Array.find_opt (fun seat -> not seat.taken) t.seats
+      in
+      Option.iter
+        (fun seat ->
+          seat.taken <- true;
+          t.sessions_opened_total <- t.sessions_opened_total + 1;
+          Telemetry.Metric.gauge_set t.g_sessions (occupied t))
+        found;
+      found)
 
 let session_call seat f =
   let cell = ref None in
@@ -652,19 +544,17 @@ let session_call seat f =
   | None -> assert false
 
 let session_close t seat =
-  Mutex.lock t.lock;
-  if t.seat_taken.(seat.seat_id) then begin
-    t.seat_taken.(seat.seat_id) <- false;
-    t.sessions_open <- t.sessions_open - 1;
-    Telemetry.Metric.gauge_set t.g_sessions t.sessions_open
-  end;
-  Mutex.unlock t.lock
+  Mutex.protect t.lock (fun () ->
+      if seat.taken then begin
+        seat.taken <- false;
+        Telemetry.Metric.gauge_set t.g_sessions (occupied t)
+      end)
 
 let sessions t =
   Mutex.protect t.lock (fun () ->
       {
         Protocol.seats = Array.length t.seats;
-        occupied = t.sessions_open;
+        occupied = occupied t;
         opened = t.sessions_opened_total;
       })
 
@@ -779,26 +669,12 @@ let stop t =
   let first = not t.stopping in
   t.stopping <- true;
   Condition.broadcast t.nonempty;
-  let join_here = first && not t.joined in
-  if join_here then t.joined <- true;
   Mutex.unlock t.lock;
-  if join_here then begin
-    (* Watchdog first: it only exits once the queue is drained with no
-       worker crashed or mid-respawn, so after this join the seat
-       assignments are final and every queued job has been settled. *)
-    (match t.watchdog with
-    | Some th ->
-        Thread.join th;
-        t.watchdog <- None
-    | None -> ());
-    Array.iter
-      (fun slot ->
-        match slot.dom with
-        | Some d ->
-            Domain.join d;
-            slot.dom <- None
-        | None -> ())
-      t.slots;
+  if first then begin
+    (* A worker leaves only once every queue is empty, and a crashed
+       job goes back on its queue before its worker takes the next, so
+       after these joins every queued job has been settled. *)
+    Array.iter Domain.join t.workers;
     (* Session seats: flag, wake, join.  An in-flight [session_call]
        completes first (the seat loop drains pending work before it
        observes shutdown); later calls raise. *)
@@ -809,14 +685,7 @@ let stop t =
         Condition.broadcast seat.s_wake;
         Mutex.unlock seat.s_lock)
       t.seats;
-    Array.iter
-      (fun seat ->
-        match seat.s_dom with
-        | Some d ->
-            Domain.join d;
-            seat.s_dom <- None
-        | None -> ())
-      t.seats;
+    Array.iter (fun seat -> Option.iter Domain.join seat.s_dom) t.seats;
     (* The queues are drained, no job can arrive and every seat is
        down; zero ALL scheduler-owned gauges — global and per-tenant —
        so a scrape after shutdown does not report ghost depth,

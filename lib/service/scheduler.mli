@@ -24,13 +24,12 @@
 
     The [exec] callback is expected not to raise ({!Exec.run}); as a
     second line of defense any exception it does raise is converted to
-    a [Failed] response.  An exception that escapes the worker loop
-    {e itself} (an injected crash, or machinery bugs outside [exec]'s
-    reach) kills only that worker's domain: a watchdog thread notices
-    the dead seat, requeues its in-flight job (or, after two
-    crash-restarts, quarantines it with a [Failed] response, code
-    ["quarantined"]), joins the corpse, and spawns a replacement domain
-    into the same seat.  The daemon survives; the client always gets an
+    a [Failed] response.  An exception that escapes a job's run {e
+    outside} [exec] (an injected crash, or a bug beyond its reach) is
+    recovered by the worker itself, on the same domain: it puts the job
+    back at its tenant's tail (or, after two crash-restarts,
+    quarantines it with a [Failed] response, code ["quarantined"]) and
+    takes its next job.  The daemon survives; the client always gets an
     answer.
 
     A {e hung} worker cannot be killed (OCaml domains are not
@@ -107,7 +106,7 @@ type counts = Protocol.jobs = {
   racy : int;
   race_free : int;
   quarantined : int;  (** jobs failed after exhausting crash-restarts *)
-  workers_restarted : int;  (** dead worker domains respawned *)
+  workers_restarted : int;  (** worker crashes recovered, one per crash *)
 }
 (** The [jobs] counts of a daemon's status reply. *)
 
@@ -118,10 +117,9 @@ val create :
   exec:(job:int -> Protocol.submit -> Protocol.response) ->
   unit ->
   t
-(** Spawns the worker domains, the session-seat domains and the
-    watchdog thread immediately.  The default tenant and every quota'd
-    tenant are seated up front (stable ring order); others join lazily
-    on first submission.
+(** Spawns the worker and session-seat domains immediately.  The
+    default tenant and every quota'd tenant are seated up front (stable
+    ring order); others join lazily on first submission.
     @raise Invalid_argument on a non-positive worker count or
     capacity, a negative [session_seats], or a
     quota with a negative rate, burst or seat count (or an empty
@@ -136,10 +134,9 @@ val submit :
     scheduler is stopping, or the tenant's token bucket is dry (reason
     ["tenant_quota"], retry hint = time until a token accrues);
     otherwise from a worker domain with the job's [Result] or [Failed]
-    (timings filled in), or from the watchdog with
-    [Failed {code = "quarantined"}] if the job kept crashing its
-    workers.  Exceptions from [reply] are swallowed: a client that
-    hung up cannot hurt the worker. *)
+    (timings filled in), or [Failed {code = "quarantined"}] if the job
+    kept crashing its worker.  Exceptions from [reply] are swallowed: a
+    client that hung up cannot hurt the worker. *)
 
 val depth : t -> int
 (** Jobs waiting across every tenant queue. *)
@@ -180,10 +177,11 @@ val sessions : t -> Protocol.sessions
 
 val stop : t -> unit
 (** Stop accepting work, let the workers finish everything already
-    queued (crashed workers are still respawned while queued jobs
-    remain), join the watchdog, the workers and the session seats (an
-    in-flight {!session_call} completes first), and zero {e every}
+    queued (a job that crashes its worker is still retried or
+    quarantined), join the workers and the session seats (an in-flight
+    {!session_call} completes first), and zero {e every}
     scheduler-owned gauge — queue depth, busy workers, open sessions
     and the per-tenant queued/inflight gauges — so a post-shutdown
-    scrape reports no ghost activity.  Idempotent; safe to call from
-    any domain or thread. *)
+    scrape reports no ghost activity.  The first call does all this; a
+    later one returns at once.  Safe to call from any domain or
+    thread. *)

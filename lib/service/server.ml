@@ -55,7 +55,7 @@ type t = {
   stopping : bool Atomic.t;
   started_ns : int64;
   next_sid : int Atomic.t;
-  mutable accept_domain : unit Domain.t option;
+  accept_domain : unit Domain.t option Atomic.t;
   mutable campaign_hook : unit -> Protocol.campaign_status option;
       (* composed in by the CLI when a background campaign daemon runs
          inside this process; the server itself never depends on the
@@ -90,19 +90,25 @@ let status t =
     campaign = t.campaign_hook ();
   }
 
+(* Whether something accepts connections on [path]: a bare connect,
+   closed at once.  A live daemon's connection thread reads end of file
+   and ends, so the probe parks nothing there. *)
+let accepts path =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      match Unix.connect fd (Unix.ADDR_UNIX path) with
+      | () -> true
+      | exception Unix.Unix_error _ -> false)
+
 let request_stop t =
-  if Atomic.compare_and_set t.stopping false true then begin
+  if Atomic.compare_and_set t.stopping false true then
     (* A blocked [accept] does not notice its descriptor being closed
        (Linux keeps it parked), so wake the accept loop with a
        throwaway self-connection; it re-checks the stopping flag on
        every accept, and on the way out ends the idle connections. *)
-    try
-      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_UNIX t.config.socket_path)
-       with Unix.Unix_error _ -> ());
-      try Unix.close fd with Unix.Unix_error _ -> ()
-    with Unix.Unix_error _ -> ()
-  end
+    try ignore (accepts t.config.socket_path) with Unix.Unix_error _ -> ()
 
 (* A stopping daemon ends every idle kept connection at once instead
    of waiting out its read timeout: shutting down the read side makes
@@ -382,12 +388,9 @@ let start ?(config = default_config) () =
   (match Unix.bind listener addr with
   | () -> ()
   | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) ->
-      (* A previous daemon's socket file.  Only steal the address if
-         nothing answers on it.  Probe with a real ping rather than a
-         bare connect-and-close, which would park one of the live
-         daemon's handler threads for its full read timeout. *)
-      let live = Client.ping ~socket:config.socket_path in
-      if live then begin
+      (* A previous daemon's socket file.  Only take the address over
+         if nothing accepts on it. *)
+      if accepts config.socket_path then begin
         (try Unix.close listener with Unix.Unix_error _ -> ());
         Scheduler.stop sched;
         raise
@@ -412,7 +415,7 @@ let start ?(config = default_config) () =
       stopping = Atomic.make false;
       started_ns = Telemetry.Clock.now_ns ();
       next_sid = Atomic.make 1;
-      accept_domain = None;
+      accept_domain = Atomic.make None;
       campaign_hook = (fun () -> None);
       integrity_lock = Mutex.create ();
       integrity = no_anomalies;
@@ -426,18 +429,21 @@ let start ?(config = default_config) () =
           Telemetry.Registry.default "barracuda_service_protocol_errors_total";
     }
   in
-  t.accept_domain <- Some (Domain.spawn (fun () -> accept_loop t));
+  Atomic.set t.accept_domain (Some (Domain.spawn (fun () -> accept_loop t)));
   t
 
+(* Only the first caller tears down: by a later call the listener's
+   descriptor number and the socket path may belong to a newer
+   daemon. *)
 let wait t =
-  (match t.accept_domain with
-  | Some d ->
+  match Atomic.exchange t.accept_domain None with
+  | None -> ()
+  | Some d -> (
       Domain.join d;
-      t.accept_domain <- None
-  | None -> ());
-  (try Unix.close t.listener with Unix.Unix_error _ -> ());
-  Scheduler.stop t.sched;
-  try Unix.unlink t.config.socket_path with Unix.Unix_error _ | Sys_error _ -> ()
+      (try Unix.close t.listener with Unix.Unix_error _ -> ());
+      Scheduler.stop t.sched;
+      try Unix.unlink t.config.socket_path
+      with Unix.Unix_error _ | Sys_error _ -> ())
 
 let stop t =
   request_stop t;

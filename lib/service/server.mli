@@ -57,9 +57,11 @@ val default_config : config
 type t
 
 val start : ?config:config -> unit -> t
-(** Bind the socket (replacing a stale file at that path), spawn the
-    workers and the accept domain, and return immediately.
-    @raise Unix.Unix_error if the socket cannot be bound. *)
+(** Bind the socket, spawn the workers and the accept domain, and
+    return immediately.  A socket file at the path that nothing accepts
+    on is stale and taken over; a bare connect-and-close probes it.
+    @raise Unix.Unix_error if the socket cannot be bound
+    ([EADDRINUSE] when a live daemon holds the path). *)
 
 val socket_path : t -> string
 
@@ -73,7 +75,10 @@ val request_stop : t -> unit
 val wait : t -> unit
 (** Block until shutdown is initiated (a [shutdown] request,
     {!request_stop}, or a signal handler calling it), then drain the
-    job queue, join the workers and remove the socket file. *)
+    job queue, join the workers and remove the socket file.  Only the
+    first call does this; a later [wait] or {!stop} returns at once,
+    since by then the listener's descriptor and the socket path may
+    belong to a newer daemon. *)
 
 val stop : t -> unit
 (** [request_stop] + [wait]. *)

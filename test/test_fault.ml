@@ -422,10 +422,27 @@ let submit_and_collect sched (cases : Case.t list) =
   Service.Scheduler.stop sched;
   replies
 
+(* After [stop], the crash path has settled every job once: the one
+   tenant submitted and completed them all, and nothing is queued or
+   on a worker. *)
+let check_settled sched ~jobs =
+  (match Service.Scheduler.tenant_status sched with
+  | [ tn ] ->
+      Alcotest.(check (pair int int))
+        "tenant submitted, completed" (jobs, jobs)
+        (tn.P.t_submitted, tn.P.t_completed);
+      Alcotest.(check (pair int int))
+        "tenant inflight, queued" (0, 0)
+        (tn.P.t_inflight, tn.P.t_queued)
+  | ts -> Alcotest.failf "expected one tenant, got %d" (List.length ts));
+  Alcotest.(check (pair int int))
+    "scheduler busy, depth" (0, 0)
+    (Service.Scheduler.busy sched, Service.Scheduler.depth sched)
+
 let test_crash_recovery_parity () =
-  (* jobs 1 and 3 kill their worker at pickup; the watchdog respawns
-     and the requeued jobs must come back with verdicts matching
-     one-shot checking *)
+  (* jobs 1 and 3 kill their worker at pickup; the worker puts the job
+     back on its queue and the retried jobs must come back with
+     verdicts matching one-shot checking *)
   let cases = List.filteri (fun i _ -> i < 6) Bugsuite.Cases.all in
   let plan =
     Plan.make { Plan.none with Plan.seed = 1; crash_once_jobs = [ 1; 3 ] }
@@ -447,14 +464,15 @@ let test_crash_recovery_parity () =
             | Some r -> P.encode_response r))
     cases;
   let counts = Service.Scheduler.counts sched in
-  Alcotest.(check int) "two workers respawned" 2
+  Alcotest.(check int) "two worker crashes recovered" 2
     counts.Service.Scheduler.workers_restarted;
   Alcotest.(check int) "nothing quarantined" 0
     counts.Service.Scheduler.quarantined;
   Alcotest.(check int) "all jobs completed" (List.length cases)
     counts.Service.Scheduler.completed;
   Alcotest.(check bool) "crashes recorded on the plan" true
-    ((Plan.injected plan).Plan.crashes = 2)
+    ((Plan.injected plan).Plan.crashes = 2);
+  check_settled sched ~jobs:(List.length cases)
 
 let test_poison_quarantine () =
   let cases = [ List.hd Bugsuite.Cases.all ] in
@@ -475,9 +493,10 @@ let test_poison_quarantine () =
   Alcotest.(check int) "one quarantined" 1
     counts.Service.Scheduler.quarantined;
   (* initial attempt + max_job_restarts retries, each crashing a worker *)
-  Alcotest.(check int) "three respawns" 3
+  Alcotest.(check int) "three crashes recovered" 3
     counts.Service.Scheduler.workers_restarted;
-  Alcotest.(check int) "counted as failed" 1 counts.Service.Scheduler.failed
+  Alcotest.(check int) "counted as failed" 1 counts.Service.Scheduler.failed;
+  check_settled sched ~jobs:1
 
 (* ---- versioned formats ------------------------------------------- *)
 

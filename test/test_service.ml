@@ -1177,6 +1177,14 @@ let test_tenant_fairness () =
       in
       scan 0 0 rest
   | _ -> Alcotest.fail "warm-up job must run first");
+  (* The exact order, pick for pick. *)
+  Alcotest.(check (list string))
+    "pickup order"
+    ("warm"
+    :: List.concat_map
+         (fun i -> [ Printf.sprintf "alpha%d" i; Printf.sprintf "beta%d" i ])
+         [ 1; 2; 3; 4; 5; 6 ])
+    pickups;
   Alcotest.(check int) "everything completed" 13 !done_count;
   let tenants = Service.Scheduler.tenant_status sched in
   let a = find_tenant "alpha" tenants and b = find_tenant "beta" tenants in
@@ -1370,9 +1378,29 @@ let fresh_config name =
   (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
   config
 
+(* Whether [Server.stop t], run on a thread of its own, returns within
+   2 s: a stop that hangs fails its test instead of hanging the
+   suite. *)
+let stops_in_time t =
+  let finished = Atomic.make false in
+  ignore
+    (Thread.create
+       (fun () ->
+         Service.Server.stop t;
+         Atomic.set finished true)
+       ());
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done;
+  Atomic.get finished
+
 let with_started config f =
   let t = Service.Server.start ~config () in
-  Fun.protect ~finally:(fun () -> Service.Server.stop t) f
+  let stopped = ref false in
+  let v = Fun.protect ~finally:(fun () -> stopped := stops_in_time t) f in
+  if not !stopped then Alcotest.fail "daemon did not stop within 2 s";
+  v
 
 (* daemon-fleet's traffic: the first four bug-suite cases, every
    parameter an [alloc:256] buffer *)
@@ -1440,6 +1468,13 @@ let test_kept_connection_outlives_daemon () =
             (o.P.verdict = P.Race_free)
       | Result.Error e -> Alcotest.failf "second daemon: %s" e);
       Alcotest.(check bool) "second daemon answers a ping" true
+        (Service.Client.ping ~socket);
+      (* Stopping the first daemon again touches nothing of the
+         second: not its listener, not its socket file. *)
+      Alcotest.(check bool) "repeated stop returns" true (stops_in_time t);
+      Alcotest.(check bool) "socket file kept" true (Sys.file_exists socket);
+      Alcotest.(check bool) "second daemon answers after a repeated stop"
+        true
         (Service.Client.ping ~socket))
 
 (* An idle kept connection does not hold a stopping daemon for its
@@ -1452,6 +1487,39 @@ let test_stop_with_idle_connection () =
   Service.Server.stop t;
   let s = Int64.to_float (Telemetry.Clock.elapsed_ns ~since:t0) /. 1e9 in
   Alcotest.(check bool) "ping" true alive;
+  if s >= 1.0 then Alcotest.failf "stop took %.2f s" s
+
+(* A socket file nothing accepts on (bound, closed, never unlinked) is
+   stale, and a starting daemon takes it over. *)
+let test_stale_socket_taken_over () =
+  let config = fresh_config "stale" in
+  let socket = config.Service.Server.socket_path in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX socket);
+  Unix.close fd;
+  Alcotest.(check bool) "stale file left behind" true (Sys.file_exists socket);
+  with_started config (fun () ->
+      Alcotest.(check bool) "new daemon answers a ping" true
+        (Service.Client.ping ~socket))
+
+(* A second daemon on a live daemon's path is refused with
+   [EADDRINUSE] and leaves the live one as it was: it answers and
+   stops at once. *)
+let test_live_socket_refused () =
+  let config = fresh_config "live" in
+  let socket = config.Service.Server.socket_path in
+  let t = Service.Server.start ~config () in
+  (match Service.Server.start ~config () with
+  | second ->
+      ignore (stops_in_time second);
+      ignore (stops_in_time t);
+      Alcotest.fail "a second daemon took a live daemon's path"
+  | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ());
+  let alive = Service.Client.ping ~socket in
+  let t0 = Telemetry.Clock.now_ns () in
+  Service.Server.stop t;
+  let s = Int64.to_float (Telemetry.Clock.elapsed_ns ~since:t0) /. 1e9 in
+  Alcotest.(check bool) "live daemon answers a ping" true alive;
   if s >= 1.0 then Alcotest.failf "stop took %.2f s" s
 
 (* A reply carries the first 20 of a report's errors, as formatting
@@ -1564,6 +1632,10 @@ let suite =
       test_reply_error_strings;
     Alcotest.test_case "submit beside a streaming session" `Quick
       test_submit_beside_session;
+    Alcotest.test_case "stale socket file taken over" `Quick
+      test_stale_socket_taken_over;
+    Alcotest.test_case "live daemon's path refused" `Quick
+      test_live_socket_refused;
   ]
   @ List.map Gen.to_alcotest
       [ prop_request_roundtrip; prop_response_roundtrip; prop_mutated_frames ]
