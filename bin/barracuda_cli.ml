@@ -1203,7 +1203,7 @@ let submission ~kind ~layout ~tenant file =
   }
 
 let submit_cmd =
-  let run socket layout file specs kind no_prune no_static retries json tenant =
+  let run socket layout file specs kind no_static retries json tenant =
     guard @@ fun () ->
     let kind =
       match Service.Protocol.kind_of_string kind with
@@ -1214,7 +1214,6 @@ let submit_cmd =
       {
         (submission ~kind ~layout ~tenant file) with
         Service.Protocol.args = specs;
-        prune = not no_prune;
         static = not no_static;
       }
     in
@@ -1286,15 +1285,11 @@ let submit_cmd =
                ~doc:"$(b,check) a PTX kernel, $(b,predict) over a recorded \
                      trace, or $(b,repair) a racy PTX kernel.")
   in
-  let no_prune =
-    Arg.(value & flag
-           & info [ "no-prune" ] ~doc:"Disable the logging-pruning pass.")
-  in
   let no_static =
     Arg.(value & flag
            & info [ "no-static" ]
-               ~doc:"Disable the static race analysis (no logging pruning, \
-                     no instant racy verdicts).")
+               ~doc:"Execute the kernel even when the static race analysis \
+                     proves it racy (no instant racy verdicts).")
   in
   let retries =
     Arg.(value & opt int 10
@@ -1312,7 +1307,7 @@ let submit_cmd =
           daemon and wait for the verdict.")
     Term.(
       const run $ socket_term $ layout_term $ file_term $ args_term $ kind
-      $ no_prune $ no_static $ retries $ json $ tenant_term)
+      $ no_static $ retries $ json $ tenant_term)
 
 let stream_cmd =
   let run socket file trace chunk flush_every retries tenant =

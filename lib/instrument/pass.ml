@@ -117,16 +117,10 @@ let convergence_points (k : Ptx.Ast.kernel) =
     k.Ptx.Ast.body;
   points
 
-let instrument_run ~prune ~static ~analysis (k : Ptx.Ast.kernel) =
+let instrument_run ~prune ~static (k : Ptx.Ast.kernel) =
   let n = Array.length k.Ptx.Ast.body in
   let static_safe =
-    if static then
-      let a =
-        match analysis with
-        | Some a -> a
-        | None -> Static.Analysis.analyze k
-      in
-      Static.Analysis.safe_mask a
+    if static then Static.Analysis.safe_mask (Static.Analysis.analyze k)
     else Array.make n false
   in
   let redundant =
@@ -236,11 +230,10 @@ let instrument_run ~prune ~static ~analysis (k : Ptx.Ast.kernel) =
   let kernel = { k with Ptx.Ast.body } in
   { kernel; origin; logged; stats }
 
-let instrument ?(prune = true) ?(static = true) ?analysis
-    (k : Ptx.Ast.kernel) =
+let instrument ?(prune = true) ?(static = true) (k : Ptx.Ast.kernel) =
   let r =
     Telemetry.Span.with_ ~name:"instrument" (fun () ->
-        instrument_run ~prune ~static ~analysis k)
+        instrument_run ~prune ~static k)
   in
   Telemetry.Metric.counter_incr m_kernels;
   Telemetry.Metric.counter_add m_logged

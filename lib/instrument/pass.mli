@@ -25,7 +25,14 @@
     without touching global or shared state (the actual queue transport
     is modeled by the runtime library).  [origin] maps rewritten
     instruction indices back to the original kernel so the detector can
-    keep using the original static roles. *)
+    keep using the original static roles.
+
+    The pass is the paper's cost model of device-side logging, and it
+    runs only where that cost is what is measured: [barracuda profile],
+    Figures 9 and 10 and [Gpu_runtime.Session.launch].  A verdict
+    depends on the events the detector receives, not on the code that
+    logged them, so every verdict path — [check], [stream], repair, the
+    campaign and the daemon — executes the kernel it was given. *)
 
 type result = {
   kernel : Ptx.Ast.kernel;  (** the rewritten kernel *)
@@ -35,16 +42,7 @@ type result = {
   stats : Stats.t;
 }
 
-val instrument :
-  ?prune:bool ->
-  ?static:bool ->
-  ?analysis:Static.Analysis.t ->
-  Ptx.Ast.kernel ->
-  result
-(** [analysis] is a precomputed {!Static.Analysis.t} of the same
-    kernel to reuse for the static tier (the service's artifact cache
-    computes one analysis for both the cache entry and this pass);
-    when absent and [static] is on, the pass runs its own. *)
+val instrument : ?prune:bool -> ?static:bool -> Ptx.Ast.kernel -> result
 
 val logging_cost : int
 (** Instructions inserted per logging call. *)

@@ -1,6 +1,5 @@
 type entry = {
   kernel : Ptx.Ast.kernel;
-  inst : Instrument.Pass.result;
   analysis : Static.Analysis.t;
 }
 
@@ -47,14 +46,10 @@ let create ?(capacity = 128) () =
 
 let capacity t = t.capacity
 
-let key ~prune ~static source =
-  Digest.to_hex
-    (Digest.string
-       (Printf.sprintf "barracuda-v2:prune=%b:static=%b:%s" prune static
-          source))
+let key source = Digest.to_hex (Digest.string source)
 
 (* O(capacity) scan on eviction: capacities are small (hundreds) and
-   evictions already amortize a full parse+instrument, so an intrusive
+   evictions already amortize a full parse and analysis, so an intrusive
    LRU list would be complexity without a measurable win. *)
 let evict_lru t =
   let victim = ref None in

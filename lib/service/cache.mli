@@ -1,13 +1,12 @@
 (** Content-hash artifact cache.
 
-    Memoizes the front half of the checking pipeline — parsed kernel,
-    instrumented kernel and static race analysis — keyed by a digest
-    of the PTX source and the instrumentation options, so repeat
-    submissions of the same kernel pay only machine creation and
-    execution.  All three artifacts are immutable once built (the
-    pipeline never mutates a kernel, an analysis or an instrumentation
-    result), which is what makes sharing them across worker domains
-    sound.
+    Memoizes the front half of the checking pipeline — the parsed
+    kernel and its static race analysis — keyed by a digest of the PTX
+    source alone, so repeat submissions of the same kernel pay only
+    machine creation and execution, whichever job kind (check, repair,
+    stream) built the entry.  Both artifacts are immutable once built
+    (the pipeline never mutates a kernel or an analysis), which is what
+    makes sharing them across worker domains sound.
 
     Bounded LRU with a mutex around the index; a miss builds {e
     outside} the lock so concurrent workers are not serialized on
@@ -20,12 +19,10 @@
     [barracuda_service_cache_*] telemetry counters. *)
 
 type entry = {
-  kernel : Ptx.Ast.kernel;
-  inst : Instrument.Pass.result;
+  kernel : Ptx.Ast.kernel;  (** what every job executes *)
   analysis : Static.Analysis.t;
-      (** static race verdicts of the original kernel — what a worker
-          consults to answer a provably racy check without executing
-          it *)
+      (** static race verdicts of the kernel — what a worker consults
+          to answer a provably racy check without executing it *)
 }
 
 type t
@@ -36,9 +33,8 @@ val create : ?capacity:int -> unit -> t
 
 val capacity : t -> int
 
-val key : prune:bool -> static:bool -> string -> string
-(** Digest of the source text and the options that shape the
-    artifacts. *)
+val key : string -> string
+(** Digest of the source text: an entry depends on nothing else. *)
 
 val find_or_build : t -> string -> build:(unit -> entry) -> entry * bool
 (** The entry for a key, building (and inserting) it on a miss; the

@@ -45,10 +45,19 @@ let resolve_args machine kernel specs =
   in
   Array.of_list (given @ fill)
 
+(* A submitted layout is the client's to get right: one no detector
+   can check is a bad request before anything is built or run. *)
 let layout_of (s : Protocol.submit) =
   match s.Protocol.layout with
   | None -> default_layout
   | Some (blocks, tpb, warp) ->
+      if min blocks (min tpb warp) < 1 || warp > Barracuda.Wire.max_lanes then
+        raise
+          (Bad_args
+             (Printf.sprintf
+                "bad layout: %d blocks of %d threads, warp %d (each at least \
+                 1, a warp at most the %d lanes of a wire record)"
+                blocks tpb warp Barracuda.Wire.max_lanes));
       Vclock.Layout.make ~warp_size:warp ~threads_per_block:tpb ~blocks
 
 let m_static_fast =
@@ -74,20 +83,9 @@ let outcome_of_report ?(static = false) ~cache_hit ~detect_ms report =
   }
 
 let entry_for ~cache (s : Protocol.submit) =
-  let key =
-    Cache.key ~prune:s.Protocol.prune ~static:s.Protocol.static
-      s.Protocol.payload
-  in
-  Cache.find_or_build cache key ~build:(fun () ->
+  Cache.find_or_build cache (Cache.key s.Protocol.payload) ~build:(fun () ->
       let kernel = Ptx.Parser.kernel_of_string s.Protocol.payload in
-      (* one analysis serves both the instrument pass's static tier and
-         the entry's static answers *)
-      let analysis = Static.Analysis.analyze kernel in
-      let inst =
-        Instrument.Pass.instrument ~prune:s.Protocol.prune
-          ~static:s.Protocol.static ~analysis kernel
-      in
-      { Cache.kernel; inst; analysis })
+      { Cache.kernel; analysis = Static.Analysis.analyze kernel })
 
 (* The one static answer: a kernel the static analysis proves racy
    (for this launch layout) is answered from its cache entry without
@@ -111,9 +109,11 @@ let static_result ~cache_hit ~job ~layout entry (s : Protocol.submit) =
                run_ms = 0.0;
              })
 
+(* The kernel runs exactly as [barracuda check] runs it: the plain
+   kernel through [run_stream], so a reply carries check's report. *)
 let run_check ~config ~cache ~job (s : Protocol.submit) =
-  let entry, cache_hit = entry_for ~cache s in
   let layout = layout_of s in
+  let entry, cache_hit = entry_for ~cache s in
   match static_result ~cache_hit ~job ~layout entry s with
   | Some result -> result
   | None ->
@@ -130,8 +130,8 @@ let run_check ~config ~cache ~job (s : Protocol.submit) =
     Gpu_runtime.Session.run_stream
       ?sink:(Shard.Stream.sink_for ~layout ~shards:config.job_shards
                entry.Cache.kernel)
-      ~max_steps:config.max_steps ?deadline_ns ~inst:entry.Cache.inst ~machine
-      entry.Cache.kernel args
+      ~max_steps:config.max_steps ?deadline_ns ~machine entry.Cache.kernel
+      args
   in
   match result.Gpu_runtime.Session.sr_machine_result.Simt.Machine.status with
   | Simt.Machine.Max_steps n ->
@@ -206,8 +206,8 @@ let run_predict ~job (s : Protocol.submit) =
    [Racy] = unfixable) so verdict parity with the one-shot
    [barracuda repair] command holds by construction. *)
 let run_repair ~config ~cache ~job (s : Protocol.submit) =
-  let entry, cache_hit = entry_for ~cache s in
   let layout = layout_of s in
+  let entry, cache_hit = entry_for ~cache s in
   let kernel = entry.Cache.kernel in
   let setup machine = resolve_args machine kernel s.Protocol.args in
   let rconfig =
@@ -263,8 +263,8 @@ let run_repair ~config ~cache ~job (s : Protocol.submit) =
    trace's verdict is bitwise the one a batch submission of the same
    records would produce. *)
 let stream_open ?(config = default_config) ~cache (s : Protocol.submit) =
-  let entry, _ = entry_for ~cache s in
   let layout = layout_of s in
+  let entry, _ = entry_for ~cache s in
   Gpu_runtime.Session.open_stream
     ?sink:(Shard.Stream.sink_for ~layout ~shards:config.job_shards
              entry.Cache.kernel)

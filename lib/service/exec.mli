@@ -1,13 +1,19 @@
 (** Job execution: one submission through the existing machinery.
 
-    A [Check] job parses/instruments via the artifact {!Cache}
-    (skipping the front half of the pipeline on a hit), then runs the
-    cached instrumentation through {!Gpu_runtime.Session.run_stream}
-    on a fresh machine — unless the cached static analysis proves the
+    A [Check] job takes the parsed kernel and its static analysis from
+    the artifact {!Cache} (skipping the front half of the pipeline on
+    a hit), then runs the kernel it was sent through
+    {!Gpu_runtime.Session.run_stream} on a fresh machine, exactly as
+    [barracuda check] does, so its reply carries check's report in
+    check's order — unless the cached static analysis proves the
     kernel racy for the requested layout, which answers the job
     without executing it.  This is the daemon's only static answer:
     every submission reaches it through the scheduler's queue.  A
     [Predict] job deserializes the trace and runs {!Predict.Analysis}.
+
+    A submitted layout with a dimension below 1, or a warp wider than
+    a wire record's {!Barracuda.Wire.max_lanes} lanes, fails the job
+    with [bad_request] before the cache is consulted.
 
     {!run} never raises: every failure mode — malformed PTX or trace,
     a bad argument spec, a step-budget timeout, an exception anywhere
@@ -42,8 +48,8 @@ val default_layout : Vclock.Layout.t
     [barracuda check] CLI defaults (2 blocks of 64 threads, warp 32). *)
 
 exception Bad_args of string
-(** An argument spec that does not parse, or more specs than the
-    kernel has parameters. *)
+(** An argument spec that does not parse, more specs than the kernel
+    has parameters, or a submitted layout no detector can check. *)
 
 val resolve_args :
   Simt.Machine.t -> Ptx.Ast.kernel -> string list -> int64 array

@@ -9,21 +9,12 @@ type submit = {
   payload : string;
   layout : (int * int * int) option;
   args : string list;
-  prune : bool;
   static : bool;
   tenant : string option;
 }
 
 let submit_defaults ~kind payload =
-  {
-    kind;
-    payload;
-    layout = None;
-    args = [];
-    prune = true;
-    static = true;
-    tenant = None;
-  }
+  { kind; payload; layout = None; args = []; static = true; tenant = None }
 
 type request =
   | Submit of submit
@@ -224,14 +215,13 @@ let layout =
 let submit =
   C.(
     seal
-      (obj (fun kind payload layout args tenant prune static ->
-           { kind; payload; layout; args; prune; static; tenant })
+      (obj (fun kind payload layout args tenant static ->
+           { kind; payload; layout; args; static; tenant })
       |+ field ~default:Check "kind" (enum kinds) (fun s -> s.kind)
       |+ field "payload" str (fun s -> s.payload)
       |+ opt "layout" layout (fun s -> s.layout)
       |+ field ~default:[] ~omit:(( = ) []) "args" (list str) (fun s -> s.args)
       |+ opt "tenant" str (fun s -> s.tenant)
-      |+ field ~default:true ~omit:Fun.id "prune" bool (fun s -> s.prune)
       |+ field ~default:true ~omit:Fun.id "static" bool (fun (s : submit) ->
              s.static)))
 

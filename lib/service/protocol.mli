@@ -30,10 +30,12 @@
     [workers], [job] when [ok] is true; [retry_after_ms], [job],
     [message] when it is false).  A decoded field of the wrong JSON
     type fails the frame with [field "x" must be …]; an absent
-    optional field takes its default. *)
+    optional field takes its default, and an unknown one is ignored:
+    a submission from an older client that still carries ["prune"]
+    decodes as it would without it. *)
 
 type kind =
-  | Check  (** race-check a PTX kernel through the deployed pipeline *)
+  | Check  (** race-check a PTX kernel exactly as [barracuda check] does *)
   | Predict  (** predictive analysis over a serialized trace *)
   | Repair
       (** diagnose a racy PTX kernel and search for a minimal validated
@@ -49,10 +51,9 @@ type submit = {
   args : string list;
       (** kernel argument specs in the CLI syntax ([alloc:BYTES],
           [int:V], bare integer); missing ones default to [alloc:4096] *)
-  prune : bool;  (** apply the logging-pruning optimization *)
   static : bool;
-      (** run the static race analysis: prune provably-safe logging and
-          answer provably-racy kernels without executing them *)
+      (** may answer a kernel the static race analysis proves racy
+          without executing it *)
   tenant : string option;
       (** tenant the job is accounted (and rate-limited) under; [None]
           joins the daemon's default tenant.  Tenants with a configured
@@ -65,8 +66,8 @@ val kind_of_string : string -> kind option
 (** ["check"], ["predict"] or ["repair"], as the wire spells them. *)
 
 val submit_defaults : kind:kind -> string -> submit
-(** A submission of [payload] with default layout, args, pruning and
-    static analysis. *)
+(** A submission of [payload] with default layout and args, static
+    answers allowed. *)
 
 type request =
   | Submit of submit
@@ -111,7 +112,7 @@ type outcome = {
   verdict : verdict;
   races : int;  (** distinct races (observed, for [Predict]) *)
   errors : string list;  (** pretty-printed reports, capped *)
-  cache_hit : bool;  (** artifact cache hit ([Check] only) *)
+  cache_hit : bool;  (** artifact cache hit ([Check] and [Repair]) *)
   predicted : int;  (** schedule-sensitive predictions ([Predict] only) *)
   confirmed : int;  (** predictions confirmed by witness replay *)
   degraded : bool;

@@ -324,6 +324,27 @@ let prop_builder_kernels_validate =
     ~print:Gen.print_program Gen.gen_program (fun prog ->
       Ptx.Validate.check (Gen.kernel_of_program prog) = [])
 
+(* ---- Untrusted text ------------------------------------------------ *)
+
+(* The bug suite's kernels, printed: the seeds the mutator starts from. *)
+let suite_sources =
+  Array.of_list
+    (List.map
+       (fun (c : Bugsuite.Case.t) ->
+         Format.asprintf "%a" Ptx.Printer.pp_kernel c.Bugsuite.Case.kernel)
+       Bugsuite.Cases.all)
+
+(* A mutated kernel is only parsed, never executed. *)
+let prop_mutated_ptx =
+  QCheck2.Test.make ~name:"mutated PTX parses or fails, never raises"
+    ~count:2000
+    ~print:(fun (i, muts) -> Gen.mutate suite_sources.(i) muts)
+    QCheck2.Gen.(
+      pair (int_bound (Array.length suite_sources - 1)) Gen.gen_mutations)
+    (fun (i, muts) ->
+      match Ptx.Parser.kernel_of_string (Gen.mutate suite_sources.(i) muts) with
+      | _ | (exception Ptx.Parser.Error _) -> true)
+
 let suite =
   [
     Alcotest.test_case "lexer mnemonics" `Quick test_lexer_mnemonics;
@@ -348,4 +369,5 @@ let suite =
         prop_builder_print_parse_roundtrip;
         prop_repair_forms_roundtrip;
         prop_builder_kernels_validate;
+        prop_mutated_ptx;
       ]

@@ -1,6 +1,6 @@
 (* The race-checking service: wire protocol, artifact cache, scheduler
    backpressure, daemon lifecycle (crash isolation, timeouts), and
-   verdict parity between the daemon and one-shot checking. *)
+   report parity between the daemon and one-shot checking. *)
 
 module P = Service.Protocol
 module Case = Bugsuite.Case
@@ -110,11 +110,10 @@ let golden_requests =
         payload = "line one\nline \"two\"\ttab\\slash\x01";
         layout = Some (4, 128, 32);
         args = [ "alloc:256"; "int:7"; "42" ];
-        prune = false;
         static = false;
         tenant = Some "acme";
       },
-      "{\"cmd\":\"submit\",\"kind\":\"predict\",\"payload\":\"line one\\nline \\\"two\\\"\\ttab\\\\slash\\u0001\",\"layout\":{\"blocks\":4,\"tpb\":128,\"warp\":32},\"args\":[\"alloc:256\",\"int:7\",\"42\"],\"tenant\":\"acme\",\"prune\":false,\"static\":false}" );
+      "{\"cmd\":\"submit\",\"kind\":\"predict\",\"payload\":\"line one\\nline \\\"two\\\"\\ttab\\\\slash\\u0001\",\"layout\":{\"blocks\":4,\"tpb\":128,\"warp\":32},\"args\":[\"alloc:256\",\"int:7\",\"42\"],\"tenant\":\"acme\",\"static\":false}" );
     ( P.Stream_open
       {
         (P.submit_defaults ~kind:P.Repair "k") with
@@ -259,14 +258,14 @@ let gen_float =
 let gen_submit =
   G.(
     map
-      (fun ((kind, payload, layout), (args, prune, static, tenant)) ->
-        { P.kind; payload; layout; args; prune; static; tenant })
+      (fun ((kind, payload, layout), (args, static, tenant)) ->
+        { P.kind; payload; layout; args; static; tenant })
       (pair
          (triple
             (oneofl [ P.Check; P.Predict; P.Repair ])
             gen_text
             (option (triple int int int)))
-         (quad gen_texts bool bool (option gen_text))))
+         (triple gen_texts bool (option gen_text))))
 
 let gen_request =
   G.(
@@ -481,15 +480,13 @@ let test_oversized_frame_daemon () =
 
 (* ---- artifact cache ---------------------------------------------- *)
 
+let trivial_ptx = ".visible .entry ok (.param .u64 p0)\n{\n    ret;\n}\n"
+
 let tiny_entry () =
   let b = Ptx.Builder.create ~params:[ "p0" ] "tiny" in
   Ptx.Builder.st b (Ptx.Builder.sym "p0") (Ptx.Builder.imm 1);
   let kernel = Ptx.Builder.finish b in
-  {
-    Service.Cache.kernel;
-    inst = Instrument.Pass.instrument ~prune:true kernel;
-    analysis = Static.Analysis.analyze kernel;
-  }
+  { Service.Cache.kernel; analysis = Static.Analysis.analyze kernel }
 
 let test_cache_accounting () =
   let cache = Service.Cache.create ~capacity:2 () in
@@ -525,13 +522,22 @@ let test_cache_accounting () =
   | _ -> Alcotest.fail "failing build should raise");
   let _, hit = Service.Cache.find_or_build cache "bad" ~build in
   Alcotest.(check bool) "failure was not cached" false hit;
-  let key ~prune ~static s = Service.Cache.key ~prune ~static s in
   Alcotest.(check bool) "different sources, different keys" true
-    (key ~prune:true ~static:true "x" <> key ~prune:true ~static:true "y");
-  Alcotest.(check bool) "prune flag changes the key" true
-    (key ~prune:true ~static:true "x" <> key ~prune:false ~static:true "x");
-  Alcotest.(check bool) "static flag changes the key" true
-    (key ~prune:true ~static:true "x" <> key ~prune:true ~static:false "x")
+    (Service.Cache.key "x" <> Service.Cache.key "y");
+  (* An entry depends on the source alone: a check and then a repair of
+     the same source share it. *)
+  let cache = Service.Cache.create () in
+  let cache_hit kind =
+    match
+      Service.Exec.run ~cache ~job:1 (P.submit_defaults ~kind trivial_ptx)
+    with
+    | P.Result { outcome; _ } -> outcome.P.cache_hit
+    | r -> Alcotest.failf "unexpected reply %s" (P.encode_response r)
+  in
+  let check = cache_hit P.Check in
+  let repair = cache_hit P.Repair in
+  Alcotest.(check (pair bool bool)) "check misses, then repair hits"
+    (false, true) (check, repair)
 
 (* ---- scheduler backpressure -------------------------------------- *)
 
@@ -609,8 +615,6 @@ let test_backpressure () =
   Alcotest.(check int) "failed" 0 c.Service.Scheduler.failed
 
 (* ---- daemon lifecycle -------------------------------------------- *)
-
-let trivial_ptx = ".visible .entry ok (.param .u64 p0)\n{\n    ret;\n}\n"
 
 (* Parses fine, then blows up in CFG construction (dangling branch
    target) — an exception from the middle of the pipeline, which must
@@ -715,35 +719,62 @@ let test_bad_submissions () =
       | Result.Error e -> Alcotest.failf "transport: %s" e);
       Alcotest.(check bool) "daemon alive" true (Service.Client.ping ~socket))
 
-(* ---- verdict parity with one-shot checking ----------------------- *)
+(* ---- report parity with one-shot checking ------------------------ *)
 
 let source_of_kernel k = Format.asprintf "%a" Ptx.Printer.pp_kernel k
 
 let arg_specs (c : Case.t) =
   List.map (fun _ -> "alloc:256") c.Case.kernel.Ptx.Ast.params
 
-type verdict_or_timeout = V of P.verdict | Timeout
-
-(* One-shot reference: the same printed source through the same
-   session-core path the service's serial jobs use. *)
-let oneshot_verdict (c : Case.t) source =
-  let kernel = Ptx.Parser.kernel_of_string source in
+(* A bug-suite case as a daemon check: its printed source at its
+   layout, every parameter an [alloc:256] buffer (daemon-fleet's
+   traffic is the first four). *)
+let case_sub (c : Case.t) =
   let layout = c.Case.layout in
-  let machine = Simt.Machine.create ~layout () in
-  let args = Service.Exec.resolve_args machine kernel (arg_specs c) in
-  let inst = Instrument.Pass.instrument ~prune:true ~static:true kernel in
-  let result =
-    Gpu_runtime.Session.run_stream
-      ~max_steps:Service.Exec.default_config.Service.Exec.max_steps ~inst
-      ~machine kernel args
-  in
-  match
-    result.Gpu_runtime.Session.sr_machine_result.Simt.Machine.status
-  with
-  | Simt.Machine.Max_steps _ | Simt.Machine.Deadline _ -> Timeout
+  {
+    (P.submit_defaults ~kind:P.Check (source_of_kernel c.Case.kernel)) with
+    P.layout =
+      Some
+        ( layout.Vclock.Layout.blocks,
+          layout.Vclock.Layout.threads_per_block,
+          layout.Vclock.Layout.warp_size );
+    args = arg_specs c;
+  }
+
+(* [barracuda check]'s run of a submission: the plain kernel through the
+   session core, at the daemon's step budget. *)
+let plain_run (c : Case.t) (sub : P.submit) =
+  let kernel = Ptx.Parser.kernel_of_string sub.P.payload in
+  let machine = Simt.Machine.create ~layout:c.Case.layout () in
+  let args = Service.Exec.resolve_args machine kernel sub.P.args in
+  Gpu_runtime.Session.run_stream
+    ~max_steps:Service.Exec.default_config.Service.Exec.max_steps ~machine
+    kernel args
+
+let first_errors report =
+  List.filteri
+    (fun i _ -> i < 20)
+    (List.map
+       (Format.asprintf "%a" Barracuda.Report.pp_error)
+       (Barracuda.Report.errors report))
+
+(* What a check reply carries, [None] for a step-budget timeout: its
+   verdict, race count and first 20 errors, in order.  A static answer
+   would differ from check's report; every bug-suite case executes. *)
+let reply_of (o : P.outcome) =
+  Some (P.verdict_string o.P.verdict, o.P.races, o.P.errors)
+
+let oneshot_reply c sub =
+  let r = plain_run c sub in
+  match r.Gpu_runtime.Session.sr_machine_result.Simt.Machine.status with
+  | Simt.Machine.Max_steps _ | Simt.Machine.Deadline _ -> None
   | Simt.Machine.Completed ->
-      let report = result.Gpu_runtime.Session.sr_report in
-      V (if Barracuda.Report.has_race report then P.Racy else P.Race_free)
+      let report = r.Gpu_runtime.Session.sr_report in
+      Some
+        ( P.verdict_string
+            (if Barracuda.Report.has_race report then P.Racy else P.Race_free),
+          Barracuda.Report.race_count report,
+          first_errors report )
 
 let test_bugsuite_parity () =
   (* The counter assertion at the end needs live telemetry (the CLI's
@@ -754,52 +785,29 @@ let test_bugsuite_parity () =
   @@ fun () ->
   with_server ~workers:2 "parity" (fun socket _t ->
       let cases = Bugsuite.Cases.all in
+      let reply = Alcotest.(option (triple string int (list string))) in
       List.iter
         (fun (c : Case.t) ->
-          let source = source_of_kernel c.Case.kernel in
-          let layout = c.Case.layout in
-          let sub =
-            {
-              (P.submit_defaults ~kind:P.Check source) with
-              P.layout =
-                Some
-                  ( layout.Vclock.Layout.blocks,
-                    layout.Vclock.Layout.threads_per_block,
-                    layout.Vclock.Layout.warp_size );
-              args = arg_specs c;
-            }
-          in
+          let sub = case_sub c in
           let via_service =
             match Service.Client.submit ~retries:10 ~socket sub with
-            | Ok (P.Result { outcome; _ }) -> V outcome.P.verdict
-            | Ok (P.Failed { code = "timeout"; _ }) -> Timeout
+            | Ok (P.Result { outcome; _ }) -> reply_of outcome
+            | Ok (P.Failed { code = "timeout"; _ }) -> None
             | Ok r ->
                 Alcotest.failf "case %s: unexpected reply %s" c.Case.name
                   (P.encode_response r)
             | Result.Error e ->
                 Alcotest.failf "case %s: transport: %s" c.Case.name e
           in
-          if via_service <> oneshot_verdict c source then
-            Alcotest.failf "case %s: service and one-shot verdicts differ"
-              c.Case.name)
+          Alcotest.check reply
+            (c.Case.name ^ ": daemon reply = check report")
+            (oneshot_reply c sub) via_service)
         cases;
       (* Resubmitting a kernel already checked must hit the artifact
          cache, and the hit must show up in the service counters. *)
-      let c = List.hd cases in
-      let source = source_of_kernel c.Case.kernel in
-      let layout = c.Case.layout in
-      let sub =
-        {
-          (P.submit_defaults ~kind:P.Check source) with
-          P.layout =
-            Some
-              ( layout.Vclock.Layout.blocks,
-                layout.Vclock.Layout.threads_per_block,
-                layout.Vclock.Layout.warp_size );
-          args = arg_specs c;
-        }
-      in
-      (match Service.Client.submit ~retries:10 ~socket sub with
+      (match
+         Service.Client.submit ~retries:10 ~socket (case_sub (List.hd cases))
+       with
       | Ok (P.Result { outcome; _ }) ->
           Alcotest.(check bool) "resubmission hits the cache" true
             outcome.P.cache_hit
@@ -883,16 +891,7 @@ let record_case (c : Case.t) =
     r.Gpu_runtime.Session.sr_records,
     Buffer.contents buf )
 
-let stream_sub (c : Case.t) =
-  let layout = c.Case.layout in
-  {
-    (P.submit_defaults ~kind:P.Check (source_of_kernel c.Case.kernel)) with
-    P.layout =
-      Some
-        ( layout.Vclock.Layout.blocks,
-          layout.Vclock.Layout.threads_per_block,
-          layout.Vclock.Layout.warp_size );
-  }
+let stream_sub (c : Case.t) = { (case_sub c) with P.args = [] }
 
 let ship_chunked s ~chunk bytes =
   let total = String.length bytes in
@@ -1353,21 +1352,96 @@ let test_status_tenants_end_to_end () =
 
 (* A connection of its own, outside the client's kept ones: [f] gets an
    exchange that sends one request and reads its reply. *)
-let on_own_connection socket f =
+let on_own_connection_raw socket f =
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.connect fd (Unix.ADDR_UNIX socket);
       let ic = Unix.in_channel_of_descr fd in
-      f (fun req ->
-          P.write_frame fd (P.encode_request req);
+      f (fun line ->
+          P.write_frame fd line;
           match P.read_frame ic with
           | P.Frame line -> (
               match P.decode_response line with
               | Ok r -> r
               | Result.Error e -> Alcotest.failf "undecodable reply: %s" e)
           | P.Eof | P.Oversized -> Alcotest.fail "no reply"))
+
+let on_own_connection socket f =
+  on_own_connection_raw socket (fun ex ->
+      f (fun req -> ex (P.encode_request req)))
+
+(* A layout no detector can check is the client's error, answered
+   [bad_request] before the cache is consulted: for a check, a repair
+   and a stream, and for a kernel the static analysis would answer
+   without executing.  The daemon then answers the next job. *)
+let test_bad_layouts_rejected () =
+  let sub ?(kind = P.Check) src layout =
+    { (P.submit_defaults ~kind src) with P.layout = Some layout }
+  in
+  with_server "bad-layout" (fun socket _t ->
+      on_own_connection socket (fun ex ->
+          List.iter
+            (fun (what, req) ->
+              match ex req with
+              | P.Failed { code; _ } ->
+                  Alcotest.(check string) what "bad_request" code
+              | r -> Alcotest.failf "%s: %s" what (P.encode_response r))
+            [
+              ("no blocks", P.Submit (sub trivial_ptx (0, 64, 32)));
+              ("negative tpb", P.Submit (sub trivial_ptx (2, -1, 32)));
+              ("warp 0", P.Submit (sub trivial_ptx (2, 64, 0)));
+              ("warp 33", P.Submit (sub trivial_ptx (2, 64, 33)));
+              ( "static_racy at warp 33",
+                P.Submit (sub Example_ptx.static_racy (2, 64, 33)) );
+              ( "repair at warp 33",
+                P.Submit (sub ~kind:P.Repair trivial_ptx (2, 64, 33)) );
+              ( "stream at warp 33",
+                P.Stream_open (sub trivial_ptx (2, 64, 33)) );
+            ];
+          match ex (P.Submit (P.submit_defaults ~kind:P.Check trivial_ptx)) with
+          | P.Result { outcome; _ } ->
+              Alcotest.(check (pair bool bool))
+                "next job race-free, the cache's first miss" (true, false)
+                (outcome.P.verdict = P.Race_free, outcome.P.cache_hit)
+          | r -> Alcotest.failf "next job: %s" (P.encode_response r)))
+
+(* A frame from a client that still sends the retired "prune" field
+   decodes as it would without it, and a daemon answers it. *)
+let test_old_client_frames () =
+  let predict =
+    fst
+      (List.find
+         (function P.Submit { P.kind = P.Predict; _ }, _ -> true | _ -> false)
+         golden_requests)
+  in
+  Alcotest.(check bool) "the old predict golden line" true
+    (P.decode_request
+       "{\"cmd\":\"submit\",\"kind\":\"predict\",\"payload\":\"line one\\nline \\\"two\\\"\\ttab\\\\slash\\u0001\",\"layout\":{\"blocks\":4,\"tpb\":128,\"warp\":32},\"args\":[\"alloc:256\",\"int:7\",\"42\"],\"tenant\":\"acme\",\"prune\":false,\"static\":false}"
+    = Ok predict);
+  let sub = P.Submit (P.submit_defaults ~kind:P.Check trivial_ptx) in
+  let line = P.encode_request sub in
+  let with_prune b =
+    Printf.sprintf "%s,\"prune\":%b}"
+      (String.sub line 0 (String.length line - 1))
+      b
+  in
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) (with_prune b) true
+        (P.decode_request (with_prune b) = Ok sub))
+    [ true; false ];
+  with_server "old-client" (fun socket _t ->
+      on_own_connection_raw socket (fun ex ->
+          List.iter
+            (fun b ->
+              match ex (with_prune b) with
+              | P.Result { outcome; _ } ->
+                  Alcotest.(check string) "answered" "race_free"
+                    (P.verdict_string outcome.P.verdict)
+              | r -> Alcotest.failf "prune %b: %s" b (P.encode_response r))
+            [ true; false ]))
 
 (* A daemon configuration on a socket path no client of this process
    has used, so the client holds no kept connection to it yet. *)
@@ -1401,11 +1475,6 @@ let with_started config f =
   let v = Fun.protect ~finally:(fun () -> stopped := stops_in_time t) f in
   if not !stopped then Alcotest.fail "daemon did not stop within 2 s";
   v
-
-(* daemon-fleet's traffic: the first four bug-suite cases, every
-   parameter an [alloc:256] buffer *)
-let case_sub (c : Case.t) =
-  { (stream_sub c) with P.args = arg_specs c }
 
 let outcome_of = function
   | P.Result { outcome; _ } -> { outcome with P.detect_ms = 0.0 }
@@ -1531,18 +1600,10 @@ let test_reply_error_strings () =
       Bugsuite.Cases.all
   in
   let sub = case_sub c in
-  let kernel = Ptx.Parser.kernel_of_string sub.P.payload in
-  let machine = Simt.Machine.create ~layout:c.Case.layout () in
-  let args = Service.Exec.resolve_args machine kernel sub.P.args in
-  let inst = Instrument.Pass.instrument ~prune:true ~static:true kernel in
-  let r = Gpu_runtime.Session.run_stream ~inst ~machine kernel args in
-  let all = Barracuda.Report.errors r.Gpu_runtime.Session.sr_report in
-  Alcotest.(check int) "errors in the report" 124 (List.length all);
-  let expect =
-    List.filteri
-      (fun i _ -> i < 20)
-      (List.map (Format.asprintf "%a" Barracuda.Report.pp_error) all)
-  in
+  let report = (plain_run c sub).Gpu_runtime.Session.sr_report in
+  Alcotest.(check int) "errors in the report" 124
+    (List.length (Barracuda.Report.errors report));
+  let expect = first_errors report in
   with_server "errors" (fun socket _t ->
       match submit_verdict ~socket sub with
       | Ok o -> Alcotest.(check (list string)) "reply errors" expect o.P.errors
@@ -1636,6 +1697,10 @@ let suite =
       test_stale_socket_taken_over;
     Alcotest.test_case "live daemon's path refused" `Quick
       test_live_socket_refused;
+    Alcotest.test_case "bad layouts are bad requests" `Quick
+      test_bad_layouts_rejected;
+    Alcotest.test_case "frames from older clients" `Quick
+      test_old_client_frames;
   ]
   @ List.map Gen.to_alcotest
       [ prop_request_roundtrip; prop_response_roundtrip; prop_mutated_frames ]

@@ -95,10 +95,11 @@ let reference_racy (c : Bugsuite.Case.t) =
 
 (* ---- full-bugsuite parity at every shard count ------------------- *)
 
-(* Every build of the kernel a frontend executes: uninstrumented
-   ([check], repair, the campaign), instrumented without block pruning,
-   and the deployed block + static instrumentation (the daemon,
-   [profile], Figure 10, [Session.launch]). *)
+(* Every build of the kernel the system executes: uninstrumented (every
+   verdict path: [check], the daemon, [stream], repair, the campaign),
+   instrumented without block pruning, and the deployed block + static
+   instrumentation of the logging-cost model ([profile], Figure 10,
+   [Session.launch]). *)
 let builds (c : Bugsuite.Case.t) =
   let kernel = c.Bugsuite.Case.kernel in
   [

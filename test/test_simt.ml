@@ -624,10 +624,11 @@ let test_flips_follow_touched_set () =
   Alcotest.(check string) "sixty flipped runs" "117a08c3835cda76694a7552153a31de"
     (Digest.to_hex (Digest.string (Buffer.contents runs)))
 
-(* A daemon job runs one instrumented launch on a fresh device.  Every
-   lane that logs owns a [.local] memory, so memory pages must stay
-   small enough for the minor heap: the job's major-heap allocation is
-   the guard. *)
+(* One instrumented launch on a fresh device, as [profile], Figure 10
+   and [Session.launch] run it (and daemon jobs did before they ran the
+   plain kernel).  Every lane that logs owns a [.local] memory, so
+   memory pages must stay small enough for the minor heap: the launch's
+   major-heap allocation is the guard. *)
 let test_daemon_job_allocation () =
   let c =
     List.find

@@ -362,6 +362,52 @@ let test_bad_stream_files_rejected () =
             ^ String.make 64 '\000' );
         ])
 
+(* Recordings of the first eight bug-suite cases, header included: the
+   seeds the mutator starts from. *)
+let recordings =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun (c : Bugsuite.Case.t) ->
+            let layout = c.Bugsuite.Case.layout in
+            let _, _, bytes =
+              oneshot ~layout c.Bugsuite.Case.kernel c.Bugsuite.Case.setup
+            in
+            Stream.encode_header layout ^ bytes)
+          (List.filteri (fun i _ -> i < 8) Bugsuite.Cases.all)))
+
+(* A mutated recording is read and reassembled, and nothing more: no
+   detector is opened at a mutated header's layout, whose [blocks] may
+   ask for billions of warps. *)
+let prop_mutated_stream_files =
+  QCheck2.Test.make ~name:"mutated stream files load or fail, never raise"
+    ~count:500
+    ~print:(fun (i, muts, chunk) ->
+      Printf.sprintf "recording %d in %d-byte chunks, mutated to %S" i chunk
+        (Gen.mutate (Lazy.force recordings).(i) muts))
+    QCheck2.Gen.(
+      triple (int_bound 7) Gen.gen_mutations (int_range 1 Stream.max_cell_size))
+    (fun (i, muts, chunk) ->
+      let path = Filename.temp_file "barracuda-mutated" ".baws" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc (Gen.mutate (Lazy.force recordings).(i) muts));
+          match Stream.read_file path with
+          | exception Stream.Framing _ -> true
+          | _, payload -> (
+              let r = Stream.reader () in
+              let total = String.length payload in
+              let rec go pos =
+                if pos < total then begin
+                  let len = min chunk (total - pos) in
+                  ignore (Stream.feed r ~pos ~len payload (fun _ ~pos:_ -> ()));
+                  go (pos + len)
+                end
+              in
+              match go 0 with () | (exception Stream.Framing _) -> true)))
+
 (* ---- trace ops into the reference detector ---------------------- *)
 
 let test_reference_lifecycle () =
@@ -538,4 +584,5 @@ let suite =
       test_seats_bounded;
     Alcotest.test_case "stop zeroes every scheduler gauge" `Quick
       test_stop_zeroes_all_gauges;
+    Gen.to_alcotest prop_mutated_stream_files;
   ]
