@@ -55,7 +55,7 @@ let time_keeping ?min_time ?min_reps f =
 let detector_stats ~machine kernel args =
   let det =
     Barracuda.Detector.create ~layout:(Simt.Machine.layout machine)
-      kernel
+      (Static.Plan.of_kernel kernel)
   in
   ignore
     (Gpu_runtime.Session.run_stream
@@ -149,9 +149,10 @@ let section_figure9 () =
   List.iter
     (fun (w : W.t) ->
       let unopt =
-        Instrument.Pass.instrument ~prune:false ~static:false w.W.kernel
+        Instrument.Pass.instrument ~prune:false ~static:false
+          ~layout:w.W.layout w.W.kernel
       in
-      let opt = Instrument.Pass.instrument w.W.kernel in
+      let opt = Instrument.Pass.instrument ~layout:w.W.layout w.W.kernel in
       Printf.printf "  %-18s %-9s %11.1f%% %11.1f%% %10d %11d\n" w.W.name
         w.W.suite
         (100.0 *. Instrument.Stats.fraction unopt.Instrument.Pass.stats)
@@ -172,7 +173,7 @@ let section_figure10 () =
       let native, nr = time_keeping (fun () -> W.run_native w) in
       let native_insns = nr.Simt.Machine.dyn_instructions in
       (* instrumented once, outside the timed repetitions *)
-      let inst = Instrument.Pass.instrument w.W.kernel in
+      let inst = Instrument.Pass.instrument ~layout:w.W.layout w.W.kernel in
       let piped, pr = time_keeping (fun () -> W.run ~inst w) in
       let piped_insns =
         pr.Gpu_runtime.Session.sr_machine_result.Simt.Machine.dyn_instructions
@@ -431,12 +432,13 @@ let section_shard () =
   in
   Printf.printf "  %-8s %6s %8s %8s %8s  %s\n" "config" "races" "checked"
     "busiest" "cells" "per shard: checked | cells";
-  let det = Barracuda.Detector.create ~layout:w.W.layout w.W.kernel in
+  let plan = Static.Plan.of_kernel w.W.kernel in
+  let det = Barracuda.Detector.create ~layout:w.W.layout plan in
   let races = run (Gpu_runtime.Session.serial_sink det) in
   row "serial" races [ Barracuda.Detector.stats det ];
   List.iter
     (fun shards ->
-      let engine = Shard.Engine.create ~layout:w.W.layout ~shards w.W.kernel in
+      let engine = Shard.Engine.create ~layout:w.W.layout ~shards plan in
       let races = run (Shard.Stream.sink_of_engine engine) in
       row
         (Printf.sprintf "%d-shard" shards)
@@ -451,7 +453,7 @@ let section_shard () =
 let section_static () =
   header "Static race analysis: pruning split and records shipped";
   (* Per-tier pruning census over a subset with real static wins
-     (lavamd drops from 20.7% to 1.7% instrumented). *)
+     (lavamd drops from 20.7% to 5.2% instrumented). *)
   let subset = [ "lavamd"; "nn"; "hotspot"; "backprop"; "d_scan"; "dxtc" ] in
   Printf.printf "  %-12s %8s %10s %11s %11s %9s\n" "benchmark" "insns"
     "accesses" "pruned-stat" "pruned-blk" "analyze";
@@ -463,7 +465,7 @@ let section_static () =
       let analyze_s = time_it (fun () -> ignore (Static.Analysis.analyze w.W.kernel)) in
       let a = Static.Analysis.analyze w.W.kernel in
       let safe, racy, unknown = Static.Analysis.counts a in
-      let opt = Instrument.Pass.instrument w.W.kernel in
+      let opt = Instrument.Pass.instrument ~layout:w.W.layout w.W.kernel in
       let st = opt.Instrument.Pass.stats in
       tot_insns := !tot_insns + st.Instrument.Stats.total_static;
       tot_static := !tot_static + st.Instrument.Stats.pruned_static;
@@ -489,7 +491,9 @@ let section_static () =
       let records static =
         let m = W.machine w in
         let args = w.W.setup m in
-        let inst = Instrument.Pass.instrument ~static w.W.kernel in
+        let inst =
+          Instrument.Pass.instrument ~static ~layout:w.W.layout w.W.kernel
+        in
         (Gpu_runtime.Session.run_stream ~inst ~machine:m w.W.kernel args)
           .Gpu_runtime.Session.sr_records
       in

@@ -71,7 +71,13 @@ let layout_term =
   let warp =
     Arg.(value & opt int 32 & info [ "warp" ] ~docv:"N" ~doc:"Warp size.")
   in
-  let make blocks tpb warp =
+  (* Built when the command runs, under [guard]: a dimension below 1 is
+     a one-line input error (exit 2) naming its option. *)
+  let make blocks tpb warp () =
+    List.iter
+      (fun (opt, v) ->
+        if v < 1 then failwith (Printf.sprintf "--%s must be at least 1" opt))
+      [ ("blocks", blocks); ("tpb", tpb); ("warp", warp) ];
     Vclock.Layout.make ~warp_size:warp ~threads_per_block:tpb ~blocks
   in
   Term.(const make $ blocks $ tpb $ warp)
@@ -184,6 +190,7 @@ let with_metrics metrics f =
 let check_cmd =
   let run layout file specs max_reports dump_trace metrics shards record =
     guard @@ fun () ->
+    let layout = layout () in
     if shards < 1 then failwith "--shards must be at least 1";
     with_metrics metrics @@ fun () ->
     let kernel = load_kernel file in
@@ -198,7 +205,10 @@ let check_cmd =
     let tap =
       Option.map
         (fun _ ->
-          let infer = Gtrace.Infer.create ~layout kernel in
+          let infer =
+            Gtrace.Infer.create ~layout
+              (Static.Plan.roles (Static.Plan.of_kernel kernel))
+          in
           fun ev ->
             trace := List.rev_append (Gtrace.Infer.feed infer ev) !trace)
         dump_trace
@@ -263,6 +273,7 @@ let check_cmd =
 let profile_cmd =
   let run layout file specs metrics prom =
     guard @@ fun () ->
+    let layout = layout () in
     let kernel = load_kernel file in
     let machine = Simt.Machine.create ~layout () in
     let args = Service.Exec.resolve_args machine kernel specs in
@@ -270,7 +281,7 @@ let profile_cmd =
     (* The deployed configuration: block + static pruning, so the
        profile measures the overhead the in-process tool would pay. *)
     let t0 = Telemetry.Clock.now_ns () in
-    let inst = Instrument.Pass.instrument kernel in
+    let inst = Instrument.Pass.instrument ~layout kernel in
     let result = Gpu_runtime.Session.run_stream ~inst ~machine kernel args in
     let total_ns = Telemetry.Clock.elapsed_ns ~since:t0 in
     print_machine_result kernel result.Gpu_runtime.Session.sr_machine_result;
@@ -303,6 +314,7 @@ let profile_cmd =
         ("instructions retired", c "barracuda_simt_instructions_retired_total");
         ("divergent branches", c "barracuda_simt_divergent_branches_total");
         ("detector records", c "barracuda_detector_records_total");
+        ("records planned out", c "barracuda_detector_planned_out_total");
         ("detector checks", c "barracuda_detector_checks_total");
         ("epoch fast-path checks", c "barracuda_detector_epoch_fast_total");
         ("full vector-clock scans", c "barracuda_detector_vc_full_total");
@@ -433,7 +445,10 @@ let instrument_cmd =
   let run file prune static stats_only =
     guard @@ fun () ->
     let kernel = load_kernel file in
-    let r = Instrument.Pass.instrument ~prune ~static kernel in
+    let r =
+      Instrument.Pass.instrument ~prune ~static
+        ~layout:Service.Exec.default_layout kernel
+    in
     if not stats_only then
       print_string (Ptx.Printer.kernel_to_string r.Instrument.Pass.kernel);
     Format.printf "// %a@." Instrument.Stats.pp r.Instrument.Pass.stats;
@@ -454,7 +469,10 @@ let instrument_cmd =
   in
   Cmd.v
     (Cmd.info "instrument"
-       ~doc:"Rewrite a PTX kernel with BARRACUDA logging calls.")
+       ~doc:
+         "Rewrite a PTX kernel with BARRACUDA logging calls.  The static \
+          tier drops the logging its check plan proves safe on a 1-D \
+          launch.")
     Term.(const run $ file_term $ prune $ static $ stats_only)
 
 (* ------------------------- static analysis ----------------------- *)
@@ -519,11 +537,12 @@ let analyze_json kernel layout (a : Static.Analysis.t) =
     ]
 
 let analyze_cmd =
-  let run layout file json noalias metrics =
+  let run layout file json metrics =
     guard @@ fun () ->
+    let layout = layout () in
     with_metrics metrics @@ fun () ->
     let kernel = load_kernel file in
-    let a = Static.Analysis.analyze ~assume_noalias:noalias kernel in
+    let a = Static.Analysis.analyze kernel in
     let racy_now = Static.Analysis.provably_racy a ~layout in
     if json then
       print_endline (Telemetry.Json.to_string (analyze_json kernel layout a))
@@ -566,14 +585,6 @@ let analyze_cmd =
     Arg.(value & flag
            & info [ "json" ] ~doc:"Emit the verdicts as JSON instead of text.")
   in
-  let noalias =
-    Arg.(value & flag
-           & info [ "no-noalias" ]
-               ~doc:
-                 "Drop the assumption that distinct kernel pointer \
-                  parameters never alias.")
-    |> Term.map not
-  in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
@@ -582,7 +593,7 @@ let analyze_cmd =
           provably racy pairs (reported without executing the kernel), \
           and everything left for dynamic checking.  Exits 1 when the \
           kernel is provably racy for the given layout.")
-    Term.(const run $ layout_term $ file_term $ json $ noalias $ metrics_term)
+    Term.(const run $ layout_term $ file_term $ json $ metrics_term)
 
 (* ------------------------- automated repair ----------------------- *)
 
@@ -637,6 +648,7 @@ let repair_json ~original (r : Repair.Engine.result) =
 let repair_cmd =
   let run layout file specs max_candidates max_steps seed json out metrics =
     guard @@ fun () ->
+    let layout = layout () in
     with_metrics metrics @@ fun () ->
     let kernel = load_kernel file in
     let setup machine = Service.Exec.resolve_args machine kernel specs in
@@ -924,6 +936,7 @@ let litmus_cmd =
 let sweep_cmd =
   let run layout file specs =
     guard @@ fun () ->
+    let layout = layout () in
     let kernel = load_kernel file in
     let setup machine = Service.Exec.resolve_args machine kernel specs in
     let result = Gpu_runtime.Warp_sweep.sweep ~layout ~setup kernel in
@@ -1205,6 +1218,7 @@ let submission ~kind ~layout ~tenant file =
 let submit_cmd =
   let run socket layout file specs kind no_static retries json tenant =
     guard @@ fun () ->
+    let layout = layout () in
     let kind =
       match Service.Protocol.kind_of_string kind with
       | Some kind -> kind

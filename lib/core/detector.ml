@@ -35,6 +35,11 @@ let m_vc_full =
     ~help:"Ordering checks requiring a full vector-clock scan"
     Telemetry.Registry.default "barracuda_detector_vc_full_total"
 
+let m_planned_out =
+  Telemetry.Registry.counter
+    ~help:"Access records skipped because the check plan proves them safe"
+    Telemetry.Registry.default "barracuda_detector_planned_out_total"
+
 let sp_feed_record = Telemetry.Span.create "detector.feed_record"
 
 (* Transport-integrity accounting: anomalies the in-place feed path
@@ -66,6 +71,7 @@ let default_config = { max_reports = 1000; filter_same_value = true }
 type stats = {
   accesses_checked : int;
   records_processed : int;
+  planned_out : int;
   ptvc_converged : int;
   ptvc_diverged : int;
   ptvc_nested : int;
@@ -88,6 +94,7 @@ type t = {
   layout : Layout.t;
   config : config;
   roles : Gtrace.Roles.t array;
+  drop : bool array; (* the plan's drop bits for this launch *)
   warps : Warp_clocks.t array;
   shadow : Shadow.t;
   sync : Sync_loc.t;
@@ -95,7 +102,9 @@ type t = {
   mutable record_id : int; (* unique id per processed record *)
   mutable accesses : int; (* checks *)
   mutable records : int;
+  mutable planned_out : int; (* access records the plan skipped *)
   mutable published_checks : int; (* [accesses] at the last [publish] *)
+  mutable published_planned_out : int;
   mutable epoch_fast : int; (* these three: since the last [publish] *)
   mutable vc_full : int;
   mutable races : int;
@@ -112,7 +121,7 @@ type t = {
          bit-identical to an unsharded one. *)
 }
 
-let create ?(config = default_config) ?owns ~layout kernel =
+let create ?(config = default_config) ?owns ~layout plan =
   if layout.Layout.warp_size > Wire.max_lanes then
     invalid_arg
       (Printf.sprintf
@@ -122,7 +131,8 @@ let create ?(config = default_config) ?owns ~layout kernel =
     layout;
     config;
     owns;
-    roles = Gtrace.Roles.classify kernel;
+    roles = Static.Plan.roles plan;
+    drop = Static.Plan.drops plan ~layout;
     warps =
       Array.init (Layout.total_warps layout) (fun warp ->
           Warp_clocks.create layout ~warp);
@@ -132,7 +142,9 @@ let create ?(config = default_config) ?owns ~layout kernel =
     record_id = 0;
     accesses = 0;
     records = 0;
+    planned_out = 0;
     published_checks = 0;
+    published_planned_out = 0;
     epoch_fast = 0;
     vc_full = 0;
     races = 0;
@@ -435,7 +447,8 @@ let do_barrier t block =
 (* An intact record can still name a warp, instruction or block that
    this detector does not have, e.g. a recording replayed against
    another kernel.  Checked once per record, before it touches any
-   state, so the dispatch below indexes without bounds checks. *)
+   state, so the dispatch below indexes without bounds checks ([drop]
+   and [roles] have one entry per instruction). *)
 let warp_in_range t buf ~pos =
   let warp = Wire.View.warp buf ~pos in
   warp >= 0 && warp < Array.length t.warps
@@ -462,10 +475,15 @@ let note_corrupt t =
    buffer.  The view (buf, pos) is only guaranteed valid for the
    duration of the call — for queue rings, until the consumer releases
    the slot — and nothing here retains it.  A load never uses its
-   lanes' values, so only stores and atomics decode them. *)
+   lanes' values, so only stores and atomics decode them.  An access
+   the plan drops is skipped whole — no record id, no census, no
+   clock join — as if it had never been logged. *)
 let process_record t ~nvalues buf ~pos =
   let opc = Wire.View.opcode buf ~pos in
   if not (well_formed t opc buf ~pos) then note_corrupt t
+  else if
+    Wire.is_access opc && Array.unsafe_get t.drop (Wire.View.insn buf ~pos)
+  then t.planned_out <- t.planned_out + 1
   else begin
     t.record_id <- t.record_id + 1;
     let rid = t.record_id in
@@ -530,11 +548,14 @@ let publish t enabled =
   if enabled then begin
     Telemetry.Metric.counter_incr m_records;
     Telemetry.Metric.counter_add m_checks (t.accesses - t.published_checks);
+    Telemetry.Metric.counter_add m_planned_out
+      (t.planned_out - t.published_planned_out);
     Telemetry.Metric.counter_add m_epoch_fast t.epoch_fast;
     Telemetry.Metric.counter_add m_vc_full t.vc_full;
     Telemetry.Metric.counter_add m_races t.races
   end;
   t.published_checks <- t.accesses;
+  t.published_planned_out <- t.planned_out;
   t.epoch_fast <- 0;
   t.vc_full <- 0;
   t.races <- 0
@@ -585,6 +606,7 @@ let stats t =
   {
     accesses_checked = t.accesses;
     records_processed = t.records;
+    planned_out = t.planned_out;
     ptvc_converged = t.census.(0);
     ptvc_diverged = t.census.(1);
     ptvc_nested = t.census.(2);

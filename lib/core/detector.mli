@@ -17,8 +17,9 @@
     - same-value intra-warp write filtering (§3.3.1);
     - barrier-divergence detection.
 
-    Acquire/release roles come from the static {!Gtrace.Roles}
-    classification of the kernel.  {!feed_record} is the only input;
+    Acquire/release roles, and the accesses that need no check, come
+    from the kernel's check plan ({!Static.Plan}).  {!feed_record} is
+    the only input;
     [Gpu_runtime.Session.run_stream] executes a kernel into it.  On any
     trace the reports must match {!Reference}; the test suite enforces
     this. *)
@@ -30,6 +31,9 @@ val default_config : config
 type stats = {
   accesses_checked : int;  (** thread-level access operations processed *)
   records_processed : int;  (** wire records fed, skipped ones included *)
+  planned_out : int;
+      (** intact access records skipped unchecked: the plan proves
+          their instruction safe on this launch *)
   ptvc_converged : int;  (** census: warp format observed per record *)
   ptvc_diverged : int;
   ptvc_nested : int;
@@ -70,9 +74,13 @@ val create :
   ?config:config ->
   ?owns:(Ptx.Ast.space -> int -> int -> bool) ->
   layout:Vclock.Layout.t ->
-  Ptx.Ast.kernel ->
+  Static.Plan.t ->
   t
-(** [owns] is the shadow ownership predicate used by sharded
+(** A detector for launches of the plan's kernel.  It takes each
+    instruction's role from the plan, and skips every access record
+    whose instruction {!Static.Plan.drops} marks for [layout].
+
+    [owns] is the shadow ownership predicate used by sharded
     detection ([Shard.Engine]): called as [owns space region index] for
     every byte a data access covers, before its cell (or page) is
     materialized.  Bytes it rejects are neither allocated nor checked,
@@ -102,7 +110,11 @@ val feed_record : t -> Bytes.t -> pos:int -> unit
     number), and any anomaly (corruption, loss, duplication) is counted
     in the [barracuda_transport_integrity_*] metrics, noted on the
     report (degrading the verdict), and absorbed without raising; a
-    count that {!Wire.value_count} rejects is corrupt.  This is
+    count that {!Wire.value_count} rejects is corrupt.  An intact,
+    in-sequence access record of an instruction the plan drops is then
+    skipped whole, as if it had never been logged: it gets no record
+    id, no census count and no clock join, and counts only in
+    [planned_out].  This is
     the only check: record sinks, shard rings and streaming sessions
     pass the producer's record through verbatim.  The metrics count
     per detector, so a sharded run, whose every shard sees the whole

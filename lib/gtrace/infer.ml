@@ -1,6 +1,6 @@
 type t = { layout : Vclock.Layout.t; roles : Roles.t array }
 
-let create ~layout kernel = { layout; roles = Roles.classify kernel }
+let create ~layout roles = { layout; roles }
 let roles t = t.roles
 
 let loc_of ~(t : t) ~warp ~space ~addr =
@@ -69,8 +69,11 @@ let feed t = function
 
 let trace_of_events t events = List.concat_map (feed t) events
 
-let run ?max_steps ~layout machine kernel args =
-  let t = create ~layout kernel in
+let run ?max_steps ?roles ~layout machine kernel args =
+  let roles =
+    match roles with Some r -> r | None -> Roles.classify kernel
+  in
+  let t = create ~layout roles in
   let ops = ref [] in
   let on_event e = ops := List.rev_append (feed t e) !ops in
   let result = Simt.Machine.launch ?max_steps machine kernel args ~on_event in

@@ -15,7 +15,10 @@
 
 type t
 
-val create : layout:Vclock.Layout.t -> Ptx.Ast.kernel -> t
+val create : layout:Vclock.Layout.t -> Roles.t array -> t
+(** A translator over the kernel's per-instruction roles: its check
+    plan's ([Static.Plan.roles]) on a detector's path, so the kernel is
+    classified once. *)
 
 val roles : t -> Roles.t array
 
@@ -26,10 +29,13 @@ val trace_of_events : t -> Simt.Event.t list -> Op.t list
 
 val run :
   ?max_steps:int ->
+  ?roles:Roles.t array ->
   layout:Vclock.Layout.t ->
   Simt.Machine.t ->
   Ptx.Ast.kernel ->
   int64 array ->
   Op.t list * Simt.Machine.result
 (** Convenience: launch the kernel on [machine] and collect its whole
-    trace. The [layout] must match the machine's. *)
+    trace. The [layout] must match the machine's.  [roles] defaults to
+    {!Roles.classify} of the kernel (the reference oracle's own
+    classification). *)

@@ -117,10 +117,10 @@ let convergence_points (k : Ptx.Ast.kernel) =
     k.Ptx.Ast.body;
   points
 
-let instrument_run ~prune ~static (k : Ptx.Ast.kernel) =
+let instrument_run ~prune ~static ~layout (k : Ptx.Ast.kernel) =
   let n = Array.length k.Ptx.Ast.body in
   let static_safe =
-    if static then Static.Analysis.safe_mask (Static.Analysis.analyze k)
+    if static then Static.Plan.drops (Static.Plan.of_kernel k) ~layout
     else Array.make n false
   in
   let redundant =
@@ -230,10 +230,10 @@ let instrument_run ~prune ~static (k : Ptx.Ast.kernel) =
   let kernel = { k with Ptx.Ast.body } in
   { kernel; origin; logged; stats }
 
-let instrument ?(prune = true) ?(static = true) (k : Ptx.Ast.kernel) =
+let instrument ?(prune = true) ?(static = true) ~layout (k : Ptx.Ast.kernel) =
   let r =
     Telemetry.Span.with_ ~name:"instrument" (fun () ->
-        instrument_run ~prune ~static k)
+        instrument_run ~prune ~static ~layout k)
   in
   Telemetry.Metric.counter_incr m_kernels;
   Telemetry.Metric.counter_add m_logged

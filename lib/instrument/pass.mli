@@ -13,11 +13,13 @@
       guard;
     - with [prune] (the default), intra-basic-block redundant logging is
       eliminated ({!Prune});
-    - with [static] (the default), accesses the static race analysis
-      proves race-free ({!Static.Analysis}) keep the instruction but
-      lose their logging call entirely — statically-pruned accesses are
-      also excluded from block-prune witnessing so the two tiers compose
-      soundly.
+    - with [static] (the default), the accesses the kernel's check
+      plan drops for the launch [layout] ({!Static.Plan.drops}: the
+      ones the static race analysis proves race-free, on a 1-D launch)
+      keep the instruction but lose their logging call entirely — the
+      same accesses the detector skips unchecked.  Statically-pruned
+      accesses are also excluded from block-prune witnessing so the
+      two tiers compose soundly.
 
     Logging calls are modeled as short straight-line sequences of
     ALU/local-memory instructions using reserved [%lg*] registers: they
@@ -42,7 +44,9 @@ type result = {
   stats : Stats.t;
 }
 
-val instrument : ?prune:bool -> ?static:bool -> Ptx.Ast.kernel -> result
+val instrument :
+  ?prune:bool -> ?static:bool -> layout:Vclock.Layout.t -> Ptx.Ast.kernel ->
+  result
 
 val logging_cost : int
 (** Instructions inserted per logging call. *)

@@ -39,7 +39,8 @@ let diagnose ?(max_steps = 400_000) ~layout
   let counts = Array.make (max nbody 1) 0 in
   (* One launch feeds the detector, the execution census and the
      abstract trace that schedule exploration replays. *)
-  let infer = Gtrace.Infer.create ~layout kernel in
+  let plan = Static.Plan.of_kernel kernel in
+  let infer = Gtrace.Infer.create ~layout (Static.Plan.roles plan) in
   let ops = ref [] in
   let tap ev =
     (match ev with
@@ -72,7 +73,7 @@ let diagnose ?(max_steps = 400_000) ~layout
     (Report.errors report);
   (* The static analyzer names pairs the observed schedule may have
      missed (and pairs on kernels whose recorded order is silent). *)
-  let analysis = Static.Analysis.analyze kernel in
+  let analysis = Static.Plan.analysis plan in
   let static_pairs = Static.Analysis.realizable_pairs analysis ~layout in
   List.iter
     (fun (p : Static.Analysis.racy_pair) ->

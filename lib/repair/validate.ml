@@ -80,7 +80,8 @@ let rec check ~config ~layout ~setup ~baseline_bardiv kernel =
              repair-is-idempotent fixed point. *)
           match
             Static.Analysis.realizable_pairs
-              (Static.Analysis.analyze kernel) ~layout
+              (Static.Plan.analysis (Static.Plan.of_kernel kernel))
+              ~layout
           with
           | exception exn ->
               Rejected
@@ -146,7 +147,11 @@ and validate_predict ~config ~layout ~setup ~baseline_bardiv ~kernel ~ptx =
   (* 5. schedule exploration *)
   let machine = Simt.Machine.create ~layout () in
   let args = setup machine in
-  match Gtrace.Infer.run ~max_steps:config.max_steps ~layout machine kernel args with
+  match
+    let roles = Static.Plan.roles (Static.Plan.of_kernel kernel) in
+    Gtrace.Infer.run ~max_steps:config.max_steps ~roles ~layout machine kernel
+      args
+  with
   | exception exn ->
       Rejected
         (Printf.sprintf "trace inference crashed (%s)" (Printexc.to_string exn))

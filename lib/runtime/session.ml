@@ -194,14 +194,22 @@ type stream_result = {
   sr_detect_ns : int64;
 }
 
-let run_stream ?(detector = Barracuda.Detector.default_config) ?sink
+(* A session's detector: under the caller's plan, else the kernel's
+   memoized one. *)
+let detector_for ~config ?plan ~layout kernel =
+  let plan =
+    match plan with Some p -> p | None -> Static.Plan.of_kernel kernel
+  in
+  Barracuda.Detector.create ~config ~layout plan
+
+let run_stream ?(detector = Barracuda.Detector.default_config) ?plan ?sink
     ?max_steps ?deadline_ns ?fault ?inst ?capture ?tap ~machine kernel args =
   let sink =
     match sink with
     | Some s -> s
     | None ->
         serial_sink ?fault
-          (Barracuda.Detector.create ~config:detector
+          (detector_for ~config:detector ?plan
              ~layout:(Simt.Machine.layout machine) kernel)
   in
   let t0 = Telemetry.Clock.now_ns () in
@@ -279,7 +287,7 @@ let launch ?max_steps t kernel args =
      deployed instrumentation (block + static pruning), as the
      in-process tool would. *)
   let t0 = Telemetry.Clock.now_ns () in
-  let inst = Instrument.Pass.instrument kernel in
+  let inst = Instrument.Pass.instrument ~layout:t.layout kernel in
   let result = run_stream ?max_steps ~inst ~machine:t.machine kernel args in
   let ns = Telemetry.Clock.elapsed_ns ~since:t0 in
   Telemetry.Span.record_ns sp_launch ns;
@@ -362,13 +370,12 @@ type stream = {
   st_opened_ns : int64;
 }
 
-let open_stream ?sink ?(detector = Barracuda.Detector.default_config) ~layout
-    kernel =
+let open_stream ?sink ?(detector = Barracuda.Detector.default_config) ?plan
+    ~layout kernel =
   let sink =
     match sink with
     | Some s -> s
-    | None ->
-        serial_sink (Barracuda.Detector.create ~config:detector ~layout kernel)
+    | None -> serial_sink (detector_for ~config:detector ?plan ~layout kernel)
   in
   let n = 1 + Atomic.fetch_and_add open_count 1 in
   Telemetry.Metric.gauge_set g_open n;

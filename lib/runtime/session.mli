@@ -79,6 +79,7 @@ type stream_result = {
 
 val run_stream :
   ?detector:Barracuda.Detector.config ->
+  ?plan:Static.Plan.t ->
   ?sink:sink ->
   ?max_steps:int ->
   ?deadline_ns:int64 ->
@@ -95,7 +96,8 @@ val run_stream :
     0), finish the sink and return its verdict.
 
     - [sink] defaults to {!serial_sink} with [fault], over a detector
-      created with [detector]; a caller-supplied sink (e.g.
+      created with [detector] under [plan] (default: the kernel's
+      memoized plan, {!Static.Plan.of_kernel}); a caller-supplied sink (e.g.
       [Shard.Stream.sink]) is finished here, or aborted if execution
       raises.  Either way [detector]'s [max_reports] caps the returned
       report.
@@ -200,10 +202,13 @@ type progress = {
 val open_stream :
   ?sink:sink ->
   ?detector:Barracuda.Detector.config ->
+  ?plan:Static.Plan.t ->
   layout:Vclock.Layout.t ->
   Ptx.Ast.kernel ->
   stream
-(** Open a streaming session.  Default backend: {!serial_sink}.
+(** Open a streaming session.  Default backend: {!serial_sink}, over a
+    detector under [plan] (default: {!Static.Plan.of_kernel}), as in
+    {!run_stream}.
     Telemetry: the open-sessions gauge
     [barracuda_session_open_streams] rises until close/abort. *)
 

@@ -96,6 +96,9 @@ let decode_header s =
   Vclock.Layout.make ~warp_size ~threads_per_block ~blocks
 
 let write_file path ~layout cells =
+  if not (Vclock.Layout.one_dimensional layout) then
+    invalid_arg
+      "Stream.write_file: a stream header states only a 1-D layout";
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)

@@ -49,13 +49,16 @@ val header_size : int
 
 val encode_header : Vclock.Layout.t -> string
 (** 16 bytes: magic ["BAWS"], format version, warp size, threads per
-    block, blocks (1-D layouts; the recorders only emit those). *)
+    block, blocks: a 1-D layout's whole shape. *)
 
 val decode_header : string -> Vclock.Layout.t
 (** @raise Framing on bad magic/version or a truncated header. *)
 
 val write_file : string -> layout:Vclock.Layout.t -> Buffer.t -> unit
-(** Write header + recorded cells to [path]. *)
+(** Write header + recorded cells to [path].
+    @raise Invalid_argument on a 2-D or 3-D layout, which the header
+    cannot state: replayed under the 1-D layout it would name, the
+    recording would be checked as another launch. *)
 
 val read_file : string -> Vclock.Layout.t * string
 (** Load a recorded stream: the layout and the raw cell bytes (header

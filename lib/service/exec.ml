@@ -85,7 +85,39 @@ let outcome_of_report ?(static = false) ~cache_hit ~detect_ms report =
 let entry_for ~cache (s : Protocol.submit) =
   Cache.find_or_build cache (Cache.key s.Protocol.payload) ~build:(fun () ->
       let kernel = Ptx.Parser.kernel_of_string s.Protocol.payload in
-      { Cache.kernel; analysis = Static.Analysis.analyze kernel })
+      { Cache.kernel; plan = Static.Plan.of_kernel kernel })
+
+(* A detector-shaped report for the racy pairs the launch layout can
+   realize.  Representative threads: thread 0 and the first thread of
+   the second warp (same block for shared, anywhere for global).
+   Global addresses are relative to the base parameter when one is
+   named. *)
+let static_report analysis ~layout =
+  match Static.Analysis.realizable_pairs analysis ~layout with
+  | [] -> None
+  | live ->
+      let r = Barracuda.Report.create ~layout () in
+      List.iter
+        (fun (p : Static.Analysis.racy_pair) ->
+          let addr = Int64.to_int p.Static.Analysis.addr in
+          let shared = p.Static.Analysis.pair_space = Ptx.Ast.Shared in
+          let loc =
+            if shared then Gtrace.Loc.shared ~block:0 addr
+            else Gtrace.Loc.global addr
+          in
+          let cur_tid =
+            if shared then layout.Vclock.Layout.warp_size
+            else Vclock.Layout.tid_of_warp_lane layout ~warp:1 ~lane:0
+          in
+          let kind w =
+            if w then Barracuda.Report.Write else Barracuda.Report.Read
+          in
+          Barracuda.Report.add_race r ~prev_insn:p.Static.Analysis.a_insn
+            ~cur_insn:p.Static.Analysis.b_insn ~loc ~prev_tid:0
+            ~prev_kind:(kind p.Static.Analysis.a_write) ~cur_tid
+            ~cur_kind:(kind p.Static.Analysis.b_write) ~same_instruction:false)
+        live;
+      Some r
 
 (* The one static answer: a kernel the static analysis proves racy
    (for this launch layout) is answered from its cache entry without
@@ -94,7 +126,9 @@ let entry_for ~cache (s : Protocol.submit) =
 let static_result ~cache_hit ~job ~layout entry (s : Protocol.submit) =
   if not s.Protocol.static then None
   else
-    match Static.Analysis.report entry.Cache.analysis ~layout with
+    match
+      static_report (Static.Plan.analysis entry.Cache.plan) ~layout
+    with
     | None -> None
     | Some report ->
         Telemetry.Metric.counter_incr m_static_fast;
@@ -126,9 +160,10 @@ let run_check ~config ~cache ~job (s : Protocol.submit) =
         (Int64.add (Telemetry.Clock.now_ns ())
            (Int64.mul (Int64.of_int config.deadline_ms) 1_000_000L))
   in
+  let plan = entry.Cache.plan in
   let result =
-    Gpu_runtime.Session.run_stream
-      ?sink:(Shard.Stream.sink_for ~layout ~shards:config.job_shards
+    Gpu_runtime.Session.run_stream ~plan
+      ?sink:(Shard.Stream.sink_for ~plan ~layout ~shards:config.job_shards
                entry.Cache.kernel)
       ~max_steps:config.max_steps ?deadline_ns ~machine entry.Cache.kernel
       args
@@ -265,8 +300,9 @@ let run_repair ~config ~cache ~job (s : Protocol.submit) =
 let stream_open ?(config = default_config) ~cache (s : Protocol.submit) =
   let layout = layout_of s in
   let entry, _ = entry_for ~cache s in
-  Gpu_runtime.Session.open_stream
-    ?sink:(Shard.Stream.sink_for ~layout ~shards:config.job_shards
+  let plan = entry.Cache.plan in
+  Gpu_runtime.Session.open_stream ~plan
+    ?sink:(Shard.Stream.sink_for ~plan ~layout ~shards:config.job_shards
              entry.Cache.kernel)
     ~layout entry.Cache.kernel
 

@@ -1,11 +1,12 @@
 (** Job execution: one submission through the existing machinery.
 
-    A [Check] job takes the parsed kernel and its static analysis from
-    the artifact {!Cache} (skipping the front half of the pipeline on
-    a hit), then runs the kernel it was sent through
-    {!Gpu_runtime.Session.run_stream} on a fresh machine, exactly as
-    [barracuda check] does, so its reply carries check's report in
-    check's order — unless the cached static analysis proves the
+    A [Check] job takes the parsed kernel and its check plan from the
+    artifact {!Cache} (skipping the front half of the pipeline on a
+    hit), then runs the kernel it was sent through
+    {!Gpu_runtime.Session.run_stream} under that plan on a fresh
+    machine, exactly as [barracuda check] does, so its reply carries
+    check's report in check's order — unless the plan's static
+    analysis proves the
     kernel racy for the requested layout, which answers the job
     without executing it.  This is the daemon's only static answer:
     every submission reaches it through the scheduler's queue.  A
@@ -56,6 +57,12 @@ val resolve_args :
 (** CLI-syntax argument resolution ([alloc:BYTES] / [int:V] / bare
     integer; missing arguments become [alloc:4096]).
     @raise Bad_args on a bad spec or too many arguments. *)
+
+val static_report :
+  Static.Analysis.t -> layout:Vclock.Layout.t -> Barracuda.Report.t option
+(** Detector-shaped report of the racy pairs the layout can realize
+    ({!Static.Analysis.realizable_pairs}), with representative thread
+    ids; [None] when no pair is realizable. *)
 
 val run :
   ?config:config -> cache:Cache.t -> job:int -> Protocol.submit ->

@@ -78,7 +78,7 @@ let consume t i m_records =
   Int64.of_int !detect
 
 let create ?fault ?(config = Barracuda.Detector.default_config) ~layout
-    ~shards kernel =
+    ~shards plan =
   if shards < 1 then invalid_arg "Engine.create: shards must be >= 1";
   let router = Router.make ~shards () in
   (* Shards keep every race they own: the report cap applies once, in
@@ -89,7 +89,7 @@ let create ?fault ?(config = Barracuda.Detector.default_config) ~layout
   let detectors =
     Array.init shards (fun i ->
         Barracuda.Detector.create ~config ~owns:(Router.owns router ~shard:i)
-          ~layout kernel)
+          ~layout plan)
   in
   let reg = Telemetry.Registry.default in
   let t =

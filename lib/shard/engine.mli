@@ -41,9 +41,10 @@ val create :
   ?config:Barracuda.Detector.config ->
   layout:Vclock.Layout.t ->
   shards:int ->
-  Ptx.Ast.kernel ->
+  Static.Plan.t ->
   t
-(** Spawns [shards] consumer domains immediately, each behind a
+(** Spawns [shards] consumer domains immediately, each feeding a
+    detector under the one plan, each behind a
     2048-cell ring (~1.1 MB), partitioned by [Router.make ~shards ()].
     [fault] is consulted for shard-crash injection only (transport
     faults live in [Gpu_runtime.Session.serial_sink]).

@@ -9,8 +9,11 @@ let sink_of_engine engine =
     sink_records = (fun () -> Engine.records engine);
   }
 
-let sink ?fault ?config ~layout ~shards kernel =
-  sink_of_engine (Engine.create ?fault ?config ~layout ~shards kernel)
+let sink ?fault ?config ?plan ~layout ~shards kernel =
+  let plan =
+    match plan with Some p -> p | None -> Static.Plan.of_kernel kernel
+  in
+  sink_of_engine (Engine.create ?fault ?config ~layout ~shards plan)
 
-let sink_for ?config ~layout ~shards kernel =
-  if shards <= 1 then None else Some (sink ?config ~layout ~shards kernel)
+let sink_for ?config ?plan ~layout ~shards kernel =
+  if shards <= 1 then None else Some (sink ?config ?plan ~layout ~shards kernel)

@@ -17,14 +17,18 @@ val sink_of_engine : Engine.t -> Gpu_runtime.Session.sink
 val sink :
   ?fault:Fault.Plan.t ->
   ?config:Barracuda.Detector.config ->
+  ?plan:Static.Plan.t ->
   layout:Vclock.Layout.t ->
   shards:int ->
   Ptx.Ast.kernel ->
   Gpu_runtime.Session.sink
-(** Create an engine (spawning its consumer domains) and wrap it. *)
+(** Create an engine (spawning its consumer domains) and wrap it.  Its
+    detectors run under [plan] (default: the kernel's memoized plan,
+    {!Static.Plan.of_kernel}). *)
 
 val sink_for :
   ?config:Barracuda.Detector.config ->
+  ?plan:Static.Plan.t ->
   layout:Vclock.Layout.t ->
   shards:int ->
   Ptx.Ast.kernel ->

@@ -14,11 +14,12 @@
          its own thread, so all shadow interactions stay intra-thread
          and HB-ordered);
        * shared-space pairs separated by a chain barrier are ordered by
-         that barrier's block-wide clock merge for every thread pair;
-       * distinct kernel pointer parameters are assumed non-aliasing
-         (GPUVerify's restrict-style assumption; the CLI's [alloc:]
-         argument specs guarantee it, and distinct shared symbols never
-         alias by construction).  Disable with [~assume_noalias:false].
+         that barrier's block-wide clock merge for every thread pair.
+     Distinct kernel pointer parameters prove nothing: a launch may
+     bind two of them to one buffer ([int:] argument specs do).
+     Slot-per-thread footprints are written over [%tid.x] and
+     [%ctaid.x], so their disjointness holds on 1-D launches only;
+     {!Plan} applies the verdicts there alone.
      Accesses with fence-induced (non-Plain) roles and atomics are
      never Safe: their records carry synchronization/shadow side
      effects for *other* accesses.
@@ -73,11 +74,11 @@ type access = {
 
 type t = {
   kernel : Ptx.Ast.kernel;
+  roles : Gtrace.Roles.t array;
   accesses : access array;
   verdicts : verdict option array; (* per insn; None = not a memory access *)
   classes : klass array; (* per insn; Unknown_addr for non-accesses *)
   pairs : racy_pair list;
-  assume_noalias : bool;
 }
 
 (* ---- telemetry --------------------------------------------------- *)
@@ -208,31 +209,19 @@ let classify_access a =
       | Affine.Top | Affine.Bot -> Unknown_addr)
 
 (* Why a pair cannot race; [None] = could race. *)
-type pair_ok = Space | Read_read | Noalias | Disjoint | Phased | Dead
+type pair_ok = Space | Read_read | Disjoint | Phased | Dead
 
-let nonracing ~assume_noalias phases a b =
+let nonracing phases a b =
   if a.dead || b.dead then Some Dead
   else if not (Ptx.Ast.equal_space a.space b.space) then Some Space
   else if (not a.is_store) && not b.is_store then Some Read_read
   else
     let structural =
       match (a.addr, b.addr) with
-      | Affine.Aff f, Affine.Aff g ->
-          if f.Affine.base = g.Affine.base then
-            if disjoint_same_base a.space f a.width g b.width then
-              Some Disjoint
-            else None
-          else
-            let both_params =
-              match (f.Affine.base, g.Affine.base) with
-              | Affine.Param _, Affine.Param _ -> true
-              | _ -> false
-            in
-            if
-              assume_noalias && both_params
-              && Ptx.Ast.equal_space a.space Ptx.Ast.Global
-            then Some Noalias
-            else None
+      | Affine.Aff f, Affine.Aff g
+        when f.Affine.base = g.Affine.base
+             && disjoint_same_base a.space f a.width g b.width ->
+          Some Disjoint
       | _ -> None
     in
     match structural with
@@ -310,7 +299,7 @@ let find_racy_pairs ~no_membar phases accesses =
     done;
     List.rev !pairs
 
-let analyze_run ?(assume_noalias = true) (k : Ptx.Ast.kernel) =
+let analyze_run (k : Ptx.Ast.kernel) =
   let n = Array.length k.Ptx.Ast.body in
   let g = Cfg.Graph.of_kernel k in
   let phases = Phase.build k g in
@@ -358,7 +347,7 @@ let analyze_run ?(assume_noalias = true) (k : Ptx.Ast.kernel) =
               let all_ok =
                 Array.for_all
                   (fun b ->
-                    match nonracing ~assume_noalias phases a b with
+                    match nonracing phases a b with
                     | Some Phased ->
                         used_phase := true;
                         true
@@ -380,13 +369,10 @@ let analyze_run ?(assume_noalias = true) (k : Ptx.Ast.kernel) =
       in
       verdicts.(a.insn) <- Some v)
     accesses;
-  { kernel = k; accesses; verdicts; classes; pairs; assume_noalias }
+  { kernel = k; roles; accesses; verdicts; classes; pairs }
 
-let analyze ?assume_noalias k =
-  let t =
-    Telemetry.Span.with_ ~name:"static.analyze" (fun () ->
-        analyze_run ?assume_noalias k)
-  in
+let analyze k =
+  let t = Telemetry.Span.with_ ~name:"static.analyze" (fun () -> analyze_run k) in
   let safe = ref 0 and racy = ref 0 and unknown = ref 0 in
   Array.iter
     (function
@@ -410,6 +396,7 @@ let safe_mask t =
   Array.init n (fun i ->
       match t.verdicts.(i) with Some (Safe _) -> true | _ -> false)
 
+let roles t = t.roles
 let verdict t i = t.verdicts.(i)
 let klass t i = t.classes.(i)
 let pairs t = t.pairs
@@ -431,39 +418,6 @@ let realizable need layout =
 
 let realizable_pairs t ~layout =
   List.filter (fun p -> realizable p.need layout) t.pairs
-
-(* A detector-shaped report for the pairs the launch layout can
-   realize.  Representative threads: thread 0 and the first thread of
-   the second warp (same block for shared, anywhere for global).
-   Global addresses are relative to the base parameter when one is
-   named. *)
-let report t ~layout =
-  let live = realizable_pairs t ~layout in
-  if live = [] then None
-  else begin
-    let r = Barracuda.Report.create ~layout () in
-    List.iter
-      (fun (p : racy_pair) ->
-        let addr = Int64.to_int p.addr in
-        let loc =
-          match p.pair_space with
-          | Ptx.Ast.Shared -> Gtrace.Loc.shared ~block:0 addr
-          | _ -> Gtrace.Loc.global addr
-        in
-        let cur_tid =
-          match p.pair_space with
-          | Ptx.Ast.Shared -> layout.Vclock.Layout.warp_size
-          | _ -> Vclock.Layout.tid_of_warp_lane layout ~warp:1 ~lane:0
-        in
-        let kind w =
-          if w then Barracuda.Report.Write else Barracuda.Report.Read
-        in
-        Barracuda.Report.add_race r ~prev_insn:p.a_insn ~cur_insn:p.b_insn ~loc
-          ~prev_tid:0 ~prev_kind:(kind p.a_write) ~cur_tid
-          ~cur_kind:(kind p.b_write) ~same_instruction:false)
-      live;
-    Some r
-  end
 
 let provably_racy t ~layout = realizable_pairs t ~layout <> []
 

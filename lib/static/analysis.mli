@@ -11,12 +11,11 @@
       any launch layout with enough warps (see {!realizable_pairs});
     - [Unknown]: instrument and check dynamically, as before.
 
-    The only assumption that is not discharged from the PTX itself is
-    {e parameter noalias}: distinct kernel pointer parameters are
-    assumed to address disjoint allocations (the same restrict-style
-    assumption GPUVerify makes; the CLI's [name:n] argument specs
-    allocate disjoint buffers, so it holds for every launch path in
-    this repo).  Pass [~assume_noalias:false] to drop it. *)
+    Nothing is assumed about the launch's arguments: two pointer
+    parameters may address one buffer.  Provably disjoint per-thread
+    footprints are proved over [%tid.x] and [%ctaid.x], which name
+    every thread only on a 1-D launch; {!Plan} applies the [Safe]
+    verdicts there alone. *)
 
 type klass = Thread_uniform | Lane_affine | Thread_private | Unknown_addr
 
@@ -48,9 +47,13 @@ type racy_pair = {
 type verdict = Safe of safe_reason | Racy | Unknown
 type t
 
-val analyze : ?assume_noalias:bool -> Ptx.Ast.kernel -> t
+val analyze : Ptx.Ast.kernel -> t
 (** Run the affine dataflow, phase analysis and pairwise footprint
-    comparison.  [assume_noalias] defaults to [true]. *)
+    comparison, classifying every instruction's {!Gtrace.Roles} role
+    on the way. *)
+
+val roles : t -> Gtrace.Roles.t array
+(** Per instruction: the fence-induced role the detector gives it. *)
 
 val verdict : t -> int -> verdict option
 (** Verdict for an instruction index; [None] if it is not a memory
@@ -60,7 +63,7 @@ val klass : t -> int -> klass
 (** Address classification (display only; verdicts are what matter). *)
 
 val safe_mask : t -> bool array
-(** Per-instruction: true iff logging may be dropped. *)
+(** Per-instruction: true iff the verdict is [Safe]. *)
 
 val pairs : t -> racy_pair list
 
@@ -71,10 +74,6 @@ val realizable_pairs : t -> layout:Vclock.Layout.t -> racy_pair list
 (** The subset of {!pairs} the launch layout can actually exhibit. *)
 
 val provably_racy : t -> layout:Vclock.Layout.t -> bool
-
-val report : t -> layout:Vclock.Layout.t -> Barracuda.Report.t option
-(** Detector-shaped report of the realizable pairs with representative
-    thread ids ([None] when no pair is realizable). *)
 
 val klass_name : klass -> string
 val reason_name : safe_reason -> string

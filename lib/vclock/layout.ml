@@ -10,6 +10,10 @@ type t = {
 
 let dim1 n = { x = n; y = 1; z = 1 }
 
+let one_dimensional t =
+  t.block_dim.y = 1 && t.block_dim.z = 1 && t.grid_dim.y = 1
+  && t.grid_dim.z = 1
+
 let make ~warp_size ~threads_per_block ~blocks =
   if warp_size <= 0 then invalid_arg "Layout.make: warp_size <= 0";
   if threads_per_block <= 0 then

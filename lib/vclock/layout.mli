@@ -33,6 +33,10 @@ val make_dims : warp_size:int -> block_dim:dim3 -> grid_dim:dim3 -> t
 val dim1 : int -> dim3
 (** [{x = n; y = 1; z = 1}] *)
 
+val one_dimensional : t -> bool
+(** Block and grid both extend along x alone, so [%tid.x] and
+    [%ctaid.x] name every thread: what {!make} builds. *)
+
 (** {1 Component accessors} *)
 
 val thread_coords : t -> int -> dim3

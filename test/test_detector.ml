@@ -188,7 +188,10 @@ let test_shadow_summary_split () =
     let kernel = Ptx.Builder.finish b in
     let m = Simt.Machine.create ~layout:one_thread () in
     let args = [| Int64.of_int (Simt.Machine.alloc_global m 8) |] in
-    let det = Barracuda.Detector.create ~layout:one_thread kernel in
+    let det =
+      Barracuda.Detector.create ~layout:one_thread
+        (Static.Plan.of_kernel kernel)
+    in
     ignore
       (Gpu_runtime.Session.run_stream
          ~sink:(Gpu_runtime.Session.serial_sink det) ~machine:m kernel args);
@@ -359,11 +362,16 @@ let prop_detector_deterministic =
    hold no overlay skip the scan for one; the counts must not move.
    Pinned, as they were before the skip: the four format counts and
    [ptvc_bytes] of every shipped kernel, and of 400 generated programs,
-   whose acquires, releases and acq-rel atomics install overlays. *)
-let census (layout, kernel, setup) =
+   whose acquires, releases and acq-rel atomics install overlays.
+   Pinned once with every access checked (the empty plans) and once
+   under the kernels' check plans, whose dropped records are never
+   census-counted and never join their warp's clocks. *)
+let census plan_of (layout, kernel, setup) =
   let m = Simt.Machine.create ~layout () in
   let args = setup m in
-  let det = Barracuda.Detector.create ~layout kernel in
+  let det =
+    Barracuda.Detector.create ~layout (plan_of (Static.Plan.of_kernel kernel))
+  in
   ignore
     (Gpu_runtime.Session.run_stream
        ~sink:(Gpu_runtime.Session.serial_sink det) ~machine:m kernel args);
@@ -378,30 +386,39 @@ let census (layout, kernel, setup) =
     ]
 
 let test_ptvc_census_pinned () =
-  let check label corpus totals digest =
-    let counts = List.map census corpus in
-    Alcotest.(check (list int))
-      (label ^ ": converged, diverged, nested, sparse, PTVC bytes")
-      totals
-      (List.fold_left (List.map2 ( + )) [ 0; 0; 0; 0; 0 ] counts);
-    Alcotest.(check string) (label ^ ": per-kernel counts") digest
-      (Digest.to_hex
-         (Digest.string
-            (String.concat "\n"
-               (List.map
-                  (fun c -> String.concat " " (List.map string_of_int c))
-                  counts))))
+  let check label corpus (every, every_digest) (planned, planned_digest) =
+    let pin what plan_of totals digest =
+      let counts = List.map (census plan_of) corpus in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s, %s: converged, diverged, nested, sparse, PTVC bytes"
+           label what)
+        totals
+        (List.fold_left (List.map2 ( + )) [ 0; 0; 0; 0; 0 ] counts);
+      Alcotest.(check string)
+        (Printf.sprintf "%s, %s: per-kernel counts" label what)
+        digest
+        (Digest.to_hex
+           (Digest.string
+              (String.concat "\n"
+                 (List.map
+                    (fun c -> String.concat " " (List.map string_of_int c))
+                    counts))))
+    in
+    pin "every access" Static.Plan.empty every every_digest;
+    pin "under the plans" Fun.id planned planned_digest
   in
   check "92 shipped kernels"
     (List.map (fun (_, l, k, s) -> (l, k, s)) Test_simt.shipped_kernels)
-    [ 1786; 1098; 8; 62; 176928 ] "3063e01908cc32252bf4b35190746e1a";
+    ([ 1786; 1098; 8; 62; 176928 ], "3063e01908cc32252bf4b35190746e1a")
+    ([ 1484; 887; 8; 49; 176928 ], "365794c423aaebcdffbb48c8f6b950cb");
   let programs =
     QCheck2.Gen.generate ~rand:(Random.State.make [| 2026 |]) ~n:400
       Gen.gen_program
   in
   check "400 generated programs"
     (List.map (fun p -> (lay, Gen.kernel_of_program p, Gen.setup)) programs)
-    [ 4787; 2661; 223; 3051; 386240 ] "c5cfaace5bc8c564dad62a4b388b061d"
+    ([ 4787; 2661; 223; 3051; 386240 ], "c5cfaace5bc8c564dad62a4b388b061d")
+    ([ 4108; 2300; 202; 2722; 384608 ], "82e735d0b2b6e2bb83469699ad6f3392")
 
 (* ---- Directed rule scenarios ---------------------------------------- *)
 

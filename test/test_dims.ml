@@ -78,20 +78,59 @@ let test_2d_kernel_race_free () =
   Alcotest.(check bool) "distinct pixels: no race" false
     (Barracuda.Report.has_race r.Gpu_runtime.Session.sr_report)
 
-let test_2d_column_conflict_detected () =
-  (* every thread writes out[gx]: threads in different rows collide *)
+(* every thread writes out[gx]: threads in different rows collide *)
+let columns_kernel =
   let b = B.create ~params:[ "out" ] "columns" in
   let gx = B.fresh_reg b in
   B.mad b gx (Ast.Sreg Ast.Ctaid) (Ast.Sreg Ast.Ntid) (Ast.Sreg Ast.Tid);
   let addr = B.fresh_reg ~cls:"rd" b in
   B.mad b addr (B.reg gx) (B.imm 4) (B.sym "out");
   B.st b (B.reg addr) (Ast.Sreg Ast.Tid_y);
-  let k = B.finish b in
+  B.finish b
+
+let columns_races ?inst () =
   let m = Simt.Machine.create ~layout:lay2d () in
   let out = Simt.Machine.alloc_global m (4 * 64) in
-  let r = Gpu_runtime.Session.run_stream ~machine:m k [| Int64.of_int out |] in
-  Alcotest.(check bool) "row collision detected" true
-    (Barracuda.Report.has_race r.Gpu_runtime.Session.sr_report)
+  let r =
+    Gpu_runtime.Session.run_stream
+      ~detector:
+        { Barracuda.Detector.default_config with max_reports = 100_000 }
+      ?inst ~machine:m columns_kernel [| Int64.of_int out |]
+  in
+  Barracuda.Report.race_count r.Gpu_runtime.Session.sr_report
+
+let test_2d_column_conflict_detected () =
+  Alcotest.(check bool) "row collision detected" true (columns_races () > 0)
+
+(* The store's slot-per-thread proof is written over %tid.x and
+   %ctaid.x, which the rows of a 2-D launch share: its plan drops the
+   store on a 1-D launch only, so the instrumented run logs it here
+   and finds check's races. *)
+let test_2d_instrumented_run_races () =
+  let plan = Static.Plan.of_kernel columns_kernel in
+  let store = Array.length columns_kernel.Ast.body - 2 in
+  Alcotest.(check bool) "dropped on a 1-D launch" true
+    (Static.Plan.drops plan ~layout:Service.Exec.default_layout).(store);
+  Alcotest.(check bool) "kept on a 2-D launch" false
+    (Array.exists Fun.id (Static.Plan.drops plan ~layout:lay2d));
+  Alcotest.(check int) "check" 224 (columns_races ());
+  Alcotest.(check int) "instrumented run" 224
+    (columns_races
+       ~inst:(Instrument.Pass.instrument ~layout:lay2d columns_kernel)
+       ())
+
+(* A BAWS header states a 1-D layout only: a 2-D recording is refused
+   before anything is written. *)
+let test_2d_recording_refused () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "barracuda-dims-%d.baws" (Unix.getpid ()))
+  in
+  (match Gpu_runtime.Stream.write_file path ~layout:lay2d (Buffer.create 0) with
+  | () -> Alcotest.fail "a 2-D layout was written into a 1-D header"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "no file written" false (Sys.file_exists path)
 
 let test_sregs_parse_and_print () =
   let k =
@@ -118,4 +157,7 @@ let suite =
       test_2d_column_conflict_detected;
     Alcotest.test_case "dimensioned sregs parse/print" `Quick
       test_sregs_parse_and_print;
+    Alcotest.test_case "2d instrumented run finds check's races" `Quick
+      test_2d_instrumented_run_races;
+    Alcotest.test_case "2d recording refused" `Quick test_2d_recording_refused;
   ]

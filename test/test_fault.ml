@@ -189,7 +189,8 @@ let test_opcode_bit_flips_detected () =
 let mk_program = [ Gen.Global_store (0, Gen.Const 1) ]
 
 let mk_detector () =
-  Detector.create ~layout:Gen.layout (Gen.kernel_of_program mk_program)
+  Detector.create ~layout:Gen.layout
+    (Static.Plan.of_kernel (Gen.kernel_of_program mk_program))
 
 let test_seq_gap_stale_corrupt () =
   let det = mk_detector () in

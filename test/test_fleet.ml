@@ -6,16 +6,26 @@
 module Journal = Campaign.Journal
 module Daemon = Campaign.Daemon
 
-let tmp_dir name =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "barracuda-fleet-%d-%s" (Unix.getpid ()) name)
-  in
-  let file = Journal.path ~dir in
-  (try Sys.remove file with Sys_error _ -> ());
-  (try Sys.remove (file ^ ".tmp") with Sys_error _ -> ());
-  dir
+let dir_prefix = Printf.sprintf "barracuda-fleet-%d-" (Unix.getpid ())
+let journal_dir name =
+  Filename.concat (Filename.get_temp_dir_name ()) (dir_prefix ^ name)
+
+let rec remove_tree path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter
+        (fun f -> remove_tree (Filename.concat path f))
+        (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+(* A fresh journal directory for [f], removed with its contents however
+   [f] ends. *)
+let with_tmp_dir name f =
+  let dir = journal_dir name in
+  remove_tree dir;
+  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
 
 let write_file path s =
   let oc = open_out path in
@@ -25,7 +35,7 @@ let write_file path s =
 (* ---- journal format ---------------------------------------------- *)
 
 let test_journal_roundtrip () =
-  let dir = tmp_dir "roundtrip" in
+  with_tmp_dir "roundtrip" @@ fun dir ->
   let j = Journal.create ~seed:7 ~cases:3 ~trials:2 in
   Alcotest.(check int) "total trials" (3 * 4 * 2) (Journal.total j);
   ignore (Journal.step j ~n:5);
@@ -43,7 +53,7 @@ let test_journal_roundtrip () =
 let test_journal_dimensions_rejected () =
   List.iter
     (fun (name, cases, trials) ->
-      let dir = tmp_dir name in
+      with_tmp_dir name @@ fun dir ->
       let fresh = { Journal.seed = 1; cases; trials } in
       (match Journal.open_dir ~fresh dir with
       | Ok _ -> Alcotest.failf "%s: opened a journal" name
@@ -58,7 +68,7 @@ let contains ~needle haystack =
   n = 0 || go 0
 
 let test_journal_version_rejected () =
-  let dir = tmp_dir "version" in
+  with_tmp_dir "version" @@ fun dir ->
   let j = Journal.create ~seed:1 ~cases:1 ~trials:1 in
   Journal.save ~dir j;
   let path = Journal.path ~dir in
@@ -81,8 +91,7 @@ let test_journal_version_rejected () =
 
 (* A journal is untrusted input: a mutated one opens or fails with a
    message, and nothing escapes. *)
-let prop_mutated_journal =
-  let dir = tmp_dir "mutated" in
+let prop_mutated_journal dir =
   let journal =
     lazy
       (let j = Journal.create ~seed:7 ~cases:1 ~trials:1 in
@@ -128,7 +137,7 @@ let test_kill_and_resume_determinism () =
   let rng = Random.State.make [| 0xF1EE7 |] in
   for _ = 1 to 3 do
     let kill_at = 1 + Random.State.int rng (total - 1) in
-    let dir = tmp_dir (Printf.sprintf "kill%d" kill_at) in
+    with_tmp_dir (Printf.sprintf "kill%d" kill_at) @@ fun dir ->
     (* run to the kill point in small checkpointed batches, as fleet
        and the daemon do *)
     let j = Journal.create ~seed ~cases ~trials in
@@ -176,7 +185,7 @@ let daemon_config =
   }
 
 let test_daemon_yields_to_paying_work () =
-  let dir = tmp_dir "yield" in
+  with_tmp_dir "yield" @@ fun dir ->
   match Daemon.start ~config:daemon_config ~load:(fun () -> 1) ~dir () with
   | Error e -> Alcotest.failf "start: %s" e
   | Ok d ->
@@ -192,7 +201,7 @@ let test_daemon_yields_to_paying_work () =
         s.Service.Protocol.ca_trials
 
 let test_daemon_completes_and_resumes () =
-  let dir = tmp_dir "complete" in
+  with_tmp_dir "complete" @@ fun dir ->
   (* Phase 1: run a few batches, then stop mid-campaign. *)
   (match Daemon.start ~config:daemon_config ~load:(fun () -> 0) ~dir () with
   | Error e -> Alcotest.failf "start: %s" e
@@ -253,5 +262,19 @@ let suite =
       test_daemon_yields_to_paying_work;
     Alcotest.test_case "daemon completes and resumes" `Quick
       test_daemon_completes_and_resumes;
+    (let name, speed, run =
+       Gen.to_alcotest (prop_mutated_journal (journal_dir "mutated"))
+     in
+     ( name,
+       speed,
+       fun arg ->
+         Fun.protect
+           ~finally:(fun () -> remove_tree (journal_dir "mutated"))
+           (fun () -> run arg) ));
+    (* last: every test above removed its directory *)
+    Alcotest.test_case "no journal directory left behind" `Quick (fun () ->
+        Alcotest.(check (list string)) "leftover directories" []
+          (List.filter
+             (String.starts_with ~prefix:dir_prefix)
+             (Array.to_list (Sys.readdir (Filename.get_temp_dir_name ())))));
   ]
-  @ List.map Gen.to_alcotest [ prop_mutated_journal ]

@@ -7,10 +7,11 @@ module Pass = Instrument.Pass
 module Stats = Instrument.Stats
 
 let parse = Ptx.Parser.kernel_of_string
+let layout = Service.Exec.default_layout
 
 let test_tid_preamble () =
   let k = parse ".entry k (.param .u64 a) { ret; }" in
-  let r = Pass.instrument k in
+  let r = Pass.instrument ~layout k in
   match r.Pass.kernel.Ast.body.(0).Ast.kind with
   | Ast.Mad { dst = "%lgtid"; _ } -> ()
   | _ -> Alcotest.fail "missing TID computation preamble"
@@ -28,7 +29,7 @@ let test_logging_coverage () =
         ld.local.u32 %r4, [a];
         ret; }|}
   in
-  let r = Pass.instrument k in
+  let r = Pass.instrument ~layout k in
   let s = r.Pass.stats in
   Alcotest.(check int) "memory logged (ld+st+atom, not local)" 3
     s.Stats.mem_logged;
@@ -40,7 +41,10 @@ let test_logging_coverage () =
 let test_fraction_below_one () =
   List.iter
     (fun (w : Workloads.Workload.t) ->
-      let r = Pass.instrument w.Workloads.Workload.kernel in
+      let r =
+        Pass.instrument ~layout:w.Workloads.Workload.layout
+          w.Workloads.Workload.kernel
+      in
       let f = Stats.fraction r.Pass.stats in
       Alcotest.(check bool)
         (w.Workloads.Workload.name ^ " fraction sane")
@@ -57,8 +61,8 @@ let test_pruning_within_block () =
         st.global.u32 [a], %r2;
         ret; }|}
   in
-  let unopt = Pass.instrument ~prune:false ~static:false k in
-  let opt = Pass.instrument k in
+  let unopt = Pass.instrument ~prune:false ~static:false ~layout k in
+  let opt = Pass.instrument ~layout k in
   Alcotest.(check int) "no pruning unopt" 0
     (Stats.pruned unopt.Pass.stats);
   (* the overlapping load/store pair is statically racy, so the static
@@ -77,7 +81,7 @@ let test_pruning_within_block () =
         st.global.u32 [a], 2;
         ret; }|}
   in
-  let opt = Pass.instrument ~static:false k in
+  let opt = Pass.instrument ~static:false ~layout k in
   Alcotest.(check int) "repeat store pruned" 1
     opt.Pass.stats.Stats.pruned_block;
   Alcotest.(check bool) "second store pruned" true (not opt.Pass.logged.(1))
@@ -91,12 +95,12 @@ let test_pruning_killed_by_redefinition () =
         ld.global.u32 %r2, [%rd1];
         ret; }|}
   in
-  let opt = Pass.instrument ~static:false k in
+  let opt = Pass.instrument ~static:false ~layout k in
   Alcotest.(check int) "address register redefined: no pruning" 0
     (Stats.pruned opt.Pass.stats);
   (* with the static tier on, the two loads are provably safe (the
      kernel has no stores at all) and lose their logging that way *)
-  let stat = Pass.instrument k in
+  let stat = Pass.instrument ~layout k in
   Alcotest.(check int) "read-only kernel statically pruned" 2
     stat.Pass.stats.Stats.pruned_static
 
@@ -109,7 +113,7 @@ let test_pruning_stops_at_fence () =
         st.global.u32 [a], 2;
         ret; }|}
   in
-  let opt = Pass.instrument k in
+  let opt = Pass.instrument ~layout k in
   Alcotest.(check int) "fence resets the window" 0
     (Stats.pruned opt.Pass.stats)
 
@@ -122,7 +126,7 @@ let test_pruning_stops_at_block_boundary () =
 L:      ld.global.u32 %r2, [a];
         ret; }|}
   in
-  let opt = Pass.instrument ~static:false k in
+  let opt = Pass.instrument ~static:false ~layout k in
   Alcotest.(check int) "different basic block: no pruning" 0
     (Stats.pruned opt.Pass.stats)
 
@@ -130,7 +134,7 @@ let test_predicated_rewrite () =
   let k =
     parse ".entry k (.param .u64 a) { @%p1 st.global.u32 [a], 1; ret; }"
   in
-  let r = Pass.instrument k in
+  let r = Pass.instrument ~layout k in
   Alcotest.(check int) "predicated access rewritten" 1
     r.Pass.stats.Stats.predicated_rewritten;
   (* the rewritten store is unpredicated and reachable only under the
@@ -154,7 +158,7 @@ let test_convergence_points_logged () =
     (fun b -> B.mov b (B.fresh_reg b) (B.imm 2));
   B.mov b (B.fresh_reg b) (B.imm 3);
   let k = B.finish b in
-  let r = Pass.instrument k in
+  let r = Pass.instrument ~layout k in
   Alcotest.(check bool) "convergence point logged" true
     (r.Pass.stats.Stats.convergence_logged >= 1)
 
@@ -163,7 +167,7 @@ let test_origin_mapping () =
     parse
       ".entry k (.param .u64 a) { ld.global.u32 %r1, [a]; st.global.u32 [a], %r1; ret; }"
   in
-  let r = Pass.instrument k in
+  let r = Pass.instrument ~layout k in
   (* every original instruction appears exactly once in origin *)
   let counts = Array.make (Array.length k.Ast.body) 0 in
   Array.iter
@@ -176,7 +180,7 @@ let prop_instrumented_kernels_still_valid =
   QCheck2.Test.make ~name:"instrumented kernels remain well-formed" ~count:150
     ~print:Gen.print_program Gen.gen_program (fun prog ->
       let k = Gen.kernel_of_program prog in
-      Ptx.Validate.check (Pass.instrument k).Pass.kernel = [])
+      Ptx.Validate.check (Pass.instrument ~layout:Gen.layout k).Pass.kernel = [])
 
 let prop_instrumented_execution_equivalent =
   QCheck2.Test.make
@@ -191,7 +195,7 @@ let prop_instrumented_execution_equivalent =
        let r = Gpu_runtime.Session.run_stream ~machine:md k argsd in
        if Barracuda.Report.has_race r.Gpu_runtime.Session.sr_report then
          QCheck2.assume_fail ());
-      let inst = (Pass.instrument k).Pass.kernel in
+      let inst = (Pass.instrument ~layout:Gen.layout k).Pass.kernel in
       let m1 = Simt.Machine.create ~layout:Gen.layout () in
       let args1 = Gen.setup m1 in
       let _ = Simt.Machine.launch m1 k args1 in

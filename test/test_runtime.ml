@@ -229,7 +229,7 @@ let test_steady_state_allocation () =
   let layout = Gen.layout in
   let wsz = layout.Vclock.Layout.warp_size in
   let k = Gen.kernel_of_program [ Gen.Global_store (0, Gen.Const 1) ] in
-  let det = Barracuda.Detector.create ~layout k in
+  let det = Barracuda.Detector.create ~layout (Static.Plan.of_kernel k) in
   let q = Queue.create ~capacity:64 in
   let buf = Queue.buffer q in
   let addrs = Array.init wsz (fun i -> 4 * i) in
@@ -282,7 +282,8 @@ let prop_pipeline_no_false_positives =
         let args2 = Gen.setup m2 in
         let r =
           Session.run_stream ~detector:detector_config
-            ~inst:(Instrument.Pass.instrument k) ~machine:m2 k args2
+            ~inst:(Instrument.Pass.instrument ~layout:Gen.layout k)
+            ~machine:m2 k args2
         in
         not (Report.has_race r.Session.sr_report)
       end)
@@ -297,7 +298,9 @@ let test_pipeline_instrumented_execution_correct () =
   let m2 = Simt.Machine.create ~layout:Gen.layout () in
   let args2 = Gen.setup m2 in
   let _ =
-    Session.run_stream ~inst:(Instrument.Pass.instrument k) ~machine:m2 k args2
+    Session.run_stream
+      ~inst:(Instrument.Pass.instrument ~layout:Gen.layout k)
+      ~machine:m2 k args2
   in
   let base1 = Int64.to_int args1.(0) and base2 = Int64.to_int args2.(0) in
   let total = Vclock.Layout.total_threads Gen.layout in

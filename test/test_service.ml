@@ -486,7 +486,7 @@ let tiny_entry () =
   let b = Ptx.Builder.create ~params:[ "p0" ] "tiny" in
   Ptx.Builder.st b (Ptx.Builder.sym "p0") (Ptx.Builder.imm 1);
   let kernel = Ptx.Builder.finish b in
-  { Service.Cache.kernel; analysis = Static.Analysis.analyze kernel }
+  { Service.Cache.kernel; plan = Static.Plan.of_kernel kernel }
 
 let test_cache_accounting () =
   let cache = Service.Cache.create ~capacity:2 () in

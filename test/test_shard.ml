@@ -102,10 +102,12 @@ let reference_racy (c : Bugsuite.Case.t) =
    [Session.launch]). *)
 let builds (c : Bugsuite.Case.t) =
   let kernel = c.Bugsuite.Case.kernel in
+  let layout = c.Bugsuite.Case.layout in
   [
     ("uninstrumented", None);
-    ("instrumented", Some (Instrument.Pass.instrument ~prune:false kernel));
-    ("deployed", Some (Instrument.Pass.instrument kernel));
+    ( "instrumented",
+      Some (Instrument.Pass.instrument ~prune:false ~layout kernel) );
+    ("deployed", Some (Instrument.Pass.instrument ~layout kernel));
   ]
 
 (* examples/barrier_divergence.ptx, as [barracuda check] runs it:
@@ -224,10 +226,12 @@ let prop_router_range_locality =
    acquires and releases touch no shadow cell.  dxtc (uninstrumented,
    as [check --shards] runs it) pins the serial counts, one check and
    one cell per aligned word, and a ceiling on the busiest of 8
-   shards. *)
+   shards, with every access checked (the empty plan) and under its
+   check plan (the accesses the plan drops add no check but share
+   their words' cells). *)
 let test_broadcast_delivery () =
   List.iter
-    (fun (name, pinned) ->
+    (fun (name, every_access, pinned) ->
       let w = Workloads.Registry.find name in
       let kernel = w.Workloads.Workload.kernel in
       let layout = w.Workloads.Workload.layout in
@@ -237,9 +241,12 @@ let test_broadcast_delivery () =
         Session.run_stream ~detector:detector_config ~sink ~machine:m kernel
           args
       in
-      let det =
-        Barracuda.Detector.create ~config:detector_config ~layout kernel
+      let plan = Static.Plan.of_kernel kernel in
+      let plan, name =
+        if every_access then (Static.Plan.empty plan, name ^ " (every access)")
+        else (plan, name)
       in
+      let det = Barracuda.Detector.create ~config:detector_config ~layout plan in
       ignore (run (Session.serial_sink det));
       let serial = Barracuda.Detector.stats det in
       Option.iter
@@ -254,7 +261,7 @@ let test_broadcast_delivery () =
         (fun shards ->
           let label what = Printf.sprintf "%s @ %d shards: %s" name shards what in
           let engine =
-            Shard.Engine.create ~config:detector_config ~layout ~shards kernel
+            Shard.Engine.create ~config:detector_config ~layout ~shards plan
           in
           let r = run (Shard.Stream.sink_of_engine engine) in
           let stream = Shard.Engine.records engine in
@@ -295,9 +302,10 @@ let test_broadcast_delivery () =
             (Report.degraded r.Session.sr_report))
         [ 1; 2; 4; 8 ])
     [
-      ("backprop", None);
-      ("threadfencered", None);
-      ("dxtc", Some (1278, 514, 320));
+      ("backprop", false, None);
+      ("threadfencered", false, None);
+      ("dxtc", true, Some (1278, 514, 320));
+      ("dxtc", false, Some (1022, 514, 272));
     ]
 
 (* ---- merged reports are deterministic ---------------------------- *)

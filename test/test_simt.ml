@@ -444,7 +444,7 @@ let pin_digest index (layout, kernel, setup) =
       mr.Simt.Machine.dyn_instructions
   in
   run ();
-  run ~inst:(Instrument.Pass.instrument kernel) ();
+  run ~inst:(Instrument.Pass.instrument ~layout kernel) ();
   run ~policy:(Simt.Machine.Random 7) ();
   let plan =
     Fault.Plan.make
@@ -465,35 +465,38 @@ let pin_digest index (layout, kernel, setup) =
 
 (* Computed with the interpreter this simulator replaced (per-byte
    hash-table memory, name-keyed registers): recordings, schedules and
-   fault targets must not move. *)
+   fault targets must not move.  The 17 Table 1 kernels whose
+   instrumented run logs more since the static tier stopped assuming
+   distinct pointer parameters never alias were re-pinned then; their
+   plain, random-schedule and fault runs are unchanged. *)
 let pinned =
   [
-    ("w_Rodinia_bfs", "bceec3f72535cbb74d47a32554d7eec5");
-    ("w_Rodinia_backprop", "9c263843a37f5e16b5ab3e6d1bfca0c8");
-    ("w_Rodinia_dwt2d", "51349edf4499e565a51ea5ae3ae1417d");
+    ("w_Rodinia_bfs", "ec1d4ce0410f0fbb18e2e400aef9d61c");
+    ("w_Rodinia_backprop", "b4986873687edf4924c7fe95b1077789");
+    ("w_Rodinia_dwt2d", "19cfd94997894c7935dc4f725acdb053");
     ("w_Rodinia_gaussian", "53f07dc1c68d370ac91d724190bd989f");
-    ("w_Rodinia_hotspot", "e3ea203fb521215dba6fbe12726b2612");
-    ("w_Rodinia_hybridsort", "d866a6deea914644d9d03493e9c214ca");
+    ("w_Rodinia_hotspot", "281945937e8098d969180eb7e768bf1a");
+    ("w_Rodinia_hybridsort", "956825acc10824079f6530975fcae355");
     ("w_Rodinia_kmeans", "717eee9632e9786e0d367e6eedb4ae0f");
-    ("w_Rodinia_lavamd", "2e1e46f9204b3bce933f374c3de068d8");
+    ("w_Rodinia_lavamd", "6e7e9be3d33281061e3d5d95b861f4ac");
     ("w_Rodinia_needle", "878af8570f7beb550187742050a840d6");
-    ("w_Rodinia_nn", "8bdc9d225486d6ce38b75b687bad1b0c");
-    ("w_Rodinia_pathfinder", "635c7e62c5567328d2272e2108be5834");
-    ("w_Rodinia_streamcluster", "c500023595a2ed847232c5314ee61be5");
+    ("w_Rodinia_nn", "35f16c88073609f432211d99605baa56");
+    ("w_Rodinia_pathfinder", "91397d16d34eebe5633e43c8015dfc84");
+    ("w_Rodinia_streamcluster", "289ee05a6a3fd0a9a28f6dbf1e851a8e");
     ("w_SHOC_bfs", "a59bf93c8cdaa38df8cce9836536db70");
     ("w_GPU-TM_hashtable", "f8dfb5f7402680d9423b704d0be2fd8a");
-    ("w_CUDA SDK_dxtc", "ca16f0b7fea796794c584734757050a8");
-    ("w_CUDA SDK_threadfencered", "0880b68fcf331119883cba92cd9162e3");
-    ("w_CUB_block_radix_sort", "eec1603b223833e317c5426aaa0a7f26");
-    ("w_CUB_block_reduce", "dc059bcae9efa9b27e6dcba1ccc135ce");
-    ("w_CUB_block_scan", "72e4cf8c9dfb4c15329e14da9e6d41e1");
+    ("w_CUDA SDK_dxtc", "a31cce7369e9a9243cde849a97550ae0");
+    ("w_CUDA SDK_threadfencered", "eb0d8103bebc5d83fe3ac6ea1087e5ce");
+    ("w_CUB_block_radix_sort", "84c472b5ddf05cfb71b6dffd4326ddd5");
+    ("w_CUB_block_reduce", "39260b6fcb22b2b40022101ef778fb23");
+    ("w_CUB_block_scan", "cf32158a662c75de55915c28a3b7d936");
     ("w_CUB_d_partition_flagged", "6dd4f342773d94662ad60b5c0a92eca4");
-    ("w_CUB_d_reduce", "9777cc4c82a3ebd9a76eaf4d13a06632");
-    ("w_CUB_d_scan", "7a589c41d70c920c02638ffacd530ffe");
+    ("w_CUB_d_reduce", "8a26dd02efdb66f82d79ba8ccedf9627");
+    ("w_CUB_d_scan", "bc5829033c65f10021d210d2796fb44d");
     ("w_CUB_d_select_flagged", "6654c2298b4794fb133b0df410c8f593");
     ("w_CUB_d_select_if", "4a0453dbd22a748ec4fe205dec0ad112");
     ("w_CUB_d_select_unique", "215410aea7024e13eb013541e7c26e12");
-    ("w_CUB_d_sort_find_runs", "9c1f518dde3ac859228e00b90944d68a");
+    ("w_CUB_d_sort_find_runs", "732439ec9a3ff7e9ed7d9b045033d104");
     ("c_ww_global_inter_block", "02b5e37f43e29237879fb895f4eb9afa");
     ("c_ww_global_inter_warp", "37edc8edf83193de166fd603db689b4c");
     ("c_ww_global_intra_warp_same_value", "400dd02211e57a572b0366ad720d9597");
@@ -635,7 +638,7 @@ let test_daemon_job_allocation () =
       (fun (c : Bugsuite.Case.t) -> c.name = "ww_global_inter_block")
       Bugsuite.Cases.all
   in
-  let inst = Instrument.Pass.instrument c.kernel in
+  let inst = Instrument.Pass.instrument ~layout:c.layout c.kernel in
   Gc.minor ();
   let _, _, major0 = Gc.counters () in
   let machine = Simt.Machine.create ~layout:c.layout () in

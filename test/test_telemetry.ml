@@ -315,15 +315,20 @@ let test_word_path_counters () =
    registry's deltas over a run must be the parent's per-event counts.
    [atomic_vs_plain_read] inflates a read clock (one full scan) and
    races (eight observations); the five deltas were measured before the
-   detector kept its own counts.  Across shards, the published checks
-   must add up to the detectors' own. *)
+   detector kept its own counts, and its plan drops nothing.
+   [backprop]'s plan drops 36 records: serially the published records,
+   checks and planned-out records are the detector's own, and across
+   shards the published checks and planned-out records add up to the
+   detectors' own (each shard skips every planned record). *)
 let test_published_counters () =
   let case =
     List.find
       (fun (c : Bugsuite.Case.t) -> c.name = "atomic_vs_plain_read")
       Bugsuite.Cases.all
   in
-  let names = [ "records"; "checks"; "epoch_fast"; "vc_full"; "races" ] in
+  let names =
+    [ "records"; "checks"; "epoch_fast"; "vc_full"; "races"; "planned_out" ]
+  in
   let deltas run =
     with_telemetry (fun () ->
         run ();
@@ -338,30 +343,46 @@ let test_published_counters () =
     (m, case.setup m)
   in
   Alcotest.(check (list int))
-    "records, checks, epoch fast path, full scans, races" [ 16; 4; 6; 1; 8 ]
+    "records, checks, epoch fast path, full scans, races, planned out"
+    [ 16; 4; 6; 1; 8; 0 ]
     (deltas (fun () ->
          let m, args = machine () in
          ignore (Session.run_stream ~machine:m case.kernel args)));
   let w = Workloads.Registry.find "backprop" in
-  let engine = Shard.Engine.create ~layout:w.W.layout ~shards:3 w.W.kernel in
-  let published =
+  let plan = Static.Plan.of_kernel w.W.kernel in
+  let run sink =
     deltas (fun () ->
         let m = W.machine w in
         let args = w.W.setup m in
-        ignore
-          (Session.run_stream ~sink:(Shard.Stream.sink_of_engine engine)
-             ~machine:m w.W.kernel args))
+        ignore (Session.run_stream ~sink ~machine:m w.W.kernel args))
   in
-  let own =
+  let det = Barracuda.Detector.create ~layout:w.W.layout plan in
+  let published = run (Session.serial_sink det) in
+  let st = Barracuda.Detector.stats det in
+  Alcotest.(check int) "backprop's plan drops 36 records" 36
+    st.Barracuda.Detector.planned_out;
+  Alcotest.(check (list int))
+    "serial: published records, checks, planned out = the detector's own"
+    Barracuda.Detector.
+      [ st.records_processed; st.accesses_checked; st.planned_out ]
+    [ List.nth published 0; List.nth published 1; List.nth published 5 ];
+  let engine = Shard.Engine.create ~layout:w.W.layout ~shards:3 plan in
+  let published = run (Shard.Stream.sink_of_engine engine) in
+  let own field =
     Array.fold_left
-      (fun acc d ->
-        acc + (Barracuda.Detector.stats d).Barracuda.Detector.accesses_checked)
+      (fun acc d -> acc + field (Barracuda.Detector.stats d))
       0
       (Shard.Engine.detectors engine)
   in
-  Alcotest.(check bool) "the shards checked something" true (own > 0);
-  Alcotest.(check int) "3 shards: published checks = the detectors' own" own
-    (List.nth published 1)
+  let checks = own (fun s -> s.Barracuda.Detector.accesses_checked) in
+  Alcotest.(check bool) "the shards checked something" true (checks > 0);
+  Alcotest.(check int) "3 shards: published checks = the detectors' own"
+    checks (List.nth published 1);
+  let planned_out = own (fun s -> s.Barracuda.Detector.planned_out) in
+  Alcotest.(check int) "3 shards: each skips every planned record" (3 * 36)
+    planned_out;
+  Alcotest.(check int) "3 shards: published planned out = the detectors' own"
+    planned_out (List.nth published 5)
 
 let test_session_rollups () =
   with_telemetry (fun () ->
@@ -397,7 +418,9 @@ let test_profile_rows_sum () =
       let machine = Simt.Machine.create ~layout:Service.Exec.default_layout () in
       let args = Service.Exec.resolve_args machine kernel [] in
       let t0 = Telemetry.Clock.now_ns () in
-      let inst = Instrument.Pass.instrument kernel in
+      let inst =
+        Instrument.Pass.instrument ~layout:Service.Exec.default_layout kernel
+      in
       ignore (Session.run_stream ~inst ~machine kernel args);
       let rows =
         Telemetry.Span.breakdown ~stages:Session.profile_stages

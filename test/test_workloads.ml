@@ -19,7 +19,7 @@ let check_workload (w : W.t) () =
     (W.races_match w report)
 
 let check_pipeline (w : W.t) () =
-  let r = W.run ~inst:(Instrument.Pass.instrument w.W.kernel) w in
+  let r = W.run ~inst:(Instrument.Pass.instrument ~layout:w.W.layout w.W.kernel) w in
   Alcotest.(check bool) "pipeline run completes" true
     (r.Gpu_runtime.Session.sr_machine_result.Simt.Machine.status
     = Simt.Machine.Completed);
@@ -33,20 +33,29 @@ let check_pipeline (w : W.t) () =
 
 (* Every race-checkable lane access of the Table 1 workloads is a
    4-byte word at a 4-aligned address, so each is one check of a word
-   summary: a quarter of the byte shadow's 251,384 checks. *)
+   summary: a quarter of the byte shadow's 251,384 checks.  Under each
+   kernel's check plan, the accesses the static tier proves safe go
+   unchecked. *)
 let test_table1_checks () =
-  let checks (w : W.t) =
+  let checks plan_of (w : W.t) =
     let m = W.machine w in
     let args = w.W.setup m in
-    let det = Barracuda.Detector.create ~layout:w.W.layout w.W.kernel in
+    let det =
+      Barracuda.Detector.create ~layout:w.W.layout
+        (plan_of (Static.Plan.of_kernel w.W.kernel))
+    in
     ignore
       (Gpu_runtime.Session.run_stream
          ~sink:(Gpu_runtime.Session.serial_sink det)
          ~machine:m w.W.kernel args);
     (Barracuda.Detector.stats det).Barracuda.Detector.accesses_checked
   in
+  let total plan_of =
+    List.fold_left (fun acc w -> acc + checks plan_of w) 0 Workloads.Registry.all
+  in
   Alcotest.(check int) "Table 1 checks, one per aligned word" 62_846
-    (List.fold_left (fun acc w -> acc + checks w) 0 Workloads.Registry.all)
+    (total Static.Plan.empty);
+  Alcotest.(check int) "Table 1 checks under the plans" 52_930 (total Fun.id)
 
 let test_registry_size () =
   Alcotest.(check int) "26 workloads as in Table 1" 26
