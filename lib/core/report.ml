@@ -150,24 +150,29 @@ let race_count t = t.race_count
 let racy_locations t = Loc_set.cardinal t.locs
 let has_race t = race_count t > 0
 
-let pp_kind ppf = function
-  | Read -> Format.pp_print_string ppf "read"
-  | Write -> Format.pp_print_string ppf "write"
-  | Atomic_rmw -> Format.pp_print_string ppf "atomic"
+let kind_string = function
+  | Read -> "read"
+  | Write -> "write"
+  | Atomic_rmw -> "atomic"
 
-let pp_class ppf = function
-  | Intra_warp -> Format.pp_print_string ppf "intra-warp"
-  | Intra_block -> Format.pp_print_string ppf "intra-block"
-  | Inter_block -> Format.pp_print_string ppf "inter-block"
+let class_string = function
+  | Intra_warp -> "intra-warp"
+  | Intra_block -> "intra-block"
+  | Inter_block -> "inter-block"
 
-let pp_insn ppf insn =
-  if insn >= 0 then Format.fprintf ppf " (insn %d)" insn
+let insn_string insn =
+  if insn >= 0 then Printf.sprintf " (insn %d)" insn else ""
 
-let pp_error ppf = function
+let error_to_string = function
   | Race r ->
-      Format.fprintf ppf "%a race on %a: %a by t%d%a vs %a by t%d%a%s" pp_class
-        r.cls Gtrace.Loc.pp r.loc pp_kind r.prev_kind r.prev_tid pp_insn
-        r.prev_insn pp_kind r.cur_kind r.cur_tid pp_insn r.cur_insn
+      Printf.sprintf "%s race on %s: %s by t%d%s vs %s by t%d%s%s"
+        (class_string r.cls)
+        (Gtrace.Loc.to_string r.loc)
+        (kind_string r.prev_kind) r.prev_tid (insn_string r.prev_insn)
+        (kind_string r.cur_kind) r.cur_tid (insn_string r.cur_insn)
         (if r.same_instruction then " (same instruction)" else "")
   | Barrier_divergence { warp; insn } ->
-      Format.fprintf ppf "barrier divergence: warp %d at insn %d" warp insn
+      Printf.sprintf "barrier divergence: warp %d at insn %d" warp insn
+
+let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
+let pp_kind ppf k = Format.pp_print_string ppf (kind_string k)

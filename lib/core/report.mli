@@ -100,6 +100,12 @@ val note_desync : t -> unit
 val integrity : t -> integrity
 val degraded : t -> bool
 
+val error_to_string : error -> string
+(** One error as [check] prints it and a daemon reply carries it, e.g.
+    [intra-block race on s0:0x4: write by t0 (insn 3) vs read by t32
+    (insn 5)].  An instruction id below 0 (none known) is left out. *)
+
 val pp_error : Format.formatter -> error -> unit
+(** Prints {!error_to_string}. *)
+
 val pp_kind : Format.formatter -> access_kind -> unit
-val pp_class : Format.formatter -> race_class -> unit

@@ -22,11 +22,13 @@ let compare a b =
 let equal a b = compare a b = 0
 let hash = Hashtbl.hash
 
-let pp ppf t =
+let to_string t =
   match t.space with
-  | Ptx.Ast.Global -> Format.fprintf ppf "g:%#x" t.addr
-  | Ptx.Ast.Shared -> Format.fprintf ppf "s%d:%#x" t.region t.addr
+  | Ptx.Ast.Global -> Printf.sprintf "g:%#x" t.addr
+  | Ptx.Ast.Shared -> Printf.sprintf "s%d:%#x" t.region t.addr
   | Ptx.Ast.Local | Ptx.Ast.Param -> assert false
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 module Ord = struct
   type nonrec t = t

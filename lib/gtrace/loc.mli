@@ -22,7 +22,11 @@ val with_addr : t -> int -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
+val to_string : t -> string
+(** [g:ADDR] or [s<block>:ADDR], the address in hex. *)
+
 val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)
 
 module Map : Map.S with type key = t
 module Tbl : Hashtbl.S with type key = t

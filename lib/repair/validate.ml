@@ -40,11 +40,8 @@ let bardiv_of (result : Gpu_runtime.Session.stream_result) =
 
 let race_summary report =
   String.concat "; "
-    (List.filteri
-       (fun i _ -> i < 3)
-       (List.map
-          (Format.asprintf "%a" Report.pp_error)
-          (Report.errors report)))
+    (List.map Report.error_to_string
+       (List.filteri (fun i _ -> i < 3) (Report.errors report)))
 
 (* Every stage runs the kernel exactly as [barracuda check] does:
    uninstrumented, through the session core; [shards] selects the

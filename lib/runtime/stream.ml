@@ -6,40 +6,20 @@ let cell_size = Wire.cell_size
 let max_cell_size = Wire.max_cell_size
 
 type reader = {
-  mutable buf : Bytes.t;
+  buf : Bytes.t;
   mutable start : int;  (* first pending byte *)
   mutable avail : int;  (* pending bytes from [start] *)
 }
 
+(* Four cells of room: a chunk is copied in a slice at a time and the
+   cells completed by each slice are delivered before the next, so the
+   pending partial cell (under one cell) always leaves room for more
+   and the buffer never grows, whatever the chunk's size. *)
 let reader () = { buf = Bytes.create (4 * max_cell_size); start = 0; avail = 0 }
 let pending r = r.avail
 
-(* Make room for [extra] more bytes after the pending region: compact
-   pending bytes to the front, growing the backing buffer if needed. *)
-let make_room r extra =
-  let need = r.avail + extra in
-  if need > Bytes.length r.buf then begin
-    let cap = ref (Bytes.length r.buf) in
-    while !cap < need do
-      cap := !cap * 2
-    done;
-    let nb = Bytes.create !cap in
-    Bytes.blit r.buf r.start nb 0 r.avail;
-    r.buf <- nb;
-    r.start <- 0
-  end
-  else if r.start + need > Bytes.length r.buf then begin
-    Bytes.blit r.buf r.start r.buf 0 r.avail;
-    r.start <- 0
-  end
-
-let feed r ?(pos = 0) ?len chunk k =
-  let len = match len with Some l -> l | None -> String.length chunk - pos in
-  if pos < 0 || len < 0 || pos + len > String.length chunk then
-    invalid_arg "Stream.feed";
-  make_room r len;
-  Bytes.blit_string chunk pos r.buf (r.start + r.avail) len;
-  r.avail <- r.avail + len;
+(* Deliver every complete cell pending in [r], in order. *)
+let deliver r k =
   let delivered = ref 0 in
   let continue = ref true in
   while !continue do
@@ -61,6 +41,27 @@ let feed r ?(pos = 0) ?len chunk k =
         incr delivered
       end
     end
+  done;
+  !delivered
+
+let feed r ?(pos = 0) ?len chunk k =
+  let len = match len with Some l -> l | None -> String.length chunk - pos in
+  if pos < 0 || len < 0 || pos + len > String.length chunk then
+    invalid_arg "Stream.feed";
+  let cap = Bytes.length r.buf in
+  let delivered = ref 0 in
+  let from = ref pos and left = ref len in
+  while !left > 0 do
+    if r.start + r.avail = cap then begin
+      Bytes.blit r.buf r.start r.buf 0 r.avail;
+      r.start <- 0
+    end;
+    let n = min !left (cap - r.start - r.avail) in
+    Bytes.blit_string chunk !from r.buf (r.start + r.avail) n;
+    r.avail <- r.avail + n;
+    from := !from + n;
+    left := !left - n;
+    delivered := !delivered + deliver r k
   done;
   if r.avail = 0 then r.start <- 0;
   !delivered

@@ -1,6 +1,6 @@
-(* A connection to the daemon: its descriptor and the buffered reader
+(* A connection to the daemon: its descriptor and the frame reader
    over it. *)
-type conn = { fd : Unix.file_descr; ic : in_channel }
+type conn = { fd : Unix.file_descr; reader : Protocol.reader }
 
 let close_conn c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
@@ -14,7 +14,7 @@ let exchange ~socket c req =
     Protocol.write_frame c.fd (Protocol.encode_request req);
     (* The reply may take as long as the job does; no read
        timeout here, the daemon's queue bound is the limit. *)
-    Protocol.read_frame c.ic
+    Protocol.read_frame c.reader
   with
   | Protocol.Eof -> lost
   | Protocol.Oversized ->
@@ -28,17 +28,13 @@ let exchange ~socket c req =
       Error
         ( e = Unix.EPIPE || e = Unix.ECONNRESET,
           Printf.sprintf "%s: %s (%s)" socket (Unix.error_message e) fn )
-  | exception Sys_error msg ->
-      (* a channel read reports its errno as text *)
-      Error (msg = Unix.error_message Unix.ECONNRESET, msg)
-  | exception End_of_file -> lost
 
 let connect ~socket =
   match Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   | fd -> (
       match Unix.connect fd (Unix.ADDR_UNIX socket) with
-      | () -> Ok { fd; ic = Unix.in_channel_of_descr fd }
+      | () -> Ok { fd; reader = Protocol.reader fd }
       | exception Unix.Unix_error (e, fn, _) ->
           (try Unix.close fd with Unix.Unix_error _ -> ());
           Error

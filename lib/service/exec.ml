@@ -73,8 +73,7 @@ let outcome_of_report ?(static = false) ~cache_hit ~detect_ms report =
        else Protocol.Race_free);
     races = Barracuda.Report.race_count report;
     errors =
-      List.map
-        (Format.asprintf "%a" Barracuda.Report.pp_error)
+      List.map Barracuda.Report.error_to_string
         (first_reports (Barracuda.Report.errors report));
     cache_hit;
     degraded = Barracuda.Report.degraded report;
@@ -207,9 +206,9 @@ let run_predict ~job (s : Protocol.submit) =
   let errors =
     List.map
       (fun (p : Predict.Analysis.prediction) ->
-        Format.asprintf "%s race predicted at %a"
+        Printf.sprintf "%s race predicted at %s"
           (Predict.Analysis.status_string p.Predict.Analysis.status)
-          Gtrace.Loc.pp p.Predict.Analysis.loc)
+          (Gtrace.Loc.to_string p.Predict.Analysis.loc))
       (first_reports
          (List.filter
             (fun (p : Predict.Analysis.prediction) ->

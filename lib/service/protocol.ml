@@ -533,8 +533,10 @@ let sigpipe_ignored =
 
 let write_frame fd line =
   Lazy.force sigpipe_ignored;
-  let payload = Bytes.of_string (line ^ "\n") in
-  let len = Bytes.length payload in
+  let len = String.length line + 1 in
+  let payload = Bytes.create len in
+  Bytes.blit_string line 0 payload 0 (len - 1);
+  Bytes.set payload (len - 1) '\n';
   let sent = ref 0 in
   while !sent < len do
     sent := !sent + Unix.write fd payload !sent (len - !sent)
@@ -542,18 +544,77 @@ let write_frame fd line =
 
 type frame = Frame of string | Eof | Oversized
 
-let read_frame ic =
-  let buf = Buffer.create 256 in
-  let rec go () =
-    match input_char ic with
-    | '\n' -> Frame (Buffer.contents buf)
-    | c ->
-        if Buffer.length buf >= max_frame_bytes then Oversized
-        else begin
-          Buffer.add_char buf c;
-          go ()
-        end
-    | exception End_of_file ->
-        if Buffer.length buf = 0 then Eof else Frame (Buffer.contents buf)
-  in
-  go ()
+(* A connection's read side.  [buf] holds the bytes read from [fd] but
+   not yet returned, [pos, len); none of [pos, scan) is a newline, so
+   each byte is scanned once however many reads its line takes.  The
+   buffer never exceeds [max_frame_bytes + 1] bytes: a line that fills
+   it without a newline is oversized, and a newline found in it ends a
+   line of at most [max_frame_bytes]. *)
+type reader = {
+  fd : Unix.file_descr;
+  mutable buf : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  mutable scan : int;
+}
+
+(* One [Unix.read] moves at most this much, and most frames fit. *)
+let initial_bytes = 65536
+
+let reader fd =
+  { fd; buf = Bytes.create initial_bytes; pos = 0; len = 0; scan = 0 }
+
+let rec newline buf i stop =
+  if i >= stop then -1
+  else if Bytes.unsafe_get buf i = '\n' then i
+  else newline buf (i + 1) stop
+
+(* Make room after [len]: start over in an emptied buffer (back at its
+   initial size after a large frame), move the pending bytes to the
+   front of a full one, or double a full one that starts with them. *)
+let make_room r =
+  let cap = Bytes.length r.buf in
+  if r.pos = r.len then begin
+    if cap > initial_bytes then r.buf <- Bytes.create initial_bytes;
+    r.pos <- 0;
+    r.len <- 0;
+    r.scan <- 0
+  end
+  else if r.len = cap then begin
+    let pending = r.len - r.pos in
+    let buf =
+      if r.pos > 0 then r.buf
+      else Bytes.create (min (2 * cap) (max_frame_bytes + 1))
+    in
+    Bytes.blit r.buf r.pos buf 0 pending;
+    r.buf <- buf;
+    r.scan <- r.scan - r.pos;
+    r.pos <- 0;
+    r.len <- pending
+  end
+
+let rec fill r =
+  match Unix.read r.fd r.buf r.len (Bytes.length r.buf - r.len) with
+  | n ->
+      r.len <- r.len + n;
+      n
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill r
+
+(* The line [pos, stop), consumed with its newline when it has one. *)
+let take r stop =
+  let line = Bytes.sub_string r.buf r.pos (stop - r.pos) in
+  r.pos <- min r.len (stop + 1);
+  r.scan <- r.pos;
+  Frame line
+
+let rec read_frame r =
+  let nl = newline r.buf r.scan r.len in
+  if nl >= 0 then take r nl
+  else if r.len - r.pos > max_frame_bytes then Oversized
+  else begin
+    r.scan <- r.len;
+    make_room r;
+    if fill r > 0 then read_frame r
+    else if r.pos = r.len then Eof
+    else take r r.len
+  end

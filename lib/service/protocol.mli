@@ -253,22 +253,36 @@ val decode_response : string -> (response, string) result
 (** {1 Framing} *)
 
 val write_frame : Unix.file_descr -> string -> unit
-(** Write [line ^ "\n"], handling short writes.  The first write
-    latches [SIGPIPE] to ignored process-wide, so a peer-closed
-    descriptor raises a catchable [Unix.Unix_error (EPIPE, _, _)]
-    instead of killing the process.
+(** Write [line] and its newline, built in one buffer, handling short
+    writes.  The first write latches [SIGPIPE] to ignored
+    process-wide, so a peer-closed descriptor raises a catchable
+    [Unix.Unix_error (EPIPE, _, _)] instead of killing the process.
     @raise Unix.Unix_error if the peer is gone. *)
 
 type frame =
-  | Frame of string  (** one complete line, newline stripped *)
+  | Frame of string
+      (** one line of at most {!max_frame_bytes} bytes, newline
+          stripped; an unterminated last line is a frame too *)
   | Eof  (** clean end of input *)
   | Oversized
       (** the line exceeded {!max_frame_bytes}; reading stopped before
           buffering more, leaving the rest of the line unconsumed *)
 
-val read_frame : in_channel -> frame
-(** Next line, read incrementally so {!max_frame_bytes} bounds
-    allocation. *)
+type reader
+(** The read side of one connection: a buffer over its descriptor,
+    refilled one [Unix.read] at a time and scanned a block at a time
+    for the newline.  Bytes after a frame's newline stay buffered for
+    the next frame, so requests pipelined in one write are read in
+    order.  The buffer never holds more than [max_frame_bytes + 1]
+    bytes.  A reader belongs to one thread at a time; closing the
+    descriptor is its owner's business. *)
+
+val reader : Unix.file_descr -> reader
+
+val read_frame : reader -> frame
+(** The next line.  A read timeout or reset surfaces as the
+    descriptor's [Unix.Unix_error]; [EINTR] is retried.
+    @raise Unix.Unix_error when the read fails. *)
 
 val max_frame_bytes : int
 (** Requests beyond this size are rejected while reading

@@ -182,8 +182,8 @@ let stream_verdict t s ~sid (p : Gpu_runtime.Session.progress) =
     }
 
 (* One client connection, on its own thread, carrying any number of
-   requests, each answered in order.  Reads are channel-based (line
-   framing); replies go straight to the descriptor, a job's result
+   requests, each answered in order.  The thread owns the connection's
+   frame reader; replies go straight to the descriptor, a job's result
    included: the thread waits for it.  Every exit path closes the
    descriptor exactly once.  Streaming sessions opened on the
    connection live in a connection-local table and are aborted (seat
@@ -193,7 +193,7 @@ let handle_connection t fd =
   register t fd;
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO read_timeout_s
    with Unix.Unix_error _ | Invalid_argument _ -> ());
-  let ic = Unix.in_channel_of_descr fd in
+  let reader = Protocol.reader fd in
   let sessions : (int, session) Hashtbl.t = Hashtbl.create 4 in
   let drop_session sid s =
     (* Abort on the seat when it still answers; directly otherwise
@@ -220,7 +220,7 @@ let handle_connection t fd =
   in
   let send resp =
     try Protocol.write_frame fd (Protocol.encode_response resp)
-    with Unix.Unix_error _ | Sys_error _ -> close ()
+    with Unix.Unix_error _ -> close ()
   in
   (* A command on an open session: run [f] on the session's seat and
      pass its result to [k].  An unknown id ends the exchange; so does
@@ -243,9 +243,9 @@ let handle_connection t fd =
     (* [send] closes the descriptor on a failed write; never read after
        that — the fd number may already belong to a newer connection. *)
     let continue () = if !closed then () else loop () in
-    match Protocol.read_frame ic with
+    match Protocol.read_frame reader with
     | Protocol.Eof -> close ()
-    | exception (Sys_error _ | Unix.Unix_error _ | End_of_file) -> close ()
+    | exception Unix.Unix_error _ -> close ()
     | Protocol.Oversized ->
         Telemetry.Metric.counter_incr t.m_protocol_errors;
         send

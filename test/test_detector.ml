@@ -472,6 +472,54 @@ let test_rule_no_barrier_races () =
   in
   Alcotest.(check bool) "missing barrier detected" true (Report.has_race r)
 
+(* [check]'s lines and a daemon reply's strings come from one
+   definition, pinned here for each error shape: both locations, each
+   race class, known and unknown instruction ids, address 0. *)
+let test_error_text () =
+  let race ?(same = false) cls loc (pk, pt, pi) (ck, ct, ci) =
+    Report.Race
+      {
+        Report.loc;
+        prev_tid = pt;
+        prev_kind = pk;
+        prev_insn = pi;
+        cur_tid = ct;
+        cur_kind = ck;
+        cur_insn = ci;
+        same_instruction = same;
+        cls;
+      }
+  in
+  List.iter
+    (fun (e, text) ->
+      Alcotest.(check string) text text (Report.error_to_string e);
+      Alcotest.(check string)
+        ("pp_error: " ^ text) text
+        (Format.asprintf "%a" Report.pp_error e))
+    [
+      ( race Report.Intra_warp (Gtrace.Loc.global 0x40) (Report.Write, 0, 3)
+          (Report.Write, 1, 5),
+        "intra-warp race on g:0x40: write by t0 (insn 3) vs write by t1 \
+         (insn 5)" );
+      ( race Report.Intra_block
+          (Gtrace.Loc.shared ~block:1 0x8)
+          (Report.Read, 32, -1) (Report.Write, 0, 7),
+        "intra-block race on s1:0x8: read by t32 vs write by t0 (insn 7)" );
+      ( race Report.Inter_block (Gtrace.Loc.global 0x1000)
+          (Report.Atomic_rmw, 64, 2) (Report.Read, 3, -1),
+        "inter-block race on g:0x1000: atomic by t64 (insn 2) vs read by t3" );
+      ( race ~same:true Report.Intra_warp
+          (Gtrace.Loc.shared ~block:0 0)
+          (Report.Write, 2, 4) (Report.Write, 5, 4),
+        "intra-warp race on s0:0: write by t2 (insn 4) vs write by t5 (insn \
+         4) (same instruction)" );
+      ( race Report.Inter_block (Gtrace.Loc.global 0) (Report.Read, 0, -1)
+          (Report.Atomic_rmw, 127, -1),
+        "inter-block race on g:0: read by t0 vs atomic by t127" );
+      ( Report.Barrier_divergence { warp = 3; insn = 9 },
+        "barrier divergence: warp 3 at insn 9" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "wc initial state" `Quick test_wc_initial_state;
@@ -498,3 +546,4 @@ let suite =
   ]
   @ List.map Gen.to_alcotest
       [ prop_detector_matches_reference; prop_detector_deterministic ]
+  @ [ Alcotest.test_case "one error text" `Quick test_error_text ]

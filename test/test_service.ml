@@ -432,19 +432,19 @@ let test_oversized_frame () =
       done;
       output_string oc "\n{\"cmd\":\"ping\"}\n";
       close_out oc;
-      let ic = open_in_bin file in
+      let fd = Unix.openfile file [ Unix.O_RDONLY ] 0 in
       Fun.protect
-        ~finally:(fun () -> close_in ic)
+        ~finally:(fun () -> Unix.close fd)
         (fun () ->
-          match P.read_frame ic with
+          match P.read_frame (P.reader fd) with
           | P.Oversized -> ()
           | P.Frame _ -> Alcotest.fail "oversized frame was accepted"
           | P.Eof -> Alcotest.fail "oversized frame read as EOF");
-      let ic = open_in_bin "/dev/null" in
+      let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
       Fun.protect
-        ~finally:(fun () -> close_in ic)
+        ~finally:(fun () -> Unix.close fd)
         (fun () ->
-          match P.read_frame ic with
+          match P.read_frame (P.reader fd) with
           | P.Eof -> ()
           | _ -> Alcotest.fail "empty input should read as EOF"))
 
@@ -463,7 +463,7 @@ let test_oversized_frame_daemon () =
                remaining := !remaining - Unix.write fd chunk 0 n
              done
            with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
-          (match P.read_frame (Unix.in_channel_of_descr fd) with
+          (match P.read_frame (P.reader fd) with
           | P.Frame line -> (
               match P.decode_response line with
               | Ok (P.Error _) -> ()
@@ -477,6 +477,91 @@ let test_oversized_frame_daemon () =
       Alcotest.(check bool)
         "daemon still responsive" true
         (Service.Client.ping ~socket))
+
+(* [bytes] written into one end of a socketpair by a thread of its own,
+   in pieces of the (cyclic) [sizes], then that end closed: what the
+   other end's reader returns, up to and including its [Eof] or
+   [Oversized]. *)
+let frames_through_socketpair ~sizes bytes =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let writer =
+    Thread.create
+      (fun () ->
+        (try
+           let pos = ref 0 and i = ref 0 in
+           while !pos < String.length bytes do
+             let n =
+               min
+                 sizes.(!i mod Array.length sizes)
+                 (String.length bytes - !pos)
+             in
+             pos := !pos + Unix.write_substring a bytes !pos n;
+             incr i
+           done
+         with Unix.Unix_error _ -> ());
+        Unix.close a)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close b;
+      Thread.join writer)
+    (fun () ->
+      let r = P.reader b in
+      let rec go acc =
+        match P.read_frame r with
+        | P.Frame _ as f -> go (f :: acc)
+        | (P.Eof | P.Oversized) as f -> List.rev (f :: acc)
+      in
+      go [])
+
+let gen_framed =
+  G.(
+    let byte = map (fun c -> if c = '\n' then ' ' else c) char in
+    let* frames =
+      list_size (int_range 0 8) (string_size ~gen:byte (int_range 0 8192))
+    in
+    let* tail = opt (string_size ~gen:byte (int_range 1 8192)) in
+    let* sizes =
+      array_size (int_range 1 4) (oneof [ int_range 1 16; int_range 1 16384 ])
+    in
+    return (frames, tail, sizes))
+
+let print_framed (frames, tail, sizes) =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  Printf.sprintf "frames of [%s] bytes, tail %s, writes of [%s] bytes"
+    (ints (List.map String.length frames))
+    (match tail with
+    | Some t -> string_of_int (String.length t)
+    | None -> "none")
+    (ints (Array.to_list sizes))
+
+(* Frames written back to back in any cut read back whole and in
+   order, an unterminated tail included, then [Eof]. *)
+let prop_framing =
+  QCheck2.Test.make ~name:"frames survive any write sizes" ~count:100
+    ~print:print_framed gen_framed (fun (frames, tail, sizes) ->
+      let wire =
+        String.concat "" (List.map (fun f -> f ^ "\n") frames)
+        ^ Option.value ~default:"" tail
+      in
+      let expected = frames @ Option.to_list tail in
+      frames_through_socketpair ~sizes wire
+      = List.map (fun f -> P.Frame f) expected @ [ P.Eof ])
+
+(* The cap is inclusive: a line of exactly [max_frame_bytes] bytes is a
+   frame, and the frame behind it is read intact. *)
+let test_frame_at_cap () =
+  let line = String.make P.max_frame_bytes 'a' in
+  match
+    frames_through_socketpair ~sizes:[| 65536 |]
+      (line ^ "\n{\"cmd\":\"ping\"}\n")
+  with
+  | [ P.Frame l; P.Frame ping; P.Eof ] ->
+      Alcotest.(check int) "the whole line" P.max_frame_bytes (String.length l);
+      Alcotest.(check bool) "its bytes" true (l = line);
+      Alcotest.(check string) "the next frame" "{\"cmd\":\"ping\"}" ping
+  | _ -> Alcotest.fail "a line at the cap did not read as one frame"
 
 (* ---- artifact cache ---------------------------------------------- *)
 
@@ -1358,10 +1443,10 @@ let on_own_connection_raw socket f =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.connect fd (Unix.ADDR_UNIX socket);
-      let ic = Unix.in_channel_of_descr fd in
+      let reader = P.reader fd in
       f (fun line ->
           P.write_frame fd line;
-          match P.read_frame ic with
+          match P.read_frame reader with
           | P.Frame line -> (
               match P.decode_response line with
               | Ok r -> r
@@ -1704,3 +1789,7 @@ let suite =
   ]
   @ List.map Gen.to_alcotest
       [ prop_request_roundtrip; prop_response_roundtrip; prop_mutated_frames ]
+  @ [
+      Alcotest.test_case "frame at the cap" `Quick test_frame_at_cap;
+      Gen.to_alcotest prop_framing;
+    ]

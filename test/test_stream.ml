@@ -558,6 +558,31 @@ let test_streamed_cells_no_alloc () =
     true
     (Float.abs (large -. small) <= 64.)
 
+(* Reassembly holds four cells whatever the chunk: feeding one 1 MB
+   chunk of empty cells puts nothing on the major heap, where a buffer
+   grown to fit the chunk takes ~131k words (and stays on the
+   session). *)
+let test_feed_buffer_bounded () =
+  let cell = Stream.cell_size ~nvalues:0 in
+  let n = (1 lsl 20) / cell in
+  let chunk = String.make (n * cell) '\000' in
+  let r = Stream.reader () in
+  let cells = ref 0 in
+  let major () =
+    let _, _, words = Gc.counters () in
+    words
+  in
+  let before = major () in
+  let delivered = Stream.feed r chunk (fun _ ~pos:_ -> incr cells) in
+  let after = major () in
+  Alcotest.(check int) "every cell delivered" n delivered;
+  Alcotest.(check int) "one callback per cell" n !cells;
+  Alcotest.(check int) "nothing pending" 0 (Stream.pending r);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major-heap words" (after -. before))
+    true
+    (after -. before < 1024.)
+
 let suite =
   [
     Gen.to_alcotest prop_chunk_invariance;
@@ -585,4 +610,6 @@ let suite =
     Alcotest.test_case "stop zeroes every scheduler gauge" `Quick
       test_stop_zeroes_all_gauges;
     Gen.to_alcotest prop_mutated_stream_files;
+    Alcotest.test_case "a 1 MB chunk leaves the buffer at four cells" `Quick
+      test_feed_buffer_bounded;
   ]
