@@ -1029,6 +1029,14 @@ let serve_cmd =
         tenant_quotas;
       }
     in
+    (* SIGINT and SIGTERM stop the daemon.  A handler would run only at
+       a poll point of a running domain, and an idle daemon has none
+       (this thread in [wait], the accept domain in [accept], the
+       workers parked), so the two are blocked before the daemon
+       spawns its domains and threads, which inherit the mask, and one
+       thread takes them with [sigwait]. *)
+    let stop_signals = [ Sys.sigint; Sys.sigterm ] in
+    ignore (Thread.sigmask Unix.SIG_BLOCK stop_signals);
     let t = Service.Server.start ~config () in
     (* The background campaign composes in here — the server cannot
        depend on the campaign layer — running as the lowest-priority
@@ -1060,11 +1068,12 @@ let serve_cmd =
                   Some (Campaign.Daemon.status d));
               Some d)
     in
-    let stop_signal _ = Service.Server.request_stop t in
-    (try
-       Sys.set_signal Sys.sigint (Sys.Signal_handle stop_signal);
-       Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_signal)
-     with Invalid_argument _ | Sys_error _ -> ());
+    ignore
+      (Thread.create
+         (fun () ->
+           ignore (Thread.wait_signal stop_signals);
+           Service.Server.request_stop t)
+         ());
     if job_shards > 1 then
       Format.printf
         "barracuda service listening on %s (%d job seats x %d shards from a \

@@ -524,15 +524,19 @@ let max_frame_bytes = 16 * 1024 * 1024
    (e.g. a killed submit client whose job later completes).  Without
    this, the kernel delivers SIGPIPE — whose default disposition kills
    the whole process — before [Unix.write] can return [EPIPE], so no
-   exception handler ever runs.  Latched once, forced on every write,
-   covering the daemon and the one-shot client binaries alike. *)
-let sigpipe_ignored =
-  lazy
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ | Sys_error _ -> ())
+   exception handler ever runs.  Latched on the first write, covering
+   the daemon and the one-shot client binaries alike.  A flag, not a
+   [Lazy]: the daemon's workers write from several domains, and a
+   [Lazy.force] racing another raises [Lazy.Undefined]; setting the
+   disposition twice is harmless. *)
+let sigpipe_ignored = Atomic.make false
 
 let write_frame fd line =
-  Lazy.force sigpipe_ignored;
+  if not (Atomic.get sigpipe_ignored) then begin
+    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+     with Invalid_argument _ | Sys_error _ -> ());
+    Atomic.set sigpipe_ignored true
+  end;
   let len = String.length line + 1 in
   let payload = Bytes.create len in
   Bytes.blit_string line 0 payload 0 (len - 1);

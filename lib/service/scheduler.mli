@@ -135,8 +135,10 @@ val submit :
     ["tenant_quota"], retry hint = time until a token accrues);
     otherwise from a worker domain with the job's [Result] or [Failed]
     (timings filled in), or [Failed {code = "quarantined"}] if the job
-    kept crashing its worker.  Exceptions from [reply] are swallowed: a
-    client that hung up cannot hurt the worker. *)
+    kept crashing its worker.  A worker calls [reply] outside the
+    scheduler's lock (the daemon's [reply] writes the frame to the
+    client there).  Exceptions from [reply] are swallowed: a client
+    that hung up cannot hurt the worker. *)
 
 val depth : t -> int
 (** Jobs waiting across every tenant queue. *)

@@ -27,6 +27,12 @@ let default_config =
    connection, is dropped. *)
 let read_timeout_s = 30.0
 
+(* A write to a client waits at most this long for room ([SO_SNDTIMEO]
+   on every connection).  A reply frame fits the socket buffer unless
+   the client has left earlier replies unread, so a worker writing a
+   job's reply never waits longer on a client that stopped reading. *)
+let write_bound_s = 1.0
+
 (* [workers] is the total domain budget.  With intra-job sharding each
    job seat drives [job_shards] detector domains, so the scheduler gets
    [workers / job_shards] seats (at least one): the budget is split
@@ -71,6 +77,8 @@ type t = {
 }
 
 let socket_path t = t.config.socket_path
+let live_connections t =
+  Mutex.protect t.live_lock (fun () -> Hashtbl.length t.live)
 let set_campaign_hook t hook = t.campaign_hook <- hook
 let load t = Scheduler.depth t.sched + Scheduler.busy t.sched
 
@@ -132,25 +140,64 @@ let end_live_reads t =
   Mutex.protect t.live_lock (fun () ->
       Hashtbl.iter (fun fd () -> end_reads fd) t.live)
 
-(* Queue a job and block the connection's thread until it is answered:
-   by a worker with its result, or at once by the scheduler with a
-   rejection. *)
-let job_reply t sub =
-  let m = Mutex.create () and answered = Condition.create () in
-  let reply = ref None in
-  Scheduler.submit t.sched sub ~reply:(fun resp ->
-      Mutex.protect m (fun () ->
-          reply := Some resp;
-          Condition.signal answered));
-  Mutex.protect m (fun () ->
-      let rec wait () =
-        match !reply with
-        | Some resp -> resp
-        | None ->
-            Condition.wait answered m;
-            wait ()
-      in
-      wait ())
+(* The write side of one client connection.  Its thread writes every
+   frame but a job's reply, which whoever settles the job writes
+   ([reply]: the worker, or the thread itself when the scheduler
+   rejects the job at once).  The thread marks a reply [owe]d when it
+   submits, and the reply's writer clears the mark once the frame is
+   out; the thread waits for that ([settled]) before it writes another
+   frame, submits another job or closes the descriptor, so replies
+   leave in request order and no reply is ever written to a closed
+   descriptor.  [broken] records a failed write. *)
+module Conn = struct
+  type t = {
+    fd : Unix.file_descr;
+    lock : Mutex.t;
+    written : Condition.t;
+    mutable inflight : bool;
+    mutable broken : bool;
+  }
+
+  let create fd =
+    (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO write_bound_s
+     with Unix.Unix_error _ | Invalid_argument _ -> ());
+    {
+      fd;
+      lock = Mutex.create ();
+      written = Condition.create ();
+      inflight = false;
+      broken = false;
+    }
+
+  (* One frame, encoded by [frame] and written within [write_bound_s].
+     Any exception, from the encoding or the write, is a failed write:
+     it shuts the connection down both ways, so the thread's next read
+     sees end of file; [false] then. *)
+  let send c frame =
+    match Protocol.write_frame c.fd (frame ()) with
+    | () -> true
+    | exception _ ->
+        (try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+        false
+
+  let owe c = Mutex.protect c.lock (fun () -> c.inflight <- true)
+  let owed c = Mutex.protect c.lock (fun () -> c.inflight)
+
+  (* [send] never raises, so the mark is always cleared. *)
+  let reply c frame =
+    let ok = send c frame in
+    Mutex.protect c.lock (fun () ->
+        c.inflight <- false;
+        if not ok then c.broken <- true;
+        Condition.signal c.written)
+
+  let settled c =
+    Mutex.protect c.lock (fun () ->
+        while c.inflight do
+          Condition.wait c.written c.lock
+        done;
+        not c.broken)
+end
 
 (* A session's verdict (flush or close).  The counts its integrity
    gained since its previous verdict join the daemon's total, so status
@@ -182,17 +229,21 @@ let stream_verdict t s ~sid (p : Gpu_runtime.Session.progress) =
     }
 
 (* One client connection, on its own thread, carrying any number of
-   requests, each answered in order.  The thread owns the connection's
-   frame reader; replies go straight to the descriptor, a job's result
-   included: the thread waits for it.  Every exit path closes the
-   descriptor exactly once.  Streaming sessions opened on the
-   connection live in a connection-local table and are aborted (seat
-   released) on any exit, so a client hang-up cannot leak a seat. *)
+   requests, each answered in order.  The thread owns the descriptor
+   and its frame reader, and sleeps in [read_frame] between requests:
+   a submitted job is queued with a [reply] that writes its answer, and
+   the thread goes back to reading.  Before it acts on the next frame,
+   or closes, it waits for that reply to be out.  Every exit path
+   closes the descriptor exactly once.  Streaming sessions opened on
+   the connection live in a connection-local table and are aborted
+   (seat released) on any exit, so a client hang-up cannot leak a
+   seat. *)
 let handle_connection t fd =
   Telemetry.Metric.counter_incr t.m_connections;
   register t fd;
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO read_timeout_s
    with Unix.Unix_error _ | Invalid_argument _ -> ());
+  let c = Conn.create fd in
   let reader = Protocol.reader fd in
   let sessions : (int, session) Hashtbl.t = Hashtbl.create 4 in
   let drop_session sid s =
@@ -213,14 +264,16 @@ let handle_connection t fd =
   let close () =
     if not !closed then begin
       closed := true;
+      ignore (Conn.settled c);
       abort_sessions ();
       unregister t fd;
       try Unix.close fd with Unix.Unix_error _ -> ()
     end
   in
+  (* The thread's own frames; no reply is in flight when it sends. *)
   let send resp =
-    try Protocol.write_frame fd (Protocol.encode_response resp)
-    with Unix.Unix_error _ -> close ()
+    if not (Conn.send c (fun () -> Protocol.encode_response resp)) then
+      close ()
   in
   (* A command on an open session: run [f] on the session's seat and
      pass its result to [k].  An unknown id ends the exchange; so does
@@ -243,9 +296,20 @@ let handle_connection t fd =
     (* [send] closes the descriptor on a failed write; never read after
        that — the fd number may already belong to a newer connection. *)
     let continue () = if !closed then () else loop () in
+    let owed = Conn.owed c in
     match Protocol.read_frame reader with
     | Protocol.Eof -> close ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+      when owed && Conn.settled c ->
+        (* The read timed out while the last job ran: the client was
+           waiting for its reply, not idle, so the idle time counts
+           from the reply. *)
+        loop ()
     | exception Unix.Unix_error _ -> close ()
+    | _ when not (Conn.settled c) ->
+        (* The last reply's write failed: the client stopped reading,
+           and the connection is shut down. *)
+        close ()
     | Protocol.Oversized ->
         Telemetry.Metric.counter_incr t.m_protocol_errors;
         send
@@ -326,8 +390,10 @@ let handle_connection t fd =
                 send (stream_verdict t s ~sid p);
                 continue ())
         | Ok (Protocol.Submit sub) ->
-            send (job_reply t sub);
-            continue ())
+            Conn.owe c;
+            Scheduler.submit t.sched sub ~reply:(fun resp ->
+                Conn.reply c (fun () -> Protocol.encode_response resp));
+            loop ())
   in
   try loop () with _ -> close ()
 

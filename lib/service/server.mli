@@ -7,10 +7,27 @@
     Concurrency shape: one accept domain; each accepted connection is
     read on a lightweight thread of that domain (so a slow or silent
     client never blocks other clients).  A connection carries any
-    number of requests, each answered in order by its thread, which
-    waits for a submitted job's result and writes it itself, so the
-    thread owns its descriptor on every path.  A connection that sends
-    nothing for 30 s is dropped.
+    number of requests, each answered in order.  Its thread writes
+    every reply but a job's: the worker that settles a job encodes and
+    writes that reply itself, and the thread, which queued the job and
+    went back to reading, sleeps only in its read between requests.
+    Three rules keep this safe:
+    - {b order}: before the thread writes another frame, submits
+      another job or closes the connection, it waits until the reply
+      in flight is written;
+    - {b descriptor}: only the thread closes the descriptor, and only
+      once no reply is in flight, so a worker never writes to a
+      descriptor number that may have been reused;
+    - {b write bound}: a write waits at most {!write_bound_s} for the
+      client to make room.  A write that fails or times out shuts the
+      connection down, and the thread, reading end of file, closes it.
+      One reply fits the socket buffer unless the client left earlier
+      replies unread, so a client cannot hold a worker longer.
+
+    A connection that sends nothing for 30 s is dropped; while one of
+    its jobs runs, the 30 s count from that job's reply.  A reply still
+    in flight at a stop or a hang-up is written (or fails on the dead
+    socket) before the descriptor closes.
 
     Streaming sessions ([stream_open]/[append]/[flush]/[close]) are
     long-lived: the connection stays open for the session's lifetime,
@@ -64,6 +81,41 @@ val start : ?config:config -> unit -> t
     ([EADDRINUSE] when a live daemon holds the path). *)
 
 val socket_path : t -> string
+
+val write_bound_s : float
+(** How long one write to a client may wait for room ([SO_SNDTIMEO] on
+    every connection): 1 s. *)
+
+val live_connections : t -> int
+(** Client connections open right now; [0] once {!wait} has
+    returned. *)
+
+(** The write side of one connection, which keeps the rules above;
+    exposed so they can be tested on a socketpair. *)
+module Conn : sig
+  type t
+
+  val create : Unix.file_descr -> t
+  (** Sets [SO_SNDTIMEO] to {!write_bound_s} on the descriptor. *)
+
+  val send : t -> (unit -> string) -> bool
+  (** Encode a frame with the function and write it.  [false] when the
+      encoding or the write raised, whatever the exception: the
+      connection is then shut down both ways, so its reader sees end
+      of file. *)
+
+  val owe : t -> unit
+  (** A job was queued: its reply is owed. *)
+
+  val owed : t -> bool
+
+  val reply : t -> (unit -> string) -> unit
+  (** Write the owed reply as {!send} does, on any thread, then clear
+      the mark.  Never raises, so the mark is always cleared. *)
+
+  val settled : t -> bool
+  (** Wait until no reply is owed; [false] when a write has failed. *)
+end
 
 val request_stop : t -> unit
 (** Initiate shutdown: stop accepting connections, and end every idle

@@ -9,29 +9,52 @@ type t =
 
 (* ------------------------------ printing ------------------------ *)
 
+(* The end of the run of bytes from [i] that a JSON string carries as
+   themselves: the first quote, backslash or control byte, or [n]. *)
+let rec plain_end s i n =
+  if i = n then n
+  else
+    match String.unsafe_get s i with
+    | '"' | '\\' | '\000' .. '\031' -> i
+    | _ -> plain_end s (i + 1) n
+
+let hex_digit d = "0123456789abcdef".[d]
+
+(* [s] quoted: each run of plain bytes is copied whole, and each other
+   byte is replaced by its escape. *)
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let rec go i =
+    let j = plain_end s i n in
+    Buffer.add_substring buf s i (j - i);
+    if j < n then begin
+      (match s.[j] with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf (hex_digit (Char.code c lsr 4));
+          Buffer.add_char buf (hex_digit (Char.code c land 15)));
+      go (j + 1)
+    end
+  in
+  go 0;
   Buffer.add_char buf '"'
 
+(* The C formatter [Printf]'s [%.1f] and [%.17g] end in, without
+   interpreting a format on every call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
+  if Float.is_integer f && Float.abs f < 1e15 then format_float "%.1f" f
+  else format_float "%.17g" f
 
 let to_string ?(minify = false) t =
-  let buf = Buffer.create 256 in
+  let buf = Buffer.create 1024 in
   let nl indent =
     if not minify then begin
       Buffer.add_char buf '\n';
@@ -76,6 +99,14 @@ let to_string ?(minify = false) t =
 
 exception Parse_error of int * string
 
+(* The first quote or backslash at or after [i] in [s], or [n]. *)
+let rec string_end s i n =
+  if i = n then n
+  else
+    match String.unsafe_get s i with
+    | '"' | '\\' -> i
+    | _ -> string_end s (i + 1) n
+
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
@@ -103,55 +134,65 @@ let of_string s =
     end
     else fail ("expected " ^ word)
   in
+  (* The escape after a backslash, at [!pos], onto [buf]. *)
+  let unescape buf =
+    if !pos >= n then fail "unterminated escape";
+    match s.[!pos] with
+    | '"' -> Buffer.add_char buf '"'; advance ()
+    | '\\' -> Buffer.add_char buf '\\'; advance ()
+    | '/' -> Buffer.add_char buf '/'; advance ()
+    | 'n' -> Buffer.add_char buf '\n'; advance ()
+    | 'r' -> Buffer.add_char buf '\r'; advance ()
+    | 't' -> Buffer.add_char buf '\t'; advance ()
+    | 'b' -> Buffer.add_char buf '\b'; advance ()
+    | 'f' -> Buffer.add_char buf '\012'; advance ()
+    | 'u' ->
+        advance ();
+        if !pos + 4 > n then fail "truncated \\u escape";
+        let hex = String.sub s !pos 4 in
+        let code =
+          try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
+        in
+        pos := !pos + 4;
+        (* ASCII only in our own output; encode the rest as UTF-8 *)
+        if code < 0x80 then Buffer.add_char buf (Char.chr code)
+        else if code < 0x800 then begin
+          Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+        end
+        else begin
+          Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+          Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+        end
+    | c -> fail (Printf.sprintf "bad escape \\%c" c)
+  in
+  (* A string without an escape is one [String.sub]; one with escapes
+     is copied a run of plain bytes at a time. *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (if !pos >= n then fail "unterminated escape";
-           match s.[!pos] with
-           | '"' -> Buffer.add_char buf '"'; advance ()
-           | '\\' -> Buffer.add_char buf '\\'; advance ()
-           | '/' -> Buffer.add_char buf '/'; advance ()
-           | 'n' -> Buffer.add_char buf '\n'; advance ()
-           | 'r' -> Buffer.add_char buf '\r'; advance ()
-           | 't' -> Buffer.add_char buf '\t'; advance ()
-           | 'b' -> Buffer.add_char buf '\b'; advance ()
-           | 'f' -> Buffer.add_char buf '\012'; advance ()
-           | 'u' ->
-               advance ();
-               if !pos + 4 > n then fail "truncated \\u escape";
-               let hex = String.sub s !pos 4 in
-               let code =
-                 try int_of_string ("0x" ^ hex)
-                 with _ -> fail "bad \\u escape"
-               in
-               pos := !pos + 4;
-               (* ASCII only in our own output; encode the rest as UTF-8 *)
-               if code < 0x80 then Buffer.add_char buf (Char.chr code)
-               else if code < 0x800 then begin
-                 Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                 Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-               end
-               else begin
-                 Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                 Buffer.add_char buf
-                   (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                 Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-               end
-           | c -> fail (Printf.sprintf "bad escape \\%c" c));
+    let stop = string_end s !pos n in
+    if stop < n && s.[stop] = '"' then begin
+      let v = String.sub s !pos (stop - !pos) in
+      pos := stop + 1;
+      v
+    end
+    else begin
+      let buf = Buffer.create (stop - !pos + 16) in
+      let rec go () =
+        let stop = string_end s !pos n in
+        Buffer.add_substring buf s !pos (stop - !pos);
+        pos := stop;
+        if !pos >= n then fail "unterminated string";
+        advance ();
+        if s.[stop] = '\\' then begin
+          unescape buf;
           go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
+        end
+      in
+      go ();
+      Buffer.contents buf
+    end
   in
   let parse_number () =
     let start = !pos in

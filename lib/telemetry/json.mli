@@ -16,12 +16,18 @@ type t =
   | Obj of (string * t) list
 
 val to_string : ?minify:bool -> t -> string
-(** [minify] defaults to [false]: two-space indented output. *)
+(** [minify] defaults to [false]: two-space indented output.  A string
+    is copied a run of plain bytes at a time; a quote, a backslash and
+    each byte below 0x20 are escaped ([\n], [\r], [\t], else
+    [\u00XX]), and every other byte is written as itself.  Floats print
+    as [%.1f] when integral and below 1e15 in magnitude, else as
+    [%.17g]. *)
 
 val of_string : string -> (t, string) result
 (** Parse error messages carry the byte offset.  A document nested
     deeper than 64 containers fails at the 65th bracket, so no input
-    can exhaust the stack (this project writes at most 4 levels). *)
+    can exhaust the stack (this project writes at most 4 levels).  A
+    string without escapes is read as one substring of the input. *)
 
 val member : string -> t -> t option
 (** Field lookup in an [Obj]; [None] otherwise. *)

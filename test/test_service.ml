@@ -1435,23 +1435,38 @@ let test_status_tenants_end_to_end () =
 
 (* ---- kept connections ------------------------------------------ *)
 
-(* A connection of its own, outside the client's kept ones: [f] gets an
-   exchange that sends one request and reads its reply. *)
-let on_own_connection_raw socket f =
+(* [f fd reader] on a connection of its own, outside the client's kept
+   ones. *)
+let with_raw_connection socket f =
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.connect fd (Unix.ADDR_UNIX socket);
-      let reader = P.reader fd in
+      f fd (P.reader fd))
+
+(* The next reply; [None] at end of file. *)
+let read_reply reader =
+  match P.read_frame reader with
+  | P.Frame line -> (
+      match P.decode_response line with
+      | Ok r -> Some r
+      | Result.Error e -> Alcotest.failf "undecodable reply: %s" e)
+  | P.Eof -> None
+  | P.Oversized -> Alcotest.fail "oversized reply"
+
+let next_reply reader =
+  match read_reply reader with
+  | Some r -> r
+  | None -> Alcotest.fail "end of file before a reply"
+
+(* A connection of its own: [f] gets an exchange that sends one
+   request and reads its reply. *)
+let on_own_connection_raw socket f =
+  with_raw_connection socket (fun fd reader ->
       f (fun line ->
           P.write_frame fd line;
-          match P.read_frame reader with
-          | P.Frame line -> (
-              match P.decode_response line with
-              | Ok r -> r
-              | Result.Error e -> Alcotest.failf "undecodable reply: %s" e)
-          | P.Eof | P.Oversized -> Alcotest.fail "no reply"))
+          next_reply reader))
 
 let on_own_connection socket f =
   on_own_connection_raw socket (fun ex ->
@@ -1735,6 +1750,229 @@ let test_submit_beside_session () =
               ("close", P.Stream_close { sid }, true);
             ]))
 
+(* ---- replies written by the worker ------------------------------ *)
+
+(* A check that runs for tens of milliseconds, so the frames sent
+   after it arrive while its reply is still owed. *)
+let slow_sub =
+  {
+    (P.submit_defaults ~kind:P.Check Example_ptx.stencil_race) with
+    P.layout = Some (16, 256, 32);
+  }
+
+(* A check whose reply carries 20 error lines, ~2 KB. *)
+let diff_value_sub () =
+  case_sub
+    (List.find
+       (fun (c : Case.t) -> c.Case.name = "ww_global_intra_warp_diff_value")
+       Bugsuite.Cases.all)
+
+(* [requests] as frames, in one write. *)
+let send_frames fd requests =
+  let b =
+    Bytes.of_string
+      (String.concat ""
+         (List.map (fun r -> P.encode_request r ^ "\n") requests))
+  in
+  let rec go off =
+    if off < Bytes.length b then
+      go (off + Unix.write fd b off (Bytes.length b - off))
+  in
+  go 0
+
+let job_of = function
+  | P.Result { job; _ } -> job
+  | r -> Alcotest.failf "expected a job result, got %s" (P.encode_response r)
+
+let rec poll_until ?(deadline = Unix.gettimeofday () +. 5.0) what cond =
+  if not (cond ()) then
+    if Unix.gettimeofday () > deadline then Alcotest.failf "timed out: %s" what
+    else begin
+      Thread.delay 0.002;
+      poll_until ~deadline what cond
+    end
+
+(* Submit, ping, status and submit in one write: answered in that
+   order, each job once.  The worker writes the first job's reply, and
+   the connection thread acts on the ping only once it is out, so the
+   status sees that job settled and the second not yet queued. *)
+let test_pipelined_order () =
+  with_server "pipelined" (fun socket _t ->
+      with_raw_connection socket (fun fd reader ->
+          send_frames fd
+            [
+              P.Submit slow_sub;
+              P.Ping;
+              P.Status;
+              P.Submit (P.submit_defaults ~kind:P.Check trivial_ptx);
+            ];
+          let first = next_reply reader in
+          (match next_reply reader with
+          | P.Pong -> ()
+          | r -> Alcotest.failf "second reply: %s" (P.encode_response r));
+          (match next_reply reader with
+          | P.Status_reply s ->
+              Alcotest.(check (pair int int))
+                "status: submitted, completed" (1, 1)
+                (s.P.jobs.submitted, s.P.jobs.completed)
+          | r -> Alcotest.failf "third reply: %s" (P.encode_response r));
+          let second = next_reply reader in
+          Alcotest.(check int) "the second job follows the first"
+            (job_of first + 1) (job_of second);
+          Alcotest.(check (pair string string))
+            "verdicts" ("racy", "race_free")
+            ( P.verdict_string (outcome_of first).P.verdict,
+              P.verdict_string (outcome_of second).P.verdict );
+          send_frames fd [ P.Ping ];
+          match next_reply reader with
+          | P.Pong -> ()
+          | r ->
+              Alcotest.failf "a reply answered twice: %s" (P.encode_response r)))
+
+(* [f t socket] on a daemon of its own, stopped however [f] ends (a
+   second stop returns at once). *)
+let with_daemon name f =
+  let config = fresh_config name in
+  let t = Service.Server.start ~config () in
+  Fun.protect
+    ~finally:(fun () -> Service.Server.stop t)
+    (fun () -> f t config.Service.Server.socket_path)
+
+(* A client that hangs up while its job runs costs nobody else: the
+   daemon answers the next client, settles the orphaned job, and stops
+   in time with no connection left open. *)
+let test_hangup_while_job_runs () =
+  with_daemon "hangup" @@ fun t socket ->
+  with_raw_connection socket (fun fd _ ->
+      send_frames fd [ P.Submit slow_sub ]);
+  (match
+     submit_verdict ~socket (P.submit_defaults ~kind:P.Check trivial_ptx)
+   with
+  | Ok o ->
+      Alcotest.(check bool) "the next client is answered" true
+        (o.P.verdict = P.Race_free)
+  | Result.Error e -> Alcotest.failf "next client: %s" e);
+  if not (stops_in_time t) then Alcotest.fail "daemon did not stop within 2 s";
+  Alcotest.(check int) "no live connection after stop" 0
+    (Service.Server.live_connections t);
+  Alcotest.(check int) "both jobs settled" 2
+    (Service.Server.status t).P.jobs.completed
+
+(* A stop while a job runs: the job's reply is in the client's socket
+   and the connection has ended by the time the stop returns. *)
+let test_stop_with_job_in_flight () =
+  with_daemon "stop-inflight" @@ fun t socket ->
+  with_raw_connection socket (fun fd reader ->
+      send_frames fd [ P.Submit slow_sub ];
+      poll_until "the job queued" (fun () ->
+          (Service.Server.status t).P.jobs.submitted = 1);
+      if not (stops_in_time t) then
+        Alcotest.fail "daemon did not stop within 2 s";
+      (* nothing left to wait for: a read that would block fails *)
+      Unix.set_nonblock fd;
+      ignore (job_of (next_reply reader));
+      if read_reply reader <> None then
+        Alcotest.fail "a frame after the job's reply";
+      Alcotest.(check int) "no live connection after stop" 0
+        (Service.Server.live_connections t))
+
+(* A write to a client that has stopped reading gives up within the
+   bound: fill a socketpair until a write would block. *)
+let test_write_bound () =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ a; b ])
+    (fun () ->
+      Unix.setsockopt_float a Unix.SO_SNDTIMEO Service.Server.write_bound_s;
+      let frame = String.make 2000 'x' in
+      let rec fill n =
+        let t0 = Unix.gettimeofday () in
+        match P.write_frame a frame with
+        | () -> fill (n + 1)
+        | exception Unix.Unix_error (e, _, _) ->
+            (n, e, Unix.gettimeofday () -. t0)
+      in
+      let n, e, waited = fill 0 in
+      Alcotest.(check bool) "frames fit before the buffer filled" true (n > 0);
+      Alcotest.(check string)
+        "the write fails" (Unix.error_message Unix.EAGAIN)
+        (Unix.error_message e);
+      if waited < 0.5 *. Service.Server.write_bound_s
+         || waited > Service.Server.write_bound_s +. 1.0
+      then Alcotest.failf "the last write waited %.2f s" waited)
+
+(* A client that pipelines submissions and reads none of the replies:
+   once the socket buffer is full (~49 of these 2 KB replies at Linux's
+   default buffer size), the worker's write gives up within the bound,
+   and the daemon shuts the connection down instead of running the
+   rest. *)
+let test_unread_replies_end_connection () =
+  with_daemon "unread" @@ fun t socket ->
+  let frames = 120 and sub = diff_value_sub () in
+  let answered =
+    with_raw_connection socket (fun fd reader ->
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+        send_frames fd (List.init frames (fun _ -> P.Submit sub));
+        poll_until "the first job queued" (fun () ->
+            (Service.Server.status t).P.jobs.submitted >= 1);
+        poll_until "the daemon closed the connection" (fun () ->
+            Service.Server.live_connections t = 0);
+        (* The connection ends at end of file, or at a reset: the
+           daemon closed it with requests unread. *)
+        let rec drain n =
+          match read_reply reader with
+          | None | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> n
+          | Some r ->
+              Alcotest.(check int) "replies in order" (n + 1) (job_of r);
+              drain (n + 1)
+        in
+        drain 0)
+  in
+  Alcotest.(check bool) "the daemon answers the next client" true
+    (Service.Client.ping ~socket);
+  if not (stops_in_time t) then Alcotest.fail "daemon did not stop within 2 s";
+  if answered >= frames then Alcotest.fail "every reply was written";
+  Alcotest.(check int) "the jobs after the failed write never ran"
+    (answered + 1) (Service.Server.status t).P.jobs.submitted
+
+(* A reply whose encoding raises, whatever the exception, is a failed
+   write: the owed mark clears, so the connection thread's wait ends,
+   and the connection is shut down, so its reader sees end of file. *)
+let test_raising_reply_ends_connection () =
+  let module C = Service.Server.Conn in
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ a; b ])
+    (fun () ->
+      let c = C.create a and peer = P.reader b in
+      C.owe c;
+      let worker = Domain.spawn (fun () -> C.reply c (fun () -> "first")) in
+      Alcotest.(check bool) "a written reply settles" true (C.settled c);
+      Domain.join worker;
+      Alcotest.(check bool) "the peer reads it" true
+        (P.read_frame peer = P.Frame "first");
+      C.owe c;
+      (match
+         Domain.join
+           (Domain.spawn (fun () ->
+                C.reply c (fun () -> raise Lazy.Undefined)))
+       with
+      | () -> ()
+      | exception e -> Alcotest.failf "the reply raised %s" (Printexc.to_string e));
+      Alcotest.(check bool) "nothing is owed" false (C.owed c);
+      Alcotest.(check bool) "a raising reply settles as failed" false
+        (C.settled c);
+      Alcotest.(check bool) "the peer reads end of file" true
+        (P.read_frame peer = P.Eof);
+      Alcotest.(check bool) "a raising frame of the thread's own fails" false
+        (C.send c (fun () -> raise Exit)))
+
 let suite =
   [
     Alcotest.test_case "protocol roundtrip" `Quick test_protocol_roundtrip;
@@ -1792,4 +2030,16 @@ let suite =
   @ [
       Alcotest.test_case "frame at the cap" `Quick test_frame_at_cap;
       Gen.to_alcotest prop_framing;
+      Alcotest.test_case "pipelined frames answered in order" `Quick
+        test_pipelined_order;
+      Alcotest.test_case "client hangs up while its job runs" `Quick
+        test_hangup_while_job_runs;
+      Alcotest.test_case "stop with a job in flight" `Quick
+        test_stop_with_job_in_flight;
+      Alcotest.test_case "a write waits at most the bound" `Quick
+        test_write_bound;
+      Alcotest.test_case "unread replies end the connection" `Quick
+        test_unread_replies_end_connection;
+      Alcotest.test_case "a raising reply ends the connection" `Quick
+        test_raising_reply_ends_connection;
     ]

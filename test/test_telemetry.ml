@@ -455,6 +455,221 @@ let test_profile_rows_sum () =
            (fun acc r -> if r.nested then acc else acc +. r.share)
            0.0 rows))
 
+(* ------------------------------------------------------------------ *)
+(* The JSON codec against its previous encoder                         *)
+
+module J = Telemetry.Json
+
+(* The encoder as it was when it escaped a byte at a time through a
+   closure and formatted floats with [Printf]: the in-place encoder must
+   write the same bytes for every value. *)
+module Reference_printer = struct
+  let escape buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+
+  let float_repr f =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+    else Printf.sprintf "%.17g" f
+
+  let to_string ?(minify = false) t =
+    let buf = Buffer.create 256 in
+    let nl indent =
+      if not minify then begin
+        Buffer.add_char buf '\n';
+        Buffer.add_string buf (String.make indent ' ')
+      end
+    in
+    let rec go indent = function
+      | J.Null -> Buffer.add_string buf "null"
+      | J.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+      | J.Int i -> Buffer.add_string buf (string_of_int i)
+      | J.Float f -> Buffer.add_string buf (float_repr f)
+      | J.Str s -> escape buf s
+      | J.List [] -> Buffer.add_string buf "[]"
+      | J.List xs ->
+          Buffer.add_char buf '[';
+          List.iteri
+            (fun i x ->
+              if i > 0 then Buffer.add_char buf ',';
+              nl (indent + 2);
+              go (indent + 2) x)
+            xs;
+          nl indent;
+          Buffer.add_char buf ']'
+      | J.Obj [] -> Buffer.add_string buf "{}"
+      | J.Obj fields ->
+          Buffer.add_char buf '{';
+          List.iteri
+            (fun i (k, v) ->
+              if i > 0 then Buffer.add_char buf ',';
+              nl (indent + 2);
+              escape buf k;
+              Buffer.add_string buf (if minify then ":" else ": ");
+              go (indent + 2) v)
+            fields;
+          nl indent;
+          Buffer.add_char buf '}'
+    in
+    go 0 t;
+    Buffer.contents buf
+end
+
+module G = QCheck2.Gen
+
+(* strings over all 256 byte values, runs of plain bytes included *)
+let gen_json_string =
+  G.oneof
+    [
+      G.string_size ~gen:G.char (G.int_range 0 40);
+      G.string_size ~gen:G.printable (G.int_range 0 200);
+    ]
+
+let gen_json_int =
+  G.oneof [ G.int; G.small_signed_int; G.oneofl [ min_int; max_int; 0; -1 ] ]
+
+(* finite floats: integers (printed "%.1f" below 1e15), ±0.0, values
+   around the 1e15 switch to "%.17g", and the whole range *)
+let gen_json_float =
+  G.oneof
+    [
+      G.map float_of_int (G.int_range (-100_000) 100_000);
+      G.oneofl
+        [ 0.0; -0.0; 1e15; -1e15; 1e15 -. 1.0; 1e15 +. 2.0; 999999999999999.5 ];
+      G.float_range (-2e15) 2e15;
+      G.map (fun n -> float_of_int n /. 64.0) G.int;
+      G.float_range (-1e300) 1e300;
+    ]
+
+let gen_json_leaf =
+  G.oneof
+    [
+      G.return J.Null;
+      G.map (fun b -> J.Bool b) G.bool;
+      G.map (fun i -> J.Int i) gen_json_int;
+      G.map (fun f -> J.Float f) gen_json_float;
+      G.map (fun s -> J.Str s) gen_json_string;
+    ]
+
+(* Containers nested at most [depth] deep. *)
+let rec gen_json_tree depth =
+  if depth = 0 then gen_json_leaf
+  else
+    let sub = gen_json_tree (depth - 1) in
+    G.frequency
+      [
+        (3, gen_json_leaf);
+        (1, G.map (fun l -> J.List l) (G.list_size (G.int_range 0 3) sub));
+        ( 1,
+          G.map
+            (fun l -> J.Obj l)
+            (G.list_size (G.int_range 0 3) (G.pair gen_json_string sub)) );
+      ]
+
+(* A small tree under a spine of [k] containers, each with leaf
+   siblings, so the nesting reaches the parser's limit of 64. *)
+let gen_json =
+  let wrap v =
+    G.(
+      map2
+        (fun (before, after) as_list ->
+          if as_list then J.List (before @ (v :: after))
+          else
+            J.Obj
+              (List.mapi (fun i x -> (string_of_int i, x)) before
+              @ (("spine", v) :: List.map (fun x -> ("after", x)) after)))
+        (pair
+           (list_size (int_range 0 2) gen_json_leaf)
+           (list_size (int_range 0 2) gen_json_leaf))
+        bool)
+  in
+  let rec spine k v = if k = 0 then G.return v else G.bind (wrap v) (spine (k - 1)) in
+  G.(
+    oneof
+      [
+        gen_json_tree 4;
+        bind (int_range 0 60) (fun k -> bind (gen_json_tree 4) (spine k));
+        bind gen_json_leaf (spine 64);
+      ])
+
+(* The value a document reads back as: a float whose text has no
+   fraction or exponent (an integer at or above 1e15) reads as [Int]. *)
+let rec as_read = function
+  | J.Float f ->
+      let text = Reference_printer.float_repr f in
+      if String.exists (fun c -> c = '.' || c = 'e') text then J.Float f
+      else J.Int (int_of_string text)
+  | J.List l -> J.List (List.map as_read l)
+  | J.Obj fields -> J.Obj (List.map (fun (k, v) -> (k, as_read v)) fields)
+  | v -> v
+
+let prop_json_encoder_bytes =
+  QCheck2.Test.make ~name:"JSON encodes as the previous encoder did"
+    ~count:1000 ~print:(J.to_string ~minify:true) gen_json (fun v ->
+      J.to_string ~minify:true v = Reference_printer.to_string ~minify:true v
+      && J.to_string v = Reference_printer.to_string v)
+
+let prop_json_roundtrip =
+  QCheck2.Test.make ~name:"JSON decodes what it encodes" ~count:1000
+    ~print:(J.to_string ~minify:true) gen_json (fun v ->
+      let expect = Ok (as_read v) in
+      J.of_string (J.to_string ~minify:true v) = expect
+      && J.of_string (J.to_string v) = expect)
+
+(* Every way a document can fail, with the offset and message the
+   decoder gave before strings were read a run at a time. *)
+let test_json_parse_errors () =
+  List.iter
+    (fun (doc, expect) ->
+      let got =
+        match J.of_string doc with Ok _ -> "accepted" | Error e -> e
+      in
+      Alcotest.(check string) (String.escaped doc) expect got)
+    [
+      ("", "JSON parse error at byte 0: unexpected end of input");
+      ("   ", "JSON parse error at byte 3: unexpected end of input");
+      ({|{"a": }|}, "JSON parse error at byte 6: unexpected character }");
+      ("[1,2", "JSON parse error at byte 4: expected , or ]");
+      ({|{"a":1|}, "JSON parse error at byte 6: expected , or }");
+      ({|{"a" 1}|}, "JSON parse error at byte 5: expected :");
+      ("{1:2}", {|JSON parse error at byte 1: expected "|});
+      ({|"abc|}, "JSON parse error at byte 4: unterminated string");
+      ({|"ab\|}, "JSON parse error at byte 4: unterminated escape");
+      ({|"\u12"|}, {|JSON parse error at byte 3: truncated \u escape|});
+      ({|"\u12zz"|}, {|JSON parse error at byte 3: bad \u escape|});
+      ({|"\q"|}, {|JSON parse error at byte 2: bad escape \q|});
+      ("tru", "JSON parse error at byte 0: expected true");
+      ("nul", "JSON parse error at byte 0: expected null");
+      ("fals", "JSON parse error at byte 0: expected false");
+      ("-", "JSON parse error at byte 1: bad number -");
+      ("1.2.3", "JSON parse error at byte 5: bad number 1.2.3");
+      ("[1] x", "JSON parse error at byte 4: trailing garbage");
+      ("@", "JSON parse error at byte 0: unexpected character @");
+      ({|"a\"b|}, "JSON parse error at byte 5: unterminated string");
+      ({|"abc\n|}, "JSON parse error at byte 6: unterminated string");
+      ({|{"k":"v",}|}, {|JSON parse error at byte 9: expected "|});
+      ("1e", "JSON parse error at byte 2: bad number 1e");
+      ({|"\u|}, {|JSON parse error at byte 3: truncated \u escape|});
+      ({|["x", "y\t\z"]|}, {|JSON parse error at byte 11: bad escape \z|});
+      ("[1 2]", "JSON parse error at byte 3: expected , or ]");
+      ({|{"a":1 "b":2}|}, "JSON parse error at byte 7: expected , or }");
+      ("\"tab\tin\"x", "JSON parse error at byte 8: trailing garbage");
+      ( String.make 65 '[',
+        "JSON parse error at byte 64: nesting deeper than 64" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "counter/gauge semantics" `Quick test_counter_gauge;
@@ -481,3 +696,8 @@ let suite =
     Alcotest.test_case "profile rows add up to wall" `Quick
       test_profile_rows_sum;
   ]
+  @ List.map Gen.to_alcotest [ prop_json_encoder_bytes; prop_json_roundtrip ]
+  @ [
+      Alcotest.test_case "JSON parse errors keep their offsets" `Quick
+        test_json_parse_errors;
+    ]
