@@ -89,3 +89,13 @@ let reconvergence_block g pdoms i =
       (* conditional branches always reach exit, so a post-dominator
          exists; missing only for malformed graphs *)
       invalid_arg "reconvergence_block: branch block unreachable from exit"
+
+let reconvergence_pcs k =
+  let g = Graph.of_kernel k in
+  let pdoms = post_dominators g in
+  let n = Array.length k.Ptx.Ast.body in
+  Array.init n (fun i ->
+      if not (Graph.is_conditional_branch g i) then -1
+      else
+        let rb = reconvergence_block g pdoms i in
+        if rb = Graph.exit_node g then n else (Graph.blocks g).(rb).Graph.first)

@@ -38,3 +38,12 @@ val reconvergence_block : Graph.t -> t -> int -> int
     divergent warp reconverges. May be the exit node.
     @raise Invalid_argument if the instruction is not a conditional
     branch. *)
+
+val reconvergence_pcs : Ptx.Ast.kernel -> int array
+(** Per instruction of a kernel: for a conditional branch, the first
+    instruction of its {!reconvergence_block}, or the instruction count
+    when that is the exit node; [-1] for every other instruction.  The
+    pcs the simulator pops a divergent warp at, and the instrumentation
+    logs convergence at.
+    @raise Invalid_argument as {!Graph.of_kernel} and
+    {!reconvergence_block} do. *)

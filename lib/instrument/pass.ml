@@ -102,19 +102,13 @@ let is_guarded_access insn =
   | _ -> false
 
 (* Convergence points: the first instruction of every reconvergence
-   block of a conditional branch. *)
+   block of a conditional branch, short of the exit. *)
 let convergence_points (k : Ptx.Ast.kernel) =
-  let g = Cfg.Graph.of_kernel k in
-  let pdoms = Cfg.Dominance.post_dominators g in
-  let points = Hashtbl.create 8 in
-  Array.iteri
-    (fun i _ ->
-      if Cfg.Graph.is_conditional_branch g i then begin
-        let rb = Cfg.Dominance.reconvergence_block g pdoms i in
-        if rb <> Cfg.Graph.exit_node g then
-          Hashtbl.replace points (Cfg.Graph.blocks g).(rb).Cfg.Graph.first ()
-      end)
-    k.Ptx.Ast.body;
+  let n = Array.length k.Ptx.Ast.body in
+  let points = Array.make n false in
+  Array.iter
+    (fun pc -> if pc >= 0 && pc < n then points.(pc) <- true)
+    (Cfg.Dominance.reconvergence_pcs k);
   points
 
 let instrument_run ~prune ~static ~layout (k : Ptx.Ast.kernel) =
@@ -156,7 +150,7 @@ let instrument_run ~prune ~static ~layout (k : Ptx.Ast.kernel) =
   List.iter (emit ~orig:(-1)) tid_preamble;
   Array.iteri
     (fun i insn ->
-      let conv_here = Hashtbl.mem conv i in
+      let conv_here = conv.(i) in
       if conv_here then begin
         incr stats_conv;
         (* convergence logging absorbs the instruction's label so jumps

@@ -104,6 +104,15 @@ let label_index k =
     k.body;
   tbl
 
+let shared_offsets k =
+  let off = ref 0 in
+  List.map
+    (fun (name, size) ->
+      let base = !off in
+      off := (!off + size + 7) land lnot 7;
+      (name, base))
+    k.shared_decls
+
 let is_memory_access = function
   | Ld _ | St _ | Atom _ -> true
   | Membar _ | Bar_sync _ | Bra _ | Setp _ | Mov _ | Binop _ | Mad _ | Selp _

@@ -137,6 +137,11 @@ val label_index : kernel -> (string, int) Hashtbl.t
 (** Map from label to instruction index. @raise Invalid_argument on a
     duplicate label. *)
 
+val shared_offsets : kernel -> (string * int) list
+(** Each shared array's byte offset in its block's shared memory: in
+    declaration order, each array starting 8-byte aligned after the
+    previous one.  What a shared symbol's value is on every launch. *)
+
 val is_memory_access : insn_kind -> bool
 (** Loads, stores and atomics: the instructions that touch memory. *)
 

@@ -4,7 +4,11 @@
     kernel and its check plan — keyed by a digest of the PTX
     source alone, so repeat submissions of the same kernel pay only
     machine creation and execution, whichever job kind (check, repair,
-    stream) built the entry.  Both artifacts are immutable once built
+    stream) built the entry.  The entry's kernel gets its simulator
+    program through {!Simt.Machine.launch}'s process-wide memo, so a
+    job launches it without validating or resolving it again (the
+    same kernel value costs that memo a hash).  Both artifacts are
+    immutable once built
     (the pipeline never mutates a kernel or a plan), which is what
     makes sharing them across worker domains sound.
 

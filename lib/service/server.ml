@@ -500,16 +500,19 @@ let start ?(config = default_config) () =
 
 (* Only the first caller tears down: by a later call the listener's
    descriptor number and the socket path may belong to a newer
-   daemon. *)
+   daemon.  The socket file goes before the listener closes: while the
+   listener is open a bare connect still reaches it, so no other
+   daemon takes the path over (see {!start}) and loses its own file to
+   this unlink. *)
 let wait t =
   match Atomic.exchange t.accept_domain None with
   | None -> ()
-  | Some d -> (
+  | Some d ->
       Domain.join d;
+      (try Unix.unlink t.config.socket_path
+       with Unix.Unix_error _ | Sys_error _ -> ());
       (try Unix.close t.listener with Unix.Unix_error _ -> ());
-      Scheduler.stop t.sched;
-      try Unix.unlink t.config.socket_path
-      with Unix.Unix_error _ | Sys_error _ -> ())
+      Scheduler.stop t.sched
 
 let stop t =
   request_stop t;

@@ -126,8 +126,11 @@ val request_stop : t -> unit
 
 val wait : t -> unit
 (** Block until shutdown is initiated (a [shutdown] request,
-    {!request_stop}, or a signal handler calling it), then drain the
-    job queue, join the workers and remove the socket file.  Only the
+    {!request_stop}, or a signal handler calling it), then remove the
+    socket file, close the listener, drain the job queue and join the
+    workers.  The file goes first: until the listener closes, a daemon
+    starting on the path finds it live and takes nothing over, so it
+    never loses a file of its own to this daemon's teardown.  Only the
     first call does this; a later [wait] or {!stop} returns at once,
     since by then the listener's descriptor and the socket path may
     belong to a newer daemon. *)

@@ -59,11 +59,11 @@ let peek t ~addr ~width = Memory.read t.global ~addr ~width
 let poke t ~addr ~width v = Memory.write t.global ~addr ~width v
 
 (* ------------------------------------------------------------------ *)
-(* The kernel, resolved once per launch                                *)
+(* The kernel's program, resolved once per kernel content              *)
 
-(* Registers are dense indices in sorted name order; parameters and
-   shared symbols are bound to their values. *)
-type operand = Reg of int | Const of int64 | Sreg of Ptx.Ast.sreg
+(* Registers are dense indices in sorted name order; a parameter is its
+   slot in the launch's argument array, a shared symbol its offset. *)
+type operand = Reg of int | Const of int64 | Param of int | Sreg of Ptx.Ast.sreg
 
 (* Register-to-register instructions, executed lane by lane. *)
 type alu =
@@ -96,7 +96,11 @@ type op =
 
 type insn = { guard : int; (* predicate register, -1 if unguarded *) want : bool; op : op }
 
-let resolve (kernel : Ptx.Ast.kernel) args =
+(* Immutable once built: every launch of the kernel, on any domain,
+   reads the same one. *)
+type program = { code : insn array; nregs : int }
+
+let resolve (kernel : Ptx.Ast.kernel) =
   let names =
     Array.fold_left
       (fun acc insn ->
@@ -107,25 +111,17 @@ let resolve (kernel : Ptx.Ast.kernel) args =
   let index = Hashtbl.create 64 in
   List.iteri (fun i name -> Hashtbl.replace index name i) names;
   let reg = Hashtbl.find index in
-  let params = List.combine kernel.params (Array.to_list args) in
-  (* Shared symbol offsets, in declaration order. *)
-  let shared_syms =
-    let off = ref 0 in
-    List.map
-      (fun (name, size) ->
-        let base = !off in
-        off := (!off + size + 7) land lnot 7;
-        (name, Int64.of_int base))
-      kernel.shared_decls
-  in
-  (* [Validate] has rejected unknown symbols. *)
+  let params = List.mapi (fun i name -> (name, i)) kernel.params in
+  let shared = Ptx.Ast.shared_offsets kernel in
+  (* [Validate] has rejected unknown symbols; a parameter shadows a
+     shared array of the same name. *)
   let operand = function
     | Ptx.Ast.Reg r -> Reg (reg r)
     | Ptx.Ast.Imm v -> Const v
     | Ptx.Ast.Sym s -> (
         match List.assoc_opt s params with
-        | Some v -> Const v
-        | None -> Const (List.assoc s shared_syms))
+        | Some i -> Param i
+        | None -> Const (Int64.of_int (List.assoc s shared)))
     | Ptx.Ast.Sreg s -> Sreg s
   in
   let access kind space width dst (addr : Ptx.Ast.address) src src2 =
@@ -133,9 +129,7 @@ let resolve (kernel : Ptx.Ast.kernel) args =
     Access { kind; space; width; dst; base = operand addr.base; offset = addr.offset; src; src2 }
   in
   let labels = Ptx.Ast.label_index kernel in
-  let g = Cfg.Graph.of_kernel kernel in
-  let pdoms = Cfg.Dominance.post_dominators g in
-  let n = Array.length kernel.body in
+  let reconv = Cfg.Dominance.reconvergence_pcs kernel in
   let resolve_kind pc = function
     | Ptx.Ast.Ld { space = Ptx.Ast.Param; dst; addr; _ } ->
         (* a parameter load is a register move, no memory event *)
@@ -159,20 +153,13 @@ let resolve (kernel : Ptx.Ast.kernel) args =
         Alu (Selp { dst = reg dst; a = operand a; b = operand b; pred = reg pred })
     | Ptx.Ast.Bra { target; _ } ->
         (* a conditional branch pops at its reconvergence pc *)
-        let reconv =
-          if Cfg.Graph.is_conditional_branch g pc then
-            let rb = Cfg.Dominance.reconvergence_block g pdoms pc in
-            if rb = Cfg.Graph.exit_node g then n
-            else (Cfg.Graph.blocks g).(rb).Cfg.Graph.first
-          else -1
-        in
-        Bra { target = Hashtbl.find labels target; reconv }
+        Bra { target = Hashtbl.find labels target; reconv = reconv.(pc) }
     | Ptx.Ast.Bar_sync _ -> Bar
     | Ptx.Ast.Membar scope -> Membar scope
     | Ptx.Ast.Ret | Ptx.Ast.Exit -> Ret
     | Ptx.Ast.Nop -> Nop
   in
-  let prog =
+  let code =
     Array.mapi
       (fun pc (insn : Ptx.Ast.insn) ->
         let guard, want =
@@ -181,7 +168,11 @@ let resolve (kernel : Ptx.Ast.kernel) args =
         { guard; want; op = resolve_kind pc insn.kind })
       kernel.body
   in
-  (prog, List.length names)
+  { code; nregs = List.length names }
+
+let memo_capacity = 128
+let memo : (Ptx.Ast.kernel, program) Lru.t = Lru.create ~capacity:memo_capacity ()
+let memo_stats () = Lru.stats memo
 
 (* ------------------------------------------------------------------ *)
 (* Per-launch state                                                    *)
@@ -211,6 +202,7 @@ let local_memory w lane =
 type launch_ctx = {
   m : t;
   prog : insn array;
+  args : int64 array;
   ws : int;
   warps : warp_state array;
   emit : Event.t -> unit;
@@ -262,6 +254,7 @@ let sreg_value ctx w lane sreg =
 let operand_value ctx w lane = function
   | Reg r -> get_reg ctx w r lane
   | Const v -> v
+  | Param i -> ctx.args.(i)
   | Sreg s -> sreg_value ctx w lane s
 
 (* Local memory is per lane.  [Validate] rejects stores and atomics on
@@ -527,15 +520,24 @@ let release_barriers ctx =
 
 let launch ?(max_steps = 50_000_000) ?deadline_ns ?fault ?(on_event = fun _ -> ())
     t kernel args =
-  Ptx.Validate.check_exn kernel;
-  if List.length kernel.Ptx.Ast.params <> Array.length args then
-    invalid_arg
-      (Printf.sprintf "kernel %s expects %d arguments, got %d"
-         kernel.Ptx.Ast.kname
-         (List.length kernel.Ptx.Ast.params)
-         (Array.length args));
+  let check_arity () =
+    if List.length kernel.Ptx.Ast.params <> Array.length args then
+      invalid_arg
+        (Printf.sprintf "kernel %s expects %d arguments, got %d"
+           kernel.Ptx.Ast.kname
+           (List.length kernel.Ptx.Ast.params)
+           (Array.length args))
+  in
+  (* A miss reports in the order a launch always has: validation, the
+     argument count, then resolution. *)
+  let { code; nregs }, _ =
+    Lru.find_or_build memo kernel ~build:(fun () ->
+        Ptx.Validate.check_exn kernel;
+        check_arity ();
+        resolve kernel)
+  in
+  check_arity ();
   let layout = t.layout in
-  let prog, nregs = resolve kernel args in
   let ws = layout.Vclock.Layout.warp_size in
   let warps =
     Array.init (Vclock.Layout.total_warps layout) (fun wid ->
@@ -558,7 +560,8 @@ let launch ?(max_steps = 50_000_000) ?deadline_ns ?fault ?(on_event = fun _ -> (
   let ctx =
     {
       m = t;
-      prog;
+      prog = code;
+      args;
       ws;
       warps;
       emit = on_event;

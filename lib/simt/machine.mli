@@ -62,7 +62,20 @@ val launch :
   result
 (** [launch m kernel args] runs [kernel] with parameters bound to [args]
     positionally, emitting events to [on_event] as execution proceeds.
-    The kernel is validated first.
+
+    A kernel is validated and resolved once per content, not per
+    launch: its program (registers numbered in sorted name order,
+    operands resolved with each parameter as a slot of the argument
+    array, branch targets and reconvergence pcs in place) comes from a
+    process-wide memo keyed on the kernel ({!Lru}: the same kernel
+    value costs a hash, a fresh parse of a known kernel one structural
+    comparison), built on a miss.  A launch binds only [args], sets up
+    its warps and executes.  The memo holds {!memo_capacity} programs
+    and evicts the least recently used.  A program is immutable, so
+    launches on any number of domains share it; two domains missing
+    the same kernel at once may both build it, and both get the first
+    inserted.  A kernel that fails validation is never remembered: it
+    raises the same error on every launch.
 
     [deadline_ns] is an absolute monotonic timestamp
     ({!Telemetry.Clock.now_ns}); execution past it stops cooperatively
@@ -71,4 +84,11 @@ val launch :
     [fault] applies the plan's gpuFI-style machine-fault schedule —
     seeded register and shared-memory bit flips — at the scheduled
     steps.
-    @raise Invalid_argument on an ill-formed kernel or wrong arity. *)
+    @raise Invalid_argument on an ill-formed kernel ({!Ptx.Validate}
+    first) or wrong arity. *)
+
+val memo_capacity : int
+(** 128, as the check-plan memo ([Static.Plan.memo_capacity]). *)
+
+val memo_stats : unit -> Lru.stats
+(** Entries, hits, misses and evictions of the program memo. *)

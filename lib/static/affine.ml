@@ -207,17 +207,7 @@ type ctx = { params : (string, unit) Hashtbl.t; shared : (string * int) list }
 let make_ctx (k : Ptx.Ast.kernel) =
   let params = Hashtbl.create 8 in
   List.iter (fun p -> Hashtbl.replace params p ()) k.Ptx.Ast.params;
-  (* shared symbol offsets, mirroring Simt.Machine.launch exactly *)
-  let off = ref 0 in
-  let shared =
-    List.map
-      (fun (name, size) ->
-        let base = !off in
-        off := (!off + size + 7) land lnot 7;
-        (name, base))
-      k.Ptx.Ast.shared_decls
-  in
-  { params; shared }
+  { params; shared = Ptx.Ast.shared_offsets k }
 
 module Env = struct
   type value = t

@@ -1876,6 +1876,55 @@ let test_stop_with_job_in_flight () =
       Alcotest.(check int) "no live connection after stop" 0
         (Service.Server.live_connections t))
 
+(* Whether a bare connect to [path] is accepted (queued) right now. *)
+let connects path =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      match Unix.connect fd (Unix.ADDR_UNIX path) with
+      | () -> true
+      | exception Unix.Unix_error _ -> false)
+
+(* A stopping daemon removes its socket file before it closes its
+   listener: a second daemon started on the path the moment a start
+   succeeds, while the first still stops, keeps its socket file.  (A
+   daemon whose file was removed under it can no longer wake its own
+   accept loop, so the second stop is bounded too.) *)
+let test_path_handed_over_on_stop () =
+  let config = fresh_config "handover" in
+  let socket = config.Service.Server.socket_path in
+  let a = Service.Server.start ~config () in
+  let b =
+    with_raw_connection socket (fun fd reader ->
+        send_frames fd [ P.Submit slow_sub ];
+        poll_until "the job queued" (fun () ->
+            (Service.Server.status a).P.jobs.submitted = 1);
+        let stopper = Thread.create Service.Server.stop a in
+        let deadline = Unix.gettimeofday () +. 5.0 in
+        let rec take_over () =
+          if Unix.gettimeofday () > deadline then
+            Alcotest.fail "no second daemon started within 5 s"
+          else if connects socket then (
+            Thread.delay 0.0002;
+            take_over ())
+          else
+            match Service.Server.start ~config () with
+            | b -> b
+            | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> take_over ()
+        in
+        let b = take_over () in
+        Thread.join stopper;
+        ignore (job_of (next_reply reader));
+        b)
+  in
+  let kept = Sys.file_exists socket in
+  let answers = Service.Client.ping ~socket in
+  let stopped = stops_in_time b in
+  Alcotest.(check bool) "the second daemon's socket file kept" true kept;
+  Alcotest.(check bool) "the second daemon answers a ping" true answers;
+  Alcotest.(check bool) "the second daemon stops within 2 s" true stopped
+
 (* A write to a client that has stopped reading gives up within the
    bound: fill a socketpair until a write would block. *)
 let test_write_bound () =
@@ -2042,4 +2091,6 @@ let suite =
         test_unread_replies_end_connection;
       Alcotest.test_case "a raising reply ends the connection" `Quick
         test_raising_reply_ends_connection;
+      Alcotest.test_case "a stopping daemon hands its path over" `Quick
+        test_path_handed_over_on_stop;
     ]

@@ -658,6 +658,123 @@ let prop_generated_kernels_complete =
       let r = Simt.Machine.launch ~max_steps:200_000 m k args in
       r.Simt.Machine.status = Simt.Machine.Completed)
 
+(* ---- One program per kernel ----------------------------------------- *)
+
+let memo () = Simt.Machine.memo_stats ()
+
+(* A shipped kernel as source text, and its index in [shipped_kernels]. *)
+let shipped_source name =
+  let rec find i = function
+    | [] -> Alcotest.failf "no shipped kernel %s" name
+    | (n, layout, kernel, setup) :: _ when n = name ->
+        (i, layout, Ptx.Printer.kernel_to_string kernel, setup)
+    | _ :: rest -> find (i + 1) rest
+  in
+  find 0 shipped_kernels
+
+(* A fresh parse of a launched kernel is a memo hit on each of its four
+   pinned launches (plain, instrumented, random schedule, fault plan),
+   and runs exactly as the first parse did. *)
+let test_fresh_parse_reuses_program () =
+  let index, layout, src, setup = shipped_source "c_bar_shared_handoff" in
+  let first = Ptx.Parser.kernel_of_string src in
+  let d1 = pin_digest index (layout, first, setup) in
+  let before = memo () in
+  let fresh = Ptx.Parser.kernel_of_string src in
+  Alcotest.(check bool) "a distinct kernel value" false (fresh == first);
+  let d2 = pin_digest index (layout, fresh, setup) in
+  let after = memo () in
+  Alcotest.(check int) "no program built" before.Lru.misses after.Lru.misses;
+  Alcotest.(check int) "four launches, four hits" (before.Lru.hits + 4)
+    after.Lru.hits;
+  Alcotest.(check string) "the same execution" d1 d2;
+  Alcotest.(check string) "the pinned execution"
+    (List.assoc "c_bar_shared_handoff" pinned) d2
+
+(* Arguments are bound per launch, not into the program: one kernel
+   launched twice on one machine with two output buffers and two
+   values writes each launch's value to its own buffer. *)
+let test_arguments_bound_per_launch () =
+  let b = B.create ~params:[ "out"; "v" ] "bind" in
+  let g = B.global_tid b in
+  let x = B.fresh_reg b in
+  B.binop b Ast.B_add x (B.reg g) (B.sym "v");
+  let a = B.fresh_reg ~cls:"rd" b in
+  B.mad b a (B.reg g) (B.imm 4) (B.sym "out");
+  B.st b (B.reg a) (B.reg x);
+  let k = B.finish b in
+  let m = Simt.Machine.create ~layout:lay () in
+  let out1 = Simt.Machine.alloc_global m 64 in
+  let out2 = Simt.Machine.alloc_global m 64 in
+  let launch out v =
+    let r = Simt.Machine.launch m k [| Int64.of_int out; v |] in
+    Alcotest.(check bool) "completed" true
+      (r.Simt.Machine.status = Simt.Machine.Completed)
+  in
+  launch out1 100L;
+  let before = memo () in
+  launch out2 200L;
+  Alcotest.(check int) "the second launch hits" (before.Lru.hits + 1)
+    (memo ()).Lru.hits;
+  for i = 0 to 15 do
+    Alcotest.(check int64) "first buffer, first value"
+      (Int64.of_int (100 + i)) (read_out m out1 i);
+    Alcotest.(check int64) "second buffer, second value"
+      (Int64.of_int (200 + i)) (read_out m out2 i)
+  done
+
+(* An ill-formed kernel: a store through a symbol nothing declares. *)
+let invalid_kernel () =
+  let b = B.create ~params:[ "out" ] "invalid" in
+  B.st b (B.sym "nowhere") (B.imm 1);
+  B.finish b
+
+let launch_error k args =
+  let m = Simt.Machine.create ~layout:lay () in
+  match Simt.Machine.launch m k args with
+  | exception Invalid_argument msg -> msg
+  | _ -> Alcotest.fail "an invalid kernel launched"
+
+(* A failed validation is not remembered: each launch validates again
+   and raises the same error. *)
+let test_invalid_kernel_not_remembered () =
+  let k = invalid_kernel () in
+  let before = memo () in
+  let e1 = launch_error k [| 0L |] in
+  let e2 = launch_error k [| 0L |] in
+  let after = memo () in
+  Alcotest.(check string) "the same error twice" e1 e2;
+  Alcotest.(check bool) "the validation error" true
+    (String.starts_with ~prefix:"kernel invalid is ill-formed" e1);
+  Alcotest.(check int) "two builds, none kept" (before.Lru.misses + 2)
+    after.Lru.misses;
+  Alcotest.(check int) "nothing entered" before.Lru.entries after.Lru.entries
+
+(* Validation runs before the argument count is checked. *)
+let test_validation_before_arity () =
+  let k = invalid_kernel () in
+  let valid = launch_error k [| 0L |] in
+  Alcotest.(check string) "wrong arity, the validation error" valid
+    (launch_error k [| 0L; 1L; 2L |])
+
+(* One program, four domains: a kernel no domain has launched yet, run
+   through its four pinned launches on four domains at once, gives
+   every domain the pinned execution. *)
+let test_program_shared_across_domains () =
+  let index, layout, src, setup = shipped_source "c_ww_shared_inter_warp" in
+  let kernel =
+    { (Ptx.Parser.kernel_of_string src) with Ast.kname = "four_domains" }
+  in
+  let digests =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () -> pin_digest index (layout, kernel, setup)))
+    |> List.map Domain.join
+  in
+  List.iter
+    (Alcotest.(check string) "the pinned execution"
+       (List.assoc "c_ww_shared_inter_warp" pinned))
+    digests
+
 let suite =
   [
     Alcotest.test_case "memory widths" `Quick test_memory_widths;
@@ -687,3 +804,15 @@ let suite =
   ]
   @ List.map Gen.to_alcotest
       [ prop_memory_matches_byte_map; prop_generated_kernels_complete ]
+  @ [
+      Alcotest.test_case "a fresh parse reuses the program" `Quick
+        test_fresh_parse_reuses_program;
+      Alcotest.test_case "arguments bound per launch" `Quick
+        test_arguments_bound_per_launch;
+      Alcotest.test_case "an invalid kernel is not remembered" `Quick
+        test_invalid_kernel_not_remembered;
+      Alcotest.test_case "validation before arity" `Quick
+        test_validation_before_arity;
+      Alcotest.test_case "one program, four domains" `Quick
+        test_program_shared_across_domains;
+    ]
