@@ -86,14 +86,33 @@ let reconvergence_block g pdoms i =
   match idom pdoms b with
   | Some d -> d
   | None ->
-      (* conditional branches always reach exit, so a post-dominator
-         exists; missing only for malformed graphs *)
+      (* a branch that never reaches an exit has no post-dominator;
+         [reconvergence_pcs] reports it as an ill-formed kernel *)
       invalid_arg "reconvergence_block: branch block unreachable from exit"
 
+(* A conditional branch whose block has no post-dominator can never
+   reach an exit: [Ptx.Validate] cannot see that, so it is reported
+   here, in its format. *)
 let reconvergence_pcs k =
   let g = Graph.of_kernel k in
   let pdoms = post_dominators g in
   let n = Array.length k.Ptx.Ast.body in
+  let stuck =
+    List.filter_map
+      (fun index ->
+        if
+          Graph.is_conditional_branch g index
+          && idom pdoms (Graph.block_of_insn g index) = None
+        then
+          Some
+            {
+              Ptx.Validate.index;
+              message = "conditional branch never reaches an exit";
+            }
+        else None)
+      (List.init n Fun.id)
+  in
+  if stuck <> [] then Ptx.Validate.fail k stuck;
   Array.init n (fun i ->
       if not (Graph.is_conditional_branch g i) then -1
       else

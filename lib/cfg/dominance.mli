@@ -45,5 +45,6 @@ val reconvergence_pcs : Ptx.Ast.kernel -> int array
     when that is the exit node; [-1] for every other instruction.  The
     pcs the simulator pops a divergent warp at, and the instrumentation
     logs convergence at.
-    @raise Invalid_argument as {!Graph.of_kernel} and
-    {!reconvergence_block} do. *)
+    @raise Invalid_argument as {!Graph.of_kernel} does, and as
+    {!Ptx.Validate.check_exn} does for a kernel with a conditional
+    branch that never reaches an exit, naming each such branch. *)

@@ -93,13 +93,10 @@ let check (k : Ast.kernel) =
     k.body;
   List.rev !issues
 
-let check_exn k =
-  match check k with
-  | [] -> ()
-  | issues ->
-      let msg =
-        Format.asprintf "@[<v>kernel %s is ill-formed:@,%a@]" k.kname
-          (Format.pp_print_list pp_issue)
-          issues
-      in
-      invalid_arg msg
+let fail (k : Ast.kernel) issues =
+  invalid_arg
+    (Format.asprintf "@[<v>kernel %s is ill-formed:@,%a@]" k.kname
+       (Format.pp_print_list pp_issue)
+       issues)
+
+let check_exn k = match check k with [] -> () | issues -> fail k issues

@@ -18,4 +18,9 @@ val check : Ast.kernel -> issue list
 val check_exn : Ast.kernel -> unit
 (** @raise Invalid_argument listing every issue if any is found. *)
 
+val fail : Ast.kernel -> issue list -> 'a
+(** Raise [issues] as {!check_exn} does, for the checks that need more
+    than the instruction list, such as [Cfg.Dominance]'s.
+    @raise Invalid_argument always. *)
+
 val pp_issue : Format.formatter -> issue -> unit

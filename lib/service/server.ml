@@ -58,6 +58,9 @@ type t = {
   cache : Cache.t;
   sched : Scheduler.t;
   listener : Unix.file_descr;
+  path_id : int * int; (* the socket file's (device, inode) *)
+  wake_r : Unix.file_descr; (* the accept loop's wake-up pipe *)
+  wake_w : Unix.file_descr;
   stopping : bool Atomic.t;
   started_ns : int64;
   next_sid : int Atomic.t;
@@ -113,10 +116,12 @@ let accepts path =
 let request_stop t =
   if Atomic.compare_and_set t.stopping false true then
     (* A blocked [accept] does not notice its descriptor being closed
-       (Linux keeps it parked), so wake the accept loop with a
-       throwaway self-connection; it re-checks the stopping flag on
-       every accept, and on the way out ends the idle connections. *)
-    try ignore (accepts t.config.socket_path) with Unix.Unix_error _ -> ()
+       (Linux keeps it parked), so the accept loop waits on the listener
+       and a pipe together, and a byte down the pipe wakes it, whatever
+       the socket path holds now; it re-checks the stopping flag on
+       every wake-up, and on the way out ends the idle connections. *)
+    try ignore (Unix.single_write_substring t.wake_w "x" 0 1)
+    with Unix.Unix_error _ -> ()
 
 (* A stopping daemon ends every idle kept connection at once instead
    of waiting out its read timeout: shutting down the read side makes
@@ -397,18 +402,27 @@ let handle_connection t fd =
   in
   try loop () with _ -> close ()
 
+(* The listener is non-blocking, so a wake-up by the pipe, or a
+   connection that vanishes between [select] and [accept], costs one
+   more turn, not an accept that blocks past a stop.  A connection
+   accepted as the stop lands sees the flag when it registers. *)
 let accept_loop t =
   let rec go () =
     if not (Atomic.get t.stopping) then
-      match Unix.accept ~cloexec:true t.listener with
+      match
+        ignore (Unix.select [ t.listener; t.wake_r ] [] [] (-1.0));
+        Unix.accept ~cloexec:true t.listener
+      with
       | fd, _ ->
-          if Atomic.get t.stopping then (
-            (try Unix.close fd with Unix.Unix_error _ -> ()))
-          else begin
-            ignore (Thread.create (fun () -> handle_connection t fd) ());
-            go ()
-          end
-      | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EINTR), _, _) ->
+          Unix.clear_nonblock fd;
+          ignore (Thread.create (fun () -> handle_connection t fd) ());
+          go ()
+      | exception
+          Unix.Unix_error
+            ( ( Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED
+              | Unix.EINTR ),
+              _,
+              _ ) ->
           go ()
       | exception Unix.Unix_error _ ->
           (* EBADF/EINVAL: the listener broke under us; end the loop
@@ -471,6 +485,13 @@ let start ?(config = default_config) () =
       Scheduler.stop sched;
       raise e);
   Unix.listen listener 64;
+  Unix.set_nonblock listener;
+  let path_id =
+    match Unix.stat config.socket_path with
+    | st -> (st.Unix.st_dev, st.Unix.st_ino)
+    | exception Unix.Unix_error _ -> (-1, -1)
+  in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let t =
     {
       config;
@@ -478,6 +499,9 @@ let start ?(config = default_config) () =
       cache;
       sched;
       listener;
+      path_id;
+      wake_r;
+      wake_w;
       stopping = Atomic.make false;
       started_ns = Telemetry.Clock.now_ns ();
       next_sid = Atomic.make 1;
@@ -503,15 +527,20 @@ let start ?(config = default_config) () =
    daemon.  The socket file goes before the listener closes: while the
    listener is open a bare connect still reaches it, so no other
    daemon takes the path over (see {!start}) and loses its own file to
-   this unlink. *)
+   this unlink.  A file that is not this daemon's own (removed under
+   it, and the path since bound by another daemon) stays. *)
 let wait t =
   match Atomic.exchange t.accept_domain None with
   | None -> ()
   | Some d ->
       Domain.join d;
-      (try Unix.unlink t.config.socket_path
-       with Unix.Unix_error _ | Sys_error _ -> ());
-      (try Unix.close t.listener with Unix.Unix_error _ -> ());
+      (match Unix.stat t.config.socket_path with
+      | st when (st.Unix.st_dev, st.Unix.st_ino) = t.path_id -> (
+          try Unix.unlink t.config.socket_path with Unix.Unix_error _ -> ())
+      | _ | (exception Unix.Unix_error _) -> ());
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ t.listener; t.wake_r; t.wake_w ];
       Scheduler.stop t.sched
 
 let stop t =

@@ -122,7 +122,9 @@ val request_stop : t -> unit
     connection (its read side is shut down once the accept loop wakes,
     so a kept connection does not hold {!wait} for its read timeout).
     Returns immediately; pair with {!wait}.  Safe from a signal
-    handler. *)
+    handler.  The accept loop is woken through a pipe of its own, so a
+    stop does not depend on the socket path: it returns with the file
+    removed, or the path taken by another daemon. *)
 
 val wait : t -> unit
 (** Block until shutdown is initiated (a [shutdown] request,
@@ -130,7 +132,8 @@ val wait : t -> unit
     socket file, close the listener, drain the job queue and join the
     workers.  The file goes first: until the listener closes, a daemon
     starting on the path finds it live and takes nothing over, so it
-    never loses a file of its own to this daemon's teardown.  Only the
+    never loses a file of its own to this daemon's teardown.  A file at
+    the path that is not the one this daemon bound stays.  Only the
     first call does this; a later [wait] or {!stop} returns at once,
     since by then the listener's descriptor and the socket path may
     belong to a newer daemon. *)

@@ -14,7 +14,7 @@
     access usually lands on a single shard instead of fanning out to
     all of them.  With ranges of at least 4 bytes, the four bytes of an
     aligned word share an owner, which then holds the word's summary
-    cell ({!Barracuda.Shadow.summary}). *)
+    cell ({!Barracuda.Detector.Shadow.summary}). *)
 
 type t
 

@@ -70,7 +70,8 @@ val pp : Format.formatter -> t -> unit
     of rebuilding a persistent value per operation.  Ownership rules:
 
     - a [Mut.t] is owned by exactly one component (a lane overlay in
-      [Warp_clocks], a shadow cell's read clock, a [Sync_loc] entry) and
+      [Barracuda.Detector.Warp_clocks], a shadow cell's read clock, a
+      [Sync_loc] entry) and
       must only be mutated by its owner, under the owner's lock when the
       owner is shared between domains;
     - wherever a clock {e escapes} its owner — race reports, sync-

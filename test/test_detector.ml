@@ -7,7 +7,7 @@
 module Ast = Ptx.Ast
 module B = Ptx.Builder
 module Report = Barracuda.Report
-module Wc = Barracuda.Warp_clocks
+module Wc = Barracuda.Detector.Warp_clocks
 
 let lay = Gen.layout
 
@@ -120,7 +120,7 @@ let test_report_cap () =
 
 (* ---- Shadow --------------------------------------------------------- *)
 
-module Shadow = Barracuda.Shadow
+module Shadow = Barracuda.Detector.Shadow
 
 let global_cell s addr = Shadow.cell s ~space:Ptx.Ast.Global ~region:0 ~index:addr
 
@@ -520,6 +520,58 @@ let test_error_text () =
         "barrier divergence: warp 3 at insn 9" );
     ]
 
+(* ---- Report order ------------------------------------------------------ *)
+
+(* The Reference property compares race sets and the census counts
+   warp formats; this pins the order and the text of every error, as
+   [check] prints them.  One digest per corpus over each kernel's
+   errors in detection order, uncapped, once with every access checked
+   and once under the kernels' check plans. *)
+let error_lines plan_of (layout, kernel, setup) =
+  let m = Simt.Machine.create ~layout () in
+  let args = setup m in
+  let det =
+    Barracuda.Detector.create
+      ~config:{ Barracuda.Detector.default_config with max_reports = max_int }
+      ~layout
+      (plan_of (Static.Plan.of_kernel kernel))
+  in
+  ignore
+    (Gpu_runtime.Session.run_stream
+       ~sink:(Gpu_runtime.Session.serial_sink det) ~machine:m kernel args);
+  List.map Report.error_to_string (Report.errors (Barracuda.Detector.report det))
+
+let test_report_order_pinned () =
+  let check label corpus (every, every_digest) (planned, planned_digest) =
+    let pin what plan_of errors digest =
+      let lines = List.map (error_lines plan_of) corpus in
+      Alcotest.(check int)
+        (Printf.sprintf "%s, %s: errors" label what)
+        errors
+        (List.fold_left (fun n l -> n + List.length l) 0 lines);
+      Alcotest.(check string)
+        (Printf.sprintf "%s, %s: error lines in order" label what)
+        digest
+        (Digest.to_hex
+           (Digest.string
+              (String.concat "\n\n" (List.map (String.concat "\n") lines))))
+    in
+    pin "every access" Static.Plan.empty every every_digest;
+    pin "under the plans" Fun.id planned planned_digest
+  in
+  check "92 shipped kernels"
+    (List.map (fun (_, l, k, s) -> (l, k, s)) Test_simt.shipped_kernels)
+    (2290, "f9d33b65cb93a8af31efea4699cb8c4c")
+    (2290, "f9d33b65cb93a8af31efea4699cb8c4c");
+  let programs =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 2026 |]) ~n:400
+      Gen.gen_program
+  in
+  check "400 generated programs"
+    (List.map (fun p -> (lay, Gen.kernel_of_program p, Gen.setup)) programs)
+    (21614, "abd20dd81196d63b268e865ee2096291")
+    (21614, "abd20dd81196d63b268e865ee2096291")
+
 let suite =
   [
     Alcotest.test_case "wc initial state" `Quick test_wc_initial_state;
@@ -546,4 +598,7 @@ let suite =
   ]
   @ List.map Gen.to_alcotest
       [ prop_detector_matches_reference; prop_detector_deterministic ]
-  @ [ Alcotest.test_case "one error text" `Quick test_error_text ]
+  @ [
+      Alcotest.test_case "one error text" `Quick test_error_text;
+      Alcotest.test_case "report order pinned" `Quick test_report_order_pinned;
+    ]

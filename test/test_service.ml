@@ -1888,9 +1888,7 @@ let connects path =
 
 (* A stopping daemon removes its socket file before it closes its
    listener: a second daemon started on the path the moment a start
-   succeeds, while the first still stops, keeps its socket file.  (A
-   daemon whose file was removed under it can no longer wake its own
-   accept loop, so the second stop is bounded too.) *)
+   succeeds, while the first still stops, keeps its socket file. *)
 let test_path_handed_over_on_stop () =
   let config = fresh_config "handover" in
   let socket = config.Service.Server.socket_path in
@@ -1924,6 +1922,33 @@ let test_path_handed_over_on_stop () =
   Alcotest.(check bool) "the second daemon's socket file kept" true kept;
   Alcotest.(check bool) "the second daemon answers a ping" true answers;
   Alcotest.(check bool) "the second daemon stops within 2 s" true stopped
+
+(* A stop does not go through the socket path: with the daemon's file
+   removed under it, the stop still returns. *)
+let test_stop_without_socket_file () =
+  let config = fresh_config "removed" in
+  let socket = config.Service.Server.socket_path in
+  let a = Service.Server.start ~config () in
+  Unix.unlink socket;
+  Alcotest.(check bool) "the stop returns within 2 s" true (stops_in_time a)
+
+(* With the first daemon's file removed, a second daemon binds the
+   path.  Stopping the first returns, and leaves the second its file
+   and its listener. *)
+let test_stop_beside_path_owner () =
+  let config = fresh_config "reowned" in
+  let socket = config.Service.Server.socket_path in
+  let a = Service.Server.start ~config () in
+  Unix.unlink socket;
+  let b = Service.Server.start ~config () in
+  let stopped = stops_in_time a in
+  let kept = Sys.file_exists socket in
+  let answers = Service.Client.ping ~socket in
+  let b_stopped = stops_in_time b in
+  Alcotest.(check bool) "the first daemon stops within 2 s" true stopped;
+  Alcotest.(check bool) "the second daemon's socket file kept" true kept;
+  Alcotest.(check bool) "the second daemon answers a ping" true answers;
+  Alcotest.(check bool) "the second daemon stops within 2 s" true b_stopped
 
 (* A write to a client that has stopped reading gives up within the
    bound: fill a socketpair until a write would block. *)
@@ -2093,4 +2118,8 @@ let suite =
         test_raising_reply_ends_connection;
       Alcotest.test_case "a stopping daemon hands its path over" `Quick
         test_path_handed_over_on_stop;
+      Alcotest.test_case "a stop returns with the socket file removed" `Quick
+        test_stop_without_socket_file;
+      Alcotest.test_case "a stop leaves the path's new owner alone" `Quick
+        test_stop_beside_path_owner;
     ]

@@ -775,6 +775,34 @@ let test_program_shared_across_domains () =
        (List.assoc "c_ww_shared_inter_warp" pinned))
     digests
 
+(* A conditional branch that can never reach an exit passes the
+   instruction-level checks, but has no reconvergence point: both the
+   simulator's program build and the instrumentation pass report it as
+   an ill-formed kernel naming the branch, and the memo keeps nothing. *)
+let test_branch_without_exit_ill_formed () =
+  let k =
+    Ptx.Parser.kernel_of_string
+      {|.visible .entry spin ()
+{
+    setp.eq.s32 %p1, %tid.x, 0;
+L:  @%p1 bra L;
+    bra.uni L;
+}|}
+  in
+  let expected =
+    "kernel spin is ill-formed:\ninsn 1: conditional branch never reaches \
+     an exit"
+  in
+  let before = memo () in
+  Alcotest.(check string) "launch" expected (launch_error k [||]);
+  Alcotest.(check string) "launch again" expected (launch_error k [||]);
+  let after = memo () in
+  Alcotest.(check int) "two builds, none kept" (before.Lru.misses + 2)
+    after.Lru.misses;
+  Alcotest.(check int) "nothing entered" before.Lru.entries after.Lru.entries;
+  Alcotest.check_raises "instrument" (Invalid_argument expected) (fun () ->
+      ignore (Instrument.Pass.instrument ~layout:lay k))
+
 let suite =
   [
     Alcotest.test_case "memory widths" `Quick test_memory_widths;
@@ -815,4 +843,6 @@ let suite =
         test_validation_before_arity;
       Alcotest.test_case "one program, four domains" `Quick
         test_program_shared_across_domains;
+      Alcotest.test_case "a branch that never exits is ill-formed" `Quick
+        test_branch_without_exit_ill_formed;
     ]
