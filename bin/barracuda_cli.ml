@@ -14,7 +14,8 @@
      barracuda svc-status [--prometheus]                    query the daemon (= fleet-status)
 
    Exit codes: 0 = clean, 1 = race found (or an I/O error), 2 = bad
-   input — argument specs, PTX/trace parse errors, ill-formed kernels. *)
+   input — argument specs, PTX/trace parse errors, ill-formed kernels —
+   or a run its step budget stopped, which is no verdict. *)
 
 open Cmdliner
 
@@ -45,6 +46,9 @@ let guard f =
       2
   | Invalid_argument msg ->
       Format.eprintf "barracuda: invalid input: %s@." msg;
+      2
+  | Gpu_runtime.Session.Stopped n ->
+      Format.eprintf "barracuda: %s@." (Gpu_runtime.Session.stopped_message n);
       2
   | Sys_error msg ->
       Format.eprintf "barracuda: %s@." msg;
@@ -218,6 +222,7 @@ let check_cmd =
       Gpu_runtime.Session.run_stream ~detector ?sink ?capture ?tap ~machine
         kernel args
     in
+    Gpu_runtime.Session.check_budget result;
     Option.iter
       (fun path ->
         let oc = open_out path in

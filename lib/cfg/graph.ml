@@ -92,13 +92,6 @@ let is_conditional_branch t i =
       && List.length t.blocks.(t.block_of.(i)).succs = 2
   | _ -> false
 
-let branch_targets t i =
-  if not (is_conditional_branch t i) then None
-  else
-    match t.blocks.(t.block_of.(i)).succs with
-    | [ taken; fallthrough ] -> Some (taken, fallthrough)
-    | _ -> None
-
 let pp ppf t =
   Array.iter
     (fun b ->

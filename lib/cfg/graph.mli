@@ -41,8 +41,4 @@ val is_conditional_branch : t -> int -> bool
 (** [is_conditional_branch g i]: instruction [i] is a guarded branch with
     two distinct successors. *)
 
-val branch_targets : t -> int -> (int * int) option
-(** For a conditional branch instruction: [(taken_block,
-    fallthrough_block)]. *)
-
 val pp : Format.formatter -> t -> unit

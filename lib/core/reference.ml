@@ -46,7 +46,6 @@ let clock t tid =
   | Some v -> v
   | None -> Vc.incr Vc.bottom tid (* initial state: own entry = 1 *)
 
-let thread_clock = clock
 let set_clock t tid v = Hashtbl.replace t.clocks tid v
 let epoch_of t tid = Epoch.make ~clock:(Vc.get (clock t tid) tid) ~tid
 

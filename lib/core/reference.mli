@@ -27,9 +27,6 @@ val step : t -> Gtrace.Op.t -> unit
 val run : t -> Gtrace.Op.t list -> unit
 val report : t -> Report.t
 
-val thread_clock : t -> int -> Vclock.Vector_clock.t
-(** Current full vector clock of a thread (for tests). *)
-
 val invariant_holds : t -> bool
 (** The key invariant of the correctness proof (§3.4): each thread's
     own timestamp strictly dominates every other component's timestamp

@@ -92,16 +92,6 @@ let injected t =
     smem_flips_applied = Atomic.get t.n_smem;
   }
 
-let reset_injected t =
-  Atomic.set t.n_flips 0;
-  Atomic.set t.n_drops 0;
-  Atomic.set t.n_dups 0;
-  Atomic.set t.n_delays 0;
-  Atomic.set t.n_crashes 0;
-  Atomic.set t.n_shard_crashes 0;
-  Atomic.set t.n_reg 0;
-  Atomic.set t.n_smem 0
-
 (* Splitmix-flavoured avalanche over OCaml's 63-bit ints.  The
    multiplier constants are truncated to fit a native int literal; all
    we need is good bit diffusion and determinism across runs, not

@@ -49,7 +49,6 @@ type injected = {
 }
 
 val injected : t -> injected
-val reset_injected : t -> unit
 
 (** {1 Transport faults}
 

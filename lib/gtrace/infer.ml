@@ -67,8 +67,6 @@ let feed t = function
   | Simt.Event.Barrier_divergence _ -> []
   | Simt.Event.Kernel_done -> []
 
-let trace_of_events t events = List.concat_map (feed t) events
-
 let run ?max_steps ?roles ~layout machine kernel args =
   let roles =
     match roles with Some r -> r | None -> Roles.classify kernel

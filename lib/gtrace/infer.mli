@@ -25,8 +25,6 @@ val roles : t -> Roles.t array
 val feed : t -> Simt.Event.t -> Op.t list
 (** Trace operations for one event, in order. *)
 
-val trace_of_events : t -> Simt.Event.t list -> Op.t list
-
 val run :
   ?max_steps:int ->
   ?roles:Roles.t array ->

@@ -30,10 +30,6 @@ let tids layout = function
       let first = Vclock.Layout.first_tid_of_block layout block in
       List.init layout.Vclock.Layout.threads_per_block (fun i -> first + i)
 
-let is_memory_op = function
-  | Rd _ | Wr _ | Atm _ | Acq _ | Rel _ | AcqRel _ -> true
-  | Endi _ | If _ | Else _ | Fi _ | Bar _ -> false
-
 let pp_scope ppf = function
   | Block -> Format.pp_print_string ppf "blk"
   | Global_scope -> Format.pp_print_string ppf "glb"

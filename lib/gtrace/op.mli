@@ -29,6 +29,5 @@ val tids : Vclock.Layout.t -> t -> int list
     singleton for memory operations, the active lanes for warp
     operations, the whole block for [Bar]. *)
 
-val is_memory_op : t -> bool
 val pp_scope : Format.formatter -> scope -> unit
 val pp : Format.formatter -> t -> unit

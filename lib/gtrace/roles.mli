@@ -31,6 +31,5 @@ type t =
 val classify : Ptx.Ast.kernel -> t array
 (** One role per instruction; non-memory instructions are [Plain]. *)
 
-val scope_of_fence : Ptx.Ast.fence_scope -> Op.scope
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -31,8 +31,6 @@ let m_pruned_static =
     ~help:"Logging pruned by the static race analysis"
     Telemetry.Registry.default "barracuda_instrument_pruned_static_total"
 
-let logging_cost = 4
-
 (* Model of one device-side logging call: compute the record slot,
    stash the access address into the (thread-private) record, bump the
    local cursor.  Uses reserved %lg registers so it can never clash

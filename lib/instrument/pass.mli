@@ -47,6 +47,3 @@ type result = {
 val instrument :
   ?prune:bool -> ?static:bool -> layout:Vclock.Layout.t -> Ptx.Ast.kernel ->
   result
-
-val logging_cost : int
-(** Instructions inserted per logging call. *)

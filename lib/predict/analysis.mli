@@ -51,8 +51,6 @@ val predicted_count : t -> int
 (** Confirmed + unconfirmed: races invisible in the recorded order. *)
 
 val confirmed_count : t -> int
-val unconfirmed_count : t -> int
-val observed_pair_count : t -> int
 
 val has_race : t -> bool
 (** Any observed race or any prediction. *)

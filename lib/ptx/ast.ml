@@ -119,12 +119,6 @@ let is_memory_access = function
   | Not _ | Cvt _ | Ret | Exit | Nop ->
       false
 
-let is_sync = function
-  | Membar _ | Bar_sync _ -> true
-  | Ld _ | St _ | Atom _ | Bra _ | Setp _ | Mov _ | Binop _ | Mad _ | Selp _
-  | Not _ | Cvt _ | Ret | Exit | Nop ->
-      false
-
 let operand_regs = function Reg r -> [ r ] | Imm _ | Sym _ | Sreg _ -> []
 let address_regs (a : address) = operand_regs a.base
 

@@ -145,9 +145,6 @@ val shared_offsets : kernel -> (string * int) list
 val is_memory_access : insn_kind -> bool
 (** Loads, stores and atomics: the instructions that touch memory. *)
 
-val is_sync : insn_kind -> bool
-(** Fences and barriers. *)
-
 val registers_read : insn -> string list
 (** Registers an instruction reads, including its guard predicate. *)
 

@@ -147,9 +147,4 @@ let pp_kernel ppf k =
   Array.iter (fun insn -> Format.fprintf ppf "%a@\n" pp_insn insn) k.body;
   Format.fprintf ppf "}@\n"
 
-let pp_program ppf p =
-  Format.fprintf ppf ".version 4.3@\n.target sm_35@\n.address_size 64@\n@\n";
-  List.iter (fun k -> Format.fprintf ppf "%a@\n" pp_kernel k) p
-
 let kernel_to_string k = Format.asprintf "%a" pp_kernel k
-let program_to_string p = Format.asprintf "%a" pp_program p

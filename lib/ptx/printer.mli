@@ -7,6 +7,4 @@
 val pp_operand : Format.formatter -> Ast.operand -> unit
 val pp_insn : Format.formatter -> Ast.insn -> unit
 val pp_kernel : Format.formatter -> Ast.kernel -> unit
-val pp_program : Format.formatter -> Ast.program -> unit
 val kernel_to_string : Ast.kernel -> string
-val program_to_string : Ast.program -> string

@@ -23,4 +23,3 @@ val fail : Ast.kernel -> issue list -> 'a
     than the instruction list, such as [Cfg.Dominance]'s.
     @raise Invalid_argument always. *)
 
-val pp_issue : Format.formatter -> issue -> unit

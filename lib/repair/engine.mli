@@ -47,11 +47,10 @@ val repair :
   setup:(Simt.Machine.t -> int64 array) ->
   Ptx.Ast.kernel ->
   result
+(** @raise Gpu_runtime.Session.Stopped when [max_steps] stops the
+    kernel's diagnosis run. *)
 
 val verdict_name : verdict -> string
-
-val diff_lines : string -> string -> string
-(** LCS line diff ("  " context, "+ " added, "- " removed). *)
 
 val patch_of : original:Ptx.Ast.kernel -> fix -> string
 (** The accepted fix as a line diff against the original's printing. *)

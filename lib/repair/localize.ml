@@ -55,6 +55,7 @@ let diagnose ?(max_steps = 400_000) ~layout
   let result =
     Gpu_runtime.Session.run_stream ~max_steps ~tap ~machine kernel args
   in
+  Gpu_runtime.Session.check_budget result;
   let report = result.Gpu_runtime.Session.sr_report in
   let observed_racy = Report.has_race report in
   let bardiv =

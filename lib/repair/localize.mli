@@ -24,6 +24,8 @@ val diagnose :
   setup:(Simt.Machine.t -> int64 array) ->
   Ptx.Ast.kernel ->
   t
+(** @raise Gpu_runtime.Session.Stopped when [max_steps] (default
+    400,000) stops the kernel: a run cut short is no diagnosis. *)
 
 val bardiv_reported : Barracuda.Report.t -> bool
 (** Whether the report carries a barrier-divergence error. *)

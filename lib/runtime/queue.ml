@@ -106,8 +106,6 @@ let release t =
     Telemetry.Metric.counter_incr m_pops
   end
 
-let read_index t = Atomic.get t.read_head
-
 let push_into t f =
   match try_reserve t with
   | -1 -> false

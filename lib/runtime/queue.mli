@@ -66,10 +66,6 @@ val release : t -> unit
 (** Free the slot returned by the last {!peek}; its bytes become
     producer-owned again.  No-op on an empty queue. *)
 
-val read_index : t -> int
-(** Virtual index of the record {!peek} would return — the consumer
-    frontier ([read_index mod capacity] is its physical slot). *)
-
 val push_into : t -> (Bytes.t -> int -> unit) -> bool
 (** [push_into q f] reserves a slot, calls [f buf off] to fill it with
     exactly one record, and commits.  [false] (without calling [f])

@@ -194,6 +194,17 @@ type stream_result = {
   sr_detect_ns : int64;
 }
 
+exception Stopped of int
+
+let stopped_message steps =
+  Printf.sprintf "kernel stopped after the %d-step budget (possible livelock)"
+    steps
+
+let check_budget r =
+  match r.sr_machine_result.Simt.Machine.status with
+  | Simt.Machine.Max_steps n -> raise (Stopped n)
+  | Simt.Machine.Completed | Simt.Machine.Deadline _ -> ()
+
 (* A session's detector: under the caller's plan, else the kernel's
    memoized one. *)
 let detector_for ~config ?plan ~layout kernel =

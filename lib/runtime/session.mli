@@ -77,6 +77,19 @@ type stream_result = {
           sharded sink); measured with telemetry on or off *)
 }
 
+exception Stopped of int
+(** [Stopped steps]: the step budget cut the run short
+    ({!Simt.Machine.Max_steps}).  Its report covers only what ran, so
+    it is no verdict: [check] and [repair] exit 2 with
+    {!stopped_message}, and a daemon check or repair job fails with
+    code ["timeout"] and the same message. *)
+
+val stopped_message : int -> string
+(** "kernel stopped after the N-step budget (possible livelock)". *)
+
+val check_budget : stream_result -> unit
+(** @raise Stopped when the step budget stopped the run. *)
+
 val run_stream :
   ?detector:Barracuda.Detector.config ->
   ?plan:Static.Plan.t ->

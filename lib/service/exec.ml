@@ -167,16 +167,8 @@ let run_check ~config ~cache ~job (s : Protocol.submit) =
       ~max_steps:config.max_steps ?deadline_ns ~machine entry.Cache.kernel
       args
   in
+  Gpu_runtime.Session.check_budget result;
   match result.Gpu_runtime.Session.sr_machine_result.Simt.Machine.status with
-  | Simt.Machine.Max_steps n ->
-      Protocol.Failed
-        {
-          job;
-          code = "timeout";
-          message =
-            Printf.sprintf
-              "kernel stopped after the %d-step budget (possible livelock)" n;
-        }
   | Simt.Machine.Deadline n ->
       Protocol.Failed
         {
@@ -187,7 +179,7 @@ let run_check ~config ~cache ~job (s : Protocol.submit) =
               "kernel stopped at the %d ms wall-clock deadline after %d steps"
               config.deadline_ms n;
         }
-  | Simt.Machine.Completed ->
+  | Simt.Machine.Completed | Simt.Machine.Max_steps _ ->
       Protocol.Result
         {
           job;
@@ -314,6 +306,8 @@ let error_response ~job exn =
       failed "parse_error" (Printf.sprintf "trace line %d: %s" line message)
   | Gpu_runtime.Stream.Framing message ->
       failed "bad_request" (Printf.sprintf "stream framing: %s" message)
+  | Gpu_runtime.Session.Stopped n ->
+      failed "timeout" (Gpu_runtime.Session.stopped_message n)
   | Shard.Engine.Shard_crashed i ->
       (* never degrade to a partial merge: a dead shard domain means
          the verdict is unrecoverable for this attempt *)

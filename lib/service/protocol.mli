@@ -241,8 +241,6 @@ val verdict_string : verdict -> string
 val to_hex : string -> string
 (** Lowercase hex of raw bytes (stream chunks on the wire). *)
 
-val of_hex : string -> (string, string) result
-
 (** {1 Encoding}  One line per message, newline not included. *)
 
 val encode_request : request -> string

@@ -54,7 +54,6 @@ let alloc_global t bytes =
   base
 
 let global_memory t = t.global
-let shared_memory t ~block = t.shared.(block)
 let peek t ~addr ~width = Memory.read t.global ~addr ~width
 let poke t ~addr ~width v = Memory.write t.global ~addr ~width v
 

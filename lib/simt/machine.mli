@@ -43,7 +43,6 @@ val alloc_global : t -> int -> int
     returns its base address.  Allocations are 8-byte aligned. *)
 
 val global_memory : t -> Memory.t
-val shared_memory : t -> block:int -> Memory.t
 
 val peek : t -> addr:int -> width:int -> int64
 (** Read global memory (host-side view). *)

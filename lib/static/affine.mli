@@ -27,7 +27,6 @@ type t = Bot | Aff of form | Top
 val const : int64 -> t
 val join : t -> t -> t
 val equal : t -> t -> bool
-val as_const : form -> int64 option
 val add : t -> t -> t
 val pp : Format.formatter -> t -> unit
 

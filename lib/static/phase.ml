@@ -139,8 +139,6 @@ let build (k : Ptx.Ast.kernel) (g : Cfg.Graph.t) =
   }
 
 let preds t b = t.preds.(b)
-let min_phase t i = t.min_phase.(i)
-let max_phase t i = t.max_phase.(i)
 
 (* Every execution of [a] precedes the barrier that every execution of
    [b] follows — a block-wide happens-before edge for same-block

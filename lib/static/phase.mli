@@ -16,14 +16,6 @@ type t
 
 val build : Ptx.Ast.kernel -> Cfg.Graph.t -> t
 
-val min_phase : t -> int -> int
-(** Number of chain barriers that dominate the instruction: every
-    execution of it happens at or after this phase. *)
-
-val max_phase : t -> int -> int
-(** Number of chain barriers the instruction is reachable after: every
-    execution of it happens at or before this phase. *)
-
 val separated : t -> int -> int -> bool
 (** [separated t a b]: every execution of [a] is barrier-ordered before
     every execution of [b], for every pair of threads in a block. *)

@@ -24,9 +24,6 @@ type gauge = int Atomic.t
 let make_gauge () = Atomic.make 0
 let gauge_set g v = if enabled () then Atomic.set g v
 
-let gauge_add g n =
-  if enabled () && n <> 0 then ignore (Atomic.fetch_and_add g n)
-
 let rec max_loop g v =
   let cur = Atomic.get g in
   if v > cur && not (Atomic.compare_and_set g cur v) then max_loop g v

@@ -24,7 +24,6 @@ val make_counter : unit -> counter
 val counter_incr : counter -> unit
 val counter_add : counter -> int -> unit
 val counter_value : counter -> int
-val counter_reset : counter -> unit
 
 (** {1 Gauges} — instantaneous values (queue depth, high watermark). *)
 
@@ -32,13 +31,11 @@ type gauge
 
 val make_gauge : unit -> gauge
 val gauge_set : gauge -> int -> unit
-val gauge_add : gauge -> int -> unit
 val gauge_max : gauge -> int -> unit
 (** [gauge_max g v] raises the gauge to [v] if [v] is larger — the
     lock-free high-watermark update. *)
 
 val gauge_value : gauge -> int
-val gauge_reset : gauge -> unit
 
 (** {1 Histograms} — fixed upper-bound buckets chosen at creation;
     observations beyond the last bound land in an implicit overflow
@@ -58,7 +55,6 @@ val histogram_counts : histogram -> int array
 
 val histogram_sum : histogram -> float
 val histogram_count : histogram -> int
-val histogram_reset : histogram -> unit
 
 (** {1 Tagged union} used by the registry and exporters. *)
 

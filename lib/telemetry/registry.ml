@@ -121,7 +121,3 @@ let find_gauge ?(labels = []) t name =
   | Some { metric = Metric.Gauge g; _ } -> Metric.gauge_value g
   | _ -> 0
 
-let find_histogram ?(labels = []) t name =
-  match find t ~labels name with
-  | Some { metric = Metric.Histogram h; _ } -> Some h
-  | _ -> None

@@ -60,7 +60,3 @@ val find_counter : ?labels:(string * string) list -> t -> string -> int
 
 val find_gauge : ?labels:(string * string) list -> t -> string -> int
 (** Current value of a registered gauge, 0 if absent. *)
-
-val find_histogram :
-  ?labels:(string * string) list -> t -> string -> Metric.histogram option
-(** Handle of a registered histogram, [None] if absent. *)

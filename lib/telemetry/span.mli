@@ -59,6 +59,3 @@ val breakdown :
     other span that ran, as a stage of its own, then ["unattributed"]:
     the part of [wall_ns] no stage covers.  The shares of the rows that
     are not nested sum to 100%. *)
-
-val duration_ms_bounds : float array
-(** The fixed histogram buckets, in milliseconds. *)

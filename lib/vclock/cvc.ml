@@ -103,11 +103,6 @@ let leq a b =
   && Imap.for_all (fun w c -> warp_covered b w c) a.warp_floor
   && Imap.for_all (fun blk c -> block_covered b blk c) a.block_floor
 
-let epoch_leq (e : Epoch.t) v = e.clock <= get v e.tid
-
-let vc_leq sparse v =
-  Vector_clock.fold (fun tid c ok -> ok && c <= get v tid) sparse true
-
 let to_vector_clock v =
   let acc = ref Vector_clock.bottom in
   for tid = 0 to Layout.total_threads v.layout - 1 do

@@ -43,12 +43,6 @@ val join : t -> t -> t
 val leq : t -> t -> bool
 (** Pointwise order. Cost is proportional to the supports, not the grid. *)
 
-val epoch_leq : Epoch.t -> t -> bool
-(** [epoch_leq (c@t) v] iff [c <= get v t]. *)
-
-val vc_leq : Vector_clock.t -> t -> bool
-(** [vc_leq sparse v]: every non-zero entry of [sparse] is below [v]. *)
-
 val to_vector_clock : t -> Vector_clock.t
 (** Expand to an explicit sparse clock (grid-sized in the worst case;
     intended for tests and small grids). *)

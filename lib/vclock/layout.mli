@@ -30,9 +30,6 @@ val make_dims : warp_size:int -> block_dim:dim3 -> grid_dim:dim3 -> t
     in-block index [x + y*bx + z*bx*by] — which also determines its
     warp.  @raise Invalid_argument on non-positive components. *)
 
-val dim1 : int -> dim3
-(** [{x = n; y = 1; z = 1}] *)
-
 val one_dimensional : t -> bool
 (** Block and grid both extend along x alone, so [%tid.x] and
     [%ctaid.x] name every thread: what {!make} builds. *)

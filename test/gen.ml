@@ -244,6 +244,66 @@ let trace_of_program prog =
   let args = setup m in
   Gtrace.Infer.run ~layout m k args
 
+(* ---- Race sets ----------------------------------------------------- *)
+
+(* Comparisons need every report: a detector, or a shard, hitting
+   [max_reports] would under-report legitimately. *)
+let detector_config =
+  { Barracuda.Detector.default_config with max_reports = 100000 }
+
+(* A race without its instruction ids or its place in the detection
+   order. *)
+type race_key = {
+  loc : Gtrace.Loc.t;
+  prev_tid : int;
+  prev_kind : Barracuda.Report.access_kind;
+  cur_tid : int;
+  cur_kind : Barracuda.Report.access_kind;
+}
+
+(* The distinct races of an error list, in a canonical order. *)
+let race_keys errors =
+  let key : Barracuda.Report.error -> race_key option = function
+    | Race { loc; prev_tid; prev_kind; cur_tid; cur_kind; _ } ->
+        Some { loc; prev_tid; prev_kind; cur_tid; cur_kind }
+    | Barrier_divergence _ -> None
+  in
+  List.sort_uniq Stdlib.compare (List.filter_map key errors)
+
+let race_set report = race_keys (Barracuda.Report.errors report)
+
+let pp_race_key ppf k =
+  Format.fprintf ppf "%a: %a t%d vs %a t%d" Gtrace.Loc.pp k.loc
+    Barracuda.Report.pp_kind k.prev_kind k.prev_tid Barracuda.Report.pp_kind
+    k.cur_kind k.cur_tid
+
+(* Replay a recorded stream through a streaming session ([sink] picks
+   the backend), cut by the cyclic sizes in [cuts] and checkpointed
+   every [every] chunks (0: never); the final progress. *)
+let replay ?sink ~layout (cuts, every) kernel bytes =
+  let module S = Gpu_runtime.Session in
+  let st = S.open_stream ?sink ~detector:detector_config ~layout kernel in
+  let total = String.length bytes in
+  let rec feed pos i =
+    if pos < total then begin
+      let len = min cuts.(i mod Array.length cuts) (total - pos) in
+      S.feed_chunk st ~pos ~len bytes;
+      if every > 0 && (i + 1) mod every = 0 then ignore (S.checkpoint st);
+      feed (pos + len) (i + 1)
+    end
+  in
+  match feed 0 0 with
+  | () -> S.close_stream st
+  | exception e ->
+      S.abort_stream st;
+      raise e
+
+(* Telemetry on, from zero, for [f ()]. *)
+let with_telemetry f =
+  Telemetry.Registry.set_enabled true;
+  Telemetry.Registry.reset Telemetry.Registry.default;
+  Fun.protect ~finally:(fun () -> Telemetry.Registry.set_enabled false) f
+
 (* ---- Byte mutations of untrusted inputs -------------------------- *)
 
 (* 1-4 byte flips, deletions, insertions or cuts, at seeded positions. *)

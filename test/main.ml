@@ -25,4 +25,5 @@ let () =
       ("static", Test_static.suite);
       ("repair", Test_repair.suite);
       ("fleet", Test_fleet.suite);
+      ("equiv", Test_equiv.suite);
     ]

@@ -286,39 +286,14 @@ let test_shadow_summary_no_alloc () =
 
 (* ---- Detector vs Reference equivalence ------------------------------ *)
 
-type race_key = {
-  loc : Gtrace.Loc.t;
-  prev_tid : int;
-  prev_kind : Report.access_kind;
-  cur_tid : int;
-  cur_kind : Report.access_kind;
-}
-
-let race_set report =
-  Report.errors report
-  |> List.filter_map (function
-       | Report.Race r ->
-           Some
-             {
-               loc = r.Report.loc;
-               prev_tid = r.Report.prev_tid;
-               prev_kind = r.Report.prev_kind;
-               cur_tid = r.Report.cur_tid;
-               cur_kind = r.Report.cur_kind;
-             }
-       | Report.Barrier_divergence _ -> None)
-  |> List.sort_uniq Stdlib.compare
-
 (* The deployed path: the uninstrumented kernel through the session
    core's serial sink, with no report cap in the way. *)
 let detect prog =
   let k = Gen.kernel_of_program prog in
   let m = Simt.Machine.create ~layout:lay () in
   let args = Gen.setup m in
-  let detector =
-    { Barracuda.Detector.default_config with max_reports = 100000 }
-  in
-  (Gpu_runtime.Session.run_stream ~detector ~machine:m k args)
+  (Gpu_runtime.Session.run_stream ~detector:Gen.detector_config ~machine:m k
+     args)
     .Gpu_runtime.Session.sr_report
 
 let run_both prog =
@@ -328,12 +303,8 @@ let run_both prog =
   let ops, _ = Gtrace.Infer.run ~layout:lay m1 k args1 in
   let reference = Barracuda.Reference.create ~max_reports:100000 ~layout:lay () in
   Barracuda.Reference.run reference ops;
-  ( race_set (Barracuda.Reference.report reference),
-    race_set (detect prog) )
-
-let pp_race_key ppf k =
-  Format.fprintf ppf "%a: %a t%d vs %a t%d" Gtrace.Loc.pp k.loc Report.pp_kind
-    k.prev_kind k.prev_tid Report.pp_kind k.cur_kind k.cur_tid
+  ( Gen.race_set (Barracuda.Reference.report reference),
+    Gen.race_set (detect prog) )
 
 let prop_detector_matches_reference =
   QCheck2.Test.make
@@ -344,9 +315,9 @@ let prop_detector_matches_reference =
       else
         QCheck2.Test.fail_reportf
           "@[<v>mismatch!@,reference: %a@,detector:  %a@]"
-          (Format.pp_print_list pp_race_key)
+          (Format.pp_print_list Gen.pp_race_key)
           ref_races
-          (Format.pp_print_list pp_race_key)
+          (Format.pp_print_list Gen.pp_race_key)
           det_races)
 
 let prop_detector_deterministic =

@@ -198,6 +198,24 @@ let test_scoreboard () =
       | _ -> ())
     score.Bugsuite.Harness.repair_outcomes
 
+(* ---- a run cut short is no diagnosis ---------------------------- *)
+
+(* examples/repairable_race.ptx races (check reports 8 races), but not
+   within 10 steps: a diagnosis its step budget stopped is no verdict,
+   never "already race-free". *)
+let test_stopped_run_not_clean () =
+  let kernel = Ptx.Parser.kernel_of_string Example_ptx.repairable_race in
+  match
+    Engine.repair
+      ~config:{ Engine.default_config with Engine.max_steps = 10 }
+      ~layout:Service.Exec.default_layout
+      ~setup:(fun m -> Service.Exec.resolve_args m kernel [])
+      kernel
+  with
+  | r -> Alcotest.failf "answered %s" (Engine.verdict_name r.Engine.verdict)
+  | exception Gpu_runtime.Session.Stopped steps ->
+      Alcotest.(check int) "the budget that stopped it" 10 steps
+
 let suite =
   [
     Alcotest.test_case "race-free kernel: repair is a no-op" `Quick
@@ -211,4 +229,6 @@ let suite =
       test_race_reports_carry_insn_ids;
     Alcotest.test_case "bug-suite scoreboard: >=20 fixed, none unfixable"
       `Slow test_scoreboard;
+    Alcotest.test_case "a stopped run is no diagnosis" `Quick
+      test_stopped_run_not_clean;
   ]

@@ -261,9 +261,6 @@ let test_steady_state_allocation () =
 
 (* ---- Session.run_stream ------------------------------------------- *)
 
-let detector_config =
-  { Barracuda.Detector.default_config with max_reports = 100000 }
-
 (* Weaker cross-run property that survives schedule perturbation: a
    race-free program stays race-free with the deployed instrumentation
    (block + static pruning), which only ever drops records. *)
@@ -281,7 +278,7 @@ let prop_pipeline_no_false_positives =
         let m2 = Simt.Machine.create ~layout:Gen.layout () in
         let args2 = Gen.setup m2 in
         let r =
-          Session.run_stream ~detector:detector_config
+          Session.run_stream ~detector:Gen.detector_config
             ~inst:(Instrument.Pass.instrument ~layout:Gen.layout k)
             ~machine:m2 k args2
         in

@@ -1,6 +1,6 @@
 (* The race-checking service: wire protocol, artifact cache, scheduler
-   backpressure, daemon lifecycle (crash isolation, timeouts), and
-   report parity between the daemon and one-shot checking. *)
+   backpressure and daemon lifecycle (crash isolation, timeouts).  That
+   a daemon's answers are check's is test_equiv's obligation. *)
 
 module P = Service.Protocol
 module Case = Bugsuite.Case
@@ -781,6 +781,28 @@ let test_job_timeout () =
       Alcotest.(check bool) "daemon alive after timeout" true
         (Service.Client.ping ~socket))
 
+(* A run its step budget stopped is no verdict, whichever job ran it:
+   a check and a repair of examples/repairable_race.ptx on a daemon
+   with a 10-step budget both fail with the same timeout. *)
+let test_stopped_run_times_out () =
+  with_server ~max_steps:10 "stopped" (fun socket _t ->
+      let failure kind =
+        match
+          Service.Client.submit ~socket
+            (P.submit_defaults ~kind Example_ptx.repairable_race)
+        with
+        | Ok (P.Failed { code; message; _ }) -> (code, message)
+        | Ok r -> Alcotest.failf "expected Failed, got %s" (P.encode_response r)
+        | Result.Error e -> Alcotest.failf "transport: %s" e
+      in
+      let timeout =
+        ("timeout", "kernel stopped after the 10-step budget (possible livelock)")
+      in
+      Alcotest.(check (pair string string)) "check job" timeout
+        (failure P.Check);
+      Alcotest.(check (pair string string)) "repair job" timeout
+        (failure P.Repair))
+
 let test_bad_submissions () =
   with_server "badsub" (fun socket _t ->
       (match
@@ -804,12 +826,7 @@ let test_bad_submissions () =
       | Result.Error e -> Alcotest.failf "transport: %s" e);
       Alcotest.(check bool) "daemon alive" true (Service.Client.ping ~socket))
 
-(* ---- report parity with one-shot checking ------------------------ *)
-
-let source_of_kernel k = Format.asprintf "%a" Ptx.Printer.pp_kernel k
-
-let arg_specs (c : Case.t) =
-  List.map (fun _ -> "alloc:256") c.Case.kernel.Ptx.Ast.params
+(* ---- bug-suite cases as daemon traffic --------------------------- *)
 
 (* A bug-suite case as a daemon check: its printed source at its
    layout, every parameter an [alloc:256] buffer (daemon-fleet's
@@ -817,119 +834,16 @@ let arg_specs (c : Case.t) =
 let case_sub (c : Case.t) =
   let layout = c.Case.layout in
   {
-    (P.submit_defaults ~kind:P.Check (source_of_kernel c.Case.kernel)) with
+    (P.submit_defaults ~kind:P.Check
+       (Ptx.Printer.kernel_to_string c.Case.kernel))
+    with
     P.layout =
       Some
         ( layout.Vclock.Layout.blocks,
           layout.Vclock.Layout.threads_per_block,
           layout.Vclock.Layout.warp_size );
-    args = arg_specs c;
+    args = List.map (fun _ -> "alloc:256") c.Case.kernel.Ptx.Ast.params;
   }
-
-(* [barracuda check]'s run of a submission: the plain kernel through the
-   session core, at the daemon's step budget. *)
-let plain_run (c : Case.t) (sub : P.submit) =
-  let kernel = Ptx.Parser.kernel_of_string sub.P.payload in
-  let machine = Simt.Machine.create ~layout:c.Case.layout () in
-  let args = Service.Exec.resolve_args machine kernel sub.P.args in
-  Gpu_runtime.Session.run_stream
-    ~max_steps:Service.Exec.default_config.Service.Exec.max_steps ~machine
-    kernel args
-
-let first_errors report =
-  List.filteri
-    (fun i _ -> i < 20)
-    (List.map
-       (Format.asprintf "%a" Barracuda.Report.pp_error)
-       (Barracuda.Report.errors report))
-
-(* What a check reply carries, [None] for a step-budget timeout: its
-   verdict, race count and first 20 errors, in order.  A static answer
-   would differ from check's report; every bug-suite case executes. *)
-let reply_of (o : P.outcome) =
-  Some (P.verdict_string o.P.verdict, o.P.races, o.P.errors)
-
-let oneshot_reply c sub =
-  let r = plain_run c sub in
-  match r.Gpu_runtime.Session.sr_machine_result.Simt.Machine.status with
-  | Simt.Machine.Max_steps _ | Simt.Machine.Deadline _ -> None
-  | Simt.Machine.Completed ->
-      let report = r.Gpu_runtime.Session.sr_report in
-      Some
-        ( P.verdict_string
-            (if Barracuda.Report.has_race report then P.Racy else P.Race_free),
-          Barracuda.Report.race_count report,
-          first_errors report )
-
-let test_bugsuite_parity () =
-  (* The counter assertion at the end needs live telemetry (the CLI's
-     [serve] turns it on; tests run with it off by default). *)
-  let was_enabled = Telemetry.Registry.enabled () in
-  Telemetry.Registry.set_enabled true;
-  Fun.protect ~finally:(fun () -> Telemetry.Registry.set_enabled was_enabled)
-  @@ fun () ->
-  with_server ~workers:2 "parity" (fun socket _t ->
-      let cases = Bugsuite.Cases.all in
-      let reply = Alcotest.(option (triple string int (list string))) in
-      List.iter
-        (fun (c : Case.t) ->
-          let sub = case_sub c in
-          let via_service =
-            match Service.Client.submit ~retries:10 ~socket sub with
-            | Ok (P.Result { outcome; _ }) -> reply_of outcome
-            | Ok (P.Failed { code = "timeout"; _ }) -> None
-            | Ok r ->
-                Alcotest.failf "case %s: unexpected reply %s" c.Case.name
-                  (P.encode_response r)
-            | Result.Error e ->
-                Alcotest.failf "case %s: transport: %s" c.Case.name e
-          in
-          Alcotest.check reply
-            (c.Case.name ^ ": daemon reply = check report")
-            (oneshot_reply c sub) via_service)
-        cases;
-      (* Resubmitting a kernel already checked must hit the artifact
-         cache, and the hit must show up in the service counters. *)
-      (match
-         Service.Client.submit ~retries:10 ~socket (case_sub (List.hd cases))
-       with
-      | Ok (P.Result { outcome; _ }) ->
-          Alcotest.(check bool) "resubmission hits the cache" true
-            outcome.P.cache_hit
-      | Ok r -> Alcotest.failf "resubmit: unexpected reply %s" (P.encode_response r)
-      | Result.Error e -> Alcotest.failf "resubmit: transport: %s" e);
-      (match Service.Client.status ~socket with
-      | Ok s ->
-          Alcotest.(check bool) "status counts the hit" true
-            (s.P.cache.hits >= 1);
-          Alcotest.(check int) "every submission accounted" (List.length cases + 1)
-            s.P.jobs.submitted
-      | Result.Error e -> Alcotest.failf "status: %s" e);
-      match Service.Client.metrics ~socket with
-      | Ok text ->
-          let hit_line =
-            String.split_on_char '\n' text
-            |> List.find_opt (fun l ->
-                   String.length l > 0
-                   && l.[0] <> '#'
-                   && String.starts_with ~prefix:"barracuda_service_cache_hits"
-                        l)
-          in
-          (match hit_line with
-          | Some line ->
-              let value =
-                match String.rindex_opt line ' ' with
-                | Some i ->
-                    float_of_string_opt
-                      (String.sub line (i + 1) (String.length line - i - 1))
-                | None -> None
-              in
-              Alcotest.(check bool)
-                "barracuda_service_cache_hits counter advanced" true
-                (match value with Some v -> v >= 1.0 | None -> false)
-          | None ->
-              Alcotest.fail "barracuda_service_cache_hits missing from metrics")
-      | Result.Error e -> Alcotest.failf "metrics: %s" e)
 
 (* ---- predictive jobs --------------------------------------------- *)
 
@@ -1700,10 +1614,19 @@ let test_reply_error_strings () =
       Bugsuite.Cases.all
   in
   let sub = case_sub c in
-  let report = (plain_run c sub).Gpu_runtime.Session.sr_report in
-  Alcotest.(check int) "errors in the report" 124
-    (List.length (Barracuda.Report.errors report));
-  let expect = first_errors report in
+  let kernel = Ptx.Parser.kernel_of_string sub.P.payload in
+  let machine = Simt.Machine.create ~layout:c.Case.layout () in
+  let args = Service.Exec.resolve_args machine kernel sub.P.args in
+  let errors =
+    Barracuda.Report.errors
+      (Gpu_runtime.Session.run_stream ~machine kernel args)
+        .Gpu_runtime.Session.sr_report
+  in
+  Alcotest.(check int) "errors in the report" 124 (List.length errors);
+  let expect =
+    List.filteri (fun i _ -> i < 20)
+      (List.map (Format.asprintf "%a" Barracuda.Report.pp_error) errors)
+  in
   with_server "errors" (fun socket _t ->
       match submit_verdict ~socket sub with
       | Ok o -> Alcotest.(check (list string)) "reply errors" expect o.P.errors
@@ -2060,8 +1983,9 @@ let suite =
     Alcotest.test_case "ping and status" `Quick test_ping_and_status;
     Alcotest.test_case "crash isolation" `Quick test_crash_isolation;
     Alcotest.test_case "job timeout" `Quick test_job_timeout;
+    Alcotest.test_case "a stopped run times out on every job" `Quick
+      test_stopped_run_times_out;
     Alcotest.test_case "bad submissions" `Quick test_bad_submissions;
-    Alcotest.test_case "bugsuite parity" `Slow test_bugsuite_parity;
     Alcotest.test_case "predict over trace" `Quick test_predict_over_trace;
     Alcotest.test_case "streaming session end-to-end" `Quick
       test_streaming_session;

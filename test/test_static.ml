@@ -1,65 +1,13 @@
 (* The static race analysis (lib/static): affine address
-   classification, barrier phases, and the three verdicts.  The
-   load-bearing claim is soundness — dropping the logging for every
-   [Safe] access must leave the detected race set bitwise unchanged on
-   the whole bug suite, serial and sharded. *)
+   classification, barrier phases, the three verdicts, the service's
+   static answer and the check plan.  Its soundness — dropping the
+   checks and the logging of every [Safe] access leaves the detected
+   races unchanged, and a static racy answer is racy when executed —
+   is test_equiv's obligation, on every shipped kernel. *)
 
 module Session = Gpu_runtime.Session
 module Report = Barracuda.Report
 module A = Static.Analysis
-
-(* ---- race-set extraction (as in test_shard) ---------------------- *)
-
-type race_key = {
-  loc : Gtrace.Loc.t;
-  prev_tid : int;
-  prev_kind : Report.access_kind;
-  cur_tid : int;
-  cur_kind : Report.access_kind;
-}
-
-let race_set report =
-  Report.errors report
-  |> List.filter_map (function
-       | Report.Race r ->
-           Some
-             {
-               loc = r.Report.loc;
-               prev_tid = r.Report.prev_tid;
-               prev_kind = r.Report.prev_kind;
-               cur_tid = r.Report.cur_tid;
-               cur_kind = r.Report.cur_kind;
-             }
-       | Report.Barrier_divergence _ -> None)
-  |> List.sort_uniq Stdlib.compare
-
-let detector_config =
-  { Barracuda.Detector.default_config with max_reports = 100000 }
-
-(* The instrumented kernel through the session core, with the given
-   pruning tiers; [shards] selects the sharded sink.  With the static
-   tier off the detectors check every access (the empty plan); with it
-   on they skip what the kernel's plan drops, as every verdict path
-   does. *)
-let pruned_report ?shards ~prune ~static (c : Bugsuite.Case.t) =
-  let layout = c.Bugsuite.Case.layout in
-  let kernel = c.Bugsuite.Case.kernel in
-  let plan = Static.Plan.of_kernel kernel in
-  let plan = if static then plan else Static.Plan.empty plan in
-  let m = Simt.Machine.create ~layout () in
-  let args = c.Bugsuite.Case.setup m in
-  let sink =
-    Option.map
-      (fun shards ->
-        Shard.Stream.sink ~config:detector_config ~plan ~layout ~shards kernel)
-      shards
-  in
-  let r =
-    Session.run_stream ~detector:detector_config ~plan ?sink
-      ~inst:(Instrument.Pass.instrument ~prune ~static ~layout kernel)
-      ~machine:m kernel args
-  in
-  r.Session.sr_report
 
 (* ---- affine classification --------------------------------------- *)
 
@@ -242,54 +190,6 @@ let test_static_racy_verdict () =
       Alcotest.(check bool) "static report carries the race" true
         (Report.has_race r)
 
-(* The static verdict must agree with the dynamic detector end to
-   end: the same kernel, executed, reports a race at the same shared
-   address. *)
-let test_static_racy_dynamic_agreement () =
-  let l = layout ~blocks:2 ~tpb:64 () in
-  let m = Simt.Machine.create ~layout:l () in
-  let kernel = parse static_racy_src in
-  let out = Int64.of_int (Simt.Machine.alloc_global m 64) in
-  let r =
-    Session.run_stream ~detector:detector_config ~machine:m kernel [| out |]
-  in
-  Alcotest.(check bool) "dynamic detector agrees" true
-    (Report.has_race r.Session.sr_report)
-
-(* ---- soundness over the bug suite -------------------------------- *)
-
-(* For every case (the 66-program suite plus the predictive family),
-   the race set with static pruning must be bitwise identical to the
-   unpruned one — serial and sharded.  This is the proof obligation
-   for dropping logging: no seeded racy access may be classified
-   Safe.  The serial test also holds the block tier to the same
-   obligation: a redundant-access elision must never hide a race. *)
-let test_bugsuite_parity_serial () =
-  List.iter
-    (fun (c : Bugsuite.Case.t) ->
-      let baseline = race_set (pruned_report ~prune:false ~static:false c) in
-      List.iter
-        (fun (tier, prune, static) ->
-          if race_set (pruned_report ~prune ~static c) <> baseline then
-            Alcotest.failf "%s: %s pruning changed the serial race set"
-              c.Bugsuite.Case.name tier)
-        [ ("static", false, true); ("block", true, false) ])
-    (Bugsuite.Cases.all @ Bugsuite.Cases.predictive)
-
-let test_bugsuite_parity_sharded () =
-  List.iter
-    (fun (c : Bugsuite.Case.t) ->
-      let baseline =
-        race_set (pruned_report ~shards:4 ~prune:false ~static:false c)
-      in
-      let pruned =
-        race_set (pruned_report ~shards:4 ~prune:false ~static:true c)
-      in
-      if baseline <> pruned then
-        Alcotest.failf "%s: static pruning changed the sharded race set"
-          c.Bugsuite.Case.name)
-    (Bugsuite.Cases.all @ Bugsuite.Cases.predictive)
-
 (* Direct verdict checks against the suite's ground truth: a kernel
    whose accesses are all Safe must be a race-free case, and a kernel
    the analysis proves racy for its case layout must be a racy case. *)
@@ -372,7 +272,7 @@ let test_aliased_params_every_path () =
     Alcotest.(check bool) "both parameters name one buffer" true
       (args.(0) = args.(1));
     Report.race_count
-      (Session.run_stream ~detector:detector_config ?inst ?capture ~machine:m
+      (Session.run_stream ~detector:Gen.detector_config ?inst ?capture ~machine:m
          kernel args)
         .Session.sr_report
   in
@@ -399,43 +299,8 @@ let test_aliased_params_every_path () =
   Alcotest.(check int) "stream replay of the recording" races
     (Session.close_stream st).Session.p_race_count
 
-(* Dropping what the plan proves safe must leave every shipped kernel's
-   report exactly as it is with every access checked: the same races
-   in the same order, serially and at 4 shards. *)
-let test_plan_parity_shipped () =
-  List.iter
-    (fun (name, layout, kernel, setup) ->
-      let errors ?shards plan =
-        let m = Simt.Machine.create ~layout () in
-        let args = setup m in
-        let sink =
-          Option.map
-            (fun shards ->
-              Shard.Stream.sink ~config:detector_config ~plan ~layout ~shards
-                kernel)
-            shards
-        in
-        Report.errors
-          (Session.run_stream ~detector:detector_config ~plan ?sink ~machine:m
-             kernel args)
-            .Session.sr_report
-      in
-      let plan = Static.Plan.of_kernel kernel in
-      List.iter
-        (fun shards ->
-          if errors ?shards plan <> errors ?shards (Static.Plan.empty plan) then
-            Alcotest.failf "%s: the plan changed the race list (%s)" name
-              (match shards with
-              | None -> "serial"
-              | Some k -> Printf.sprintf "%d shards" k))
-        [ None; Some 4 ])
-    Test_simt.shipped_kernels
-
 let with_telemetry f =
-  Telemetry.Registry.set_enabled true;
-  Telemetry.Registry.reset Telemetry.Registry.default;
-  Fun.protect ~finally:(fun () -> Telemetry.Registry.set_enabled false)
-    (fun () ->
+  Gen.with_telemetry (fun () ->
       f (Telemetry.Registry.find_counter Telemetry.Registry.default))
 
 (* A kernel is analyzed once per process however often it is checked,
@@ -561,12 +426,6 @@ let suite =
       test_missing_barrier_not_safe;
     Alcotest.test_case "uniform shared conflict is provably racy" `Quick
       test_static_racy_verdict;
-    Alcotest.test_case "static racy verdict agrees with execution" `Quick
-      test_static_racy_dynamic_agreement;
-    Alcotest.test_case "bugsuite race-set parity, serial" `Slow
-      test_bugsuite_parity_serial;
-    Alcotest.test_case "bugsuite race-set parity, 4 shards" `Slow
-      test_bugsuite_parity_sharded;
     Alcotest.test_case "verdicts consistent with ground truth" `Quick
       test_bugsuite_verdicts_consistent;
     Alcotest.test_case "service static fast path" `Quick
@@ -574,8 +433,6 @@ let suite =
     Alcotest.test_case "instrument static tier" `Quick test_pass_static_tier;
     Alcotest.test_case "aliased parameters race on every path" `Quick
       test_aliased_params_every_path;
-    Alcotest.test_case "plan keeps every shipped race list" `Slow
-      test_plan_parity_shipped;
     Alcotest.test_case "one analysis per kernel" `Quick
       test_plan_once_per_kernel;
     Alcotest.test_case "plan memo bound" `Quick test_plan_memo_bound;

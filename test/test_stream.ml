@@ -1,45 +1,13 @@
 (* The streaming-session core (lib/runtime/session + lib/runtime/stream):
-   the load-bearing claim is chunk invariance — feeding a recorded wire
-   stream through a session in ANY chunking (1-byte, mid-record,
-   straddling barrier epochs) yields bitwise the batch race set, on the
-   serial backend and on the sharded one.  Plus transport integrity
-   through a session, the stream file codec, the reference detector's
-   incremental verdicts, and the scheduler's session seats. *)
+   transport integrity through a session, framing, the stream file
+   codec, the reference detector's incremental verdicts, the
+   scheduler's session seats and the reassembler's allocation.  Chunk
+   invariance — any chunking of a recorded stream reproduces check's
+   report, serially and sharded — is test_equiv's obligation. *)
 
 module Report = Barracuda.Report
 module Session = Gpu_runtime.Session
 module Stream = Gpu_runtime.Stream
-
-(* ---- race-set extraction (as in test_shard) ---------------------- *)
-
-type race_key = {
-  loc : Gtrace.Loc.t;
-  prev_tid : int;
-  prev_kind : Report.access_kind;
-  cur_tid : int;
-  cur_kind : Report.access_kind;
-}
-
-let race_set_of_errors errors =
-  errors
-  |> List.filter_map (function
-       | Report.Race r ->
-           Some
-             {
-               loc = r.Report.loc;
-               prev_tid = r.Report.prev_tid;
-               prev_kind = r.Report.prev_kind;
-               cur_tid = r.Report.cur_tid;
-               cur_kind = r.Report.cur_kind;
-             }
-       | Report.Barrier_divergence _ -> None)
-  |> List.sort_uniq Stdlib.compare
-
-let race_set report = race_set_of_errors (Report.errors report)
-
-(* Parity needs the full stream with no report cap in the way. *)
-let detector_config =
-  { Barracuda.Detector.default_config with max_reports = 100000 }
 
 (* ---- recording a one-shot run ------------------------------------ *)
 
@@ -51,154 +19,24 @@ let oneshot ~layout kernel args_of_machine =
   let args = args_of_machine machine in
   let buf = Buffer.create 4096 in
   let r =
-    Session.run_stream ~detector:detector_config ~capture:buf ~machine kernel
-      args
+    Session.run_stream ~detector:Gen.detector_config ~capture:buf ~machine
+      kernel args
   in
-  (race_set r.Session.sr_report, r.Session.sr_records, Buffer.contents buf)
+  (Gen.race_set r.Session.sr_report, r.Session.sr_records, Buffer.contents buf)
 
-(* Replay [bytes] through a streaming session, cutting chunks by the
-   (cyclic, positive) sizes in [cuts], checkpointing every
-   [checkpoint_every] chunks, and return the final progress.
-   [shards = 0] is the serial backend. *)
+(* Replay [bytes] in chunks of the (cyclic) [cuts], checkpointing
+   every [checkpoint_every] chunks.  [shards = 0] is the serial
+   backend. *)
 let streamed ~layout ~shards ~cuts ~checkpoint_every kernel bytes =
   let sink =
     if shards = 0 then None
-    else
-      Some
-        (Shard.Stream.sink ~config:detector_config ~layout ~shards kernel)
+    else Some (Shard.Stream.sink ~config:Gen.detector_config ~layout ~shards kernel)
   in
-  let st = Session.open_stream ?sink ~detector:detector_config ~layout kernel in
-  match
-    let total = String.length bytes in
-    let ncuts = Array.length cuts in
-    let pos = ref 0 and i = ref 0 in
-    while !pos < total do
-      let len = min cuts.(!i mod ncuts) (total - !pos) in
-      Session.feed_chunk st ~pos:!pos ~len bytes;
-      pos := !pos + len;
-      incr i;
-      if checkpoint_every > 0 && !i mod checkpoint_every = 0 then
-        ignore (Session.checkpoint st)
-    done;
-    Session.close_stream st
-  with
-  | p -> p
-  | exception e ->
-      Session.abort_stream st;
-      raise e
+  Gen.replay ?sink ~layout (cuts, checkpoint_every) kernel bytes
 
 (* What a replay must share with the one-shot run: the race set and
    the records accepted. *)
-let outcome p = (race_set_of_errors p.Session.p_errors, p.Session.p_records)
-
-(* ---- QCheck: chunk invariance ------------------------------------ *)
-
-let gen_chunking =
-  QCheck2.Gen.(
-    (* sizes deliberately straddle every interesting boundary: single
-       bytes, sub-record, exactly a record, and multi-cell *)
-    let* cuts =
-      array_size (int_range 1 24)
-        (oneof
-           [
-             int_range 1 8;
-             int_range (Barracuda.Wire.size - 4) (Barracuda.Wire.size + 4);
-             int_range 1 (2 * Stream.max_cell_size);
-           ])
-    in
-    let* checkpoint_every = int_range 0 5 in
-    return (cuts, checkpoint_every))
-
-let gen_case = QCheck2.Gen.pair Gen.gen_program gen_chunking
-
-let print_case (prog, (cuts, ce)) =
-  Printf.sprintf "program:\n%s\ncuts=[%s] checkpoint_every=%d"
-    (Gen.print_program prog)
-    (String.concat ";" (Array.to_list (Array.map string_of_int cuts)))
-    ce
-
-let prop_chunk_invariance =
-  QCheck2.Test.make
-    ~name:
-      "any chunking of a recorded stream reproduces the batch race set \
-       (serial and 4 shards)"
-    ~count:60 ~print:print_case gen_case
-    (fun (prog, (cuts, checkpoint_every)) ->
-      let kernel = Gen.kernel_of_program prog in
-      let layout = Gen.layout in
-      let expected, records, bytes = oneshot ~layout kernel Gen.setup in
-      let serial =
-        outcome
-          (streamed ~layout ~shards:0 ~cuts ~checkpoint_every kernel bytes)
-      in
-      let sharded =
-        outcome
-          (streamed ~layout ~shards:4 ~cuts ~checkpoint_every kernel bytes)
-      in
-      if serial <> (expected, records) then
-        QCheck2.Test.fail_reportf
-          "serial stream diverged: %d races / %d records, one-shot %d / %d"
-          (List.length (fst serial))
-          (snd serial) (List.length expected) records;
-      if sharded <> (expected, records) then
-        QCheck2.Test.fail_reportf
-          "4-shard stream diverged: %d races / %d records, one-shot %d / %d"
-          (List.length (fst sharded))
-          (snd sharded) (List.length expected) records;
-      true)
-
-(* ---- fixed awkward chunkings over a real racy case --------------- *)
-
-let test_awkward_chunk_sizes () =
-  let c =
-    List.find
-      (fun (c : Bugsuite.Case.t) -> c.Bugsuite.Case.verdict <> Bugsuite.Case.Race_free)
-      Bugsuite.Cases.all
-  in
-  let layout = c.Bugsuite.Case.layout in
-  let kernel = c.Bugsuite.Case.kernel in
-  let expected, records, bytes =
-    oneshot ~layout kernel c.Bugsuite.Case.setup
-  in
-  Alcotest.(check bool) "the case actually races" true (expected <> []);
-  List.iter
-    (fun size ->
-      List.iter
-        (fun shards ->
-          let got =
-            outcome
-              (streamed ~layout ~shards ~cuts:[| size |] ~checkpoint_every:3
-                 kernel bytes)
-          in
-          if got <> (expected, records) then
-            Alcotest.failf "chunk=%d shards=%d: diverged from one-shot" size
-              shards)
-        [ 0; 4 ])
-    [ 1; 7; Barracuda.Wire.size - 1; Barracuda.Wire.size;
-      Stream.max_cell_size + 1 ]
-
-(* ---- full-bugsuite streaming parity ------------------------------ *)
-
-let test_bugsuite_streaming_parity () =
-  List.iter
-    (fun (c : Bugsuite.Case.t) ->
-      let layout = c.Bugsuite.Case.layout in
-      let kernel = c.Bugsuite.Case.kernel in
-      let expected, records, bytes =
-        oneshot ~layout kernel c.Bugsuite.Case.setup
-      in
-      List.iter
-        (fun shards ->
-          let got =
-            outcome
-              (streamed ~layout ~shards ~cuts:[| 997 |] ~checkpoint_every:4
-                 kernel bytes)
-          in
-          if got <> (expected, records) then
-            Alcotest.failf "%s @ %d shards: streamed race set differs"
-              c.Bugsuite.Case.name shards)
-        [ 0; 4 ])
-    Bugsuite.Cases.all
+let outcome p = (Gen.race_keys p.Session.p_errors, p.Session.p_records)
 
 (* ---- integrity: corruption is absorbed and surfaced -------------- *)
 
@@ -230,7 +68,7 @@ let test_corrupt_record_counted () =
   (* replayed against a one-instruction kernel, every access names an
      instruction the kernel lacks: counted as corrupt, not raised *)
   let st =
-    Session.open_stream ~detector:detector_config ~layout
+    Session.open_stream ~detector:Gen.detector_config ~layout
       (Gen.kernel_of_program [])
   in
   Session.feed_chunk st bytes;
@@ -302,7 +140,7 @@ let test_framing_is_loud () =
   (* an impossible value count desynchronizes cell boundaries: loud *)
   let b = Bytes.of_string bytes in
   Bytes.set_uint16_le b Barracuda.Wire.size 0xffff;
-  let st = Session.open_stream ~detector:detector_config ~layout kernel in
+  let st = Session.open_stream ~detector:Gen.detector_config ~layout kernel in
   (match Session.feed_chunk st (Bytes.to_string b) with
   | () -> Alcotest.fail "expected Stream.Framing"
   | exception Stream.Framing _ -> ());
@@ -585,11 +423,6 @@ let test_feed_buffer_bounded () =
 
 let suite =
   [
-    Gen.to_alcotest prop_chunk_invariance;
-    Alcotest.test_case "awkward chunk sizes, serial and sharded" `Quick
-      test_awkward_chunk_sizes;
-    Alcotest.test_case "bugsuite streaming parity (serial + 4 shards)" `Quick
-      test_bugsuite_streaming_parity;
     Alcotest.test_case "corrupt record absorbed and counted" `Quick
       test_corrupt_record_counted;
     Alcotest.test_case "degraded streams count alike on every backend" `Quick

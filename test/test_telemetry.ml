@@ -6,16 +6,11 @@
 module W = Workloads.Workload
 module Session = Gpu_runtime.Session
 
-let with_telemetry f =
-  Telemetry.Registry.set_enabled true;
-  Telemetry.Registry.reset Telemetry.Registry.default;
-  Fun.protect ~finally:(fun () -> Telemetry.Registry.set_enabled false) f
-
 (* ------------------------------------------------------------------ *)
 (* Metric and registry semantics                                       *)
 
 let test_counter_gauge () =
-  with_telemetry (fun () ->
+  Gen.with_telemetry (fun () ->
       let r = Telemetry.Registry.create () in
       let c = Telemetry.Registry.counter r "c_total" in
       Telemetry.Metric.counter_incr c;
@@ -49,7 +44,7 @@ let test_disabled_is_noop () =
        r "barracuda_span_calls_total")
 
 let test_kind_mismatch () =
-  with_telemetry (fun () ->
+  Gen.with_telemetry (fun () ->
       let r = Telemetry.Registry.create () in
       ignore (Telemetry.Registry.counter r "m");
       Alcotest.check_raises "kind mismatch rejected"
@@ -57,7 +52,7 @@ let test_kind_mismatch () =
         (fun () -> ignore (Telemetry.Registry.gauge r "m")))
 
 let test_labels_distinct () =
-  with_telemetry (fun () ->
+  Gen.with_telemetry (fun () ->
       let r = Telemetry.Registry.create () in
       let a = Telemetry.Registry.counter ~labels:[ ("q", "0") ] r "d_total" in
       let b = Telemetry.Registry.counter ~labels:[ ("q", "1") ] r "d_total" in
@@ -86,7 +81,7 @@ let sample_registry () =
   r
 
 let test_json_roundtrip () =
-  with_telemetry (fun () ->
+  Gen.with_telemetry (fun () ->
       let r = sample_registry () in
       let doc = Telemetry.Export.json_of r in
       match Telemetry.Json.of_string (Telemetry.Export.to_json_string r) with
@@ -171,7 +166,7 @@ let test_json_codec () =
     (C.of_string shape {|{"cmd":"go"}|} = Error {|unknown cmd "go"|})
 
 let test_prometheus () =
-  with_telemetry (fun () ->
+  Gen.with_telemetry (fun () ->
       let r = sample_registry () in
       let text = Telemetry.Export.to_prometheus r in
       let contains sub =
@@ -208,7 +203,7 @@ let launch_once (w : W.t) =
   Session.launch session w.W.kernel args
 
 let test_hooks_match_queue_stats () =
-  with_telemetry (fun () ->
+  Gen.with_telemetry (fun () ->
       let r = launch_once (Workloads.Registry.find "backprop") in
       let counter = Telemetry.Registry.find_counter Telemetry.Registry.default in
       let records = r.Session.sr_records in
@@ -218,9 +213,14 @@ let test_hooks_match_queue_stats () =
       Alcotest.(check int) "detector saw every record" records
         (counter "barracuda_detector_records_total"))
 
+(* Check plans are memoized per process, so [static.analyze] runs on a
+   kernel no earlier test has analyzed: pathfinder under a name of its
+   own. *)
 let test_stage_spans_in_json () =
-  with_telemetry (fun () ->
-      ignore (launch_once (Workloads.Registry.find "pathfinder"));
+  Gen.with_telemetry (fun () ->
+      let w = Workloads.Registry.find "pathfinder" in
+      let kernel = { w.W.kernel with Ptx.Ast.kname = "pathfinder_spans" } in
+      ignore (launch_once { w with W.kernel });
       let doc = Telemetry.Export.json_of Telemetry.Registry.default in
       let span_labels =
         match Telemetry.Json.member "metrics" doc with
@@ -262,7 +262,7 @@ let test_verdicts_unchanged () =
     (fun (w : W.t) ->
       Telemetry.Registry.set_enabled false;
       let off_report = (W.run w).Session.sr_report in
-      with_telemetry (fun () ->
+      Gen.with_telemetry (fun () ->
           let on_report = (W.run w).Session.sr_report in
           Alcotest.(check int)
             (Printf.sprintf "%s: race count unchanged" w.W.name)
@@ -281,7 +281,7 @@ let test_verdicts_unchanged () =
 let test_word_path_counters () =
   let layout = Vclock.Layout.make ~warp_size:4 ~threads_per_block:4 ~blocks:1 in
   let counters emit =
-    with_telemetry (fun () ->
+    Gen.with_telemetry (fun () ->
         let b = Ptx.Builder.create ~params:[ "p" ] "word_path" in
         emit b;
         let kernel = Ptx.Builder.finish b in
@@ -330,7 +330,7 @@ let test_published_counters () =
     [ "records"; "checks"; "epoch_fast"; "vc_full"; "races"; "planned_out" ]
   in
   let deltas run =
-    with_telemetry (fun () ->
+    Gen.with_telemetry (fun () ->
         run ();
         List.map
           (fun n ->
@@ -385,7 +385,7 @@ let test_published_counters () =
     planned_out (List.nth published 5)
 
 let test_session_rollups () =
-  with_telemetry (fun () ->
+  Gen.with_telemetry (fun () ->
       let w = Workloads.Registry.find "backprop" in
       let layout = w.W.layout in
       let session = Session.create ~layout () in
@@ -413,7 +413,7 @@ let test_session_rollups () =
    span prints under its stage and within its time, and the
    unattributed row closes the stages' sum to 100% of wall. *)
 let test_profile_rows_sum () =
-  with_telemetry (fun () ->
+  Gen.with_telemetry (fun () ->
       let kernel = Ptx.Parser.kernel_of_string Example_ptx.stencil_race in
       let machine = Simt.Machine.create ~layout:Service.Exec.default_layout () in
       let args = Service.Exec.resolve_args machine kernel [] in
