@@ -5,11 +5,12 @@
    Shared between the runtime transport and the detector's in-place
    [feed_record] path, as the head of a cell.
 
-   All multi-byte fields are read and written through
-   [set_uint16_le]/[get_uint16_le] compositions: those primitives take
-   and return immediate [int]s, so no boxed [Int32.t]/[Int64.t]
-   temporary is allocated on the hot path (the [set_int32_le] family
-   boxes its argument unless the optimizer happens to unbox it). *)
+   Multi-byte fields are read through [get_uint16_le] compositions and
+   written through [set_uint16_le] ones, or, for a 64-bit lane slot,
+   one [set_int64_le] whose [Int64.of_int] argument feeds the store
+   primitive directly: no boxed [Int32.t]/[Int64.t] temporary is
+   allocated on the hot path (a boxed value passed or returned across
+   a call would be). *)
 
 let magic = 0xBA
 let version = 1
@@ -65,11 +66,9 @@ let set_u32 b pos v =
   Bytes.set_uint16_le b pos (v land 0xFFFF);
   Bytes.set_uint16_le b (pos + 2) ((v lsr 16) land 0xFFFF)
 
-let set_u64 b pos v =
-  Bytes.set_uint16_le b pos (v land 0xFFFF);
-  Bytes.set_uint16_le b (pos + 2) ((v lsr 16) land 0xFFFF);
-  Bytes.set_uint16_le b (pos + 4) ((v lsr 32) land 0xFFFF);
-  Bytes.set_uint16_le b (pos + 6) ((v asr 48) land 0xFFFF)
+(* One 64-bit store of the sign-extended int: the [int64] is an
+   argument of the store primitive itself, so it is never boxed. *)
+let set_u64 b pos v = Bytes.set_int64_le b pos (Int64.of_int v)
 
 let get_u32 b pos =
   Bytes.get_uint16_le b pos lor (Bytes.get_uint16_le b (pos + 2) lsl 16)
@@ -90,12 +89,11 @@ let cell_size ~nvalues = size + 2 + (8 * nvalues)
 let max_cell_size = cell_size ~nvalues:max_lanes
 
 let write_values b ~pos values =
-  let n = Array.length values in
-  if n > max_lanes then invalid_arg "Wire.write_values: too many values";
-  Bytes.set_uint16_le b (pos + size) n;
-  for i = 0 to n - 1 do
-    Bytes.set_int64_le b (pos + size + 2 + (8 * i)) values.(i)
-  done
+  let len = Bytes.length values in
+  if len land 7 <> 0 || len > 8 * max_lanes then
+    invalid_arg "Wire.write_values: not a whole number of at most 32 values";
+  Bytes.set_uint16_le b (pos + size) (len lsr 3);
+  Bytes.blit values 0 b (pos + size + 2) len
 
 let value_count b ~pos =
   let at = pos + size and len = Bytes.length b in

@@ -23,7 +23,8 @@
 
     Every accessor and writer is allocation-free: multi-byte fields go
     through [get_uint16_le]/[set_uint16_le] compositions, which traffic
-    in immediate [int]s rather than boxed [Int32.t]/[Int64.t].
+    in immediate [int]s rather than boxed [Int32.t]/[Int64.t], and a
+    64-bit lane slot is written with one unboxed 64-bit store.
 
     Writers fill the whole 24-byte header (ring slots are reused, so
     stale header fields must be overwritten), but only the lane slots
@@ -122,9 +123,14 @@ val write_barrier_divergence :
 val cell_size : nvalues:int -> int
 val max_cell_size : int (** [cell_size ~nvalues:max_lanes]: 538 bytes. *)
 
-val write_values : Bytes.t -> pos:int -> int64 array -> unit
-(** Write the count and values of the cell whose record is at [pos].
-    @raise Invalid_argument on more than {!max_lanes} values. *)
+val write_values : Bytes.t -> pos:int -> Bytes.t -> unit
+(** [write_values b ~pos values] writes the count and values of the cell
+    whose record is at [pos].  [values] holds them in the cell's own
+    layout (value [i] a little-endian [int64] at byte [8 * i], as
+    {!Simt.Event.mem_access} carries them), so they are copied with one
+    blit.
+    @raise Invalid_argument unless [values] is a whole number of at most
+    {!max_lanes} values. *)
 
 val value_count : Bytes.t -> pos:int -> int
 (** The value count of the cell at [pos]; [-1] when it exceeds

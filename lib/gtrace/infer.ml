@@ -24,7 +24,7 @@ let access_ops t (a : Simt.Event.mem_access) =
       let per_lane lane =
         let tid = tid_of lane in
         let base = a.addrs.(lane) in
-        let value = a.values.(lane) in
+        let value = Simt.Event.value a lane in
         let data_bytes mk =
           List.init a.width (fun i -> mk (Loc.with_addr loc0 (base + i)))
         in

@@ -138,7 +138,7 @@ let drive ?max_steps ?deadline_ns ?fault ?inst ?capture ?tap ~machine sink
     match capture with
     | Some b ->
         Buffer.add_subbytes b buf 0
-          (Wire.cell_size ~nvalues:(Array.length values))
+          (Wire.cell_size ~nvalues:(Bytes.length values / 8))
     | None -> ()
   in
   let on_event ev =
@@ -156,20 +156,20 @@ let drive ?max_steps ?deadline_ns ?fault ?inst ?capture ?tap ~machine sink
         let o = orig insn in
         Wire.write_branch_if buf ~pos:0 ~mask:(then_mask lor else_mask) ~warp
           ~insn:o ~then_mask ~else_mask;
-        emit [||]
+        emit Bytes.empty
     | Simt.Event.Branch_else { warp; mask } ->
         Wire.write_branch_else buf ~pos:0 ~warp ~insn:(-1) ~mask;
-        emit [||]
+        emit Bytes.empty
     | Simt.Event.Branch_fi { warp; mask } ->
         Wire.write_branch_fi buf ~pos:0 ~warp ~insn:(-1) ~mask;
-        emit [||]
+        emit Bytes.empty
     | Simt.Event.Barrier { block } ->
         Wire.write_barrier buf ~pos:0 ~warp:(-1) ~insn:(-1) ~mask:0 ~block;
-        emit [||]
+        emit Bytes.empty
     | Simt.Event.Barrier_divergence { warp; insn; mask; expected } ->
         Wire.write_barrier_divergence buf ~pos:0 ~warp ~insn:(orig insn) ~mask
           ~expected;
-        emit [||]
+        emit Bytes.empty
     | Simt.Event.Fence _ | Simt.Event.Kernel_done -> ()
   in
   let on_event =

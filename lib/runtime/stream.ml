@@ -94,6 +94,13 @@ let decode_header s =
   let blocks = u32 12 in
   if warp_size <= 0 || threads_per_block <= 0 || blocks <= 0 then
     raise (Framing "bad layout in stream header");
+  if not (Vclock.Layout.within_max_threads ~threads_per_block ~blocks) then
+    raise
+      (Framing
+         (Printf.sprintf
+            "stream header layout: %d blocks of %d threads exceed the cap of \
+             %d threads"
+            blocks threads_per_block Vclock.Layout.max_threads));
   Vclock.Layout.make ~warp_size ~threads_per_block ~blocks
 
 let write_file path ~layout cells =

@@ -52,7 +52,9 @@ val encode_header : Vclock.Layout.t -> string
     block, blocks: a 1-D layout's whole shape. *)
 
 val decode_header : string -> Vclock.Layout.t
-(** @raise Framing on bad magic/version or a truncated header. *)
+(** @raise Framing on bad magic/version, a truncated header, or a layout
+    with a dimension below 1 or more than {!Vclock.Layout.max_threads}
+    threads. *)
 
 val write_file : string -> layout:Vclock.Layout.t -> Buffer.t -> unit
 (** Write header + recorded cells to [path].

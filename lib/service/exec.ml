@@ -45,6 +45,15 @@ let resolve_args machine kernel specs =
   in
   Array.of_list (given @ fill)
 
+(* A layout a client sends is bounded before anything is sized by it. *)
+let check_thread_cap ~blocks ~tpb =
+  if not (Vclock.Layout.within_max_threads ~threads_per_block:tpb ~blocks) then
+    raise
+      (Bad_args
+         (Printf.sprintf
+            "bad layout: %d blocks of %d threads exceed the cap of %d threads"
+            blocks tpb Vclock.Layout.max_threads))
+
 (* A submitted layout is the client's to get right: one no detector
    can check is a bad request before anything is built or run. *)
 let layout_of (s : Protocol.submit) =
@@ -58,6 +67,7 @@ let layout_of (s : Protocol.submit) =
                 "bad layout: %d blocks of %d threads, warp %d (each at least \
                  1, a warp at most the %d lanes of a wire record)"
                 blocks tpb warp Barracuda.Wire.max_lanes));
+      check_thread_cap ~blocks ~tpb;
       Vclock.Layout.make ~warp_size:warp ~threads_per_block:tpb ~blocks
 
 let m_static_fast =
@@ -194,6 +204,8 @@ let run_check ~config ~cache ~job (s : Protocol.submit) =
 
 let run_predict ~job (s : Protocol.submit) =
   let layout, ops = Gtrace.Serialize.of_string s.Protocol.payload in
+  check_thread_cap ~blocks:layout.Vclock.Layout.blocks
+    ~tpb:layout.Vclock.Layout.threads_per_block;
   let a = Predict.Analysis.run ~layout ops in
   let errors =
     List.map

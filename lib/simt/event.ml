@@ -7,9 +7,11 @@ type mem_access = {
   space : Ptx.Ast.space;
   mask : int;
   addrs : int array;
-  values : int64 array;
+  values : Bytes.t;
   width : int;
 }
+
+let value a lane = Bytes.get_int64_le a.values (lane lsl 3)
 
 type t =
   | Access of mem_access

@@ -8,6 +8,11 @@
 
 type access_kind = Load | Store | Atomic of Ptx.Ast.atom_op
 
+(** One warp's memory access.  [addrs] and [values] are the launch's
+    own lane buffers, one slot per lane of the warp, reused by its next
+    access: they are valid only during the [on_event] call that carries
+    the event.  A consumer that keeps a lane's address or value past the
+    call copies it.  Lanes outside [mask] read zero in both. *)
 type mem_access = {
   warp : int;  (** global warp id *)
   insn : int;  (** static instruction index within the kernel body *)
@@ -15,9 +20,14 @@ type mem_access = {
   space : Ptx.Ast.space;
   mask : int;  (** lanes that performed the access *)
   addrs : int array;  (** per-lane byte address (indexed by lane) *)
-  values : int64 array;  (** per-lane value stored / loaded / swapped in *)
+  values : Bytes.t;
+      (** per-lane value stored / loaded / swapped in, in a wire cell's
+          layout: lane [l]'s little-endian [int64] at byte [8 * l] *)
   width : int;  (** access width in bytes *)
 }
+
+val value : mem_access -> int -> int64
+(** [value a lane]: lane [lane]'s value. *)
 
 type t =
   | Access of mem_access

@@ -205,6 +205,9 @@ type launch_ctx = {
   ws : int;
   warps : warp_state array;
   emit : Event.t -> unit;
+  (* one slot per lane, rewritten by every access event *)
+  addrs : int array;
+  values : Bytes.t; (* lane l's int64 at 8l, as in a wire cell *)
   mutable dyn_instructions : int;
   mutable barrier_divergence : bool;
   mutable rng : int;
@@ -219,11 +222,15 @@ let next_rand ctx =
   ctx.rng <- x land max_int;
   ctx.rng
 
-let get_reg ctx w r lane =
+(* The lane loops below let-bind every operand read and inline every
+   helper, so a lane's [int64] never leaves a register: a warp's ALU
+   instruction allocates nothing. *)
+
+let[@inline] get_reg ctx w r lane =
   Bytes.unsafe_set w.touched r '\001';
   Bytes.get_int64_le w.regs (((r * ctx.ws) + lane) lsl 3)
 
-let set_reg ctx w r lane v =
+let[@inline] set_reg ctx w r lane v =
   Bytes.unsafe_set w.touched r '\001';
   Bytes.set_int64_le w.regs (((r * ctx.ws) + lane) lsl 3) v
 
@@ -233,28 +240,27 @@ let sreg_value ctx w lane sreg =
   let layout = ctx.m.layout in
   let bd = layout.Vclock.Layout.block_dim and gd = layout.Vclock.Layout.grid_dim in
   let tid = ((w.in_block * ctx.ws) + lane) mod layout.Vclock.Layout.threads_per_block in
-  Int64.of_int
-    (match sreg with
-    | Ptx.Ast.Tid -> tid mod bd.x
-    | Ptx.Ast.Tid_y -> tid / bd.x mod bd.y
-    | Ptx.Ast.Tid_z -> tid / (bd.x * bd.y)
-    | Ptx.Ast.Ntid -> bd.x
-    | Ptx.Ast.Ntid_y -> bd.y
-    | Ptx.Ast.Ntid_z -> bd.z
-    | Ptx.Ast.Ctaid -> w.block mod gd.x
-    | Ptx.Ast.Ctaid_y -> w.block / gd.x mod gd.y
-    | Ptx.Ast.Ctaid_z -> w.block / (gd.x * gd.y)
-    | Ptx.Ast.Nctaid -> gd.x
-    | Ptx.Ast.Nctaid_y -> gd.y
-    | Ptx.Ast.Nctaid_z -> gd.z
-    | Ptx.Ast.Laneid -> lane
-    | Ptx.Ast.Warpid -> w.in_block)
+  match sreg with
+  | Ptx.Ast.Tid -> tid mod bd.x
+  | Ptx.Ast.Tid_y -> tid / bd.x mod bd.y
+  | Ptx.Ast.Tid_z -> tid / (bd.x * bd.y)
+  | Ptx.Ast.Ntid -> bd.x
+  | Ptx.Ast.Ntid_y -> bd.y
+  | Ptx.Ast.Ntid_z -> bd.z
+  | Ptx.Ast.Ctaid -> w.block mod gd.x
+  | Ptx.Ast.Ctaid_y -> w.block / gd.x mod gd.y
+  | Ptx.Ast.Ctaid_z -> w.block / (gd.x * gd.y)
+  | Ptx.Ast.Nctaid -> gd.x
+  | Ptx.Ast.Nctaid_y -> gd.y
+  | Ptx.Ast.Nctaid_z -> gd.z
+  | Ptx.Ast.Laneid -> lane
+  | Ptx.Ast.Warpid -> w.in_block
 
-let operand_value ctx w lane = function
+let[@inline] operand_value ctx w lane = function
   | Reg r -> get_reg ctx w r lane
   | Const v -> v
   | Param i -> ctx.args.(i)
-  | Sreg s -> sreg_value ctx w lane s
+  | Sreg s -> Int64.of_int (sreg_value ctx w lane s)
 
 (* Local memory is per lane.  [Validate] rejects stores and atomics on
    [.param], and a parameter load resolves to a move. *)
@@ -264,11 +270,11 @@ let memory_for ctx w lane = function
   | Ptx.Ast.Local -> local_memory w lane
   | Ptx.Ast.Param -> assert false
 
-let truncate_width width v =
+let[@inline] truncate_width width v =
   if width >= 8 then v
   else Int64.logand v (Int64.sub (Int64.shift_left 1L (8 * width)) 1L)
 
-let eval_binop op a b =
+let[@inline] eval_binop op a b =
   let open Int64 in
   match op with
   | Ptx.Ast.B_add -> add a b
@@ -284,7 +290,7 @@ let eval_binop op a b =
   | Ptx.Ast.B_shl -> shift_left a (to_int (logand b 63L))
   | Ptx.Ast.B_shr -> shift_right_logical a (to_int (logand b 63L))
 
-let eval_cmp cmp a b =
+let[@inline] eval_cmp cmp a b =
   let c = Int64.compare a b in
   match cmp with
   | Ptx.Ast.C_eq -> c = 0
@@ -294,7 +300,7 @@ let eval_cmp cmp a b =
   | Ptx.Ast.C_gt -> c > 0
   | Ptx.Ast.C_ge -> c >= 0
 
-let eval_atom op ~old ~src ~src2 =
+let[@inline] eval_atom op ~old ~src ~src2 =
   let open Int64 in
   match op with
   | Ptx.Ast.A_add -> add old src
@@ -336,101 +342,137 @@ let rec drain_pops ctx w =
       ctx.emit (Event.Branch_fi { warp = w.wid; mask = e.Simt_stack.mask });
       drain_pops ctx w
 
-(* One active lane's register-to-register instruction. *)
-let exec_lane ctx w lane = function
-  | Move { dst; src } -> set_reg ctx w dst lane (operand_value ctx w lane src)
+(* A register-to-register instruction: one dispatch, then the case's
+   own loop over the active lanes. *)
+let exec_alu ctx w active alu =
+  match alu with
+  | Move { dst; src } ->
+      for lane = 0 to ctx.ws - 1 do
+        if active land (1 lsl lane) <> 0 then begin
+          let v = operand_value ctx w lane src in
+          set_reg ctx w dst lane v
+        end
+      done
   | Not { dst; src } ->
-      let v = operand_value ctx w lane src in
-      set_reg ctx w dst lane (if v = 0L then 1L else 0L)
+      for lane = 0 to ctx.ws - 1 do
+        if active land (1 lsl lane) <> 0 then begin
+          let v = operand_value ctx w lane src in
+          set_reg ctx w dst lane (if v = 0L then 1L else 0L)
+        end
+      done
   | Setp { cmp; dst; a; b } ->
-      let va = operand_value ctx w lane a in
-      let vb = operand_value ctx w lane b in
-      set_reg ctx w dst lane (if eval_cmp cmp va vb then 1L else 0L)
+      for lane = 0 to ctx.ws - 1 do
+        if active land (1 lsl lane) <> 0 then begin
+          let va = operand_value ctx w lane a in
+          let vb = operand_value ctx w lane b in
+          set_reg ctx w dst lane (if eval_cmp cmp va vb then 1L else 0L)
+        end
+      done
   | Binop { bop; dst; a; b } ->
-      let va = operand_value ctx w lane a in
-      let vb = operand_value ctx w lane b in
-      set_reg ctx w dst lane (eval_binop bop va vb)
+      for lane = 0 to ctx.ws - 1 do
+        if active land (1 lsl lane) <> 0 then begin
+          let va = operand_value ctx w lane a in
+          let vb = operand_value ctx w lane b in
+          let v = eval_binop bop va vb in
+          set_reg ctx w dst lane v
+        end
+      done
   | Mad { dst; a; b; c } ->
-      let va = operand_value ctx w lane a in
-      let vb = operand_value ctx w lane b in
-      let vc = operand_value ctx w lane c in
-      set_reg ctx w dst lane (Int64.add (Int64.mul va vb) vc)
+      for lane = 0 to ctx.ws - 1 do
+        if active land (1 lsl lane) <> 0 then begin
+          let va = operand_value ctx w lane a in
+          let vb = operand_value ctx w lane b in
+          let vc = operand_value ctx w lane c in
+          set_reg ctx w dst lane (Int64.add (Int64.mul va vb) vc)
+        end
+      done
   | Selp { dst; a; b; pred } ->
-      let v =
-        if get_reg ctx w pred lane <> 0L then operand_value ctx w lane a
-        else operand_value ctx w lane b
-      in
-      set_reg ctx w dst lane v
+      (* only the picked operand is read, so only it is touched *)
+      for lane = 0 to ctx.ws - 1 do
+        if active land (1 lsl lane) <> 0 then begin
+          let v =
+            if get_reg ctx w pred lane <> 0L then operand_value ctx w lane a
+            else operand_value ctx w lane b
+          in
+          set_reg ctx w dst lane v
+        end
+      done
 
-(* One warp-wide memory access: lane by lane, so atomics serialize in
-   lane order.  The event gets fresh arrays, though no consumer keeps
-   them past the event: the session copies them into the record's
-   cell. *)
+(* One warp-wide memory access, lane by lane, so atomics serialize in
+   lane order.  Values move through the launch's lane buffer: [Memory]
+   loads into and stores from a lane's 8-byte slot, and the event
+   carries the buffer, so no lane value is boxed.  Inactive lanes'
+   slots are zeroed. *)
 let exec_access ctx w pc active a =
-  let addrs = Array.make ctx.ws 0 and values = Array.make ctx.ws 0L in
+  let addrs = ctx.addrs and values = ctx.values and width = a.width in
   for lane = 0 to ctx.ws - 1 do
-    if active land (1 lsl lane) <> 0 then begin
-      let addr = Int64.to_int (operand_value ctx w lane a.base) + a.offset in
-      let mem = memory_for ctx w lane a.space and width = a.width in
-      addrs.(lane) <- addr;
-      values.(lane) <-
-        (match a.kind with
-        | Event.Load ->
-            let v = Memory.read mem ~addr ~width in
-            set_reg ctx w a.dst lane v;
-            v
-        | Event.Store ->
-            let v = truncate_width width (operand_value ctx w lane a.src) in
-            Memory.write mem ~addr ~width v;
-            v
-        | Event.Atomic op ->
-            let old = Memory.read mem ~addr ~width in
-            let src = operand_value ctx w lane a.src in
-            let src2 = operand_value ctx w lane a.src2 in
-            let v = truncate_width width (eval_atom op ~old ~src ~src2) in
-            Memory.write mem ~addr ~width v;
-            set_reg ctx w a.dst lane old;
-            v)
+    let slot = lane lsl 3 in
+    if active land (1 lsl lane) = 0 then begin
+      Array.unsafe_set addrs lane 0;
+      Bytes.set_int64_le values slot 0L
+    end
+    else begin
+      let base = operand_value ctx w lane a.base in
+      let addr = Int64.to_int base + a.offset in
+      let mem = memory_for ctx w lane a.space in
+      Array.unsafe_set addrs lane addr;
+      match a.kind with
+      | Event.Load ->
+          Memory.load mem ~addr ~width values slot;
+          let v = Bytes.get_int64_le values slot in
+          set_reg ctx w a.dst lane v
+      | Event.Store ->
+          let v = operand_value ctx w lane a.src in
+          Bytes.set_int64_le values slot (truncate_width width v);
+          Memory.store mem ~addr ~width values slot
+      | Event.Atomic op ->
+          Memory.load mem ~addr ~width values slot;
+          let old = Bytes.get_int64_le values slot in
+          let src = operand_value ctx w lane a.src in
+          let src2 = operand_value ctx w lane a.src2 in
+          let v = eval_atom op ~old ~src ~src2 in
+          Bytes.set_int64_le values slot (truncate_width width v);
+          Memory.store mem ~addr ~width values slot;
+          set_reg ctx w a.dst lane old
     end
   done;
   ctx.emit
     (Event.Access
        { warp = w.wid; insn = pc; kind = a.kind; space = a.space; mask = active; addrs;
-         values; width = a.width })
+         values; width })
+
+(* Skip entries whose lanes all retired, and take pending pops. *)
+let rec settle ctx w =
+  if Simt_stack.is_done w.stack then w.finished <- true
+  else begin
+    drain_pops ctx w;
+    let e = Simt_stack.top w.stack in
+    if e.Simt_stack.mask = 0 then begin
+      (* all lanes of this path retired: fast-forward to its pop *)
+      if e.Simt_stack.reconv = max_int then w.finished <- true
+      else begin
+        Simt_stack.set_pc w.stack e.Simt_stack.reconv;
+        settle ctx w
+      end
+    end
+    else if e.Simt_stack.pc >= Array.length ctx.prog then begin
+      (* fell off the end: implicit ret for the active path *)
+      Simt_stack.retire w.stack e.Simt_stack.mask;
+      settle ctx w
+    end
+  end
 
 (* Execute one instruction for warp [w].  Returns [true] if the warp made
    progress (it was runnable). *)
 let step_warp ctx w =
   if w.finished || w.at_barrier then false
   else begin
-    (* Skip entries whose lanes all retired, and take pending pops. *)
-    let rec settle () =
-      if Simt_stack.is_done w.stack then w.finished <- true
-      else begin
-        drain_pops ctx w;
-        let e = Simt_stack.top w.stack in
-        if e.Simt_stack.mask = 0 then begin
-          (* all lanes of this path retired: fast-forward to its pop *)
-          if e.Simt_stack.reconv = max_int then w.finished <- true
-          else begin
-            Simt_stack.set_pc w.stack e.Simt_stack.reconv;
-            settle ()
-          end
-        end
-        else if Simt_stack.pc w.stack >= Array.length ctx.prog then begin
-          (* fell off the end: implicit ret for the active path *)
-          let lanes = Simt_stack.active_mask w.stack in
-          Simt_stack.retire w.stack lanes;
-          settle ()
-        end
-      end
-    in
-    settle ();
+    settle ctx w;
     if w.finished then false
     else begin
-      let pc = Simt_stack.pc w.stack in
+      let top = Simt_stack.top w.stack in
+      let pc = top.Simt_stack.pc and path_mask = top.Simt_stack.mask in
       let insn = ctx.prog.(pc) in
-      let path_mask = Simt_stack.active_mask w.stack in
       ctx.dyn_instructions <- ctx.dyn_instructions + 1;
       (* a nop's guard is never read *)
       let active =
@@ -472,9 +514,7 @@ let step_warp ctx w =
           if active <> 0 then exec_access ctx w pc active a;
           Simt_stack.set_pc w.stack (pc + 1)
       | Alu alu ->
-          for lane = 0 to ctx.ws - 1 do
-            if active land (1 lsl lane) <> 0 then exec_lane ctx w lane alu
-          done;
+          if active <> 0 then exec_alu ctx w active alu;
           Simt_stack.set_pc w.stack (pc + 1)
       | Nop -> Simt_stack.set_pc w.stack (pc + 1));
       true
@@ -564,6 +604,8 @@ let launch ?(max_steps = 50_000_000) ?deadline_ns ?fault ?(on_event = fun _ -> (
       ws;
       warps;
       emit = on_event;
+      addrs = Array.make ws 0;
+      values = Bytes.make (ws * 8) '\000';
       dyn_instructions = 0;
       barrier_divergence = false;
       rng = (match t.policy with Random s -> (s lor 1) land max_int | Round_robin -> 1);

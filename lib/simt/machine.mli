@@ -62,6 +62,13 @@ val launch :
 (** [launch m kernel args] runs [kernel] with parameters bound to [args]
     positionally, emitting events to [on_event] as execution proceeds.
 
+    A warp instruction is dispatched once and runs its own loop over
+    the active lanes, with lane values unboxed: an ALU instruction
+    allocates nothing and an access only its event.  An access event's
+    [addrs] and [values] are the launch's own lane buffers, rewritten by
+    its next access, so [on_event] may read them only during the call
+    ({!Event.mem_access}).
+
     A kernel is validated and resolved once per content, not per
     launch: its program (registers numbered in sorted name order,
     operands resolved with each parameter as a slot of the argument

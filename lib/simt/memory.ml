@@ -38,38 +38,85 @@ let find t addr =
         p
     | exception Not_found -> no_page
 
-let rec read t ~addr ~width =
-  let off = addr land (page_size - 1) in
-  match width with
-  | (1 | 2 | 4 | 8) when off + width <= page_size -> (
-      let p = find t addr in
-      if p == no_page then 0L
-      else
-        match width with
-        | 1 -> Int64.of_int (Bytes.get_uint8 p.data off)
-        | 2 -> Int64.of_int (Bytes.get_uint16_le p.data off)
-        | 4 -> Int64.of_int (Int32.to_int (Bytes.get_int32_le p.data off) land 0xFFFF_FFFF)
-        | _ -> Bytes.get_int64_le p.data off)
-  | _ ->
-      (* straddles a page boundary: byte by byte, little-endian *)
-      let v = ref 0L in
-      for i = width - 1 downto 0 do
-        v := Int64.logor (Int64.shift_left !v 8) (read t ~addr:(addr + i) ~width:1)
-      done;
-      !v
+(* The page holding [addr], created on first use. *)
+let page t addr =
+  let p = find t addr in
+  if p != no_page then p
+  else begin
+    let p =
+      { data = Bytes.make page_size '\000'; written = Bytes.make page_size '\000' }
+    in
+    let key = addr asr page_bits in
+    Pages.replace t.pages key p;
+    t.last_key <- key;
+    t.last <- p;
+    p
+  end
 
-let write t ~addr ~width v =
-  for i = 0 to width - 1 do
-    let a = addr + i in
-    if find t a == no_page then
-      Pages.replace t.pages (a asr page_bits)
-        { data = Bytes.make page_size '\000'; written = Bytes.make page_size '\000' };
-    let p = find t a and off = a land (page_size - 1) in
-    Bytes.set_uint8 p.data off (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF);
-    if Bytes.get_uint8 p.written off = 0 then begin
-      Bytes.set_uint8 p.written off 1;
+let mark_written t p ~off ~width =
+  for i = off to off + width - 1 do
+    if Bytes.unsafe_get p.written i = '\000' then begin
+      Bytes.unsafe_set p.written i '\001';
       t.footprint <- t.footprint + 1
     end
   done
+
+(* The one fast path: an access of 1, 2, 4 or 8 bytes inside one page
+   is one page lookup and one load or store.  Anything else (an access
+   that straddles a page boundary) goes byte by byte. *)
+let in_page ~off ~width =
+  (width = 1 || width = 2 || width = 4 || width = 8) && off + width <= page_size
+
+let load t ~addr ~width b slot =
+  let off = addr land (page_size - 1) in
+  if in_page ~off ~width then begin
+    let p = find t addr in
+    if p == no_page then Bytes.set_int64_le b slot 0L
+    else
+      match width with
+      | 1 -> Bytes.set_int64_le b slot (Int64.of_int (Bytes.get_uint8 p.data off))
+      | 2 -> Bytes.set_int64_le b slot (Int64.of_int (Bytes.get_uint16_le p.data off))
+      | 4 ->
+          Bytes.set_int64_le b slot
+            (Int64.logand (Int64.of_int32 (Bytes.get_int32_le p.data off)) 0xFFFF_FFFFL)
+      | _ -> Bytes.set_int64_le b slot (Bytes.get_int64_le p.data off)
+  end
+  else begin
+    Bytes.set_int64_le b slot 0L;
+    for i = 0 to width - 1 do
+      let p = find t (addr + i) in
+      if p != no_page then
+        Bytes.set_uint8 b (slot + i)
+          (Bytes.get_uint8 p.data ((addr + i) land (page_size - 1)))
+    done
+  end
+
+let store t ~addr ~width b slot =
+  let off = addr land (page_size - 1) in
+  if in_page ~off ~width then begin
+    let p = page t addr in
+    (match width with
+    | 1 -> Bytes.set_uint8 p.data off (Bytes.get_uint8 b slot)
+    | 2 -> Bytes.set_uint16_le p.data off (Bytes.get_uint16_le b slot)
+    | 4 -> Bytes.set_int32_le p.data off (Bytes.get_int32_le b slot)
+    | _ -> Bytes.set_int64_le p.data off (Bytes.get_int64_le b slot));
+    mark_written t p ~off ~width
+  end
+  else
+    for i = 0 to width - 1 do
+      let p = page t (addr + i) and off = (addr + i) land (page_size - 1) in
+      Bytes.set_uint8 p.data off (Bytes.get_uint8 b (slot + i));
+      mark_written t p ~off ~width:1
+    done
+
+let read t ~addr ~width =
+  let b = Bytes.create 8 in
+  load t ~addr ~width b 0;
+  Bytes.get_int64_le b 0
+
+let write t ~addr ~width v =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 v;
+  store t ~addr ~width b 0
 
 let footprint t = t.footprint

@@ -1,4 +1,6 @@
-type entry = { pc : int; mask : int; reconv : int }
+(* [set_pc] updates the top entry in place; every other change builds
+   fresh entries, so no two list cells share one. *)
+type entry = { mutable pc : int; mask : int; reconv : int }
 type t = { mutable entries : entry list (* top first; never empty *) }
 
 let create ~pc ~mask = { entries = [ { pc; mask; reconv = max_int } ] }
@@ -8,13 +10,7 @@ let top t =
   | e :: _ -> e
   | [] -> assert false
 
-let active_mask t = (top t).mask
-let pc t = (top t).pc
-
-let set_pc t pc =
-  match t.entries with
-  | e :: rest -> t.entries <- { e with pc } :: rest
-  | [] -> assert false
+let set_pc t pc = (top t).pc <- pc
 
 let diverge t ~reconv ~first:(pc1, m1) ~second:(pc2, m2) =
   let cur = top t in
@@ -37,8 +33,8 @@ let try_pop t =
   else
     match List.tl t.entries with
     | [] -> None (* base entry never pops *)
-    | next :: rest ->
-        t.entries <- next :: rest;
+    | next :: _ as rest ->
+        t.entries <- rest;
         (* If [next] shares the same reconvergence point it is the second
            path of the divergence we just finished; otherwise we are back
            at the merged entry. *)

@@ -10,8 +10,8 @@
     The stack also reports {e path transitions}, which is what the race
     detector's [if]/[else]/[fi] trace operations are made of. *)
 
-type entry = {
-  pc : int;  (** next instruction index for this path *)
+type entry = private {
+  mutable pc : int;  (** next instruction index for this path *)
   mask : int;  (** lanes active on this path *)
   reconv : int;  (** pc at which this entry pops; [max_int] for the base *)
 }
@@ -22,10 +22,11 @@ val create : pc:int -> mask:int -> t
 (** A converged warp about to execute [pc]. *)
 
 val top : t -> entry
-val active_mask : t -> int
-val pc : t -> int
+(** The path executing now: its pc and active mask. *)
+
 val set_pc : t -> int -> unit
-(** Advance the current path. *)
+(** Advance the current path, in place: an entry {!top} returned sees
+    the new pc. *)
 
 val diverge : t -> reconv:int -> first:int * int -> second:int * int -> unit
 (** [diverge st ~reconv ~first:(pc1, m1) ~second:(pc2, m2)] splits the

@@ -52,6 +52,13 @@ let coords_of (d : dim3) index =
 
 let total_threads t = t.threads_per_block * t.blocks
 
+let max_threads = 1 lsl 20
+
+(* Each dimension is bounded first, so the product cannot overflow. *)
+let within_max_threads ~threads_per_block ~blocks =
+  threads_per_block <= max_threads && blocks <= max_threads
+  && threads_per_block * blocks <= max_threads
+
 let warps_per_block t =
   (t.threads_per_block + t.warp_size - 1) / t.warp_size
 

@@ -45,6 +45,16 @@ val block_coords : t -> int -> dim3
 
 val total_threads : t -> int
 
+val max_threads : int
+(** 2{^20} (1,048,576): the most threads a layout taken from an
+    untrusted client (a daemon job, a recorded stream's header) may
+    ask for, the scale of the paper's largest runs.  The library's own
+    callers are not bounded by it. *)
+
+val within_max_threads : threads_per_block:int -> blocks:int -> bool
+(** [threads_per_block * blocks <= max_threads], computed without
+    overflow for any two non-negative ints. *)
+
 val warps_per_block : t -> int
 (** Number of warps per block, counting a trailing partial warp. *)
 

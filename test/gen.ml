@@ -298,6 +298,12 @@ let replay ?sink ~layout (cuts, every) kernel bytes =
       S.abort_stream st;
       raise e
 
+(* [needle] occurs in [haystack]. *)
+let contains ~needle haystack =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  n = 0 || go 0
+
 (* Telemetry on, from zero, for [f ()]. *)
 let with_telemetry f =
   Telemetry.Registry.set_enabled true;

@@ -501,11 +501,6 @@ let test_poison_quarantine () =
 
 (* ---- versioned formats ------------------------------------------- *)
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
 let test_trace_version_rejected () =
   match
     Gtrace.Serialize.of_string
@@ -516,7 +511,7 @@ let test_trace_version_rejected () =
       Alcotest.(check bool)
         (Printf.sprintf "names both versions: %s" message)
         true
-        (contains message "version 9")
+        (Gen.contains ~needle:"version 9" message)
 
 let test_record_version_rejected () =
   (* a record of another wire version is skipped as corrupt before any

@@ -62,11 +62,6 @@ let test_journal_dimensions_rejected () =
         (Sys.file_exists (Journal.path ~dir)))
     [ ("trials0", 2, 0); ("trials-1", 2, -1); ("cases0", 0, 2) ]
 
-let contains ~needle haystack =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  n = 0 || go 0
-
 let test_journal_version_rejected () =
   with_tmp_dir "version" @@ fun dir ->
   let j = Journal.create ~seed:1 ~cases:1 ~trials:1 in
@@ -80,12 +75,12 @@ let test_journal_version_rejected () =
   | Error e ->
       (* Loud and versioned: the message names both versions. *)
       Alcotest.(check bool) ("names the file version: " ^ e) true
-        (contains
+        (Gen.contains
            ~needle:
              (Printf.sprintf "version %d" (Journal.schema_version + 1))
            e);
       Alcotest.(check bool) ("names the expected version: " ^ e) true
-        (contains
+        (Gen.contains
            ~needle:(Printf.sprintf "expected %d" Journal.schema_version)
            e)
 

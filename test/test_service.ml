@@ -1421,6 +1421,43 @@ let test_bad_layouts_rejected () =
                 (outcome.P.verdict = P.Race_free, outcome.P.cache_hit)
           | r -> Alcotest.failf "next job: %s" (P.encode_response r)))
 
+(* A layout past [Vclock.Layout.max_threads] threads is refused before
+   anything is sized by it: a check, a repair and a stream open at
+   2,048 x 1,024 threads, a predict job whose trace header states as
+   many, and a layout whose product overflows.  The reply names the
+   cap, and the same connection's next job is answered. *)
+let test_thread_cap () =
+  let sub ?(kind = P.Check) layout =
+    { (P.submit_defaults ~kind trivial_ptx) with P.layout = Some layout }
+  in
+  let cap = string_of_int Vclock.Layout.max_threads in
+  let big_trace =
+    "# barracuda-trace v1 warp_size=32 threads_per_block=1024 blocks=2048\n"
+  in
+  with_server "thread-cap" (fun socket _t ->
+      on_own_connection socket (fun ex ->
+          List.iter
+            (fun (what, req) ->
+              match ex req with
+              | P.Failed { code; message; _ } ->
+                  Alcotest.(check string) what "bad_request" code;
+                  if not (Gen.contains ~needle:cap message) then
+                    Alcotest.failf "%s: %S does not name the cap" what message
+              | r -> Alcotest.failf "%s: %s" what (P.encode_response r))
+            [
+              ("check", P.Submit (sub (2048, 1024, 32)));
+              ("repair", P.Submit (sub ~kind:P.Repair (2048, 1024, 32)));
+              ("stream", P.Stream_open (sub (2048, 1024, 32)));
+              ( "predict",
+                P.Submit (P.submit_defaults ~kind:P.Predict big_trace) );
+              ("overflowing product", P.Submit (sub (max_int, max_int, 32)));
+            ];
+          match ex (P.Submit (sub (1024, 1024, 32))) with
+          | P.Result { outcome; _ } ->
+              Alcotest.(check bool) "the next job, at the cap, is answered" true
+                (outcome.P.verdict = P.Race_free)
+          | r -> Alcotest.failf "next job: %s" (P.encode_response r)))
+
 (* A frame from a client that still sends the retired "prune" field
    decodes as it would without it, and a daemon answers it. *)
 let test_old_client_frames () =
@@ -2020,6 +2057,8 @@ let suite =
       test_live_socket_refused;
     Alcotest.test_case "bad layouts are bad requests" `Quick
       test_bad_layouts_rejected;
+    Alcotest.test_case "layouts past the thread cap are bad requests" `Quick
+      test_thread_cap;
     Alcotest.test_case "frames from older clients" `Quick
       test_old_client_frames;
   ]

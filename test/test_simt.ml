@@ -45,30 +45,43 @@ module Byte_map = struct
   let footprint = Hashtbl.length
 end
 
-type mem_op = Read of int * int | Write of int * int * int64
+(* [Read]/[Write] are the host's entry points; [Load]/[Store] are the
+   simulator's access path, through a lane's 8-byte slot (at a byte
+   offset of a 32-byte buffer). *)
+type mem_op =
+  | Read of int * int
+  | Write of int * int * int64
+  | Load of int * int * int
+  | Store of int * int * int64 * int
 
 let print_mem_ops ops =
   String.concat "; "
     (List.map
        (function
          | Read (a, w) -> Printf.sprintf "read %d/%d" a w
-         | Write (a, w, v) -> Printf.sprintf "write %d/%d %Ld" a w v)
+         | Write (a, w, v) -> Printf.sprintf "write %d/%d %Ld" a w v
+         | Load (a, w, slot) -> Printf.sprintf "load %d/%d @%d" a w slot
+         | Store (a, w, v, slot) -> Printf.sprintf "store %d/%d %Ld @%d" a w v slot)
        ops)
 
 (* Addresses cluster around page boundaries (multiples of 256),
-   negative ones included, so accesses straddle pages and reads hit
-   both written and never-written bytes. *)
+   negative ones included, so accesses are aligned, misaligned and
+   straddle pages, and reads hit both written and never-written
+   bytes. *)
 let gen_mem_ops =
   let open QCheck2.Gen in
   let addr =
     map2 (fun page d -> (page * 256) + d) (int_range (-3) 3) (int_range (-9) 9)
   in
   let width = oneofl [ 1; 2; 4; 8 ] in
+  let slot = oneofl [ 0; 8; 16; 24 ] in
   list_size (int_range 1 40)
     (oneof
        [
          map2 (fun a w -> Read (a, w)) addr width;
          map3 (fun a w v -> Write (a, w, v)) addr width int64;
+         map3 (fun a w slot -> Load (a, w, slot)) addr width slot;
+         map3 (fun (a, w) v slot -> Store (a, w, v, slot)) (pair addr width) int64 slot;
        ])
 
 let prop_memory_matches_byte_map =
@@ -77,12 +90,30 @@ let prop_memory_matches_byte_map =
       let m = Simt.Memory.create () and model = Byte_map.create () in
       List.for_all
         (fun op ->
+          (* a load writes its 8-byte slot and nothing else *)
+          let buf = Bytes.make 32 '\xAA' in
+          let rest_untouched slot =
+            let ok = ref true in
+            Bytes.iteri
+              (fun i c -> if (i < slot || i >= slot + 8) && c <> '\xAA' then ok := false)
+              buf;
+            !ok
+          in
           let same_value =
             match op with
             | Read (addr, width) ->
                 Simt.Memory.read m ~addr ~width = Byte_map.read model ~addr ~width
             | Write (addr, width, v) ->
                 Simt.Memory.write m ~addr ~width v;
+                Byte_map.write model ~addr ~width v;
+                true
+            | Load (addr, width, slot) ->
+                Simt.Memory.load m ~addr ~width buf slot;
+                Bytes.get_int64_le buf slot = Byte_map.read model ~addr ~width
+                && rest_untouched slot
+            | Store (addr, width, v, slot) ->
+                Bytes.set_int64_le buf slot v;
+                Simt.Memory.store m ~addr ~width buf slot;
                 Byte_map.write model ~addr ~width v;
                 true
           in
@@ -94,8 +125,9 @@ let prop_memory_matches_byte_map =
 let test_stack_diverge_pop () =
   let st = Simt.Simt_stack.create ~pc:0 ~mask:0xF in
   Simt.Simt_stack.diverge st ~reconv:10 ~first:(1, 0x3) ~second:(5, 0xC);
-  Alcotest.(check int) "first path mask" 0x3 (Simt.Simt_stack.active_mask st);
-  Alcotest.(check int) "first path pc" 1 (Simt.Simt_stack.pc st);
+  let top = Simt.Simt_stack.top st in
+  Alcotest.(check int) "first path mask" 0x3 top.Simt.Simt_stack.mask;
+  Alcotest.(check int) "first path pc" 1 top.Simt.Simt_stack.pc;
   Simt.Simt_stack.set_pc st 10;
   (match Simt.Simt_stack.try_pop st with
   | Some (Simt.Simt_stack.Switched e) ->
@@ -112,7 +144,7 @@ let test_stack_retire () =
   Simt.Simt_stack.diverge st ~reconv:10 ~first:(1, 0x3) ~second:(5, 0xC);
   Simt.Simt_stack.retire st 0x1;
   Alcotest.(check int) "retired lane removed" 0x2
-    (Simt.Simt_stack.active_mask st);
+    (Simt.Simt_stack.top st).Simt.Simt_stack.mask;
   Alcotest.(check bool) "not done" false (Simt.Simt_stack.is_done st);
   Simt.Simt_stack.retire st 0xE;
   Alcotest.(check bool) "all retired" true (Simt.Simt_stack.is_done st)
@@ -803,6 +835,93 @@ L:  @%p1 bra L;
   Alcotest.check_raises "instrument" (Invalid_argument expected) (fun () ->
       ignore (Instrument.Pass.instrument ~layout:lay k))
 
+(* ---- Allocation per warp instruction ------------------------------- *)
+
+(* 2 blocks of 64 threads.  The loop body is four copies of one
+   instruction kind, then the loop's add, setp and uniform branch. *)
+let alloc_layout = Vclock.Layout.make ~warp_size:32 ~threads_per_block:64 ~blocks:2
+
+let alloc_probe insn =
+  Ptx.Parser.kernel_of_string
+    (Printf.sprintf
+       {|.visible .entry alloc_probe (.param .u64 out, .param .u32 n)
+{
+    .shared .align 4 .b8 smem[256];
+    ld.param.u32 %%rn, [n];
+    mad.lo.s64 %%rg, %%ctaid.x, %%ntid.x, %%tid.x;
+    mad.lo.s64 %%rw, %%rg, 4, out;
+    add.s64 %%rb, %%rg, out;
+    mad.lo.s64 %%rs, %%tid.x, 4, smem;
+    setp.lt.s32 %%p2, %%tid.x, 16;
+    mov.u32 %%ri, 0;
+LOOP:
+    %s;
+    %s;
+    %s;
+    %s;
+    add.s32 %%ri, %%ri, 1;
+    setp.lt.s32 %%p1, %%ri, %%rn;
+    @%%p1 bra LOOP;
+    ret;
+}|}
+       insn insn insn insn)
+
+let alloc_kinds =
+  [
+    ("add", "add.s32 %rv, %rv, 7");
+    ("xor", "xor.b32 %rv, %rv, %rg");
+    ("mad", "mad.lo.s32 %rv, %rv, 3, %rg");
+    ("setp", "setp.ne.s32 %p3, %rv, %ri");
+    ("selp", "selp.u32 %rv, %rg, %ri, %p2");
+    ("mov %tid.x", "mov.u32 %rv, %tid.x");
+    ("ld.global", "ld.global.u32 %rv, [%rw]");
+    ("st.global.u32", "st.global.u32 [%rw], %ri");
+    ("st.global.u8", "st.global.u8 [%rb], %ri");
+    ("st.shared", "st.shared.u32 [%rs], %ri");
+    ("atom.global.add", "atom.global.add.u32 %rv, [%rw], 1");
+  ]
+
+(* Minor words one extra loop iteration of one warp allocates: launches
+   of 100 and 200 iterations after a warm-up launch, on fresh devices,
+   so each launch's fixed cost cancels. *)
+let words_per_iteration launch kernel =
+  let words n =
+    let machine = Simt.Machine.create ~layout:alloc_layout () in
+    let out = Simt.Machine.alloc_global machine 512 in
+    let before = Gc.minor_words () in
+    launch ~machine kernel [| Int64.of_int out; Int64.of_int n |];
+    Gc.minor_words () -. before
+  in
+  ignore (words 1);
+  let w100 = words 100 in
+  let w200 = words 200 in
+  let warps = Vclock.Layout.total_warps alloc_layout in
+  (w200 -. w100) /. float_of_int (100 * warps)
+
+let test_warp_instructions_allocate_little () =
+  let launches =
+    [
+      ( "Machine.launch",
+        fun ~machine kernel args -> ignore (Simt.Machine.launch machine kernel args) );
+      ( "Session.run_stream",
+        fun ~machine kernel args ->
+          let r = Gpu_runtime.Session.run_stream ~machine kernel args in
+          if Barracuda.Report.has_race r.Gpu_runtime.Session.sr_report then
+            Alcotest.fail "the probe races" );
+    ]
+  in
+  List.iter
+    (fun (kind, insn) ->
+      let kernel = alloc_probe insn in
+      List.iter
+        (fun (path, launch) ->
+          let words = words_per_iteration launch kernel in
+          if words > 96. then
+            Alcotest.failf "%s through %s: %.1f minor words per warp iteration (bound 96)"
+              kind path words)
+        launches)
+    alloc_kinds
+
 let suite =
   [
     Alcotest.test_case "memory widths" `Quick test_memory_widths;
@@ -845,4 +964,6 @@ let suite =
         test_program_shared_across_domains;
       Alcotest.test_case "a branch that never exits is ill-formed" `Quick
         test_branch_without_exit_ill_formed;
+      Alcotest.test_case "a warp instruction allocates little" `Quick
+        test_warp_instructions_allocate_little;
     ]

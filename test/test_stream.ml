@@ -177,6 +177,28 @@ let test_bad_header_rejected () =
   | _ -> Alcotest.fail "expected Stream.Framing"
   | exception Stream.Framing _ -> ()
 
+(* A header sizes everything a session allocates, so its layout is
+   bounded: exactly [Vclock.Layout.max_threads] threads decode, one
+   block more is a framing error, and so are dimensions whose product
+   overflows. *)
+let test_header_thread_cap () =
+  let header ~tpb ~blocks =
+    Stream.encode_header
+      (Vclock.Layout.make ~warp_size:32 ~threads_per_block:tpb ~blocks)
+  in
+  let at_cap = Stream.decode_header (header ~tpb:1024 ~blocks:1024) in
+  Alcotest.(check int) "2^20 threads decode" Vclock.Layout.max_threads
+    (Vclock.Layout.total_threads at_cap);
+  List.iter
+    (fun (what, h) ->
+      match Stream.decode_header h with
+      | _ -> Alcotest.failf "%s: expected Stream.Framing" what
+      | exception Stream.Framing _ -> ())
+    [
+      ("one block more", header ~tpb:1024 ~blocks:1025);
+      ("u32 dimensions", header ~tpb:0xFFFF_FFFF ~blocks:0xFFFF_FFFF);
+    ]
+
 (* A file too short for a header, or with the wrong magic, is a
    framing error, never [End_of_file]. *)
 let test_bad_stream_files_rejected () =
@@ -445,4 +467,6 @@ let suite =
     Gen.to_alcotest prop_mutated_stream_files;
     Alcotest.test_case "a 1 MB chunk leaves the buffer at four cells" `Quick
       test_feed_buffer_bounded;
+    Alcotest.test_case "a header's layout is bounded" `Quick
+      test_header_thread_cap;
   ]

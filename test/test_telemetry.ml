@@ -169,15 +169,10 @@ let test_prometheus () =
   Gen.with_telemetry (fun () ->
       let r = sample_registry () in
       let text = Telemetry.Export.to_prometheus r in
-      let contains sub =
-        let n = String.length sub and m = String.length text in
-        let rec go i = i + n <= m && (String.sub text i n = sub || go (i + 1)) in
-        go 0
-      in
       List.iter
         (fun line ->
           Alcotest.(check bool) (Printf.sprintf "contains %S" line) true
-            (contains line))
+            (Gen.contains ~needle:line text))
         [
           "# TYPE x_total counter";
           "x_total 17";
